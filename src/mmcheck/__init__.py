@@ -7,24 +7,8 @@ and fed by a 3-CNF instance compiler and operational simulators.
 """
 
 from .errors import MmcheckError
-from .events import (
-    Event,
-    History,
-    Relation,
-    assemble_history,
-    infer_rf,
-    po_loc,
-    restrict_var,
-)
-from .graphs import (
-    EventGraph,
-    WriteIndex,
-    WriteSubset,
-    build_base_graphs,
-    build_coherence_graphs,
-    build_r_snapshot,
-    kahn_acyclic,
-)
+from .events import Event, History, assemble_history
+from .graphs import EventGraph, WriteIndex, build_base_graphs, kahn_acyclic
 from .models import (
     MODELS,
     DerivedModel,
@@ -32,6 +16,7 @@ from .models import (
     derive,
     get_model,
     oota_check,
+    po_loc,
     rf_external,
 )
 from .oracle import StoreOrder, oracle_store, oracle_total
@@ -44,7 +29,6 @@ from .reduction import (
 )
 from .simgen import RandomProgram, generate_program, mutate, simulate
 from .solver import (
-    DpTable,
     Outcome,
     SolveStats,
     Verdict,
@@ -59,7 +43,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Cnf3",
     "DerivedModel",
-    "DpTable",
     "Event",
     "EventGraph",
     "History",
@@ -68,22 +51,17 @@ __all__ = [
     "ModelSpec",
     "Outcome",
     "RandomProgram",
-    "Relation",
     "SolveStats",
     "StoreOrder",
     "Verdict",
     "WriteIndex",
-    "WriteSubset",
     "assemble_history",
     "build_base_graphs",
-    "build_coherence_graphs",
-    "build_r_snapshot",
     "derive",
     "extract_witness",
     "format_history",
     "generate_program",
     "get_model",
-    "infer_rf",
     "kahn_acyclic",
     "mutate",
     "oota_check",
@@ -92,7 +70,6 @@ __all__ = [
     "parse_dimacs",
     "parse_history",
     "po_loc",
-    "restrict_var",
     "sat_brute_force",
     "sat_to_history_relaxed",
     "sat_to_history_sc",

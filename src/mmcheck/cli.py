@@ -68,8 +68,7 @@ class CheckReport:
             stats = self.verdict.stats
             if stats is not None:
                 out.append(f"subsets: {stats.subsets_evaluated}")
-                out.append(f"graphs: {stats.graphs_built}")
-                out.append(f"kahn: {stats.kahn_runs}")
+                out.append(f"gate_checks: {stats.gate_checks}")
             out.append(f"elapsed_ms: {self.elapsed_ms:.1f}")
         return out
 

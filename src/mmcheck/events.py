@@ -1,16 +1,18 @@
-"""Core data model: events, relations, and histories.
+"""Core data model: events and histories.
 
 A history is a collection of per-thread sequences of read/write events
 plus a reads-from relation mapping each read to the write that supplied
 its value.  Values follow a write-once discipline per variable (each
 value is written to a variable at most once), which makes reads-from
-reconstructible from values alone.
+reconstructible from values alone.  Program order is not stored: it is
+a comparison of `(thread, pos)`, with initial writes before every other
+event (see :meth:`History.po_before`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .errors import (
     AmbiguousRfError,
@@ -56,92 +58,17 @@ class Event:
         return f"{self.thread}:{self.pos}"
 
 
-class Relation:
-    """An immutable set of directed event-id pairs with adjacency indexes."""
-
-    __slots__ = ("pairs", "_fwd", "_bwd")
-
-    def __init__(self, pairs: Iterable[tuple[int, int]] = ()):
-        self.pairs: frozenset[tuple[int, int]] = frozenset(pairs)
-        fwd: dict[int, set[int]] = {}
-        bwd: dict[int, set[int]] = {}
-        for a, b in self.pairs:
-            fwd.setdefault(a, set()).add(b)
-            bwd.setdefault(b, set()).add(a)
-        self._fwd = fwd
-        self._bwd = bwd
-
-    def __contains__(self, pair: tuple[int, int]) -> bool:
-        return pair in self.pairs
-
-    def __iter__(self) -> Iterator[tuple[int, int]]:
-        return iter(self.pairs)
-
-    def __len__(self) -> int:
-        return len(self.pairs)
-
-    def __bool__(self) -> bool:
-        return bool(self.pairs)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Relation):
-            return NotImplemented
-        return self.pairs == other.pairs
-
-    def __hash__(self) -> int:
-        return hash(self.pairs)
-
-    def __repr__(self) -> str:
-        return f"Relation({sorted(self.pairs)!r})"
-
-    def successors(self, a: int) -> frozenset[int]:
-        return frozenset(self._fwd.get(a, ()))
-
-    def predecessors(self, b: int) -> frozenset[int]:
-        return frozenset(self._bwd.get(b, ()))
-
-    def union(self, *others: "Relation") -> "Relation":
-        pairs = set(self.pairs)
-        for rel in others:
-            pairs |= rel.pairs
-        return Relation(pairs)
-
-    def compose(self, other: "Relation") -> "Relation":
-        """Pairs (a, c) with (a, b) here and (b, c) in `other` for some b."""
-        out = set()
-        for a, b in self.pairs:
-            for c in other._fwd.get(b, ()):
-                out.add((a, c))
-        return Relation(out)
-
-    def inverse(self) -> "Relation":
-        return Relation((b, a) for a, b in self.pairs)
-
-    def transitive_closure(self) -> "Relation":
-        """Full transitive closure.
-
-        Debugging and explain-output aid only; acyclicity checks never go
-        through it.
-        """
-        succ: dict[int, set[int]] = {a: set(bs) for a, bs in self._fwd.items()}
-        closed = set(self.pairs)
-        changed = True
-        while changed:
-            changed = False
-            for a in list(succ):
-                reach = succ[a]
-                extra = set()
-                for b in reach:
-                    extra |= succ.get(b, set()) - reach
-                if extra:
-                    reach |= extra
-                    closed |= {(a, c) for c in extra}
-                    changed = True
-        return Relation(closed)
+def _po_before(a: Event, b: Event) -> bool:
+    if a.is_init:
+        return not b.is_init
+    return a.thread == b.thread and a.pos < b.pos
 
 
 class History:
-    """Events plus program order, reads-from, and dependency relations.
+    """Events plus reads-from and dependency relations.
+
+    `rf` and `dp` are frozensets of `(source, target)` event-id pairs.
+    Program order is answered by :meth:`po_before` from event positions.
 
     Instances are immutable after construction and safe to share across
     threads.  Use :func:`assemble_history` (or the trace parser) to build
@@ -150,7 +77,6 @@ class History:
 
     __slots__ = (
         "events",
-        "po",
         "rf",
         "dp",
         "threads",
@@ -167,13 +93,11 @@ class History:
     def __init__(
         self,
         events: Sequence[Event],
-        po: Relation,
-        rf: Relation,
-        dp: Relation,
+        rf: frozenset[tuple[int, int]],
+        dp: frozenset[tuple[int, int]],
         threads: Sequence[str],
     ):
         self.events: tuple[Event, ...] = tuple(events)
-        self.po = po
         self.rf = rf
         self.dp = dp
         self.threads: tuple[str, ...] = tuple(threads)
@@ -186,7 +110,7 @@ class History:
         }
         readers: dict[int, list[int]] = {}
         source: dict[int, int] = {}
-        for w, r in rf.pairs:
+        for w, r in rf:
             readers.setdefault(w, []).append(r)
             source[r] = w
         self._readers = {w: tuple(sorted(rs)) for w, rs in readers.items()}
@@ -233,6 +157,15 @@ class History:
     def event(self, eid: int) -> Event:
         return self.events[eid]
 
+    def po_before(self, a: int, b: int) -> bool:
+        """Whether event `a` precedes event `b` in program order.
+
+        Initial writes precede every other event and are unordered among
+        themselves; otherwise `a` and `b` must share a thread and `a` must
+        sit at an earlier position.  Irreflexive and transitive.
+        """
+        return _po_before(self.events[a], self.events[b])
+
     def resolve_ref(self, thread: str, pos: int) -> int:
         try:
             return self._ref_to_id[(thread, pos)]
@@ -277,50 +210,6 @@ def _infer_rf_pairs(
             )
         pairs.add((w, e.id))
     return pairs
-
-
-def infer_rf(h: History) -> Relation:
-    """Reconstruct reads-from by value matching.
-
-    Each read of value v on variable x is paired with the unique write of
-    v to x.  Deterministic and idempotent; works whether or not `h` already
-    carries a reads-from relation.
-    """
-    writer_of = {(e.var, e.val): e.id for e in h.events if e.is_write}
-    return Relation(_infer_rf_pairs(h.events, writer_of))
-
-
-def po_loc(h: History, llh: bool = False) -> Relation:
-    """Program order restricted to same-variable pairs.
-
-    With `llh` set, read-read pairs are additionally removed, which is the
-    weakening used by models that permit load-load hazards.
-    """
-    events = h.events
-    pairs = set()
-    for a, b in h.po.pairs:
-        ea, eb = events[a], events[b]
-        if ea.var != eb.var:
-            continue
-        if llh and ea.is_read and eb.is_read:
-            continue
-        pairs.add((a, b))
-    return Relation(pairs)
-
-
-def restrict_var(rel: Relation, h: History) -> dict[str, Relation]:
-    """Split a relation into its per-variable projections.
-
-    Keeps only pairs whose endpoints share a variable; the result maps each
-    such variable to the pairs on it.  Variables without pairs map to empty
-    relations.
-    """
-    buckets: dict[str, set[tuple[int, int]]] = {v: set() for v in h.variables}
-    for a, b in rel.pairs:
-        va, vb = h.events[a].var, h.events[b].var
-        if va == vb:
-            buckets[va].add((a, b))
-    return {v: Relation(ps) for v, ps in buckets.items()}
 
 
 def _parse_ref(ref: str) -> tuple[str, int]:
@@ -383,22 +272,6 @@ def assemble_history(
             )
         writer_of[key] = e.id
 
-    po_pairs: set[tuple[int, int]] = set()
-    by_thread: dict[str, list[int]] = {}
-    for e in events:
-        if not e.is_init:
-            by_thread.setdefault(e.thread, []).append(e.id)
-    for ids in by_thread.values():
-        for i in range(len(ids)):
-            for j in range(i + 1, len(ids)):
-                po_pairs.add((ids[i], ids[j]))
-    init_ids = [e.id for e in events if e.is_init]
-    for iw in init_ids:
-        for e in events:
-            if not e.is_init:
-                po_pairs.add((iw, e.id))
-    po = Relation(po_pairs)
-
     ref_to_id = {(e.thread, e.pos): e.id for e in events}
 
     def resolve(ref: str) -> int:
@@ -437,20 +310,21 @@ def assemble_history(
                 raise UnsourcedReadError(
                     f"read {e.ref} is not covered by the explicit rf edges"
                 )
-    rf = Relation(rf_pairs)
 
     dp_pairs = set()
     for sref, tref in dp_refs:
         s, t = resolve(sref), resolve(tref)
         if not events[s].is_read:
             raise InvalidDpError(f"dp {sref} -> {tref} must start at a read")
-        if (s, t) not in po:
+        if not _po_before(events[s], events[t]):
             raise InvalidDpError(
                 f"dp {sref} -> {tref} does not follow program order"
             )
         dp_pairs.add((s, t))
 
-    return History(events, po, rf, Relation(dp_pairs), thread_names)
+    return History(
+        events, frozenset(rf_pairs), frozenset(dp_pairs), thread_names
+    )
 
 
 def _check_value(val: int) -> None:

@@ -1,82 +1,43 @@
-"""Event graphs, acyclicity checks, and subset-indexed order machinery.
+"""Event graphs, acyclicity checks, and the write index.
 
 All consistency questions in this package reduce to the acyclicity of
-graphs over event ids built from unions of relations.  This module holds
+graphs over event ids built from unions of edge lists.  This module holds
 the graph container, Kahn's algorithm with deterministic tie-breaking,
-and the constructors for the order-augmented graphs the solver's subset
-recursion reasons about.
+the dense bit positions of the writes, and the two order-free base graphs
+the solver's subset search starts from.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable
 
-from .errors import PreconditionViolatedError
-from .events import History, Relation
+from .events import History
 
 if TYPE_CHECKING:
     from .models import DerivedModel
 
-#: Edge dedup uses a dense per-row bitmask up to this vertex count and a
-#: plain pair set beyond it.
-_DENSE_LIMIT = 4096
-
 
 class EventGraph:
-    """A directed graph over event ids with O(1) duplicate-edge detection."""
+    """A directed graph over event ids: adjacency lists plus in-degrees.
 
-    __slots__ = ("n", "adj", "in_degree", "_rows", "_pairs")
+    Edges are not deduplicated.  Kahn's algorithm, cycle extraction and
+    reachability give the same answers with or without duplicate edges.
+    """
+
+    __slots__ = ("n", "adj", "in_degree")
 
     def __init__(self, n: int):
         self.n = n
         self.adj: list[list[int]] = [[] for _ in range(n)]
         self.in_degree: list[int] = [0] * n
-        if n <= _DENSE_LIMIT:
-            self._rows: list[int] | None = [0] * n
-            self._pairs: set[tuple[int, int]] | None = None
-        else:
-            self._rows = None
-            self._pairs = set()
-
-    def add_edge(self, u: int, v: int) -> None:
-        if self._rows is not None:
-            bit = 1 << v
-            if self._rows[u] & bit:
-                return
-            self._rows[u] |= bit
-        else:
-            if (u, v) in self._pairs:
-                return
-            self._pairs.add((u, v))
-        self.adj[u].append(v)
-        self.in_degree[v] += 1
 
     def add_pairs(self, pairs: Iterable[tuple[int, int]]) -> None:
+        adj = self.adj
+        degree = self.in_degree
         for u, v in pairs:
-            self.add_edge(u, v)
-
-    def has_edge(self, u: int, v: int) -> bool:
-        if self._rows is not None:
-            return bool(self._rows[u] >> v & 1)
-        return (u, v) in self._pairs
-
-    def edge_count(self) -> int:
-        return sum(len(row) for row in self.adj)
-
-    def edges(self) -> Iterator[tuple[int, int]]:
-        for u, row in enumerate(self.adj):
-            for v in row:
-                yield (u, v)
-
-    def successor_mask(self, u: int) -> int:
-        if self._rows is not None:
-            return self._rows[u]
-        mask = 0
-        for v in self.adj[u]:
-            mask |= 1 << v
-        return mask
+            adj[u].append(v)
+            degree[v] += 1
 
 
 def kahn_acyclic(g: EventGraph) -> tuple[bool, list[int] | None]:
@@ -171,51 +132,6 @@ class WriteIndex:
         return out
 
 
-@dataclass(frozen=True)
-class WriteSubset:
-    """A subset of a history's writes, encoded as a k-bit mask."""
-
-    index: WriteIndex
-    mask: int
-
-    @classmethod
-    def of(cls, index: WriteIndex, write_ids: Iterable[int]) -> "WriteSubset":
-        return cls(index, index.mask_of(write_ids))
-
-    def members(self) -> list[int]:
-        return self.index.ids_of(self.mask)
-
-    def complement(self) -> "WriteSubset":
-        return WriteSubset(self.index, self.index.full_mask & ~self.mask)
-
-    def __contains__(self, write_id: int) -> bool:
-        bit = self.index.bit_of.get(write_id)
-        return bit is not None and bool(self.mask >> bit & 1)
-
-    def __len__(self) -> int:
-        return bin(self.mask).count("1")
-
-
-def build_r_snapshot(index: WriteIndex, subset_mask: int, v: int) -> Relation:
-    """Order edges placing `v` between a subset and its complement.
-
-    Every write outside subset ∪ {v} precedes every write inside it, and
-    `v` additionally precedes every subset member.  `v` must not be a
-    subset member.
-    """
-    vbit = index.bit_of[v]
-    if subset_mask >> vbit & 1:
-        raise PreconditionViolatedError(
-            f"write {v} is already a member of the subset"
-        )
-    enlarged = subset_mask | (1 << vbit)
-    inside = index.ids_of(enlarged)
-    outside = index.ids_of(index.full_mask & ~enlarged)
-    pairs = {(o, i) for o in outside for i in inside}
-    pairs |= {(v, w) for w in index.ids_of(subset_mask)}
-    return Relation(pairs)
-
-
 def conflict_edges(
     h: History, order_pairs: Iterable[tuple[int, int]]
 ) -> set[tuple[int, int]]:
@@ -245,32 +161,9 @@ def build_base_graphs(
     plus visible reads-from).
     """
     g_loc = EventGraph(h.n)
-    g_loc.add_pairs(derived.po_loc_effective.pairs)
-    g_loc.add_pairs(h.rf.pairs)
+    g_loc.add_pairs(derived.po_loc_effective)
+    g_loc.add_pairs(h.rf)
     g_mm = EventGraph(h.n)
-    g_mm.add_pairs(derived.po_mm.pairs)
-    g_mm.add_pairs(derived.rf_mm.pairs)
-    return g_loc, g_mm
-
-
-def build_coherence_graphs(
-    h: History,
-    derived: "DerivedModel",
-    index: WriteIndex,
-    subset_mask: int,
-    v: int,
-) -> tuple[EventGraph, EventGraph]:
-    """Order-augmented graphs testing `v` as minimum of subset ∪ {v}.
-
-    Both base graphs are extended with the snapshot edges of
-    :func:`build_r_snapshot` and the conflict edges they induce.  Their
-    joint acyclicity is exactly the condition under which the subset can
-    sit on top of a valid write order with `v` at its bottom.
-    """
-    snapshot = build_r_snapshot(index, subset_mask, v)
-    cf = conflict_edges(h, snapshot.pairs)
-    g_loc, g_mm = build_base_graphs(h, derived)
-    for g in (g_loc, g_mm):
-        g.add_pairs(snapshot.pairs)
-        g.add_pairs(cf)
+    g_mm.add_pairs(derived.po_mm)
+    g_mm.add_pairs(derived.rf_mm)
     return g_loc, g_mm

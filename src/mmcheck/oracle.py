@@ -62,8 +62,8 @@ def _both_acyclic(
 ) -> bool:
     extra = _from_read_edges(h, order_pairs)
     for static_a, static_b in (
-        (dm.po_loc_effective.pairs, h.rf.pairs),
-        (dm.po_mm.pairs, dm.rf_mm.pairs),
+        (dm.po_loc_effective, h.rf),
+        (dm.po_mm, dm.rf_mm),
     ):
         g = EventGraph(h.n)
         g.add_pairs(static_a)
@@ -149,8 +149,8 @@ def _linearize(
     h: History, dm: DerivedModel, ww: set[tuple[int, int]]
 ) -> list[int]:
     g = EventGraph(h.n)
-    g.add_pairs(dm.po_mm.pairs)
-    g.add_pairs(dm.rf_mm.pairs)
+    g.add_pairs(dm.po_mm)
+    g.add_pairs(dm.rf_mm)
     g.add_pairs(ww)
     g.add_pairs(_from_read_edges(h, ww))
     acyclic, order = kahn_acyclic(g)

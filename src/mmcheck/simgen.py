@@ -193,11 +193,11 @@ def mutate(h: History, seed: int) -> History:
             block.append((e.kind, e.var, val))
         threads.append((t, block))
     rf_refs = []
-    for w, r in sorted(h.rf.pairs, key=lambda p: p[1]):
+    for w, r in sorted(h.rf, key=lambda p: p[1]):
         if r == rid:
             w = new_writer
         rf_refs.append((h.ref(w), h.ref(r)))
-    dp_refs = [(h.ref(a), h.ref(b)) for a, b in sorted(h.dp.pairs)]
+    dp_refs = [(h.ref(a), h.ref(b)) for a, b in sorted(h.dp)]
     return assemble_history(
         init=init, threads=threads, rf_refs=rf_refs, dp_refs=dp_refs
     )

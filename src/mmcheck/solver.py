@@ -11,15 +11,15 @@ subset of writes whether it can form the *top* of such an order.  The
 answer for a subset follows from the answers of its one-smaller subsets:
 some member must be placeable below the rest, which is a pair of
 acyclicity tests on graphs that depend only on the subset and the chosen
-member (built explicitly by `graphs.build_coherence_graphs`).  Memoizing
-subsets caps the search at 2^k states for k writes.
+member.  Memoizing subsets caps the search at 2^k states for k writes.
 
 The per-candidate acyclicity tests are the hot path.  They are answered
-here from reachability masks precomputed over the static part of each
-graph, which is equivalent to building the augmented graphs and running
-Kahn's algorithm but costs a handful of word operations per candidate.
-The equivalence is cross-checked against the explicit construction in the
-test suite.
+here from reachability masks over 2k bits (the writes, and the reads each
+write sourced), precomputed over the static part of each graph.  That is
+equivalent to building the augmented graphs and running Kahn's algorithm
+but costs a handful of word operations per candidate.  The equivalence is
+cross-checked against an explicit-graph reference search in the test
+suite.
 """
 
 from __future__ import annotations
@@ -57,8 +57,6 @@ class SolveStats:
 
     subsets_evaluated: int = 0
     gate_checks: int = 0
-    graphs_built: int = 0
-    kahn_runs: int = 0
 
 
 @dataclass
@@ -73,60 +71,39 @@ class Verdict:
         return self.outcome is Outcome.CONSISTENT
 
 
-class DpTable:
-    """Memoized subset verdicts.
-
-    `memo[mask]` holds the bit index of the write that was placed lowest
-    when the subset was found orderable, or -1 when it was not.  Masks
-    absent from the table were never reached.
-    """
-
-    def __init__(self, index: WriteIndex):
-        self.index = index
-        self.memo: dict[int, int] = {}
-        self.stats = SolveStats()
-
-
 class _Gate:
-    """Write-indexed reachability masks over one static graph."""
+    """Write-indexed reachability masks over one static graph.
+
+    `ww[j]` holds the writes that write j reaches, and `rdr[j]` the writes
+    one of whose reads write j reaches.  Both come from one reverse
+    topological pass over 2k-bit tags: write i carries bit i, and a read
+    sourced by write i carries bit k + i.
+    """
 
     __slots__ = ("ww", "rdr", "rdr_own", "pred_ww", "pred_rd")
 
     def __init__(
         self,
-        h: History,
         index: WriteIndex,
         base: EventGraph,
         topo: list[int],
+        tags: list[int],
         varmask: list[int],
-        readsmask: list[int],
     ):
-        n = h.n
         k = index.k
-        reach = [0] * n
+        adj = base.adj
+        reach = [0] * base.n
         for u in reversed(topo):
             m = 0
-            for v in base.adj[u]:
-                m |= (1 << v) | reach[v]
+            for v in adj[u]:
+                m |= tags[v] | reach[v]
             reach[u] = m
-        ww = [0] * k
-        rdr = [0] * k
-        for j, wid in enumerate(index.ids):
-            r = reach[wid]
-            acc_ww = 0
-            acc_rdr = 0
-            for i, uid in enumerate(index.ids):
-                if r >> uid & 1:
-                    acc_ww |= 1 << i
-                if r & readsmask[i]:
-                    acc_rdr |= 1 << i
-            ww[j] = acc_ww
-            rdr[j] = acc_rdr
-        self.ww = ww
-        self.rdr = rdr
-        self.rdr_own = [rdr[j] & varmask[j] for j in range(k)]
-        self.pred_ww = _transpose(ww, k)
-        self.pred_rd = _transpose(rdr, k)
+        low = index.full_mask
+        self.ww = [reach[w] & low for w in index.ids]
+        self.rdr = [reach[w] >> k for w in index.ids]
+        self.rdr_own = [r & vm for r, vm in zip(self.rdr, varmask)]
+        self.pred_ww = _transpose(self.ww, k)
+        self.pred_rd = _transpose(self.rdr, k)
 
 
 def _transpose(masks: list[int], k: int) -> list[int]:
@@ -181,8 +158,6 @@ def solve(
 
     if spec.requires_oota:
         cyc = oota_cycle(h)
-        stats.graphs_built += 1
-        stats.kahn_runs += 1
         if cyc is not None:
             return Verdict(
                 Outcome.INCONSISTENT,
@@ -200,10 +175,8 @@ def solve(
 
     dm = derived if derived is not None else derive(h, spec)
     g_loc, g_mm = build_base_graphs(h, dm)
-    stats.graphs_built += 2
     ok_loc, topo_loc = kahn_acyclic(g_loc)
     ok_mm, topo_mm = kahn_acyclic(g_mm)
-    stats.kahn_runs += 2
     for ok, g, label in (
         (ok_loc, g_loc, "per-location"),
         (ok_mm, g_mm, "model-order"),
@@ -219,18 +192,18 @@ def solve(
             )
 
     index = WriteIndex(h)
-    table = DpTable(index)
-    table.stats = stats
     if index.k == 0:
         return Verdict(Outcome.CONSISTENT, witness=[], stats=stats)
 
-    varmask, readsmask = _write_tables(h, index)
+    varmask, tags = _write_tables(h, index)
+    bases = ((g_loc, topo_loc), (g_mm, topo_mm))
     gates = [
-        _Gate(h, index, g, topo, varmask, readsmask)
-        for g, topo in _distinct_static(h, dm, g_loc, topo_loc, g_mm, topo_mm)
+        _Gate(index, *bases[i], tags, varmask)
+        for i in _distinct_static(h, spec, dm)
     ]
 
-    found = _search(table, gates, varmask, stats)
+    memo: dict[int, int] = {}
+    found = _search(index, memo, gates, varmask, stats)
     if not found:
         return Verdict(
             Outcome.INCONSISTENT,
@@ -241,9 +214,7 @@ def solve(
             stats=stats,
         )
 
-    tw = extract_witness(table, h)
-    stats.graphs_built += 2
-    stats.kahn_runs += 2
+    tw = extract_witness(index, memo)
     if not verify_witness(h, dm, tw):
         raise InternalWitnessInvalidError(
             "extracted write order failed re-verification"
@@ -251,47 +222,69 @@ def solve(
     return Verdict(Outcome.CONSISTENT, witness=tw, stats=stats)
 
 
-def _write_tables(h: History, index: WriteIndex) -> tuple[list[int], list[int]]:
-    """Per-write-bit masks: same-variable writes, and sourced-read events."""
+def _write_tables(
+    h: History, index: WriteIndex
+) -> tuple[list[int], list[int]]:
+    """Per-write-bit same-variable write masks, and per-event 2k-bit tags."""
+    k = index.k
     var_writes: dict[str, int] = {}
     for j, wid in enumerate(index.ids):
         var = h.events[wid].var
         var_writes[var] = var_writes.get(var, 0) | (1 << j)
     varmask = [var_writes[h.events[wid].var] for wid in index.ids]
-    readsmask = []
-    for wid in index.ids:
-        m = 0
+    tags = [0] * h.n
+    for j, wid in enumerate(index.ids):
+        tags[wid] = 1 << j
         for r in h.readers_of(wid):
-            m |= 1 << r
-        readsmask.append(m)
-    return varmask, readsmask
+            tags[r] = 1 << (k + j)
+    return varmask, tags
 
 
 def _distinct_static(
-    h: History,
-    dm: DerivedModel,
-    g_loc: EventGraph,
-    topo_loc: list[int],
-    g_mm: EventGraph,
-    topo_mm: list[int],
-) -> list[tuple[EventGraph, list[int]]]:
-    """Drop a base graph whose edges the other one contains.
+    h: History, spec: ModelSpec, dm: DerivedModel
+) -> tuple[int, ...]:
+    """Which base graphs the search gates on: 0 per-location, 1 model.
 
-    The order-dependent additions are identical for both graphs, so a
-    static subset relation makes the larger graph's acyclicity subsume the
-    smaller one's.
+    The order-dependent additions are identical for both graphs, so when
+    one graph's static pairs are a subset of the other's, the larger
+    graph's acyclicity subsumes the smaller one's.  The subset tests are
+    on the pair sets the edge lists stand for, and one scan of the edges
+    decides them:
+
+    - the per-location pairs lie in the model graph when the model shows
+      all of reads-from (the reads-from pairs it hides are never kept
+      program order either) and keeps every per-location edge.  A
+      kind-based kept order is transitive, so it then keeps the closure;
+      under rmo a kept per-location edge is a dependency edge, which
+      starts at a read, so no per-location pair lies beyond the edges;
+    - otherwise the model pairs lie in the per-location graph when every
+      model edge is same-variable (and, under rmo's load-load hazard
+      rule, not read-to-read; the dependency edges are the pairs).
     """
-    loc_edges = dm.po_loc_effective.pairs | h.rf.pairs
-    mm_edges = dm.po_mm.pairs | dm.rf_mm.pairs
-    if loc_edges <= mm_edges:
-        return [(g_mm, topo_mm)]
-    if mm_edges <= loc_edges:
-        return [(g_loc, topo_loc)]
-    return [(g_loc, topo_loc), (g_mm, topo_mm)]
+    events = h.events
+    kept = spec.kept_po
+    if kept is None:
+        loc_kept = all(pair in h.dp for pair in dm.po_loc_effective)
+    else:
+        loc_kept = all(
+            (events[a].kind, events[b].kind) in kept
+            for a, b in dm.po_loc_effective
+        )
+    if loc_kept and dm.rf_mm == h.rf:
+        return (1,)
+    llh = spec.allows_llh
+    if all(
+        events[a].var == events[b].var
+        and not (llh and events[a].is_read and events[b].is_read)
+        for a, b in dm.po_mm
+    ):
+        return (0,)
+    return (0, 1)
 
 
 def _search(
-    table: DpTable,
+    index: WriteIndex,
+    memo: dict[int, int],
     gates: list[_Gate],
     varmask: list[int],
     stats: SolveStats,
@@ -303,10 +296,13 @@ def _search(
     read it sourced) on a write outside the subset or on the candidate,
     and the conflict edges the placement induces must not close a cycle
     among the subset's writes.
+
+    `memo[mask]` receives the bit index of the write placed lowest when
+    the subset is orderable, or -1 when it is not; masks never reached
+    stay absent.
     """
-    memo = table.memo
-    k = table.index.k
-    full = table.index.full_mask
+    k = index.k
+    full = index.full_mask
     memo[0] = k  # sentinel: the empty subset is orderable, nothing removed
 
     def orderable(s_mask: int) -> bool:
@@ -405,21 +401,20 @@ def _search(
     return orderable(full)
 
 
-def extract_witness(table: DpTable, h: History) -> list[int]:
-    """Read the write order out of a successful table.
+def extract_witness(index: WriteIndex, memo: dict[int, int]) -> list[int]:
+    """Read the write order out of a successful search memo.
 
     Walking the recorded removals from the full set downward yields the
     writes in ascending order: the first removal was placed below
     everything else.
     """
-    index = table.index
     mask = index.full_mask
     order: list[int] = []
     while mask:
-        j = table.memo.get(mask, -1)
+        j = memo.get(mask, -1)
         if j < 0 or not mask >> j & 1:
             raise InternalWitnessInvalidError(
-                f"table has no removal recorded for mask {mask:#x}"
+                f"memo has no removal recorded for mask {mask:#x}"
             )
         order.append(index.ids[j])
         mask ^= 1 << j
@@ -427,23 +422,33 @@ def extract_witness(table: DpTable, h: History) -> list[int]:
 
 
 def verify_witness(h: History, derived: DerivedModel, tw: list[int]) -> bool:
-    """Re-check a write order against both graphs, built explicitly."""
+    """Re-check a write order against both graphs, built explicitly.
+
+    The order enters as a chain, and the reads of each write gain conflict
+    edges to the next write of the same variable; every other order pair
+    and conflict edge is implied through the chain.
+    """
     if sorted(tw) != list(h.writes):
         raise NotAPermutationError(
             "witness must contain every write exactly once"
         )
-    tw_pairs = [
-        (tw[i], tw[j]) for i in range(len(tw)) for j in range(i + 1, len(tw))
-    ]
-    cf = conflict_edges(h, tw_pairs)
+    chain = list(zip(tw, tw[1:]))
+    next_on_var: list[tuple[int, int]] = []
+    last_on: dict[str, int] = {}
+    for w in tw:
+        var = h.events[w].var
+        if var in last_on:
+            next_on_var.append((last_on[var], w))
+        last_on[var] = w
+    cf = conflict_edges(h, next_on_var)
     for static in (
-        (derived.po_loc_effective.pairs, h.rf.pairs),
-        (derived.po_mm.pairs, derived.rf_mm.pairs),
+        (derived.po_loc_effective, h.rf),
+        (derived.po_mm, derived.rf_mm),
     ):
         g = EventGraph(h.n)
         for rel in static:
             g.add_pairs(rel)
-        g.add_pairs(tw_pairs)
+        g.add_pairs(chain)
         g.add_pairs(cf)
         acyclic, _ = kahn_acyclic(g)
         if not acyclic:

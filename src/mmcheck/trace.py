@@ -117,9 +117,9 @@ def format_history(h: History, explicit_rf: bool = False) -> str:
             e = h.events[eid]
             lines.append(f"{e.kind} {e.var} {e.val}")
     if explicit_rf:
-        for w, r in sorted(h.rf.pairs, key=lambda p: p[1]):
+        for w, r in sorted(h.rf, key=lambda p: p[1]):
             lines.append(f"rf {h.ref(w)} -> {h.ref(r)}")
-    for s, t in sorted(h.dp.pairs):
+    for s, t in sorted(h.dp):
         lines.append(f"dp {h.ref(s)} -> {h.ref(t)}")
     if not lines:
         return ""

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from mmcheck import generate_program, mutate, simulate
+from mmcheck import assemble_history, generate_program, mutate, simulate
 from mmcheck.errors import InitialReadVisibilityWarning, NoAlternativeWriterError
 
 TRACES = Path(__file__).resolve().parent.parent / "traces"
@@ -55,6 +55,34 @@ def build_corpus(count: int, seed: int, max_writes: int = 4):
             except NoAlternativeWriterError:
                 pass
     return corpus
+
+
+def with_random_dp(h, rng: random.Random):
+    """`h` plus dependency edges from about half its reads to later
+    same-thread events; None when no edge was drawn."""
+    dp_refs = []
+    for rid in h.reads:
+        e = h.events[rid]
+        later = [t for t in h.thread_events(e.thread) if t > rid]
+        if later and rng.random() < 0.5:
+            dp_refs.append((h.ref(rid), h.ref(rng.choice(later))))
+    if not dp_refs:
+        return None
+    return assemble_history(
+        init=[(e.var, e.val) for e in h.init_events],
+        threads=[
+            (
+                t,
+                [
+                    (h.events[i].kind, h.events[i].var, h.events[i].val)
+                    for i in h.thread_events(t)
+                ],
+            )
+            for t in h.threads
+        ],
+        rf_refs=[(h.ref(w), h.ref(r)) for w, r in sorted(h.rf)],
+        dp_refs=dp_refs,
+    )
 
 
 @pytest.fixture(scope="session")

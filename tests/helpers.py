@@ -3,17 +3,91 @@
 The reference solver below mirrors the production search but takes every
 acyclicity decision on explicitly constructed graphs, so agreement with
 `solve` exercises the production gate tables end to end.
+
+The reference derivation keeps program order as the stored pair set the
+package used before it switched to position comparisons and linear edge
+lists.  It is a deliberate duplicate: differential tests compare the
+closures of the production edge lists, the production gate choice and the
+production witnesses against it.
 """
 
 from __future__ import annotations
 
-from mmcheck import derive, get_model, oota_check
+from dataclasses import dataclass
+from typing import Iterable
+
+from mmcheck import derive, oota_check
+from mmcheck.errors import PreconditionViolatedError
 from mmcheck.graphs import (
+    EventGraph,
     WriteIndex,
     build_base_graphs,
-    build_coherence_graphs,
+    conflict_edges,
     kahn_acyclic,
 )
+from mmcheck.models import DerivedModel
+
+
+@dataclass(frozen=True)
+class WriteSubset:
+    """A subset of a history's writes, encoded as a k-bit mask."""
+
+    index: WriteIndex
+    mask: int
+
+    @classmethod
+    def of(cls, index: WriteIndex, write_ids: Iterable[int]) -> "WriteSubset":
+        return cls(index, index.mask_of(write_ids))
+
+    def members(self) -> list[int]:
+        return self.index.ids_of(self.mask)
+
+    def complement(self) -> "WriteSubset":
+        return WriteSubset(self.index, self.index.full_mask & ~self.mask)
+
+    def __contains__(self, write_id: int) -> bool:
+        bit = self.index.bit_of.get(write_id)
+        return bit is not None and bool(self.mask >> bit & 1)
+
+    def __len__(self) -> int:
+        return bin(self.mask).count("1")
+
+
+def build_r_snapshot(index, subset_mask, v):
+    """Order pairs placing `v` between a subset and its complement.
+
+    Every write outside subset ∪ {v} precedes every write inside it, and
+    `v` additionally precedes every subset member.  `v` must not be a
+    subset member.
+    """
+    vbit = index.bit_of[v]
+    if subset_mask >> vbit & 1:
+        raise PreconditionViolatedError(
+            f"write {v} is already a member of the subset"
+        )
+    enlarged = subset_mask | (1 << vbit)
+    inside = index.ids_of(enlarged)
+    outside = index.ids_of(index.full_mask & ~enlarged)
+    pairs = {(o, i) for o in outside for i in inside}
+    pairs |= {(v, w) for w in index.ids_of(subset_mask)}
+    return frozenset(pairs)
+
+
+def build_coherence_graphs(h, derived, index, subset_mask, v):
+    """Order-augmented graphs testing `v` as minimum of subset ∪ {v}.
+
+    Both base graphs are extended with the snapshot pairs of
+    :func:`build_r_snapshot` and the conflict edges they induce.  Their
+    joint acyclicity is exactly the condition under which the subset can
+    sit on top of a valid write order with `v` at its bottom.
+    """
+    snapshot = build_r_snapshot(index, subset_mask, v)
+    cf = conflict_edges(h, snapshot)
+    g_loc, g_mm = build_base_graphs(h, derived)
+    for g in (g_loc, g_mm):
+        g.add_pairs(snapshot)
+        g.add_pairs(cf)
+    return g_loc, g_mm
 
 
 def solve_reference(h, spec, derived=None):
@@ -45,3 +119,81 @@ def solve_reference(h, spec, derived=None):
         return False
 
     return orderable(index.full_mask), memo
+
+
+def closure(n, edges):
+    """Transitive closure of an acyclic edge list, as per-vertex masks.
+
+    Bit v of entry u is set when v is reachable from u by one or more
+    edges.
+    """
+    g = EventGraph(n)
+    g.add_pairs(edges)
+    acyclic, topo = kahn_acyclic(g)
+    assert acyclic, "closure() takes acyclic edge lists only"
+    reach = [0] * n
+    for u in reversed(topo):
+        m = 0
+        for v in g.adj[u]:
+            m |= (1 << v) | reach[v]
+        reach[u] = m
+    return reach
+
+
+def reference_po(h):
+    """Program order as the full pair set: per-thread pairs, init first."""
+    pairs = set()
+    for t in h.threads:
+        ids = h.thread_events(t)
+        for i in range(len(ids)):
+            for j in range(i + 1, len(ids)):
+                pairs.add((ids[i], ids[j]))
+    for iw in h.init_events:
+        for e in h.events:
+            if not e.is_init:
+                pairs.add((iw.id, e.id))
+    return frozenset(pairs)
+
+
+def reference_derive(h, spec):
+    """The model's relations as pair sets filtered out of `reference_po`."""
+    events = h.events
+    po = reference_po(h)
+    rf_ext = frozenset(
+        (w, r) for w, r in h.rf if (w, r) not in po and (r, w) not in po
+    )
+    if spec.name == "sc":
+        po_mm, rf_mm = po, h.rf
+    elif spec.name == "tso":
+        po_mm = frozenset(
+            (a, b)
+            for a, b in po
+            if not (events[a].is_write and events[b].is_read)
+        )
+        rf_mm = rf_ext
+    elif spec.name == "pso":
+        po_mm = frozenset((a, b) for a, b in po if not events[a].is_write)
+        rf_mm = rf_ext
+    else:
+        po_mm, rf_mm = h.dp, rf_ext
+    po_loc = frozenset(
+        (a, b)
+        for a, b in po
+        if events[a].var == events[b].var
+        and not (spec.allows_llh and events[a].is_read and events[b].is_read)
+    )
+    return DerivedModel(po_mm=po_mm, rf_mm=rf_mm, po_loc_effective=po_loc)
+
+
+def reference_distinct_static(h, ref):
+    """Gate choice by pair-set inclusion, over `reference_derive` output.
+
+    Returns indices into (per-location, model) like the production rule.
+    """
+    loc = ref.po_loc_effective | h.rf
+    mm = ref.po_mm | ref.rf_mm
+    if loc <= mm:
+        return (1,)
+    if mm <= loc:
+        return (0,)
+    return (0, 1)

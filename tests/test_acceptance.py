@@ -253,7 +253,7 @@ def test_criterion_5_model_monotonicity():
     ]
     for text in fixtures:
         h = parse_history(text)
-        assert h.dp.pairs <= h.po.pairs
+        assert all(h.po_before(a, b) for a, b in h.dp)
         if solve(h, get_model("sc")).consistent:
             if not solve(h, get_model("rmo")).consistent:
                 violations += 1

@@ -94,6 +94,9 @@ def test_stats_output(capsys, sb_path):
     assert len(subsets) == 1
     h = parse_history(SB)
     assert int(subsets[0].split(":")[1]) <= 2 ** h.k
+    gate_checks = [l for l in out.splitlines() if l.startswith("gate_checks: ")]
+    assert len(gate_checks) == 1 and int(gate_checks[0].split(":")[1]) > 0
+    assert not any(l.startswith(("graphs:", "kahn:")) for l in out.splitlines())
 
 
 def test_oracle_agrees_with_check(capsys, sb_path):

@@ -1,4 +1,4 @@
-"""Relation algebra, program-order invariants, and reads-from inference."""
+"""Program-order invariants, reads-from indexes, and reads-from inference."""
 
 from __future__ import annotations
 
@@ -6,114 +6,76 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mmcheck import (
-    Relation,
-    infer_rf,
+    format_history,
+    generate_program,
     parse_history,
     po_loc,
-    restrict_var,
     simulate,
-    generate_program,
 )
 
 from conftest import SB
-
-pairs_st = st.sets(
-    st.tuples(st.integers(0, 6), st.integers(0, 6)), max_size=12
-)
+from helpers import closure
 
 
-def test_compose_definition():
-    a = Relation({(1, 2), (2, 3)})
-    b = Relation({(2, 9), (3, 9)})
-    assert a.compose(b) == Relation({(1, 9), (2, 9)})
-
-
-def test_compose_with_empty_is_empty():
-    assert Relation().compose(Relation({(1, 2)})) == Relation()
-    assert Relation({(1, 2)}).compose(Relation()) == Relation()
-
-
-def test_inverse_example():
-    assert Relation({(1, 2)}).inverse() == Relation({(2, 1)})
-
-
-@settings(deadline=None)
-@given(pairs_st)
-def test_inverse_involution(pairs):
-    rel = Relation(pairs)
-    assert rel.inverse().inverse() == rel
-
-
-@settings(deadline=None)
-@given(pairs_st, pairs_st)
-def test_compose_matches_set_builder(pa, pb):
-    a, b = Relation(pa), Relation(pb)
-    expected = {(x, z) for (x, y) in pa for (y2, z) in pb if y == y2}
-    assert a.compose(b).pairs == frozenset(expected)
+def _closed_pairs(h, edges):
+    reach = closure(h.n, edges)
+    return {(a, b) for a in range(h.n) for b in range(h.n) if reach[a] >> b & 1}
 
 
 def test_transitive_closure():
-    rel = Relation({(0, 1), (1, 2), (2, 3)})
-    assert (0, 3) in rel.transitive_closure()
-    assert (3, 0) not in rel.transitive_closure()
+    reach = closure(4, [(0, 1), (1, 2), (2, 3)])
+    assert reach[0] >> 3 & 1
+    assert not reach[3] >> 0 & 1
+    assert reach[3] == 0
 
 
 def test_adjacency_indexes_consistent():
-    rel = Relation({(1, 2), (1, 3), (4, 2)})
-    assert rel.successors(1) == {2, 3}
-    assert rel.predecessors(2) == {1, 4}
-    assert rel.successors(9) == frozenset()
-
-
-def test_restrict_var_groups_by_variable():
-    h = parse_history(
-        "thread T0\nwr x 1\nwr x 2\nwr y 1\nthread T1\nrd x 2\n"
-    )
-    wx1, wx2, wy = 0, 1, 2
-    rel = Relation({(wx1, wx2), (wx1, wy)})
-    fam = restrict_var(rel, h)
-    assert fam["x"] == Relation({(wx1, wx2)})
-    assert fam["y"] == Relation()
+    h = parse_history(SB)
+    for w, r in h.rf:
+        assert h.rf_source(r) == w
+        assert r in h.readers_of(w)
+    assert sum(len(h.readers_of(w)) for w in h.writes) == len(h.rf)
+    assert h.readers_of(h.reads[0]) == ()
 
 
 def test_po_transitive_and_irreflexive_within_threads():
     h = parse_history("thread T0\nwr x 1\nrd x 1\nwr y 1\n")
-    assert (0, 1) in h.po and (1, 2) in h.po and (0, 2) in h.po
+    assert h.po_before(0, 1) and h.po_before(1, 2) and h.po_before(0, 2)
     for e in range(h.n):
-        assert (e, e) not in h.po
+        assert not h.po_before(e, e)
     ids = h.thread_events("T0")
     for i in range(len(ids)):
         for j in range(len(ids)):
-            assert ((ids[i], ids[j]) in h.po) == (i < j)
+            assert h.po_before(ids[i], ids[j]) == (i < j)
 
 
 def test_po_loc_examples():
     h = parse_history("thread T0\nwr x 1\nwr y 1\n")
-    assert po_loc(h) == Relation()
+    assert po_loc(h) == []
 
     h = parse_history("thread T0\nwr x 1\nrd x 1\nrd x 1\n")
-    assert (1, 2) in po_loc(h, llh=False)
-    assert (1, 2) not in po_loc(h, llh=True)
-    assert (0, 1) in po_loc(h, llh=True)  # write-read pair survives
+    assert (1, 2) in _closed_pairs(h, po_loc(h, llh=False))
+    assert (1, 2) not in _closed_pairs(h, po_loc(h, llh=True))
+    assert (0, 1) in _closed_pairs(h, po_loc(h, llh=True))  # write-read pair
 
     h = parse_history("init: x=0\nthread T0\nrd x 0\nwr x 1\n")
-    assert po_loc(h).pairs == {(0, 1), (0, 2), (1, 2)}
+    assert _closed_pairs(h, po_loc(h)) == {(0, 1), (0, 2), (1, 2)}
 
 
 def test_infer_rf_examples():
     h = parse_history("thread T0\nwr x 1\nwr y 1\n")
-    assert infer_rf(h) == Relation()
+    assert h.rf == frozenset()
 
     h = parse_history("init: x=0\nthread T0\nrd x 0\n")
-    assert infer_rf(h) == Relation({(0, 1)})
+    assert h.rf == {(0, 1)}
 
     h = parse_history("thread T0\nwr x 1\nthread T1\nwr x 2\nthread T2\nrd x 2\n")
-    assert infer_rf(h) == Relation({(1, 2)})
+    assert h.rf == {(1, 2)}
 
 
 def test_infer_rf_idempotent_and_total():
     h = parse_history(SB)
-    assert infer_rf(h) == h.rf
+    assert parse_history(format_history(h)).rf == h.rf
     assert len(h.rf) == len(h.reads)
 
 
@@ -122,5 +84,5 @@ def test_infer_rf_idempotent_and_total():
 def test_infer_rf_reproduces_simulated_rf(seed):
     prog = generate_program(2, 3, 2, seed=seed, max_writes=4)
     h = simulate(prog, "tso", seed=seed + 1)
-    assert infer_rf(h) == h.rf
+    assert parse_history(format_history(h, explicit_rf=False)).rf == h.rf
     assert len(h.rf) == len(h.reads)

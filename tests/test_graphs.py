@@ -1,4 +1,4 @@
-"""Graph container, Kahn, and the order-augmented graph constructors."""
+"""Graph container, Kahn, and the order-augmented reference graphs."""
 
 from __future__ import annotations
 
@@ -8,12 +8,8 @@ import pytest
 
 from mmcheck import (
     EventGraph,
-    Relation,
     WriteIndex,
-    WriteSubset,
     build_base_graphs,
-    build_coherence_graphs,
-    build_r_snapshot,
     derive,
     get_model,
     kahn_acyclic,
@@ -21,6 +17,12 @@ from mmcheck import (
 )
 from mmcheck.errors import PreconditionViolatedError
 from mmcheck.graphs import find_cycle
+
+from helpers import WriteSubset, build_coherence_graphs, build_r_snapshot
+
+
+def _edges(g):
+    return [(u, v) for u, row in enumerate(g.adj) for v in row]
 
 
 def test_kahn_trivial_cases():
@@ -40,15 +42,18 @@ def test_kahn_trivial_cases():
 def test_kahn_deterministic_tiebreak():
     # 0 is blocked until 2 releases it, then pops before 3
     g = EventGraph(4)
-    g.add_edge(2, 0)
+    g.add_pairs([(2, 0)])
     assert kahn_acyclic(g)[1] == [1, 2, 0, 3]
 
 
-def test_edge_dedup():
+def test_duplicate_edges_are_kept_and_harmless():
     g = EventGraph(3)
-    g.add_edge(0, 1)
-    g.add_edge(0, 1)
-    assert g.edge_count() == 1 and g.in_degree[1] == 1
+    g.add_pairs([(0, 1), (0, 1)])
+    assert g.adj[0] == [1, 1] and g.in_degree[1] == 2
+    assert kahn_acyclic(g) == (True, [0, 1, 2])
+    g.add_pairs([(1, 0), (1, 0)])
+    assert kahn_acyclic(g) == (False, None)
+    assert sorted(find_cycle(g)) == [0, 1]
 
 
 def _dfs_has_cycle(n, edges):
@@ -87,7 +92,7 @@ def test_find_cycle_returns_a_real_cycle():
     cyc = find_cycle(g)
     assert cyc is not None
     for a, b in zip(cyc, cyc[1:] + cyc[:1]):
-        assert g.has_edge(a, b)
+        assert b in g.adj[a]
     g2 = EventGraph(3)
     g2.add_pairs([(0, 1), (1, 2)])
     assert find_cycle(g2) is None
@@ -102,12 +107,12 @@ def _writes_only_history(k):
 def test_r_snapshot_trivial_cases():
     h = _writes_only_history(1)
     idx = WriteIndex(h)
-    assert build_r_snapshot(idx, 0, h.writes[0]) == Relation()
+    assert build_r_snapshot(idx, 0, h.writes[0]) == frozenset()
 
     h = _writes_only_history(2)
     idx = WriteIndex(h)
     a, b = h.writes
-    assert build_r_snapshot(idx, 0, a) == Relation({(b, a)})
+    assert build_r_snapshot(idx, 0, a) == {(b, a)}
 
 
 def test_r_snapshot_derived_example():
@@ -116,7 +121,7 @@ def test_r_snapshot_derived_example():
     idx = WriteIndex(h)
     a, b, c = h.writes
     rel = build_r_snapshot(idx, idx.mask_of([c]), a)
-    assert rel == Relation({(b, a), (b, c), (a, c)})
+    assert rel == {(b, a), (b, c), (a, c)}
 
 
 def test_r_snapshot_precondition():
@@ -172,15 +177,15 @@ def test_coherence_graphs_derived_examples():
     # conflicts with w2
     g_loc, g_mm = build_coherence_graphs(h, dm, idx, 0, w2)
     snapshot = build_r_snapshot(idx, 0, w2)
-    assert snapshot == Relation({(w1, w2)})
+    assert snapshot == {(w1, w2)}
     for g in (g_loc, g_mm):
-        assert g.has_edge(w1, w2) and g.has_edge(r, w2)
+        assert w2 in g.adj[w1] and w2 in g.adj[r]
 
     # subset {w2}, candidate w1: same snapshot edges from the other side
-    assert build_r_snapshot(idx, idx.mask_of([w2]), w1) == Relation({(w1, w2)})
+    assert build_r_snapshot(idx, idx.mask_of([w2]), w1) == {(w1, w2)}
     g_loc2, g_mm2 = build_coherence_graphs(h, dm, idx, idx.mask_of([w2]), w1)
     for g in (g_loc2, g_mm2):
-        assert g.has_edge(w1, w2) and g.has_edge(r, w2)
+        assert w2 in g.adj[w1] and w2 in g.adj[r]
         assert kahn_acyclic(g)[0]  # nothing here orders w2 before w1
 
 
@@ -190,8 +195,8 @@ def test_coherence_graphs_single_write_equals_base():
     idx = WriteIndex(h)
     g_loc, g_mm = build_coherence_graphs(h, dm, idx, 0, h.writes[0])
     b_loc, b_mm = build_base_graphs(h, dm)
-    assert sorted(g_loc.edges()) == sorted(b_loc.edges())
-    assert sorted(g_mm.edges()) == sorted(b_mm.edges())
+    assert sorted(_edges(g_loc)) == sorted(_edges(b_loc))
+    assert sorted(_edges(g_mm)) == sorted(_edges(b_mm))
 
 
 def test_base_graphs_empty_history():
@@ -201,11 +206,12 @@ def test_base_graphs_empty_history():
     assert kahn_acyclic(g_loc)[0] and kahn_acyclic(g_mm)[0]
 
 
-def test_base_graph_dedups_po_and_rf():
+def test_base_graph_keeps_coinciding_po_and_rf():
     h = parse_history("thread T0\nwr x 1\nrd x 1\n")
     dm = derive(h, get_model("sc"))
     _, g_mm = build_base_graphs(h, dm)
-    assert g_mm.edge_count() == 1  # po pair and rf pair coincide
+    # the po pair and the rf pair coincide; the duplicate is kept
+    assert g_mm.adj[0] == [1, 1] and kahn_acyclic(g_mm) == (True, [0, 1])
 
 
 def _edge_kind_invariants(h, spec_name, mask, v):
@@ -213,11 +219,11 @@ def _edge_kind_invariants(h, spec_name, mask, v):
     idx = WriteIndex(h)
     snapshot = build_r_snapshot(idx, mask, v)
     events = h.events
-    for a, b in snapshot.pairs:
+    for a, b in snapshot:
         assert events[a].is_write and events[b].is_write
     from mmcheck.graphs import conflict_edges
 
-    for rd, wr in conflict_edges(h, snapshot.pairs):
+    for rd, wr in conflict_edges(h, snapshot):
         assert events[rd].is_read and events[wr].is_write
         assert events[rd].var == events[wr].var
 
@@ -246,8 +252,8 @@ def test_graphs_differ_only_in_static_parts(small_corpus):
             v = idx.ids[j]
             mask = 0
             g_loc, g_mm = build_coherence_graphs(h, dm, idx, mask, v)
-            added_loc = set(g_loc.edges()) - set(base_loc.edges())
-            added_mm = set(g_mm.edges()) - set(base_mm.edges())
+            added_loc = set(_edges(g_loc)) - set(_edges(base_loc))
+            added_mm = set(_edges(g_mm)) - set(_edges(base_mm))
             # additions differ only by edges already present in one base
             sym = added_loc ^ added_mm
-            assert sym <= (set(base_loc.edges()) | set(base_mm.edges()))
+            assert sym <= (set(_edges(base_loc)) | set(_edges(base_mm)))

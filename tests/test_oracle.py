@@ -153,7 +153,7 @@ def test_any_linearization_of_a_passing_store_order_passes(small_corpus):
             if not _both_acyclic(h, dm, ww):
                 continue
             # build the graph whose linear extensions we sample
-            edges = set(dm.po_mm.pairs) | set(dm.rf_mm.pairs) | ww
+            edges = set(dm.po_mm) | set(dm.rf_mm) | ww
             edges |= _from_read_edges(h, ww)
             write_set = set(h.writes)
             for order in _random_linear_extensions(h.n, edges, rng, 10):

@@ -142,8 +142,10 @@ def test_relaxed_instance_shapes():
 def test_relaxed_instance_has_no_relaxable_po_pairs():
     cnf = Cnf3(2, ((1, -2, 2), (-1, 2, -2)))
     h = sat_to_history_relaxed(cnf)
-    for a, b in h.po.pairs:
-        assert not h.events[a].is_write
+    for a in range(h.n):
+        for b in range(h.n):
+            if h.po_before(a, b):
+                assert not h.events[a].is_write
 
 
 def test_write_count_formula():

@@ -14,10 +14,10 @@ from mmcheck import (
     verify_witness,
 )
 from mmcheck.errors import KTooLargeError, NotAPermutationError
-from mmcheck.solver import DpTable, extract_witness
+from mmcheck.solver import extract_witness
 from mmcheck.graphs import WriteIndex
 
-from conftest import SB, MP, CORR, OOTA
+from conftest import SB, MP, CORR, OOTA, with_random_dp
 from helpers import solve_reference
 
 ALL_MODELS = ("sc", "tso", "pso", "rmo")
@@ -151,11 +151,10 @@ def test_extract_witness_small_cases():
 
 def test_extract_witness_rejects_incomplete_table():
     h = parse_history(SB)
-    table = DpTable(WriteIndex(h))
     from mmcheck.errors import InternalWitnessInvalidError
 
     with pytest.raises(InternalWitnessInvalidError):
-        extract_witness(table, h)
+        extract_witness(WriteIndex(h), {})
 
 
 def test_matches_reference_search_exactly(small_corpus):
@@ -177,9 +176,9 @@ def test_matches_reference_search_exactly(small_corpus):
 
 
 def _production_memo(h, spec):
-    # re-run the production search and capture its table
+    # re-run the production search and capture its memo
     from mmcheck.graphs import build_base_graphs, kahn_acyclic
-    from mmcheck.solver import DpTable, SolveStats, _Gate, _search
+    from mmcheck.solver import SolveStats, _Gate, _search
     from mmcheck.solver import _distinct_static, _write_tables
 
     dm = derive(h, spec)
@@ -189,20 +188,19 @@ def _production_memo(h, spec):
     if not (ok_loc and ok_mm):
         return {}
     index = WriteIndex(h)
-    table = DpTable(index)
-    varmask, readsmask = _write_tables(h, index)
+    varmask, tags = _write_tables(h, index)
+    bases = ((g_loc, topo_loc), (g_mm, topo_mm))
     gates = [
-        _Gate(h, index, g, topo, varmask, readsmask)
-        for g, topo in _distinct_static(h, dm, g_loc, topo_loc, g_mm, topo_mm)
+        _Gate(index, *bases[i], tags, varmask)
+        for i in _distinct_static(h, spec, dm)
     ]
-    _search(table, gates, varmask, SolveStats())
-    return table.memo
+    memo = {}
+    _search(index, memo, gates, varmask, SolveStats())
+    return memo
 
 
 def test_rmo_with_random_dependencies_matches_reference(small_corpus):
     import random
-
-    from mmcheck import assemble_history
 
     rng = random.Random(1717)
     spec = get_model("rmo")
@@ -210,31 +208,9 @@ def test_rmo_with_random_dependencies_matches_reference(small_corpus):
     for h in small_corpus:
         if not h.reads or checked >= 40:
             continue
-        dp_refs = []
-        for rid in h.reads:
-            e = h.events[rid]
-            later = [
-                t for t in h.thread_events(e.thread) if t > rid
-            ]
-            if later and rng.random() < 0.5:
-                dp_refs.append((h.ref(rid), h.ref(rng.choice(later))))
-        if not dp_refs:
+        augmented = with_random_dp(h, rng)
+        if augmented is None:
             continue
-        augmented = assemble_history(
-            init=[(e.var, e.val) for e in h.init_events],
-            threads=[
-                (
-                    t,
-                    [
-                        (h.events[i].kind, h.events[i].var, h.events[i].val)
-                        for i in h.thread_events(t)
-                    ],
-                )
-                for t in h.threads
-            ],
-            rf_refs=[(h.ref(w), h.ref(r)) for w, r in sorted(h.rf.pairs)],
-            dp_refs=dp_refs,
-        )
         v = solve(augmented, spec)
         ref_ok, _ = solve_reference(augmented, spec)
         assert v.consistent == ref_ok

@@ -23,7 +23,7 @@ from conftest import SB, MP, CORR, OOTA
 def test_empty_document():
     h = parse_history("")
     assert h.n == 0 and h.k == 0
-    assert not h.po and not h.rf and not h.dp
+    assert not h.rf and not h.dp
     assert format_history(h) == ""
 
 
@@ -31,8 +31,8 @@ def test_unique_writer_forces_rf():
     h = parse_history("thread T0\nwr x 1\nthread T1\nrd x 1\n")
     w = h.resolve_ref("T0", 0)
     r = h.resolve_ref("T1", 0)
-    assert h.rf.pairs == {(w, r)}
-    assert not h.po  # no init, no same-thread pairs across threads
+    assert h.rf == {(w, r)}
+    assert not h.po_before(w, r)  # no init, different threads
 
 
 def test_duplicate_value_rejected():
@@ -61,9 +61,10 @@ def test_init_precedes_everything():
     h = parse_history(SB)
     for iw in (0, 1):
         for other in range(2, h.n):
-            assert (iw, other) in h.po
+            assert h.po_before(iw, other)
+            assert not h.po_before(other, iw)
     # initial writes stay unordered among themselves
-    assert (0, 1) not in h.po and (1, 0) not in h.po
+    assert not h.po_before(0, 1) and not h.po_before(1, 0)
 
 
 def test_syntax_errors_carry_line_numbers():
@@ -149,7 +150,8 @@ def test_round_trip_byte_identity(text):
 def test_round_trip_preserves_relations():
     h1 = parse_history(SB)
     h2 = parse_history(format_history(h1, explicit_rf=True))
-    assert h1.po == h2.po and h1.rf == h2.rf and h1.dp == h2.dp
+    assert h1.events == h2.events and h1.threads == h2.threads
+    assert h1.rf == h2.rf and h1.dp == h2.dp
 
 
 def test_repeated_read_values_allowed():
