@@ -144,6 +144,16 @@ def _model_arg(value: str) -> str:
     return value.lower()
 
 
+def _count_arg(low: int):
+    def count(value: str) -> int:
+        n = int(value)
+        if n < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}")
+        return n
+
+    return count
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mmcheck",
@@ -210,11 +220,11 @@ def build_parser() -> argparse.ArgumentParser:
         type=_model_arg,
         choices=SIMULATED_MODELS,
     )
-    p_rand.add_argument("--threads", type=int, default=2)
+    p_rand.add_argument("--threads", type=_count_arg(0), default=2)
     p_rand.add_argument(
-        "--events", type=int, default=3, help="events per thread"
+        "--events", type=_count_arg(0), default=3, help="events per thread"
     )
-    p_rand.add_argument("--vars", type=int, default=2)
+    p_rand.add_argument("--vars", type=_count_arg(1), default=2)
     p_rand.add_argument("--seed", type=int, default=0)
     p_rand.add_argument("-o", "--output", default=None)
     p_rand.set_defaults(func=cmd_gen_random)

@@ -13,7 +13,7 @@ visible.  The four supported models:
 
 Derived program order is emitted as edge lists of size O(n) whose
 transitive closure is the kept pair set; acyclicity, reachability and the
-solver's gates depend on nothing else.
+solver's search tables depend on nothing else.
 """
 
 from __future__ import annotations

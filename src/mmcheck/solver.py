@@ -6,20 +6,20 @@ same-variable program order, reads-from, the order, and its induced
 conflict edges) and the model graph (preserved program order, visible
 reads-from, the order, conflict edges).
 
-Instead of enumerating the factorially-many orders, `solve` asks for each
-subset of writes whether it can form the *top* of such an order.  The
-answer for a subset follows from the answers of its one-smaller subsets:
-some member must be placeable below the rest, which is a pair of
-acyclicity tests on graphs that depend only on the subset and the chosen
-member.  Memoizing subsets caps the search at 2^k states for k writes.
+Instead of enumerating the factorially-many orders, `solve` builds the
+order from the bottom.  A set of unplaced writes is orderable above the
+placed ones when some member can sit at its bottom and the rest is
+orderable.  Memoizing the sets caps the search at 2^k states for k
+writes.
 
-The per-candidate acyclicity tests are the hot path.  They are answered
-here from reachability masks over 2k bits (the writes, and the reads each
-write sourced), precomputed over the static part of each graph.  That is
-equivalent to building the augmented graphs and running Kahn's algorithm
-but costs a handful of word operations per candidate.  The equivalence is
-cross-checked against an explicit-graph reference search in the test
-suite.
+Whether a member can sit at the bottom is one rule over two tables,
+merged over both base graphs: the writes that reach each write, and the
+writes that reach a read each write sourced.  A member waits for the
+members that must sit below it, and the candidates are the members that
+wait for no one (see `_search`).  That takes the decisions Kahn's
+algorithm takes on the order-augmented graphs, for a handful of word
+operations per candidate; the test suite checks the memo against an
+explicit-graph reference search.
 """
 
 from __future__ import annotations
@@ -53,7 +53,11 @@ class Outcome(enum.Enum):
 
 @dataclass
 class SolveStats:
-    """Search-effort counters for one solve call."""
+    """Search-effort counters for one solve call.
+
+    `subsets_evaluated` counts the memoized subsets, and `gate_checks` the
+    candidate placements that passed the table tests and were tried.
+    """
 
     subsets_evaluated: int = 0
     gate_checks: int = 0
@@ -69,75 +73,6 @@ class Verdict:
     @property
     def consistent(self) -> bool:
         return self.outcome is Outcome.CONSISTENT
-
-
-class _Gate:
-    """Write-indexed reachability masks over one static graph.
-
-    `ww[j]` holds the writes that write j reaches, and `rdr[j]` the writes
-    one of whose reads write j reaches.  Both come from one reverse
-    topological pass over 2k-bit tags: write i carries bit i, and a read
-    sourced by write i carries bit k + i.
-    """
-
-    __slots__ = ("ww", "rdr", "rdr_own", "pred_ww", "pred_rd")
-
-    def __init__(
-        self,
-        index: WriteIndex,
-        base: EventGraph,
-        topo: list[int],
-        tags: list[int],
-        varmask: list[int],
-    ):
-        k = index.k
-        adj = base.adj
-        reach = [0] * base.n
-        for u in reversed(topo):
-            m = 0
-            for v in adj[u]:
-                m |= tags[v] | reach[v]
-            reach[u] = m
-        low = index.full_mask
-        self.ww = [reach[w] & low for w in index.ids]
-        self.rdr = [reach[w] >> k for w in index.ids]
-        self.rdr_own = [r & vm for r, vm in zip(self.rdr, varmask)]
-        self.pred_ww = _transpose(self.ww, k)
-        self.pred_rd = _transpose(self.rdr, k)
-
-
-def _transpose(masks: list[int], k: int) -> list[int]:
-    out = [0] * k
-    for j, m in enumerate(masks):
-        while m:
-            b = m & -m
-            m ^= b
-            out[b.bit_length() - 1] |= 1 << j
-    return out
-
-
-def _peel_cyclic(nodes: int, edges: list[tuple[int, int]]) -> bool:
-    """Cycle test over a write-bit graph given (source bit, target mask)."""
-    pred: dict[int, int] = {}
-    for src_bit, targets in edges:
-        t = targets
-        while t:
-            b = t & -t
-            t ^= b
-            pred[b] = pred.get(b, 0) | src_bit
-    alive = nodes
-    while alive:
-        removed = 0
-        a = alive
-        while a:
-            b = a & -a
-            a ^= b
-            if pred.get(b, 0) & alive == 0:
-                removed |= b
-        if not removed:
-            return True
-        alive ^= removed
-    return False
 
 
 def solve(
@@ -195,15 +130,11 @@ def solve(
     if index.k == 0:
         return Verdict(Outcome.CONSISTENT, witness=[], stats=stats)
 
-    varmask, tags = _write_tables(h, index)
-    bases = ((g_loc, topo_loc), (g_mm, topo_mm))
-    gates = [
-        _Gate(index, *bases[i], tags, varmask)
-        for i in _distinct_static(h, spec, dm)
-    ]
-
+    varmask, pred_ww, pred_rd = _write_tables(
+        h, index, ((g_loc, topo_loc), (g_mm, topo_mm))
+    )
     memo: dict[int, int] = {}
-    found = _search(index, memo, gates, varmask, stats)
+    found = _search(index, memo, varmask, pred_ww, pred_rd, stats)
     if not found:
         return Verdict(
             Outcome.INCONSISTENT,
@@ -223,9 +154,17 @@ def solve(
 
 
 def _write_tables(
-    h: History, index: WriteIndex
-) -> tuple[list[int], list[int]]:
-    """Per-write-bit same-variable write masks, and per-event 2k-bit tags."""
+    h: History,
+    index: WriteIndex,
+    bases: tuple[tuple[EventGraph, list[int]], ...],
+) -> tuple[list[int], list[int], list[int]]:
+    """Per-write-bit tables: same-variable writes, `pred_ww` and `pred_rd`.
+
+    `pred_ww[j]` holds the writes that reach write j, and `pred_rd[j]` the
+    writes that reach a read sourced by write j, in either base graph.
+    Each graph takes one reverse topological pass over 2k-bit tags: write
+    i carries bit i, and a read sourced by write i carries bit k + i.
+    """
     k = index.k
     var_writes: dict[str, int] = {}
     for j, wid in enumerate(index.ids):
@@ -237,168 +176,119 @@ def _write_tables(
         tags[wid] = 1 << j
         for r in h.readers_of(wid):
             tags[r] = 1 << (k + j)
-    return varmask, tags
-
-
-def _distinct_static(
-    h: History, spec: ModelSpec, dm: DerivedModel
-) -> tuple[int, ...]:
-    """Which base graphs the search gates on: 0 per-location, 1 model.
-
-    The order-dependent additions are identical for both graphs, so when
-    one graph's static pairs are a subset of the other's, the larger
-    graph's acyclicity subsumes the smaller one's.  The subset tests are
-    on the pair sets the edge lists stand for, and one scan of the edges
-    decides them:
-
-    - the per-location pairs lie in the model graph when the model shows
-      all of reads-from (the reads-from pairs it hides are never kept
-      program order either) and keeps every per-location edge.  A
-      kind-based kept order is transitive, so it then keeps the closure;
-      under rmo a kept per-location edge is a dependency edge, which
-      starts at a read, so no per-location pair lies beyond the edges;
-    - otherwise the model pairs lie in the per-location graph when every
-      model edge is same-variable (and, under rmo's load-load hazard
-      rule, not read-to-read; the dependency edges are the pairs).
-    """
-    events = h.events
-    kept = spec.kept_po
-    if kept is None:
-        loc_kept = all(pair in h.dp for pair in dm.po_loc_effective)
-    else:
-        loc_kept = all(
-            (events[a].kind, events[b].kind) in kept
-            for a, b in dm.po_loc_effective
-        )
-    if loc_kept and dm.rf_mm == h.rf:
-        return (1,)
-    llh = spec.allows_llh
-    if all(
-        events[a].var == events[b].var
-        and not (llh and events[a].is_read and events[b].is_read)
-        for a, b in dm.po_mm
-    ):
-        return (0,)
-    return (0, 1)
+    reach_of = [0] * k
+    for g, topo in bases:
+        adj = g.adj
+        reach = [0] * g.n
+        for u in reversed(topo):
+            m = 0
+            for v in adj[u]:
+                m |= tags[v] | reach[v]
+            reach[u] = m
+        for j, wid in enumerate(index.ids):
+            reach_of[j] |= reach[wid]
+    pred_ww = [0] * k
+    pred_rd = [0] * k
+    for j, m in enumerate(reach_of):
+        while m:
+            b = m & -m
+            m ^= b
+            i = b.bit_length() - 1
+            if i < k:
+                pred_ww[i] |= 1 << j
+            else:
+                pred_rd[i - k] |= 1 << j
+    return varmask, pred_ww, pred_rd
 
 
 def _search(
     index: WriteIndex,
     memo: dict[int, int],
-    gates: list[_Gate],
     varmask: list[int],
+    pred_ww: list[int],
+    pred_rd: list[int],
     stats: SolveStats,
 ) -> bool:
     """Evaluate the subset recursion top-down with memoization.
 
-    A subset is orderable when some member can be its minimum: nothing in
-    the subset may depend (through the static graph, directly or via a
-    read it sourced) on a write outside the subset or on the candidate,
-    and the conflict edges the placement induces must not close a cycle
-    among the subset's writes.
+    The order grows from the bottom.  With the placed writes below, a
+    member s of the unplaced set S *waits for* each member t that must
+    sit below it:
+
+    - t reaches s (t in `pred_ww[s]`);
+    - t reaches a read sourced by a placed write p on s's variable (t in
+      `pred_rd[p]`): p sits below s, so that read gains a conflict edge
+      into s.  These read waits depend only on s's variable; `waits`
+      maps each variable's write mask to them.
+
+    A member v is placed at the bottom of S when it waits for no one and
+    no member of the rest on v's variable reaches a read of v (that read
+    would gain a conflict edge into the member).
+
+    Placing v adds `pred_rd[v]` to the read waits of the rest's members
+    on v's variable.  If that closes a cycle of read waits, the rest has
+    no order.  The rest's own evaluation finds the cycle by peeling the
+    members whose variable has no living waits, and returns False without
+    a memo entry: building the augmented graphs instead rejects v at the
+    parent and never reaches the rest, so the memo and
+    `subsets_evaluated` stay equal to that construction's.  The full set
+    has no read waits, so its peel never stalls.  The peel leaves out
+    reach between writes.  Within one graph that closes no new cycle
+    (whoever reaches t reaches what t reaches), but the union of the two
+    graphs' reach can close one that neither graph has, on a subset the
+    augmented graphs do evaluate.
+
+    Merging the tables over both base graphs is exact.  The write waits
+    and the candidate tests are ORs over the graphs.  A read wait taken
+    from the per-location graph lies on one variable, since every
+    per-location edge (`po_loc_effective` and reads-from) joins two
+    events of one variable: the waited-for write t is then on p's
+    variable, waits for itself, and was rejected when p was placed.  So
+    on every subset evaluated the merged read waits are the model
+    graph's.
 
     `memo[mask]` receives the bit index of the write placed lowest when
-    the subset is orderable, or -1 when it is not; masks never reached
-    stay absent.
+    the subset is orderable, or -1 when it is not; masks never reached,
+    or cut by the peel, stay absent.
     """
-    k = index.k
-    full = index.full_mask
-    memo[0] = k  # sentinel: the empty subset is orderable, nothing removed
+    memo[0] = index.k  # sentinel: the empty subset is orderable
 
-    def orderable(s_mask: int) -> bool:
+    def orderable(s_mask: int, waits: dict[int, int]) -> bool:
         cached = memo.get(s_mask)
         if cached is not None:
             return cached >= 0
-        stats.subsets_evaluated += 1
-        comp = full ^ s_mask
-
-        # Candidate-independent screening per gate: a subset member that
-        # statically reaches an outside write (or a read the outside write
-        # sourced, on the member's own variable) can never sit above it.
-        e3_lists: list[list[tuple[int, int]] | None] = []
-        e3_unions: list[int] = []
-        for g in gates:
-            stats.gate_checks += 1
-            ww = g.ww
-            rdr = g.rdr
-            rdr_own = g.rdr_own
-            e3: list[tuple[int, int]] | None = None
-            e3_union = 0
-            s = s_mask
-            while s:
-                b = s & -s
-                s ^= b
-                j = b.bit_length() - 1
-                if ww[j] & comp:
-                    memo[s_mask] = -1
-                    return False
-                out = rdr[j] & comp
-                if out:
-                    if rdr_own[j] & comp:
-                        memo[s_mask] = -1
-                        return False
-                    targets = 0
-                    while out:
-                        ub = out & -out
-                        out ^= ub
-                        targets |= varmask[ub.bit_length() - 1]
-                    targets &= s_mask
-                    if targets:
-                        if e3 is None:
-                            e3 = []
-                        e3.append((b, targets))
-                        e3_union |= targets
-            if e3 is not None and _peel_cyclic(s_mask, e3):
-                memo[s_mask] = -1
+        alive = s_mask
+        while alive:
+            stuck = 0
+            for vm, w in waits.items():
+                if w & alive:
+                    stuck |= vm & alive
+            if stuck == alive:
                 return False
-            e3_lists.append(e3)
-            e3_unions.append(e3_union)
-
+            alive = stuck
+        stats.subsets_evaluated += 1
         s = s_mask
         while s:
             vb = s & -s
             s ^= vb
-            vj = vb.bit_length() - 1
+            v = vb.bit_length() - 1
+            vm = varmask[v]
             rest = s_mask ^ vb
-            ok = True
-            for gi, g in enumerate(gates):
-                stats.gate_checks += 1
-                if g.pred_ww[vj] & rest:
-                    ok = False
-                    break
-                vvar = varmask[vj]
-                if g.pred_rd[vj] & rest & vvar:
-                    ok = False
-                    break
-                e3 = e3_lists[gi]
-                if e3 is None:
-                    continue
-                # The candidate's own placement edges (into every other
-                # member) matter only when a conflict edge can enter it.
-                enters_v = e3_unions[gi] & vb
-                e4_src = g.pred_rd[vj] & s_mask
-                e4_targets = vvar & rest
-                has_e4 = e4_src and e4_targets
-                if has_e4 or enters_v:
-                    edges = list(e3)
-                    if has_e4:
-                        src = e4_src
-                        while src:
-                            sb = src & -src
-                            src ^= sb
-                            edges.append((sb, e4_targets))
-                    if enters_v:
-                        edges.append((vb, rest))
-                    if _peel_cyclic(s_mask, edges):
-                        ok = False
-                        break
-            if ok and orderable(rest):
-                memo[s_mask] = vj
+            rd = pred_rd[v] & rest
+            if waits.get(vm, 0) & s_mask or pred_ww[v] & rest or rd & vm:
+                continue
+            stats.gate_checks += 1
+            child = waits
+            if rd:
+                child = dict(waits)
+                child[vm] = child.get(vm, 0) | rd
+            if orderable(rest, child):
+                memo[s_mask] = v
                 return True
         memo[s_mask] = -1
         return False
 
-    return orderable(full)
+    return orderable(index.full_mask, {})
 
 
 def extract_witness(index: WriteIndex, memo: dict[int, int]) -> list[int]:

@@ -2,13 +2,13 @@
 
 The reference solver below mirrors the production search but takes every
 acyclicity decision on explicitly constructed graphs, so agreement with
-`solve` exercises the production gate tables end to end.
+`solve` exercises the production search tables end to end.
 
 The reference derivation keeps program order as the stored pair set the
 package used before it switched to position comparisons and linear edge
 lists.  It is a deliberate duplicate: differential tests compare the
-closures of the production edge lists, the production gate choice and the
-production witnesses against it.
+closures of the production edge lists and the production witnesses
+against it.
 """
 
 from __future__ import annotations
@@ -183,17 +183,3 @@ def reference_derive(h, spec):
         and not (spec.allows_llh and events[a].is_read and events[b].is_read)
     )
     return DerivedModel(po_mm=po_mm, rf_mm=rf_mm, po_loc_effective=po_loc)
-
-
-def reference_distinct_static(h, ref):
-    """Gate choice by pair-set inclusion, over `reference_derive` output.
-
-    Returns indices into (per-location, model) like the production rule.
-    """
-    loc = ref.po_loc_effective | h.rf
-    mm = ref.po_mm | ref.rf_mm
-    if loc <= mm:
-        return (1,)
-    if mm <= loc:
-        return (0,)
-    return (0, 1)

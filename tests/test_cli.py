@@ -140,6 +140,17 @@ def test_gen_random_deterministic(capsys):
     assert parse_history(out1).n > 0
 
 
+@pytest.mark.parametrize(
+    "flag, value", [("--vars", "0"), ("--threads", "-1"), ("--events", "-1")]
+)
+def test_gen_random_rejects_bad_counts(capsys, flag, value):
+    args = ["gen", "random", "--model", "sc", flag, value]
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
+
+
 def test_mutate_round_trip(capsys, tmp_path, sb_path):
     code, out, _ = run(capsys, "mutate", sb_path, "--seed", "1")
     assert code == 0

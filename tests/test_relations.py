@@ -1,9 +1,10 @@
-"""Linear edge lists against the pair-set reference derivation.
+"""Linear edge lists and merged search tables against the references.
 
-The production derivation emits O(n) program-order edges per model, and
-the solver picks its gates by one scan of those edges.  These tests pin
-both to the pair-set reference in `helpers`: equal transitive closures,
-equal gate choice, and the same witness from `solve`.
+The production derivation emits O(n) program-order edges per model.
+These tests pin it to the pair-set reference derivation in `helpers`
+(equal transitive closures, and the same verdict, witness and counters
+from `solve`), and pin the search over tables merged from both base
+graphs to the explicit-graph reference search (the same memo).
 """
 
 from __future__ import annotations
@@ -27,10 +28,10 @@ from mmcheck import (
     simulate,
     solve,
 )
-from mmcheck.solver import _distinct_static
 
 from conftest import CORR, MP, OOTA, SB, with_random_dp
-from helpers import closure, reference_derive, reference_distinct_static
+from helpers import closure, reference_derive, solve_reference
+from test_solver import _production_memo
 
 
 def _assert_matches_reference(h, spec):
@@ -41,12 +42,18 @@ def _assert_matches_reference(h, spec):
         h.n, ref.po_loc_effective
     )
     assert dm.rf_mm == ref.rf_mm
-    assert _distinct_static(h, spec, dm) == reference_distinct_static(h, ref)
     v = solve(h, spec)
     v_ref = solve(h, spec, derived=ref)
     assert v.outcome == v_ref.outcome
     assert v.witness == v_ref.witness
     assert v.stats == v_ref.stats
+
+
+def _assert_same_memo(h, spec):
+    ref_ok, ref_memo = solve_reference(h, spec)
+    assert solve(h, spec).consistent == ref_ok
+    if ref_memo:
+        assert _production_memo(h, spec) == ref_memo
 
 
 def test_small_corpus_matches_reference(small_corpus):
@@ -69,21 +76,47 @@ def test_rmo_with_random_dependencies_matches_reference_derivation(
     assert checked >= 40
 
 
+def test_base_edges_join_one_variable(small_corpus):
+    # The solver merges its tables over both base graphs; that is exact
+    # because every per-location edge stays on one variable.
+    rng = random.Random(3737)
+    histories = list(small_corpus)
+    histories += filter(None, (with_random_dp(h, rng) for h in small_corpus))
+    for h in histories:
+        for name in MODELS:
+            dm = derive(h, get_model(name))
+            for a, b in (*dm.po_loc_effective, *h.rf):
+                assert h.events[a].var == h.events[b].var
+
+
 # rmo keeps a same-variable read-write pair only as a dependency edge:
-# with one of two such edges missing the per-location graph is not
-# subsumed, with both present it is.
+# with one of two such edges missing the per-location graph holds a pair
+# the model graph lacks, with both present it does not.
 _TWO_READS_THEN_WRITE = (
     "thread T0\nrd x 1\nrd x 2\nwr x 3\nthread T1\nwr x 1\n"
     "thread T2\nwr x 2\ndp T0:0 -> T0:2\n"
 )
-GATE_CASES = [_TWO_READS_THEN_WRITE, _TWO_READS_THEN_WRITE + "dp T0:1 -> T0:2\n"]
+# Under rmo the per-location graph orders T0's writes one way and the
+# model graph (dp, then reads-from through T1) the other; neither graph
+# has a cycle on its own.  The reference evaluates {T0:1, T0:2, T1:1}
+# after placing T2:0, so the search must not cut that subset early.
+_MIXED_REACH = (
+    "thread T0\nrd z 7\nwr x 1\nwr x 2\nthread T1\nrd x 2\nwr z 7\n"
+    "thread T2\nwr y 5\ndp T0:0 -> T0:1\ndp T1:0 -> T1:1\n"
+)
+RMO_CASES = [
+    _TWO_READS_THEN_WRITE,
+    _TWO_READS_THEN_WRITE + "dp T0:1 -> T0:2\n",
+    _MIXED_REACH,
+]
 
 
-@pytest.mark.parametrize("text", [SB, MP, CORR, OOTA, *GATE_CASES])
+@pytest.mark.parametrize("text", [SB, MP, CORR, OOTA, *RMO_CASES])
 def test_litmus_traces_match_reference(text):
     h = parse_history(text)
     for name in MODELS:
         _assert_matches_reference(h, get_model(name))
+        _assert_same_memo(h, get_model(name))
 
 
 def _random_history(rng):
@@ -135,17 +168,12 @@ def _random_history(rng):
 
 def test_random_histories_match_reference():
     rng = random.Random(5353)
-    choices = set()
     for _ in range(400):
         h = _random_history(rng)
         for name in MODELS:
             spec = get_model(name)
             _assert_matches_reference(h, spec)
-            choices.add((name, _distinct_static(h, spec, derive(h, spec))))
-    # every gate choice the rule can make is exercised
-    for name in ("tso", "pso", "rmo"):
-        for choice in ((0,), (1,), (0, 1)):
-            assert (name, choice) in choices
+            _assert_same_memo(h, spec)
 
 
 def test_reductions_match_reference():
@@ -161,6 +189,22 @@ def test_reductions_match_reference():
         ):
             for name in names:
                 _assert_matches_reference(h, get_model(name))
+
+
+def test_two_variable_reductions_match_reference_memo():
+    # 2 variables, 3 clauses drawn from all four literals: k = 12
+    rng = random.Random(4242)
+    pool = [1, 2, -1, -2]
+    for _ in range(3):
+        clauses = tuple(tuple(rng.sample(pool, 3)) for _ in range(3))
+        cnf = Cnf3(2, clauses)
+        for h, names in (
+            (sat_to_history_sc(cnf), ("sc",)),
+            (sat_to_history_relaxed(cnf), ("sc", "tso", "pso", "rmo")),
+        ):
+            assert h.k == 12
+            for name in names:
+                _assert_same_memo(h, get_model(name))
 
 
 def test_long_simulated_trace_matches_reference():

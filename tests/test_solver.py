@@ -161,7 +161,7 @@ def test_matches_reference_search_exactly(small_corpus):
     """Verdict, reached subsets, and recorded removals all coincide.
 
     The reference takes every decision on explicitly built graphs, so this
-    pins the production reachability gates to the graph semantics.
+    pins the production search tables to the graph semantics.
     """
     for h in small_corpus[:60]:
         for m in ALL_MODELS:
@@ -178,8 +178,7 @@ def test_matches_reference_search_exactly(small_corpus):
 def _production_memo(h, spec):
     # re-run the production search and capture its memo
     from mmcheck.graphs import build_base_graphs, kahn_acyclic
-    from mmcheck.solver import SolveStats, _Gate, _search
-    from mmcheck.solver import _distinct_static, _write_tables
+    from mmcheck.solver import SolveStats, _search, _write_tables
 
     dm = derive(h, spec)
     g_loc, g_mm = build_base_graphs(h, dm)
@@ -188,14 +187,9 @@ def _production_memo(h, spec):
     if not (ok_loc and ok_mm):
         return {}
     index = WriteIndex(h)
-    varmask, tags = _write_tables(h, index)
-    bases = ((g_loc, topo_loc), (g_mm, topo_mm))
-    gates = [
-        _Gate(index, *bases[i], tags, varmask)
-        for i in _distinct_static(h, spec, dm)
-    ]
+    tables = _write_tables(h, index, ((g_loc, topo_loc), (g_mm, topo_mm)))
     memo = {}
-    _search(index, memo, gates, varmask, SolveStats())
+    _search(index, memo, *tables, SolveStats())
     return memo
 
 
@@ -212,8 +206,10 @@ def test_rmo_with_random_dependencies_matches_reference(small_corpus):
         if augmented is None:
             continue
         v = solve(augmented, spec)
-        ref_ok, _ = solve_reference(augmented, spec)
+        ref_ok, ref_memo = solve_reference(augmented, spec)
         assert v.consistent == ref_ok
+        if ref_memo:
+            assert _production_memo(augmented, spec) == ref_memo
         assert v.outcome == oracle_total(augmented, spec).outcome
         checked += 1
     assert checked >= 20
