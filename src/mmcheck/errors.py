@@ -86,4 +86,5 @@ class InitialReadVisibilityWarning(UserWarning):
 
     Initial writes precede every other event in program order, so the
     externally-visible reads-from relation of TSO/PSO/RMO drops such pairs.
+    The package no longer emits it; `bench/run.py` filters it by name.
     """

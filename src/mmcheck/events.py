@@ -72,7 +72,9 @@ class History:
 
     Instances are immutable after construction and safe to share across
     threads.  Use :func:`assemble_history` (or the trace parser) to build
-    one; the constructor does not validate.
+    one; the constructor does not validate.  `threads` maps each thread
+    name, the virtual `init` thread first, to its event ids in program
+    order.
     """
 
     __slots__ = (
@@ -80,14 +82,12 @@ class History:
         "rf",
         "dp",
         "threads",
-        "_ref_to_id",
+        "_thread_ids",
         "_writes",
         "_reads",
-        "_writer_of",
         "_readers",
         "_rf_source",
         "_writes_on",
-        "_thread_events",
     )
 
     def __init__(
@@ -95,19 +95,29 @@ class History:
         events: Sequence[Event],
         rf: frozenset[tuple[int, int]],
         dp: frozenset[tuple[int, int]],
-        threads: Sequence[str],
+        threads: Mapping[str, tuple[int, ...]],
     ):
         self.events: tuple[Event, ...] = tuple(events)
         self.rf = rf
         self.dp = dp
-        self.threads: tuple[str, ...] = tuple(threads)
+        self.threads: tuple[str, ...] = tuple(
+            t for t in threads if t != INIT_THREAD
+        )
+        self._thread_ids = threads
 
-        self._ref_to_id = {(e.thread, e.pos): e.id for e in self.events}
-        self._writes = tuple(e.id for e in self.events if e.is_write)
-        self._reads = tuple(e.id for e in self.events if e.is_read)
-        self._writer_of = {
-            (e.var, e.val): e.id for e in self.events if e.is_write
-        }
+        writes: list[int] = []
+        reads: list[int] = []
+        writes_on: dict[str, list[int]] = {}
+        for e in self.events:
+            if e.is_write:
+                writes.append(e.id)
+                writes_on.setdefault(e.var, []).append(e.id)
+            else:
+                reads.append(e.id)
+        self._writes = tuple(writes)
+        self._reads = tuple(reads)
+        self._writes_on = {v: tuple(ws) for v, ws in writes_on.items()}
+
         readers: dict[int, list[int]] = {}
         source: dict[int, int] = {}
         for w, r in rf:
@@ -115,15 +125,6 @@ class History:
             source[r] = w
         self._readers = {w: tuple(sorted(rs)) for w, rs in readers.items()}
         self._rf_source = source
-        writes_on: dict[str, list[int]] = {}
-        for wid in self._writes:
-            writes_on.setdefault(self.events[wid].var, []).append(wid)
-        self._writes_on = {v: tuple(ws) for v, ws in writes_on.items()}
-        per_thread: dict[str, list[int]] = {t: [] for t in self.threads}
-        for e in self.events:
-            if not e.is_init:
-                per_thread[e.thread].append(e.id)
-        self._thread_events = {t: tuple(ids) for t, ids in per_thread.items()}
 
     @property
     def n(self) -> int:
@@ -145,7 +146,7 @@ class History:
 
     @property
     def init_events(self) -> tuple[Event, ...]:
-        return tuple(e for e in self.events if e.is_init)
+        return tuple(self.events[i] for i in self._thread_ids[INIT_THREAD])
 
     @property
     def variables(self) -> tuple[str, ...]:
@@ -153,9 +154,6 @@ class History:
         for e in self.events:
             seen.setdefault(e.var)
         return tuple(seen)
-
-    def event(self, eid: int) -> Event:
-        return self.events[eid]
 
     def po_before(self, a: int, b: int) -> bool:
         """Whether event `a` precedes event `b` in program order.
@@ -167,13 +165,7 @@ class History:
         return _po_before(self.events[a], self.events[b])
 
     def resolve_ref(self, thread: str, pos: int) -> int:
-        try:
-            return self._ref_to_id[(thread, pos)]
-        except KeyError:
-            raise DanglingRefError(f"no event {thread}:{pos}") from None
-
-    def writer_of(self, var: str, val: int) -> int | None:
-        return self._writer_of.get((var, val))
+        return _resolve(self._thread_ids, (thread, pos))
 
     def readers_of(self, write_id: int) -> tuple[int, ...]:
         return self._readers.get(write_id, ())
@@ -185,7 +177,7 @@ class History:
         return self._writes_on.get(var, ())
 
     def thread_events(self, thread: str) -> tuple[int, ...]:
-        return self._thread_events[thread]
+        return self._thread_ids[thread]
 
     def ref(self, eid: int) -> str:
         return self.events[eid].ref
@@ -196,115 +188,105 @@ class History:
         return " -> ".join(refs)
 
 
-def _infer_rf_pairs(
-    events: Sequence[Event], writer_of: Mapping[tuple[str, int], int]
-) -> set[tuple[int, int]]:
-    pairs = set()
-    for e in events:
-        if not e.is_read:
-            continue
-        w = writer_of.get((e.var, e.val))
-        if w is None:
-            raise UnsourcedReadError(
-                f"read {e.ref} of {e.var}={e.val} has no matching write"
-            )
-        pairs.add((w, e.id))
-    return pairs
-
-
-def _parse_ref(ref: str) -> tuple[str, int]:
-    thread, _, pos = ref.rpartition(":")
-    if not thread or not pos.isdigit():
-        raise DanglingRefError(f"malformed event reference {ref!r}")
-    return thread, int(pos)
+def _resolve(
+    thread_ids: Mapping[str, tuple[int, ...]], ref: tuple[str, int]
+) -> int:
+    thread, pos = ref
+    ids = thread_ids.get(thread, ())
+    if not 0 <= pos < len(ids):
+        raise DanglingRefError(f"no event {thread}:{pos}")
+    return ids[pos]
 
 
 def assemble_history(
     init: Sequence[tuple[str, int]] = (),
     threads: Sequence[tuple[str, Sequence[tuple[str, str, int]]]] = (),
-    rf_refs: Sequence[tuple[str, str]] | None = None,
-    dp_refs: Sequence[tuple[str, str]] = (),
+    rf_refs: Sequence[tuple[tuple[str, int], tuple[str, int]]] | None = None,
+    dp_refs: Sequence[tuple[tuple[str, int], tuple[str, int]]] = (),
 ) -> History:
     """Build and validate a history from structured pieces.
 
     `init` lists (var, value) initial writes.  `threads` lists
     (name, [(kind, var, value), ...]) blocks in declaration order; event
     ids are assigned document-first (initial writes, then threads in order,
-    events in program order).  `rf_refs` gives explicit reads-from edges as
-    (`writer ref`, `read ref`) pairs; when None, reads-from is inferred
-    from values.  `dp_refs` gives dependency edges, which must start at a
-    read and follow program order.
+    events in program order).  Event references are `(thread, pos)` pairs,
+    initial writes on thread `init`.  `rf_refs` gives explicit reads-from
+    edges as (writer, read) pairs; when None, reads-from is inferred from
+    values.  `dp_refs` gives dependency edges, which must start at a read
+    and follow program order.
     """
-    events: list[Event] = []
     seen_init_vars: set[str] = set()
-    for pos, (var, val) in enumerate(init):
+    for var, _ in init:
         if var in seen_init_vars:
             raise DuplicateValueError(f"variable {var!r} initialized twice")
         seen_init_vars.add(var)
-        _check_value(val)
-        events.append(
-            Event(len(events), INIT_THREAD, pos, WRITE, var, val, is_init=True)
-        )
 
-    thread_names: list[str] = []
-    for name, block in threads:
-        if name == INIT_THREAD:
-            raise TraceSyntaxError(f"thread name {INIT_THREAD!r} is reserved")
-        if name in thread_names:
-            raise TraceSyntaxError(f"duplicate thread {name!r}")
-        thread_names.append(name)
+    # One pass: events, per-thread ids, and the (var, value) -> writer map
+    # that both rejects duplicate values and infers reads-from.
+    events: list[Event] = []
+    thread_ids: dict[str, tuple[int, ...]] = {}
+    writer_of: dict[tuple[str, int], int] = {}
+    init_block = [(WRITE, var, val) for var, val in init]
+    for name, block in [(INIT_THREAD, init_block), *threads]:
+        if name in thread_ids:
+            raise TraceSyntaxError(
+                f"thread name {INIT_THREAD!r} is reserved"
+                if name == INIT_THREAD
+                else f"duplicate thread {name!r}"
+            )
+        is_init = name == INIT_THREAD
+        start = len(events)
         for pos, (kind, var, val) in enumerate(block):
             if kind not in (WRITE, READ):
                 raise TraceSyntaxError(f"unknown access kind {kind!r}")
-            _check_value(val)
-            events.append(Event(len(events), name, pos, kind, var, val))
+            if not 0 <= val <= MAX_VALUE:
+                raise TraceSyntaxError(
+                    f"value {val} outside the unsigned 64-bit range"
+                )
+            e = Event(start + pos, name, pos, kind, var, val, is_init)
+            if kind == WRITE:
+                w = writer_of.setdefault((var, val), e.id)
+                if w != e.id:
+                    raise DuplicateValueError(
+                        f"value {val} written twice to {var!r} "
+                        f"({events[w].ref} and {e.ref})"
+                    )
+            events.append(e)
+        thread_ids[name] = tuple(range(start, len(events)))
 
-    writer_of: dict[tuple[str, int], int] = {}
-    for e in events:
-        if not e.is_write:
-            continue
-        key = (e.var, e.val)
-        if key in writer_of:
-            other = events[writer_of[key]]
-            raise DuplicateValueError(
-                f"value {e.val} written twice to {e.var!r} "
-                f"({other.ref} and {e.ref})"
-            )
-        writer_of[key] = e.id
-
-    ref_to_id = {(e.thread, e.pos): e.id for e in events}
-
-    def resolve(ref: str) -> int:
-        key = _parse_ref(ref)
-        if key not in ref_to_id:
-            raise DanglingRefError(f"no event {ref}")
-        return ref_to_id[key]
-
+    rf_pairs = set()
     if rf_refs is None:
-        rf_pairs = _infer_rf_pairs(events, writer_of)
+        for e in events:
+            if not e.is_read:
+                continue
+            w = writer_of.get((e.var, e.val))
+            if w is None:
+                raise UnsourcedReadError(
+                    f"read {e.ref} of {e.var}={e.val} has no matching write"
+                )
+            rf_pairs.add((w, e.id))
     else:
-        rf_pairs = set()
         covered: set[int] = set()
         for wref, rref in rf_refs:
-            w, r = resolve(wref), resolve(rref)
-            ew, er = events[w], events[r]
+            ew = events[_resolve(thread_ids, wref)]
+            er = events[_resolve(thread_ids, rref)]
             if not ew.is_write or not er.is_read:
                 raise AmbiguousRfError(
-                    f"rf {wref} -> {rref} must connect a write to a read"
+                    f"rf {ew.ref} -> {er.ref} must connect a write to a read"
                 )
             if ew.var != er.var:
                 raise AmbiguousRfError(
-                    f"rf {wref} -> {rref} connects different variables"
+                    f"rf {ew.ref} -> {er.ref} connects different variables"
                 )
             if ew.val != er.val:
                 raise AmbiguousRfError(
-                    f"rf {wref} -> {rref} has value {ew.val} feeding a read "
-                    f"of {er.val}"
+                    f"rf {ew.ref} -> {er.ref} has value {ew.val} feeding a "
+                    f"read of {er.val}"
                 )
-            if r in covered:
-                raise AmbiguousRfError(f"read {rref} has two rf edges")
-            covered.add(r)
-            rf_pairs.add((w, r))
+            if er.id in covered:
+                raise AmbiguousRfError(f"read {er.ref} has two rf edges")
+            covered.add(er.id)
+            rf_pairs.add((ew.id, er.id))
         for e in events:
             if e.is_read and e.id not in covered:
                 raise UnsourcedReadError(
@@ -313,20 +295,16 @@ def assemble_history(
 
     dp_pairs = set()
     for sref, tref in dp_refs:
-        s, t = resolve(sref), resolve(tref)
-        if not events[s].is_read:
-            raise InvalidDpError(f"dp {sref} -> {tref} must start at a read")
-        if not _po_before(events[s], events[t]):
+        es = events[_resolve(thread_ids, sref)]
+        et = events[_resolve(thread_ids, tref)]
+        if not es.is_read:
+            raise InvalidDpError(f"dp {es.ref} -> {et.ref} must start at a read")
+        if not _po_before(es, et):
             raise InvalidDpError(
-                f"dp {sref} -> {tref} does not follow program order"
+                f"dp {es.ref} -> {et.ref} does not follow program order"
             )
-        dp_pairs.add((s, t))
+        dp_pairs.add((es.id, et.id))
 
     return History(
-        events, frozenset(rf_pairs), frozenset(dp_pairs), thread_names
+        events, frozenset(rf_pairs), frozenset(dp_pairs), thread_ids
     )
-
-
-def _check_value(val: int) -> None:
-    if not 0 <= val <= MAX_VALUE:
-        raise TraceSyntaxError(f"value {val} outside the unsigned 64-bit range")

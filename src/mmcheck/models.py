@@ -18,15 +18,10 @@ solver's search tables depend on nothing else.
 
 from __future__ import annotations
 
-import warnings
 from collections.abc import Collection
 from dataclasses import dataclass
 
-from .errors import (
-    InitialReadVisibilityWarning,
-    InvalidDpError,
-    UnknownModelError,
-)
+from .errors import InvalidDpError, UnknownModelError
 from .events import READ, WRITE, History
 from .graphs import EventGraph, find_cycle, kahn_acyclic
 
@@ -180,21 +175,9 @@ def derive(h: History, spec: ModelSpec) -> DerivedModel:
     else:
         po_mm = po_edges(h, spec.kept_po)
 
-    if spec.name == "sc":
-        rf_mm = h.rf
-    else:
-        rf_mm = rf_external(h)
-        if any(events[w].is_init for w, _ in h.rf):
-            warnings.warn(
-                "initial writes source reads; those edges are hidden from "
-                "the relaxed model's visible reads-from",
-                InitialReadVisibilityWarning,
-                stacklevel=2,
-            )
-
     return DerivedModel(
         po_mm=po_mm,
-        rf_mm=rf_mm,
+        rf_mm=h.rf if spec.name == "sc" else rf_external(h),
         po_loc_effective=po_loc(h, llh=spec.allows_llh),
     )
 

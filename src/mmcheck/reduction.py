@@ -125,7 +125,12 @@ def _lit_cd(negated: bool) -> tuple[int, int]:
 
 
 def sat_to_history_sc(cnf: Cnf3) -> History:
-    """The strict-model instance: satisfiable iff consistent under sc."""
+    """The strict-model instance: inconsistent under sc if unsatisfiable.
+
+    The converse fails on at least one formula: the satisfiable
+    `((1,-3,-2),(3,1,2),(-3,-2,-1),(2,1,3),(-1,-2,-3))` compiles to an
+    instance that `solve` and `oracle_store` both call inconsistent.
+    """
     threads: list[tuple[str, list[tuple[str, str, int]]]] = []
     for i in range(1, cnf.num_vars + 1):
         threads.append((f"T0_x{i}", [("wr", f"x{i}", 0)]))

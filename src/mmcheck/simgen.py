@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass, field
 
 from .errors import NoAlternativeWriterError, UnknownModelError
-from .events import History, assemble_history
+from .events import INIT_THREAD, History, assemble_history
 
 SIMULATED_MODELS = ("sc", "tso", "pso")
 
@@ -95,10 +95,10 @@ def simulate(prog: RandomProgram, model: str, seed: int) -> History:
         rng=random.Random(seed),
     )
 
-    init_pos = {v: i for i, v in enumerate(used_vars)}
-    writer_ref = {(v, 0): f"init:{init_pos[v]}" for v in used_vars}
+    names = [f"T{t}" for t in range(nthreads)]
+    writer_ref = {(v, 0): (INIT_THREAD, i) for i, v in enumerate(used_vars)}
     out_events: list[list[tuple[str, str, int]]] = [[] for _ in range(nthreads)]
-    rf_refs: list[tuple[str, str]] = []
+    rf_refs: list[tuple[tuple[str, int], tuple[str, int]]] = []
 
     def enabled_actions():
         acts = []
@@ -139,7 +139,7 @@ def simulate(prog: RandomProgram, model: str, seed: int) -> History:
         pos = len(out_events[t])
         if instr[0] == "wr":
             _, var, val = instr
-            writer_ref[(var, val)] = f"T{t}:{pos}"
+            writer_ref[(var, val)] = (names[t], pos)
             if model == "sc":
                 state.memory[var] = val
             elif model == "tso":
@@ -150,12 +150,12 @@ def simulate(prog: RandomProgram, model: str, seed: int) -> History:
         else:
             _, var = instr
             val = read_value(t, var)
-            rf_refs.append((writer_ref[(var, val)], f"T{t}:{pos}"))
+            rf_refs.append((writer_ref[(var, val)], (names[t], pos)))
             out_events[t].append(("rd", var, val))
 
     return assemble_history(
         init=[(v, 0) for v in used_vars],
-        threads=[(f"T{t}", out_events[t]) for t in range(nthreads)],
+        threads=list(zip(names, out_events)),
         rf_refs=rf_refs,
     )
 
@@ -192,12 +192,16 @@ def mutate(h: History, seed: int) -> History:
             val = new_val if eid == rid else e.val
             block.append((e.kind, e.var, val))
         threads.append((t, block))
+
+    def ref(eid: int) -> tuple[str, int]:
+        return h.events[eid].thread, h.events[eid].pos
+
     rf_refs = []
     for w, r in sorted(h.rf, key=lambda p: p[1]):
         if r == rid:
             w = new_writer
-        rf_refs.append((h.ref(w), h.ref(r)))
-    dp_refs = [(h.ref(a), h.ref(b)) for a, b in sorted(h.dp)]
+        rf_refs.append((ref(w), ref(r)))
+    dp_refs = [(ref(a), ref(b)) for a, b in sorted(h.dp)]
     return assemble_history(
         init=init, threads=threads, rf_refs=rf_refs, dp_refs=dp_refs
     )

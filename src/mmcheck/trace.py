@@ -24,7 +24,6 @@ from .errors import TraceSyntaxError
 from .events import History, assemble_history
 
 _IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
-_INIT_RE = re.compile(r"init:\s*(.*)")
 _ASSIGN_RE = re.compile(rf"({_IDENT})=(\d+)")
 _THREAD_RE = re.compile(rf"thread\s+({_IDENT})\s*$")
 _ACCESS_RE = re.compile(rf"(wr|rd)\s+({_IDENT})\s+(\d+)\s*$")
@@ -42,8 +41,8 @@ def parse_history(text: str) -> History:
     """
     init: list[tuple[str, int]] = []
     threads: list[tuple[str, list[tuple[str, str, int]]]] = []
-    rf_lines: list[tuple[str, str]] = []
-    dp_lines: list[tuple[str, str]] = []
+    rf_lines: list[tuple[tuple[str, int], tuple[str, int]]] = []
+    dp_lines: list[tuple[tuple[str, int], tuple[str, int]]] = []
     current: list[tuple[str, str, int]] | None = None
     seen_init = False
 
@@ -57,46 +56,41 @@ def parse_history(text: str) -> History:
             if threads:
                 raise TraceSyntaxError("init must precede threads", lineno)
             seen_init = True
-            body = _INIT_RE.fullmatch(line).group(1).strip()
-            if not body:
+            tokens = line[len("init:"):].split()
+            if not tokens:
                 raise TraceSyntaxError("empty init line", lineno)
-            consumed = 0
-            for m in _ASSIGN_RE.finditer(body):
+            for token in tokens:
+                m = _ASSIGN_RE.fullmatch(token)
+                if not m:
+                    raise TraceSyntaxError("malformed init assignments", lineno)
                 init.append((m.group(1), int(m.group(2))))
-                consumed += len(m.group(0))
-            if consumed != len(re.sub(r"\s+", "", body)):
-                raise TraceSyntaxError("malformed init assignments", lineno)
+            continue
+        m = _ACCESS_RE.fullmatch(line)
+        if m:
+            if current is None:
+                raise TraceSyntaxError("access outside a thread block", lineno)
+            kind, var, val = m.groups()
+            current.append((kind, var, int(val)))
             continue
         m = _THREAD_RE.fullmatch(line)
         if m:
             current = []
             threads.append((m.group(1), current))
             continue
-        m = _ACCESS_RE.fullmatch(line)
-        if m:
-            if current is None:
-                raise TraceSyntaxError("access outside a thread block", lineno)
-            current.append((m.group(1), m.group(2), int(m.group(3))))
-            continue
         m = _EDGE_RE.fullmatch(line)
         if m:
             kind, st, sp, tt, tp = m.groups()
-            edge = (f"{st}:{sp}", f"{tt}:{tp}")
+            edge = ((st, int(sp)), (tt, int(tp)))
             (rf_lines if kind == "rf" else dp_lines).append(edge)
             continue
         raise TraceSyntaxError(f"cannot parse {line!r}", lineno)
 
-    try:
-        return assemble_history(
-            init=init,
-            threads=threads,
-            rf_refs=rf_lines if rf_lines else None,
-            dp_refs=dp_lines,
-        )
-    except TraceSyntaxError:
-        raise
-    except OverflowError as exc:  # pragma: no cover - int() never overflows
-        raise TraceSyntaxError(str(exc)) from exc
+    return assemble_history(
+        init=init,
+        threads=threads,
+        rf_refs=rf_lines if rf_lines else None,
+        dp_refs=dp_lines,
+    )
 
 
 def format_history(h: History, explicit_rf: bool = False) -> str:

@@ -3,13 +3,12 @@
 from __future__ import annotations
 
 import random
-import warnings
 from pathlib import Path
 
 import pytest
 
 from mmcheck import assemble_history, generate_program, mutate, simulate
-from mmcheck.errors import InitialReadVisibilityWarning, NoAlternativeWriterError
+from mmcheck.errors import NoAlternativeWriterError
 
 TRACES = Path(__file__).resolve().parent.parent / "traces"
 
@@ -17,15 +16,6 @@ SB = (TRACES / "sb.mmh").read_text()
 MP = (TRACES / "mp.mmh").read_text()
 CORR = (TRACES / "corr.mmh").read_text()
 OOTA = (TRACES / "oota.mmh").read_text()
-
-
-@pytest.fixture(autouse=True)
-def _quiet_init_visibility_warnings():
-    # Relaxed-model derivations on init-heavy corpora fire this constantly;
-    # its behavior has a dedicated test.
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", InitialReadVisibilityWarning)
-        yield
 
 
 def build_corpus(count: int, seed: int, max_writes: int = 4):
@@ -60,12 +50,15 @@ def build_corpus(count: int, seed: int, max_writes: int = 4):
 def with_random_dp(h, rng: random.Random):
     """`h` plus dependency edges from about half its reads to later
     same-thread events; None when no edge was drawn."""
+    def ref(eid):
+        return h.events[eid].thread, h.events[eid].pos
+
     dp_refs = []
     for rid in h.reads:
         e = h.events[rid]
         later = [t for t in h.thread_events(e.thread) if t > rid]
         if later and rng.random() < 0.5:
-            dp_refs.append((h.ref(rid), h.ref(rng.choice(later))))
+            dp_refs.append((ref(rid), ref(rng.choice(later))))
     if not dp_refs:
         return None
     return assemble_history(
@@ -80,7 +73,7 @@ def with_random_dp(h, rng: random.Random):
             )
             for t in h.threads
         ],
-        rf_refs=[(h.ref(w), h.ref(r)) for w, r in sorted(h.rf)],
+        rf_refs=[(ref(w), ref(r)) for w, r in sorted(h.rf)],
         dp_refs=dp_refs,
     )
 

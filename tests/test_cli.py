@@ -23,14 +23,16 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+@pytest.mark.filterwarnings("error")
 def test_check_exit_codes(capsys, sb_path):
     code, out, _ = run(capsys, "check", sb_path, "--model", "sc")
     assert code == 1
     assert "verdict: inconsistent" in out
-    code, out, _ = run(capsys, "check", sb_path, "--model", "tso")
+    code, out, err = run(capsys, "check", sb_path, "--model", "tso")
     assert code == 0
     assert "verdict: consistent" in out
     assert "model: tso" in out and "k: 4" in out and "n: 6" in out
+    assert err == ""
 
 
 def test_check_empty_trace(capsys, tmp_path):

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import warnings
-
 import pytest
 
 from mmcheck import (
@@ -14,7 +12,7 @@ from mmcheck import (
     parse_history,
     rf_external,
 )
-from mmcheck.errors import InitialReadVisibilityWarning, UnknownModelError
+from mmcheck.errors import UnknownModelError
 
 from conftest import OOTA
 from helpers import closure, reference_po
@@ -130,14 +128,3 @@ def test_oota_examples():
     )
     assert oota_check(h)
 
-
-def test_init_visibility_warning_fires_once_per_call_site():
-    h = parse_history("init: x=0\nthread T0\nrd x 0\n")
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        derive(h, get_model("tso"))
-        derive(h, get_model("sc"))
-    relaxed = [
-        w for w in caught if issubclass(w.category, InitialReadVisibilityWarning)
-    ]
-    assert len(relaxed) == 1

@@ -11,6 +11,7 @@ from mmcheck import (
     Cnf3,
     format_history,
     get_model,
+    oracle_store,
     parse_dimacs,
     parse_history,
     sat_brute_force,
@@ -184,6 +185,32 @@ def test_relaxed_and_strict_instances_agree_under_sc():
         strict = solve(sat_to_history_sc(cnf), sc).consistent
         relaxed = solve(sat_to_history_relaxed(cnf), sc).consistent
         assert strict == relaxed == sat_brute_force(cnf)
+
+
+# A satisfiable formula whose compiled instances `solve` and `oracle_store`
+# call inconsistent: a known defect of the reduction, not of the deciders.
+SATISFIABLE_BUT_INCONSISTENT = Cnf3(
+    3, ((1, -3, -2), (3, 1, 2), (-3, -2, -1), (2, 1, 3), (-1, -2, -3))
+)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="known defect: the reduction maps this satisfiable formula to "
+    "an inconsistent instance",
+)
+def test_satisfiable_counterexample_compiles_to_consistent_instances():
+    cnf = SATISFIABLE_BUT_INCONSISTENT
+    if not sat_brute_force(cnf):
+        pytest.fail("the counterexample must be satisfiable")
+    cases = [(sat_to_history_sc, "sc")] + [
+        (sat_to_history_relaxed, name) for name in ("sc", "tso", "pso")
+    ]
+    for build, name in cases:
+        h, spec = build(cnf), get_model(name)
+        assert solve(h, spec).consistent
+        assert oracle_store(h, spec).consistent
 
 
 def test_sat_brute_force_examples():

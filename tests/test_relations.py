@@ -126,7 +126,7 @@ def _random_history(rng):
     variables = ["x", "y", "z"][: rng.randint(1, 3)]
     init = [(v, 0) for v in variables if rng.random() < 0.5]
     threads = []
-    writes = [(v, 0, f"init:{i}") for i, (v, _) in enumerate(init)]
+    writes = [(v, 0, ("init", i)) for i, (v, _) in enumerate(init)]
     for t in range(rng.randint(1, 3)):
         block = []
         for pos in range(rng.randint(1, 4)):
@@ -135,7 +135,7 @@ def _random_history(rng):
             val = len(writes) + 1
             block.append([kind, var, val])
             if kind == "wr":
-                writes.append((var, val, f"T{t}:{pos}"))
+                writes.append((var, val, (f"T{t}", pos)))
         threads.append((f"T{t}", block))
     rf_refs = []
     for name, block in threads:
@@ -145,10 +145,10 @@ def _random_history(rng):
             sources = [w for w in writes if w[0] == event[1]]
             if not sources:
                 event[0] = "wr"
-                writes.append((event[1], event[2], f"{name}:{pos}"))
+                writes.append((event[1], event[2], (name, pos)))
                 continue
             _, event[2], ref = rng.choice(sources)
-            rf_refs.append((ref, f"{name}:{pos}"))
+            rf_refs.append((ref, (name, pos)))
     dp_refs = []
     if rng.random() < 0.5:
         for name, block in threads:
@@ -157,7 +157,7 @@ def _random_history(rng):
                     continue
                 for later in range(pos + 1, len(block)):
                     if rng.random() < 0.5:
-                        dp_refs.append((f"{name}:{pos}", f"{name}:{later}"))
+                        dp_refs.append(((name, pos), (name, later)))
     return assemble_history(
         init=init,
         threads=[(name, [tuple(e) for e in block]) for name, block in threads],

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mmcheck import parse_history, format_history
+from mmcheck import assemble_history, parse_history, format_history
 from mmcheck.errors import (
     AmbiguousRfError,
     DanglingRefError,
@@ -83,6 +83,9 @@ def test_syntax_errors_carry_line_numbers():
         parse_history("thread T0\ninit: x=0\n")
     with pytest.raises(TraceSyntaxError):
         parse_history(f"thread T0\nwr x {2**64}\n")
+    with pytest.raises(TraceSyntaxError) as exc:
+        parse_history("init: x=0y=1\n")  # no separator between assignments
+    assert exc.value.lineno == 1
 
 
 def test_unsourced_read():
@@ -147,11 +150,59 @@ def test_round_trip_byte_identity(text):
     assert once == again
 
 
-def test_round_trip_preserves_relations():
-    h1 = parse_history(SB)
-    h2 = parse_history(format_history(h1, explicit_rf=True))
-    assert h1.events == h2.events and h1.threads == h2.threads
-    assert h1.rf == h2.rf and h1.dp == h2.dp
+def _assert_indexes_match_definitions(h):
+    events = h.events
+    assert h.writes == tuple(e.id for e in events if e.is_write)
+    assert h.reads == tuple(e.id for e in events if e.is_read)
+    for e in events:
+        assert h.resolve_ref(e.thread, e.pos) == e.id
+        if e.is_write:
+            readers = sorted(r for w, r in h.rf if w == e.id)
+            assert h.readers_of(e.id) == tuple(readers)
+        else:
+            assert [w for w, r in h.rf if r == e.id] == [h.rf_source(e.id)]
+    for v in h.variables:
+        writes = [e.id for e in events if e.is_write and e.var == v]
+        assert h.writes_on(v) == tuple(writes)
+    for t in h.threads:
+        assert h.thread_events(t) == tuple(e.id for e in events if e.thread == t)
+    assert h.init_events == tuple(e for e in events if e.is_init)
+
+
+def test_round_trip_preserves_relations(small_corpus):
+    litmus = [parse_history(text) for text in (SB, MP, CORR, OOTA)]
+    for h1 in litmus + small_corpus[:40]:
+        h2 = parse_history(format_history(h1, explicit_rf=True))
+        assert h1.events == h2.events and h1.threads == h2.threads
+        assert h1.rf == h2.rf and h1.dp == h2.dp
+        _assert_indexes_match_definitions(h1)
+        _assert_indexes_match_definitions(h2)
+
+
+def test_refs_are_thread_position_pairs():
+    threads = [
+        ("T0", [("rd", "x", 0), ("wr", "y", 1)]),
+        ("T1", [("rd", "y", 1)]),
+    ]
+    h = assemble_history(
+        init=[("x", 0)],
+        threads=threads,
+        rf_refs=[(("init", 0), ("T0", 0)), (("T0", 1), ("T1", 0))],
+        dp_refs=[(("T0", 0), ("T0", 1))],
+    )
+    parsed = parse_history(
+        "init: x=0\nthread T0\nrd x 0\nwr y 1\nthread T1\nrd y 1\n"
+        "dp T0:0 -> T0:1\n"
+    )
+    assert h.events == parsed.events
+    assert h.rf == parsed.rf and h.dp == parsed.dp
+    for bad in (("T0", 2), ("T0", -1), ("T9", 0)):
+        with pytest.raises(DanglingRefError):
+            assemble_history(
+                init=[("x", 0)], threads=threads, dp_refs=[(("T0", 0), bad)]
+            )
+        with pytest.raises(DanglingRefError):
+            h.resolve_ref(*bad)
 
 
 def test_repeated_read_values_allowed():
