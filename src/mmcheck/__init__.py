@@ -8,14 +8,14 @@ and fed by a 3-CNF instance compiler and operational simulators.
 
 from .errors import MmcheckError
 from .events import Event, History, assemble_history
-from .graphs import EventGraph, WriteIndex, build_base_graphs, kahn_acyclic
+from .graphs import EventGraph, build_base_graphs, kahn_acyclic
 from .models import (
     MODELS,
     DerivedModel,
     ModelSpec,
     derive,
     get_model,
-    oota_check,
+    oota_cycle,
     po_loc,
     rf_external,
 )
@@ -54,7 +54,6 @@ __all__ = [
     "SolveStats",
     "StoreOrder",
     "Verdict",
-    "WriteIndex",
     "assemble_history",
     "build_base_graphs",
     "derive",
@@ -64,7 +63,7 @@ __all__ = [
     "get_model",
     "kahn_acyclic",
     "mutate",
-    "oota_check",
+    "oota_cycle",
     "oracle_store",
     "oracle_total",
     "parse_dimacs",

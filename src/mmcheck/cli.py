@@ -74,8 +74,14 @@ class CheckReport:
 
 
 def _read_text(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise MmcheckError(
+            f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})"
+        ) from None
 
 
 def _write_output(text: str, path: str | None) -> None:
@@ -183,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_check_flags(p_check)
     p_check.add_argument(
         "--max-k",
-        type=int,
+        type=_count_arg(0),
         default=DEFAULT_MAX_K,
         help=f"write-count cap (default {DEFAULT_MAX_K})",
     )

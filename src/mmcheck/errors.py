@@ -41,10 +41,6 @@ class UnknownModelError(MmcheckError):
     """The requested memory model is not supported."""
 
 
-class PreconditionViolatedError(MmcheckError):
-    """An operation was called outside its stated precondition."""
-
-
 class KTooLargeError(MmcheckError):
     """The write count exceeds the solver's configured cap."""
 

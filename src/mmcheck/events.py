@@ -11,8 +11,7 @@ event (see :meth:`History.po_before`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .errors import (
     AmbiguousRfError,
@@ -32,8 +31,7 @@ INIT_THREAD = "init"
 MAX_VALUE = 2**64 - 1
 
 
-@dataclass(frozen=True, slots=True)
-class Event:
+class Event(NamedTuple):
     """A single read or write access."""
 
     id: int

@@ -1,15 +1,15 @@
-"""Event graphs, acyclicity checks, and the write index.
+"""Event graphs, acyclicity checks, and the base graphs.
 
 All consistency questions in this package reduce to the acyclicity of
 graphs over event ids built from unions of edge lists.  This module holds
-the graph container, Kahn's algorithm with deterministic tie-breaking,
-the dense bit positions of the writes, and the two order-free base graphs
-the solver's subset search starts from.
+the graph container, one Kahn peel that both sorts a graph and isolates
+its cycles, and the two order-free base graphs the solver's subset search
+starts from.  The peel is FIFO, so its order is deterministic; nothing
+depends on which topological order it returns.
 """
 
 from __future__ import annotations
 
-import heapq
 from typing import TYPE_CHECKING, Iterable
 
 from .events import History
@@ -21,44 +21,53 @@ if TYPE_CHECKING:
 class EventGraph:
     """A directed graph over event ids: adjacency lists plus in-degrees.
 
+    `EventGraph(n, *edge_lists)` holds the union of the edge lists.
     Edges are not deduplicated.  Kahn's algorithm, cycle extraction and
     reachability give the same answers with or without duplicate edges.
     """
 
     __slots__ = ("n", "adj", "in_degree")
 
-    def __init__(self, n: int):
+    def __init__(self, n: int, *edge_lists: Iterable[tuple[int, int]]):
         self.n = n
-        self.adj: list[list[int]] = [[] for _ in range(n)]
-        self.in_degree: list[int] = [0] * n
+        adj: list[list[int]] = [[] for _ in range(n)]
+        degree = [0] * n
+        for edges in edge_lists:
+            for u, v in edges:
+                adj[u].append(v)
+                degree[v] += 1
+        self.adj = adj
+        self.in_degree = degree
 
-    def add_pairs(self, pairs: Iterable[tuple[int, int]]) -> None:
-        adj = self.adj
-        degree = self.in_degree
-        for u, v in pairs:
-            adj[u].append(v)
-            degree[v] += 1
+
+def _peel(g: EventGraph) -> tuple[list[int], list[int]]:
+    """Kahn's peel: the peeled vertices in topological order, and the
+    in-degrees left.
+
+    The frontier is the order itself, appended to while it is walked.  A
+    vertex stays unpeeled exactly when it keeps a positive in-degree,
+    which happens exactly when a cycle reaches it; that set does not
+    depend on the order of the peel.
+    """
+    degree = list(g.in_degree)
+    order = [v for v in range(g.n) if not degree[v]]
+    adj = g.adj
+    for v in order:
+        for w in adj[v]:
+            degree[w] -= 1
+            if not degree[w]:
+                order.append(w)
+    return order, degree
 
 
 def kahn_acyclic(g: EventGraph) -> tuple[bool, list[int] | None]:
     """Topologically sort `g` if possible.
 
     Returns (True, order) when the graph is acyclic and (False, None)
-    otherwise.  The zero-in-degree frontier pops the smallest event id
-    first, so the returned order is deterministic.
+    otherwise.  The order is deterministic: equal graphs give equal
+    orders.
     """
-    degree = list(g.in_degree)
-    heap = [v for v in range(g.n) if degree[v] == 0]
-    heapq.heapify(heap)
-    order: list[int] = []
-    adj = g.adj
-    while heap:
-        v = heapq.heappop(heap)
-        order.append(v)
-        for w in adj[v]:
-            degree[w] -= 1
-            if degree[w] == 0:
-                heapq.heappush(heap, w)
+    order, _ = _peel(g)
     if len(order) == g.n:
         return True, order
     return False, None
@@ -70,15 +79,8 @@ def find_cycle(g: EventGraph) -> list[int] | None:
     Used for diagnostics only.  The cycle is reported as a vertex list
     [v0, v1, ..., vm] with edges v0 -> v1 -> ... -> vm -> v0.
     """
-    degree = list(g.in_degree)
-    stack = [v for v in range(g.n) if degree[v] == 0]
-    while stack:
-        v = stack.pop()
-        for w in g.adj[v]:
-            degree[w] -= 1
-            if degree[w] == 0:
-                stack.append(w)
-    residual = {v for v in range(g.n) if degree[v] > 0}
+    _, degree = _peel(g)
+    residual = {v for v in range(g.n) if degree[v]}
     if not residual:
         return None
     preds: dict[int, list[int]] = {v: [] for v in residual}
@@ -100,36 +102,6 @@ def find_cycle(g: EventGraph) -> list[int] | None:
             return cycle
         seen[cur] = len(path)
         path.append(cur)
-
-
-class WriteIndex:
-    """Dense bit positions for the write events of one history.
-
-    Bit i corresponds to `ids[i]`; ids are ascending, so masks order the
-    same way fixtures do.
-    """
-
-    __slots__ = ("ids", "bit_of", "k", "full_mask")
-
-    def __init__(self, h: History):
-        self.ids: tuple[int, ...] = h.writes
-        self.bit_of: dict[int, int] = {w: i for i, w in enumerate(self.ids)}
-        self.k = len(self.ids)
-        self.full_mask = (1 << self.k) - 1
-
-    def mask_of(self, write_ids: Iterable[int]) -> int:
-        mask = 0
-        for w in write_ids:
-            mask |= 1 << self.bit_of[w]
-        return mask
-
-    def ids_of(self, mask: int) -> list[int]:
-        out = []
-        while mask:
-            bit = mask & -mask
-            mask ^= bit
-            out.append(self.ids[bit.bit_length() - 1])
-        return out
 
 
 def conflict_edges(
@@ -160,10 +132,7 @@ def build_base_graphs(
     plus full reads-from), then the model graph (preserved program order
     plus visible reads-from).
     """
-    g_loc = EventGraph(h.n)
-    g_loc.add_pairs(derived.po_loc_effective)
-    g_loc.add_pairs(h.rf)
-    g_mm = EventGraph(h.n)
-    g_mm.add_pairs(derived.po_mm)
-    g_mm.add_pairs(derived.rf_mm)
-    return g_loc, g_mm
+    return (
+        EventGraph(h.n, derived.po_loc_effective, h.rf),
+        EventGraph(h.n, derived.po_mm, derived.rf_mm),
+    )

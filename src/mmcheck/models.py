@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from .errors import InvalidDpError, UnknownModelError
 from .events import READ, WRITE, History
-from .graphs import EventGraph, find_cycle, kahn_acyclic
+from .graphs import EventGraph, find_cycle
 
 
 @dataclass(frozen=True)
@@ -182,22 +182,11 @@ def derive(h: History, spec: ModelSpec) -> DerivedModel:
     )
 
 
-def oota_check(h: History) -> bool:
-    """Whether the dependency/reads-from union is acyclic.
+def oota_cycle(h: History) -> list[int] | None:
+    """One cycle of the dependency/reads-from union, or None if acyclic.
 
     A cycle would mean some value justifies itself through a loop of
     dependencies and reads; models with explicit dependencies reject such
     histories outright.
     """
-    return oota_cycle(h) is None
-
-
-def oota_cycle(h: History) -> list[int] | None:
-    """Like :func:`oota_check` but returns one offending cycle, if any."""
-    g = EventGraph(h.n)
-    g.add_pairs(h.dp)
-    g.add_pairs(h.rf)
-    acyclic, _ = kahn_acyclic(g)
-    if acyclic:
-        return None
-    return find_cycle(g)
+    return find_cycle(EventGraph(h.n, h.dp, h.rf))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .errors import KTooLargeForOracleError, SearchSpaceTooLargeError
 from .events import History
 from .graphs import EventGraph, kahn_acyclic
-from .models import DerivedModel, ModelSpec, derive, oota_check
+from .models import DerivedModel, ModelSpec, derive, oota_cycle
 from .solver import Outcome, Verdict
 
 #: Total-order enumeration walks k! permutations.
@@ -63,19 +63,10 @@ def _both_acyclic(
     order_pairs: set[tuple[int, int]],
 ) -> bool:
     extra = _from_read_edges(h, order_pairs)
-    for static_a, static_b in (
-        (dm.po_loc_effective, h.rf),
-        (dm.po_mm, dm.rf_mm),
-    ):
-        g = EventGraph(h.n)
-        g.add_pairs(static_a)
-        g.add_pairs(static_b)
-        g.add_pairs(order_pairs)
-        g.add_pairs(extra)
-        acyclic, _ = kahn_acyclic(g)
-        if not acyclic:
-            return False
-    return True
+    return all(
+        kahn_acyclic(EventGraph(h.n, po, rf, order_pairs, extra))[0]
+        for po, rf in ((dm.po_loc_effective, h.rf), (dm.po_mm, dm.rf_mm))
+    )
 
 
 def oracle_total(
@@ -90,10 +81,9 @@ def oracle_total(
         raise KTooLargeForOracleError(
             f"k={h.k} exceeds the oracle bound of {ORACLE_MAX_K}"
         )
-    if spec.requires_oota and not oota_check(h):
+    if spec.requires_oota and oota_cycle(h) is not None:
         return Verdict(Outcome.INCONSISTENT)
     dm = derived if derived is not None else derive(h, spec)
-    events = h.events
     for perm in itertools.permutations(h.writes):
         order_pairs = set()
         for i in range(len(perm)):
@@ -135,7 +125,7 @@ def oracle_store(
             f"{count} store orders exceed the bound of "
             f"{ORACLE_MAX_STORE_ORDERS}"
         )
-    if spec.requires_oota and not oota_check(h):
+    if spec.requires_oota and oota_cycle(h) is not None:
         return Verdict(Outcome.INCONSISTENT)
     dm = derived if derived is not None else derive(h, spec)
     for so in iter_store_orders(h):
@@ -150,11 +140,7 @@ def oracle_store(
 def _linearize(
     h: History, dm: DerivedModel, ww: set[tuple[int, int]]
 ) -> list[int]:
-    g = EventGraph(h.n)
-    g.add_pairs(dm.po_mm)
-    g.add_pairs(dm.rf_mm)
-    g.add_pairs(ww)
-    g.add_pairs(_from_read_edges(h, ww))
+    g = EventGraph(h.n, dm.po_mm, dm.rf_mm, ww, _from_read_edges(h, ww))
     acyclic, order = kahn_acyclic(g)
     assert acyclic, "caller guarantees the store-order graph is acyclic"
     write_set = set(h.writes)

@@ -35,7 +35,6 @@ from .errors import (
 from .events import History
 from .graphs import (
     EventGraph,
-    WriteIndex,
     build_base_graphs,
     conflict_edges,
     find_cycle,
@@ -126,15 +125,14 @@ def solve(
                 stats=stats,
             )
 
-    index = WriteIndex(h)
-    if index.k == 0:
+    if h.k == 0:
         return Verdict(Outcome.CONSISTENT, witness=[], stats=stats)
 
     varmask, pred_ww, pred_rd = _write_tables(
-        h, index, ((g_loc, topo_loc), (g_mm, topo_mm))
+        h, ((g_loc, topo_loc), (g_mm, topo_mm))
     )
     memo: dict[int, int] = {}
-    found = _search(index, memo, varmask, pred_ww, pred_rd, stats)
+    found = _search(h.k, memo, varmask, pred_ww, pred_rd, stats)
     if not found:
         return Verdict(
             Outcome.INCONSISTENT,
@@ -145,7 +143,7 @@ def solve(
             stats=stats,
         )
 
-    tw = extract_witness(index, memo)
+    tw = extract_witness(h, memo)
     if not verify_witness(h, dm, tw):
         raise InternalWitnessInvalidError(
             "extracted write order failed re-verification"
@@ -155,24 +153,25 @@ def solve(
 
 def _write_tables(
     h: History,
-    index: WriteIndex,
     bases: tuple[tuple[EventGraph, list[int]], ...],
 ) -> tuple[list[int], list[int], list[int]]:
     """Per-write-bit tables: same-variable writes, `pred_ww` and `pred_rd`.
 
-    `pred_ww[j]` holds the writes that reach write j, and `pred_rd[j]` the
-    writes that reach a read sourced by write j, in either base graph.
-    Each graph takes one reverse topological pass over 2k-bit tags: write
-    i carries bit i, and a read sourced by write i carries bit k + i.
+    Bit j stands for write `h.writes[j]`.  `pred_ww[j]` holds the writes
+    that reach write j, and `pred_rd[j]` the writes that reach a read
+    sourced by write j, in either base graph.  Each graph takes one pass
+    over 2k-bit tags in reverse topological order (any such order gives
+    the same reach): write i carries bit i, and a read sourced by write i
+    carries bit k + i.
     """
-    k = index.k
+    k = h.k
     var_writes: dict[str, int] = {}
-    for j, wid in enumerate(index.ids):
+    for j, wid in enumerate(h.writes):
         var = h.events[wid].var
         var_writes[var] = var_writes.get(var, 0) | (1 << j)
-    varmask = [var_writes[h.events[wid].var] for wid in index.ids]
+    varmask = [var_writes[h.events[wid].var] for wid in h.writes]
     tags = [0] * h.n
-    for j, wid in enumerate(index.ids):
+    for j, wid in enumerate(h.writes):
         tags[wid] = 1 << j
         for r in h.readers_of(wid):
             tags[r] = 1 << (k + j)
@@ -185,7 +184,7 @@ def _write_tables(
             for v in adj[u]:
                 m |= tags[v] | reach[v]
             reach[u] = m
-        for j, wid in enumerate(index.ids):
+        for j, wid in enumerate(h.writes):
             reach_of[j] |= reach[wid]
     pred_ww = [0] * k
     pred_rd = [0] * k
@@ -202,7 +201,7 @@ def _write_tables(
 
 
 def _search(
-    index: WriteIndex,
+    k: int,
     memo: dict[int, int],
     varmask: list[int],
     pred_ww: list[int],
@@ -251,7 +250,7 @@ def _search(
     the subset is orderable, or -1 when it is not; masks never reached,
     or cut by the peel, stay absent.
     """
-    memo[0] = index.k  # sentinel: the empty subset is orderable
+    memo[0] = k  # sentinel: the empty subset is orderable
 
     def orderable(s_mask: int, waits: dict[int, int]) -> bool:
         cached = memo.get(s_mask)
@@ -288,17 +287,17 @@ def _search(
         memo[s_mask] = -1
         return False
 
-    return orderable(index.full_mask, {})
+    return orderable((1 << k) - 1, {})
 
 
-def extract_witness(index: WriteIndex, memo: dict[int, int]) -> list[int]:
+def extract_witness(h: History, memo: dict[int, int]) -> list[int]:
     """Read the write order out of a successful search memo.
 
     Walking the recorded removals from the full set downward yields the
     writes in ascending order: the first removal was placed below
     everything else.
     """
-    mask = index.full_mask
+    mask = (1 << h.k) - 1
     order: list[int] = []
     while mask:
         j = memo.get(mask, -1)
@@ -306,7 +305,7 @@ def extract_witness(index: WriteIndex, memo: dict[int, int]) -> list[int]:
             raise InternalWitnessInvalidError(
                 f"memo has no removal recorded for mask {mask:#x}"
             )
-        order.append(index.ids[j])
+        order.append(h.writes[j])
         mask ^= 1 << j
     return order
 
@@ -331,16 +330,10 @@ def verify_witness(h: History, derived: DerivedModel, tw: list[int]) -> bool:
             next_on_var.append((last_on[var], w))
         last_on[var] = w
     cf = conflict_edges(h, next_on_var)
-    for static in (
-        (derived.po_loc_effective, h.rf),
-        (derived.po_mm, derived.rf_mm),
-    ):
-        g = EventGraph(h.n)
-        for rel in static:
-            g.add_pairs(rel)
-        g.add_pairs(chain)
-        g.add_pairs(cf)
-        acyclic, _ = kahn_acyclic(g)
-        if not acyclic:
-            return False
-    return True
+    return all(
+        kahn_acyclic(EventGraph(h.n, po, rf, chain, cf))[0]
+        for po, rf in (
+            (derived.po_loc_effective, h.rf),
+            (derived.po_mm, derived.rf_mm),
+        )
+    )

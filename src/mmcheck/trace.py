@@ -32,6 +32,17 @@ _EDGE_RE = re.compile(
 )
 
 
+def _int(digits: str, lineno: int) -> int:
+    # int() refuses literals longer than the interpreter's digit limit
+    # (4,300 digits by default) with a ValueError.
+    try:
+        return int(digits)
+    except ValueError:
+        raise TraceSyntaxError(
+            f"integer of {len(digits)} digits is too long", lineno
+        ) from None
+
+
 def parse_history(text: str) -> History:
     """Parse a trace document into a validated history.
 
@@ -63,14 +74,14 @@ def parse_history(text: str) -> History:
                 m = _ASSIGN_RE.fullmatch(token)
                 if not m:
                     raise TraceSyntaxError("malformed init assignments", lineno)
-                init.append((m.group(1), int(m.group(2))))
+                init.append((m.group(1), _int(m.group(2), lineno)))
             continue
         m = _ACCESS_RE.fullmatch(line)
         if m:
             if current is None:
                 raise TraceSyntaxError("access outside a thread block", lineno)
             kind, var, val = m.groups()
-            current.append((kind, var, int(val)))
+            current.append((kind, var, _int(val, lineno)))
             continue
         m = _THREAD_RE.fullmatch(line)
         if m:
@@ -80,7 +91,7 @@ def parse_history(text: str) -> History:
         m = _EDGE_RE.fullmatch(line)
         if m:
             kind, st, sp, tt, tp = m.groups()
-            edge = ((st, int(sp)), (tt, int(tp)))
+            edge = ((st, _int(sp, lineno)), (tt, _int(tp, lineno)))
             (rf_lines if kind == "rf" else dp_lines).append(edge)
             continue
         raise TraceSyntaxError(f"cannot parse {line!r}", lineno)

@@ -16,16 +16,50 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from mmcheck import derive, oota_check
-from mmcheck.errors import PreconditionViolatedError
+from mmcheck import History, derive, oota_cycle
+from mmcheck.errors import MmcheckError
 from mmcheck.graphs import (
     EventGraph,
-    WriteIndex,
     build_base_graphs,
     conflict_edges,
     kahn_acyclic,
 )
 from mmcheck.models import DerivedModel
+
+
+class PreconditionViolatedError(MmcheckError):
+    """A reference construction was called outside its precondition."""
+
+
+class WriteIndex:
+    """Dense bit positions for the write events of one history.
+
+    Bit i corresponds to `ids[i]`; ids are ascending, so masks order the
+    same way fixtures do.  The solver uses the same positions, indexing
+    `h.writes` directly.
+    """
+
+    __slots__ = ("ids", "bit_of", "k", "full_mask")
+
+    def __init__(self, h: History):
+        self.ids: tuple[int, ...] = h.writes
+        self.bit_of: dict[int, int] = {w: i for i, w in enumerate(self.ids)}
+        self.k = len(self.ids)
+        self.full_mask = (1 << self.k) - 1
+
+    def mask_of(self, write_ids: Iterable[int]) -> int:
+        mask = 0
+        for w in write_ids:
+            mask |= 1 << self.bit_of[w]
+        return mask
+
+    def ids_of(self, mask: int) -> list[int]:
+        out = []
+        while mask:
+            bit = mask & -mask
+            mask ^= bit
+            out.append(self.ids[bit.bit_length() - 1])
+        return out
 
 
 @dataclass(frozen=True)
@@ -83,17 +117,16 @@ def build_coherence_graphs(h, derived, index, subset_mask, v):
     """
     snapshot = build_r_snapshot(index, subset_mask, v)
     cf = conflict_edges(h, snapshot)
-    g_loc, g_mm = build_base_graphs(h, derived)
-    for g in (g_loc, g_mm):
-        g.add_pairs(snapshot)
-        g.add_pairs(cf)
-    return g_loc, g_mm
+    return (
+        EventGraph(h.n, derived.po_loc_effective, h.rf, snapshot, cf),
+        EventGraph(h.n, derived.po_mm, derived.rf_mm, snapshot, cf),
+    )
 
 
 def solve_reference(h, spec, derived=None):
     """Subset search over explicit graphs; returns (consistent, memo)."""
     dm = derived if derived is not None else derive(h, spec)
-    if spec.requires_oota and not oota_check(h):
+    if spec.requires_oota and oota_cycle(h) is not None:
         return False, {}
     g_loc, g_mm = build_base_graphs(h, dm)
     if not kahn_acyclic(g_loc)[0] or not kahn_acyclic(g_mm)[0]:
@@ -127,8 +160,7 @@ def closure(n, edges):
     Bit v of entry u is set when v is reachable from u by one or more
     edges.
     """
-    g = EventGraph(n)
-    g.add_pairs(edges)
+    g = EventGraph(n, edges)
     acyclic, topo = kahn_acyclic(g)
     assert acyclic, "closure() takes acyclic edge lists only"
     reach = [0] * n

@@ -14,7 +14,7 @@ from mmcheck import (
     Cnf3,
     derive,
     get_model,
-    oota_check,
+    oota_cycle,
     oracle_store,
     oracle_total,
     parse_history,
@@ -313,7 +313,7 @@ def test_criterion_7_complexity_accounting():
 
 def test_criterion_8_rmo_specifics():
     oota_h = parse_history(OOTA)
-    oota_ok = not oota_check(oota_h)
+    oota_ok = oota_cycle(oota_h) is not None
     rmo = get_model("rmo")
     sc = get_model("sc")
     oota_verdict = not solve(oota_h, rmo).consistent

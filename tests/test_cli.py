@@ -55,15 +55,29 @@ def test_unknown_model_usage_error(sb_path, capsys):
 
 def test_parse_error_exit_code(capsys, tmp_path):
     p = tmp_path / "bad.mmh"
-    p.write_text("thread T0\nwr x\n")
-    code, _, err = run(capsys, "check", str(p), "--model", "sc")
-    assert code == 2
-    assert "line 2" in err
+    for doc in ("thread T0\nwr x\n", f"thread T0\nwr x {'1' * 5000}\n"):
+        p.write_text(doc)
+        code, _, err = run(capsys, "check", str(p), "--model", "sc")
+        assert code == 2
+        assert "line 2" in err
 
 
 def test_missing_file_exit_code(capsys):
     code, _, err = run(capsys, "check", "/nonexistent.mmh", "--model", "sc")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("check", "{}", "--model", "sc"), ("gen", "sat", "{}")],
+    ids=["check", "gen-sat"],
+)
+def test_non_utf8_input_exit_code(capsys, tmp_path, argv):
+    p = tmp_path / "latin1.txt"
+    p.write_bytes("thread T0\nwr x 1 # caf\xe9\n".encode("latin-1"))
+    code, out, err = run(capsys, *(a.format(p) for a in argv))
+    assert code == 2 and out == ""
+    assert err.startswith(f"mmcheck: {p}: ") and "UTF-8" in err
 
 
 def test_max_k_resource_error(capsys, sb_path):
@@ -143,10 +157,14 @@ def test_gen_random_deterministic(capsys):
 
 
 @pytest.mark.parametrize(
-    "flag, value", [("--vars", "0"), ("--threads", "-1"), ("--events", "-1")]
+    "flag, value",
+    [("--vars", "0"), ("--threads", "-1"), ("--events", "-1"), ("--max-k", "-1")],
 )
-def test_gen_random_rejects_bad_counts(capsys, flag, value):
-    args = ["gen", "random", "--model", "sc", flag, value]
+def test_gen_random_rejects_bad_counts(capsys, sb_path, flag, value):
+    if flag == "--max-k":
+        args = ["check", sb_path, "--model", "sc", flag, value]
+    else:
+        args = ["gen", "random", "--model", "sc", flag, value]
     with pytest.raises(SystemExit) as exc:
         main(args)
     assert exc.value.code == 2

@@ -8,21 +8,38 @@ import pytest
 
 from mmcheck import (
     EventGraph,
-    WriteIndex,
     build_base_graphs,
     derive,
     get_model,
     kahn_acyclic,
     parse_history,
 )
-from mmcheck.errors import PreconditionViolatedError
 from mmcheck.graphs import find_cycle
 
-from helpers import WriteSubset, build_coherence_graphs, build_r_snapshot
+from helpers import (
+    PreconditionViolatedError,
+    WriteIndex,
+    WriteSubset,
+    build_coherence_graphs,
+    build_r_snapshot,
+)
 
 
 def _edges(g):
     return [(u, v) for u, row in enumerate(g.adj) for v in row]
+
+
+def _is_topological(g, order):
+    position = {v: i for i, v in enumerate(order)}
+    return sorted(order) == list(range(g.n)) and all(
+        position[u] < position[v] for u, v in _edges(g)
+    )
+
+
+def _is_cycle(g, cyc):
+    return len(set(cyc)) == len(cyc) > 0 and all(
+        b in g.adj[a] for a, b in zip(cyc, cyc[1:] + cyc[:1])
+    )
 
 
 def test_kahn_trivial_cases():
@@ -30,28 +47,28 @@ def test_kahn_trivial_cases():
     ok, order = kahn_acyclic(g)
     assert ok and sorted(order) == [0, 1, 2]
 
-    g = EventGraph(2)
-    g.add_pairs([(0, 1), (1, 0)])
+    g = EventGraph(2, [(0, 1), (1, 0)])
     assert kahn_acyclic(g) == (False, None)
 
-    g = EventGraph(3)
-    g.add_pairs([(0, 1), (1, 2)])
+    g = EventGraph(3, [(0, 1), (1, 2)])
     assert kahn_acyclic(g) == (True, [0, 1, 2])
 
 
 def test_kahn_deterministic_tiebreak():
-    # 0 is blocked until 2 releases it, then pops before 3
-    g = EventGraph(4)
-    g.add_pairs([(2, 0)])
-    assert kahn_acyclic(g)[1] == [1, 2, 0, 3]
+    # 0 is blocked until 2 releases it
+    g = EventGraph(4, [(2, 0)])
+    ok, order = kahn_acyclic(g)
+    assert ok and _is_topological(g, order)
+    assert kahn_acyclic(EventGraph(4, [(2, 0)])) == (True, order)
 
 
 def test_duplicate_edges_are_kept_and_harmless():
-    g = EventGraph(3)
-    g.add_pairs([(0, 1), (0, 1)])
+    g = EventGraph(3, [(0, 1)], [(0, 1)])
     assert g.adj[0] == [1, 1] and g.in_degree[1] == 2
-    assert kahn_acyclic(g) == (True, [0, 1, 2])
-    g.add_pairs([(1, 0), (1, 0)])
+    ok, order = kahn_acyclic(g)
+    assert ok and _is_topological(g, order)
+    assert kahn_acyclic(EventGraph(3, [(0, 1), (0, 1)])) == (True, order)
+    g = EventGraph(3, [(0, 1), (0, 1), (1, 0), (1, 0)])
     assert kahn_acyclic(g) == (False, None)
     assert sorted(find_cycle(g)) == [0, 1]
 
@@ -81,21 +98,20 @@ def test_kahn_agrees_with_dfs_on_random_graphs():
             for v in range(n)
             if u != v and rng.random() < 0.2
         }
-        g = EventGraph(n)
-        g.add_pairs(edges)
-        assert kahn_acyclic(g)[0] == (not _dfs_has_cycle(n, edges))
+        g = EventGraph(n, edges)
+        acyclic = not _dfs_has_cycle(n, edges)
+        ok, order = kahn_acyclic(g)
+        assert ok == acyclic and (not ok or _is_topological(g, order))
+        cyc = find_cycle(g)
+        assert (cyc is None) == acyclic
+        assert acyclic or _is_cycle(g, cyc)
 
 
 def test_find_cycle_returns_a_real_cycle():
-    g = EventGraph(5)
-    g.add_pairs([(0, 1), (1, 2), (2, 3), (3, 1), (0, 4)])
+    g = EventGraph(5, [(0, 1), (1, 2), (2, 3), (3, 1), (0, 4)])
     cyc = find_cycle(g)
-    assert cyc is not None
-    for a, b in zip(cyc, cyc[1:] + cyc[:1]):
-        assert b in g.adj[a]
-    g2 = EventGraph(3)
-    g2.add_pairs([(0, 1), (1, 2)])
-    assert find_cycle(g2) is None
+    assert cyc is not None and _is_cycle(g, cyc)
+    assert find_cycle(EventGraph(3, [(0, 1), (1, 2)])) is None
 
 
 def _writes_only_history(k):

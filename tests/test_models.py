@@ -8,7 +8,7 @@ from mmcheck import (
     MODELS,
     derive,
     get_model,
-    oota_check,
+    oota_cycle,
     parse_history,
     rf_external,
 )
@@ -119,12 +119,12 @@ def test_derive_is_pure(small_corpus):
 def test_oota_examples():
     # no dependencies: reads-from alone cannot cycle
     h = parse_history("thread T0\nwr x 1\nrd x 1\n")
-    assert oota_check(h)
+    assert oota_cycle(h) is None
 
-    assert not oota_check(parse_history(OOTA))
+    assert oota_cycle(parse_history(OOTA)) is not None
 
     h = parse_history(
         "thread T0\nrd x 1\nwr y 1\nthread T1\nwr x 1\ndp T0:0 -> T0:1\n"
     )
-    assert oota_check(h)
+    assert oota_cycle(h) is None
 

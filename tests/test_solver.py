@@ -15,7 +15,6 @@ from mmcheck import (
 )
 from mmcheck.errors import KTooLargeError, NotAPermutationError
 from mmcheck.solver import extract_witness
-from mmcheck.graphs import WriteIndex
 
 from conftest import SB, MP, CORR, OOTA, with_random_dp
 from helpers import solve_reference
@@ -154,7 +153,7 @@ def test_extract_witness_rejects_incomplete_table():
     from mmcheck.errors import InternalWitnessInvalidError
 
     with pytest.raises(InternalWitnessInvalidError):
-        extract_witness(WriteIndex(h), {})
+        extract_witness(h, {})
 
 
 def test_matches_reference_search_exactly(small_corpus):
@@ -186,10 +185,9 @@ def _production_memo(h, spec):
     ok_mm, topo_mm = kahn_acyclic(g_mm)
     if not (ok_loc and ok_mm):
         return {}
-    index = WriteIndex(h)
-    tables = _write_tables(h, index, ((g_loc, topo_loc), (g_mm, topo_mm)))
+    tables = _write_tables(h, ((g_loc, topo_loc), (g_mm, topo_mm)))
     memo = {}
-    _search(index, memo, *tables, SolveStats())
+    _search(h.k, memo, *tables, SolveStats())
     return memo
 
 

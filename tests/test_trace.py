@@ -86,6 +86,17 @@ def test_syntax_errors_carry_line_numbers():
     with pytest.raises(TraceSyntaxError) as exc:
         parse_history("init: x=0y=1\n")  # no separator between assignments
     assert exc.value.lineno == 1
+    # integer literals beyond int()'s 4,300-digit limit
+    huge = "9" * 5000
+    for doc, lineno in [
+        (f"thread T0\nwr x {huge}\n", 2),
+        (f"init: x={huge}\n", 1),
+        (f"thread T0\nwr x 1\nthread T1\nrd x 1\nrf T0:{huge} -> T1:0\n", 5),
+        (f"thread T0\nrd x 0\nwr y 1\ndp T0:0 -> T0:{huge}\n", 4),
+    ]:
+        with pytest.raises(TraceSyntaxError) as exc:
+            parse_history(doc)
+        assert exc.value.lineno == lineno
 
 
 def test_unsourced_read():
