@@ -12,14 +12,15 @@ placed ones when some member can sit at its bottom and the rest is
 orderable.  Memoizing the sets caps the search at 2^k states for k
 writes.
 
-Whether a member can sit at the bottom is one rule over two tables,
-merged over both base graphs: the writes that reach each write, and the
-writes that reach a read each write sourced.  A member waits for the
-members that must sit below it, and the candidates are the members that
-wait for no one (see `_search`).  That takes the decisions Kahn's
-algorithm takes on the order-augmented graphs, for a handful of word
-operations per candidate; the test suite checks the memo against an
-explicit-graph reference search.
+Whether a member can sit at the bottom is one rule over tables merged
+over both base graphs: the writes each write blocks (those it reaches,
+and those on its variable with a read it reaches), and the writes that
+reach a read each write sourced.  A member waits for the members that
+must sit below it.  The unblocked members are carried from each set down
+to the next, and only the waits a placement adds are tested for a cycle
+(see `_search`).  That takes the decisions Kahn's algorithm takes on the
+order-augmented graphs, for a few word operations per candidate; the
+test suite checks the memo against an explicit-graph reference search.
 """
 
 from __future__ import annotations
@@ -55,7 +56,8 @@ class SolveStats:
     """Search-effort counters for one solve call.
 
     `subsets_evaluated` counts the memoized subsets, and `gate_checks` the
-    candidate placements that passed the table tests and were tried.
+    candidates tried: members that waited for no one, whether the rest
+    then hit the memo, closed a cycle of read waits or was evaluated.
     """
 
     subsets_evaluated: int = 0
@@ -128,11 +130,9 @@ def solve(
     if h.k == 0:
         return Verdict(Outcome.CONSISTENT, witness=[], stats=stats)
 
-    varmask, pred_ww, pred_rd = _write_tables(
-        h, ((g_loc, topo_loc), (g_mm, topo_mm))
-    )
+    tables = _write_tables(h, ((g_loc, topo_loc), (g_mm, topo_mm)))
     memo: dict[int, int] = {}
-    found = _search(h.k, memo, varmask, pred_ww, pred_rd, stats)
+    found = _search(h.k, memo, *tables, stats)
     if not found:
         return Verdict(
             Outcome.INCONSISTENT,
@@ -154,15 +154,17 @@ def solve(
 def _write_tables(
     h: History,
     bases: tuple[tuple[EventGraph, list[int]], ...],
-) -> tuple[list[int], list[int], list[int]]:
-    """Per-write-bit tables: same-variable writes, `pred_ww` and `pred_rd`.
+) -> tuple[list[int], list[int], list[int], list[int]]:
+    """Per-write-bit tables: `varmask`, `blocks`, `blockers` and `pred_rd`.
 
-    Bit j stands for write `h.writes[j]`.  `pred_ww[j]` holds the writes
-    that reach write j, and `pred_rd[j]` the writes that reach a read
-    sourced by write j, in either base graph.  Each graph takes one pass
-    over 2k-bit tags in reverse topological order (any such order gives
-    the same reach): write i carries bit i, and a read sourced by write i
-    carries bit k + i.
+    Bit j stands for write `h.writes[j]`, and `varmask[j]` holds the
+    writes on its variable.  In either base graph, `blocks[j]` holds the
+    writes j reaches and those on j's variable with a read j reaches: j
+    keeps them off the bottom while unplaced.  `blockers` is its inverse,
+    and `pred_rd[j]` holds the writes that reach a read sourced by j.
+    Each graph takes one pass over 2k-bit tags in reverse topological
+    order (any such order gives the same reach): write i carries bit i,
+    and a read sourced by write i carries bit k + i.
     """
     k = h.k
     var_writes: dict[str, int] = {}
@@ -186,25 +188,28 @@ def _write_tables(
             reach[u] = m
         for j, wid in enumerate(h.writes):
             reach_of[j] |= reach[wid]
-    pred_ww = [0] * k
-    pred_rd = [0] * k
+    full = (1 << k) - 1
+    blocks, blockers, pred_rd = [0] * k, [0] * k, [0] * k
     for j, m in enumerate(reach_of):
+        blocks[j] = b = (m & full | m >> k & varmask[j]) & ~(1 << j)
+        m = m & ~full | b
         while m:
             b = m & -m
             m ^= b
             i = b.bit_length() - 1
             if i < k:
-                pred_ww[i] |= 1 << j
+                blockers[i] |= 1 << j
             else:
                 pred_rd[i - k] |= 1 << j
-    return varmask, pred_ww, pred_rd
+    return varmask, blocks, blockers, pred_rd
 
 
 def _search(
     k: int,
     memo: dict[int, int],
     varmask: list[int],
-    pred_ww: list[int],
+    blocks: list[int],
+    blockers: list[int],
     pred_rd: list[int],
     stats: SolveStats,
 ) -> bool:
@@ -214,80 +219,99 @@ def _search(
     member s of the unplaced set S *waits for* each member t that must
     sit below it:
 
-    - t reaches s (t in `pred_ww[s]`);
+    - t blocks s (s in `blocks[t]`): t reaches s, or t is on s's variable
+      and reaches a read sourced by s, which would gain a conflict edge
+      into t;
     - t reaches a read sourced by a placed write p on s's variable (t in
       `pred_rd[p]`): p sits below s, so that read gains a conflict edge
       into s.  These read waits depend only on s's variable; `waits`
       maps each variable's write mask to them.
 
-    A member v is placed at the bottom of S when it waits for no one and
-    no member of the rest on v's variable reaches a read of v (that read
-    would gain a conflict edge into the member).
+    A member that waits for no one can sit at the bottom of S.  The
+    members no member blocks are carried down as `free`: placing v frees
+    only members of `blocks[v]`, once none of their `blockers` is left.
 
     Placing v adds `pred_rd[v]` to the read waits of the rest's members
     on v's variable.  If that closes a cycle of read waits, the rest has
-    no order.  The rest's own evaluation finds the cycle by peeling the
-    members whose variable has no living waits, and returns False without
-    a memo entry: building the augmented graphs instead rejects v at the
-    parent and never reaches the rest, so the memo and
-    `subsets_evaluated` stay equal to that construction's.  The full set
-    has no read waits, so its peel never stalls.  The peel leaves out
-    reach between writes.  Within one graph that closes no new cycle
-    (whoever reaches t reaches what t reaches), but the union of the two
-    graphs' reach can close one that neither graph has, on a subset the
-    augmented graphs do evaluate.
+    no order, and v is skipped with no call and no memo entry: building
+    the augmented graphs rejects v at the parent and never reaches the
+    rest, so the memo and `subsets_evaluated` stay equal to that
+    construction's.  A memo hit on the rest is read first and wins.  The
+    test needs only the new waits.  The full set has no read waits, and
+    every set evaluated passed the test, so the read waits inside S are
+    acyclic, and so is their restriction to the rest.  A new cycle must
+    then leave v's variable by a new wait and come back by old ones: the
+    rest stalls exactly when the walk from `pred_rd[v] & rest` along the
+    old waits inside the rest reaches a member on v's variable.  The test
+    leaves out reach between writes.  Within one graph that closes no new
+    cycle (whoever reaches t reaches what t reaches), but the union of
+    the two graphs' reach can close one that neither graph has, on a
+    subset the augmented graphs do evaluate.
 
     Merging the tables over both base graphs is exact.  The write waits
     and the candidate tests are ORs over the graphs.  A read wait taken
     from the per-location graph lies on one variable, since every
     per-location edge (`po_loc_effective` and reads-from) joins two
     events of one variable: the waited-for write t is then on p's
-    variable, waits for itself, and was rejected when p was placed.  So
-    on every subset evaluated the merged read waits are the model
-    graph's.
+    variable and blocks p, so p is never placed while t is not.  So on
+    every subset evaluated the merged read waits are the model graph's.
 
     `memo[mask]` receives the bit index of the write placed lowest when
     the subset is orderable, or -1 when it is not; masks never reached,
-    or cut by the peel, stay absent.
+    or cut by the cycle test, stay absent.
     """
     memo[0] = k  # sentinel: the empty subset is orderable
 
-    def orderable(s_mask: int, waits: dict[int, int]) -> bool:
-        cached = memo.get(s_mask)
-        if cached is not None:
-            return cached >= 0
-        alive = s_mask
-        while alive:
-            stuck = 0
-            for vm, w in waits.items():
-                if w & alive:
-                    stuck |= vm & alive
-            if stuck == alive:
-                return False
-            alive = stuck
+    def orderable(s_mask: int, free: int, waits: dict[int, int]) -> bool:
         stats.subsets_evaluated += 1
-        s = s_mask
-        while s:
-            vb = s & -s
-            s ^= vb
+        c = free
+        while c:
+            vb = c & -c
+            c ^= vb
             v = vb.bit_length() - 1
             vm = varmask[v]
-            rest = s_mask ^ vb
-            rd = pred_rd[v] & rest
-            if waits.get(vm, 0) & s_mask or pred_ww[v] & rest or rd & vm:
+            if waits.get(vm, 0) & s_mask:
                 continue
             stats.gate_checks += 1
-            child = waits
-            if rd:
-                child = dict(waits)
-                child[vm] = child.get(vm, 0) | rd
-            if orderable(rest, child):
-                memo[s_mask] = v
-                return True
+            rest = s_mask ^ vb
+            cached = memo.get(rest)
+            if cached is not None:
+                if cached < 0:
+                    continue
+            else:
+                rd = pred_rd[v] & rest
+                child = waits
+                if rd:
+                    seen = reached = rd
+                    while reached and not reached & vm:
+                        step = 0
+                        for wm, w in waits.items():
+                            if wm & reached:
+                                step |= w
+                        reached = step & rest & ~seen
+                        seen |= reached
+                    if reached:
+                        continue
+                    child = dict(waits)
+                    child[vm] = child.get(vm, 0) | rd
+                freed = free ^ vb
+                b = blocks[v] & rest
+                while b:
+                    u = b & -b
+                    b ^= u
+                    if not blockers[u.bit_length() - 1] & rest:
+                        freed |= u
+                if not orderable(rest, freed, child):
+                    continue
+            memo[s_mask] = v
+            return True
         memo[s_mask] = -1
         return False
 
-    return orderable((1 << k) - 1, {})
+    full = free = (1 << k) - 1
+    for b in blocks:
+        free &= ~b
+    return orderable(full, free, {})
 
 
 def extract_witness(h: History, memo: dict[int, int]) -> list[int]:

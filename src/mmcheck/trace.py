@@ -21,7 +21,7 @@ from __future__ import annotations
 import re
 
 from .errors import TraceSyntaxError
-from .events import History, assemble_history
+from .events import MAX_VALUE, History, assemble_history
 
 _IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
 _ASSIGN_RE = re.compile(rf"({_IDENT})=(\d+)")
@@ -36,11 +36,16 @@ def _int(digits: str, lineno: int) -> int:
     # int() refuses literals longer than the interpreter's digit limit
     # (4,300 digits by default) with a ValueError.
     try:
-        return int(digits)
+        val = int(digits)
     except ValueError:
         raise TraceSyntaxError(
             f"integer of {len(digits)} digits is too long", lineno
         ) from None
+    if val > MAX_VALUE:
+        raise TraceSyntaxError(
+            f"{val} is outside the unsigned 64-bit range", lineno
+        )
+    return val
 
 
 def parse_history(text: str) -> History:

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
+from pathlib import Path
+
 import pytest
 
 from mmcheck.cli import main
@@ -210,3 +214,31 @@ def test_litmus_files_ship_with_expected_verdicts(capsys):
             capsys, "check", str(TRACES / name), "--model", model
         )
         assert code == expected, (name, model)
+
+
+def check_report() -> str:
+    """`check --witness --stats` on every shipped trace under every model.
+
+    The `elapsed_ms:` lines are dropped; everything else (verdicts,
+    witnesses, diagnostics and search counters) is deterministic.
+    """
+    lines = []
+    for path in sorted(TRACES.glob("*.mmh")):
+        for model in ("sc", "tso", "pso", "rmo"):
+            flags = ["--model", model, "--witness", "--stats"]
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = main(["check", str(path), *flags])
+            cmd = f"check traces/{path.name} {' '.join(flags)}"
+            lines.append(f"$ mmcheck {cmd} -> exit {code}")
+            lines += [
+                line
+                for line in out.getvalue().splitlines()
+                if not line.startswith("elapsed_ms:")
+            ]
+    return "\n".join(lines) + "\n"
+
+
+def test_check_output_matches_golden_file():
+    golden = Path(__file__).with_name("check_golden.txt")
+    assert check_report() == golden.read_text()

@@ -207,6 +207,23 @@ def test_two_variable_reductions_match_reference_memo():
                 _assert_same_memo(h, get_model(name))
 
 
+def test_multi_step_read_wait_cycles_match_reference_memo():
+    # An unsatisfiable formula over 3 variables, k = 18, on which some
+    # placements close a cycle of read waits only through two or more old
+    # waits: a cycle test that follows one step changes the memo.
+    cnf = Cnf3(3, (
+        (-2, 1, 3), (-2, 1, -3), (-3, 1, 2), (-2, 1, 3), (3, 1, 2),
+        (-3, 1, -2), (-2, -3, -1), (2, 1, 3), (2, 3, -1), (2, 1, 3),
+        (-3, -1, -2), (1, 3, 2), (2, -3, -1), (-2, -3, -1), (3, -1, -2),
+    ))
+    for h, name in (
+        (sat_to_history_sc(cnf), "sc"),
+        (sat_to_history_relaxed(cnf), "tso"),
+    ):
+        assert h.k == 18
+        _assert_same_memo(h, get_model(name))
+
+
 def test_long_simulated_trace_matches_reference():
     prog = generate_program(4, 150, 5, seed=6060, max_writes=10)
     h = simulate(prog, "tso", seed=6061)

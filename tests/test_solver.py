@@ -5,11 +5,14 @@ from __future__ import annotations
 import pytest
 
 from mmcheck import (
+    Cnf3,
     Outcome,
     derive,
     get_model,
     oracle_total,
     parse_history,
+    sat_to_history_relaxed,
+    sat_to_history_sc,
     solve,
     verify_witness,
 )
@@ -104,6 +107,49 @@ def test_memo_bound():
         for m in ALL_MODELS:
             v = solve(h, get_model(m))
             assert v.stats.subsets_evaluated <= 2 ** h.k
+
+
+# Unsatisfiable formulas over 3, 4 and 5 variables, with the search
+# effort each instance takes: exact regression gates for the counters.
+PINNED_REDUCTIONS = [
+    (Cnf3(3, (
+        (-1, 2, 3), (-2, -3, 1), (-2, -3, -1), (2, 1, 3), (-2, 1, 3),
+        (-3, 1, 2), (2, 3, -1), (2, -3, 1), (-1, 2, -3), (1, 3, -2),
+        (-1, -2, 3), (-3, 2, -1), (-1, 3, -2), (2, -1, 3), (3, -1, 2),
+    )), 18, 965, 3714),
+    (Cnf3(4, (
+        (1, -2, 4), (-3, 4, 2), (-1, 2, -3), (2, 4, -1), (-3, 2, -1),
+        (-2, 4, 1), (4, 3, 1), (2, -4, 1), (-4, 2, -1), (-3, 4, -1),
+        (-1, 3, -2), (-3, 2, -4), (1, 2, -4), (4, 3, -1), (-3, -4, -2),
+        (3, -1, -4), (2, -4, 1), (-3, 1, -4), (1, -2, 4), (1, -2, -4),
+    )), 24, 10823, 54489),
+    (Cnf3(5, (
+        (3, -5, 4), (-1, -2, 4), (3, -2, 5), (-3, 5, -4), (-2, 1, -5),
+        (3, -2, 1), (5, -2, 4), (5, 3, -4), (-3, 4, -2), (1, 4, -5),
+        (-5, -4, 3), (4, 3, 5), (-5, 3, -1), (-5, 2, -4), (-2, -3, 1),
+        (5, -1, -2), (1, -3, -5), (-2, -5, -4), (-1, 4, -3), (-2, 3, 4),
+        (1, 5, 4), (-1, 5, 3), (3, 4, 5), (3, 4, -1), (1, -2, -5),
+    )), 30, 95933, 608728),
+]
+
+
+@pytest.mark.parametrize(
+    "cnf,k,subsets,gates",
+    PINNED_REDUCTIONS,
+    ids=[f"k{p[1]}" for p in PINNED_REDUCTIONS],
+)
+def test_search_counters_are_pinned(cnf, k, subsets, gates):
+    instances = [(sat_to_history_sc(cnf), "sc")]
+    if k < 30:  # the relaxed instance at k=30 would add about a second
+        instances.append((sat_to_history_relaxed(cnf), "tso"))
+    for h, name in instances:
+        assert h.k == k
+        v = solve(h, get_model(name))
+        assert not v.consistent
+        assert (v.stats.subsets_evaluated, v.stats.gate_checks) == (
+            subsets,
+            gates,
+        )
 
 
 def test_k_cap_is_an_error_not_truncation():

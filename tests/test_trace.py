@@ -81,14 +81,16 @@ def test_syntax_errors_carry_line_numbers():
         parse_history("init: x=0\ninit: y=0\n")
     with pytest.raises(TraceSyntaxError):
         parse_history("thread T0\ninit: x=0\n")
-    with pytest.raises(TraceSyntaxError):
-        parse_history(f"thread T0\nwr x {2**64}\n")
     with pytest.raises(TraceSyntaxError) as exc:
         parse_history("init: x=0y=1\n")  # no separator between assignments
     assert exc.value.lineno == 1
-    # integer literals beyond int()'s 4,300-digit limit
+    # integers beyond the unsigned 64-bit range, and integer literals
+    # beyond int()'s 4,300-digit limit
     huge = "9" * 5000
     for doc, lineno in [
+        (f"thread T0\nwr x 1\nwr x {2**64}\n", 3),
+        (f"init: x={2**64}\n", 1),
+        (f"thread T0\nrd x 0\nwr y 1\ndp T0:0 -> T0:{2**64}\n", 4),
         (f"thread T0\nwr x {huge}\n", 2),
         (f"init: x={huge}\n", 1),
         (f"thread T0\nwr x 1\nthread T1\nrd x 1\nrf T0:{huge} -> T1:0\n", 5),
@@ -97,6 +99,11 @@ def test_syntax_errors_carry_line_numbers():
         with pytest.raises(TraceSyntaxError) as exc:
             parse_history(doc)
         assert exc.value.lineno == lineno
+    # library callers keep the range check, with no line to name
+    for val in (-1, 2**64):
+        with pytest.raises(TraceSyntaxError) as exc:
+            assemble_history(init=[], threads=[("T0", [("wr", "x", val)])])
+        assert exc.value.lineno is None
 
 
 def test_unsourced_read():
