@@ -11,6 +11,7 @@ event (see :meth:`History.po_before`).
 
 from __future__ import annotations
 
+from collections import defaultdict
 from typing import Mapping, NamedTuple, Sequence
 
 from .errors import (
@@ -70,9 +71,10 @@ class History:
 
     Instances are immutable after construction and safe to share across
     threads.  Use :func:`assemble_history` (or the trace parser) to build
-    one; the constructor does not validate.  `threads` maps each thread
-    name, the virtual `init` thread first, to its event ids in program
-    order.
+    one; the constructor neither validates nor walks the events, and takes
+    its indexes, ids ascending, from the assembly pass.  `threads` maps
+    each thread name, the virtual `init` thread first, to its event ids in
+    program order, and `rf_source` maps each read to its writer.
     """
 
     __slots__ = (
@@ -91,38 +93,26 @@ class History:
     def __init__(
         self,
         events: Sequence[Event],
-        rf: frozenset[tuple[int, int]],
         dp: frozenset[tuple[int, int]],
         threads: Mapping[str, tuple[int, ...]],
+        writes: Sequence[int],
+        reads: Sequence[int],
+        writes_on: Mapping[str, Sequence[int]],
+        rf_source: dict[int, int],
+        readers: Mapping[int, Sequence[int]],
     ):
         self.events: tuple[Event, ...] = tuple(events)
-        self.rf = rf
+        self.rf = frozenset(zip(rf_source.values(), rf_source))
         self.dp = dp
         self.threads: tuple[str, ...] = tuple(
             t for t in threads if t != INIT_THREAD
         )
         self._thread_ids = threads
-
-        writes: list[int] = []
-        reads: list[int] = []
-        writes_on: dict[str, list[int]] = {}
-        for e in self.events:
-            if e.is_write:
-                writes.append(e.id)
-                writes_on.setdefault(e.var, []).append(e.id)
-            else:
-                reads.append(e.id)
         self._writes = tuple(writes)
         self._reads = tuple(reads)
         self._writes_on = {v: tuple(ws) for v, ws in writes_on.items()}
-
-        readers: dict[int, list[int]] = {}
-        source: dict[int, int] = {}
-        for w, r in rf:
-            readers.setdefault(w, []).append(r)
-            source[r] = w
-        self._readers = {w: tuple(sorted(rs)) for w, rs in readers.items()}
-        self._rf_source = source
+        self._readers = {w: tuple(rs) for w, rs in readers.items()}
+        self._rf_source = rf_source
 
     @property
     def n(self) -> int:
@@ -219,11 +209,17 @@ def assemble_history(
             raise DuplicateValueError(f"variable {var!r} initialized twice")
         seen_init_vars.add(var)
 
-    # One pass: events, per-thread ids, and the (var, value) -> writer map
-    # that both rejects duplicate values and infers reads-from.
+    # One pass: events, per-thread ids, the write and read indexes, and the
+    # (var, value) -> writer map that both rejects duplicate values and
+    # infers reads-from.  Events are built positionally, at under half the
+    # cost of the NamedTuple constructor.
+    new_event = tuple.__new__
     events: list[Event] = []
     thread_ids: dict[str, tuple[int, ...]] = {}
     writer_of: dict[tuple[str, int], int] = {}
+    writes: list[int] = []
+    writes_on: defaultdict[str, list[int]] = defaultdict(list)
+    reads: list[int] = []
     init_block = [(WRITE, var, val) for var, val in init]
     for name, block in [(INIT_THREAD, init_block), *threads]:
         if name in thread_ids:
@@ -235,36 +231,44 @@ def assemble_history(
         is_init = name == INIT_THREAD
         start = len(events)
         for pos, (kind, var, val) in enumerate(block):
-            if kind not in (WRITE, READ):
+            eid = start + pos
+            if kind == READ:
+                reads.append(eid)
+            elif kind == WRITE:
+                w = writer_of.setdefault((var, val), eid)
+                if w != eid:
+                    raise DuplicateValueError(
+                        f"value {val} written twice to {var!r} "
+                        f"({events[w].ref} and {name}:{pos})"
+                    )
+                writes.append(eid)
+                writes_on[var].append(eid)
+            else:
                 raise TraceSyntaxError(f"unknown access kind {kind!r}")
             if not 0 <= val <= MAX_VALUE:
                 raise TraceSyntaxError(
                     f"value {val} outside the unsigned 64-bit range"
                 )
-            e = Event(start + pos, name, pos, kind, var, val, is_init)
-            if kind == WRITE:
-                w = writer_of.setdefault((var, val), e.id)
-                if w != e.id:
-                    raise DuplicateValueError(
-                        f"value {val} written twice to {var!r} "
-                        f"({events[w].ref} and {e.ref})"
-                    )
-            events.append(e)
+            events.append(
+                new_event(Event, (eid, name, pos, kind, var, val, is_init))
+            )
         thread_ids[name] = tuple(range(start, len(events)))
 
-    rf_pairs = set()
+    # Readers are appended in read order, so each list comes out sorted
+    # whatever the order of explicit rf lines.
+    source: dict[int, int] = {}
+    readers: defaultdict[int, list[int]] = defaultdict(list)
     if rf_refs is None:
-        for e in events:
-            if not e.is_read:
-                continue
-            w = writer_of.get((e.var, e.val))
+        for r in reads:
+            e = events[r]
+            w = writer_of.get((e[4], e[5]))
             if w is None:
                 raise UnsourcedReadError(
                     f"read {e.ref} of {e.var}={e.val} has no matching write"
                 )
-            rf_pairs.add((w, e.id))
+            source[r] = w
+            readers[w].append(r)
     else:
-        covered: set[int] = set()
         for wref, rref in rf_refs:
             ew = events[_resolve(thread_ids, wref)]
             er = events[_resolve(thread_ids, rref)]
@@ -281,15 +285,17 @@ def assemble_history(
                     f"rf {ew.ref} -> {er.ref} has value {ew.val} feeding a "
                     f"read of {er.val}"
                 )
-            if er.id in covered:
+            if er.id in source:
                 raise AmbiguousRfError(f"read {er.ref} has two rf edges")
-            covered.add(er.id)
-            rf_pairs.add((ew.id, er.id))
-        for e in events:
-            if e.is_read and e.id not in covered:
+            source[er.id] = ew.id
+        for r in reads:
+            w = source.get(r)
+            if w is None:
                 raise UnsourcedReadError(
-                    f"read {e.ref} is not covered by the explicit rf edges"
+                    f"read {events[r].ref} is not covered by the explicit "
+                    "rf edges"
                 )
+            readers[w].append(r)
 
     dp_pairs = set()
     for sref, tref in dp_refs:
@@ -304,5 +310,6 @@ def assemble_history(
         dp_pairs.add((es.id, et.id))
 
     return History(
-        events, frozenset(rf_pairs), frozenset(dp_pairs), thread_ids
+        events, frozenset(dp_pairs), thread_ids,
+        writes, reads, writes_on, source, readers,
     )

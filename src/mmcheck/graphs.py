@@ -39,6 +39,18 @@ class EventGraph:
         self.adj = adj
         self.in_degree = degree
 
+    def extended(self, *edge_lists: Iterable[tuple[int, int]]) -> EventGraph:
+        """A new graph with the edge lists added; it shares the rows that
+        gain no edge and copies the others, so `self` is never mutated."""
+        adj, degree = list(self.adj), list(self.in_degree)
+        for edges in edge_lists:
+            for u, v in edges:
+                adj[u] = [*adj[u], v]
+                degree[v] += 1
+        g = EventGraph.__new__(EventGraph)
+        g.n, g.adj, g.in_degree = self.n, adj, degree
+        return g
+
 
 def _peel(g: EventGraph) -> tuple[list[int], list[int]]:
     """Kahn's peel: the peeled vertices in topological order, and the

@@ -84,13 +84,18 @@ def rf_external(h: History) -> frozenset[tuple[int, int]]:
     """Reads-from restricted to pairs unrelated by program order.
 
     Same-thread pairs vanish, and so do pairs sourced by initial writes,
-    because initial writes precede everything in program order.
+    because initial writes precede everything in program order: kept are
+    the pairs of a non-initial write and a read on another thread.
     """
-    return frozenset(
-        (w, r)
-        for w, r in h.rf
-        if not h.po_before(w, r) and not h.po_before(r, w)
-    )
+    events = h.events
+    pairs: list[tuple[int, int]] = []
+    for w in h.writes:
+        _, thread, _, _, _, _, is_init = events[w]
+        if not is_init:
+            pairs.extend(
+                (w, r) for r in h.readers_of(w) if events[r][1] != thread
+            )
+    return frozenset(pairs)
 
 
 def po_edges(
@@ -106,6 +111,7 @@ def po_edges(
     the later such events follow that one, because the kinds a model
     keeps behind a write are kept behind each other.
     """
+    ahead = {b: sorted(a for a, c in kept if c == b) for b in (WRITE, READ)}
     events = h.events
     inits = [e.id for e in h.init_events]
     edges: list[tuple[int, int]] = []
@@ -113,11 +119,12 @@ def po_edges(
         last: dict[str, int] = {}
         inits_pending = True
         for b in h.thread_events(t):
-            kind = events[b].kind
-            for earlier, a in last.items():
-                if (earlier, kind) in kept:
+            kind = events[b][3]
+            for earlier in ahead[kind]:
+                a = last.get(earlier)
+                if a is not None:
                     edges.append((a, b))
-            if inits_pending and (WRITE, kind) in kept:
+            if inits_pending and WRITE in ahead[kind]:
                 edges.extend((i, b) for i in inits)
                 inits_pending = False
             last[kind] = b
@@ -139,20 +146,20 @@ def po_loc(h: History, llh: bool = False) -> list[tuple[int, int]]:
     init_of = {e.var: e.id for e in h.init_events}
     edges: list[tuple[int, int]] = []
     for t in h.threads:
-        last: dict[str, int] = {}
+        last = dict(init_of)
         reads_since: dict[str, list[int]] = {}
         for b in h.thread_events(t):
-            e = events[b]
-            a = last.get(e.var, init_of.get(e.var))
+            _, _, _, kind, var, _, _ = events[b]
+            a = last.get(var)
             if a is not None:
                 edges.append((a, b))
             if not llh:
-                last[e.var] = b
-            elif e.is_write:
-                edges.extend((r, b) for r in reads_since.pop(e.var, ()))
-                last[e.var] = b
+                last[var] = b
+            elif kind == WRITE:
+                edges.extend((r, b) for r in reads_since.pop(var, ()))
+                last[var] = b
             else:
-                reads_since.setdefault(e.var, []).append(b)
+                reads_since.setdefault(var, []).append(b)
     return edges
 
 

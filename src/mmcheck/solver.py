@@ -21,11 +21,16 @@ to the next, and only the waits a placement adds are tested for a cycle
 (see `_search`).  That takes the decisions Kahn's algorithm takes on the
 order-augmented graphs, for a few word operations per candidate; the
 test suite checks the memo against an explicit-graph reference search.
+
+A consistent verdict's witness is re-checked by `verify_witness` without
+the search's tables: a Kahn peel of each base graph the search used,
+extended by the order into a new graph, so the bases are never mutated.
 """
 
 from __future__ import annotations
 
 import enum
+import sys
 from dataclasses import dataclass
 
 from .errors import (
@@ -132,7 +137,13 @@ def solve(
 
     tables = _write_tables(h, ((g_loc, topo_loc), (g_mm, topo_mm)))
     memo: dict[int, int] = {}
-    found = _search(h.k, memo, *tables, stats)
+    try:
+        found = _search(h.k, memo, *tables, stats)
+    except RecursionError:  # one nested call per placed write
+        raise KTooLargeError(
+            f"history has k={h.k} writes, more than the subset search can "
+            f"nest under the recursion limit of {sys.getrecursionlimit()}"
+        ) from None
     if not found:
         return Verdict(
             Outcome.INCONSISTENT,
@@ -144,7 +155,7 @@ def solve(
         )
 
     tw = extract_witness(h, memo)
-    if not verify_witness(h, dm, tw):
+    if not verify_witness(h, (g_loc, g_mm), tw):
         raise InternalWitnessInvalidError(
             "extracted write order failed re-verification"
         )
@@ -164,7 +175,8 @@ def _write_tables(
     and `pred_rd[j]` holds the writes that reach a read sourced by j.
     Each graph takes one pass over 2k-bit tags in reverse topological
     order (any such order gives the same reach): write i carries bit i,
-    and a read sourced by write i carries bit k + i.
+    and a read sourced by write i carries bit k + i.  Reach starts from
+    the vertex's own tag, so write j's holds bit j, which `blocks` drops.
     """
     k = h.k
     var_writes: dict[str, int] = {}
@@ -180,11 +192,11 @@ def _write_tables(
     reach_of = [0] * k
     for g, topo in bases:
         adj = g.adj
-        reach = [0] * g.n
+        reach = list(tags)
         for u in reversed(topo):
-            m = 0
+            m = reach[u]
             for v in adj[u]:
-                m |= tags[v] | reach[v]
+                m |= reach[v]
             reach[u] = m
         for j, wid in enumerate(h.writes):
             reach_of[j] |= reach[wid]
@@ -334,12 +346,16 @@ def extract_witness(h: History, memo: dict[int, int]) -> list[int]:
     return order
 
 
-def verify_witness(h: History, derived: DerivedModel, tw: list[int]) -> bool:
-    """Re-check a write order against both graphs, built explicitly.
+def verify_witness(
+    h: History, bases: tuple[EventGraph, EventGraph], tw: list[int]
+) -> bool:
+    """Re-check a write order against both base graphs, extended by it.
 
-    The order enters as a chain, and the reads of each write gain conflict
-    edges to the next write of the same variable; every other order pair
-    and conflict edge is implied through the chain.
+    `bases` are the two graphs of `build_base_graphs`.  The order enters
+    as a chain, and the reads of each write gain conflict edges to the
+    next write of the same variable; every other order pair and conflict
+    edge is implied through the chain.  The bases are extended into new
+    graphs, never mutated, so `solve` passes the graphs it searched from.
     """
     if sorted(tw) != list(h.writes):
         raise NotAPermutationError(
@@ -354,10 +370,4 @@ def verify_witness(h: History, derived: DerivedModel, tw: list[int]) -> bool:
             next_on_var.append((last_on[var], w))
         last_on[var] = w
     cf = conflict_edges(h, next_on_var)
-    return all(
-        kahn_acyclic(EventGraph(h.n, po, rf, chain, cf))[0]
-        for po, rf in (
-            (derived.po_loc_effective, h.rf),
-            (derived.po_mm, derived.rf_mm),
-        )
-    )
+    return all(kahn_acyclic(g.extended(chain, cf))[0] for g in bases)

@@ -62,8 +62,19 @@ def parse_history(text: str) -> History:
     current: list[tuple[str, str, int]] | None = None
     seen_init = False
 
+    # Access lines, the common case, cannot start with `init:`, so they are
+    # tried first.  A value under 20 digits is below 2^64: no range check.
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = (raw.split("#", 1)[0] if "#" in raw else raw).strip()
+        m = _ACCESS_RE.fullmatch(line)
+        if m:
+            if current is None:
+                raise TraceSyntaxError("access outside a thread block", lineno)
+            kind, var, val = m.groups()
+            current.append(
+                (kind, var, int(val) if len(val) < 20 else _int(val, lineno))
+            )
+            continue
         if not line:
             continue
         if line.startswith("init:"):
@@ -80,13 +91,6 @@ def parse_history(text: str) -> History:
                 if not m:
                     raise TraceSyntaxError("malformed init assignments", lineno)
                 init.append((m.group(1), _int(m.group(2), lineno)))
-            continue
-        m = _ACCESS_RE.fullmatch(line)
-        if m:
-            if current is None:
-                raise TraceSyntaxError("access outside a thread block", lineno)
-            kind, var, val = m.groups()
-            current.append((kind, var, _int(val, lineno)))
             continue
         m = _THREAD_RE.fullmatch(line)
         if m:

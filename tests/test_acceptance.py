@@ -12,6 +12,7 @@ import time
 
 from mmcheck import (
     Cnf3,
+    build_base_graphs,
     derive,
     get_model,
     oota_cycle,
@@ -59,10 +60,12 @@ def _corpus_results():
                 subset_violations += 1
             row[m] = v.consistent
             if v.consistent:
-                dm = derive(h, spec)
+                bases = build_base_graphs(h, derive(h, spec))
                 for witness in (v.witness, t.witness, s.witness):
                     consistent_verdicts += 1
-                    if witness is None or not verify_witness(h, dm, witness):
+                    if witness is None or not verify_witness(
+                        h, bases, witness
+                    ):
                         witness_failures += 1
         verdicts.append(row)
     elapsed = time.perf_counter() - start
@@ -129,7 +132,8 @@ def _reduction_results():
                 mismatches.append((i, spec.name))
             if v.consistent:
                 consistent_verdicts += 1
-                if not verify_witness(h, derive(h, spec), v.witness):
+                bases = build_base_graphs(h, derive(h, spec))
+                if not verify_witness(h, bases, v.witness):
                     witness_failures += 1
     return {
         "count": count,
@@ -163,7 +167,8 @@ def _litmus_results():
         )
         if v.consistent:
             consistent_verdicts += 1
-            if not verify_witness(h, derive(h, spec), v.witness):
+            bases = build_base_graphs(h, derive(h, spec))
+            if not verify_witness(h, bases, v.witness):
                 witness_failures += 1
     return {
         "ok": all(rows),

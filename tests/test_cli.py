@@ -92,6 +92,18 @@ def test_max_k_resource_error(capsys, sb_path):
     assert "cap" in err
 
 
+def test_k_beyond_search_depth_is_resource_error(capsys, tmp_path):
+    # one write per level of the search's recursion, past the interpreter's
+    # default limit of 1,000
+    p = tmp_path / "chain.mmh"
+    p.write_text("thread T0\n" + "".join(f"wr x {i}\n" for i in range(1200)))
+    code, out, err = run(
+        capsys, "check", str(p), "--model", "sc", "--max-k", "5000"
+    )
+    assert code == 3 and out == ""
+    assert "k=1200" in err and "Traceback" not in err
+
+
 def test_witness_line_format(capsys, sb_path):
     code, out, _ = run(
         capsys, "check", sb_path, "--model", "tso", "--witness"

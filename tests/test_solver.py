@@ -7,6 +7,7 @@ import pytest
 from mmcheck import (
     Cnf3,
     Outcome,
+    build_base_graphs,
     derive,
     get_model,
     oracle_total,
@@ -17,6 +18,7 @@ from mmcheck import (
     verify_witness,
 )
 from mmcheck.errors import KTooLargeError, NotAPermutationError
+from mmcheck import solver as solver_module
 from mmcheck.solver import extract_witness
 
 from conftest import SB, MP, CORR, OOTA, with_random_dp
@@ -82,15 +84,16 @@ def test_witness_is_valid_and_deterministic():
     v2 = solve(h, spec)
     assert v1.witness == v2.witness
     assert sorted(v1.witness) == list(h.writes)
-    assert verify_witness(h, derive(h, spec), v1.witness)
+    bases = build_base_graphs(h, derive(h, spec))
+    assert verify_witness(h, bases, v1.witness)
 
 
 def test_witness_matches_total_oracle_validity():
     h = parse_history(MP)
     spec = get_model("pso")
     v = solve(h, spec)
-    dm = derive(h, spec)
-    assert verify_witness(h, dm, v.witness)
+    bases = build_base_graphs(h, derive(h, spec))
+    assert verify_witness(h, bases, v.witness)
     assert oracle_total(h, spec).consistent
 
 
@@ -161,28 +164,73 @@ def test_k_cap_is_an_error_not_truncation():
 
 def test_verify_witness_accepts_empty_on_empty_history():
     h = parse_history("")
-    assert verify_witness(h, derive(h, get_model("sc")), [])
+    bases = build_base_graphs(h, derive(h, get_model("sc")))
+    assert verify_witness(h, bases, [])
 
 
 def test_verify_witness_rejects_non_permutations():
     h = parse_history(SB)
-    dm = derive(h, get_model("sc"))
+    bases = build_base_graphs(h, derive(h, get_model("sc")))
     with pytest.raises(NotAPermutationError):
-        verify_witness(h, dm, [0, 0, 1, 2])
+        verify_witness(h, bases, [0, 0, 1, 2])
     with pytest.raises(NotAPermutationError):
-        verify_witness(h, dm, [0])
+        verify_witness(h, bases, [0])
 
 
 def test_verify_witness_detects_reversed_coherence():
     # one write in program order after a read of a later-ordered write
     h = parse_history("thread T0\nwr x 1\nthread T1\nwr x 2\nrd x 1\n")
-    dm = derive(h, get_model("sc"))
+    bases = build_base_graphs(h, derive(h, get_model("sc")))
     w1, w2 = h.writes
     # placing w2 before w1 is fine; the read of w1 follows w2's overwrite
-    assert verify_witness(h, dm, [w2, w1])
+    assert verify_witness(h, bases, [w2, w1])
     # placing w1 before w2 makes the same-thread read of w1 precede w2,
     # but w2 precedes the read in program order: cycle
-    assert not verify_witness(h, dm, [w1, w2])
+    assert not verify_witness(h, bases, [w1, w2])
+
+
+def _graph_rows(graphs):
+    return [([list(row) for row in g.adj], list(g.in_degree)) for g in graphs]
+
+
+def test_witness_recheck_on_the_solve_graphs(small_corpus, monkeypatch):
+    """`solve` re-checks its witness on the base graphs it searched from.
+
+    On those shared graphs, `verify_witness` must agree with a re-check
+    on freshly built graphs, for the witness and every adjacent swap of
+    it, and leave every base graph's rows and in-degrees as built.
+    """
+    built = []
+
+    def recording_build(h, dm):
+        graphs = build_base_graphs(h, dm)
+        built.append((graphs, _graph_rows(graphs)))
+        return graphs
+
+    monkeypatch.setattr(solver_module, "build_base_graphs", recording_build)
+    witnesses = rejected = 0
+    for h in small_corpus:
+        for m in ALL_MODELS:
+            spec = get_model(m)
+            built.clear()
+            v = solve(h, spec)
+            if not v.consistent or not built:
+                continue
+            ((bases, rows),) = built
+            tw = v.witness
+            orders = [tw] + [
+                tw[:i] + [tw[i + 1], tw[i]] + tw[i + 2:]
+                for i in range(len(tw) - 1)
+            ]
+            for order in orders:
+                fresh = build_base_graphs(h, derive(h, spec))
+                shared_ok = verify_witness(h, bases, order)
+                assert shared_ok == verify_witness(h, fresh, order)
+                rejected += not shared_ok
+            assert verify_witness(h, bases, tw)
+            assert _graph_rows(bases) == rows
+            witnesses += 1
+    assert witnesses >= 200 and rejected > 0
 
 
 def test_extract_witness_small_cases():

@@ -89,6 +89,7 @@ def test_syntax_errors_carry_line_numbers():
     huge = "9" * 5000
     for doc, lineno in [
         (f"thread T0\nwr x 1\nwr x {2**64}\n", 3),
+        ("thread T0\nwr x 1\nrd x 18446744073709551616  # 2^64\n", 3),
         (f"init: x={2**64}\n", 1),
         (f"thread T0\nrd x 0\nwr y 1\ndp T0:0 -> T0:{2**64}\n", 4),
         (f"thread T0\nwr x {huge}\n", 2),
@@ -99,6 +100,17 @@ def test_syntax_errors_carry_line_numbers():
         with pytest.raises(TraceSyntaxError) as exc:
             parse_history(doc)
         assert exc.value.lineno == lineno
+    # values of up to 19 digits skip the range check; longer ones, zero
+    # padding included, take it
+    for digits, val in [
+        ("9" * 19, 10**19 - 1),
+        ("1" + "0" * 18, 10**18),
+        ("0" * 18 + "7", 7),
+        ("18446744073709551615", 2**64 - 1),
+        ("0" * 24 + "7", 7),
+    ]:
+        h = parse_history(f"thread T0\nwr x {digits}\nrd x {digits}\n")
+        assert [e.val for e in h.events] == [val, val]
     # library callers keep the range check, with no line to name
     for val in (-1, 2**64):
         with pytest.raises(TraceSyntaxError) as exc:
@@ -190,11 +202,22 @@ def _assert_indexes_match_definitions(h):
 def test_round_trip_preserves_relations(small_corpus):
     litmus = [parse_history(text) for text in (SB, MP, CORR, OOTA)]
     for h1 in litmus + small_corpus[:40]:
-        h2 = parse_history(format_history(h1, explicit_rf=True))
-        assert h1.events == h2.events and h1.threads == h2.threads
-        assert h1.rf == h2.rf and h1.dp == h2.dp
         _assert_indexes_match_definitions(h1)
-        _assert_indexes_match_definitions(h2)
+        text = format_history(h1, explicit_rf=True)
+        lines = text.splitlines()
+        rf_lines = [line for line in lines if line.startswith("rf ")]
+        other = [line for line in lines if not line.startswith("rf ")]
+        # inferred rf, explicit rf in read order, and explicit rf with the
+        # readers of each write arriving out of read order
+        for doc in (
+            format_history(h1),
+            text,
+            "\n".join(other + rf_lines[::-1]) + "\n",
+        ):
+            h2 = parse_history(doc)
+            assert h1.events == h2.events and h1.threads == h2.threads
+            assert h1.rf == h2.rf and h1.dp == h2.dp
+            _assert_indexes_match_definitions(h2)
 
 
 def test_refs_are_thread_position_pairs():
