@@ -42,7 +42,7 @@ class UnknownModelError(MmcheckError):
 
 
 class KTooLargeError(MmcheckError):
-    """The write count exceeds the solver's cap or its search depth."""
+    """The write count exceeds the solver's cap."""
 
 
 class KTooLargeForOracleError(MmcheckError):

@@ -66,21 +66,24 @@ def _po_before(a: Event, b: Event) -> bool:
 class History:
     """Events plus reads-from and dependency relations.
 
-    `rf` and `dp` are frozensets of `(source, target)` event-id pairs.
-    Program order is answered by :meth:`po_before` from event positions.
+    `rf` and `dp` are frozensets of `(source, target)` event-id pairs;
+    `rf` is built on first access, as the solver reads reads-from through
+    `readers_of` only.  Program order is answered by :meth:`po_before`
+    from event positions.
 
-    Instances are immutable after construction and safe to share across
-    threads.  Use :func:`assemble_history` (or the trace parser) to build
-    one; the constructor neither validates nor walks the events, and takes
-    its indexes, ids ascending, from the assembly pass.  `threads` maps
-    each thread name, the virtual `init` thread first, to its event ids in
+    Instances are immutable after construction (the cached `rf` is the
+    same value whoever builds it) and safe to share across threads.  Use
+    :func:`assemble_history` (or the trace parser) to build one; the
+    constructor neither validates nor walks the events, and takes its
+    indexes, ids ascending, from the assembly pass.  `threads` maps each
+    thread name, the virtual `init` thread first, to its event ids in
     program order, and `rf_source` maps each read to its writer.
     """
 
     __slots__ = (
         "events",
-        "rf",
         "dp",
+        "_rf",
         "threads",
         "_thread_ids",
         "_writes",
@@ -102,8 +105,8 @@ class History:
         readers: Mapping[int, Sequence[int]],
     ):
         self.events: tuple[Event, ...] = tuple(events)
-        self.rf = frozenset(zip(rf_source.values(), rf_source))
         self.dp = dp
+        self._rf: frozenset[tuple[int, int]] | None = None
         self.threads: tuple[str, ...] = tuple(
             t for t in threads if t != INIT_THREAD
         )
@@ -113,6 +116,14 @@ class History:
         self._writes_on = {v: tuple(ws) for v, ws in writes_on.items()}
         self._readers = {w: tuple(rs) for w, rs in readers.items()}
         self._rf_source = rf_source
+
+    @property
+    def rf(self) -> frozenset[tuple[int, int]]:
+        """Reads-from as `(write, read)` pairs."""
+        if self._rf is None:
+            source = self._rf_source
+            self._rf = frozenset(zip(source.values(), source))
+        return self._rf
 
     @property
     def n(self) -> int:

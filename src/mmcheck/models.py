@@ -20,10 +20,14 @@ from __future__ import annotations
 
 from collections.abc import Collection
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import InvalidDpError, UnknownModelError
-from .events import READ, WRITE, History
+from .events import INIT_THREAD, READ, WRITE, History
 from .graphs import EventGraph, find_cycle
+
+
+KINDS = (WRITE, READ)
 
 
 @dataclass(frozen=True)
@@ -36,6 +40,28 @@ class ModelSpec:
     #: (earlier kind, later kind) pairs whose same-thread program order the
     #: model keeps, or None when it keeps only the dependency edges.
     kept_po: frozenset[tuple[str, str]] | None
+
+    @cached_property
+    def ahead(self) -> dict[str, tuple[str, ...]]:
+        """For each later kind, the earlier kinds kept ahead of it.
+
+        Computed once per model, not on every derivation.
+        """
+        kept = self.kept_po or frozenset()
+        return {b: tuple(sorted(a for a, c in kept if c == b)) for b in KINDS}
+
+    @property
+    def keeps_read_order(self) -> bool:
+        """Whether both base graphs order two reads of one thread and
+        variable: the per-location graph unless load-load hazards are
+        allowed, the model graph when read-read program order is kept."""
+        return not self.allows_llh and READ in self.ahead[READ]
+
+    @property
+    def sees_internal_rf(self) -> bool:
+        """Whether same-thread reads-from is visible in the model graph:
+        only under sc, which keeps the write-read order it would follow."""
+        return self.name == "sc"
 
 
 _READ_FIRST = frozenset({(READ, READ), (READ, WRITE)})
@@ -66,18 +92,44 @@ def get_model(name: str) -> ModelSpec:
         ) from None
 
 
-@dataclass(frozen=True)
 class DerivedModel:
     """The relations a model actually exposes for one history.
 
     `po_mm` and `po_loc_effective` are edge lists: their transitive
     closures, not the lists themselves, are the preserved program order
-    and the effective same-variable program order.
+    and the effective same-variable program order.  `rf_mm`, the visible
+    reads-from, is built from `history` on first access unless given; the
+    solver reads it only under rmo and to report a cyclic model graph.
+    `spec` is the model the relations were derived for.  Built without
+    one, and then with `rf_mm`, as the test-side reference derivation
+    builds it, `build_base_graphs` keeps every reads-from edge instead of
+    thinning them by the model's program order.
     """
 
-    po_mm: Collection[tuple[int, int]]
-    rf_mm: frozenset[tuple[int, int]]
-    po_loc_effective: Collection[tuple[int, int]]
+    __slots__ = ("po_mm", "po_loc_effective", "spec", "history", "_rf_mm")
+
+    def __init__(
+        self,
+        *,
+        po_mm: Collection[tuple[int, int]],
+        po_loc_effective: Collection[tuple[int, int]],
+        rf_mm: frozenset[tuple[int, int]] | None = None,
+        spec: ModelSpec | None = None,
+        history: History | None = None,
+    ):
+        self.po_mm = po_mm
+        self.po_loc_effective = po_loc_effective
+        self.spec = spec
+        self.history = history
+        self._rf_mm = rf_mm
+
+    @property
+    def rf_mm(self) -> frozenset[tuple[int, int]]:
+        if self._rf_mm is None:
+            h = self.history
+            internal = self.spec.sees_internal_rf
+            self._rf_mm = h.rf if internal else rf_external(h)
+        return self._rf_mm
 
 
 def rf_external(h: History) -> frozenset[tuple[int, int]]:
@@ -98,23 +150,28 @@ def rf_external(h: History) -> frozenset[tuple[int, int]]:
     return frozenset(pairs)
 
 
-def po_edges(
-    h: History, kept: frozenset[tuple[str, str]]
-) -> list[tuple[int, int]]:
+def po_edges(h: History, spec: ModelSpec) -> list[tuple[int, int]]:
     """Edges whose closure is the program order a model keeps.
 
-    `kept` names the (earlier kind, later kind) pairs kept.  Each event
-    gets an edge from the last earlier event of each kind kept ahead of
-    it; an earlier event of that kind reaches the last one because every
-    model that keeps (K, L) also keeps (K, K).  The initial writes get an
-    edge to the first event of each thread that is kept behind a write;
-    the later such events follow that one, because the kinds a model
-    keeps behind a write are kept behind each other.
+    A model that keeps every pair gets one chain per thread.  Otherwise
+    each event gets an edge from the last earlier event of each kind kept
+    ahead of it (`spec.ahead`); an earlier event of that kind reaches the
+    last one because every model that keeps (K, L) also keeps (K, K).
+    The initial writes get an edge to the first event of each thread that
+    is kept behind a write; the later such events follow that one, because
+    the kinds a model keeps behind a write are kept behind each other.
     """
-    ahead = {b: sorted(a for a, c in kept if c == b) for b in (WRITE, READ)}
+    ahead = spec.ahead
     events = h.events
-    inits = [e.id for e in h.init_events]
+    inits = h.thread_events(INIT_THREAD)
     edges: list[tuple[int, int]] = []
+    if len(spec.kept_po) == len(KINDS) ** 2:  # every pair is kept
+        for t in h.threads:
+            ids = h.thread_events(t)
+            if ids:
+                edges.extend((i, ids[0]) for i in inits)
+                edges.extend(zip(ids, ids[1:]))
+        return edges
     for t in h.threads:
         last: dict[str, int] = {}
         inits_pending = True
@@ -143,7 +200,7 @@ def po_loc(h: History, llh: bool = False) -> list[tuple[int, int]]:
     as it does in the closure of the pair set.
     """
     events = h.events
-    init_of = {e.var: e.id for e in h.init_events}
+    init_of = {events[i][4]: i for i in h.thread_events(INIT_THREAD)}
     edges: list[tuple[int, int]] = []
     for t in h.threads:
         last = dict(init_of)
@@ -164,7 +221,8 @@ def po_loc(h: History, llh: bool = False) -> list[tuple[int, int]]:
 
 
 def derive(h: History, spec: ModelSpec) -> DerivedModel:
-    """Compute the preserved program order and visible reads-from.
+    """Compute the preserved program order; visible reads-from follows on
+    first access.
 
     Pure: equal inputs give identical relations.  For rmo the dependency
     relation must be read-sourced and lie inside program order; histories
@@ -180,12 +238,13 @@ def derive(h: History, spec: ModelSpec) -> DerivedModel:
                 )
         po_mm: Collection[tuple[int, int]] = h.dp
     else:
-        po_mm = po_edges(h, spec.kept_po)
+        po_mm = po_edges(h, spec)
 
     return DerivedModel(
         po_mm=po_mm,
-        rf_mm=h.rf if spec.name == "sc" else rf_external(h),
         po_loc_effective=po_loc(h, llh=spec.allows_llh),
+        spec=spec,
+        history=h,
     )
 
 

@@ -22,15 +22,22 @@ to the next, and only the waits a placement adds are tested for a cycle
 order-augmented graphs, for a few word operations per candidate; the
 test suite checks the memo against an explicit-graph reference search.
 
+The base graphs keep only the events that branch (see
+`build_base_graphs`), with reach between events and every cycle as on
+the full relations, so the tables come out the same; each graph's
+`vertex_of` places the events.  The search runs on an explicit stack, so
+k is bounded by `max_k`, not by the interpreter's recursion limit.
+
 A consistent verdict's witness is re-checked by `verify_witness` without
 the search's tables: a Kahn peel of each base graph the search used,
 extended by the order into a new graph, so the bases are never mutated.
+A cyclic base graph is reported as a cycle of events, found on the full
+relations rebuilt for that purpose.
 """
 
 from __future__ import annotations
 
 import enum
-import sys
 from dataclasses import dataclass
 
 from .errors import (
@@ -118,33 +125,27 @@ def solve(
     g_loc, g_mm = build_base_graphs(h, dm)
     ok_loc, topo_loc = kahn_acyclic(g_loc)
     ok_mm, topo_mm = kahn_acyclic(g_mm)
-    for ok, g, label in (
-        (ok_loc, g_loc, "per-location"),
-        (ok_mm, g_mm, "model-order"),
-    ):
-        if not ok:
-            cyc = find_cycle(g)
-            return Verdict(
-                Outcome.INCONSISTENT,
-                diagnostics=(
-                    f"base {label} graph is cyclic: " + h.format_cycle(cyc)
-                ),
-                stats=stats,
-            )
+    if not (ok_loc and ok_mm):
+        # Report the cycle on the full relations, as events.
+        if not ok_loc:
+            label, edges = "per-location", (dm.po_loc_effective, h.rf)
+        else:
+            label, edges = "model-order", (dm.po_mm, dm.rf_mm)
+        cyc = find_cycle(EventGraph(h.n, *edges))
+        return Verdict(
+            Outcome.INCONSISTENT,
+            diagnostics=(
+                f"base {label} graph is cyclic: " + h.format_cycle(cyc)
+            ),
+            stats=stats,
+        )
 
     if h.k == 0:
         return Verdict(Outcome.CONSISTENT, witness=[], stats=stats)
 
     tables = _write_tables(h, ((g_loc, topo_loc), (g_mm, topo_mm)))
     memo: dict[int, int] = {}
-    try:
-        found = _search(h.k, memo, *tables, stats)
-    except RecursionError:  # one nested call per placed write
-        raise KTooLargeError(
-            f"history has k={h.k} writes, more than the subset search can "
-            f"nest under the recursion limit of {sys.getrecursionlimit()}"
-        ) from None
-    if not found:
+    if not _search(h.k, memo, *tables, stats):
         return Verdict(
             Outcome.INCONSISTENT,
             diagnostics=(
@@ -175,31 +176,37 @@ def _write_tables(
     and `pred_rd[j]` holds the writes that reach a read sourced by j.
     Each graph takes one pass over 2k-bit tags in reverse topological
     order (any such order gives the same reach): write i carries bit i,
-    and a read sourced by write i carries bit k + i.  Reach starts from
-    the vertex's own tag, so write j's holds bit j, which `blocks` drops.
+    and a read sourced by write i carries bit k + i.  Tags go to the
+    events' vertices (`vertex_of`) and are OR-ed there; on a contracted
+    base graph a write reaches a vertex exactly when it reaches the
+    vertex's events.  Reach starts from the vertex's own tag, so write
+    j's holds bit j, which `blocks` drops.
     """
     k = h.k
+    writes = h.writes
     var_writes: dict[str, int] = {}
-    for j, wid in enumerate(h.writes):
-        var = h.events[wid].var
+    for j, w in enumerate(writes):
+        var = h.events[w].var
         var_writes[var] = var_writes.get(var, 0) | (1 << j)
-    varmask = [var_writes[h.events[wid].var] for wid in h.writes]
-    tags = [0] * h.n
-    for j, wid in enumerate(h.writes):
-        tags[wid] = 1 << j
-        for r in h.readers_of(wid):
-            tags[r] = 1 << (k + j)
+    varmask = [var_writes[h.events[w].var] for w in writes]
+    readers = [h.readers_of(w) for w in writes]
     reach_of = [0] * k
     for g, topo in bases:
         adj = g.adj
-        reach = list(tags)
+        vertex_of = g.vertex_of
+        reach = [0] * g.n
+        for j, w in enumerate(writes):
+            reach[vertex_of[w]] |= 1 << j
+            bit = 1 << (k + j)
+            for r in readers[j]:
+                reach[vertex_of[r]] |= bit
         for u in reversed(topo):
             m = reach[u]
             for v in adj[u]:
                 m |= reach[v]
             reach[u] = m
-        for j, wid in enumerate(h.writes):
-            reach_of[j] |= reach[wid]
+        for j, w in enumerate(writes):
+            reach_of[j] |= reach[vertex_of[w]]
     full = (1 << k) - 1
     blocks, blockers, pred_rd = [0] * k, [0] * k, [0] * k
     for j, m in enumerate(reach_of):
@@ -271,12 +278,25 @@ def _search(
     `memo[mask]` receives the bit index of the write placed lowest when
     the subset is orderable, or -1 when it is not; masks never reached,
     or cut by the cycle test, stay absent.
+
+    The recursion runs on an explicit stack of frames (the set, its free
+    members, its read waits, its untried candidates and the candidate
+    tried last), so k is not bounded by the interpreter's recursion
+    limit.  A frame whose rest needs evaluating is pushed and the rest
+    becomes the current frame; a failed frame resumes its parent at the
+    next candidate, and a success records each pending frame's candidate
+    on the way up.
     """
     memo[0] = k  # sentinel: the empty subset is orderable
-
-    def orderable(s_mask: int, free: int, waits: dict[int, int]) -> bool:
-        stats.subsets_evaluated += 1
-        c = free
+    full = free = (1 << k) - 1
+    for b in blocks:
+        free &= ~b
+    # The current frame: its set, free members, read waits and untried
+    # candidates; `stack` holds the pending frames and their candidates.
+    s_mask, waits, c = full, {}, free
+    stack: list[tuple[int, int, dict[int, int], int, int]] = []
+    subsets, gates = 1, 0
+    while True:
         while c:
             vb = c & -c
             c ^= vb
@@ -284,46 +304,55 @@ def _search(
             vm = varmask[v]
             if waits.get(vm, 0) & s_mask:
                 continue
-            stats.gate_checks += 1
+            gates += 1
             rest = s_mask ^ vb
             cached = memo.get(rest)
             if cached is not None:
                 if cached < 0:
                     continue
-            else:
-                rd = pred_rd[v] & rest
-                child = waits
-                if rd:
-                    seen = reached = rd
-                    while reached and not reached & vm:
-                        step = 0
-                        for wm, w in waits.items():
-                            if wm & reached:
-                                step |= w
-                        reached = step & rest & ~seen
-                        seen |= reached
-                    if reached:
-                        continue
-                    child = dict(waits)
-                    child[vm] = child.get(vm, 0) | rd
-                freed = free ^ vb
-                b = blocks[v] & rest
-                while b:
-                    u = b & -b
-                    b ^= u
-                    if not blockers[u.bit_length() - 1] & rest:
-                        freed |= u
-                if not orderable(rest, freed, child):
+                break  # the rest is orderable: place v
+            rd = pred_rd[v] & rest
+            child = waits
+            if rd:
+                seen = reached = rd
+                while reached and not reached & vm:
+                    step = 0
+                    for wm, w in waits.items():
+                        if wm & reached:
+                            step |= w
+                    reached = step & rest & ~seen
+                    seen |= reached
+                if reached:
                     continue
+                child = dict(waits)
+                child[vm] = child.get(vm, 0) | rd
+            freed = free ^ vb
+            b = blocks[v] & rest
+            while b:
+                u = b & -b
+                b ^= u
+                if not blockers[u.bit_length() - 1] & rest:
+                    freed |= u
+            stack.append((s_mask, free, waits, c, v))
+            s_mask, free, waits, c = rest, freed, child, freed
+            subsets += 1
+        else:
+            # No candidate left: the set has no order; resume the parent.
+            memo[s_mask] = -1
+            if not stack:
+                break
+            s_mask, free, waits, c, v = stack.pop()
+            continue
+        # v sits at the bottom of an orderable set, and so does each
+        # pending frame's candidate.
+        memo[s_mask] = v
+        while stack:
+            s_mask, _, _, _, v = stack.pop()
             memo[s_mask] = v
-            return True
-        memo[s_mask] = -1
-        return False
-
-    full = free = (1 << k) - 1
-    for b in blocks:
-        free &= ~b
-    return orderable(full, free, {})
+        break
+    stats.subsets_evaluated += subsets
+    stats.gate_checks += gates
+    return memo[full] >= 0
 
 
 def extract_witness(h: History, memo: dict[int, int]) -> list[int]:
@@ -354,7 +383,9 @@ def verify_witness(
     `bases` are the two graphs of `build_base_graphs`.  The order enters
     as a chain, and the reads of each write gain conflict edges to the
     next write of the same variable; every other order pair and conflict
-    edge is implied through the chain.  The bases are extended into new
+    edge is implied through the chain.  Both kinds of edge enter through
+    each graph's `vertex_of`.  Neither enters a read, so the contraction
+    of single-entry reads stays exact.  The bases are extended into new
     graphs, never mutated, so `solve` passes the graphs it searched from.
     """
     if sorted(tw) != list(h.writes):
@@ -369,5 +400,10 @@ def verify_witness(
         if var in last_on:
             next_on_var.append((last_on[var], w))
         last_on[var] = w
-    cf = conflict_edges(h, next_on_var)
-    return all(kahn_acyclic(g.extended(chain, cf))[0] for g in bases)
+    for g in bases:
+        vertex_of = g.vertex_of
+        order = [(vertex_of[a], vertex_of[b]) for a, b in chain]
+        cf = conflict_edges(h, next_on_var, vertex_of)
+        if not kahn_acyclic(g.extended(order, cf))[0]:
+            return False
+    return True

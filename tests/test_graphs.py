@@ -7,14 +7,17 @@ import random
 import pytest
 
 from mmcheck import (
+    MODELS,
     EventGraph,
     build_base_graphs,
     derive,
     get_model,
     kahn_acyclic,
     parse_history,
+    solve,
 )
 from mmcheck.graphs import find_cycle
+from mmcheck.models import DerivedModel
 
 from helpers import (
     PreconditionViolatedError,
@@ -225,9 +228,63 @@ def test_base_graphs_empty_history():
 def test_base_graph_keeps_coinciding_po_and_rf():
     h = parse_history("thread T0\nwr x 1\nrd x 1\n")
     dm = derive(h, get_model("sc"))
+    # on the full relations the po pair and the rf pair coincide; the
+    # duplicate is kept
+    g = EventGraph(h.n, dm.po_mm, dm.rf_mm)
+    assert g.adj[0] == [1, 1] and kahn_acyclic(g) == (True, [0, 1])
+    # the base graph drops the rf pair, which po implies, and the read,
+    # entered by one edge, joins the write's vertex
     _, g_mm = build_base_graphs(h, dm)
-    # the po pair and the rf pair coincide; the duplicate is kept
-    assert g_mm.adj[0] == [1, 1] and kahn_acyclic(g_mm) == (True, [0, 1])
+    assert g_mm.n == 1 and g_mm.adj == [[]] and list(g_mm.vertex_of) == [0, 0]
+
+
+@pytest.mark.parametrize("init", ["", "init: x=0\n"])
+def test_read_ahead_of_its_own_write_is_cyclic(init):
+    # Without the initial write the read has one in-edge, the reads-from
+    # edge, and merges into the write's vertex: the program-order edge
+    # back to the write must survive as a self-loop.
+    h = parse_history(init + "thread T0\nrd x 1\nwr x 1\n")
+    for name in MODELS:
+        v = solve(h, get_model(name))
+        assert not v.consistent
+        assert v.diagnostics == (
+            "base per-location graph is cyclic: T0:1 -> T0:0 -> T0:1"
+        )
+
+
+def test_single_entry_reads_merge_and_writes_do_not():
+    h = parse_history(
+        "thread T0\nwr x 1\nrd x 1\nrd x 1\nwr x 2\n"
+        "thread T1\nrd x 2\nrd x 1\n"
+    )
+    g_loc, _ = build_base_graphs(h, derive(h, get_model("tso")))
+    vertex_of = g_loc.vertex_of
+    w1, r1, r2, w2 = h.thread_events("T0")
+    r3, r4 = h.thread_events("T1")
+    # writes keep their own vertices, numbered in `h.writes` order
+    assert (vertex_of[w1], vertex_of[w2]) == (0, 1)
+    # T0's reads of w1 follow it in program order, so their reads-from
+    # edges go and each read has one in-edge; T1's first read has only
+    # the reads-from edge from w2
+    assert vertex_of[r1] == vertex_of[r2] == 0
+    assert vertex_of[r3] == 1
+    # r4 is entered by program order from r3 and by reads-from from w1
+    assert vertex_of[r4] == 2 and g_loc.n == 3
+    assert sorted(_edges(g_loc)) == [(0, 1), (0, 2), (1, 2)]
+
+
+def test_read_entered_from_a_later_event_keeps_its_vertex():
+    # A hand-built derivation may order events against program order; a
+    # read whose one in-edge comes from a read not yet placed is not
+    # merged, so its edge survives.
+    h = parse_history("init: x=0\nthread T0\nrd x 0\nrd x 0\n")
+    r1, r2 = h.thread_events("T0")
+    dm = DerivedModel(
+        po_mm=[(r2, r1)], po_loc_effective=[], rf_mm=frozenset()
+    )
+    _, g_mm = build_base_graphs(h, dm)
+    assert g_mm.vertex_of[r1] != g_mm.vertex_of[r2]
+    assert g_mm.adj[g_mm.vertex_of[r2]] == [g_mm.vertex_of[r1]]
 
 
 def _edge_kind_invariants(h, spec_name, mask, v):
@@ -257,13 +314,16 @@ def test_snapshot_and_conflict_edge_kinds(small_corpus):
 
 
 def test_graphs_differ_only_in_static_parts(small_corpus):
-    # the snapshot/conflict additions are identical across the two graphs
+    # the snapshot/conflict additions are identical across the two graphs;
+    # the base graphs compared against are the full ones over events, as
+    # `build_base_graphs` thins and contracts its own
     for h in small_corpus[:15]:
         if not h.writes:
             continue
         dm = derive(h, get_model("tso"))
         idx = WriteIndex(h)
-        base_loc, base_mm = build_base_graphs(h, dm)
+        base_loc = EventGraph(h.n, dm.po_loc_effective, h.rf)
+        base_mm = EventGraph(h.n, dm.po_mm, dm.rf_mm)
         for j in range(min(idx.k, 3)):
             v = idx.ids[j]
             mask = 0

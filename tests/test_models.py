@@ -7,10 +7,12 @@ import pytest
 from mmcheck import (
     MODELS,
     derive,
+    generate_program,
     get_model,
     oota_cycle,
     parse_history,
     rf_external,
+    simulate,
 )
 from mmcheck.errors import UnknownModelError
 
@@ -51,6 +53,17 @@ def test_derive_sc_is_identity():
     h = parse_history("init: x=0 y=0\nthread T0\nwr x 1\nrd y 0\n")
     dm = derive(h, get_model("sc"))
     assert _closed(h, dm.po_mm) == reference_po(h) and dm.rf_mm == h.rf
+
+
+def test_sc_program_order_is_one_chain_per_thread():
+    # 4 threads of 150 events and 5 initial writes: 149 chain edges per
+    # thread, and an edge from each initial write to each thread's head
+    prog = generate_program(4, 150, 5, seed=6060, max_writes=10)
+    h = simulate(prog, "sc", seed=6061)
+    assert h.n == 605 and len(h.init_events) == 5
+    dm = derive(h, get_model("sc"))
+    assert len(dm.po_mm) == 4 * 149 + 5 * 4 == 616
+    assert _closed(h, dm.po_mm) == reference_po(h)
 
 
 def test_derive_tso_drops_write_read_pairs():

@@ -17,17 +17,22 @@ import pytest
 from mmcheck import (
     MODELS,
     Cnf3,
+    EventGraph,
     assemble_history,
     build_base_graphs,
     derive,
     generate_program,
     get_model,
+    kahn_acyclic,
+    mutate,
     parse_history,
     sat_to_history_relaxed,
     sat_to_history_sc,
     simulate,
     solve,
+    verify_witness,
 )
+from mmcheck.solver import _write_tables
 
 from conftest import CORR, MP, OOTA, SB, with_random_dp
 from helpers import closure, reference_derive, solve_reference
@@ -247,3 +252,68 @@ def test_base_graphs_stay_linear_in_n():
     edges = sum(len(row) for g in (g_loc, g_mm) for row in g.adj)
     assert edges <= 8 * h.n
     assert elapsed < 10.0
+
+
+def _assert_contraction_exact(h, spec):
+    # The thinned, contracted base graphs against the full graphs over
+    # events: the same acyclicity, the same search tables, and the same
+    # re-check of the witness (or the writes in id order when there is
+    # none) and of each order one adjacent swap away from it.
+    dm = derive(h, spec)
+    bases = build_base_graphs(h, dm)
+    full = (
+        EventGraph(h.n, dm.po_loc_effective, h.rf),
+        EventGraph(h.n, dm.po_mm, dm.rf_mm),
+    )
+    sorted_bases = [kahn_acyclic(g) for g in bases]
+    sorted_full = [kahn_acyclic(g) for g in full]
+    assert [ok for ok, _ in sorted_bases] == [ok for ok, _ in sorted_full]
+    if not all(ok for ok, _ in sorted_full) or not h.k:
+        return
+    tables = [
+        _write_tables(h, tuple(zip(graphs, (order for _, order in sorts))))
+        for graphs, sorts in ((bases, sorted_bases), (full, sorted_full))
+    ]
+    assert tables[0] == tables[1]
+    v = solve(h, spec)
+    tw = v.witness if v.consistent else list(h.writes)
+    orders = [tw] + [
+        tw[:i] + [tw[i + 1], tw[i]] + tw[i + 2:] for i in range(len(tw) - 1)
+    ]
+    for order in orders:
+        assert verify_witness(h, bases, order) == verify_witness(
+            h, full, order
+        )
+
+
+def _long_traces():
+    for seed, model in ((6060, "sc"), (6161, "tso"), (6262, "pso")):
+        prog = generate_program(4, 150, 5, seed=seed, max_writes=10)
+        h = simulate(prog, model, seed=seed + 1)
+        yield h
+        yield mutate(h, seed=seed + 2)
+
+
+def test_contracted_base_graphs_match_full_graphs(small_corpus):
+    rng = random.Random(5454)
+    histories = list(small_corpus)
+    histories += [_random_history(rng) for _ in range(150)]
+    histories += _long_traces()
+    for _ in range(4):
+        n = rng.randint(2, 3)
+        pool = list(range(1, n + 1)) + [-v for v in range(1, n + 1)]
+        cnf = Cnf3(n, tuple(tuple(rng.sample(pool, 3)) for _ in range(n + 1)))
+        histories += [sat_to_history_sc(cnf), sat_to_history_relaxed(cnf)]
+    for h in histories:
+        for name in MODELS:
+            _assert_contraction_exact(h, get_model(name))
+
+
+def test_base_graphs_keep_only_branching_events():
+    # On a long simulated trace nearly every read joins the vertex of the
+    # event before it: the graphs keep about the writes and the reads
+    # with an incoming reads-from edge.
+    for h in list(_long_traces())[::2]:
+        for name in ("sc", "tso", "pso"):
+            for g in build_base_graphs(h, derive(h, get_model(name))):
+                assert g.n < h.n // 8
