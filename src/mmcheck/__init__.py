@@ -8,11 +8,12 @@ and fed by a 3-CNF instance compiler and operational simulators.
 
 from .errors import MmcheckError
 from .events import Event, History, assemble_history
-from .graphs import EventGraph, build_base_graphs, kahn_acyclic
+from .graphs import EventGraph, kahn_acyclic
 from .models import (
     MODELS,
     DerivedModel,
     ModelSpec,
+    build_base_graphs,
     derive,
     get_model,
     oota_cycle,

@@ -39,6 +39,9 @@ EXIT_INCONSISTENT = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
+#: `gen sat --variant`: the strict-model or the buffer-proof construction.
+SAT_VARIANTS = {"sc": sat_to_history_sc, "relaxed": sat_to_history_relaxed}
+
 
 @dataclass
 class CheckReport:
@@ -122,10 +125,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 def cmd_gen_sat(args: argparse.Namespace) -> int:
     cnf = parse_dimacs(_read_text(args.cnf))
-    if args.variant == "sc":
-        h = sat_to_history_sc(cnf)
-    else:
-        h = sat_to_history_relaxed(cnf)
+    h = SAT_VARIANTS[args.variant](cnf)
     _write_output(format_history(h), args.output)
     return EXIT_CONSISTENT
 
@@ -212,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sat.add_argument("cnf", help="DIMACS CNF file")
     p_sat.add_argument(
         "--variant",
-        choices=("sc", "relaxed"),
+        choices=SAT_VARIANTS,
         default="sc",
         help="strict-model or buffer-proof construction",
     )

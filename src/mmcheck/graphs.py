@@ -1,24 +1,21 @@
-"""Event graphs, acyclicity checks, and the base graphs.
+"""Event graphs, acyclicity checks, and graph contraction.
 
 All consistency questions in this package reduce to the acyclicity of
 graphs over event ids built from unions of edge lists.  This module holds
 the graph container, one Kahn peel that both sorts a graph and isolates
-its cycles, and the two order-free base graphs the solver's subset search
-starts from, contracted to the events that branch.  The peel is FIFO, so
-its order is deterministic; nothing depends on which topological order
-it returns.
+its cycles, and the contraction that builds a graph on the events that
+branch.  It takes edge lists and knows no memory model; which edges a
+model's graphs hold is decided in `models`.  The peel is FIFO, so its
+order is deterministic; nothing depends on which topological order it
+returns.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from itertools import repeat
-from typing import TYPE_CHECKING, Collection, Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
 from .events import History
-
-if TYPE_CHECKING:
-    from .models import DerivedModel
 
 
 class EventGraph:
@@ -28,8 +25,8 @@ class EventGraph:
     vertex per event.  Edges are not deduplicated.  Kahn's algorithm,
     cycle extraction and reachability give the same answers with or
     without duplicate edges.  `vertex_of` maps each event to its vertex:
-    the identity here, many-to-one on the base graphs that
-    `build_base_graphs` contracts.  Consumers place events through it.
+    the identity here, many-to-one on the graphs that `contracted`
+    builds.  Consumers place events through it.
     """
 
     __slots__ = ("n", "adj", "in_degree", "vertex_of")
@@ -147,86 +144,7 @@ def conflict_edges(
     }
 
 
-def build_base_graphs(
-    h: History, derived: "DerivedModel"
-) -> tuple[EventGraph, EventGraph]:
-    """The two order-free graphs whose acyclicity anchors the recursion.
-
-    First the per-location graph (effective same-variable program order
-    plus reads-from), then the model graph (preserved program order plus
-    visible reads-from).  Each has the reachability between events, and
-    the cycles, of the graph of its full relations, on far fewer vertices
-    and edges:
-
-    - Reads-from edges that program order implies are left out, when the
-      derivation names its model and both graphs keep the program order
-      of two reads of one thread and variable (every model but rmo).  A
-      write then needs an edge only to the po-first read of each thread
-      that it feeds, and none when it precedes that read in program
-      order: an initial write, or an earlier write of the read's thread.
-      Each edge left out lies on a path the graph keeps: both graphs
-      order a thread's reads of one variable, `po_loc_effective` (and
-      sc's `po_mm`) orders a write before the later events of its thread
-      on its variable and an initial write before every event on its
-      variable, and the visible reads-from of the other models holds no
-      same-thread or initial pair.  A same-thread read ahead of its write
-      keeps its edge, which closes a cycle.  Without a model, or under
-      rmo, every edge is kept.
-    - Each read entered by exactly one edge joins the vertex of that
-      edge's source; `_contracted` gives the rule and why it is exact.
-    """
-    spec = derived.spec
-    if spec is not None and spec.keeps_read_order:
-        rf_loc, rf_mm = _first_reads(h, spec.sees_internal_rf)
-    else:
-        rf_loc, rf_mm = h.rf, derived.rf_mm
-    return (
-        _contracted(h, derived.po_loc_effective, rf_loc),
-        _contracted(h, derived.po_mm, rf_mm),
-    )
-
-
-def _first_reads(
-    h: History, internal: bool
-) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
-    """The reads-from edges each base graph needs beyond program order.
-
-    For each program write and each thread it feeds, the edge to the
-    thread's first read of it, unless the write comes earlier in that
-    thread.  The model graph takes the same-thread ones only when
-    `internal` (its model sees same-thread reads-from).  A thread's
-    events hold consecutive ids in program order, and readers are sorted,
-    so one bisection skips the rest of each thread's reads.
-    """
-    events = h.events
-    loc: list[tuple[int, int]] = []
-    mm: list[tuple[int, int]] = []
-    for w in h.writes:
-        readers = h.readers_of(w)
-        if not readers:
-            continue
-        _, thread, pos, _, _, _, is_init = events[w]
-        if is_init:
-            continue
-        i, end = 0, len(readers)
-        while i < end:
-            r = readers[i]
-            _, t, p, _, _, _, _ = events[r]
-            if t != thread:
-                loc.append((w, r))
-                mm.append((w, r))
-            elif p < pos:
-                loc.append((w, r))
-                if internal:
-                    mm.append((w, r))
-            i += 1
-            if i < end:
-                last = r - p + len(h.thread_events(t)) - 1
-                i = bisect_right(readers, last, i)
-    return loc, mm
-
-
-def _contracted(
+def contracted(
     h: History, *edge_lists: Collection[tuple[int, int]]
 ) -> EventGraph:
     """The graph of the edge lists, each single-entry read merged away.

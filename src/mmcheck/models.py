@@ -1,8 +1,11 @@
-"""Memory model definitions and per-history relation derivation.
+"""Memory models as data, and per-history relation derivation.
 
-A model is a pair of derivation rules: which part of program order the
-memory is obliged to keep, and which reads-from edges are globally
-visible.  The four supported models:
+A model is one row of data: its name and the same-thread program order
+it keeps (`ModelSpec.kept_po`).  Everything else the checker needs of a
+model is read from that row here, and nowhere else: which reads-from
+edges are visible, whether load-load hazards are allowed, whether the
+dependency/reads-from cycle test applies, and which reads-from edges the
+base graphs need.  The four supported models:
 
   sc    keeps full program order and full reads-from.
   tso   drops write-to-read program-order pairs; only cross-thread
@@ -18,13 +21,14 @@ solver's search tables depend on nothing else.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections.abc import Collection
 from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import InvalidDpError, UnknownModelError
 from .events import INIT_THREAD, READ, WRITE, History
-from .graphs import EventGraph, find_cycle
+from .graphs import EventGraph, contracted, find_cycle
 
 
 KINDS = (WRITE, READ)
@@ -32,13 +36,14 @@ KINDS = (WRITE, READ)
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """A memory model name, its kept program order and auxiliary flags."""
+    """A memory model: its name and the program order it keeps.
+
+    `kept_po` holds the (earlier kind, later kind) pairs whose same-thread
+    program order the model keeps, or None when it keeps only the explicit
+    dependency edges.  The properties below are read from it.
+    """
 
     name: str
-    allows_llh: bool
-    requires_oota: bool
-    #: (earlier kind, later kind) pairs whose same-thread program order the
-    #: model keeps, or None when it keeps only the dependency edges.
     kept_po: frozenset[tuple[str, str]] | None
 
     @cached_property
@@ -51,34 +56,41 @@ class ModelSpec:
         return {b: tuple(sorted(a for a, c in kept if c == b)) for b in KINDS}
 
     @property
+    def allows_llh(self) -> bool:
+        """Whether two reads of one variable may be reordered (load-load
+        hazards): exactly when only the dependency edges are kept."""
+        return self.kept_po is None
+
+    @property
+    def requires_oota(self) -> bool:
+        """Whether the dependency/reads-from cycle test applies: exactly
+        when only the dependency edges are kept."""
+        return self.kept_po is None
+
+    @property
     def keeps_read_order(self) -> bool:
         """Whether both base graphs order two reads of one thread and
-        variable: the per-location graph unless load-load hazards are
-        allowed, the model graph when read-read program order is kept."""
-        return not self.allows_llh and READ in self.ahead[READ]
+        variable: whether read-read program order is kept, which rules
+        out load-load hazards as well."""
+        return READ in self.ahead[READ]
 
     @property
     def sees_internal_rf(self) -> bool:
         """Whether same-thread reads-from is visible in the model graph:
-        only under sc, which keeps the write-read order it would follow."""
-        return self.name == "sc"
+        whether the write-read program order it would follow is kept."""
+        return WRITE in self.ahead[READ]
 
 
 _READ_FIRST = frozenset({(READ, READ), (READ, WRITE)})
 
 MODELS: dict[str, ModelSpec] = {
-    "sc": ModelSpec(
-        "sc", allows_llh=False, requires_oota=False,
-        kept_po=_READ_FIRST | {(WRITE, READ), (WRITE, WRITE)},
-    ),
-    "tso": ModelSpec(
-        "tso", allows_llh=False, requires_oota=False,
-        kept_po=_READ_FIRST | {(WRITE, WRITE)},
-    ),
-    "pso": ModelSpec(
-        "pso", allows_llh=False, requires_oota=False, kept_po=_READ_FIRST
-    ),
-    "rmo": ModelSpec("rmo", allows_llh=True, requires_oota=True, kept_po=None),
+    spec.name: spec
+    for spec in (
+        ModelSpec("sc", _READ_FIRST | {(WRITE, READ), (WRITE, WRITE)}),
+        ModelSpec("tso", _READ_FIRST | {(WRITE, WRITE)}),
+        ModelSpec("pso", _READ_FIRST),
+        ModelSpec("rmo", None),
+    )
 }
 
 
@@ -148,6 +160,87 @@ def rf_external(h: History) -> frozenset[tuple[int, int]]:
                 (w, r) for r in h.readers_of(w) if events[r][1] != thread
             )
     return frozenset(pairs)
+
+
+def build_base_graphs(
+    h: History, derived: DerivedModel
+) -> tuple[EventGraph, EventGraph]:
+    """The two order-free graphs whose acyclicity anchors the recursion.
+
+    First the per-location graph (effective same-variable program order
+    plus reads-from), then the model graph (preserved program order plus
+    visible reads-from).  Each has the reachability between events, and
+    the cycles, of the graph of its full relations, on far fewer vertices
+    and edges:
+
+    - Reads-from edges that program order implies are left out, when the
+      derivation names its model and the model keeps read-read program
+      order (`keeps_read_order`), so that both graphs order two reads of
+      one thread and variable.  A write then needs an edge only to the
+      po-first read of each thread that it feeds, and none when it
+      precedes that read in program order: an initial write, or an
+      earlier write of the read's thread.  Each edge left out lies on a
+      path the graph keeps: both graphs order a thread's reads of one
+      variable, `po_loc_effective` (and `po_mm`, when the model keeps
+      write-read order) orders a write before the later events of its
+      thread on its variable and an initial write before every event on
+      its variable, and a model that drops write-read order sees no
+      same-thread or initial reads-from.  A same-thread read ahead of
+      its write keeps its edge, which closes a cycle.  Without a model,
+      or when read-read order is not kept, every edge is kept.
+    - Each read entered by exactly one edge joins the vertex of that
+      edge's source; `graphs.contracted` gives the rule and why it is
+      exact.
+    """
+    spec = derived.spec
+    if spec is not None and spec.keeps_read_order:
+        rf_loc, rf_mm = _first_reads(h, spec.sees_internal_rf)
+    else:
+        rf_loc, rf_mm = h.rf, derived.rf_mm
+    return (
+        contracted(h, derived.po_loc_effective, rf_loc),
+        contracted(h, derived.po_mm, rf_mm),
+    )
+
+
+def _first_reads(
+    h: History, internal: bool
+) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+    """The reads-from edges each base graph needs beyond program order.
+
+    For each program write and each thread it feeds, the edge to the
+    thread's first read of it, unless the write comes earlier in that
+    thread.  The model graph takes the same-thread ones only when
+    `internal` (its model sees same-thread reads-from).  A thread's
+    events hold consecutive ids in program order, and readers are sorted,
+    so one bisection skips the rest of each thread's reads.
+    """
+    events = h.events
+    loc: list[tuple[int, int]] = []
+    mm: list[tuple[int, int]] = []
+    for w in h.writes:
+        readers = h.readers_of(w)
+        if not readers:
+            continue
+        _, thread, pos, _, _, _, is_init = events[w]
+        if is_init:
+            continue
+        i, end = 0, len(readers)
+        while i < end:
+            r = readers[i]
+            _, t, p, _, _, _, _ = events[r]
+            if t != thread:
+                loc.append((w, r))
+                mm.append((w, r))
+            elif p < pos:
+                loc.append((w, r))
+                if internal:
+                    mm.append((w, r))
+            i += 1
+            if i < end:
+                last = r - p + len(h.thread_events(t)) - 1
+                i = bisect_right(readers, last, i)
+    return loc, mm
 
 
 def po_edges(h: History, spec: ModelSpec) -> list[tuple[int, int]]:

@@ -69,9 +69,7 @@ def _both_acyclic(
     )
 
 
-def oracle_total(
-    h: History, spec: ModelSpec, derived: DerivedModel | None = None
-) -> Verdict:
+def oracle_total(h: History, spec: ModelSpec) -> Verdict:
     """Decide consistency by trying every total write order.
 
     Permutations are generated in lexicographic order of write ids and the
@@ -83,7 +81,7 @@ def oracle_total(
         )
     if spec.requires_oota and oota_cycle(h) is not None:
         return Verdict(Outcome.INCONSISTENT)
-    dm = derived if derived is not None else derive(h, spec)
+    dm = derive(h, spec)
     for perm in itertools.permutations(h.writes):
         order_pairs = set()
         for i in range(len(perm)):
@@ -110,9 +108,7 @@ def iter_store_orders(h: History):
         yield StoreOrder(tuple(zip(variables, combo)))
 
 
-def oracle_store(
-    h: History, spec: ModelSpec, derived: DerivedModel | None = None
-) -> Verdict:
+def oracle_store(h: History, spec: ModelSpec) -> Verdict:
     """Decide validity by trying every per-variable store order.
 
     A passing store order is linearized (through the model graph it keeps
@@ -127,7 +123,7 @@ def oracle_store(
         )
     if spec.requires_oota and oota_cycle(h) is not None:
         return Verdict(Outcome.INCONSISTENT)
-    dm = derived if derived is not None else derive(h, spec)
+    dm = derive(h, spec)
     for so in iter_store_orders(h):
         ww = so.pairs()
         if _both_acyclic(h, dm, ww):

@@ -2,22 +2,32 @@
 
 The simulators execute random programs under machine models of sc, tso,
 and pso with seeded uniform scheduling and emit the observed history,
-which is consistent under the generating model by construction.  tso
-gives each thread one FIFO store buffer, pso one FIFO per variable;
-reads prefer the newest buffered own-thread write (early read) over
-memory.  Mutation rewires one read to a different same-variable writer,
-manufacturing candidate-inconsistent histories.
+which is consistent under the generating model by construction.  The
+three machines differ only in their FIFO store buffers, one row each of
+`SIMULATED_MODELS`: none under sc, one per thread under tso, one per
+thread and variable under pso.  Reads prefer the newest buffered
+own-thread write (early read) over memory.  Mutation rewires one read to
+a different same-variable writer, manufacturing candidate-inconsistent
+histories.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import NoAlternativeWriterError, UnknownModelError
 from .events import INIT_THREAD, History, assemble_history
 
-SIMULATED_MODELS = ("sc", "tso", "pso")
+#: Each simulated machine's store buffers, as the key of the FIFO that a
+#: thread's write to a variable queues in; sc has none and writes straight
+#: to memory.  tso is the x86-TSO machine of Sewell et al. (CACM 2010),
+#: one FIFO per thread; pso keeps one FIFO per thread and variable.
+SIMULATED_MODELS = {
+    "sc": None,
+    "tso": lambda var: None,
+    "pso": lambda var: var,
+}
 
 
 @dataclass(frozen=True)
@@ -60,24 +70,15 @@ def generate_program(
     return RandomProgram(tuple(blocks), var_names, seed)
 
 
-@dataclass
-class MachineState:
-    """Mutable execution state of one simulation run."""
-
-    memory: dict[str, int]
-    tso_buffers: list[list[tuple[str, int]]]
-    pso_buffers: list[dict[str, list[int]]]
-    pcs: list[int]
-    rng: random.Random = field(repr=False, default_factory=random.Random)
-
-
 def simulate(prog: RandomProgram, model: str, seed: int) -> History:
     """Execute `prog` under `model` with seeded scheduling.
 
     Every step uniformly picks an enabled action: advance some thread by
-    one instruction, or flush the oldest eligible buffered write of some
-    thread (per variable for pso).  Reads-from is recorded from the values
-    actually observed.  Deterministic in (prog, model, seed).
+    one instruction, or flush the oldest write of one of its non-empty
+    store buffers to memory.  The actions are listed thread by thread,
+    each thread's step first, then its buffers in the order of their
+    variables in `prog`.  Reads-from is recorded from the values actually
+    observed.  Deterministic in (prog, model, seed).
     """
     model = model.lower()
     if model not in SIMULATED_MODELS:
@@ -85,71 +86,59 @@ def simulate(prog: RandomProgram, model: str, seed: int) -> History:
             f"no operational machine for {model!r}; "
             f"expected one of {', '.join(SIMULATED_MODELS)}"
         )
+    buffer_of = SIMULATED_MODELS[model]
     used_vars = prog.used_vars()
-    nthreads = len(prog.threads)
-    state = MachineState(
-        memory={v: 0 for v in used_vars},
-        tso_buffers=[[] for _ in range(nthreads)],
-        pso_buffers=[{v: [] for v in used_vars} for _ in range(nthreads)],
-        pcs=[0] * nthreads,
-        rng=random.Random(seed),
-    )
+    threads = prog.threads
+    nthreads = len(threads)
+    rng = random.Random(seed)
+    memory = {v: 0 for v in used_vars}
+    # Each thread's FIFOs of buffered (var, val) writes, by key.
+    buffers = [
+        {buffer_of(v): [] for v in used_vars} if buffer_of else {}
+        for _ in range(nthreads)
+    ]
+    pcs = [0] * nthreads
+    steps_left = sum(map(len, threads))
 
     names = [f"T{t}" for t in range(nthreads)]
     writer_ref = {(v, 0): (INIT_THREAD, i) for i, v in enumerate(used_vars)}
     out_events: list[list[tuple[str, str, int]]] = [[] for _ in range(nthreads)]
     rf_refs: list[tuple[tuple[str, int], tuple[str, int]]] = []
 
-    def enabled_actions():
-        acts = []
+    while steps_left:
+        # (thread, None) steps the thread; (thread, fifo) flushes the fifo.
+        actions = []
         for t in range(nthreads):
-            if state.pcs[t] < len(prog.threads[t]):
-                acts.append(("step", t, None))
-            if model == "tso" and state.tso_buffers[t]:
-                acts.append(("flush", t, None))
-            elif model == "pso":
-                for v in used_vars:
-                    if state.pso_buffers[t][v]:
-                        acts.append(("flush", t, v))
-        return acts
-
-    def read_value(t: int, var: str) -> int:
-        if model == "tso":
-            for bvar, bval in reversed(state.tso_buffers[t]):
-                if bvar == var:
-                    return bval
-        elif model == "pso":
-            buf = state.pso_buffers[t][var]
-            if buf:
-                return buf[-1]
-        return state.memory[var]
-
-    while any(state.pcs[t] < len(prog.threads[t]) for t in range(nthreads)):
-        kind, t, fvar = state.rng.choice(enabled_actions())
-        if kind == "flush":
-            if model == "tso":
-                var, val = state.tso_buffers[t].pop(0)
-            else:
-                var = fvar
-                val = state.pso_buffers[t][var].pop(0)
-            state.memory[var] = val
+            if pcs[t] < len(threads[t]):
+                actions.append((t, None))
+            for fifo in buffers[t].values():
+                if fifo:
+                    actions.append((t, fifo))
+        t, fifo = rng.choice(actions)
+        if fifo is not None:
+            var, val = fifo.pop(0)
+            memory[var] = val
             continue
-        instr = prog.threads[t][state.pcs[t]]
-        state.pcs[t] += 1
+        instr = threads[t][pcs[t]]
+        pcs[t] += 1
+        steps_left -= 1
         pos = len(out_events[t])
+        var = instr[1]
         if instr[0] == "wr":
-            _, var, val = instr
+            val = instr[2]
             writer_ref[(var, val)] = (names[t], pos)
-            if model == "sc":
-                state.memory[var] = val
-            elif model == "tso":
-                state.tso_buffers[t].append((var, val))
+            if buffer_of:
+                buffers[t][buffer_of(var)].append((var, val))
             else:
-                state.pso_buffers[t][var].append(val)
+                memory[var] = val
             out_events[t].append(("wr", var, val))
         else:
-            _, var = instr
-            val = read_value(t, var)
+            val = memory[var]
+            if buffer_of:
+                for bvar, bval in reversed(buffers[t][buffer_of(var)]):
+                    if bvar == var:
+                        val = bval
+                        break
             rf_refs.append((writer_ref[(var, val)], (names[t], pos)))
             out_events[t].append(("rd", var, val))
 

@@ -46,14 +46,14 @@ from .errors import (
     NotAPermutationError,
 )
 from .events import History
-from .graphs import (
-    EventGraph,
+from .graphs import EventGraph, conflict_edges, find_cycle, kahn_acyclic
+from .models import (
+    DerivedModel,
+    ModelSpec,
     build_base_graphs,
-    conflict_edges,
-    find_cycle,
-    kahn_acyclic,
+    derive,
+    oota_cycle,
 )
-from .models import DerivedModel, ModelSpec, derive, oota_cycle
 
 DEFAULT_MAX_K = 30
 

@@ -18,13 +18,8 @@ from typing import Iterable
 
 from mmcheck import History, derive, oota_cycle
 from mmcheck.errors import MmcheckError
-from mmcheck.graphs import (
-    EventGraph,
-    build_base_graphs,
-    conflict_edges,
-    kahn_acyclic,
-)
-from mmcheck.models import DerivedModel
+from mmcheck.graphs import EventGraph, conflict_edges, kahn_acyclic
+from mmcheck.models import DerivedModel, build_base_graphs
 
 
 class PreconditionViolatedError(MmcheckError):

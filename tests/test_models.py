@@ -25,6 +25,8 @@ def test_model_registry_flags():
         expected = name == "rmo"
         assert spec.allows_llh is expected
         assert spec.requires_oota is expected
+        assert spec.keeps_read_order is (name != "rmo")
+        assert spec.sees_internal_rf is (name == "sc")
 
 
 def test_get_model_case_insensitive():

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from mmcheck import (
@@ -145,3 +147,62 @@ def test_mutated_sb_sometimes_sc_inconsistent():
         if not solve(m, sc).consistent:
             hits += 1
     assert hits >= 1
+
+
+#: (label, program) pairs for the simulator golden file: generated shapes,
+#: the empty program, and two fixed programs whose pso runs buffer writes
+#: to two variables at once.
+GOLDEN_PROGRAMS = (
+    ("no threads", generate_program(0, 3, 2, seed=1)),
+    ("1x4, 1 var", generate_program(1, 4, 1, seed=2)),
+    ("2x3, 2 vars", generate_program(2, 3, 2, seed=3)),
+    ("3x4, 2 vars, 4 writes", generate_program(3, 4, 2, seed=4, max_writes=4)),
+    ("4x6, 3 vars", generate_program(4, 6, 3, seed=5)),
+    ("3x16, 3 vars, 8 writes", generate_program(3, 16, 3, seed=9, max_writes=8)),
+    ("message passing", RandomProgram(
+        (
+            (("wr", "x0", 1), ("wr", "x1", 1), ("wr", "x0", 2), ("wr", "x1", 2)),
+            (("rd", "x1"), ("rd", "x0"), ("rd", "x1"), ("rd", "x0")),
+        ),
+        ("x0", "x1"),
+        seed=0,
+    )),
+    ("store buffering", RandomProgram(
+        (
+            (("wr", "x0", 1), ("rd", "x1")),
+            (("wr", "x1", 1), ("rd", "x0")),
+        ),
+        ("x0", "x1"),
+        seed=0,
+    )),
+)
+GOLDEN_SEEDS = (0, 1, 2, 6, 7)
+
+
+def simulate_report() -> str:
+    """`simulate` under sc, tso and pso on `GOLDEN_PROGRAMS`, each run a
+    header line and its history with explicit reads-from."""
+    parts = []
+    for label, prog in GOLDEN_PROGRAMS:
+        for model in ("sc", "tso", "pso"):
+            for seed in GOLDEN_SEEDS:
+                h = simulate(prog, model, seed=seed)
+                parts.append(f"# {label}, {model}, seed {seed}\n")
+                parts.append(format_history(h, explicit_rf=True))
+    return "".join(parts)
+
+
+def test_simulate_output_matches_golden_file():
+    golden = Path(__file__).with_name("simulate_golden.txt")
+    assert simulate_report() == golden.read_text()
+
+
+def test_golden_pso_runs_reorder_writes_to_two_variables():
+    # some pso run of the message-passing program reads x1's new value
+    # and then x0's old one, which no single-FIFO (tso) machine produces
+    prog = dict(GOLDEN_PROGRAMS)["message passing"]
+    tso = get_model("tso")
+    assert any(
+        not solve(simulate(prog, "pso", seed=seed), tso).consistent
+        for seed in GOLDEN_SEEDS
+    )

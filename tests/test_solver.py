@@ -270,7 +270,8 @@ def test_matches_reference_search_exactly(small_corpus):
 
 def _production_memo(h, spec):
     # re-run the production search and capture its memo
-    from mmcheck.graphs import build_base_graphs, kahn_acyclic
+    from mmcheck.graphs import kahn_acyclic
+    from mmcheck.models import build_base_graphs
     from mmcheck.solver import SolveStats, _search, _write_tables
 
     dm = derive(h, spec)
