@@ -101,9 +101,9 @@ def _emit_report(report: CheckReport) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
+    start = time.perf_counter()
     h = parse_history(_read_text(args.trace))
     spec = get_model(args.model)
-    start = time.perf_counter()
     verdict = solve(h, spec, max_k=args.max_k)
     elapsed = (time.perf_counter() - start) * 1000.0
     return _emit_report(
@@ -112,10 +112,10 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
+    start = time.perf_counter()
     h = parse_history(_read_text(args.trace))
     spec = get_model(args.model)
     decider = oracle_total if args.oracle_mode == "total" else oracle_store
-    start = time.perf_counter()
     verdict = decider(h, spec)
     elapsed = (time.perf_counter() - start) * 1000.0
     return _emit_report(

@@ -134,12 +134,12 @@ def conflict_edges(
     it must come first.  With `vertex_of`, the edges join the vertices it
     maps the events to.
     """
-    events = h.events
+    access = h.access
     vertex = range(h.n) if vertex_of is None else vertex_of
     return {
         (vertex[r], vertex[wb])
         for wa, wb in order_pairs
-        if events[wa].var == events[wb].var
+        if access[wa][1] == access[wb][1]
         for r in h.readers_of(wa)
     }
 
@@ -169,7 +169,7 @@ def contracted(
     """
     writes = h.writes
     n = len(writes)
-    entries = [0] * len(h.events)
+    entries = [0] * h.n
     source = list(entries)
     vertex_of = [-1] * len(entries)
     for edges in edge_lists:

@@ -151,13 +151,13 @@ def rf_external(h: History) -> frozenset[tuple[int, int]]:
     because initial writes precede everything in program order: kept are
     the pairs of a non-initial write and a read on another thread.
     """
-    events = h.events
+    thread_of = h.thread_of
     pairs: list[tuple[int, int]] = []
     for w in h.writes:
-        _, thread, _, _, _, _, is_init = events[w]
-        if not is_init:
+        thread = thread_of[w]
+        if thread != INIT_THREAD:
             pairs.extend(
-                (w, r) for r in h.readers_of(w) if events[r][1] != thread
+                (w, r) for r in h.readers_of(w) if thread_of[r] != thread
             )
     return frozenset(pairs)
 
@@ -215,31 +215,28 @@ def _first_reads(
     events hold consecutive ids in program order, and readers are sorted,
     so one bisection skips the rest of each thread's reads.
     """
-    events = h.events
+    thread_of = h.thread_of
     loc: list[tuple[int, int]] = []
     mm: list[tuple[int, int]] = []
     for w in h.writes:
         readers = h.readers_of(w)
-        if not readers:
-            continue
-        _, thread, pos, _, _, _, is_init = events[w]
-        if is_init:
+        thread = thread_of[w]
+        if not readers or thread == INIT_THREAD:
             continue
         i, end = 0, len(readers)
         while i < end:
             r = readers[i]
-            _, t, p, _, _, _, _ = events[r]
+            t = thread_of[r]
             if t != thread:
                 loc.append((w, r))
                 mm.append((w, r))
-            elif p < pos:
+            elif r < w:
                 loc.append((w, r))
                 if internal:
                     mm.append((w, r))
             i += 1
             if i < end:
-                last = r - p + len(h.thread_events(t)) - 1
-                i = bisect_right(readers, last, i)
+                i = bisect_right(readers, h.thread_events(t)[-1], i)
     return loc, mm
 
 
@@ -255,7 +252,7 @@ def po_edges(h: History, spec: ModelSpec) -> list[tuple[int, int]]:
     the kinds a model keeps behind a write are kept behind each other.
     """
     ahead = spec.ahead
-    events = h.events
+    access = h.access
     inits = h.thread_events(INIT_THREAD)
     edges: list[tuple[int, int]] = []
     if len(spec.kept_po) == len(KINDS) ** 2:  # every pair is kept
@@ -269,7 +266,7 @@ def po_edges(h: History, spec: ModelSpec) -> list[tuple[int, int]]:
         last: dict[str, int] = {}
         inits_pending = True
         for b in h.thread_events(t):
-            kind = events[b][3]
+            kind = access[b][0]
             for earlier in ahead[kind]:
                 a = last.get(earlier)
                 if a is not None:
@@ -292,14 +289,14 @@ def po_loc(h: History, llh: bool = False) -> list[tuple[int, int]]:
     write.  A read-read pair with a write between stays in the closure,
     as it does in the closure of the pair set.
     """
-    events = h.events
-    init_of = {events[i][4]: i for i in h.thread_events(INIT_THREAD)}
+    access = h.access
+    init_of = {access[i][1]: i for i in h.thread_events(INIT_THREAD)}
     edges: list[tuple[int, int]] = []
     for t in h.threads:
         last = dict(init_of)
         reads_since: dict[str, list[int]] = {}
         for b in h.thread_events(t):
-            _, _, _, kind, var, _, _ = events[b]
+            kind, var, _ = access[b]
             a = last.get(var)
             if a is not None:
                 edges.append((a, b))
@@ -321,10 +318,9 @@ def derive(h: History, spec: ModelSpec) -> DerivedModel:
     relation must be read-sourced and lie inside program order; histories
     built by this package guarantee that, but it is re-checked here.
     """
-    events = h.events
     if spec.kept_po is None:
         for a, b in h.dp:
-            if not events[a].is_read or not h.po_before(a, b):
+            if h.access[a][0] != READ or not h.po_before(a, b):
                 raise InvalidDpError(
                     f"dp edge {h.ref(a)} -> {h.ref(b)} is not a read-sourced "
                     "program-order edge"

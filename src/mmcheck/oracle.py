@@ -47,10 +47,10 @@ def _from_read_edges(
     # read saw a value a later write overwrites, so the read precedes it.
     # A deliberate duplicate of `graphs.conflict_edges`, kept so that the
     # oracles share no decision code with the solver.
-    events = h.events
+    access = h.access
     out = set()
     for wa, wb in order_pairs:
-        if events[wa].var != events[wb].var:
+        if access[wa][1] != access[wb][1]:
             continue
         for r in h.readers_of(wa):
             out.add((r, wb))

@@ -157,33 +157,29 @@ def mutate(h: History, seed: int) -> History:
     reads-from relation.
     """
     rng = random.Random(seed)
+    access = h.access
     candidates = [
-        rid for rid in h.reads if len(h.writes_on(h.events[rid].var)) >= 2
+        rid for rid in h.reads if len(h.writes_on(access[rid][1])) >= 2
     ]
     if not candidates:
         raise NoAlternativeWriterError(
             "every read's variable has a single writer"
         )
     rid = rng.choice(candidates)
-    read = h.events[rid]
+    kind, var, _ = access[rid]
     current = h.rf_source(rid)
-    new_writer = rng.choice(
-        [w for w in h.writes_on(read.var) if w != current]
-    )
-    new_val = h.events[new_writer].val
+    new_writer = rng.choice([w for w in h.writes_on(var) if w != current])
+    rewired = {rid: (kind, var, access[new_writer][2])}
 
     init = [(e.var, e.val) for e in h.init_events]
-    threads = []
-    for t in h.threads:
-        block = []
-        for eid in h.thread_events(t):
-            e = h.events[eid]
-            val = new_val if eid == rid else e.val
-            block.append((e.kind, e.var, val))
-        threads.append((t, block))
+    threads = [
+        (t, [rewired.get(eid, access[eid]) for eid in h.thread_events(t)])
+        for t in h.threads
+    ]
 
     def ref(eid: int) -> tuple[str, int]:
-        return h.events[eid].thread, h.events[eid].pos
+        thread = h.thread_of[eid]
+        return thread, eid - h.thread_events(thread)[0]
 
     rf_refs = []
     for w, r in sorted(h.rf, key=lambda p: p[1]):

@@ -177,18 +177,19 @@ def _write_tables(
     Each graph takes one pass over 2k-bit tags in reverse topological
     order (any such order gives the same reach): write i carries bit i,
     and a read sourced by write i carries bit k + i.  Tags go to the
-    events' vertices (`vertex_of`) and are OR-ed there; on a contracted
-    base graph a write reaches a vertex exactly when it reaches the
-    vertex's events.  Reach starts from the vertex's own tag, so write
-    j's holds bit j, which `blocks` drops.
+    events' vertices (`vertex_of`), once per distinct vertex, and are
+    OR-ed there; on a contracted base graph a write reaches a vertex
+    exactly when it reaches the vertex's events, and most of a write's
+    readers share one vertex.  Reach starts from the vertex's own tag,
+    so write j's holds bit j, which `blocks` drops.
     """
     k = h.k
     writes = h.writes
     var_writes: dict[str, int] = {}
     for j, w in enumerate(writes):
-        var = h.events[w].var
+        var = h.access[w][1]
         var_writes[var] = var_writes.get(var, 0) | (1 << j)
-    varmask = [var_writes[h.events[w].var] for w in writes]
+    varmask = [var_writes[h.access[w][1]] for w in writes]
     readers = [h.readers_of(w) for w in writes]
     reach_of = [0] * k
     for g, topo in bases:
@@ -198,8 +199,8 @@ def _write_tables(
         for j, w in enumerate(writes):
             reach[vertex_of[w]] |= 1 << j
             bit = 1 << (k + j)
-            for r in readers[j]:
-                reach[vertex_of[r]] |= bit
+            for v in {vertex_of[r] for r in readers[j]}:
+                reach[v] |= bit
         for u in reversed(topo):
             m = reach[u]
             for v in adj[u]:
@@ -396,7 +397,7 @@ def verify_witness(
     next_on_var: list[tuple[int, int]] = []
     last_on: dict[str, int] = {}
     for w in tw:
-        var = h.events[w].var
+        var = h.access[w][1]
         if var in last_on:
             next_on_var.append((last_on[var], w))
         last_on[var] = w

@@ -14,6 +14,13 @@ Line-oriented, UTF-8, `#` starts a comment.  A document looks like::
 
 Event references are `<thread>:<0-based position>`; initial writes live
 on the virtual thread `init`, positions in declaration order.
+
+A trace with k writes holds at most k distinct write lines, and a
+variable's reads see only its written values, so a long trace repeats a
+few distinct access lines many times.  The parser keeps each access
+line's `(kind, var, value)` tuple by its raw text: a repeated line costs
+one dict lookup, and equal lines share one tuple in the history's
+access column (see `events`).
 """
 
 from __future__ import annotations
@@ -61,19 +68,27 @@ def parse_history(text: str) -> History:
     dp_lines: list[tuple[tuple[str, int], tuple[str, int]]] = []
     current: list[tuple[str, str, int]] | None = None
     seen_init = False
+    parsed: dict[str, tuple[str, str, int]] = {}
 
+    # A line seen before as an access line is looked up by its raw text;
+    # its first occurrence raised nothing and found a thread block open.
     # Access lines, the common case, cannot start with `init:`, so they are
     # tried first.  A value under 20 digits is below 2^64: no range check.
     for lineno, raw in enumerate(text.splitlines(), start=1):
+        access = parsed.get(raw)
+        if access is not None:
+            current.append(access)
+            continue
         line = (raw.split("#", 1)[0] if "#" in raw else raw).strip()
         m = _ACCESS_RE.fullmatch(line)
         if m:
             if current is None:
                 raise TraceSyntaxError("access outside a thread block", lineno)
             kind, var, val = m.groups()
-            current.append(
-                (kind, var, int(val) if len(val) < 20 else _int(val, lineno))
+            parsed[raw] = access = (
+                kind, var, int(val) if len(val) < 20 else _int(val, lineno)
             )
+            current.append(access)
             continue
         if not line:
             continue
@@ -125,11 +140,10 @@ def format_history(h: History, explicit_rf: bool = False) -> str:
     inits = h.init_events
     if inits:
         lines.append("init: " + " ".join(f"{e.var}={e.val}" for e in inits))
+    access = h.access
     for t in h.threads:
         lines.append(f"thread {t}")
-        for eid in h.thread_events(t):
-            e = h.events[eid]
-            lines.append(f"{e.kind} {e.var} {e.val}")
+        lines.extend("%s %s %s" % access[i] for i in h.thread_events(t))
     if explicit_rf:
         for w, r in sorted(h.rf, key=lambda p: p[1]):
             lines.append(f"rf {h.ref(w)} -> {h.ref(r)}")

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import time
 from pathlib import Path
 
 import pytest
@@ -102,6 +103,22 @@ def test_k_beyond_recursion_limit_is_checked(capsys, tmp_path):
     )
     assert code == 0 and err == ""
     assert "verdict: consistent" in out
+
+
+@pytest.mark.parametrize("command", ["check", "oracle"])
+def test_elapsed_ms_covers_parsing(capsys, sb_path, monkeypatch, command):
+    # `--stats` times the run from trace text to verdict
+    def slow_parse(text):
+        time.sleep(0.06)
+        return parse_history(text)
+
+    monkeypatch.setattr("mmcheck.cli.parse_history", slow_parse)
+    code, out, _ = run(
+        capsys, command, sb_path, "--model", "tso", "--stats"
+    )
+    assert code == 0
+    (line,) = [l for l in out.splitlines() if l.startswith("elapsed_ms: ")]
+    assert float(line.split()[1]) >= 50
 
 
 def test_witness_line_format(capsys, sb_path):

@@ -2,11 +2,21 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mmcheck import assemble_history, parse_history, format_history
+from mmcheck import (
+    assemble_history,
+    format_history,
+    generate_program,
+    get_model,
+    parse_history,
+    simulate,
+    solve,
+)
 from mmcheck.errors import (
     AmbiguousRfError,
     DanglingRefError,
@@ -258,3 +268,104 @@ def test_parser_raises_only_package_errors(text):
         parse_history(text)
     except MmcheckError:
         pass
+
+
+# Repeated access lines: the parser keeps each line's parsed access by its
+# raw text, so these pin that a repeat behaves as its first occurrence.
+
+
+def test_repeated_access_line_before_any_thread():
+    with pytest.raises(TraceSyntaxError) as exc:
+        parse_history("# header\nwr x 1\nwr x 1\nthread T0\n")
+    assert exc.value.lineno == 2
+    assert "access outside a thread block" in str(exc.value)
+
+
+def test_repeated_write_line_names_both_refs():
+    with pytest.raises(DuplicateValueError) as exc:
+        parse_history("thread T0\nwr x 1\nrd x 1\nthread T1\nwr x 1\n")
+    assert "T0:0" in str(exc.value) and "T1:0" in str(exc.value)
+
+
+def test_repeated_out_of_range_value_raises_at_first_line():
+    line = f"rd x {2**64}\n"
+    with pytest.raises(TraceSyntaxError) as exc:
+        parse_history("thread T0\nwr x 1\n" + line + line)
+    assert exc.value.lineno == 3
+
+
+def test_access_spellings_parse_alike():
+    plain = "init: x=0\nthread T0\nwr x 1\nrd x 0\nthread T1\nrd x 1\nrd x 1\n"
+    h = parse_history(plain)
+    for text in (
+        plain.replace("rd x 1\n", "rd   x\t1  \n", 1),
+        plain.replace("rd x 1\n", "rd x 1  # seen\n", 1),
+        plain.replace("\n", "\r\n"),
+    ):
+        other = parse_history(text)
+        assert other.events == h.events
+        assert other.rf == h.rf and other.dp == h.dp
+
+
+_ACCESS_LINE = re.compile(r"(wr|rd)\s+([A-Za-z_][A-Za-z0-9_]*)\s+(\d+)\s*")
+# The documents open with `init: x=0 y=0` and a thread writing x=1 and
+# y=2; reads of those values, spelled several ways, are drawn most often,
+# and a repeated write or an unmatched read makes an invalid document.
+_PREFIX = "init: x=0 y=0\nthread W\nwr x 1\nwr y 2\n"
+_READS = [
+    "rd x 0", "rd x 1", "rd  x 1", "rd x 1 # again", "rd y 0", "rd y 2",
+    "rd y\t2",
+]
+_POOL = _READS * 4 + ["wr x 3", "rd x 3", "wr x 1", "rd y 5"]
+
+
+def _reference_parse(text):
+    """Each line matched on its own: the parse the line memo must match."""
+    threads = []
+    for raw in text.splitlines()[1:]:  # past the init line
+        line = raw.split("#", 1)[0].strip()
+        if line.startswith("thread "):
+            threads.append((line.split()[1], []))
+        elif line:
+            kind, var, val = _ACCESS_LINE.fullmatch(line).groups()
+            threads[-1][1].append((kind, var, int(val)))
+    return assemble_history(init=[("x", 0), ("y", 0)], threads=threads)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.lists(st.sampled_from(_POOL), max_size=12), min_size=1, max_size=4
+    )
+)
+def test_repeated_lines_parse_as_each_line_alone(blocks):
+    text = _PREFIX + "".join(
+        f"thread T{t}\n" + "".join(line + "\n" for line in block)
+        for t, block in enumerate(blocks)
+    )
+    try:
+        expected = _reference_parse(text)
+    except MmcheckError as exc:
+        with pytest.raises(type(exc)) as got:
+            parse_history(text)
+        assert str(got.value) == str(exc)
+        return
+    h = parse_history(text)
+    assert h.events == expected.events
+    assert h.rf == expected.rf and h.dp == expected.dp
+    _assert_indexes_match_definitions(h)
+
+
+@pytest.mark.parametrize("model", ["sc", "tso", "pso", "rmo"])
+def test_solve_builds_no_event_records(model):
+    # the solver reads the access and thread columns only; the `Event`
+    # view stays unbuilt through a consistent check of a long trace (rmo
+    # has no simulator and checks the tso trace, which it allows)
+    prog = generate_program(4, 150, 5, seed=91, max_writes=10)
+    simulated = simulate(prog, "tso" if model == "rmo" else model, seed=92)
+    h = parse_history(format_history(simulated))
+    assert h.n == 605 and h.k == 15
+    assert solve(h, get_model(model)).consistent
+    assert len(h.init_events) == 5
+    assert h._events is None
+    assert h.events[0].is_init and h._events is not None
