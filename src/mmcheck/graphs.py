@@ -4,7 +4,7 @@ All consistency questions in this package reduce to the acyclicity of
 graphs over event ids built from unions of edge lists.  This module holds
 the graph container, one Kahn peel that both sorts a graph and isolates
 its cycles, and the contraction that builds a graph on the events that
-branch.  It takes edge lists and knows no memory model; which edges a
+branch from full edge lists.  It knows no memory model; which edges a
 model's graphs hold is decided in `models`.  The peel is FIFO, so its
 order is deterministic; nothing depends on which topological order it
 returns.
@@ -24,12 +24,19 @@ class EventGraph:
     `EventGraph(n, *edge_lists)` holds the union of the edge lists over one
     vertex per event.  Edges are not deduplicated.  Kahn's algorithm,
     cycle extraction and reachability give the same answers with or
-    without duplicate edges.  `vertex_of` maps each event to its vertex:
-    the identity here, many-to-one on the graphs that `contracted`
-    builds.  Consumers place events through it.
+    without duplicate edges.
+
+    A base graph also places a history's writes and their reads, for the
+    solver's tables and its witness re-check.  `write_vertex[j]` is the
+    vertex of write `h.writes[j]`.  `tag_sites[j]` holds vertices of
+    reads sourced by write j, such that each read sourced by j that has an
+    in-edge reaches one of them.  So an event reaches some read of j
+    exactly when it reaches a tag site, and a read-to-write edge from a
+    read of j that lies on a cycle is implied by the same edge from a tag
+    site.  Both are empty on a graph built from edge lists alone.
     """
 
-    __slots__ = ("n", "adj", "in_degree", "vertex_of")
+    __slots__ = ("n", "adj", "in_degree", "write_vertex", "tag_sites")
 
     def __init__(self, n: int, *edge_lists: Iterable[tuple[int, int]]):
         self.n = n
@@ -41,7 +48,8 @@ class EventGraph:
                 degree[v] += 1
         self.adj = adj
         self.in_degree = degree
-        self.vertex_of: Sequence[int] = range(n)
+        self.write_vertex: Sequence[int] = ()
+        self.tag_sites: Sequence[Sequence[int]] = ()
 
     def extended(self, *edge_lists: Iterable[tuple[int, int]]) -> EventGraph:
         """A new graph with the edge lists, over vertices, added; it shares
@@ -54,7 +62,7 @@ class EventGraph:
                 degree[v] += 1
         g = EventGraph.__new__(EventGraph)
         g.n, g.adj, g.in_degree = self.n, adj, degree
-        g.vertex_of = self.vertex_of
+        g.write_vertex, g.tag_sites = self.write_vertex, self.tag_sites
         return g
 
 
@@ -122,28 +130,6 @@ def find_cycle(g: EventGraph) -> list[int] | None:
         path.append(cur)
 
 
-def conflict_edges(
-    h: History,
-    order_pairs: Iterable[tuple[int, int]],
-    vertex_of: Sequence[int] | None = None,
-) -> set[tuple[int, int]]:
-    """Read-to-write edges induced by a write order.
-
-    For each same-variable order pair (w', w), every read sourced by w'
-    gains an edge to w: the read observed a value that `w` overwrites, so
-    it must come first.  With `vertex_of`, the edges join the vertices it
-    maps the events to.
-    """
-    access = h.access
-    vertex = range(h.n) if vertex_of is None else vertex_of
-    return {
-        (vertex[r], vertex[wb])
-        for wa, wb in order_pairs
-        if access[wa][1] == access[wb][1]
-        for r in h.readers_of(wa)
-    }
-
-
 def contracted(
     h: History, *edge_lists: Collection[tuple[int, int]]
 ) -> EventGraph:
@@ -166,6 +152,7 @@ def contracted(
     cycle keeps at least one edge that is not a merge edge (those form a
     forest), so cycles stay cycles.  The witness re-check adds no edge
     into a read: order edges join writes, and conflict edges leave reads.
+    Each write's tag sites are the vertices of all its reads.
     """
     writes = h.writes
     n = len(writes)
@@ -179,13 +166,19 @@ def contracted(
     for j, w in enumerate(writes):
         vertex_of[w] = j
         entries[w] = 0
+    sites: list[list[int]] = [[] for _ in writes]
+    writer = h.rf_source
     for r in h.reads:
         if entries[r] == 1 and vertex_of[source[r]] >= 0:
-            vertex_of[r] = vertex_of[source[r]]
+            v = vertex_of[source[r]]
         else:
             entries[r] = 0
-            vertex_of[r] = n
+            v = n
             n += 1
+        vertex_of[r] = v
+        s = sites[vertex_of[writer(r)]]
+        if not s or s[-1] != v:
+            s.append(v)
     adj: list[list[int]] = [[] for _ in repeat(None, n)]
     degree = [0] * n
     for edges in edge_lists:
@@ -196,5 +189,6 @@ def contracted(
                 degree[b] += 1
     g = EventGraph.__new__(EventGraph)
     g.n, g.adj, g.in_degree = n, adj, degree
-    g.vertex_of = vertex_of
+    g.write_vertex = range(len(writes))
+    g.tag_sites = sites
     return g

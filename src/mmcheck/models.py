@@ -14,15 +14,20 @@ base graphs need.  The four supported models:
   rmo   keeps only the explicit dependency edges, permits load-load
         hazards, and requires the dependency/reads-from cycle test.
 
-Derived program order is emitted as edge lists of size O(n) whose
-transitive closure is the kept pair set; acyclicity, reachability and the
-solver's search tables depend on nothing else.
+A derivation (`DerivedModel`) gives the model's relations as edge lists
+of size O(n) whose transitive closures are the kept pair sets.  They are
+built on first access, for the cyclic-graph diagnostic, the oracles,
+rmo and the tests.  Under sc, tso and pso the solver does not read them:
+`build_base_graphs` builds its two graphs straight from the history's
+columns and each write's sorted readers, at a cost that grows with the
+writes and threads and only logarithmically with the events (see its
+docstring).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections.abc import Collection
+from collections.abc import Collection, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -54,6 +59,23 @@ class ModelSpec:
         """
         kept = self.kept_po or frozenset()
         return {b: tuple(sorted(a for a, c in kept if c == b)) for b in KINDS}
+
+    @cached_property
+    def links(self) -> dict[str, tuple[str, tuple[str, ...], bool]]:
+        """For each kind: the slot an event of that kind fills, the slots
+        whose last earlier event it follows, and whether it is kept
+        behind a write.
+
+        A model that keeps every pair has one slot, so each event follows
+        the one before it.  Otherwise each kind is a slot, and an event
+        follows the last earlier event of each kind kept ahead of it.
+        """
+        if len(self.kept_po or ()) == len(KINDS) ** 2:
+            return {kind: ("", ("",), True) for kind in KINDS}
+        return {
+            kind: (kind, self.ahead[kind], WRITE in self.ahead[kind])
+            for kind in KINDS
+        }
 
     @property
     def allows_llh(self) -> bool:
@@ -109,31 +131,42 @@ class DerivedModel:
 
     `po_mm` and `po_loc_effective` are edge lists: their transitive
     closures, not the lists themselves, are the preserved program order
-    and the effective same-variable program order.  `rf_mm`, the visible
-    reads-from, is built from `history` on first access unless given; the
-    solver reads it only under rmo and to report a cyclic model graph.
-    `spec` is the model the relations were derived for.  Built without
-    one, and then with `rf_mm`, as the test-side reference derivation
-    builds it, `build_base_graphs` keeps every reads-from edge instead of
-    thinning them by the model's program order.
+    and the effective same-variable program order.  `rf_mm` is the
+    visible reads-from.  Each is built from `history` and `spec` on first
+    access unless given.  `spec` is the model the relations were derived
+    for.  Built without one, and then with all three relations, as the
+    test-side reference derivation builds it, `build_base_graphs` takes
+    the graphs of the given relations instead of reading the columns.
     """
 
-    __slots__ = ("po_mm", "po_loc_effective", "spec", "history", "_rf_mm")
+    __slots__ = ("spec", "history", "_po_mm", "_po_loc", "_rf_mm")
 
     def __init__(
         self,
         *,
-        po_mm: Collection[tuple[int, int]],
-        po_loc_effective: Collection[tuple[int, int]],
+        po_mm: Collection[tuple[int, int]] | None = None,
+        po_loc_effective: Collection[tuple[int, int]] | None = None,
         rf_mm: frozenset[tuple[int, int]] | None = None,
         spec: ModelSpec | None = None,
         history: History | None = None,
     ):
-        self.po_mm = po_mm
-        self.po_loc_effective = po_loc_effective
         self.spec = spec
         self.history = history
+        self._po_mm = po_mm
+        self._po_loc = po_loc_effective
         self._rf_mm = rf_mm
+
+    @property
+    def po_mm(self) -> Collection[tuple[int, int]]:
+        if self._po_mm is None:
+            self._po_mm = po_edges(self.history, self.spec)
+        return self._po_mm
+
+    @property
+    def po_loc_effective(self) -> Collection[tuple[int, int]]:
+        if self._po_loc is None:
+            self._po_loc = po_loc(self.history, llh=self.spec.allows_llh)
+        return self._po_loc
 
     @property
     def rf_mm(self) -> frozenset[tuple[int, int]]:
@@ -162,6 +195,11 @@ def rf_external(h: History) -> frozenset[tuple[int, int]]:
     return frozenset(pairs)
 
 
+# A marked read's flags: a reads-from edge enters it in the per-location
+# graph, one enters it in the model graph, and it is a tag site.
+_RF_LOC, _RF_MM, _TAG = 1, 2, 4
+
+
 def build_base_graphs(
     h: History, derived: DerivedModel
 ) -> tuple[EventGraph, EventGraph]:
@@ -169,112 +207,212 @@ def build_base_graphs(
 
     First the per-location graph (effective same-variable program order
     plus reads-from), then the model graph (preserved program order plus
-    visible reads-from).  Each has the reachability between events, and
-    the cycles, of the graph of its full relations, on far fewer vertices
-    and edges:
+    visible reads-from).  Writes take vertices 0..k-1 in `h.writes`
+    order.  Each graph has the acyclicity of the graph of its full
+    relations, and the same reach between writes and tag sites (see
+    `EventGraph`), on far fewer vertices.
 
-    - Reads-from edges that program order implies are left out, when the
-      derivation names its model and the model keeps read-read program
-      order (`keeps_read_order`), so that both graphs order two reads of
-      one thread and variable.  A write then needs an edge only to the
-      po-first read of each thread that it feeds, and none when it
-      precedes that read in program order: an initial write, or an
-      earlier write of the read's thread.  Each edge left out lies on a
-      path the graph keeps: both graphs order a thread's reads of one
-      variable, `po_loc_effective` (and `po_mm`, when the model keeps
-      write-read order) orders a write before the later events of its
-      thread on its variable and an initial write before every event on
-      its variable, and a model that drops write-read order sees no
-      same-thread or initial reads-from.  A same-thread read ahead of
-      its write keeps its edge, which closes a cycle.  Without a model,
-      or when read-read order is not kept, every edge is kept.
-    - Each read entered by exactly one edge joins the vertex of that
-      edge's source; `graphs.contracted` gives the rule and why it is
-      exact.
+    When the derivation names a model that keeps read-read program order
+    (sc, tso and pso: `keeps_read_order`), the graphs come from the
+    columns, without the edge lists:
+
+    - Reads-from.  Both graphs order the reads of one thread and
+      variable.  A write then needs an edge only to the first read of
+      each thread it feeds, and none when it precedes that read in
+      program order: an initial write, or an earlier write of the read's
+      thread.  `po_loc_effective` orders those, and so does `po_mm` when
+      the model keeps write-read order; a model that drops it sees no
+      same-thread or initial reads-from.  A read ahead of its own write
+      keeps its edge, which closes a cycle.
+    - Tag sites.  Every read of write i in thread t reaches the last one.
+      So whatever reaches a read of i in t reaches the last one, and a
+      conflict edge from a read of i in t is implied by the same edge
+      from the last one.  The tag sites of i are its last read in each
+      thread it feeds: they give the solver's tables and the witness
+      re-check what all of i's reads would give them.
+    - Walked events.  The program writes, the reads a reads-from edge
+      enters and the tag sites are walked; no other event is.  Bisecting
+      each write's sorted readers against each thread's last id gives
+      the first and last read of each (writer, thread) pair, so finding
+      them costs O(k·T·log n) for T threads.  One walk over them in id
+      order, which is program order within each thread, builds both
+      graphs.  Per thread and graph it keeps the vertex of the last
+      walked event of each slot (`ModelSpec.links`) or of each variable,
+      and links each walked event from them as `po_edges` and `po_loc`
+      link events; the initial writes link to the first walked event
+      kept behind a write, and to the first walked event on their
+      variable.  Kept program order is a set of pairs closed under
+      composition, so those links keep it exact between walked events;
+      every reads-from edge joins two walked events; and every cycle
+      takes a reads-from edge.  So reach between walked events, and every
+      cycle, are those of the full graphs.
+    - Merges.  A walked read entered by exactly one edge joins the vertex
+      of that edge's source, which is exact for the reasons
+      `graphs.contracted` gives.  A walked read entered by no edge has
+      no ancestor: it gets no vertex, and the edges that would leave it
+      are dropped.  No write reaches it, so no write gains its tag.  No
+      cycle passes through it, even on the re-check's graphs, whose
+      added edges enter writes only; so its conflict edges close none,
+      and it is no tag site.
+    - Size.  A walked read takes a vertex of its own only when program
+      order and a reads-from edge both enter it, at most one per
+      (program write, thread), or when it takes the initial writes'
+      edges, at most one per thread: each graph has at most k + k·T + T
+      vertices.
+
+    Otherwise (rmo, or a derivation without a model) the graphs are the
+    `graphs.contracted` graphs of the full relations, with every
+    reads-from edge.
     """
     spec = derived.spec
-    if spec is not None and spec.keeps_read_order:
-        rf_loc, rf_mm = _first_reads(h, spec.sees_internal_rf)
-    else:
-        rf_loc, rf_mm = h.rf, derived.rf_mm
-    return (
-        contracted(h, derived.po_loc_effective, rf_loc),
-        contracted(h, derived.po_mm, rf_mm),
-    )
-
-
-def _first_reads(
-    h: History, internal: bool
-) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
-    """The reads-from edges each base graph needs beyond program order.
-
-    For each program write and each thread it feeds, the edge to the
-    thread's first read of it, unless the write comes earlier in that
-    thread.  The model graph takes the same-thread ones only when
-    `internal` (its model sees same-thread reads-from).  A thread's
-    events hold consecutive ids in program order, and readers are sorted,
-    so one bisection skips the rest of each thread's reads.
-    """
+    if spec is None or not spec.keeps_read_order:
+        return (
+            contracted(h, derived.po_loc_effective, h.rf),
+            contracted(h, derived.po_mm, derived.rf_mm),
+        )
+    access = h.access
     thread_of = h.thread_of
-    loc: list[tuple[int, int]] = []
-    mm: list[tuple[int, int]] = []
-    for w in h.writes:
+    writes = h.writes
+    k = len(writes)
+    # Initial writes hold the first ids, so their bits are their ids.
+    inits = h.thread_events(INIT_THREAD)
+    internal = _RF_MM if spec.sees_internal_rf else 0
+
+    # Mark the first and last read of each (writer, thread) pair: the
+    # writer's bit above the flags.
+    end_of = {t: ids[-1] for t in h.threads if (ids := h.thread_events(t))}
+    marks: dict[int, int] = {}
+    for j, w in enumerate(writes):
         readers = h.readers_of(w)
-        thread = thread_of[w]
-        if not readers or thread == INIT_THREAD:
-            continue
+        own = thread_of[w]
+        tag = j << 3 | _TAG
         i, end = 0, len(readers)
         while i < end:
-            r = readers[i]
-            t = thread_of[r]
-            if t != thread:
-                loc.append((w, r))
-                mm.append((w, r))
-            elif r < w:
-                loc.append((w, r))
-                if internal:
-                    mm.append((w, r))
-            i += 1
-            if i < end:
-                i = bisect_right(readers, h.thread_events(t)[-1], i)
-    return loc, mm
+            first = readers[i]
+            t = thread_of[first]
+            i = bisect_right(readers, end_of[t], i + 1)
+            final = readers[i - 1]
+            if own == INIT_THREAD or t == own and first > w:
+                entry = 0
+            else:
+                entry = j << 3 | _RF_LOC | (internal if t == own else _RF_MM)
+            if final == first:
+                marks[first] = entry | tag
+            else:
+                if entry:
+                    marks[first] = entry
+                marks[final] = tag
+
+    # Walk the program writes and the marked reads in id order, which is
+    # program order within each thread.  The per-location graph links
+    # each event from the last one on its variable, the model graph from
+    # the last one in each slot of `ModelSpec.links`.
+    slot_w, from_w, behind_w = spec.links[WRITE]
+    slot_r, from_r, behind_r = spec.links[READ]
+    init_on = {access[i][1]: i for i in inits}
+    adj_loc: list[list[int]] = [[] for _ in range(k)]
+    adj_mm: list[list[int]] = [[] for _ in range(k)]
+    deg_loc, deg_mm = [0] * k, [0] * k
+    sites_loc: list[list[int]] = [[] for _ in range(k)]
+    sites_mm: list[list[int]] = [[] for _ in range(k)]
+    j = len(inits)
+    thread = INIT_THREAD
+    for e in sorted([*writes[j:], *marks]):
+        if thread_of[e] != thread:
+            thread = thread_of[e]
+            last: dict[str, int | None] = {}
+            last_on: dict[str, int | None] = dict(init_on)
+            pending = inits
+        kind, var, _ = access[e]
+        loc = last_on.get(var)
+        if kind == WRITE:
+            src = [u for a in from_w if (u := last.get(a)) is not None]
+            if pending and behind_w:
+                src += pending
+                pending = ()
+            if loc is not None:
+                adj_loc[loc].append(j)
+                deg_loc[j] += 1
+            for u in src:
+                adj_mm[u].append(j)
+            deg_mm[j] += len(src)
+            last[slot_w] = last_on[var] = j
+            j += 1
+            continue
+        mark = marks[e]
+        w = mark >> 3
+        if mark & _RF_LOC:
+            loc = w if loc is None else _join(adj_loc, deg_loc, (loc, w))
+        if loc is not None and mark & _TAG:
+            sites_loc[w].append(loc)
+        last_on[var] = loc
+        src = [u for a in from_r if (u := last.get(a)) is not None]
+        if pending and behind_r:
+            src += pending
+            pending = ()
+        if mark & _RF_MM:
+            src.append(w)
+        if len(src) == 1:
+            mm = src[0]
+        else:
+            mm = _join(adj_mm, deg_mm, src) if src else None
+        if mm is not None and mark & _TAG:
+            sites_mm[w].append(mm)
+        last[slot_r] = mm
+    return _graph(adj_loc, deg_loc, sites_loc), _graph(adj_mm, deg_mm, sites_mm)
+
+
+def _join(
+    adj: list[list[int]], degree: list[int], sources: Sequence[int]
+) -> int:
+    """A new vertex, entered from each source."""
+    v = len(adj)
+    for u in sources:
+        adj[u].append(v)
+    adj.append([])
+    degree.append(len(sources))
+    return v
+
+
+def _graph(
+    adj: list[list[int]], degree: list[int], sites: list[list[int]]
+) -> EventGraph:
+    g = EventGraph.__new__(EventGraph)
+    g.n, g.adj, g.in_degree = len(adj), adj, degree
+    g.write_vertex = range(len(sites))
+    g.tag_sites = sites
+    return g
 
 
 def po_edges(h: History, spec: ModelSpec) -> list[tuple[int, int]]:
     """Edges whose closure is the program order a model keeps.
 
-    A model that keeps every pair gets one chain per thread.  Otherwise
-    each event gets an edge from the last earlier event of each kind kept
-    ahead of it (`spec.ahead`); an earlier event of that kind reaches the
-    last one because every model that keeps (K, L) also keeps (K, K).
-    The initial writes get an edge to the first event of each thread that
-    is kept behind a write; the later such events follow that one, because
-    the kinds a model keeps behind a write are kept behind each other.
+    Each event gets an edge from the last earlier event of each slot it
+    follows (`ModelSpec.links`): the event before it when the model keeps
+    every pair, and otherwise the last earlier event of each kind kept
+    ahead of it; an earlier event of that kind reaches the last one
+    because every model that keeps (K, L) also keeps (K, K).  The initial
+    writes get an edge to the first event of each thread that is kept
+    behind a write; the later such events follow that one, because the
+    kinds a model keeps behind a write are kept behind each other.
     """
-    ahead = spec.ahead
+    links = spec.links
     access = h.access
     inits = h.thread_events(INIT_THREAD)
     edges: list[tuple[int, int]] = []
-    if len(spec.kept_po) == len(KINDS) ** 2:  # every pair is kept
-        for t in h.threads:
-            ids = h.thread_events(t)
-            if ids:
-                edges.extend((i, ids[0]) for i in inits)
-                edges.extend(zip(ids, ids[1:]))
-        return edges
     for t in h.threads:
         last: dict[str, int] = {}
-        inits_pending = True
+        pending = inits
         for b in h.thread_events(t):
-            kind = access[b][0]
-            for earlier in ahead[kind]:
-                a = last.get(earlier)
-                if a is not None:
-                    edges.append((a, b))
-            if inits_pending and WRITE in ahead[kind]:
-                edges.extend((i, b) for i in inits)
-                inits_pending = False
-            last[kind] = b
+            slot, ahead, behind_write = links[access[b][0]]
+            for a in ahead:
+                u = last.get(a)
+                if u is not None:
+                    edges.append((u, b))
+            if pending and behind_write:
+                edges.extend((i, b) for i in pending)
+                pending = ()
+            last[slot] = b
     return edges
 
 
@@ -311,30 +449,21 @@ def po_loc(h: History, llh: bool = False) -> list[tuple[int, int]]:
 
 
 def derive(h: History, spec: ModelSpec) -> DerivedModel:
-    """Compute the preserved program order; visible reads-from follows on
-    first access.
+    """The model's relations for `h`, each built on first access.
 
     Pure: equal inputs give identical relations.  For rmo the dependency
     relation must be read-sourced and lie inside program order; histories
     built by this package guarantee that, but it is re-checked here.
     """
-    if spec.kept_po is None:
-        for a, b in h.dp:
-            if h.access[a][0] != READ or not h.po_before(a, b):
-                raise InvalidDpError(
-                    f"dp edge {h.ref(a)} -> {h.ref(b)} is not a read-sourced "
-                    "program-order edge"
-                )
-        po_mm: Collection[tuple[int, int]] = h.dp
-    else:
-        po_mm = po_edges(h, spec)
-
-    return DerivedModel(
-        po_mm=po_mm,
-        po_loc_effective=po_loc(h, llh=spec.allows_llh),
-        spec=spec,
-        history=h,
-    )
+    if spec.kept_po is not None:
+        return DerivedModel(spec=spec, history=h)
+    for a, b in h.dp:
+        if h.access[a][0] != READ or not h.po_before(a, b):
+            raise InvalidDpError(
+                f"dp edge {h.ref(a)} -> {h.ref(b)} is not a read-sourced "
+                "program-order edge"
+            )
+    return DerivedModel(po_mm=h.dp, spec=spec, history=h)
 
 
 def oota_cycle(h: History) -> list[int] | None:

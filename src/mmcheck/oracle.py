@@ -45,8 +45,8 @@ def _from_read_edges(
 ) -> set[tuple[int, int]]:
     # rf-inverse composed with the same-variable part of the order: the
     # read saw a value a later write overwrites, so the read precedes it.
-    # A deliberate duplicate of `graphs.conflict_edges`, kept so that the
-    # oracles share no decision code with the solver.
+    # A deliberate duplicate of the conflict edges `verify_witness` adds,
+    # kept so that the oracles share no decision code with the solver.
     access = h.access
     out = set()
     for wa, wb in order_pairs:

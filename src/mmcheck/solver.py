@@ -23,10 +23,13 @@ order-augmented graphs, for a few word operations per candidate; the
 test suite checks the memo against an explicit-graph reference search.
 
 The base graphs keep only the events that branch (see
-`build_base_graphs`), with reach between events and every cycle as on
-the full relations, so the tables come out the same; each graph's
-`vertex_of` places the events.  The search runs on an explicit stack, so
-k is bounded by `max_k`, not by the interpreter's recursion limit.
+`build_base_graphs`), with acyclicity, and reach between writes and the
+reads the tables tag, as on the full relations, so the tables come out
+the same.  Each graph places write j at `write_vertex[j]`, and carries
+the vertices where the tag of j's reads goes (`tag_sites[j]`): under sc,
+tso and pso the last read of j in each thread it feeds.  The search runs
+on an explicit stack, so k is bounded by `max_k`, not by the
+interpreter's recursion limit.
 
 A consistent verdict's witness is re-checked by `verify_witness` without
 the search's tables: a Kahn peel of each base graph the search used,
@@ -46,7 +49,7 @@ from .errors import (
     NotAPermutationError,
 )
 from .events import History
-from .graphs import EventGraph, conflict_edges, find_cycle, kahn_acyclic
+from .graphs import EventGraph, find_cycle, kahn_acyclic
 from .models import (
     DerivedModel,
     ModelSpec,
@@ -175,13 +178,12 @@ def _write_tables(
     keeps them off the bottom while unplaced.  `blockers` is its inverse,
     and `pred_rd[j]` holds the writes that reach a read sourced by j.
     Each graph takes one pass over 2k-bit tags in reverse topological
-    order (any such order gives the same reach): write i carries bit i,
-    and a read sourced by write i carries bit k + i.  Tags go to the
-    events' vertices (`vertex_of`), once per distinct vertex, and are
-    OR-ed there; on a contracted base graph a write reaches a vertex
-    exactly when it reaches the vertex's events, and most of a write's
-    readers share one vertex.  Reach starts from the vertex's own tag,
-    so write j's holds bit j, which `blocks` drops.
+    order (any such order gives the same reach): write j's vertex carries
+    bit j, and each of j's tag sites bit k + j.  A write reaches a read
+    sourced by j exactly when it reaches a tag site of j (see
+    `EventGraph`), so the tag sites stand for all of j's reads.  Reach
+    starts from the vertex's own tag, so write j's holds bit j, which
+    `blocks` drops.
     """
     k = h.k
     writes = h.writes
@@ -190,24 +192,23 @@ def _write_tables(
         var = h.access[w][1]
         var_writes[var] = var_writes.get(var, 0) | (1 << j)
     varmask = [var_writes[h.access[w][1]] for w in writes]
-    readers = [h.readers_of(w) for w in writes]
     reach_of = [0] * k
     for g, topo in bases:
         adj = g.adj
-        vertex_of = g.vertex_of
         reach = [0] * g.n
-        for j, w in enumerate(writes):
-            reach[vertex_of[w]] |= 1 << j
+        for j, v in enumerate(g.write_vertex):
+            reach[v] |= 1 << j
+        for j, sites in enumerate(g.tag_sites):
             bit = 1 << (k + j)
-            for v in {vertex_of[r] for r in readers[j]}:
+            for v in sites:
                 reach[v] |= bit
         for u in reversed(topo):
             m = reach[u]
             for v in adj[u]:
                 m |= reach[v]
             reach[u] = m
-        for j, w in enumerate(writes):
-            reach_of[j] |= reach[vertex_of[w]]
+        for j, v in enumerate(g.write_vertex):
+            reach_of[j] |= reach[v]
     full = (1 << k) - 1
     blocks, blockers, pred_rd = [0] * k, [0] * k, [0] * k
     for j, m in enumerate(reach_of):
@@ -384,27 +385,33 @@ def verify_witness(
     `bases` are the two graphs of `build_base_graphs`.  The order enters
     as a chain, and the reads of each write gain conflict edges to the
     next write of the same variable; every other order pair and conflict
-    edge is implied through the chain.  Both kinds of edge enter through
-    each graph's `vertex_of`.  Neither enters a read, so the contraction
-    of single-entry reads stays exact.  The bases are extended into new
-    graphs, never mutated, so `solve` passes the graphs it searched from.
+    edge is implied through the chain.  Order edges join the writes'
+    vertices, and conflict edges leave each write's tag sites, which
+    imply those of its other reads on every cycle.  Neither enters a
+    read, so the contraction of single-entry reads stays exact.  The
+    bases are extended into new graphs, never mutated, so `solve` passes
+    the graphs it searched from.
     """
     if sorted(tw) != list(h.writes):
         raise NotAPermutationError(
             "witness must contain every write exactly once"
         )
-    chain = list(zip(tw, tw[1:]))
+    bit_of = dict(zip(h.writes, range(h.k)))
+    order = [bit_of[w] for w in tw]
+    chain = list(zip(order, order[1:]))
     next_on_var: list[tuple[int, int]] = []
     last_on: dict[str, int] = {}
+    access = h.access
     for w in tw:
-        var = h.access[w][1]
+        j = bit_of[w]
+        var = access[w][1]
         if var in last_on:
-            next_on_var.append((last_on[var], w))
-        last_on[var] = w
+            next_on_var.append((last_on[var], j))
+        last_on[var] = j
     for g in bases:
-        vertex_of = g.vertex_of
-        order = [(vertex_of[a], vertex_of[b]) for a, b in chain]
-        cf = conflict_edges(h, next_on_var, vertex_of)
-        if not kahn_acyclic(g.extended(order, cf))[0]:
+        vertex, sites = g.write_vertex, g.tag_sites
+        edges = [(vertex[a], vertex[b]) for a, b in chain]
+        edges += [(s, vertex[b]) for a, b in next_on_var for s in sites[a]]
+        if not kahn_acyclic(g.extended(edges))[0]:
             return False
     return True

@@ -18,7 +18,7 @@ from typing import Iterable
 
 from mmcheck import History, derive, oota_cycle
 from mmcheck.errors import MmcheckError
-from mmcheck.graphs import EventGraph, conflict_edges, kahn_acyclic
+from mmcheck.graphs import EventGraph, kahn_acyclic
 from mmcheck.models import DerivedModel, build_base_graphs
 
 
@@ -80,6 +80,32 @@ class WriteSubset:
 
     def __len__(self) -> int:
         return bin(self.mask).count("1")
+
+
+def event_graph(h, *edge_lists):
+    """The graph of the edge lists over one vertex per event, placing the
+    writes and taking every read as a tag site, as the solver's tables
+    and `verify_witness` read base graphs."""
+    g = EventGraph(h.n, *edge_lists)
+    g.write_vertex = h.writes
+    g.tag_sites = [h.readers_of(w) for w in h.writes]
+    return g
+
+
+def conflict_edges(h, order_pairs):
+    """Read-to-write edges induced by a write order.
+
+    For each same-variable order pair (w', w), every read sourced by w'
+    gains an edge to w: the read observed a value that `w` overwrites, so
+    it must come first.
+    """
+    access = h.access
+    return {
+        (r, wb)
+        for wa, wb in order_pairs
+        if access[wa][1] == access[wb][1]
+        for r in h.readers_of(wa)
+    }
 
 
 def build_r_snapshot(index, subset_mask, v):

@@ -25,6 +25,7 @@ from helpers import (
     WriteSubset,
     build_coherence_graphs,
     build_r_snapshot,
+    conflict_edges,
 )
 
 
@@ -235,7 +236,7 @@ def test_base_graph_keeps_coinciding_po_and_rf():
     # the base graph drops the rf pair, which po implies, and the read,
     # entered by one edge, joins the write's vertex
     _, g_mm = build_base_graphs(h, dm)
-    assert g_mm.n == 1 and g_mm.adj == [[]] and list(g_mm.vertex_of) == [0, 0]
+    assert g_mm.n == 1 and g_mm.adj == [[]] and g_mm.tag_sites == [[0]]
 
 
 @pytest.mark.parametrize("init", ["", "init: x=0\n"])
@@ -258,18 +259,14 @@ def test_single_entry_reads_merge_and_writes_do_not():
         "thread T1\nrd x 2\nrd x 1\n"
     )
     g_loc, _ = build_base_graphs(h, derive(h, get_model("tso")))
-    vertex_of = g_loc.vertex_of
-    w1, r1, r2, w2 = h.thread_events("T0")
-    r3, r4 = h.thread_events("T1")
     # writes keep their own vertices, numbered in `h.writes` order
-    assert (vertex_of[w1], vertex_of[w2]) == (0, 1)
-    # T0's reads of w1 follow it in program order, so their reads-from
-    # edges go and each read has one in-edge; T1's first read has only
-    # the reads-from edge from w2
-    assert vertex_of[r1] == vertex_of[r2] == 0
-    assert vertex_of[r3] == 1
-    # r4 is entered by program order from r3 and by reads-from from w1
-    assert vertex_of[r4] == 2 and g_loc.n == 3
+    assert list(g_loc.write_vertex) == [0, 1]
+    # T0's reads of its write x=1 follow it in program order, so their
+    # reads-from edges go and each read has one in-edge: the last, the
+    # write's tag site in T0, shares its vertex.  T1's first read has
+    # only the reads-from edge from x=2, and its second is entered by
+    # program order from the first and by reads-from from x=1.
+    assert g_loc.tag_sites == [[0, 2], [1]] and g_loc.n == 3
     assert sorted(_edges(g_loc)) == [(0, 1), (0, 2), (1, 2)]
 
 
@@ -283,8 +280,9 @@ def test_read_entered_from_a_later_event_keeps_its_vertex():
         po_mm=[(r2, r1)], po_loc_effective=[], rf_mm=frozenset()
     )
     _, g_mm = build_base_graphs(h, dm)
-    assert g_mm.vertex_of[r1] != g_mm.vertex_of[r2]
-    assert g_mm.adj[g_mm.vertex_of[r2]] == [g_mm.vertex_of[r1]]
+    # the initial write keeps vertex 0, and its reads are its tag sites
+    ((v1, v2),) = g_mm.tag_sites
+    assert len({0, v1, v2}) == 3 and g_mm.adj[v2] == [v1]
 
 
 def _edge_kind_invariants(h, spec_name, mask, v):
@@ -294,8 +292,6 @@ def _edge_kind_invariants(h, spec_name, mask, v):
     events = h.events
     for a, b in snapshot:
         assert events[a].is_write and events[b].is_write
-    from mmcheck.graphs import conflict_edges
-
     for rd, wr in conflict_edges(h, snapshot):
         assert events[rd].is_read and events[wr].is_write
         assert events[rd].var == events[wr].var

@@ -17,7 +17,6 @@ import pytest
 from mmcheck import (
     MODELS,
     Cnf3,
-    EventGraph,
     assemble_history,
     build_base_graphs,
     derive,
@@ -35,7 +34,7 @@ from mmcheck import (
 from mmcheck.solver import _write_tables
 
 from conftest import CORR, MP, OOTA, SB, with_random_dp
-from helpers import closure, reference_derive, solve_reference
+from helpers import closure, event_graph, reference_derive, solve_reference
 from test_solver import _production_memo
 
 
@@ -252,6 +251,9 @@ def test_base_graphs_stay_linear_in_n():
     edges = sum(len(row) for g in (g_loc, g_mm) for row in g.adj)
     assert edges <= 8 * h.n
     assert elapsed < 10.0
+    for name in ("sc", "tso", "pso"):
+        for g in build_base_graphs(h, derive(h, get_model(name))):
+            assert g.n <= _max_base_vertices(h)
 
 
 def _assert_contraction_exact(h, spec):
@@ -262,8 +264,8 @@ def _assert_contraction_exact(h, spec):
     dm = derive(h, spec)
     bases = build_base_graphs(h, dm)
     full = (
-        EventGraph(h.n, dm.po_loc_effective, h.rf),
-        EventGraph(h.n, dm.po_mm, dm.rf_mm),
+        event_graph(h, dm.po_loc_effective, h.rf),
+        event_graph(h, dm.po_mm, dm.rf_mm),
     )
     sorted_bases = [kahn_acyclic(g) for g in bases]
     sorted_full = [kahn_acyclic(g) for g in full]
@@ -309,6 +311,68 @@ def test_contracted_base_graphs_match_full_graphs(small_corpus):
             _assert_contraction_exact(h, get_model(name))
 
 
+# Hand-written shapes for the column walk of `build_base_graphs`.
+COLUMN_WALK_CASES = {
+    # T0 starts with a read of an initial write that no reads-from edge
+    # enters; under sc it takes the edges of both initial writes.
+    "first read of the inits": (
+        "init: x=0 y=0\nthread T0\nrd x 0\nwr y 1\n"
+        "thread T1\nrd y 1\nwr x 1\nthread T2\nrd x 1\nrd y 0\n"
+    ),
+    # Under tso the initial writes' edges go to T0's first write, behind
+    # two reads.
+    "first write of the inits": (
+        "init: x=0 y=0\nthread T0\nrd x 0\nrd y 0\nwr x 1\nwr y 1\n"
+        "thread T1\nrd y 1\nrd x 0\n"
+    ),
+    # T0 reads its own write before making it: a per-location cycle.
+    "read ahead of its own write": (
+        "init: x=0\nthread T0\nrd x 1\nwr x 1\nrd x 1\n"
+        "thread T1\nrd x 1\nrd x 0\n"
+    ),
+    "writes only, and an empty thread": (
+        "thread T0\nwr x 1\nwr y 1\nthread T1\n"
+        "thread T2\nrd y 1\nrd x 1\n"
+    ),
+    # T0's write of x is read only later in T0.
+    "read only later in its own thread": (
+        "init: x=0 y=0\nthread T0\nwr x 1\nrd y 0\nrd x 1\nrd x 1\n"
+        "thread T1\nwr y 1\nrd x 0\n"
+    ),
+    # T1 reads T0's write of x on both sides of its own write of x.
+    "readers split by a write": (
+        "init: x=0\nthread T0\nwr x 1\nthread T1\nrd x 1\nwr x 2\n"
+        "rd x 1\nthread T2\nrd x 1\nrd x 2\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("text", COLUMN_WALK_CASES.values(), ids=list(COLUMN_WALK_CASES))
+def test_column_walk_edge_cases_match_full_graphs(text):
+    h = parse_history(text)
+    for name in MODELS:
+        _assert_contraction_exact(h, get_model(name))
+        _assert_matches_reference(h, get_model(name))
+
+
+def test_first_read_of_several_inits_gets_its_own_vertex():
+    h = parse_history(COLUMN_WALK_CASES["first read of the inits"])
+    _, g_mm = build_base_graphs(h, derive(h, get_model("sc")))
+    # x's initial write has one reader, T0:0, and its tag site is a read
+    # vertex entered by both initial writes
+    (site,) = g_mm.tag_sites[0]
+    assert site >= h.k and g_mm.in_degree[site] == 2
+    assert site in g_mm.adj[0] and site in g_mm.adj[1]
+
+
+def _max_base_vertices(h):
+    # the writes, one read per (program write, thread) entered by both
+    # program order and reads-from, and one read per thread entered by
+    # the initial writes
+    t = len(h.threads)
+    return h.k + h.k * t + t
+
+
 def test_base_graphs_keep_only_branching_events():
     # On a long simulated trace nearly every read joins the vertex of the
     # event before it: the graphs keep about the writes and the reads
@@ -317,3 +381,4 @@ def test_base_graphs_keep_only_branching_events():
         for name in ("sc", "tso", "pso"):
             for g in build_base_graphs(h, derive(h, get_model(name))):
                 assert g.n < h.n // 8
+                assert g.n <= _max_base_vertices(h)

@@ -18,10 +18,11 @@ from mmcheck import (
     verify_witness,
 )
 from mmcheck.errors import KTooLargeError, NotAPermutationError
+from mmcheck import models as models_module
 from mmcheck import solver as solver_module
 from mmcheck.solver import extract_witness
 
-from conftest import SB, MP, CORR, OOTA, with_random_dp
+from conftest import SB, MP, CORR, OOTA, TRACES, with_random_dp
 from helpers import solve_reference
 
 ALL_MODELS = ("sc", "tso", "pso", "rmo")
@@ -318,3 +319,34 @@ def test_monotonicity_across_models(small_corpus):
             assert tso_ok and rmo_ok
         if tso_ok:
             assert pso_ok
+
+
+class _EdgeListBuilt(Exception):
+    pass
+
+
+def test_solve_builds_no_edge_list(monkeypatch):
+    # Under sc, tso and pso the base graphs come from the columns: with
+    # the O(n) edge-list builders disabled, `solve` gives the same
+    # verdicts, witnesses and counters.  rmo and a cyclic base graph's
+    # diagnostic still read the full relations.
+    long = parse_history((TRACES / "long.mmh").read_text())
+    small = parse_history(MP)
+    cyclic = parse_history("init: x=0\nthread T0\nrd x 1\nwr x 1\n")
+    checks = [(h, m) for h in (long, small) for m in ("sc", "tso", "pso")]
+    expected = [solve(h, get_model(m)) for h, m in checks]
+    assert all(v.consistent for v in expected[:3])
+    assert [v.consistent for v in expected[3:]] == [False, False, True]
+    assert "cyclic" in solve(cyclic, get_model("sc")).diagnostics
+
+    def built(*args, **kwargs):
+        raise _EdgeListBuilt
+
+    for name in ("po_edges", "po_loc", "rf_external"):
+        monkeypatch.setattr(models_module, name, built)
+    assert [solve(h, get_model(m)) for h, m in checks] == expected
+    with pytest.raises(_EdgeListBuilt):
+        solve(long, get_model("rmo"))
+    for m in ("sc", "tso", "pso"):
+        with pytest.raises(_EdgeListBuilt):
+            solve(cyclic, get_model(m))
