@@ -1,19 +1,18 @@
-"""Event graphs, acyclicity checks, and graph contraction.
+"""Event graphs and acyclicity checks.
 
 All consistency questions in this package reduce to the acyclicity of
 graphs over event ids built from unions of edge lists.  This module holds
-the graph container, one Kahn peel that both sorts a graph and isolates
-its cycles, and the contraction that builds a graph on the events that
-branch from full edge lists.  It knows no memory model; which edges a
-model's graphs hold is decided in `models`.  The peel is FIFO, so its
-order is deterministic; nothing depends on which topological order it
-returns.
+the graph container, the plain event graph that places a history's
+writes and reads on it, and one Kahn peel that both sorts a graph and
+isolates its cycles.  It knows no memory model; which edges a model's
+graphs hold, and which events they keep, is decided in `models`.  The
+peel is FIFO, so its order is deterministic; nothing depends on which
+topological order it returns.
 """
 
 from __future__ import annotations
 
-from itertools import repeat
-from typing import Collection, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .events import History
 
@@ -33,7 +32,8 @@ class EventGraph:
     in-edge reaches one of them.  So an event reaches some read of j
     exactly when it reaches a tag site, and a read-to-write edge from a
     read of j that lies on a cycle is implied by the same edge from a tag
-    site.  Both are empty on a graph built from edge lists alone.
+    site.  `event_graph` places each write at its own id and takes every
+    read as a tag site; both are empty on `EventGraph(n, *edge_lists)`.
     """
 
     __slots__ = ("n", "adj", "in_degree", "write_vertex", "tag_sites")
@@ -64,6 +64,17 @@ class EventGraph:
         g.n, g.adj, g.in_degree = self.n, adj, degree
         g.write_vertex, g.tag_sites = self.write_vertex, self.tag_sites
         return g
+
+
+def event_graph(
+    h: History, *edge_lists: Iterable[tuple[int, int]]
+) -> EventGraph:
+    """The graph of the edge lists over one vertex per event of `h`, with
+    each write at its own id and each read as a tag site of its write."""
+    g = EventGraph(h.n, *edge_lists)
+    g.write_vertex = h.writes
+    g.tag_sites = [h.readers_of(w) for w in h.writes]
+    return g
 
 
 def _peel(g: EventGraph) -> tuple[list[int], list[int]]:
@@ -128,67 +139,3 @@ def find_cycle(g: EventGraph) -> list[int] | None:
             return cycle
         seen[cur] = len(path)
         path.append(cur)
-
-
-def contracted(
-    h: History, *edge_lists: Collection[tuple[int, int]]
-) -> EventGraph:
-    """The graph of the edge lists, each single-entry read merged away.
-
-    The edge lists are walked twice: once to count each event's
-    in-edges, once to add the edges that stay.  A read with exactly one
-    in-edge joins the vertex of that edge's source; writes never merge
-    and take vertices 0..k-1 in `h.writes` order.  Reads are visited in
-    id order.  Every edge a derivation emits into a read comes from a
-    write or from an event earlier in program order, so the source's
-    vertex is known by then; a read whose source is not yet placed keeps
-    a vertex of its own, which is always exact.  The merge edge itself
-    vanishes; any other edge between two events of one vertex stays as a
-    self-loop, which is the cycle it closes.
-
-    The contraction is exact.  Every path into a merged read passes
-    through its source, so an event reaches a vertex's events exactly
-    when it reaches the vertex, and per-vertex tags can be OR-ed; a
-    cycle keeps at least one edge that is not a merge edge (those form a
-    forest), so cycles stay cycles.  The witness re-check adds no edge
-    into a read: order edges join writes, and conflict edges leave reads.
-    Each write's tag sites are the vertices of all its reads.
-    """
-    writes = h.writes
-    n = len(writes)
-    entries = [0] * h.n
-    source = list(entries)
-    vertex_of = [-1] * len(entries)
-    for edges in edge_lists:
-        for u, v in edges:
-            entries[v] += 1
-            source[v] = u
-    for j, w in enumerate(writes):
-        vertex_of[w] = j
-        entries[w] = 0
-    sites: list[list[int]] = [[] for _ in writes]
-    writer = h.rf_source
-    for r in h.reads:
-        if entries[r] == 1 and vertex_of[source[r]] >= 0:
-            v = vertex_of[source[r]]
-        else:
-            entries[r] = 0
-            v = n
-            n += 1
-        vertex_of[r] = v
-        s = sites[vertex_of[writer(r)]]
-        if not s or s[-1] != v:
-            s.append(v)
-    adj: list[list[int]] = [[] for _ in repeat(None, n)]
-    degree = [0] * n
-    for edges in edge_lists:
-        for u, v in edges:
-            if entries[v] != 1:
-                b = vertex_of[v]
-                adj[vertex_of[u]].append(b)
-                degree[b] += 1
-    g = EventGraph.__new__(EventGraph)
-    g.n, g.adj, g.in_degree = n, adj, degree
-    g.write_vertex = range(len(writes))
-    g.tag_sites = sites
-    return g

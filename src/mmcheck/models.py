@@ -33,7 +33,7 @@ from functools import cached_property
 
 from .errors import InvalidDpError, UnknownModelError
 from .events import INIT_THREAD, READ, WRITE, History
-from .graphs import EventGraph, contracted, find_cycle
+from .graphs import EventGraph, event_graph, find_cycle
 
 
 KINDS = (WRITE, READ)
@@ -207,14 +207,14 @@ def build_base_graphs(
 
     First the per-location graph (effective same-variable program order
     plus reads-from), then the model graph (preserved program order plus
-    visible reads-from).  Writes take vertices 0..k-1 in `h.writes`
-    order.  Each graph has the acyclicity of the graph of its full
-    relations, and the same reach between writes and tag sites (see
-    `EventGraph`), on far fewer vertices.
+    visible reads-from).  Each graph has the acyclicity of the graph of
+    its full relations, and the same reach between writes and tag sites
+    (see `EventGraph`).
 
     When the derivation names a model that keeps read-read program order
     (sc, tso and pso: `keeps_read_order`), the graphs come from the
-    columns, without the edge lists:
+    columns, without the edge lists, on far fewer vertices; writes take
+    vertices 0..k-1 in `h.writes` order:
 
     - Reads-from.  Both graphs order the reads of one thread and
       variable.  A write then needs an edge only to the first read of
@@ -246,14 +246,22 @@ def build_base_graphs(
       every reads-from edge joins two walked events; and every cycle
       takes a reads-from edge.  So reach between walked events, and every
       cycle, are those of the full graphs.
-    - Merges.  A walked read entered by exactly one edge joins the vertex
-      of that edge's source, which is exact for the reasons
-      `graphs.contracted` gives.  A walked read entered by no edge has
-      no ancestor: it gets no vertex, and the edges that would leave it
-      are dropped.  No write reaches it, so no write gains its tag.  No
-      cycle passes through it, even on the re-check's graphs, whose
-      added edges enter writes only; so its conflict edges close none,
-      and it is no tag site.
+    - Merges.  A walked read entered by exactly one edge joins the vertex of
+      that edge's source.  Writes never merge and hold their vertices before
+      the walk, and a program-order source is walked before the read, so the
+      source's vertex is known.  The merge edge vanishes; any other edge
+      between two events of one vertex stays as a self-loop, which is the
+      cycle it closes.  Every path into a merged read passes through its
+      source, so an event reaches a vertex's events exactly when it reaches
+      the vertex, and tags can be OR-ed per vertex.  Merge edges form a
+      forest, so a cycle keeps an edge that is not one, and cycles stay
+      cycles.  The witness re-check adds no edge into a read, so this stays
+      exact on its graphs: order edges join writes, and conflict edges leave
+      reads.  A walked read entered by no edge has no ancestor: it gets no
+      vertex, and the edges that would leave it are dropped.  No write
+      reaches it, so no write gains its tag.  No cycle passes through it,
+      even on the re-check's graphs, whose added edges enter writes only; so
+      its conflict edges close none, and it is no tag site.
     - Size.  A walked read takes a vertex of its own only when program
       order and a reads-from edge both enter it, at most one per
       (program write, thread), or when it takes the initial writes'
@@ -261,14 +269,14 @@ def build_base_graphs(
       vertices.
 
     Otherwise (rmo, or a derivation without a model) the graphs are the
-    `graphs.contracted` graphs of the full relations, with every
-    reads-from edge.
+    `graphs.event_graph` graphs of the full relations: one vertex per
+    event, every reads-from edge, and every read a tag site.
     """
     spec = derived.spec
     if spec is None or not spec.keeps_read_order:
         return (
-            contracted(h, derived.po_loc_effective, h.rf),
-            contracted(h, derived.po_mm, derived.rf_mm),
+            event_graph(h, derived.po_loc_effective, h.rf),
+            event_graph(h, derived.po_mm, derived.rf_mm),
         )
     access = h.access
     thread_of = h.thread_of

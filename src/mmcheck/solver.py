@@ -22,14 +22,15 @@ to the next, and only the waits a placement adds are tested for a cycle
 order-augmented graphs, for a few word operations per candidate; the
 test suite checks the memo against an explicit-graph reference search.
 
-The base graphs keep only the events that branch (see
-`build_base_graphs`), with acyclicity, and reach between writes and the
-reads the tables tag, as on the full relations, so the tables come out
-the same.  Each graph places write j at `write_vertex[j]`, and carries
-the vertices where the tag of j's reads goes (`tag_sites[j]`): under sc,
-tso and pso the last read of j in each thread it feeds.  The search runs
-on an explicit stack, so k is bounded by `max_k`, not by the
-interpreter's recursion limit.
+The base graphs have the acyclicity, and the reach between writes and
+the reads the tables tag, of the full relations, so the tables come out
+the same (see `build_base_graphs`).  Each graph places write j at
+`write_vertex[j]`, and carries the vertices where the tag of j's reads
+goes (`tag_sites[j]`).  Under sc, tso and pso the graphs keep only the
+events that branch, and the tag sites of j are its last read in each
+thread it feeds; under rmo they hold every event, and every read is a
+tag site.  The search runs on an explicit stack, so k is bounded by
+`max_k`, not by the interpreter's recursion limit.
 
 A consistent verdict's witness is re-checked by `verify_witness` without
 the search's tables: a Kahn peel of each base graph the search used,
@@ -388,9 +389,9 @@ def verify_witness(
     edge is implied through the chain.  Order edges join the writes'
     vertices, and conflict edges leave each write's tag sites, which
     imply those of its other reads on every cycle.  Neither enters a
-    read, so the contraction of single-entry reads stays exact.  The
-    bases are extended into new graphs, never mutated, so `solve` passes
-    the graphs it searched from.
+    read, so reads merged into their one source stay exact.  The bases
+    are extended into new graphs, never mutated, so `solve` passes the
+    graphs it searched from.
     """
     if sorted(tw) != list(h.writes):
         raise NotAPermutationError(

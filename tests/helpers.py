@@ -82,16 +82,6 @@ class WriteSubset:
         return bin(self.mask).count("1")
 
 
-def event_graph(h, *edge_lists):
-    """The graph of the edge lists over one vertex per event, placing the
-    writes and taking every read as a tag site, as the solver's tables
-    and `verify_witness` read base graphs."""
-    g = EventGraph(h.n, *edge_lists)
-    g.write_vertex = h.writes
-    g.tag_sites = [h.readers_of(w) for w in h.writes]
-    return g
-
-
 def conflict_edges(h, order_pairs):
     """Read-to-write edges induced by a write order.
 

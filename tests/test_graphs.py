@@ -270,19 +270,24 @@ def test_single_entry_reads_merge_and_writes_do_not():
     assert sorted(_edges(g_loc)) == [(0, 1), (0, 2), (1, 2)]
 
 
-def test_read_entered_from_a_later_event_keeps_its_vertex():
-    # A hand-built derivation may order events against program order; a
-    # read whose one in-edge comes from a read not yet placed is not
-    # merged, so its edge survives.
-    h = parse_history("init: x=0\nthread T0\nrd x 0\nrd x 0\n")
-    r1, r2 = h.thread_events("T0")
-    dm = DerivedModel(
+def test_rmo_and_spec_less_base_graphs_hold_every_event():
+    # Under rmo, and for a hand-built derivation without a model, the base
+    # graphs are the event graphs of the full relations: every event its
+    # own vertex, every read a tag site, and every edge kept, even one
+    # against program order.
+    h = parse_history(
+        "init: x=0\nthread T0\nwr x 1\nthread T1\nrd x 1\nrd x 1\n"
+    )
+    r1, r2 = h.thread_events("T1")
+    hand_built = DerivedModel(
         po_mm=[(r2, r1)], po_loc_effective=[], rf_mm=frozenset()
     )
-    _, g_mm = build_base_graphs(h, dm)
-    # the initial write keeps vertex 0, and its reads are its tag sites
-    ((v1, v2),) = g_mm.tag_sites
-    assert len({0, v1, v2}) == 3 and g_mm.adj[v2] == [v1]
+    for dm in (derive(h, get_model("rmo")), hand_built):
+        for g in build_base_graphs(h, dm):
+            assert g.n == h.n and g.write_vertex == h.writes
+            assert g.tag_sites == [h.readers_of(w) for w in h.writes]
+    _, g_mm = build_base_graphs(h, hand_built)
+    assert g_mm.adj[r2] == [r1]
 
 
 def _edge_kind_invariants(h, spec_name, mask, v):
