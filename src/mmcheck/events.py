@@ -8,25 +8,32 @@ reconstructible from values alone.  Program order is not stored: it is
 a comparison of `(thread, pos)`, with initial writes before every other
 event (see :meth:`History.po_before`).
 
-A `History` holds its events as columns indexed by event id: `access`,
-each event's `(kind, var, value)` tuple, and `thread_of`, its thread's
-name; each thread's ids are consecutive, so a position is the id minus
-the thread's first id.  Equal access lines share one tuple, so a long
-trace of few distinct accesses costs one pointer per event.  `Event`
-records are a view, built on first access to `History.events`; the
-solver reads the columns only.
+A `History` holds its events grouped by access: each distinct
+`(kind, var, value)` tuple with its event ids.  A long trace holds few
+distinct accesses, so assembly hashes each event's tuple once and does
+the rest of its work per distinct access and per write.  `thread_of`,
+each event's thread name, is the one column indexed by event id that
+is built with the history; each thread's ids are consecutive, so a
+position is the id minus the thread's first id.  `write_vars` holds
+each write's variable.  The per-event columns `access` (each event's
+tuple, shared between equal accesses) and `reads`, and the `Event`
+records of `History.events`, are views built on first access.  Under
+sc, tso and pso the solver reads `thread_of`, `write_vars` and each
+write's readers, and builds none of them.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Mapping, NamedTuple, Sequence
+from itertools import chain
+from typing import Mapping, NamedTuple, Sequence, TypeVar
 
 from .errors import (
     AmbiguousRfError,
     DanglingRefError,
     DuplicateValueError,
     InvalidDpError,
+    MmcheckError,
     TraceSyntaxError,
     UnsourcedReadError,
 )
@@ -38,6 +45,8 @@ READ = "rd"
 INIT_THREAD = "init"
 
 MAX_VALUE = 2**64 - 1
+
+_T = TypeVar("_T")
 
 
 class Event(NamedTuple):
@@ -80,65 +89,76 @@ def _ref(
 class History:
     """Events plus reads-from and dependency relations.
 
-    The events are two columns indexed by event id: `access` holds each
-    event's `(kind, var, value)` tuple, shared between equal accesses, and
-    `thread_of` its thread's name.  `events`, the `Event` records, is a
-    view built from them on first access and cached; the solver never
-    builds it.  `rf` and `dp` are frozensets of `(source, target)` event-id
-    pairs; `rf` is built on first access, as the solver reads reads-from
-    through `readers_of` only.  Program order is answered by
-    :meth:`po_before` from the columns.
+    `_groups` maps each distinct `(kind, var, value)` tuple to its event
+    ids, ascending, in the order of their first ids.  `thread_of`, each
+    event's thread name, is the one per-event column built with the
+    history, and `write_vars` holds each write's variable, aligned with
+    `writes`.  The per-event columns `access` (each event's tuple, shared
+    between equal accesses) and `reads` are built from the groups and the
+    readers on first access and cached, as are `rf` and `events`, the
+    `Event` records; `rf_source` reads `access`.  `rf` and `dp` are
+    frozensets of `(source, target)` event-id pairs.  Program order is
+    answered by :meth:`po_before` from `thread_of`.
 
-    Instances are immutable after construction (the cached `rf` and
-    `events` are the same value whoever builds them) and safe to share
-    across threads.  Use :func:`assemble_history` (or the trace parser) to
-    build one; the constructor neither validates nor walks the events, and
-    takes its indexes, ids ascending, from the assembly pass.  `threads`
-    maps each thread name, the virtual `init` thread first, to its event
-    ids in program order, `rf_source` holds each read's writer at the
-    read's id (None at a write's), and `readers` maps each write with
-    readers to them, in id order.
+    Instances are immutable after construction (each cached value is the
+    same whoever builds it) and safe to share across threads.  Use
+    :func:`assemble_history` (or the trace parser) to build one; the
+    constructor neither validates nor walks the events, and takes its
+    indexes from the assembly pass.  `threads` maps each thread name, the
+    virtual `init` thread first, to its event ids in program order,
+    `writes` holds the write ids, ascending, `write_vars` their variables,
+    and `readers` maps each write with readers to them, in id order.
     """
 
     __slots__ = (
-        "access",
+        "_groups",
         "thread_of",
         "dp",
+        "_access",
         "_events",
         "_rf",
         "threads",
         "_thread_ids",
         "_writes",
+        "write_vars",
         "_reads",
         "_readers",
-        "_rf_source",
         "_writes_on",
     )
 
     def __init__(
         self,
-        access: Sequence[tuple[str, str, int]],
+        groups: Mapping[tuple[str, str, int], Sequence[int]],
         thread_of: Sequence[str],
         dp: frozenset[tuple[int, int]],
         threads: Mapping[str, tuple[int, ...]],
         writes: Sequence[int],
-        reads: Sequence[int],
-        writes_on: Mapping[str, Sequence[int]],
-        rf_source: Sequence[int | None],
+        write_vars: Sequence[str],
         readers: Mapping[int, tuple[int, ...]],
     ):
-        self.access: tuple[tuple[str, str, int], ...] = tuple(access)
+        self._groups = groups
         self.thread_of: tuple[str, ...] = tuple(thread_of)
         self.dp = dp
+        self._access: tuple[tuple[str, str, int], ...] | None = None
         self._events: tuple[Event, ...] | None = None
         self._rf: frozenset[tuple[int, int]] | None = None
         self.threads: tuple[str, ...] = tuple(threads)[1:]
         self._thread_ids = threads
         self._writes = tuple(writes)
-        self._reads = tuple(reads)
-        self._writes_on = {v: tuple(ws) for v, ws in writes_on.items()}
+        self.write_vars: tuple[str, ...] = tuple(write_vars)
+        writes_on: defaultdict[str, list[int]] = defaultdict(list)
+        for w, var in zip(writes, write_vars):
+            writes_on[var].append(w)
+        self._writes_on = {var: tuple(ws) for var, ws in writes_on.items()}
+        self._reads: tuple[int, ...] | None = None
         self._readers = readers
-        self._rf_source = tuple(rf_source)
+
+    @property
+    def access(self) -> tuple[tuple[str, str, int], ...]:
+        """Each event's `(kind, var, value)` tuple, in id order."""
+        if self._access is None:
+            self._access = tuple(_scatter(self._groups, self.n))
+        return self._access
 
     @property
     def events(self) -> tuple[Event, ...]:
@@ -156,15 +176,15 @@ class History:
     def rf(self) -> frozenset[tuple[int, int]]:
         """Reads-from as `(write, read)` pairs."""
         if self._rf is None:
-            reads = self._reads
-            writer = self._rf_source.__getitem__
-            self._rf = frozenset(zip(map(writer, reads), reads))
+            self._rf = frozenset(
+                (w, r) for w, rs in self._readers.items() for r in rs
+            )
         return self._rf
 
     @property
     def n(self) -> int:
         """Total number of events."""
-        return len(self.access)
+        return len(self.thread_of)
 
     @property
     def k(self) -> int:
@@ -177,6 +197,8 @@ class History:
 
     @property
     def reads(self) -> tuple[int, ...]:
+        if self._reads is None:
+            self._reads = tuple(sorted(chain(*self._readers.values())))
         return self._reads
 
     @property
@@ -189,7 +211,7 @@ class History:
 
     @property
     def variables(self) -> tuple[str, ...]:
-        return tuple(dict.fromkeys(var for _, var, _ in self.access))
+        return tuple(dict.fromkeys(var for _, var, _ in self._groups))
 
     def po_before(self, a: int, b: int) -> bool:
         """Whether event `a` precedes event `b` in program order.
@@ -206,8 +228,11 @@ class History:
     def readers_of(self, write_id: int) -> tuple[int, ...]:
         return self._readers.get(write_id, ())
 
-    def rf_source(self, read_id: int) -> int:
-        return self._rf_source[read_id]
+    def rf_source(self, read_id: int) -> int | None:
+        """The write a read reads from: the one write of its (var, value).
+        None at a write."""
+        kind, var, val = self.access[read_id]
+        return self._groups[WRITE, var, val][0] if kind == READ else None
 
     def writes_on(self, var: str) -> tuple[int, ...]:
         return self._writes_on.get(var, ())
@@ -222,6 +247,16 @@ class History:
         refs = [self.ref(e) for e in cycle]
         refs.append(refs[0])
         return " -> ".join(refs)
+
+
+def _scatter(groups: Mapping[_T, Sequence[int]], n: int) -> list[_T | None]:
+    """A column of `n` entries: each key of `groups` at its ids, None at
+    the ids of no key."""
+    column: list[_T | None] = [None] * n
+    for key, ids in groups.items():
+        for i in ids:
+            column[i] = key
+    return column
 
 
 def _resolve(
@@ -249,8 +284,12 @@ def assemble_history(
     initial writes on thread `init`.  `rf_refs` gives explicit reads-from
     edges as (writer, read) pairs; when None, reads-from is inferred from
     values.  `dp_refs` gives dependency edges, which must start at a read
-    and follow program order.  When the pieces hold several faults, the
-    one at the earliest event is reported.
+    and follow program order.  When the events hold several faults (an
+    unknown kind, a value out of range, a value written twice, a read no
+    write matches, a thread name taken twice), the one at the earliest
+    event is reported: a value written twice sits at its second write, a
+    thread name at the first event of its second block.  Faults of `rf`
+    and `dp` edges are reported after them, in edge order.
     """
     seen_init_vars: set[str] = set()
     for var, _ in init:
@@ -258,105 +297,103 @@ def assemble_history(
             raise DuplicateValueError(f"variable {var!r} initialized twice")
         seen_init_vars.add(var)
 
-    # The blocks extend the columns, and kinds and values are checked once
-    # per distinct access, so Python code runs per block, per distinct
-    # access and per write, and each event costs a few steps of list and
-    # dict work.  `writer_of` maps the access that reads each write's value
-    # to the write: it rejects duplicate values and infers reads-from.
-    # Faults are compared by position, so the one at the earliest event
-    # wins; a write's duplicate value is found before its range fault.
-    access: list[tuple[str, str, int]] = []
+    # The one loop over events groups their ids by access, so each event
+    # costs one hash of its tuple and one append.  Validation, duplicate
+    # values, reads-from and the indexes then run once per distinct access
+    # and once per write: a write's group holds one id unless its value is
+    # written twice, and a read's is the readers of the write of its
+    # (var, value).  Groups come in the order of their first ids, so the
+    # writes come in id order.  Only the earliest fault found is kept, so a
+    # document of many faults builds few errors.
+    groups: defaultdict[tuple[str, str, int], list[int]] = defaultdict(list)
     thread_of: list[str] = []
     thread_ids: dict[str, tuple[int, ...]] = {}
 
     def ref(eid: int) -> str:
         return _ref(thread_of, thread_ids, eid)
 
-    name_fault = None
+    fault: MmcheckError | None = None
     init_block = [(WRITE, var, val) for var, val in init]
     for name, block in [(INIT_THREAD, init_block), *threads]:
-        if name in thread_ids:
-            name_fault = TraceSyntaxError(
+        start = len(thread_of)
+        ids = tuple(range(start, start + len(block)))
+        if name not in thread_ids:
+            thread_ids[name] = ids
+        elif fault is None:
+            fault_at, fault = start, TraceSyntaxError(
                 f"thread name {INIT_THREAD!r} is reserved"
                 if name == INIT_THREAD
                 else f"duplicate thread {name!r}"
             )
-            break
-        start = len(access)
-        access.extend(block)
+        for i, a in zip(ids, block):
+            groups[a].append(i)
         thread_of += [name] * len(block)
-        thread_ids[name] = tuple(range(start, len(access)))
-    first_bad = len(access)
-    for a in set(access):
-        if a[0] not in (WRITE, READ) or not 0 <= a[2] <= MAX_VALUE:
-            first_bad = min(first_bad, access.index(a))
-    writer_of: dict[tuple[str, str, int], int] = {}
-    writes: list[int] = []
-    writes_on: defaultdict[str, list[int]] = defaultdict(list)
-    for w in [i for i, a in enumerate(access) if a[0] == WRITE]:
-        if w > first_bad:
-            break
-        _, var, val = access[w]
-        first = writer_of.setdefault((READ, var, val), w)
-        if first != w:
-            raise DuplicateValueError(
-                f"value {val} written twice to {var!r} "
-                f"({ref(first)} and {ref(w)})"
-            )
-        writes.append(w)
-        writes_on[var].append(w)
-    if first_bad < len(access):
-        kind, _, val = access[first_bad]
-        raise TraceSyntaxError(
-            f"unknown access kind {kind!r}"
-            if kind not in (WRITE, READ)
-            else f"value {val} outside the unsigned 64-bit range"
-        )
-    if name_fault is not None:
-        raise name_fault
+    if fault is None:
+        fault_at = len(thread_of)
 
-    # The writer of each read sits at the read's id; a write's entry is
-    # None.
-    reads = [i for i, a in enumerate(access) if a[0] == READ]
-    source: list[int | None]
-    if rf_refs is None:
-        # A read's access is the key of its writer: one lookup each.
-        source = list(map(writer_of.get, access))
-        if source.count(None) > len(writes):
-            r = next(r for r in reads if source[r] is None)
-            _, var, val = access[r]
-            raise UnsourcedReadError(
-                f"read {ref(r)} of {var}={val} has no matching write"
-            )
-    else:
-        source = [None] * len(access)
+    writes: list[int] = []
+    write_vars: list[str] = []
+    readers: dict[int, tuple[int, ...]] = {}
+    for (kind, var, val), ids in groups.items():
+        if kind not in (WRITE, READ) or not 0 <= val <= MAX_VALUE:
+            if ids[0] < fault_at:
+                fault_at, fault = ids[0], TraceSyntaxError(
+                    f"unknown access kind {kind!r}"
+                    if kind not in (WRITE, READ)
+                    else f"value {val} outside the unsigned 64-bit range"
+                )
+        elif kind == WRITE:
+            if len(ids) > 1 and ids[1] < fault_at:
+                fault_at, fault = ids[1], DuplicateValueError(
+                    f"value {val} written twice to {var!r} "
+                    f"({ref(ids[0])} and {ref(ids[1])})"
+                )
+            writes.append(ids[0])
+            write_vars.append(var)
+        elif rf_refs is None:
+            writer = groups.get((WRITE, var, val))
+            if writer is not None:
+                readers[writer[0]] = tuple(ids)
+            elif ids[0] < fault_at:
+                fault_at, fault = ids[0], UnsourcedReadError(
+                    f"read {ref(ids[0])} of {var}={val} has no matching write"
+                )
+    if fault is not None:
+        raise fault
+
+    # Explicit edges name events by position, so they read the access
+    # column.
+    explicit = rf_refs is not None or dp_refs
+    access = _scatter(groups, len(thread_of)) if explicit else []
+    if rf_refs is not None:
+        source: list[int | None] = [None] * len(access)
         for wref, rref in rf_refs:
             w = _resolve(thread_ids, wref)
             r = _resolve(thread_ids, rref)
             (wkind, wvar, wval), (rkind, rvar, rval) = access[w], access[r]
             if wkind != WRITE or rkind != READ:
-                fault = "must connect a write to a read"
+                why = "must connect a write to a read"
             elif wvar != rvar:
-                fault = "connects different variables"
+                why = "connects different variables"
             elif wval != rval:
-                fault = f"has value {wval} feeding a read of {rval}"
+                why = f"has value {wval} feeding a read of {rval}"
             elif source[r] is not None:
                 raise AmbiguousRfError(f"read {ref(r)} has two rf edges")
             else:
                 source[r] = w
                 continue
-            raise AmbiguousRfError(f"rf {ref(w)} -> {ref(r)} {fault}")
-        r = next((r for r in reads if source[r] is None), None)
-        if r is not None:
-            raise UnsourcedReadError(
-                f"read {ref(r)} is not covered by the explicit rf edges"
-            )
-    # Readers are appended in read order, so each tuple comes out sorted
-    # whatever the order of explicit rf lines.
-    readers_of: defaultdict[int, list[int]] = defaultdict(list)
-    for r in reads:
-        readers_of[source[r]].append(r)
-    readers = {w: tuple(rs) for w, rs in readers_of.items()}
+            raise AmbiguousRfError(f"rf {ref(w)} -> {ref(r)} {why}")
+        # Readers are appended in read order, so each tuple comes out
+        # sorted whatever the order of explicit rf lines.
+        readers_of: defaultdict[int, list[int]] = defaultdict(list)
+        for r, a in enumerate(access):
+            if a[0] == READ:
+                if source[r] is None:
+                    raise UnsourcedReadError(
+                        f"read {ref(r)} is not covered by the explicit rf edges"
+                    )
+                readers_of[source[r]].append(r)
+        readers = {w: tuple(rs) for w, rs in readers_of.items()}
 
     dp_pairs = set()
     for sref, tref in dp_refs:
@@ -371,6 +408,6 @@ def assemble_history(
         dp_pairs.add((s, t))
 
     return History(
-        access, thread_of, frozenset(dp_pairs), thread_ids,
-        writes, reads, writes_on, source, readers,
+        groups, thread_of, frozenset(dp_pairs), thread_ids,
+        writes, write_vars, readers,
     )

@@ -19,9 +19,9 @@ of size O(n) whose transitive closures are the kept pair sets.  They are
 built on first access, for the cyclic-graph diagnostic, the oracles,
 rmo and the tests.  Under sc, tso and pso the solver does not read them:
 `build_base_graphs` builds its two graphs straight from the history's
-columns and each write's sorted readers, at a cost that grows with the
-writes and threads and only logarithmically with the events (see its
-docstring).
+thread column, each write's variable and each write's sorted readers,
+at a cost that grows with the writes and threads and only
+logarithmically with the events (see its docstring).
 """
 
 from __future__ import annotations
@@ -212,9 +212,11 @@ def build_base_graphs(
     (see `EventGraph`).
 
     When the derivation names a model that keeps read-read program order
-    (sc, tso and pso: `keeps_read_order`), the graphs come from the
-    columns, without the edge lists, on far fewer vertices; writes take
-    vertices 0..k-1 in `h.writes` order:
+    (sc, tso and pso: `keeps_read_order`), the graphs come from
+    `h.thread_of`, `h.write_vars` and each write's readers, without the
+    edge lists or any other per-event column, on far fewer vertices;
+    writes take vertices 0..k-1 in `h.writes` order, and a walked read
+    takes its variable from its writer:
 
     - Reads-from.  Both graphs order the reads of one thread and
       variable.  A write then needs an edge only to the first read of
@@ -278,9 +280,9 @@ def build_base_graphs(
             event_graph(h, derived.po_loc_effective, h.rf),
             event_graph(h, derived.po_mm, derived.rf_mm),
         )
-    access = h.access
     thread_of = h.thread_of
     writes = h.writes
+    write_vars = h.write_vars
     k = len(writes)
     # Initial writes hold the first ids, so their bits are their ids.
     inits = h.thread_events(INIT_THREAD)
@@ -317,7 +319,7 @@ def build_base_graphs(
     # the last one in each slot of `ModelSpec.links`.
     slot_w, from_w, behind_w = spec.links[WRITE]
     slot_r, from_r, behind_r = spec.links[READ]
-    init_on = {access[i][1]: i for i in inits}
+    init_on = dict(zip(write_vars, inits))
     adj_loc: list[list[int]] = [[] for _ in range(k)]
     adj_mm: list[list[int]] = [[] for _ in range(k)]
     deg_loc, deg_mm = [0] * k, [0] * k
@@ -331,9 +333,10 @@ def build_base_graphs(
             last: dict[str, int | None] = {}
             last_on: dict[str, int | None] = dict(init_on)
             pending = inits
-        kind, var, _ = access[e]
+        mark = marks.get(e)
+        var = write_vars[j if mark is None else mark >> 3]
         loc = last_on.get(var)
-        if kind == WRITE:
+        if mark is None:
             src = [u for a in from_w if (u := last.get(a)) is not None]
             if pending and behind_w:
                 src += pending
@@ -347,7 +350,6 @@ def build_base_graphs(
             last[slot_w] = last_on[var] = j
             j += 1
             continue
-        mark = marks[e]
         w = mark >> 3
         if mark & _RF_LOC:
             loc = w if loc is None else _join(adj_loc, deg_loc, (loc, w))

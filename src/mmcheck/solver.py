@@ -187,12 +187,10 @@ def _write_tables(
     `blocks` drops.
     """
     k = h.k
-    writes = h.writes
     var_writes: dict[str, int] = {}
-    for j, w in enumerate(writes):
-        var = h.access[w][1]
+    for j, var in enumerate(h.write_vars):
         var_writes[var] = var_writes.get(var, 0) | (1 << j)
-    varmask = [var_writes[h.access[w][1]] for w in writes]
+    varmask = [var_writes[var] for var in h.write_vars]
     reach_of = [0] * k
     for g, topo in bases:
         adj = g.adj
@@ -402,10 +400,8 @@ def verify_witness(
     chain = list(zip(order, order[1:]))
     next_on_var: list[tuple[int, int]] = []
     last_on: dict[str, int] = {}
-    access = h.access
-    for w in tw:
-        j = bit_of[w]
-        var = access[w][1]
+    for j in order:
+        var = h.write_vars[j]
         if var in last_on:
             next_on_var.append((last_on[var], j))
         last_on[var] = j

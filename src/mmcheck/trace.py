@@ -19,8 +19,8 @@ A trace with k writes holds at most k distinct write lines, and a
 variable's reads see only its written values, so a long trace repeats a
 few distinct access lines many times.  The parser keeps each access
 line's `(kind, var, value)` tuple by its raw text: a repeated line costs
-one dict lookup, and equal lines share one tuple in the history's
-access column (see `events`).
+one dict lookup, and the assembler hashes each event's tuple once, to
+group the event ids by access (see `events`).
 """
 
 from __future__ import annotations

@@ -284,12 +284,15 @@ def _assert_contraction_exact(h, spec):
     # The thinned, contracted base graphs against the full graphs over
     # events: the same acyclicity, the same search tables, and the same
     # re-check of the witness (or the writes in id order when there is
-    # none) and of each order one adjacent swap away from it.
+    # none) and of each order one adjacent swap away from it.  Under rmo
+    # the base graphs are the event graphs of the production relations,
+    # so the full graphs come from the pair-set reference derivation.
     dm = derive(h, spec)
     bases = build_base_graphs(h, dm)
+    rel = reference_derive(h, spec) if spec.name == "rmo" else dm
     full = (
-        event_graph(h, dm.po_loc_effective, h.rf),
-        event_graph(h, dm.po_mm, dm.rf_mm),
+        event_graph(h, rel.po_loc_effective, h.rf),
+        event_graph(h, rel.po_mm, rel.rf_mm),
     )
     sorted_bases = [kahn_acyclic(g) for g in bases]
     sorted_full = [kahn_acyclic(g) for g in full]

@@ -6,10 +6,13 @@ import pytest
 
 from mmcheck import (
     Cnf3,
+    History,
     Outcome,
     build_base_graphs,
     derive,
+    format_history,
     get_model,
+    mutate,
     oracle_total,
     parse_history,
     sat_to_history_relaxed,
@@ -350,3 +353,57 @@ def test_solve_builds_no_edge_list(monkeypatch):
     for m in ("sc", "tso", "pso"):
         with pytest.raises(_EdgeListBuilt):
             solve(cyclic, get_model(m))
+
+
+class _ColumnBuilt(Exception):
+    pass
+
+
+def _builds(name):
+    def build(*args):
+        raise _ColumnBuilt(name)
+
+    return build
+
+
+_COLUMNS = {
+    "access": property(_builds("access")),
+    "reads": property(_builds("reads")),
+    "rf_source": _builds("rf_source"),
+}
+
+
+def test_solve_builds_no_event_column(monkeypatch):
+    # Under sc, tso and pso the solver reads the per-write variables,
+    # `thread_of` and each write's readers: with the per-event `access`
+    # and `reads` columns and `rf_source` disabled, parsing and `solve`
+    # give the same verdicts, witnesses and counters.  rmo, a cyclic base
+    # graph's diagnostic, `format_history`, `mutate` and the `Event`
+    # records still read them.
+    texts = [(TRACES / "long.mmh").read_text(), MP]
+    checks = [(text, m) for text in texts for m in ("sc", "tso", "pso")]
+    expected = [solve(parse_history(t), get_model(m)) for t, m in checks]
+    cyclic = "init: x=0\nthread T0\nrd x 1\nwr x 1\n"
+    uses = {
+        "rmo": lambda: solve(parse_history(texts[0]), get_model("rmo")),
+        "diagnostic": lambda: solve(parse_history(cyclic), get_model("sc")),
+        "format_history": lambda: format_history(parse_history(texts[0])),
+        "events": lambda: parse_history(texts[0]).events,
+    }
+    for use in uses.values():
+        use()
+    mutate(parse_history(texts[0]), seed=3)
+
+    for name, column in _COLUMNS.items():
+        monkeypatch.setattr(History, name, column)
+    assert [solve(parse_history(t), get_model(m)) for t, m in checks] == expected
+    for use in uses.values():
+        with pytest.raises(_ColumnBuilt, match="access"):
+            use()
+    monkeypatch.undo()
+    # mutate reads each of them
+    for name, column in _COLUMNS.items():
+        with monkeypatch.context() as patch:
+            patch.setattr(History, name, column)
+            with pytest.raises(_ColumnBuilt, match=name):
+                mutate(parse_history(texts[0]), seed=3)

@@ -9,11 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mmcheck import (
+    Cnf3,
     assemble_history,
     format_history,
     generate_program,
     get_model,
     parse_history,
+    sat_to_history_relaxed,
+    sat_to_history_sc,
     simulate,
     solve,
 )
@@ -191,16 +194,23 @@ def test_round_trip_byte_identity(text):
 
 
 def _assert_indexes_match_definitions(h):
+    # Each value is written once per variable, and explicit rf edges must
+    # match values, so a read's writer is the write of its (var, value)
+    # whether reads-from was inferred or given.
     events = h.events
     assert h.writes == tuple(e.id for e in events if e.is_write)
+    assert h.write_vars == tuple(e.var for e in events if e.is_write)
     assert h.reads == tuple(e.id for e in events if e.is_read)
+    writer = {(e.var, e.val): e.id for e in events if e.is_write}
+    rf = {(writer[e.var, e.val], e.id) for e in events if e.is_read}
+    assert h.rf == rf
     for e in events:
         assert h.resolve_ref(e.thread, e.pos) == e.id
         if e.is_write:
-            readers = sorted(r for w, r in h.rf if w == e.id)
+            readers = sorted(r for w, r in rf if w == e.id)
             assert h.readers_of(e.id) == tuple(readers)
         else:
-            assert [w for w, r in h.rf if r == e.id] == [h.rf_source(e.id)]
+            assert h.rf_source(e.id) == writer[e.var, e.val]
     for v in h.variables:
         writes = [e.id for e in events if e.is_write and e.var == v]
         assert h.writes_on(v) == tuple(writes)
@@ -228,6 +238,72 @@ def test_round_trip_preserves_relations(small_corpus):
             assert h1.events == h2.events and h1.threads == h2.threads
             assert h1.rf == h2.rf and h1.dp == h2.dp
             _assert_indexes_match_definitions(h2)
+
+
+def _assert_same_history(a, b):
+    # every column and index of two histories
+    assert a.access == b.access and a.thread_of == b.thread_of
+    assert a.events == b.events and a.threads == b.threads
+    assert a.writes == b.writes and a.write_vars == b.write_vars
+    assert a.reads == b.reads and a.variables == b.variables
+    assert a.rf == b.rf and a.dp == b.dp
+    for t in ("init", *a.threads):
+        assert a.thread_events(t) == b.thread_events(t)
+    for v in a.variables:
+        assert a.writes_on(v) == b.writes_on(v)
+    for w in a.writes:
+        assert a.readers_of(w) == b.readers_of(w)
+    assert [a.rf_source(r) for r in a.reads] == [b.rf_source(r) for r in b.reads]
+
+
+def test_fresh_tuples_assemble_as_their_parse():
+    # The parser passes one tuple per distinct access line; `simulate`, the
+    # reductions and library callers pass a tuple per event.  Equal tuples
+    # group alike either way.
+    histories = [
+        simulate(generate_program(3, 12, 2, seed=s, max_writes=4), m, seed=s)
+        for s, m in enumerate(("sc", "tso", "pso") * 3)
+    ]
+    cnf = Cnf3(3, ((1, 2, -3), (-1, 2, 3), (1, -2, 3)))
+    histories += [sat_to_history_sc(cnf), sat_to_history_relaxed(cnf)]
+    for h in histories:
+        threads = [
+            (t, [(e.kind, e.var, e.val) for e in h.events if e.thread == t])
+            for t in h.threads
+        ]
+        rebuilt = assemble_history(
+            init=[(e.var, e.val) for e in h.init_events], threads=threads
+        )
+        parsed = parse_history(format_history(h))
+        _assert_same_history(h, parsed)
+        _assert_same_history(rebuilt, parsed)
+        _assert_indexes_match_definitions(rebuilt)
+
+
+# Two faults in one document, one per piece: the earlier event's is
+# reported, as it is alone.  A value written twice sits at its second
+# write, a thread name taken twice at its second block.
+_FAULTS = {
+    "bad kind": [("K", [("xx", "k", 1)])],
+    "out of range": [("R", [("rd", "r", 2**64)])],
+    "duplicate value": [("D0", [("wr", "d", 1)]), ("D1", [("wr", "d", 1)])],
+    "unsourced read": [("U", [("rd", "u", 1)])],
+    "duplicate thread": [("N", [("wr", "n", 1)]), ("N", [("rd", "n", 1)])],
+}
+
+
+def _fault(threads):
+    with pytest.raises(MmcheckError) as exc:
+        assemble_history(init=[("z", 0)], threads=threads)
+    return type(exc.value), str(exc.value)
+
+
+@pytest.mark.parametrize("first", _FAULTS)
+def test_earliest_of_two_faults_is_reported(first):
+    alone = _fault(_FAULTS[first])
+    for second, blocks in _FAULTS.items():
+        if second != first:
+            assert _fault(_FAULTS[first] + blocks) == alone, second
 
 
 def test_refs_are_thread_position_pairs():
@@ -358,14 +434,17 @@ def test_repeated_lines_parse_as_each_line_alone(blocks):
 
 @pytest.mark.parametrize("model", ["sc", "tso", "pso", "rmo"])
 def test_solve_builds_no_event_records(model):
-    # the solver reads the access and thread columns only; the `Event`
-    # view stays unbuilt through a consistent check of a long trace (rmo
-    # has no simulator and checks the tso trace, which it allows)
+    # the `Event` view stays unbuilt through a consistent check of a long
+    # trace, and under sc, tso and pso so do the per-event columns; rmo's
+    # relations read `access` (rmo has no simulator and checks the tso
+    # trace, which it allows)
     prog = generate_program(4, 150, 5, seed=91, max_writes=10)
     simulated = simulate(prog, "tso" if model == "rmo" else model, seed=92)
     h = parse_history(format_history(simulated))
     assert h.n == 605 and h.k == 15
     assert solve(h, get_model(model)).consistent
+    unbuilt = (h._access, h._reads) == (None, None)
+    assert unbuilt == (model != "rmo")
     assert len(h.init_events) == 5
     assert h._events is None
     assert h.events[0].is_init and h._events is not None
