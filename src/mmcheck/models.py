@@ -255,15 +255,16 @@ def build_base_graphs(
       between two events of one vertex stays as a self-loop, which is the
       cycle it closes.  Every path into a merged read passes through its
       source, so an event reaches a vertex's events exactly when it reaches
-      the vertex, and tags can be OR-ed per vertex.  Merge edges form a
-      forest, so a cycle keeps an edge that is not one, and cycles stay
-      cycles.  The witness re-check adds no edge into a read, so this stays
-      exact on its graphs: order edges join writes, and conflict edges leave
-      reads.  A walked read entered by no edge has no ancestor: it gets no
-      vertex, and the edges that would leave it are dropped.  No write
-      reaches it, so no write gains its tag.  No cycle passes through it,
-      even on the re-check's graphs, whose added edges enter writes only; so
-      its conflict edges close none, and it is no tag site.
+      the vertex, and one ancestor mask per vertex serves all its events.
+      Merge edges form a forest, so a cycle keeps an edge that is not one,
+      and cycles stay cycles.  The witness re-check adds no edge into a
+      read, so this stays exact on its graphs: order edges join writes, and
+      conflict edges leave reads.  A walked read entered by no edge has no
+      ancestor: it gets no vertex, and the edges that would leave it are
+      dropped.  No write reaches it, so it adds nothing to the tables.  No
+      cycle passes through it, even on the re-check's graphs, whose added
+      edges enter writes only; so its conflict edges close none, and it is
+      no tag site.
     - Size.  A walked read takes a vertex of its own only when program
       order and a reads-from edge both enter it, at most one per
       (program write, thread), or when it takes the initial writes'
@@ -481,6 +482,9 @@ def oota_cycle(h: History) -> list[int] | None:
 
     A cycle would mean some value justifies itself through a loop of
     dependencies and reads; models with explicit dependencies reject such
-    histories outright.
+    histories outright.  Reads-from alone only joins writes to reads, so
+    with no dependency edge there is no cycle and no graph is built.
     """
+    if not h.dp:
+        return None
     return find_cycle(EventGraph(h.n, h.dp, h.rf))

@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import NoAlternativeWriterError, UnknownModelError
-from .events import INIT_THREAD, History, assemble_history
+from .events import History, assemble_history
 
 #: Each simulated machine's store buffers, as the key of the FIFO that a
 #: thread's write to a variable queues in; sc has none and writes straight
@@ -77,8 +77,9 @@ def simulate(prog: RandomProgram, model: str, seed: int) -> History:
     one instruction, or flush the oldest write of one of its non-empty
     store buffers to memory.  The actions are listed thread by thread,
     each thread's step first, then its buffers in the order of their
-    variables in `prog`.  Reads-from is recorded from the values actually
-    observed.  Deterministic in (prog, model, seed).
+    variables in `prog`.  Write values are fresh per variable, so the
+    history's reads-from is inferred from the values read.  Deterministic
+    in (prog, model, seed).
     """
     model = model.lower()
     if model not in SIMULATED_MODELS:
@@ -100,10 +101,7 @@ def simulate(prog: RandomProgram, model: str, seed: int) -> History:
     pcs = [0] * nthreads
     steps_left = sum(map(len, threads))
 
-    names = [f"T{t}" for t in range(nthreads)]
-    writer_ref = {(v, 0): (INIT_THREAD, i) for i, v in enumerate(used_vars)}
     out_events: list[list[tuple[str, str, int]]] = [[] for _ in range(nthreads)]
-    rf_refs: list[tuple[tuple[str, int], tuple[str, int]]] = []
 
     while steps_left:
         # (thread, None) steps the thread; (thread, fifo) flushes the fifo.
@@ -122,11 +120,9 @@ def simulate(prog: RandomProgram, model: str, seed: int) -> History:
         instr = threads[t][pcs[t]]
         pcs[t] += 1
         steps_left -= 1
-        pos = len(out_events[t])
         var = instr[1]
         if instr[0] == "wr":
             val = instr[2]
-            writer_ref[(var, val)] = (names[t], pos)
             if buffer_of:
                 buffers[t][buffer_of(var)].append((var, val))
             else:
@@ -139,22 +135,20 @@ def simulate(prog: RandomProgram, model: str, seed: int) -> History:
                     if bvar == var:
                         val = bval
                         break
-            rf_refs.append((writer_ref[(var, val)], (names[t], pos)))
             out_events[t].append(("rd", var, val))
 
     return assemble_history(
         init=[(v, 0) for v in used_vars],
-        threads=list(zip(names, out_events)),
-        rf_refs=rf_refs,
+        threads=[(f"T{t}", block) for t, block in enumerate(out_events)],
     )
 
 
 def mutate(h: History, seed: int) -> History:
     """Rewire one random read to a different same-variable writer.
 
-    The read's value is adjusted to the new writer's value, which keeps
-    the write-once discipline intact.  The result carries an explicit
-    reads-from relation.
+    The read's value is set to the new writer's value, which keeps the
+    write-once discipline intact and names the new writer, so reads-from
+    is inferred from values; dependency edges are carried over.
     """
     rng = random.Random(seed)
     access = h.access
@@ -181,12 +175,5 @@ def mutate(h: History, seed: int) -> History:
         thread = h.thread_of[eid]
         return thread, eid - h.thread_events(thread)[0]
 
-    rf_refs = []
-    for w, r in sorted(h.rf, key=lambda p: p[1]):
-        if r == rid:
-            w = new_writer
-        rf_refs.append((ref(w), ref(r)))
     dp_refs = [(ref(a), ref(b)) for a, b in sorted(h.dp)]
-    return assemble_history(
-        init=init, threads=threads, rf_refs=rf_refs, dp_refs=dp_refs
-    )
+    return assemble_history(init=init, threads=threads, dp_refs=dp_refs)

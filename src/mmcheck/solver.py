@@ -13,20 +13,23 @@ orderable.  Memoizing the sets caps the search at 2^k states for k
 writes.
 
 Whether a member can sit at the bottom is one rule over tables merged
-over both base graphs: the writes each write blocks (those it reaches,
-and those on its variable with a read it reaches), and the writes that
-reach a read each write sourced.  A member waits for the members that
-must sit below it.  The unblocked members are carried from each set down
-to the next, and only the waits a placement adds are tested for a cycle
-(see `_search`).  That takes the decisions Kahn's algorithm takes on the
-order-augmented graphs, for a few word operations per candidate; the
-test suite checks the memo against an explicit-graph reference search.
+over both base graphs: the writes that block each write (those that
+reach it, and those on its variable that reach a read it sourced), and
+the writes that reach a read each write sourced.  Both are read off
+k-bit ancestor masks, pushed forward once along the topological order
+that the acyclicity test of each base graph returns.  A member waits
+for the members that must sit below it.  The unblocked members are
+carried from each set down to the next, and only the waits a placement
+adds are tested for a cycle (see `_search`).  That takes the decisions
+Kahn's algorithm takes on the order-augmented graphs, for a few word
+operations per candidate; the test suite checks the memo against an
+explicit-graph reference search.
 
 The base graphs have the acyclicity, and the reach between writes and
-the reads the tables tag, of the full relations, so the tables come out
+the reads the tables use, of the full relations, so the tables come out
 the same (see `build_base_graphs`).  Each graph places write j at
-`write_vertex[j]`, and carries the vertices where the tag of j's reads
-goes (`tag_sites[j]`).  Under sc, tso and pso the graphs keep only the
+`write_vertex[j]`, and carries the vertices that stand for j's reads
+(`tag_sites[j]`).  Under sc, tso and pso the graphs keep only the
 events that branch, and the tag sites of j are its last read in each
 thread it feeds; under rmo they hold every event, and every read is a
 tag site.  The search runs on an explicit stack, so k is bounded by
@@ -174,53 +177,47 @@ def _write_tables(
     """Per-write-bit tables: `varmask`, `blocks`, `blockers` and `pred_rd`.
 
     Bit j stands for write `h.writes[j]`, and `varmask[j]` holds the
-    writes on its variable.  In either base graph, `blocks[j]` holds the
-    writes j reaches and those on j's variable with a read j reaches: j
-    keeps them off the bottom while unplaced.  `blockers` is its inverse,
-    and `pred_rd[j]` holds the writes that reach a read sourced by j.
-    Each graph takes one pass over 2k-bit tags in reverse topological
-    order (any such order gives the same reach): write j's vertex carries
-    bit j, and each of j's tag sites bit k + j.  A write reaches a read
-    sourced by j exactly when it reaches a tag site of j (see
-    `EventGraph`), so the tag sites stand for all of j's reads.  Reach
-    starts from the vertex's own tag, so write j's holds bit j, which
-    `blocks` drops.
+    writes on its variable.  In either base graph, `blockers[j]` holds the
+    writes that reach j and those on j's variable that reach a read of j:
+    while unplaced, they keep j off the bottom.  `blocks` is its
+    transpose, and `pred_rd[j]` holds the writes that reach a read of j.
+
+    Each graph takes one forward pass over k-bit ancestor masks in the
+    order `kahn_acyclic` returned: write j's vertex carries bit j, and
+    each vertex ORs its mask into its successors'.  A vertex is walked
+    after all its predecessors, so its mask is exact when it is pushed.
+    A write reaches a read of j exactly when it reaches a tag site of j
+    (see `EventGraph`), so `pred_rd[j]` is the OR of their masks.  Masks
+    include the vertex's own write, so j's bit is dropped from
+    `blockers[j]`.  ORing over both graphs merges them (see `_search`).
     """
     k = h.k
     var_writes: dict[str, int] = {}
     for j, var in enumerate(h.write_vars):
         var_writes[var] = var_writes.get(var, 0) | (1 << j)
     varmask = [var_writes[var] for var in h.write_vars]
-    reach_of = [0] * k
+    blockers, pred_rd = [0] * k, [0] * k
     for g, topo in bases:
         adj = g.adj
-        reach = [0] * g.n
+        anc = [0] * g.n
         for j, v in enumerate(g.write_vertex):
-            reach[v] |= 1 << j
-        for j, sites in enumerate(g.tag_sites):
-            bit = 1 << (k + j)
-            for v in sites:
-                reach[v] |= bit
-        for u in reversed(topo):
-            m = reach[u]
-            for v in adj[u]:
-                m |= reach[v]
-            reach[u] = m
+            anc[v] |= 1 << j
+        for u in topo:
+            m = anc[u]
+            if m:
+                for v in adj[u]:
+                    anc[v] |= m
         for j, v in enumerate(g.write_vertex):
-            reach_of[j] |= reach[v]
-    full = (1 << k) - 1
-    blocks, blockers, pred_rd = [0] * k, [0] * k, [0] * k
-    for j, m in enumerate(reach_of):
-        blocks[j] = b = (m & full | m >> k & varmask[j]) & ~(1 << j)
-        m = m & ~full | b
+            blockers[j] |= anc[v]
+            for s in g.tag_sites[j]:
+                pred_rd[j] |= anc[s]
+    blocks = [0] * k
+    for j in range(k):
+        blockers[j] = m = (blockers[j] | pred_rd[j] & varmask[j]) & ~(1 << j)
         while m:
             b = m & -m
             m ^= b
-            i = b.bit_length() - 1
-            if i < k:
-                blockers[i] |= 1 << j
-            else:
-                pred_rd[i - k] |= 1 << j
+            blocks[b.bit_length() - 1] |= 1 << j
     return varmask, blocks, blockers, pred_rd
 
 

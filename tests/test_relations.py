@@ -323,6 +323,79 @@ def _long_traces():
         yield mutate(h, seed=seed + 2)
 
 
+def _tables_from_definitions(h, spec):
+    # The search tables read off the transitive closures of the reference
+    # relations, one per graph: write i is in `blockers[j]` when it reaches
+    # j, or is on j's variable and reaches a read of j, in either graph;
+    # `pred_rd[j]` holds the writes that reach a read of j; `blocks` is the
+    # transpose of `blockers`.
+    rel = reference_derive(h, spec)
+    reach = (
+        closure(h.n, [*rel.po_loc_effective, *h.rf]),
+        closure(h.n, [*rel.po_mm, *rel.rf_mm]),
+    )
+    writes, var, k = h.writes, h.write_vars, h.k
+
+    def mask(bits):
+        return sum(1 << i for i in bits)
+
+    def reaches(i, e):
+        return any(r[writes[i]] >> e & 1 for r in reach)
+
+    varmask = [mask(i for i in range(k) if var[i] == var[j]) for j in range(k)]
+    pred_rd = [
+        mask(
+            i for i in range(k)
+            if any(reaches(i, r) for r in h.readers_of(writes[j]))
+        )
+        for j in range(k)
+    ]
+    blockers = [
+        mask(
+            i for i in range(k)
+            if i != j
+            and (
+                reaches(i, writes[j])
+                or var[i] == var[j] and pred_rd[j] >> i & 1
+            )
+        )
+        for j in range(k)
+    ]
+    blocks = [
+        mask(j for j in range(k) if blockers[j] >> i & 1) for i in range(k)
+    ]
+    return varmask, blocks, blockers, pred_rd
+
+
+def _assert_tables_match_definitions(h, spec):
+    bases = build_base_graphs(h, derive(h, spec))
+    sorts = [kahn_acyclic(g) for g in bases]
+    if not all(ok for ok, _ in sorts) or not h.k:
+        return False
+    tables = _write_tables(h, tuple(zip(bases, (order for _, order in sorts))))
+    assert tables == _tables_from_definitions(h, spec)
+    return True
+
+
+def test_write_tables_match_their_definitions(small_corpus):
+    rng = random.Random(6464)
+    checks = [
+        (h, get_model(name))
+        for h in (*small_corpus, *_long_traces())
+        for name in MODELS
+    ]
+    rmo = get_model("rmo")
+    checks += [
+        (g, rmo)
+        for g in (with_random_dp(h, rng) for h in small_corpus)
+        if g is not None
+    ]
+    checked = sum(
+        _assert_tables_match_definitions(h, spec) for h, spec in checks
+    )
+    assert checked >= 400
+
+
 def test_contracted_base_graphs_match_full_graphs(small_corpus):
     rng = random.Random(5454)
     histories = list(small_corpus)

@@ -18,7 +18,7 @@ from mmcheck import (
 from mmcheck.errors import NoAlternativeWriterError, UnknownModelError
 from mmcheck.simgen import RandomProgram
 
-from conftest import SB
+from conftest import SB, TRACES
 
 
 def test_single_thread_resolves_locally():
@@ -125,6 +125,13 @@ def test_mutate_emits_valid_explicit_rf():
     assert "rf " in text
     reparsed = parse_history(text)
     assert reparsed.rf == m.rf
+
+
+def test_mutated_long_trace_matches_its_file():
+    # traces/long_mutated.mmh is `mmcheck mutate traces/long.mmh --seed 1`
+    h = parse_history((TRACES / "long.mmh").read_text())
+    text = format_history(mutate(h, 1), explicit_rf=True)
+    assert text == (TRACES / "long_mutated.mmh").read_text()
 
 
 def test_mutated_sb_sometimes_sc_inconsistent():

@@ -64,6 +64,31 @@ def test_dependency_cycle_fails_closed_under_rmo():
     assert "cycle" in v.diagnostics
 
 
+class _CycleSearched(Exception):
+    pass
+
+
+def test_dependency_free_histories_search_no_cycle(small_corpus, monkeypatch):
+    # Reads-from alone only joins writes to reads, so with no dependency
+    # edge `oota_cycle` answers without building a graph.
+    rmo = get_model("rmo")
+    long = parse_history((TRACES / "long.mmh").read_text())
+    histories = [*small_corpus, long]
+    assert not any(h.dp for h in histories)
+    expected = [solve(h, rmo) for h in histories]
+
+    def searched(g):
+        raise _CycleSearched
+
+    monkeypatch.setattr(models_module, "find_cycle", searched)
+    assert [solve(h, rmo) for h in histories] == expected
+    with pytest.raises(_CycleSearched):
+        solve(parse_history(OOTA), rmo)
+    monkeypatch.undo()
+    v = solve(parse_history(OOTA), rmo)
+    assert v.diagnostics.startswith("dependency/reads-from cycle: ")
+
+
 def test_base_case_diagnostics_name_a_cycle():
     # same-thread read observed before its po-earlier write: static cycle
     h = parse_history(
