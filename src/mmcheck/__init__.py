@@ -20,7 +20,7 @@ from .models import (
     po_loc,
     rf_external,
 )
-from .oracle import StoreOrder, oracle_store, oracle_total
+from .oracle import oracle_store, oracle_total
 from .reduction import (
     Cnf3,
     parse_dimacs,
@@ -53,7 +53,6 @@ __all__ = [
     "Outcome",
     "RandomProgram",
     "SolveStats",
-    "StoreOrder",
     "Verdict",
     "assemble_history",
     "build_base_graphs",

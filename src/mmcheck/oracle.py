@@ -2,21 +2,32 @@
 
 Two deliberately naive routes to the same verdict as the solver: total
 enumeration of write orders, and enumeration of per-variable store
-orders.  Both build their graphs inline rather than sharing the solver's
-machinery, so agreement between the three deciders is meaningful.
+orders.  They share with the solver only the graph container
+(`EventGraph`), its Kahn peel (`kahn_acyclic`), the model's relations
+(`derive`) and the out-of-thin-air check (`oota_cycle`).  They share
+none of its decision code: not the reach tables, not the contracted
+base graphs `build_base_graphs` returns, and not the subset search.
+Each builds its two order-free graphs, one vertex per event, from the
+derived relations, and extends them with the edges of each order it
+tries, so agreement between the three deciders is meaningful.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .errors import KTooLargeForOracleError, SearchSpaceTooLargeError
 from .events import History
 from .graphs import EventGraph, kahn_acyclic
 from .models import DerivedModel, ModelSpec, derive, oota_cycle
 from .solver import Outcome, Verdict
+
+_T = TypeVar("_T")
+
+#: A variable's write order with its chain's edge lists.
+_Chained = tuple[tuple[int, ...], list[list[tuple[int, int]]]]
 
 #: Total-order enumeration walks k! permutations.
 ORACLE_MAX_K = 8
@@ -25,19 +36,14 @@ ORACLE_MAX_K = 8
 ORACLE_MAX_STORE_ORDERS = 10**6
 
 
-@dataclass(frozen=True)
-class StoreOrder:
-    """Per-variable total write orders and their union."""
-
-    per_var: tuple[tuple[str, tuple[int, ...]], ...]
-
-    def pairs(self) -> set[tuple[int, int]]:
-        out = set()
-        for _, order in self.per_var:
-            for i in range(len(order)):
-                for j in range(i + 1, len(order)):
-                    out.add((order[i], order[j]))
-        return out
+def _order_pairs(orders: Iterable[Sequence[int]]) -> set[tuple[int, int]]:
+    """Every pair (earlier, later) of each order."""
+    return {
+        (order[i], order[j])
+        for order in orders
+        for i in range(len(order))
+        for j in range(i + 1, len(order))
+    }
 
 
 def _from_read_edges(
@@ -57,15 +63,15 @@ def _from_read_edges(
     return out
 
 
-def _both_acyclic(
-    h: History,
-    dm: DerivedModel,
-    order_pairs: set[tuple[int, int]],
-) -> bool:
-    extra = _from_read_edges(h, order_pairs)
-    return all(
-        kahn_acyclic(EventGraph(h.n, po, rf, order_pairs, extra))[0]
-        for po, rf in ((dm.po_loc_effective, h.rf), (dm.po_mm, dm.rf_mm))
+def _order_free_graphs(
+    h: History, dm: DerivedModel
+) -> tuple[EventGraph, EventGraph]:
+    """The per-location graph (effective same-variable program order plus
+    reads-from) and the model graph (preserved program order plus visible
+    reads-from), one vertex per event."""
+    return (
+        EventGraph(h.n, dm.po_loc_effective, h.rf),
+        EventGraph(h.n, dm.po_mm, dm.rf_mm),
     )
 
 
@@ -73,7 +79,8 @@ def oracle_total(h: History, spec: ModelSpec) -> Verdict:
     """Decide consistency by trying every total write order.
 
     Permutations are generated in lexicographic order of write ids and the
-    first passing one is returned as witness.
+    first passing one is returned as witness.  Each permutation extends
+    both order-free graphs with all its pairs and every conflict edge.
     """
     if h.k > ORACLE_MAX_K:
         raise KTooLargeForOracleError(
@@ -81,13 +88,11 @@ def oracle_total(h: History, spec: ModelSpec) -> Verdict:
         )
     if spec.requires_oota and oota_cycle(h) is not None:
         return Verdict(Outcome.INCONSISTENT)
-    dm = derive(h, spec)
+    bases = _order_free_graphs(h, derive(h, spec))
     for perm in itertools.permutations(h.writes):
-        order_pairs = set()
-        for i in range(len(perm)):
-            for j in range(i + 1, len(perm)):
-                order_pairs.add((perm[i], perm[j]))
-        if _both_acyclic(h, dm, order_pairs):
+        pairs = _order_pairs([perm])
+        extra = _from_read_edges(h, pairs)
+        if all(kahn_acyclic(g.extended(pairs, extra))[0] for g in bases):
             return Verdict(Outcome.CONSISTENT, witness=list(perm))
     return Verdict(Outcome.INCONSISTENT)
 
@@ -100,20 +105,50 @@ def store_order_count(h: History) -> int:
     return count
 
 
-def iter_store_orders(h: History):
-    """Yield every store order, per-variable permutations in lex order."""
-    variables = [v for v in sorted(h.variables) if h.writes_on(v)]
-    pools = [itertools.permutations(h.writes_on(v)) for v in variables]
-    for combo in itertools.product(*pools):
-        yield StoreOrder(tuple(zip(variables, combo)))
-
-
 def oracle_store(h: History, spec: ModelSpec) -> Verdict:
     """Decide validity by trying every per-variable store order.
 
-    A passing store order is linearized (through the model graph it keeps
-    acyclic) into a full write order, returned as witness so that the
-    verdict can be re-verified like any other.
+    Store orders are tried as `itertools.product` yields them over each
+    variable's write permutations in lexicographic order, variables
+    sorted by name.  A passing store order is linearized (through the
+    model graph it keeps acyclic) into a full write order, returned as
+    witness so that the verdict can be re-verified like any other.
+
+    A store order passes when both order-free graphs stay acyclic with its
+    order pairs (w, w') and its conflict edges (r, w'), for each read r of
+    a write w that the order puts before w' on their variable.  Two facts
+    make the check cheaper without changing any answer:
+
+    - Chains.  Each variable's order π₁ … πₘ adds only the edges
+      πᵢ → πᵢ₊₁ and r → πᵢ₊₁ for each read r of πᵢ.  Every order pair
+      (πᵢ, πⱼ), i < j, is a path of chain edges, and every conflict edge
+      (r, πⱼ) is r → πᵢ₊₁ followed by such a path; and the chain edges
+      are themselves order pairs and conflict edges.  So both edge sets
+      have the same transitive closure, and each graph is acyclic with
+      one exactly when it is with the other.
+    - Variables apart.  Every per-location edge joins two events of one
+      variable: same-variable program order (with or without load-load
+      hazards), reads-from, order pairs and conflict edges.  So the
+      per-location graph is a disjoint union of one part per variable,
+      and a store order adds to each part only that variable's edges.  A
+      union is acyclic exactly when each of its parts is.  The order-free
+      graph extended by variable x's edges alone is acyclic exactly when
+      x's part with those edges, and every other part bare, are.  Every
+      variable with an event has a write, since each read has a writer,
+      so every part belongs to a variable the store order orders.  Hence
+      the per-location graph is acyclic under a store order exactly when,
+      for each variable, the order-free graph extended by that variable's
+      edges alone is.
+
+    So each variable order is tested on the per-location graph once,
+    when the enumeration first reaches it.  A failing one skips every
+    store order that holds it, and the model graph is peeled only for
+    store orders whose every variable order passes.  Memory is bounded:
+    the passing variable orders, at most Σₓ|Wₓ|! for the writes Wₓ of
+    each variable x, each with |Wₓ| − 1 references to edge lists; and
+    one edge list per ordered pair of same-variable writes, at most
+    Σₓ|Wₓ|², each one longer than its first write's readers.  No whole
+    store order is kept.
     """
     count = store_order_count(h)
     if count > ORACLE_MAX_STORE_ORDERS:
@@ -124,13 +159,67 @@ def oracle_store(h: History, spec: ModelSpec) -> Verdict:
     if spec.requires_oota and oota_cycle(h) is not None:
         return Verdict(Outcome.INCONSISTENT)
     dm = derive(h, spec)
-    for so in iter_store_orders(h):
-        ww = so.pairs()
-        if _both_acyclic(h, dm, ww):
-            return Verdict(
-                Outcome.CONSISTENT, witness=_linearize(h, dm, ww)
-            )
+    loc, mm = _order_free_graphs(h, dm)
+    links: dict[tuple[int, int], list[tuple[int, int]]] = {}
+
+    def chained(order: tuple[int, ...]) -> _Chained:
+        edge_lists = []
+        for a, b in zip(order, order[1:]):
+            edges = links.get((a, b))
+            if edges is None:
+                edges = [(a, b), *((r, b) for r in h.readers_of(a))]
+                links[a, b] = edges
+            edge_lists.append(edges)
+        return order, edge_lists
+
+    def loc_acyclic(item: _Chained) -> bool:
+        return kahn_acyclic(loc.extended(*item[1]))[0]
+
+    variables = [v for v in sorted(h.variables) if h.writes_on(v)]
+    pools = [
+        map(chained, itertools.permutations(h.writes_on(v)))
+        for v in variables
+    ]
+    for combo in _product_of_passing(pools, loc_acyclic):
+        g = mm.extended(*(edges for _, lists in combo for edges in lists))
+        if kahn_acyclic(g)[0]:
+            ww = _order_pairs(order for order, _ in combo)
+            return Verdict(Outcome.CONSISTENT, witness=_linearize(h, dm, ww))
     return Verdict(Outcome.INCONSISTENT)
+
+
+def _product_of_passing(
+    pools: Sequence[Iterable[_T]], passes: Callable[[_T], bool]
+) -> Iterator[tuple[_T, ...]]:
+    """The tuples `itertools.product(*pools)` yields whose every item
+    passes, in the same order.
+
+    Each item is tested once, when the walk first reaches it, and only the
+    passing ones are kept.  A failing item skips every tuple that holds it
+    without visiting them.
+    """
+    kept: list[list[_T]] = [[] for _ in pools]
+    untested = [iter(pool) for pool in pools]
+
+    # Pool i is walked once per tuple of items ahead of it, each walk to
+    # its end before the next starts; so only the first walk tests items,
+    # and every later one finds them all kept.
+    def items(i: int) -> Iterator[_T]:
+        yield from kept[i]
+        for item in untested[i]:
+            if passes(item):
+                kept[i].append(item)
+                yield item
+
+    def tuples(i: int) -> Iterator[tuple[_T, ...]]:
+        if i == len(pools):
+            yield ()
+            return
+        for item in items(i):
+            for rest in tuples(i + 1):
+                yield (item, *rest)
+
+    return tuples(0)
 
 
 def _linearize(

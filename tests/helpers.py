@@ -4,6 +4,12 @@ The reference solver below mirrors the production search but takes every
 acyclicity decision on explicitly constructed graphs, so agreement with
 `solve` exercises the production search tables end to end.
 
+The store-order reference below rebuilds both full graphs, with every
+order pair and every conflict edge, for each store order.  It is a
+deliberate duplicate of `oracle_store`, which builds its order-free
+graphs once, adds chains and checks each variable apart: tests assert
+that both give equal verdicts and witnesses.
+
 The reference derivation keeps program order as the stored pair set the
 package used before it switched to position comparisons and linear edge
 lists.  It is a deliberate duplicate: differential tests compare the
@@ -13,10 +19,11 @@ against it.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterable
 
-from mmcheck import History, derive, oota_cycle
+from mmcheck import History, Outcome, Verdict, derive, oota_cycle
 from mmcheck.errors import MmcheckError
 from mmcheck.graphs import EventGraph, kahn_acyclic
 from mmcheck.models import DerivedModel, build_base_graphs
@@ -226,3 +233,61 @@ def reference_derive(h, spec):
         and not (spec.allows_llh and events[a].is_read and events[b].is_read)
     )
     return DerivedModel(po_mm=po_mm, rf_mm=rf_mm, po_loc_effective=po_loc)
+
+
+@dataclass(frozen=True)
+class StoreOrder:
+    """Per-variable total write orders and their union."""
+
+    per_var: tuple[tuple[str, tuple[int, ...]], ...]
+
+    def pairs(self) -> set[tuple[int, int]]:
+        out = set()
+        for _, order in self.per_var:
+            for i in range(len(order)):
+                for j in range(i + 1, len(order)):
+                    out.add((order[i], order[j]))
+        return out
+
+
+def iter_store_orders(h):
+    """Yield every store order, per-variable permutations in lex order."""
+    variables = [v for v in sorted(h.variables) if h.writes_on(v)]
+    pools = [itertools.permutations(h.writes_on(v)) for v in variables]
+    for combo in itertools.product(*pools):
+        yield StoreOrder(tuple(zip(variables, combo)))
+
+
+def store_order_passes(h, dm, order_pairs):
+    """Whether both full graphs, rebuilt from every relation, every order
+    pair and every conflict edge, are acyclic."""
+    extra = conflict_edges(h, order_pairs)
+    return all(
+        kahn_acyclic(EventGraph(h.n, po, rf, order_pairs, extra))[0]
+        for po, rf in ((dm.po_loc_effective, h.rf), (dm.po_mm, dm.rf_mm))
+    )
+
+
+def oracle_store_reference(h, spec):
+    """`oracle_store` by rebuilding both graphs for each store order.
+
+    The witness is the FIFO peel of the model graph with the first
+    passing order's pairs and conflict edges, restricted to the writes.
+    No size bound is enforced.
+    """
+    if spec.requires_oota and oota_cycle(h) is not None:
+        return Verdict(Outcome.INCONSISTENT)
+    dm = derive(h, spec)
+    for so in iter_store_orders(h):
+        ww = so.pairs()
+        if store_order_passes(h, dm, ww):
+            g = EventGraph(
+                h.n, dm.po_mm, dm.rf_mm, ww, conflict_edges(h, ww)
+            )
+            order = kahn_acyclic(g)[1]
+            write_set = set(h.writes)
+            return Verdict(
+                Outcome.CONSISTENT,
+                witness=[e for e in order if e in write_set],
+            )
+    return Verdict(Outcome.INCONSISTENT)

@@ -7,19 +7,36 @@ import random
 import pytest
 
 from mmcheck import (
+    Cnf3,
     build_base_graphs,
     derive,
+    generate_program,
     get_model,
+    mutate,
     oracle_store,
     oracle_total,
     parse_history,
+    sat_brute_force,
+    sat_to_history_relaxed,
+    sat_to_history_sc,
+    simulate,
     solve,
     verify_witness,
 )
-from mmcheck.errors import KTooLargeForOracleError, SearchSpaceTooLargeError
-from mmcheck.oracle import iter_store_orders, store_order_count
+from mmcheck.errors import (
+    KTooLargeForOracleError,
+    NoAlternativeWriterError,
+    SearchSpaceTooLargeError,
+)
+from mmcheck.oracle import store_order_count
 
-from conftest import SB
+from conftest import SB, with_random_dp
+from helpers import (
+    conflict_edges,
+    iter_store_orders,
+    oracle_store_reference,
+    store_order_passes,
+)
 
 ALL_MODELS = ("sc", "tso", "pso", "rmo")
 
@@ -149,15 +166,13 @@ def test_any_linearization_of_a_passing_store_order_passes(small_corpus):
         spec = get_model("tso")
         dm = derive(h, spec)
         bases = build_base_graphs(h, dm)
-        from mmcheck.oracle import _both_acyclic, _from_read_edges
-
         for so in iter_store_orders(h):
             ww = so.pairs()
-            if not _both_acyclic(h, dm, ww):
+            if not store_order_passes(h, dm, ww):
                 continue
             # build the graph whose linear extensions we sample
             edges = set(dm.po_mm) | set(dm.rf_mm) | ww
-            edges |= _from_read_edges(h, ww)
+            edges |= conflict_edges(h, ww)
             write_set = set(h.writes)
             for order in _random_linear_extensions(h.n, edges, rng, 10):
                 tw = [e for e in order if e in write_set]
@@ -165,3 +180,88 @@ def test_any_linearization_of_a_passing_store_order_passes(small_corpus):
             checked += 1
             break
     assert checked >= 10
+
+
+def _assert_matches_per_order_construction(h, spec):
+    got = oracle_store(h, spec)
+    want = oracle_store_reference(h, spec)
+    assert (got.outcome, got.witness) == (want.outcome, want.witness)
+    return got
+
+
+def test_store_oracle_matches_per_order_construction(small_corpus):
+    rng = random.Random(1515)
+    with_dp = [with_random_dp(h, rng) for h in small_corpus]
+    histories = small_corpus + [g for g in with_dp if g is not None]
+    assert len(histories) > len(small_corpus) + 30
+    for h in histories:
+        for m in ALL_MODELS:
+            _assert_matches_per_order_construction(h, get_model(m))
+
+
+def _three_variable_cnfs(rng, satisfiable, count):
+    """Formulas over 3 variables that use all 6 literals: k = 18."""
+    out = []
+    while len(out) < count:
+        clauses = tuple(
+            tuple(v if rng.random() < 0.5 else -v for v in (1, 2, 3))
+            for _ in range(rng.randint(3, 12))
+        )
+        cnf = Cnf3(3, clauses)
+        if len(cnf.literals) == 6 and sat_brute_force(cnf) == satisfiable:
+            out.append(cnf)
+    return out
+
+
+def test_store_oracle_matches_per_order_construction_on_reductions():
+    rng = random.Random(1818)
+    outcomes = set()
+    for satisfiable in (True, False):
+        for cnf in _three_variable_cnfs(rng, satisfiable, 2):
+            for h, names in (
+                (sat_to_history_sc(cnf), ("sc",)),
+                (sat_to_history_relaxed(cnf), ("sc", "tso", "pso")),
+            ):
+                assert h.k == 18
+                for name in names:
+                    v = _assert_matches_per_order_construction(
+                        h, get_model(name)
+                    )
+                    outcomes.add(v.outcome)
+    assert len(outcomes) == 2
+
+
+def test_store_oracle_agrees_with_solve_past_the_total_order_horizon():
+    # oracle_total refuses k > 8.  Simulated 4-variable histories and rf
+    # mutations of them at k = 9-14, with at most 10^5 store orders each,
+    # compare the store oracle with the solver under every model.
+    rng = random.Random(9090)
+    checked = inconsistent = 0
+    largest = 0
+    for i in range(30):
+        prog = generate_program(
+            4, 6, 4, seed=rng.getrandbits(32), max_writes=rng.randint(5, 10)
+        )
+        h = simulate(prog, ("sc", "tso", "pso")[i % 3], seed=i)
+        histories = [h]
+        try:
+            histories.append(mutate(h, seed=i))
+        except NoAlternativeWriterError:
+            pass
+        for g in histories:
+            if not 9 <= g.k <= 14 or store_order_count(g) > 10**5:
+                continue
+            largest = max(largest, store_order_count(g))
+            for m in ALL_MODELS:
+                spec = get_model(m)
+                v = oracle_store(g, spec)
+                assert v.outcome == solve(g, spec).outcome
+                if v.consistent:
+                    bases = build_base_graphs(g, derive(g, spec))
+                    assert verify_witness(g, bases, v.witness)
+                else:
+                    inconsistent += 1
+                checked += 1
+    assert checked >= 200
+    assert inconsistent >= 20
+    assert largest >= 10**4
