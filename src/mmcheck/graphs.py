@@ -2,19 +2,17 @@
 
 All consistency questions in this package reduce to the acyclicity of
 graphs over event ids built from unions of edge lists.  This module holds
-the graph container, the plain event graph that places a history's
-writes and reads on it, and one Kahn peel that both sorts a graph and
-isolates its cycles.  It knows no memory model; which edges a model's
-graphs hold, and which events they keep, is decided in `models`.  The
-peel is FIFO, so its order is deterministic; nothing depends on which
-topological order it returns.
+the graph container, which can also place a history's writes and reads,
+and one Kahn peel that both sorts a graph and isolates its cycles.  It
+knows no memory model; which edges a model's graphs hold, and which
+events they keep, is decided in `models`.  The peel is FIFO, so its
+order is deterministic; nothing depends on which topological order it
+returns.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Sequence
-
-from .events import History
 
 
 class EventGraph:
@@ -32,8 +30,7 @@ class EventGraph:
     in-edge reaches one of them.  So an event reaches some read of j
     exactly when it reaches a tag site, and a read-to-write edge from a
     read of j that lies on a cycle is implied by the same edge from a tag
-    site.  `event_graph` places each write at its own id and takes every
-    read as a tag site; both are empty on `EventGraph(n, *edge_lists)`.
+    site.  Both are empty on `EventGraph(n, *edge_lists)`.
     """
 
     __slots__ = ("n", "adj", "in_degree", "write_vertex", "tag_sites")
@@ -53,28 +50,21 @@ class EventGraph:
 
     def extended(self, *edge_lists: Iterable[tuple[int, int]]) -> EventGraph:
         """A new graph with the edge lists, over vertices, added; it shares
-        the rows that gain no edge and copies the others, so `self` is
-        never mutated."""
-        adj, degree = list(self.adj), list(self.in_degree)
+        the rows that gain no edge and copies each other row once, so
+        `self` is never mutated."""
+        adj, degree, own = list(self.adj), list(self.in_degree), self.adj
         for edges in edge_lists:
             for u, v in edges:
-                adj[u] = [*adj[u], v]
+                row = adj[u]
+                if row is own[u]:
+                    adj[u] = [*row, v]
+                else:
+                    row.append(v)
                 degree[v] += 1
         g = EventGraph.__new__(EventGraph)
         g.n, g.adj, g.in_degree = self.n, adj, degree
         g.write_vertex, g.tag_sites = self.write_vertex, self.tag_sites
         return g
-
-
-def event_graph(
-    h: History, *edge_lists: Iterable[tuple[int, int]]
-) -> EventGraph:
-    """The graph of the edge lists over one vertex per event of `h`, with
-    each write at its own id and each read as a tag site of its write."""
-    g = EventGraph(h.n, *edge_lists)
-    g.write_vertex = h.writes
-    g.tag_sites = [h.readers_of(w) for w in h.writes]
-    return g
 
 
 def _peel(g: EventGraph) -> tuple[list[int], list[int]]:

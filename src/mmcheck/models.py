@@ -16,24 +16,26 @@ base graphs need.  The four supported models:
 
 A derivation (`DerivedModel`) gives the model's relations as edge lists
 of size O(n) whose transitive closures are the kept pair sets.  They are
-built on first access, for the cyclic-graph diagnostic, the oracles,
-rmo and the tests.  Under sc, tso and pso the solver does not read them:
+built on first access, for the cyclic-graph diagnostic, the oracles and
+the tests.  The solver does not read them: under every model
 `build_base_graphs` builds its two graphs straight from the history's
-thread column, each write's variable and each write's sorted readers,
-at a cost that grows with the writes and threads and only
-logarithmically with the events (see its docstring).
+thread column, each write's variable, each write's sorted readers and,
+under rmo, the dependency edges, at a cost that grows with the writes,
+threads and dependency edges and only logarithmically with the events
+(see its docstring).
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections.abc import Collection, Sequence
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 from .errors import InvalidDpError, UnknownModelError
 from .events import INIT_THREAD, READ, WRITE, History
-from .graphs import EventGraph, event_graph, find_cycle
+from .graphs import EventGraph, find_cycle
 
 
 KINDS = (WRITE, READ)
@@ -90,13 +92,6 @@ class ModelSpec:
         return self.kept_po is None
 
     @property
-    def keeps_read_order(self) -> bool:
-        """Whether both base graphs order two reads of one thread and
-        variable: whether read-read program order is kept, which rules
-        out load-load hazards as well."""
-        return READ in self.ahead[READ]
-
-    @property
     def sees_internal_rf(self) -> bool:
         """Whether same-thread reads-from is visible in the model graph:
         whether the write-read program order it would follow is kept."""
@@ -127,54 +122,33 @@ def get_model(name: str) -> ModelSpec:
 
 
 class DerivedModel:
-    """The relations a model actually exposes for one history.
+    """The relations a model exposes for one history.
 
     `po_mm` and `po_loc_effective` are edge lists: their transitive
     closures, not the lists themselves, are the preserved program order
     and the effective same-variable program order.  `rf_mm` is the
-    visible reads-from.  Each is built from `history` and `spec` on first
-    access unless given.  `spec` is the model the relations were derived
-    for.  Built without one, and then with all three relations, as the
-    test-side reference derivation builds it, `build_base_graphs` takes
-    the graphs of the given relations instead of reading the columns.
+    visible reads-from.  The three are built from `history` and `spec`
+    together, on the first access to any of them, and then kept.
     """
 
-    __slots__ = ("spec", "history", "_po_mm", "_po_loc", "_rf_mm")
+    __slots__ = ("spec", "history", "po_mm", "po_loc_effective", "rf_mm")
+    po_mm: Collection[tuple[int, int]]
+    po_loc_effective: list[tuple[int, int]]
+    rf_mm: frozenset[tuple[int, int]]
 
-    def __init__(
-        self,
-        *,
-        po_mm: Collection[tuple[int, int]] | None = None,
-        po_loc_effective: Collection[tuple[int, int]] | None = None,
-        rf_mm: frozenset[tuple[int, int]] | None = None,
-        spec: ModelSpec | None = None,
-        history: History | None = None,
-    ):
+    def __init__(self, spec: ModelSpec, history: History):
         self.spec = spec
         self.history = history
-        self._po_mm = po_mm
-        self._po_loc = po_loc_effective
-        self._rf_mm = rf_mm
 
-    @property
-    def po_mm(self) -> Collection[tuple[int, int]]:
-        if self._po_mm is None:
-            self._po_mm = po_edges(self.history, self.spec)
-        return self._po_mm
-
-    @property
-    def po_loc_effective(self) -> Collection[tuple[int, int]]:
-        if self._po_loc is None:
-            self._po_loc = po_loc(self.history, llh=self.spec.allows_llh)
-        return self._po_loc
-
-    @property
-    def rf_mm(self) -> frozenset[tuple[int, int]]:
-        if self._rf_mm is None:
-            h = self.history
-            internal = self.spec.sees_internal_rf
-            self._rf_mm = h.rf if internal else rf_external(h)
-        return self._rf_mm
+    def __getattr__(self, name: str) -> object:
+        # Python calls this only for an attribute that is not set yet.
+        if name not in DerivedModel.__slots__[2:]:
+            raise AttributeError(name)
+        h, spec = self.history, self.spec
+        self.po_mm = h.dp if spec.kept_po is None else po_edges(h, spec)
+        self.po_loc_effective = po_loc(h, llh=spec.allows_llh)
+        self.rf_mm = h.rf if spec.sees_internal_rf else rf_external(h)
+        return getattr(self, name)
 
 
 def rf_external(h: History) -> frozenset[tuple[int, int]]:
@@ -207,18 +181,19 @@ def build_base_graphs(
 
     First the per-location graph (effective same-variable program order
     plus reads-from), then the model graph (preserved program order plus
-    visible reads-from).  Each graph has the acyclicity of the graph of
-    its full relations, and the same reach between writes and tag sites
-    (see `EventGraph`).
+    visible reads-from), for the model `derived.spec`.  Each graph has the
+    acyclicity of the graph of its full relations, and the same reach
+    between writes and tag sites (see `EventGraph`).
 
-    When the derivation names a model that keeps read-read program order
-    (sc, tso and pso: `keeps_read_order`), the graphs come from
-    `h.thread_of`, `h.write_vars` and each write's readers, without the
-    edge lists or any other per-event column, on far fewer vertices;
-    writes take vertices 0..k-1 in `h.writes` order, and a walked read
-    takes its variable from its writer:
+    The graphs come from `h.thread_of`, `h.write_vars`, each write's
+    readers and, when the model keeps only the dependency edges, `h.dp`,
+    without the edge lists or any other per-event column, on far fewer
+    vertices; writes take vertices 0..k-1 in `h.writes` order, and a walked
+    read takes its variable from its writer.  The walk reads the model's
+    `ModelSpec` properties, never its name:
 
-    - Reads-from.  Both graphs order the reads of one thread and
+    - Reads-from.  Unless the model allows load-load hazards
+      (`allows_llh`), both graphs order the reads of one thread and
       variable.  A write then needs an edge only to the first read of
       each thread it feeds, and none when it precedes that read in
       program order: an initial write, or an earlier write of the read's
@@ -226,34 +201,67 @@ def build_base_graphs(
       the model keeps write-read order; a model that drops it sees no
       same-thread or initial reads-from.  A read ahead of its own write
       keeps its edge, which closes a cycle.
-    - Tag sites.  Every read of write i in thread t reaches the last one.
-      So whatever reaches a read of i in t reaches the last one, and a
-      conflict edge from a read of i in t is implied by the same edge
+    - Tag sites.  Then every read of write i in thread t reaches the last
+      one.  So whatever reaches a read of i in t reaches the last one, and
+      a conflict edge from a read of i in t is implied by the same edge
       from the last one.  The tag sites of i are its last read in each
       thread it feeds: they give the solver's tables and the witness
       re-check what all of i's reads would give them.
+    - Segments.  Under `allows_llh`, effective same-variable order keeps
+      no read-read pair: each event follows the last local write to its
+      variable, or the initial write, and each write follows the reads of
+      its variable since the previous local write.  A *segment* is the
+      stretch of one thread between two consecutive local writes to a
+      variable.  The reads of write i that thread t makes in one segment
+      share their per-location in-edges (from the segment's head, the
+      write or initial write before it, and from i, dropped as above when
+      i precedes them) and their out-edge (to the local write that ends
+      the segment).  The model then keeps only the dependency edges, so
+      in the model graph each of them that no dependency edge touches has
+      the same in-edge (from i, when i is a program write of another
+      thread) and no out-edge.  So they reach and are reached by the same
+      events, and one of them, the first, stands for all: it takes the
+      reads-from edge and is the tag site.  Bisecting `h.writes_on(var)`
+      for the next local write after a segment's first read, capped at
+      the thread's last id, and then i's readers for that bound, finds
+      each (writer, thread, segment) group in O(log n).  A walked read
+      leaves its variable's head in place; when its vertex is not the
+      head's, it goes on the variable's `since` list, and the next local
+      write on that variable takes an edge from each vertex on the list,
+      as `po_loc` links the reads since the previous write.
+    - Dependencies.  When only the dependency edges are kept, each read a
+      dp edge touches is walked on its own, with the flags of its group's
+      first read, and each walked event takes model-graph edges from the
+      vertices of its dp sources: reads of its own thread, walked before
+      it.  A source merged into its writer stands at the writer's vertex,
+      which its one in-edge leaves; a source with no vertex has no
+      ancestor, and its edges are dropped (see Merges).  So every dp edge
+      that a path can take is kept, and every other model-graph edge
+      enters a walked read from its writer.
     - Walked events.  The program writes, the reads a reads-from edge
-      enters and the tag sites are walked; no other event is.  Bisecting
-      each write's sorted readers against each thread's last id gives
-      the first and last read of each (writer, thread) pair, so finding
-      them costs O(k·T·log n) for T threads.  One walk over them in id
+      enters, the tag sites and the reads a dp edge touches are walked; no
+      other event is.  Bisecting each write's sorted readers against each
+      thread's last id, or each segment's bound, gives the first and last
+      read of each group, so finding them costs O(k·T·log n) for T
+      threads, or O(k·(k + T)·log n) under `allows_llh` and O(k·d·log n)
+      more for d reads that dp edges touch.  One walk over them in id
       order, which is program order within each thread, builds both
-      graphs.  Per thread and graph it keeps the vertex of the last
-      walked event of each slot (`ModelSpec.links`) or of each variable,
+      graphs.  Per thread and graph it keeps the vertex of the last walked
+      event of each slot (`ModelSpec.links`) or the head of each variable,
       and links each walked event from them as `po_edges` and `po_loc`
-      link events; the initial writes link to the first walked event
-      kept behind a write, and to the first walked event on their
-      variable.  Kept program order is a set of pairs closed under
-      composition, so those links keep it exact between walked events;
-      every reads-from edge joins two walked events; and every cycle
+      link events; the initial writes link to the first walked event kept
+      behind a write, and to the first walked event on their variable.
+      Kept program order is a set of pairs closed under composition, so
+      those links keep it exact between walked events; an event left out
+      is a read that stands with its group's first read; and every cycle
       takes a reads-from edge.  So reach between walked events, and every
       cycle, are those of the full graphs.
     - Merges.  A walked read entered by exactly one edge joins the vertex of
       that edge's source.  Writes never merge and hold their vertices before
-      the walk, and a program-order source is walked before the read, so the
-      source's vertex is known.  The merge edge vanishes; any other edge
-      between two events of one vertex stays as a self-loop, which is the
-      cycle it closes.  Every path into a merged read passes through its
+      the walk, and a program-order or dp source is walked before the read,
+      so the source's vertex is known.  The merge edge vanishes; any other
+      edge between two events of one vertex stays as a self-loop, which is
+      the cycle it closes.  Every path into a merged read passes through its
       source, so an event reaches a vertex's events exactly when it reaches
       the vertex, and one ancestor mask per vertex serves all its events.
       Merge edges form a forest, so a cycle keeps an edge that is not one,
@@ -265,22 +273,18 @@ def build_base_graphs(
       cycle passes through it, even on the re-check's graphs, whose added
       edges enter writes only; so its conflict edges close none, and it is
       no tag site.
-    - Size.  A walked read takes a vertex of its own only when program
-      order and a reads-from edge both enter it, at most one per
-      (program write, thread), or when it takes the initial writes'
+    - Size.  A walked read takes a vertex of its own only when two or
+      more edges enter it.  Unless the model allows load-load hazards, that is a read
+      entered by program order and a reads-from edge, at most one per
+      (program write, thread), or one that takes the initial writes'
       edges, at most one per thread: each graph has at most k + k·T + T
-      vertices.
-
-    Otherwise (rmo, or a derivation without a model) the graphs are the
-    `graphs.event_graph` graphs of the full relations: one vertex per
-    event, every reads-from edge, and every read a tag site.
+      vertices.  Under `allows_llh` it is a group's first read, entered by
+      its head and a reads-from edge, at most one per (writer, thread,
+      segment) and so at most k + T per writer, or a read a dp edge
+      touches: each graph has at most k + k·(k + T) + d vertices.
     """
     spec = derived.spec
-    if spec is None or not spec.keeps_read_order:
-        return (
-            event_graph(h, derived.po_loc_effective, h.rf),
-            event_graph(h, derived.po_mm, derived.rf_mm),
-        )
+    llh = spec.allows_llh
     thread_of = h.thread_of
     writes = h.writes
     write_vars = h.write_vars
@@ -289,37 +293,59 @@ def build_base_graphs(
     inits = h.thread_events(INIT_THREAD)
     internal = _RF_MM if spec.sees_internal_rf else 0
 
-    # Mark the first and last read of each (writer, thread) pair: the
-    # writer's bit above the flags.
+    # When only the dependency edges are kept: each dp target's sources,
+    # each source's model-graph vertex once it is walked, and the reads a
+    # dp edge touches, ascending.  Otherwise all are empty, and the walk
+    # skips its dp lookups.
+    dp_in: dict[int, list[int]] = {}
+    mm_of: dict[int, int | None] = {}
+    dp_reads: list[int] = []
+    if spec.kept_po is None and h.dp:
+        for a, b in h.dp:
+            dp_in.setdefault(b, []).append(a)
+            mm_of[a] = None
+        dp_reads = sorted({*mm_of, *dp_in}.difference(writes))
+
+    # Mark the reads each (writer, thread) pair, or under load-load hazards
+    # each (writer, thread, segment) group, needs walked: its first and its
+    # last read, or its first alone, and the reads a dp edge touches.  A
+    # mark holds the writer's bit above the flags.
     end_of = {t: ids[-1] for t in h.threads if (ids := h.thread_events(t))}
     marks: dict[int, int] = {}
     for j, w in enumerate(writes):
         readers = h.readers_of(w)
+        # Under load-load hazards: the writes to w's variable, then a
+        # sentinel past every id.
+        local = (*h.writes_on(write_vars[j]), h.n) if llh else ()
         own = thread_of[w]
         tag = j << 3 | _TAG
         i, end = 0, len(readers)
         while i < end:
             first = readers[i]
             t = thread_of[first]
-            i = bisect_right(readers, end_of[t], i + 1)
-            final = readers[i - 1]
+            bound = end_of[t]
+            if llh:
+                bound = min(bound, local[bisect_right(local, first)])
+            i = bisect_right(readers, bound, i + 1)
+            final = first if llh else readers[i - 1]
             if own == INIT_THREAD or t == own and first > w:
                 entry = 0
             else:
                 entry = j << 3 | _RF_LOC | (internal if t == own else _RF_MM)
-            if final == first:
-                marks[first] = entry | tag
-            else:
-                if entry:
-                    marks[first] = entry
-                marks[final] = tag
+            marks[final] = tag
+            if entry:
+                marks[first] = marks.get(first, 0) | entry
+            if dp_reads:
+                lo = bisect_left(dp_reads, first)
+                for r in dp_reads[lo:bisect_right(dp_reads, readers[i - 1])]:
+                    if _holds(readers, r):
+                        marks[r] = entry | tag
 
     # Walk the program writes and the marked reads in id order, which is
     # program order within each thread.  The per-location graph links
-    # each event from the last one on its variable, the model graph from
-    # the last one in each slot of `ModelSpec.links`.
-    slot_w, from_w, behind_w = spec.links[WRITE]
-    slot_r, from_r, behind_r = spec.links[READ]
+    # each event from its variable's head, the model graph from the last
+    # event in each slot of `ModelSpec.links` and from its dp sources.
+    link_w, link_r = spec.links[WRITE], spec.links[READ]
     init_on = dict(zip(write_vars, inits))
     adj_loc: list[list[int]] = [[] for _ in range(k)]
     adj_mm: list[list[int]] = [[] for _ in range(k)]
@@ -333,22 +359,29 @@ def build_base_graphs(
             thread = thread_of[e]
             last: dict[str, int | None] = {}
             last_on: dict[str, int | None] = dict(init_on)
+            since: dict[str, list[int]] = {}
             pending = inits
         mark = marks.get(e)
+        slot, ahead, behind = link_w if mark is None else link_r
+        src = [u for a in ahead if (u := last.get(a)) is not None]
+        if pending and behind:
+            src += pending
+            pending = ()
+        if dp_reads and e in dp_in:
+            src += [u for a in dp_in[e] if (u := mm_of[a]) is not None]
         var = write_vars[j if mark is None else mark >> 3]
-        loc = last_on.get(var)
+        head = loc = last_on.get(var)
         if mark is None:
-            src = [u for a in from_w if (u := last.get(a)) is not None]
-            if pending and behind_w:
-                src += pending
-                pending = ()
-            if loc is not None:
-                adj_loc[loc].append(j)
+            if head is not None:
+                adj_loc[head].append(j)
+                deg_loc[j] += 1
+            for u in since.pop(var, ()):
+                adj_loc[u].append(j)
                 deg_loc[j] += 1
             for u in src:
                 adj_mm[u].append(j)
             deg_mm[j] += len(src)
-            last[slot_w] = last_on[var] = j
+            last[slot] = last_on[var] = j
             j += 1
             continue
         w = mark >> 3
@@ -356,11 +389,10 @@ def build_base_graphs(
             loc = w if loc is None else _join(adj_loc, deg_loc, (loc, w))
         if loc is not None and mark & _TAG:
             sites_loc[w].append(loc)
-        last_on[var] = loc
-        src = [u for a in from_r if (u := last.get(a)) is not None]
-        if pending and behind_r:
-            src += pending
-            pending = ()
+        if not llh:
+            last_on[var] = loc
+        elif loc != head:
+            since.setdefault(var, []).append(loc)
         if mark & _RF_MM:
             src.append(w)
         if len(src) == 1:
@@ -369,8 +401,16 @@ def build_base_graphs(
             mm = _join(adj_mm, deg_mm, src) if src else None
         if mm is not None and mark & _TAG:
             sites_mm[w].append(mm)
-        last[slot_r] = mm
+        last[slot] = mm
+        if dp_reads and e in mm_of:
+            mm_of[e] = mm
     return _graph(adj_loc, deg_loc, sites_loc), _graph(adj_mm, deg_mm, sites_mm)
+
+
+def _holds(ids: Sequence[int], x: int) -> bool:
+    """Whether the ascending `ids` hold `x`."""
+    i = bisect_left(ids, x)
+    return i < len(ids) and ids[i] == x
 
 
 def _join(
@@ -390,8 +430,7 @@ def _graph(
 ) -> EventGraph:
     g = EventGraph.__new__(EventGraph)
     g.n, g.adj, g.in_degree = len(adj), adj, degree
-    g.write_vertex = range(len(sites))
-    g.tag_sites = sites
+    g.write_vertex, g.tag_sites = range(len(sites)), sites
     return g
 
 
@@ -464,17 +503,17 @@ def derive(h: History, spec: ModelSpec) -> DerivedModel:
 
     Pure: equal inputs give identical relations.  For rmo the dependency
     relation must be read-sourced and lie inside program order; histories
-    built by this package guarantee that, but it is re-checked here.
+    built by this package guarantee that, but it is re-checked here, by
+    bisecting the writes for each dependency edge's source.
     """
-    if spec.kept_po is not None:
-        return DerivedModel(spec=spec, history=h)
-    for a, b in h.dp:
-        if h.access[a][0] != READ or not h.po_before(a, b):
-            raise InvalidDpError(
-                f"dp edge {h.ref(a)} -> {h.ref(b)} is not a read-sourced "
-                "program-order edge"
-            )
-    return DerivedModel(po_mm=h.dp, spec=spec, history=h)
+    if spec.kept_po is None:
+        for a, b in h.dp:
+            if _holds(h.writes, a) or not h.po_before(a, b):
+                raise InvalidDpError(
+                    f"dp edge {h.ref(a)} -> {h.ref(b)} is not a read-sourced "
+                    "program-order edge"
+                )
+    return DerivedModel(spec, h)
 
 
 def oota_cycle(h: History) -> list[int] | None:
@@ -483,8 +522,32 @@ def oota_cycle(h: History) -> list[int] | None:
     A cycle would mean some value justifies itself through a loop of
     dependencies and reads; models with explicit dependencies reject such
     histories outright.  Reads-from alone only joins writes to reads, so
-    with no dependency edge there is no cycle and no graph is built.
+    with no dependency edge there is no cycle and no graph is built.  A
+    cycle leaves each read by a dependency edge, since reads-from leaves
+    only writes, so it lies on the dependency edges and the reads-from
+    edges into their sources.  The graph holds those, the reads-from
+    edges into the other reads the dependency edges join, and the edge
+    from each write a dependency edge enters to its first reader, over
+    the events they join, numbered in id order.  That is every edge into
+    those events, so they are reached from a cycle exactly as in the
+    union of every edge.  An event left out that a cycle reaches is a
+    read of a write in the graph, no less than that write's first reader.
+    So `find_cycle` starts at the same event and steps to the same least
+    predecessors as on the union, and reports the same cycle.  Each
+    read's writer is found by bisecting each write's sorted readers.
     """
     if not h.dp:
         return None
-    return find_cycle(EventGraph(h.n, h.dp, h.rf))
+    edges = [*h.dp]
+    joined = set(chain(*edges))
+    reads = joined.difference(h.writes)
+    for w in h.writes:
+        readers = h.readers_of(w)
+        edges += [(w, r) for r in reads if _holds(readers, r)]
+        if readers and w in joined:
+            edges.append((w, readers[0]))
+    ids = sorted(set(chain(*edges)))
+    vertex = {e: v for v, e in enumerate(ids)}
+    g = EventGraph(len(ids), [(vertex[a], vertex[b]) for a, b in edges])
+    cycle = find_cycle(g)
+    return None if cycle is None else [ids[v] for v in cycle]

@@ -29,11 +29,13 @@ The base graphs have the acyclicity, and the reach between writes and
 the reads the tables use, of the full relations, so the tables come out
 the same (see `build_base_graphs`).  Each graph places write j at
 `write_vertex[j]`, and carries the vertices that stand for j's reads
-(`tag_sites[j]`).  Under sc, tso and pso the graphs keep only the
-events that branch, and the tag sites of j are its last read in each
-thread it feeds; under rmo they hold every event, and every read is a
-tag site.  The search runs on an explicit stack, so k is bounded by
-`max_k`, not by the interpreter's recursion limit.
+(`tag_sites[j]`).  Under every model one walk builds both graphs, and
+they keep only the events that branch.  The tag sites of j are its last
+read in each thread it feeds; under rmo, where two reads of a thread
+may be reordered, they are its first read in each stretch of a thread
+between two writes to j's variable, and its reads that a dependency
+edge touches.  The search runs on an explicit stack, so k is bounded
+by `max_k`, not by the interpreter's recursion limit.
 
 A consistent verdict's witness is re-checked by `verify_witness` without
 the search's tables: a Kahn peel of each base graph the search used,
@@ -54,13 +56,7 @@ from .errors import (
 )
 from .events import History
 from .graphs import EventGraph, find_cycle, kahn_acyclic
-from .models import (
-    DerivedModel,
-    ModelSpec,
-    build_base_graphs,
-    derive,
-    oota_cycle,
-)
+from .models import ModelSpec, build_base_graphs, derive, oota_cycle
 
 DEFAULT_MAX_K = 30
 
@@ -98,7 +94,6 @@ class Verdict:
 def solve(
     h: History,
     spec: ModelSpec,
-    derived: DerivedModel | None = None,
     *,
     max_k: int = DEFAULT_MAX_K,
 ) -> Verdict:
@@ -128,7 +123,7 @@ def solve(
             "raise the cap to proceed"
         )
 
-    dm = derived if derived is not None else derive(h, spec)
+    dm = derive(h, spec)
     g_loc, g_mm = build_base_graphs(h, dm)
     ok_loc, topo_loc = kahn_acyclic(g_loc)
     ok_mm, topo_mm = kahn_acyclic(g_mm)

@@ -15,18 +15,25 @@ package used before it switched to position comparisons and linear edge
 lists.  It is a deliberate duplicate: differential tests compare the
 closures of the production edge lists and the production witnesses
 against it.
+
+The full-graph reference `event_graph` places a history's writes and
+reads on one vertex per event, with every read a tag site.  It is a
+deliberate duplicate of what `build_base_graphs` contracts: tests
+compare the contracted base graphs, their search tables and their
+witness re-checks against it.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Iterable
 
 from mmcheck import History, Outcome, Verdict, derive, oota_cycle
 from mmcheck.errors import MmcheckError
 from mmcheck.graphs import EventGraph, kahn_acyclic
-from mmcheck.models import DerivedModel, build_base_graphs
+from mmcheck.models import build_base_graphs
 
 
 class PreconditionViolatedError(MmcheckError):
@@ -141,9 +148,18 @@ def build_coherence_graphs(h, derived, index, subset_mask, v):
     )
 
 
-def solve_reference(h, spec, derived=None):
+def event_graph(h, *edge_lists):
+    """The graph of the edge lists over one vertex per event of `h`, with
+    each write at its own id and each read as a tag site of its write."""
+    g = EventGraph(h.n, *edge_lists)
+    g.write_vertex = h.writes
+    g.tag_sites = [h.readers_of(w) for w in h.writes]
+    return g
+
+
+def solve_reference(h, spec):
     """Subset search over explicit graphs; returns (consistent, memo)."""
-    dm = derived if derived is not None else derive(h, spec)
+    dm = derive(h, spec)
     if spec.requires_oota and oota_cycle(h) is not None:
         return False, {}
     g_loc, g_mm = build_base_graphs(h, dm)
@@ -206,7 +222,8 @@ def reference_po(h):
 
 
 def reference_derive(h, spec):
-    """The model's relations as pair sets filtered out of `reference_po`."""
+    """The model's relations as pair sets filtered out of `reference_po`,
+    with the attribute names of `derive`'s."""
     events = h.events
     po = reference_po(h)
     rf_ext = frozenset(
@@ -232,7 +249,9 @@ def reference_derive(h, spec):
         if events[a].var == events[b].var
         and not (spec.allows_llh and events[a].is_read and events[b].is_read)
     )
-    return DerivedModel(po_mm=po_mm, rf_mm=rf_mm, po_loc_effective=po_loc)
+    return SimpleNamespace(
+        po_mm=po_mm, rf_mm=rf_mm, po_loc_effective=po_loc
+    )
 
 
 @dataclass(frozen=True)

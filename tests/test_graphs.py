@@ -17,7 +17,6 @@ from mmcheck import (
     solve,
 )
 from mmcheck.graphs import find_cycle
-from mmcheck.models import DerivedModel
 
 from helpers import (
     PreconditionViolatedError,
@@ -75,6 +74,21 @@ def test_duplicate_edges_are_kept_and_harmless():
     g = EventGraph(3, [(0, 1), (0, 1), (1, 0), (1, 0)])
     assert kahn_acyclic(g) == (False, None)
     assert sorted(find_cycle(g)) == [0, 1]
+
+
+def test_extended_adds_many_edges_out_of_one_vertex():
+    # d edges out of one vertex, over two edge lists, give the graph
+    # built with them; rows that gain no edge are shared, and the graph
+    # extended is left as it was
+    base = [(0, 1), (2, 0)]
+    fan = [(0, v) for v in range(1, 40)]
+    g = EventGraph(41, base)
+    rows, degree = [list(row) for row in g.adj], list(g.in_degree)
+    ext = g.extended(fan[:20], [*fan[20:], (3, 0)])
+    want = EventGraph(41, base, fan[:20], [*fan[20:], (3, 0)])
+    assert ext.adj == want.adj and ext.in_degree == want.in_degree
+    assert g.adj == rows and g.in_degree == degree
+    assert ext.adj[2] is g.adj[2] and ext.adj[0] is not g.adj[0]
 
 
 def _dfs_has_cycle(n, edges):
@@ -270,24 +284,33 @@ def test_single_entry_reads_merge_and_writes_do_not():
     assert sorted(_edges(g_loc)) == [(0, 1), (0, 2), (1, 2)]
 
 
-def test_rmo_and_spec_less_base_graphs_hold_every_event():
-    # Under rmo, and for a hand-built derivation without a model, the base
-    # graphs are the event graphs of the full relations: every event its
-    # own vertex, every read a tag site, and every edge kept, even one
-    # against program order.
+def test_rmo_base_graphs_merge_segments_and_join_dependencies():
+    # Under rmo a thread's reads of one writer between two of its writes
+    # to the variable take one vertex, which the next such write follows;
+    # a read entered by its writer and by a dependency edge is a join.
     h = parse_history(
-        "init: x=0\nthread T0\nwr x 1\nthread T1\nrd x 1\nrd x 1\n"
+        "init: x=0 y=0\nthread T0\nwr x 1\nwr y 1\n"
+        "thread T1\nrd x 1\nrd x 1\nwr x 2\n"
+        "thread T2\nrd y 1\nrd x 2\ndp T2:0 -> T2:1\n"
     )
-    r1, r2 = h.thread_events("T1")
-    hand_built = DerivedModel(
-        po_mm=[(r2, r1)], po_loc_effective=[], rf_mm=frozenset()
-    )
-    for dm in (derive(h, get_model("rmo")), hand_built):
-        for g in build_base_graphs(h, dm):
-            assert g.n == h.n and g.write_vertex == h.writes
-            assert g.tag_sites == [h.readers_of(w) for w in h.writes]
-    _, g_mm = build_base_graphs(h, hand_built)
-    assert g_mm.adj[r2] == [r1]
+    init_x, init_y, x1, y1, x2 = range(h.k)
+    g_loc, g_mm = build_base_graphs(h, derive(h, get_model("rmo")))
+    # per-location: T1's two reads of x=1 form one segment, headed by x's
+    # initial write; T2's two reads each take their own vertex
+    assert g_loc.n == h.k + 3
+    (segment,) = g_loc.tag_sites[x1]
+    assert segment >= h.k
+    assert sorted(u for u, v in _edges(g_loc) if v == segment) == [init_x, x1]
+    # the since edge: T1's write of x follows the segment and its head
+    assert g_loc.adj[segment] == [x2]
+    assert sorted(u for u, v in _edges(g_loc) if v == x2) == [init_x, segment]
+    # model graph: reads with only their writer's edge merge into it, and
+    # T2:1 joins its writer and its dp source, merged into y=1
+    assert g_mm.n == h.k + 1
+    assert g_mm.tag_sites[x1] == [x1] and g_mm.tag_sites[y1] == [y1]
+    (join,) = g_mm.tag_sites[x2]
+    assert sorted(_edges(g_mm)) == [(y1, join), (x2, join)]
+    assert g_mm.tag_sites[init_y] == [] and g_loc.tag_sites[init_y] == []
 
 
 def _edge_kind_invariants(h, spec_name, mask, v):

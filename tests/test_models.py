@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from mmcheck import (
     MODELS,
+    EventGraph,
     derive,
     generate_program,
     get_model,
@@ -15,8 +18,9 @@ from mmcheck import (
     simulate,
 )
 from mmcheck.errors import UnknownModelError
+from mmcheck.graphs import find_cycle
 
-from conftest import OOTA
+from conftest import OOTA, with_random_dp
 from helpers import closure, reference_po
 
 
@@ -25,7 +29,6 @@ def test_model_registry_flags():
         expected = name == "rmo"
         assert spec.allows_llh is expected
         assert spec.requires_oota is expected
-        assert spec.keeps_read_order is (name != "rmo")
         assert spec.sees_internal_rf is (name == "sc")
 
 
@@ -131,6 +134,18 @@ def test_derive_is_pure(small_corpus):
     assert a.po_loc_effective == b.po_loc_effective
 
 
+def test_derived_relations_are_built_once(small_corpus):
+    # the three relations are built on first access and then kept; any
+    # other missing attribute is an AttributeError
+    h = small_corpus[0]
+    dm = derive(h, get_model("pso"))
+    first = dm.po_loc_effective
+    assert dm.po_loc_effective is first and dm.po_mm is dm.po_mm
+    assert dm.rf_mm == rf_external(h)
+    with pytest.raises(AttributeError):
+        dm.po_loc
+
+
 def test_oota_examples():
     # no dependencies: reads-from alone cannot cycle
     h = parse_history("thread T0\nwr x 1\nrd x 1\n")
@@ -143,3 +158,25 @@ def test_oota_examples():
     )
     assert oota_cycle(h) is None
 
+
+
+def test_oota_cycle_matches_the_full_union(small_corpus):
+    # The graph on the dependency endpoints reports the cycle that the
+    # graph of every dependency and reads-from edge reports.  In the first
+    # history the union's search starts at T0:1, a read that no
+    # dependency edge touches.
+    rng = random.Random(4545)
+    histories = [
+        parse_history(
+            "init: x=0\nthread T0\nrd x 0\nrd x 1\n"
+            "thread T1\nrd x 1\nwr x 1\ndp T1:0 -> T1:1\n"
+        )
+    ]
+    for _ in range(4):
+        histories += filter(None, (with_random_dp(h, rng) for h in small_corpus))
+    cyclic = 0
+    for h in histories:
+        full = find_cycle(EventGraph(h.n, h.dp, h.rf))
+        assert oota_cycle(h) == full
+        cyclic += full is not None
+    assert cyclic >= 10

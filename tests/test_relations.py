@@ -2,9 +2,10 @@
 
 The production derivation emits O(n) program-order edges per model.
 These tests pin it to the pair-set reference derivation in `helpers`
-(equal transitive closures, and the same verdict, witness and counters
-from `solve`), and pin the search over tables merged from both base
-graphs to the explicit-graph reference search (the same memo).
+(equal transitive closures, and the verdict, witness and counters of
+`solve` equal to those of its tables and search run on the full graphs
+of the reference relations), and pin the search over tables merged from
+both base graphs to the explicit-graph reference search (the same memo).
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from mmcheck import (
     get_model,
     kahn_acyclic,
     mutate,
+    oota_cycle,
     parse_history,
     sat_to_history_relaxed,
     sat_to_history_sc,
@@ -31,11 +33,11 @@ from mmcheck import (
     solve,
     verify_witness,
 )
-from mmcheck.graphs import event_graph
-from mmcheck.solver import _write_tables
+from mmcheck.solver import Outcome, SolveStats, _search, _write_tables
+from mmcheck.solver import extract_witness
 
 from conftest import CORR, MP, OOTA, SB, with_random_dp
-from helpers import closure, reference_derive, solve_reference
+from helpers import closure, event_graph, reference_derive, solve_reference
 from test_solver import _production_memo
 
 
@@ -48,10 +50,32 @@ def _assert_matches_reference(h, spec):
     )
     assert dm.rf_mm == ref.rf_mm
     v = solve(h, spec)
-    v_ref = solve(h, spec, derived=ref)
-    assert v.outcome == v_ref.outcome
-    assert v.witness == v_ref.witness
-    assert v.stats == v_ref.stats
+    full = (
+        event_graph(h, ref.po_loc_effective, h.rf),
+        event_graph(h, ref.po_mm, ref.rf_mm),
+    )
+    assert (v.outcome, v.witness, v.stats) == _solve_on_graphs(h, spec, full)
+
+
+def _solve_on_graphs(h, spec, graphs):
+    # `solve`'s outcome, witness and counters, with its tables and search
+    # run on the given base graphs and the witness re-checked on them
+    stats = SolveStats()
+    inconsistent = (Outcome.INCONSISTENT, None, stats)
+    if spec.requires_oota and oota_cycle(h) is not None:
+        return inconsistent
+    sorts = [kahn_acyclic(g) for g in graphs]
+    if not all(ok for ok, _ in sorts):
+        return inconsistent
+    if not h.k:
+        return Outcome.CONSISTENT, [], stats
+    memo = {}
+    tables = _write_tables(h, tuple(zip(graphs, (order for _, order in sorts))))
+    if not _search(h.k, memo, *tables, stats):
+        return inconsistent
+    witness = extract_witness(h, memo)
+    assert verify_witness(h, graphs, witness)
+    return Outcome.CONSISTENT, witness, stats
 
 
 def _assert_same_memo(h, spec):
@@ -275,21 +299,20 @@ def test_base_graphs_stay_linear_in_n():
     edges = sum(len(row) for g in (g_loc, g_mm) for row in g.adj)
     assert edges <= 8 * h.n
     assert elapsed < 10.0
-    for name in ("sc", "tso", "pso"):
-        for g in build_base_graphs(h, derive(h, get_model(name))):
-            assert g.n <= _max_base_vertices(h)
+    for name in MODELS:
+        spec = get_model(name)
+        for g in build_base_graphs(h, derive(h, spec)):
+            assert g.n <= _max_base_vertices(h, spec)
 
 
 def _assert_contraction_exact(h, spec):
     # The thinned, contracted base graphs against the full graphs over
     # events: the same acyclicity, the same search tables, and the same
     # re-check of the witness (or the writes in id order when there is
-    # none) and of each order one adjacent swap away from it.  Under rmo
-    # the base graphs are the event graphs of the production relations,
-    # so the full graphs come from the pair-set reference derivation.
-    dm = derive(h, spec)
-    bases = build_base_graphs(h, dm)
-    rel = reference_derive(h, spec) if spec.name == "rmo" else dm
+    # none) and of each order one adjacent swap away from it.  The full
+    # graphs come from the pair-set reference derivation.
+    bases = build_base_graphs(h, derive(h, spec))
+    rel = reference_derive(h, spec)
     full = (
         event_graph(h, rel.po_loc_effective, h.rf),
         event_graph(h, rel.po_mm, rel.rf_mm),
@@ -409,6 +432,14 @@ def test_contracted_base_graphs_match_full_graphs(small_corpus):
     for h in histories:
         for name in MODELS:
             _assert_contraction_exact(h, get_model(name))
+    rmo = get_model("rmo")
+    checked = 0
+    for h in histories:
+        augmented = with_random_dp(h, rng)
+        if augmented is not None:
+            _assert_contraction_exact(augmented, rmo)
+            checked += 1
+    assert checked >= 120
 
 
 # Hand-written shapes for the column walk of `build_base_graphs`.
@@ -444,6 +475,20 @@ COLUMN_WALK_CASES = {
         "init: x=0\nthread T0\nwr x 1\nthread T1\nrd x 1\nwr x 2\n"
         "rd x 1\nthread T2\nrd x 1\nrd x 2\n"
     ),
+    # T1's reads of x=1 fall in three segments of x, around reads of
+    # other writers, and one segment has no head.
+    "segments around other readers": (
+        "thread T0\nwr x 1\nthread T1\nrd x 1\nrd x 1\nwr x 2\nrd x 1\n"
+        "rd x 2\nrd x 1\nwr x 3\nrd x 1\nthread T2\nrd x 3\nrd x 2\n"
+    ),
+    # Dependency edges from reads merged into their writers, from a read
+    # of its own thread's write, and into a read and a write.
+    "dependencies into reads and writes": (
+        "init: x=0 y=0\nthread T0\nwr x 1\nrd y 1\nwr y 2\n"
+        "thread T1\nrd x 1\nrd x 1\nwr y 1\nrd y 1\nrd y 2\n"
+        "dp T1:0 -> T1:2\ndp T1:1 -> T1:4\ndp T1:3 -> T1:4\n"
+        "dp T0:1 -> T0:2\n"
+    ),
 }
 
 
@@ -465,20 +510,26 @@ def test_first_read_of_several_inits_gets_its_own_vertex():
     assert site in g_mm.adj[0] and site in g_mm.adj[1]
 
 
-def _max_base_vertices(h):
-    # the writes, one read per (program write, thread) entered by both
-    # program order and reads-from, and one read per thread entered by
-    # the initial writes
+def _max_base_vertices(h, spec):
+    # The writes, and unless the model allows load-load hazards one read
+    # per (program write, thread) entered by both program order and
+    # reads-from, and one read per thread entered by the initial writes.
+    # Under load-load hazards: one read per (writer, thread, segment),
+    # at most k + T per writer, and one per read a dp edge touches.
     t = len(h.threads)
-    return h.k + h.k * t + t
+    if not spec.allows_llh:
+        return h.k + h.k * t + t
+    return h.k + h.k * (h.k + t) + len({e for edge in h.dp for e in edge})
 
 
 def test_base_graphs_keep_only_branching_events():
     # On a long simulated trace nearly every read joins the vertex of the
-    # event before it: the graphs keep about the writes and the reads
-    # with an incoming reads-from edge.
+    # event before it, or under rmo the vertex of its segment: the graphs
+    # keep about the writes and the reads with an incoming reads-from
+    # edge.
     for h in list(_long_traces())[::2]:
-        for name in ("sc", "tso", "pso"):
-            for g in build_base_graphs(h, derive(h, get_model(name))):
+        for name in MODELS:
+            spec = get_model(name)
+            for g in build_base_graphs(h, derive(h, spec)):
                 assert g.n < h.n // 8
-                assert g.n <= _max_base_vertices(h)
+                assert g.n <= _max_base_vertices(h, spec)

@@ -354,17 +354,21 @@ class _EdgeListBuilt(Exception):
 
 
 def test_solve_builds_no_edge_list(monkeypatch):
-    # Under sc, tso and pso the base graphs come from the columns: with
-    # the O(n) edge-list builders disabled, `solve` gives the same
-    # verdicts, witnesses and counters.  rmo and a cyclic base graph's
-    # diagnostic still read the full relations.
+    # Under every model the base graphs come from the columns: with the
+    # O(n) edge-list builders disabled, `solve` gives the same verdicts,
+    # witnesses and counters, rmo's dependency edges included.  A cyclic
+    # base graph's diagnostic still reads the full relations.
     long = parse_history((TRACES / "long.mmh").read_text())
     small = parse_history(MP)
+    spelled = parse_history((TRACES / "spelled.mmh").read_text())
     cyclic = parse_history("init: x=0\nthread T0\nrd x 1\nwr x 1\n")
-    checks = [(h, m) for h in (long, small) for m in ("sc", "tso", "pso")]
+    checks = [(h, m) for h in (long, small) for m in ALL_MODELS]
+    checks += [(spelled, "rmo"), (parse_history(OOTA), "rmo")]
     expected = [solve(h, get_model(m)) for h, m in checks]
-    assert all(v.consistent for v in expected[:3])
-    assert [v.consistent for v in expected[3:]] == [False, False, True]
+    assert all(v.consistent for v in expected[:4])
+    assert [v.consistent for v in expected[4:]] == [
+        False, False, True, True, True, False
+    ]
     assert "cyclic" in solve(cyclic, get_model("sc")).diagnostics
 
     def built(*args, **kwargs):
@@ -373,9 +377,7 @@ def test_solve_builds_no_edge_list(monkeypatch):
     for name in ("po_edges", "po_loc", "rf_external"):
         monkeypatch.setattr(models_module, name, built)
     assert [solve(h, get_model(m)) for h, m in checks] == expected
-    with pytest.raises(_EdgeListBuilt):
-        solve(long, get_model("rmo"))
-    for m in ("sc", "tso", "pso"):
+    for m in ALL_MODELS:
         with pytest.raises(_EdgeListBuilt):
             solve(cyclic, get_model(m))
 
@@ -399,18 +401,18 @@ _COLUMNS = {
 
 
 def test_solve_builds_no_event_column(monkeypatch):
-    # Under sc, tso and pso the solver reads the per-write variables,
-    # `thread_of` and each write's readers: with the per-event `access`
-    # and `reads` columns and `rf_source` disabled, parsing and `solve`
-    # give the same verdicts, witnesses and counters.  rmo, a cyclic base
-    # graph's diagnostic, `format_history`, `mutate` and the `Event`
-    # records still read them.
+    # Under every model the solver reads the per-write variables,
+    # `thread_of`, each write's readers and rmo's dependency edges: with
+    # the per-event `access` and `reads` columns and `rf_source` disabled,
+    # parsing and `solve` give the same verdicts, witnesses and counters.
+    # A cyclic base graph's diagnostic, `format_history`, `mutate` and
+    # the `Event` records still read them.
     texts = [(TRACES / "long.mmh").read_text(), MP]
-    checks = [(text, m) for text in texts for m in ("sc", "tso", "pso")]
+    checks = [(text, m) for text in texts for m in ALL_MODELS]
+    checks += [((TRACES / "spelled.mmh").read_text(), "rmo"), (OOTA, "rmo")]
     expected = [solve(parse_history(t), get_model(m)) for t, m in checks]
     cyclic = "init: x=0\nthread T0\nrd x 1\nwr x 1\n"
     uses = {
-        "rmo": lambda: solve(parse_history(texts[0]), get_model("rmo")),
         "diagnostic": lambda: solve(parse_history(cyclic), get_model("sc")),
         "format_history": lambda: format_history(parse_history(texts[0])),
         "events": lambda: parse_history(texts[0]).events,

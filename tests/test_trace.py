@@ -434,17 +434,15 @@ def test_repeated_lines_parse_as_each_line_alone(blocks):
 
 @pytest.mark.parametrize("model", ["sc", "tso", "pso", "rmo"])
 def test_solve_builds_no_event_records(model):
-    # the `Event` view stays unbuilt through a consistent check of a long
-    # trace, and under sc, tso and pso so do the per-event columns; rmo's
-    # relations read `access` (rmo has no simulator and checks the tso
-    # trace, which it allows)
+    # the `Event` view, the per-event columns and the reads-from pairs
+    # stay unbuilt through a consistent check of a long trace (rmo has no
+    # simulator and checks the tso trace, which it allows)
     prog = generate_program(4, 150, 5, seed=91, max_writes=10)
     simulated = simulate(prog, "tso" if model == "rmo" else model, seed=92)
     h = parse_history(format_history(simulated))
     assert h.n == 605 and h.k == 15
     assert solve(h, get_model(model)).consistent
-    unbuilt = (h._access, h._reads) == (None, None)
-    assert unbuilt == (model != "rmo")
+    assert (h._access, h._reads, h._rf) == (None, None, None)
     assert len(h.init_events) == 5
     assert h._events is None
     assert h.events[0].is_init and h._events is not None
