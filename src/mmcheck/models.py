@@ -206,7 +206,8 @@ def build_base_graphs(
       a conflict edge from a read of i in t is implied by the same edge
       from the last one.  The tag sites of i are its last read in each
       thread it feeds: they give the solver's tables and the witness
-      re-check what all of i's reads would give them.
+      re-check what all of i's reads would give them.  Tag sites merged
+      into one vertex (see Merges) list it once.
     - Segments.  Under `allows_llh`, effective same-variable order keeps
       no read-read pair: each event follows the last local write to its
       variable, or the initial write, and each write follows the reads of
@@ -387,7 +388,7 @@ def build_base_graphs(
         w = mark >> 3
         if mark & _RF_LOC:
             loc = w if loc is None else _join(adj_loc, deg_loc, (loc, w))
-        if loc is not None and mark & _TAG:
+        if loc is not None and mark & _TAG and loc not in sites_loc[w]:
             sites_loc[w].append(loc)
         if not llh:
             last_on[var] = loc
@@ -399,7 +400,7 @@ def build_base_graphs(
             mm = src[0]
         else:
             mm = _join(adj_mm, deg_mm, src) if src else None
-        if mm is not None and mark & _TAG:
+        if mm is not None and mark & _TAG and mm not in sites_mm[w]:
             sites_mm[w].append(mm)
         last[slot] = mm
         if dp_reads and e in mm_of:

@@ -107,13 +107,6 @@ def parse_dimacs(text: str) -> Cnf3:
     return Cnf3(num_vars, tuple(clauses))
 
 
-def format_dimacs(cnf: Cnf3) -> str:
-    lines = [f"p cnf {cnf.num_vars} {len(cnf.clauses)}"]
-    for clause in cnf.clauses:
-        lines.append(" ".join(str(lit) for lit in clause) + " 0")
-    return "\n".join(lines) + "\n"
-
-
 def _lit_name(lit: int) -> str:
     return f"p{lit}" if lit > 0 else f"n{-lit}"
 

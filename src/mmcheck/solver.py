@@ -168,14 +168,17 @@ def solve(
 def _write_tables(
     h: History,
     bases: tuple[tuple[EventGraph, list[int]], ...],
-) -> tuple[list[int], list[int], list[int], list[int]]:
-    """Per-write-bit tables: `varmask`, `blocks`, `blockers` and `pred_rd`.
+) -> tuple[list[int], list[int], int, list[int], list[int], list[int]]:
+    """Per-write-bit tables: `varmask`, `var_of`, the number of variables,
+    `blocks`, `blockers` and `pred_rd`.
 
-    Bit j stands for write `h.writes[j]`, and `varmask[j]` holds the
-    writes on its variable.  In either base graph, `blockers[j]` holds the
-    writes that reach j and those on j's variable that reach a read of j:
-    while unplaced, they keep j off the bottom.  `blocks` is its
-    transpose, and `pred_rd[j]` holds the writes that reach a read of j.
+    Bit j stands for write `h.writes[j]`.  Variables are numbered in the
+    order their first write appears: `var_of[j]` is the number of j's
+    variable, and `varmask[j]` holds the writes on it.  In either base
+    graph, `blockers[j]` holds the writes that reach j and those on j's
+    variable that reach a read of j: while unplaced, they keep j off the
+    bottom.  `blocks` is its transpose, and `pred_rd[j]` holds the writes
+    that reach a read of j.
 
     Each graph takes one forward pass over k-bit ancestor masks in the
     order `kahn_acyclic` returned: write j's vertex carries bit j, and
@@ -187,10 +190,12 @@ def _write_tables(
     `blockers[j]`.  ORing over both graphs merges them (see `_search`).
     """
     k = h.k
-    var_writes: dict[str, int] = {}
-    for j, var in enumerate(h.write_vars):
-        var_writes[var] = var_writes.get(var, 0) | (1 << j)
-    varmask = [var_writes[var] for var in h.write_vars]
+    number: dict[str, int] = {}
+    var_of = [number.setdefault(var, len(number)) for var in h.write_vars]
+    var_writes = [0] * len(number)
+    for j, x in enumerate(var_of):
+        var_writes[x] |= 1 << j
+    varmask = [var_writes[x] for x in var_of]
     blockers, pred_rd = [0] * k, [0] * k
     for g, topo in bases:
         adj = g.adj
@@ -213,13 +218,15 @@ def _write_tables(
             b = m & -m
             m ^= b
             blocks[b.bit_length() - 1] |= 1 << j
-    return varmask, blocks, blockers, pred_rd
+    return varmask, var_of, len(number), blocks, blockers, pred_rd
 
 
 def _search(
     k: int,
     memo: dict[int, int],
     varmask: list[int],
+    var_of: list[int],
+    nvars: int,
     blocks: list[int],
     blockers: list[int],
     pred_rd: list[int],
@@ -236,29 +243,48 @@ def _search(
       into t;
     - t reaches a read sourced by a placed write p on s's variable (t in
       `pred_rd[p]`): p sits below s, so that read gains a conflict edge
-      into s.  These read waits depend only on s's variable; `waits`
-      maps each variable's write mask to them.
+      into s.  These read waits depend only on s's variable x, and are
+      kept both ways: `wait_for[x]` holds the writes x's members wait
+      for, and `waited[u]` the OR of `varmask` over every variable whose
+      members wait for u.  Placing v adds `rd = pred_rd[v] & rest` to
+      `wait_for` of v's variable, and ORs `varmask[v]` into `waited[t]`
+      for each t in rd.  So u is in `wait_for[x]` exactly when x's
+      `varmask` lies inside `waited[u]`, which is an OR of whole
+      variables' masks.
 
     A member that waits for no one can sit at the bottom of S.  The
     members no member blocks are carried down as `free`: placing v frees
     only members of `blocks[v]`, once none of their `blockers` is left.
 
-    Placing v adds `pred_rd[v]` to the read waits of the rest's members
-    on v's variable.  If that closes a cycle of read waits, the rest has
+    If the waits placing v adds close a cycle of read waits, the rest has
     no order, and v is skipped with no call and no memo entry: building
     the augmented graphs rejects v at the parent and never reaches the
     rest, so the memo and `subsets_evaluated` stay equal to that
     construction's.  A memo hit on the rest is read first and wins.  The
     test needs only the new waits.  The full set has no read waits, and
     every set evaluated passed the test, so the read waits inside S are
-    acyclic, and so is their restriction to the rest.  A new cycle must
-    then leave v's variable by a new wait and come back by old ones: the
-    rest stalls exactly when the walk from `pred_rd[v] & rest` along the
-    old waits inside the rest reaches a member on v's variable.  The test
-    leaves out reach between writes.  Within one graph that closes no new
-    cycle (whoever reaches t reaches what t reaches), but the union of
-    the two graphs' reach can close one that neither graph has, on a
-    subset the augmented graphs do evaluate.
+    acyclic, and so is their restriction to the rest.  The new waits run
+    from the *start set* `varmask[v] & rest`, the rest's other members on
+    v's variable, to rd.  So a new cycle takes a new wait out of the
+    start set and comes back along old waits inside the rest: the rest
+    stalls exactly when the forward closure of rd under the old waits
+    meets the start set.  Leaving v out of the walk loses no path: v is
+    a candidate, so it waits for no one in S, and as a sink of the waits
+    inside S it lies on no path between two members of the rest.  The
+    forward closure of rd meets the start set exactly when the backward
+    closure of the start set meets rd, so the test walks backward.  Each
+    step ORs `waited` over the members reached and masks the result by
+    `rest`, which gives the members of the rest that wait for one of
+    them: y waits for u exactly when the `varmask` of y's variable lies
+    inside `waited[u]`.  v is cut when the walk meets rd, and most walks
+    end at their first step.  An empty start set needs no walk, and its
+    waits are not recorded: no set evaluated below the rest holds a
+    member of v's variable, so they would never be read.  Each list is
+    copied only when a placement records waits.  The test leaves out
+    reach between writes.  Within one graph that closes no new cycle
+    (whoever reaches t reaches what t reaches), but the union of the two
+    graphs' reach can close one that neither graph has, on a subset the
+    augmented graphs do evaluate.
 
     Merging the tables over both base graphs is exact.  The write waits
     and the candidate tests are ORs over the graphs.  A read wait taken
@@ -268,34 +294,49 @@ def _search(
     variable and blocks p, so p is never placed while t is not.  So on
     every subset evaluated the merged read waits are the model graph's.
 
+    The sets evaluated are bounded by the instance's structure.  Let
+    k_{t,x} count thread t's writes to variable x, and let i_x be 1 when
+    x has an initial write and 0 otherwise.  Then `subsets_evaluated` is
+    at most B = prod over x of (i_x + prod over t of (k_{t,x} + 1)).
+    Each set evaluated is distinct and is fixed by the writes placed
+    below it.  A write is placed only when none of its `blockers` is
+    left, so the placed writes are closed under `blockers`.
+    Same-variable program order keeps every pair of one thread's writes
+    to x under every model, so each reaches the next in the per-location
+    graph, and the placed ones form a prefix of that chain: k_{t,x} + 1
+    choices per thread.  An initial write of x reaches every program
+    write of x, so either it is unplaced and so is every write of x, or
+    it is placed and the threads choose their prefixes: i_x + prod over
+    t of (k_{t,x} + 1) choices for x, and B for the placed set.
+
     `memo[mask]` receives the bit index of the write placed lowest when
     the subset is orderable, or -1 when it is not; masks never reached,
     or cut by the cycle test, stay absent.
 
     The recursion runs on an explicit stack of frames (the set, its free
-    members, its read waits, its untried candidates and the candidate
-    tried last), so k is not bounded by the interpreter's recursion
-    limit.  A frame whose rest needs evaluating is pushed and the rest
-    becomes the current frame; a failed frame resumes its parent at the
-    next candidate, and a success records each pending frame's candidate
-    on the way up.
+    members, its read waits both ways, its untried candidates and the
+    candidate tried last), so k is not bounded by the interpreter's
+    recursion limit.  A frame whose rest needs evaluating is pushed and
+    the rest becomes the current frame; a failed frame resumes its parent
+    at the next candidate, and a success records each pending frame's
+    candidate on the way up.
     """
     memo[0] = k  # sentinel: the empty subset is orderable
     full = free = (1 << k) - 1
     for b in blocks:
         free &= ~b
-    # The current frame: its set, free members, read waits and untried
-    # candidates; `stack` holds the pending frames and their candidates.
-    s_mask, waits, c = full, {}, free
-    stack: list[tuple[int, int, dict[int, int], int, int]] = []
+    # The current frame: its set, free members, read waits both ways and
+    # untried candidates; `stack` holds the pending frames and their
+    # candidates.
+    s_mask, wait_for, waited, c = full, [0] * nvars, [0] * k, free
+    stack: list[tuple[int, int, list[int], list[int], int, int]] = []
     subsets, gates = 1, 0
     while True:
         while c:
             vb = c & -c
             c ^= vb
             v = vb.bit_length() - 1
-            vm = varmask[v]
-            if waits.get(vm, 0) & s_mask:
+            if wait_for[var_of[v]] & s_mask:
                 continue
             gates += 1
             rest = s_mask ^ vb
@@ -304,21 +345,29 @@ def _search(
                 if cached < 0:
                     continue
                 break  # the rest is orderable: place v
+            child_for, child_waited = wait_for, waited
             rd = pred_rd[v] & rest
-            child = waits
             if rd:
-                seen = reached = rd
-                while reached and not reached & vm:
+                vm = varmask[v]
+                seen = reached = start = vm & rest
+                while reached and not reached & rd:
                     step = 0
-                    for wm, w in waits.items():
-                        if wm & reached:
-                            step |= w
+                    while reached:
+                        u = reached & -reached
+                        reached ^= u
+                        step |= waited[u.bit_length() - 1]
                     reached = step & rest & ~seen
                     seen |= reached
                 if reached:
                     continue
-                child = dict(waits)
-                child[vm] = child.get(vm, 0) | rd
+                if start:
+                    child_for = wait_for[:]
+                    child_for[var_of[v]] |= rd
+                    child_waited = waited[:]
+                    while rd:
+                        u = rd & -rd
+                        rd ^= u
+                        child_waited[u.bit_length() - 1] |= vm
             freed = free ^ vb
             b = blocks[v] & rest
             while b:
@@ -326,21 +375,23 @@ def _search(
                 b ^= u
                 if not blockers[u.bit_length() - 1] & rest:
                     freed |= u
-            stack.append((s_mask, free, waits, c, v))
-            s_mask, free, waits, c = rest, freed, child, freed
+            stack.append((s_mask, free, wait_for, waited, c, v))
+            s_mask, free, wait_for, waited, c = (
+                rest, freed, child_for, child_waited, freed
+            )
             subsets += 1
         else:
             # No candidate left: the set has no order; resume the parent.
             memo[s_mask] = -1
             if not stack:
                 break
-            s_mask, free, waits, c, v = stack.pop()
+            s_mask, free, wait_for, waited, c, v = stack.pop()
             continue
         # v sits at the bottom of an orderable set, and so does each
         # pending frame's candidate.
         memo[s_mask] = v
         while stack:
-            s_mask, _, _, _, v = stack.pop()
+            s_mask, _, _, _, _, v = stack.pop()
             memo[s_mask] = v
         break
     stats.subsets_evaluated += subsets

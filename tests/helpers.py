@@ -21,17 +21,24 @@ reads on one vertex per event, with every read a tag site.  It is a
 deliberate duplicate of what `build_base_graphs` contracts: tests
 compare the contracted base graphs, their search tables and their
 witness re-checks against it.
+
+`structural_bound` gives the bound on the subsets the search evaluates
+that the tests gate on, and `format_dimacs` the DIMACS text that
+`parse_dimacs` round-trips.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+from collections import Counter
 from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Iterable
 
-from mmcheck import History, Outcome, Verdict, derive, oota_cycle
+from mmcheck import Cnf3, History, Outcome, Verdict, derive, oota_cycle
 from mmcheck.errors import MmcheckError
+from mmcheck.events import INIT_THREAD
 from mmcheck.graphs import EventGraph, kahn_acyclic
 from mmcheck.models import build_base_graphs
 
@@ -186,6 +193,27 @@ def solve_reference(h, spec):
         return False
 
     return orderable(index.full_mask), memo
+
+
+def structural_bound(h):
+    """B = prod over variables x of (i_x + prod over threads t of
+    (k_{t,x} + 1)), where i_x is 1 when x has an initial write and k_{t,x}
+    counts t's writes to x: the bound on `subsets_evaluated` that
+    `solver._search` proves."""
+    bound = 1
+    for var in h.variables:
+        per_thread = Counter(h.thread_of[w] for w in h.writes_on(var))
+        initial = per_thread.pop(INIT_THREAD, 0)
+        bound *= initial + math.prod(n + 1 for n in per_thread.values())
+    return bound
+
+
+def format_dimacs(cnf: Cnf3) -> str:
+    """The formula in DIMACS text, for round trips through `parse_dimacs`."""
+    lines = [f"p cnf {cnf.num_vars} {len(cnf.clauses)}"]
+    for clause in cnf.clauses:
+        lines.append(" ".join(str(lit) for lit in clause) + " 0")
+    return "\n".join(lines) + "\n"
 
 
 def closure(n, edges):

@@ -29,6 +29,7 @@ from mmcheck import (
 )
 
 from conftest import SB, MP, CORR, OOTA, build_corpus
+from helpers import structural_bound
 
 MODELS = ("sc", "tso", "pso", "rmo")
 
@@ -56,7 +57,7 @@ def _corpus_results():
             s = oracle_store(h, spec)
             if not (v.outcome == t.outcome == s.outcome):
                 mismatches.append((i, m))
-            if v.stats.subsets_evaluated > 2**h.k:
+            if v.stats.subsets_evaluated > min(structural_bound(h), 2**h.k):
                 subset_violations += 1
             row[m] = v.consistent
             if v.consistent:
@@ -294,7 +295,7 @@ def test_criterion_7_complexity_accounting():
 
     # scaling family: unsatisfiable unit pair plus padding variables,
     # k = 2*num_vars + 4 for num_vars = 2..5
-    counts = []
+    counts, bounds = [], []
     for pad in (2, 3, 4, 5):
         cnf = Cnf3(pad, ((1, 1, 1), (-1, -1, -1)))
         h = sat_to_history_sc(cnf)
@@ -302,7 +303,8 @@ def test_criterion_7_complexity_accounting():
         v = solve(h, get_model("sc"))
         assert not v.consistent
         counts.append((h.k, v.stats.subsets_evaluated))
-    bounded = all(c <= 2**k for k, c in counts)
+        bounds.append(min(structural_bound(h), 2**h.k))
+    bounded = all(c <= b for (_, c), b in zip(counts, bounds))
     nondecreasing = all(
         counts[i][1] <= counts[i + 1][1] for i in range(len(counts) - 1)
     )
@@ -310,7 +312,7 @@ def test_criterion_7_complexity_accounting():
     _report(
         7,
         ok,
-        "subsets <= 2^k on all runs; scaling family "
+        "subsets <= min(B, 2^k) on all runs; scaling family "
         + ", ".join(f"k={k}: {c}" for k, c in counts),
     )
     assert ok

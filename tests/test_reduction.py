@@ -24,7 +24,8 @@ from mmcheck.errors import (
     NotThreeSatError,
     TooManyVarsError,
 )
-from mmcheck.reduction import format_dimacs
+
+from helpers import format_dimacs
 
 
 def test_parse_dimacs_examples():

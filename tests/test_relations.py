@@ -14,6 +14,8 @@ import random
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mmcheck import (
     MODELS,
@@ -236,6 +238,35 @@ def test_two_variable_reductions_match_reference_memo():
                 _assert_same_memo(h, get_model(name))
 
 
+_LITERALS = st.sampled_from([1, 2, -1, -2])
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    clauses=st.lists(
+        st.tuples(_LITERALS, _LITERALS, _LITERALS), min_size=2, max_size=3
+    ),
+    dp_seed=st.integers(0, 10**6),
+)
+def test_two_variable_formulas_match_reference_memo(clauses, dp_seed):
+    # Formulas over 2 variables with repeated and mixed literals, k = 12.
+    # Satisfiable ones are kept: their consistent instances take the
+    # search's success path.  Both searches run on the same instance, so
+    # whether it is the right verdict for the formula does not matter.
+    cnf = Cnf3(2, tuple(clauses))
+    rng = random.Random(dp_seed)
+    rmo = get_model("rmo")
+    for h, names in (
+        (sat_to_history_sc(cnf), ("sc",)),
+        (sat_to_history_relaxed(cnf), MODELS),
+    ):
+        for name in names:
+            _assert_same_memo(h, get_model(name))
+        augmented = with_random_dp(h, rng)
+        if augmented is not None:
+            _assert_same_memo(augmented, rmo)
+
+
 def test_multi_step_read_wait_cycles_match_reference_memo():
     # An unsatisfiable formula over 3 variables, k = 18, on which some
     # placements close a cycle of read waits only through two or more old
@@ -310,8 +341,12 @@ def _assert_contraction_exact(h, spec):
     # events: the same acyclicity, the same search tables, and the same
     # re-check of the witness (or the writes in id order when there is
     # none) and of each order one adjacent swap away from it.  The full
-    # graphs come from the pair-set reference derivation.
+    # graphs come from the pair-set reference derivation.  The bases list
+    # each tag site once per write.
     bases = build_base_graphs(h, derive(h, spec))
+    for g in bases:
+        for sites in g.tag_sites:
+            assert len(set(sites)) == len(sites)
     rel = reference_derive(h, spec)
     full = (
         event_graph(h, rel.po_loc_effective, h.rf),
@@ -351,7 +386,7 @@ def _tables_from_definitions(h, spec):
     # relations, one per graph: write i is in `blockers[j]` when it reaches
     # j, or is on j's variable and reaches a read of j, in either graph;
     # `pred_rd[j]` holds the writes that reach a read of j; `blocks` is the
-    # transpose of `blockers`.
+    # transpose of `blockers`.  Variables are numbered by first write.
     rel = reference_derive(h, spec)
     reach = (
         closure(h.n, [*rel.po_loc_effective, *h.rf]),
@@ -366,6 +401,8 @@ def _tables_from_definitions(h, spec):
         return any(r[writes[i]] >> e & 1 for r in reach)
 
     varmask = [mask(i for i in range(k) if var[i] == var[j]) for j in range(k)]
+    names = list(dict.fromkeys(var))
+    var_of = [names.index(var[j]) for j in range(k)]
     pred_rd = [
         mask(
             i for i in range(k)
@@ -387,7 +424,7 @@ def _tables_from_definitions(h, spec):
     blocks = [
         mask(j for j in range(k) if blockers[j] >> i & 1) for i in range(k)
     ]
-    return varmask, blocks, blockers, pred_rd
+    return varmask, var_of, len(names), blocks, blockers, pred_rd
 
 
 def _assert_tables_match_definitions(h, spec):

@@ -26,7 +26,7 @@ from mmcheck import solver as solver_module
 from mmcheck.solver import extract_witness
 
 from conftest import SB, MP, CORR, OOTA, TRACES, with_random_dp
-from helpers import solve_reference
+from helpers import solve_reference, structural_bound
 
 ALL_MODELS = ("sc", "tso", "pso", "rmo")
 
@@ -133,12 +133,19 @@ def test_single_write_history():
         assert v.consistent and v.witness == [0]
 
 
-def test_memo_bound():
-    for text in (SB, MP, CORR):
-        h = parse_history(text)
+def _assert_within_bounds(h, v):
+    assert v.stats.subsets_evaluated <= min(structural_bound(h), 2 ** h.k)
+
+
+def test_memo_bound(small_corpus):
+    # The structural bound that `_search`'s docstring proves, as an exact
+    # gate next to 2^k.
+    histories = [*small_corpus]
+    histories += [parse_history(p.read_text()) for p in TRACES.glob("*.mmh")]
+    assert len(histories) == len(small_corpus) + 7
+    for h in histories:
         for m in ALL_MODELS:
-            v = solve(h, get_model(m))
-            assert v.stats.subsets_evaluated <= 2 ** h.k
+            _assert_within_bounds(h, solve(h, get_model(m)))
 
 
 # Unsatisfiable formulas over 3, 4 and 5 variables, with the search
@@ -178,6 +185,7 @@ def test_search_counters_are_pinned(cnf, k, subsets, gates):
         assert h.k == k
         v = solve(h, get_model(name))
         assert not v.consistent
+        _assert_within_bounds(h, v)
         assert (v.stats.subsets_evaluated, v.stats.gate_checks) == (
             subsets,
             gates,
