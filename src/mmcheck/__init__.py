@@ -7,7 +7,7 @@ and fed by a 3-CNF instance compiler and operational simulators.
 """
 
 from .errors import MmcheckError
-from .events import Event, History, assemble_history
+from .events import History, assemble_history
 from .graphs import EventGraph, kahn_acyclic
 from .models import (
     MODELS,
@@ -44,7 +44,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Cnf3",
     "DerivedModel",
-    "Event",
     "EventGraph",
     "History",
     "MODELS",

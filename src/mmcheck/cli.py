@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import dataclass
 
 from .errors import (
     KTooLargeError,
@@ -42,38 +41,8 @@ EXIT_RESOURCE = 3
 #: `gen sat --variant`: the strict-model or the buffer-proof construction.
 SAT_VARIANTS = {"sc": sat_to_history_sc, "relaxed": sat_to_history_relaxed}
 
-
-@dataclass
-class CheckReport:
-    """Line-oriented `key: value` report for check/oracle runs."""
-
-    verdict: Verdict
-    model: str
-    h: History
-    elapsed_ms: float
-    show_witness: bool
-    show_stats: bool
-
-    def lines(self) -> list[str]:
-        out = [
-            f"verdict: {self.verdict.outcome.value}",
-            f"model: {self.model}",
-            f"k: {self.h.k}",
-            f"n: {self.h.n}",
-        ]
-        if self.show_witness:
-            if self.verdict.consistent:
-                refs = " < ".join(self.h.ref(w) for w in self.verdict.witness)
-                out.append(f"tw: {refs}")
-            elif self.verdict.diagnostics:
-                out.append(f"diagnostics: {self.verdict.diagnostics}")
-        if self.show_stats:
-            stats = self.verdict.stats
-            if stats is not None:
-                out.append(f"subsets: {stats.subsets_evaluated}")
-                out.append(f"gate_checks: {stats.gate_checks}")
-            out.append(f"elapsed_ms: {self.elapsed_ms:.1f}")
-        return out
+#: `oracle --oracle-mode`: total write orders or per-variable store orders.
+ORACLES = {"total": oracle_total, "store": oracle_store}
 
 
 def _read_text(path: str) -> str:
@@ -95,32 +64,42 @@ def _write_output(text: str, path: str | None) -> None:
             fh.write(text)
 
 
-def _emit_report(report: CheckReport) -> int:
-    print("\n".join(report.lines()))
-    return EXIT_CONSISTENT if report.verdict.consistent else EXIT_INCONSISTENT
+def _report(
+    verdict: Verdict, model: str, h: History, elapsed_ms: float,
+    args: argparse.Namespace,
+) -> int:
+    """Print the line-oriented `key: value` report; return the exit code."""
+    lines = [
+        f"verdict: {verdict.outcome.value}",
+        f"model: {model}",
+        f"k: {h.k}",
+        f"n: {h.n}",
+    ]
+    if args.witness:
+        if verdict.consistent:
+            lines.append("tw: " + " < ".join(h.ref(w) for w in verdict.witness))
+        elif verdict.diagnostics:
+            lines.append(f"diagnostics: {verdict.diagnostics}")
+    if args.stats:
+        if verdict.stats is not None:
+            lines.append(f"subsets: {verdict.stats.subsets_evaluated}")
+            lines.append(f"gate_checks: {verdict.stats.gate_checks}")
+        lines.append(f"elapsed_ms: {elapsed_ms:.1f}")
+    print("\n".join(lines))
+    return EXIT_CONSISTENT if verdict.consistent else EXIT_INCONSISTENT
 
 
 def cmd_check(args: argparse.Namespace) -> int:
+    """`check` runs the subset solver, `oracle` a brute-force decider."""
     start = time.perf_counter()
     h = parse_history(_read_text(args.trace))
     spec = get_model(args.model)
-    verdict = solve(h, spec, max_k=args.max_k)
+    if args.command == "check":
+        verdict = solve(h, spec, max_k=args.max_k)
+    else:
+        verdict = ORACLES[args.oracle_mode](h, spec)
     elapsed = (time.perf_counter() - start) * 1000.0
-    return _emit_report(
-        CheckReport(verdict, spec.name, h, elapsed, args.witness, args.stats)
-    )
-
-
-def cmd_oracle(args: argparse.Namespace) -> int:
-    start = time.perf_counter()
-    h = parse_history(_read_text(args.trace))
-    spec = get_model(args.model)
-    decider = oracle_total if args.oracle_mode == "total" else oracle_store
-    verdict = decider(h, spec)
-    elapsed = (time.perf_counter() - start) * 1000.0
-    return _emit_report(
-        CheckReport(verdict, spec.name, h, elapsed, args.witness, args.stats)
-    )
+    return _report(verdict, spec.name, h, elapsed, args)
 
 
 def cmd_gen_sat(args: argparse.Namespace) -> int:
@@ -146,10 +125,6 @@ def cmd_mutate(args: argparse.Namespace) -> int:
     return EXIT_CONSISTENT
 
 
-def _model_arg(value: str) -> str:
-    return value.lower()
-
-
 def _count_arg(low: int):
     def count(value: str) -> int:
         n = int(value)
@@ -172,7 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--model",
             required=True,
-            type=_model_arg,
+            type=str.lower,
             choices=sorted(MODELS),
             help="memory model to check against",
         )
@@ -199,11 +174,11 @@ def build_parser() -> argparse.ArgumentParser:
     add_check_flags(p_oracle)
     p_oracle.add_argument(
         "--oracle-mode",
-        choices=("total", "store"),
+        choices=ORACLES,
         default="total",
         help="enumerate total write orders or per-variable store orders",
     )
-    p_oracle.set_defaults(func=cmd_oracle)
+    p_oracle.set_defaults(func=cmd_check)
 
     p_gen = sub.add_parser("gen", help="generate traces")
     gen_sub = p_gen.add_subparsers(dest="generator", required=True)
@@ -223,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rand.add_argument(
         "--model",
         required=True,
-        type=_model_arg,
+        type=str.lower,
         choices=SIMULATED_MODELS,
     )
     p_rand.add_argument("--threads", type=_count_arg(0), default=2)

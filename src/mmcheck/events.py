@@ -1,4 +1,4 @@
-"""Core data model: events and histories.
+"""Core data model: histories, held as columns.
 
 A history is a collection of per-thread sequences of read/write events
 plus a reads-from relation mapping each read to the write that supplied
@@ -15,18 +15,17 @@ the rest of its work per distinct access and per write.  `thread_of`,
 each event's thread name, is the one column indexed by event id that
 is built with the history; each thread's ids are consecutive, so a
 position is the id minus the thread's first id.  `write_vars` holds
-each write's variable.  The per-event columns `access` (each event's
-tuple, shared between equal accesses) and `reads`, and the `Event`
-records of `History.events`, are views built on first access.  Under
-sc, tso and pso the solver reads `thread_of`, `write_vars` and each
-write's readers, and builds none of them.
+each write's variable.  The per-event column `access` (each event's
+tuple, shared between equal accesses) is built on first access.  The
+solver reads `thread_of`, `write_vars`, each write's readers and the
+dependency edges, and builds it only to word a diagnostic.  There is no
+per-event record: every package path reads the columns.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from itertools import chain
-from typing import Mapping, NamedTuple, Sequence, TypeVar
+from typing import Mapping, Sequence, TypeVar
 
 from .errors import (
     AmbiguousRfError,
@@ -49,31 +48,6 @@ MAX_VALUE = 2**64 - 1
 _T = TypeVar("_T")
 
 
-class Event(NamedTuple):
-    """A single read or write access."""
-
-    id: int
-    thread: str
-    pos: int
-    kind: str
-    var: str
-    val: int
-    is_init: bool = False
-
-    @property
-    def is_write(self) -> bool:
-        return self.kind == WRITE
-
-    @property
-    def is_read(self) -> bool:
-        return self.kind == READ
-
-    @property
-    def ref(self) -> str:
-        """Stable textual reference, `<thread>:<pos>`."""
-        return f"{self.thread}:{self.pos}"
-
-
 def _po_before(thread_of: Sequence[str], a: int, b: int) -> bool:
     if thread_of[a] == INIT_THREAD:
         return thread_of[b] != INIT_THREAD
@@ -87,18 +61,17 @@ def _ref(
 
 
 class History:
-    """Events plus reads-from and dependency relations.
+    """Per-event columns plus reads-from and dependency relations.
 
     `_groups` maps each distinct `(kind, var, value)` tuple to its event
     ids, ascending, in the order of their first ids.  `thread_of`, each
     event's thread name, is the one per-event column built with the
     history, and `write_vars` holds each write's variable, aligned with
-    `writes`.  The per-event columns `access` (each event's tuple, shared
-    between equal accesses) and `reads` are built from the groups and the
-    readers on first access and cached, as are `rf` and `events`, the
-    `Event` records; `rf_source` reads `access`.  `rf` and `dp` are
-    frozensets of `(source, target)` event-id pairs.  Program order is
-    answered by :meth:`po_before` from `thread_of`.
+    `writes`.  The per-event column `access` (each event's tuple, shared
+    between equal accesses) is built from the groups on first access and
+    cached, as is `rf`.  `rf` and `dp` are frozensets of
+    `(source, target)` event-id pairs.  Program order is answered by
+    :meth:`po_before` from `thread_of`.
 
     Instances are immutable after construction (each cached value is the
     same whoever builds it) and safe to share across threads.  Use
@@ -115,13 +88,11 @@ class History:
         "thread_of",
         "dp",
         "_access",
-        "_events",
         "_rf",
         "threads",
         "_thread_ids",
         "_writes",
         "write_vars",
-        "_reads",
         "_readers",
         "_writes_on",
     )
@@ -140,7 +111,6 @@ class History:
         self.thread_of: tuple[str, ...] = tuple(thread_of)
         self.dp = dp
         self._access: tuple[tuple[str, str, int], ...] | None = None
-        self._events: tuple[Event, ...] | None = None
         self._rf: frozenset[tuple[int, int]] | None = None
         self.threads: tuple[str, ...] = tuple(threads)[1:]
         self._thread_ids = threads
@@ -150,7 +120,6 @@ class History:
         for w, var in zip(writes, write_vars):
             writes_on[var].append(w)
         self._writes_on = {var: tuple(ws) for var, ws in writes_on.items()}
-        self._reads: tuple[int, ...] | None = None
         self._readers = readers
 
     @property
@@ -159,18 +128,6 @@ class History:
         if self._access is None:
             self._access = tuple(_scatter(self._groups, self.n))
         return self._access
-
-    @property
-    def events(self) -> tuple[Event, ...]:
-        """Every event, in id order, built from the columns once."""
-        if self._events is None:
-            access = self.access
-            self._events = tuple(
-                Event(i, t, pos, *access[i], t == INIT_THREAD)
-                for t, ids in self._thread_ids.items()
-                for pos, i in enumerate(ids)
-            )
-        return self._events
 
     @property
     def rf(self) -> frozenset[tuple[int, int]]:
@@ -196,20 +153,6 @@ class History:
         return self._writes
 
     @property
-    def reads(self) -> tuple[int, ...]:
-        if self._reads is None:
-            self._reads = tuple(sorted(chain(*self._readers.values())))
-        return self._reads
-
-    @property
-    def init_events(self) -> tuple[Event, ...]:
-        access = self.access
-        return tuple(
-            Event(i, INIT_THREAD, i, *access[i], True)
-            for i in self._thread_ids[INIT_THREAD]
-        )
-
-    @property
     def variables(self) -> tuple[str, ...]:
         return tuple(dict.fromkeys(var for _, var, _ in self._groups))
 
@@ -222,17 +165,8 @@ class History:
         """
         return _po_before(self.thread_of, a, b)
 
-    def resolve_ref(self, thread: str, pos: int) -> int:
-        return _resolve(self._thread_ids, (thread, pos))
-
     def readers_of(self, write_id: int) -> tuple[int, ...]:
         return self._readers.get(write_id, ())
-
-    def rf_source(self, read_id: int) -> int | None:
-        """The write a read reads from: the one write of its (var, value).
-        None at a write."""
-        kind, var, val = self.access[read_id]
-        return self._groups[WRITE, var, val][0] if kind == READ else None
 
     def writes_on(self, var: str) -> tuple[int, ...]:
         return self._writes_on.get(var, ())

@@ -15,7 +15,6 @@ tries, so agreement between the three deciders is meaningful.
 from __future__ import annotations
 
 import itertools
-import math
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .errors import KTooLargeForOracleError, SearchSpaceTooLargeError
@@ -98,10 +97,20 @@ def oracle_total(h: History, spec: ModelSpec) -> Verdict:
 
 
 def store_order_count(h: History) -> int:
-    """Size of the store-order search space for `h`."""
+    """Size of the store-order search space for `h`: the product of each
+    variable's write count factorial, exact up to
+    `ORACLE_MAX_STORE_ORDERS` and past it some number above the bound.
+
+    The product stops growing once it passes the bound, so a variable
+    with many writes costs a few multiplications, not a factorial of
+    thousands of digits.
+    """
     count = 1
-    for var in sorted(h.variables):
-        count *= math.factorial(len(h.writes_on(var)))
+    for var in h.variables:
+        for m in range(2, len(h.writes_on(var)) + 1):
+            count *= m
+            if count > ORACLE_MAX_STORE_ORDERS:
+                return count
     return count
 
 
@@ -150,11 +159,9 @@ def oracle_store(h: History, spec: ModelSpec) -> Verdict:
     Σₓ|Wₓ|², each one longer than its first write's readers.  No whole
     store order is kept.
     """
-    count = store_order_count(h)
-    if count > ORACLE_MAX_STORE_ORDERS:
+    if store_order_count(h) > ORACLE_MAX_STORE_ORDERS:
         raise SearchSpaceTooLargeError(
-            f"{count} store orders exceed the bound of "
-            f"{ORACLE_MAX_STORE_ORDERS}"
+            f"store orders exceed the bound of {ORACLE_MAX_STORE_ORDERS}"
         )
     if spec.requires_oota and oota_cycle(h) is not None:
         return Verdict(Outcome.INCONSISTENT)
@@ -198,6 +205,9 @@ def _product_of_passing(
     passing ones are kept.  A failing item skips every tuple that holds it
     without visiting them.
     """
+    if not pools:
+        yield ()
+        return
     kept: list[list[_T]] = [[] for _ in pools]
     untested = [iter(pool) for pool in pools]
 
@@ -211,15 +221,23 @@ def _product_of_passing(
                 kept[i].append(item)
                 yield item
 
-    def tuples(i: int) -> Iterator[tuple[_T, ...]]:
-        if i == len(pools):
-            yield ()
-            return
-        for item in items(i):
-            for rest in tuples(i + 1):
-                yield (item, *rest)
-
-    return tuples(0)
+    # The open walks, one per pool from the first to the deepest reached,
+    # sit on a list rather than the call stack, so any number of pools
+    # fits; `prefix` holds the item each walk but the deepest stands at.
+    prefix: list[_T] = []
+    walks = [items(0)]
+    while walks:
+        for item in walks[-1]:
+            if len(walks) == len(pools):
+                yield (*prefix, item)
+            else:
+                prefix.append(item)
+                walks.append(items(len(walks)))
+                break
+        else:
+            walks.pop()
+            if prefix:
+                prefix.pop()
 
 
 def _linearize(

@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import NoAlternativeWriterError, UnknownModelError
-from .events import History, assemble_history
+from .events import INIT_THREAD, History, assemble_history
 
 #: Each simulated machine's store buffers, as the key of the FIFO that a
 #: thread's write to a variable queues in; sc has none and writes straight
@@ -152,20 +152,23 @@ def mutate(h: History, seed: int) -> History:
     """
     rng = random.Random(seed)
     access = h.access
-    candidates = [
-        rid for rid in h.reads if len(h.writes_on(access[rid][1])) >= 2
-    ]
-    if not candidates:
+    writer_of = {
+        r: w
+        for w, var in zip(h.writes, h.write_vars)
+        if len(h.writes_on(var)) >= 2
+        for r in h.readers_of(w)
+    }
+    if not writer_of:
         raise NoAlternativeWriterError(
             "every read's variable has a single writer"
         )
-    rid = rng.choice(candidates)
+    rid = rng.choice(sorted(writer_of))
     kind, var, _ = access[rid]
-    current = h.rf_source(rid)
+    current = writer_of[rid]
     new_writer = rng.choice([w for w in h.writes_on(var) if w != current])
     rewired = {rid: (kind, var, access[new_writer][2])}
 
-    init = [(e.var, e.val) for e in h.init_events]
+    init = [access[i][1:] for i in h.thread_events(INIT_THREAD)]
     threads = [
         (t, [rewired.get(eid, access[eid]) for eid in h.thread_events(t)])
         for t in h.threads

@@ -28,7 +28,7 @@ from __future__ import annotations
 import re
 
 from .errors import TraceSyntaxError
-from .events import MAX_VALUE, History, assemble_history
+from .events import INIT_THREAD, MAX_VALUE, History, assemble_history
 
 _IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
 _ASSIGN_RE = re.compile(rf"({_IDENT})=(\d+)")
@@ -137,10 +137,10 @@ def format_history(h: History, explicit_rf: bool = False) -> str:
     relation is left to value inference.
     """
     lines: list[str] = []
-    inits = h.init_events
-    if inits:
-        lines.append("init: " + " ".join(f"{e.var}={e.val}" for e in inits))
     access = h.access
+    inits = [access[i][1:] for i in h.thread_events(INIT_THREAD)]
+    if inits:
+        lines.append("init: " + " ".join("%s=%s" % a for a in inits))
     for t in h.threads:
         lines.append(f"thread {t}")
         lines.extend("%s %s %s" % access[i] for i in h.thread_events(t))

@@ -10,6 +10,8 @@ import pytest
 from mmcheck import assemble_history, generate_program, mutate, simulate
 from mmcheck.errors import NoAlternativeWriterError
 
+from helpers import events, reads
+
 TRACES = Path(__file__).resolve().parent.parent / "traces"
 
 SB = (TRACES / "sb.mmh").read_text()
@@ -50,28 +52,22 @@ def build_corpus(count: int, seed: int, max_writes: int = 4):
 def with_random_dp(h, rng: random.Random):
     """`h` plus dependency edges from about half its reads to later
     same-thread events; None when no edge was drawn."""
+    evs = events(h)
+
     def ref(eid):
-        return h.events[eid].thread, h.events[eid].pos
+        return evs[eid].thread, evs[eid].pos
 
     dp_refs = []
-    for rid in h.reads:
-        e = h.events[rid]
-        later = [t for t in h.thread_events(e.thread) if t > rid]
+    for rid in reads(h):
+        later = [t for t in h.thread_events(evs[rid].thread) if t > rid]
         if later and rng.random() < 0.5:
             dp_refs.append((ref(rid), ref(rng.choice(later))))
     if not dp_refs:
         return None
     return assemble_history(
-        init=[(e.var, e.val) for e in h.init_events],
+        init=[(e.var, e.val) for e in evs if e.is_init],
         threads=[
-            (
-                t,
-                [
-                    (h.events[i].kind, h.events[i].var, h.events[i].val)
-                    for i in h.thread_events(t)
-                ],
-            )
-            for t in h.threads
+            (t, [h.access[i] for i in h.thread_events(t)]) for t in h.threads
         ],
         rf_refs=[(ref(w), ref(r)) for w, r in sorted(h.rf)],
         dp_refs=dp_refs,

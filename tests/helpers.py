@@ -22,6 +22,10 @@ deliberate duplicate of what `build_base_graphs` contracts: tests
 compare the contracted base graphs, their search tables and their
 witness re-checks against it.
 
+The event view `events` turns a history's columns into one `Event`
+record per event, and `reads`, `rf_source` and `resolve_ref` answer from
+the same columns.  It is test-only: the package reads the columns.
+
 `structural_bound` gives the bound on the subsets the search evaluates
 that the tests gate on, and `format_dimacs` the DIMACS text that
 `parse_dimacs` round-trips.
@@ -34,17 +38,73 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from types import SimpleNamespace
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from mmcheck import Cnf3, History, Outcome, Verdict, derive, oota_cycle
-from mmcheck.errors import MmcheckError
-from mmcheck.events import INIT_THREAD
+from mmcheck.errors import DanglingRefError, MmcheckError
+from mmcheck.events import INIT_THREAD, READ, WRITE
 from mmcheck.graphs import EventGraph, kahn_acyclic
 from mmcheck.models import build_base_graphs
 
 
 class PreconditionViolatedError(MmcheckError):
     """A reference construction was called outside its precondition."""
+
+
+class Event(NamedTuple):
+    """One read or write access, as a record: a test-only view of a
+    history's columns."""
+
+    id: int
+    thread: str
+    pos: int
+    kind: str
+    var: str
+    val: int
+    is_init: bool
+
+    @property
+    def is_write(self) -> bool:
+        return self.kind == WRITE
+
+    @property
+    def is_read(self) -> bool:
+        return self.kind == READ
+
+
+def events(h: History) -> tuple[Event, ...]:
+    """Every event of `h`, in id order: each thread's ids are consecutive,
+    the initial writes' first."""
+    access = h.access
+    return tuple(
+        Event(i, t, pos, *access[i], t == INIT_THREAD)
+        for t in (INIT_THREAD, *h.threads)
+        for pos, i in enumerate(h.thread_events(t))
+    )
+
+
+def reads(h: History) -> tuple[int, ...]:
+    """The read ids of `h`, ascending."""
+    return tuple(i for i, a in enumerate(h.access) if a[0] == READ)
+
+
+def rf_source(h: History, r: int) -> int | None:
+    """The write that read `r` reads from, the one write of its variable
+    and value; None at a write."""
+    kind, var, val = h.access[r]
+    if kind != READ:
+        return None
+    (w,) = [w for w in h.writes_on(var) if h.access[w][2] == val]
+    return w
+
+
+def resolve_ref(h: History, thread: str, pos: int) -> int:
+    """The id of the event at `pos` in `thread`'s block."""
+    known = thread == INIT_THREAD or thread in h.threads
+    ids = h.thread_events(thread) if known else ()
+    if not 0 <= pos < len(ids):
+        raise DanglingRefError(f"no event {thread}:{pos}")
+    return ids[pos]
 
 
 class WriteIndex:
@@ -242,17 +302,16 @@ def reference_po(h):
         for i in range(len(ids)):
             for j in range(i + 1, len(ids)):
                 pairs.add((ids[i], ids[j]))
-    for iw in h.init_events:
-        for e in h.events:
-            if not e.is_init:
-                pairs.add((iw.id, e.id))
+    others = [e.id for e in events(h) if not e.is_init]
+    for iw in h.thread_events(INIT_THREAD):
+        pairs.update((iw, e) for e in others)
     return frozenset(pairs)
 
 
 def reference_derive(h, spec):
     """The model's relations as pair sets filtered out of `reference_po`,
     with the attribute names of `derive`'s."""
-    events = h.events
+    evs = events(h)
     po = reference_po(h)
     rf_ext = frozenset(
         (w, r) for w, r in h.rf if (w, r) not in po and (r, w) not in po
@@ -263,19 +322,19 @@ def reference_derive(h, spec):
         po_mm = frozenset(
             (a, b)
             for a, b in po
-            if not (events[a].is_write and events[b].is_read)
+            if not (evs[a].is_write and evs[b].is_read)
         )
         rf_mm = rf_ext
     elif spec.name == "pso":
-        po_mm = frozenset((a, b) for a, b in po if not events[a].is_write)
+        po_mm = frozenset((a, b) for a, b in po if not evs[a].is_write)
         rf_mm = rf_ext
     else:
         po_mm, rf_mm = h.dp, rf_ext
     po_loc = frozenset(
         (a, b)
         for a, b in po
-        if events[a].var == events[b].var
-        and not (spec.allows_llh and events[a].is_read and events[b].is_read)
+        if evs[a].var == evs[b].var
+        and not (spec.allows_llh and evs[a].is_read and evs[b].is_read)
     )
     return SimpleNamespace(
         po_mm=po_mm, rf_mm=rf_mm, po_loc_effective=po_loc

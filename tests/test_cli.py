@@ -103,6 +103,14 @@ def test_k_beyond_recursion_limit_is_checked(capsys, tmp_path):
     )
     assert code == 0 and err == ""
     assert "verdict: consistent" in out
+    # one written variable per pool of the store-order walk, as many: the
+    # walk keeps its open pools on a list
+    p.write_text("thread T0\n" + "".join(f"wr v{i} 1\n" for i in range(1200)))
+    code, out, err = run(
+        capsys, "oracle", str(p), "--model", "sc", "--oracle-mode", "store"
+    )
+    assert code == 0 and err == ""
+    assert "verdict: consistent" in out
 
 
 @pytest.mark.parametrize("command", ["check", "oracle"])
@@ -160,6 +168,39 @@ def test_oracle_agrees_with_check(capsys, sb_path):
         )
         assert code == 0
         assert any(l.startswith("tw: ") for l in out.splitlines())
+
+
+def test_oracle_report_lines(capsys):
+    # the oracle prints the check report, without search counters or
+    # diagnostics, which only the subset search keeps
+    sb = str(TRACES / "sb.mmh")
+    code, out, _ = run(
+        capsys, "oracle", sb, "--model", "tso", "--oracle-mode", "store",
+        "--witness", "--stats",
+    )
+    assert code == 0
+    lines = out.splitlines()
+    (elapsed,) = [l for l in lines if l.startswith("elapsed_ms: ")]
+    lines.remove(elapsed)
+    assert lines == [
+        "verdict: consistent",
+        "model: tso",
+        "k: 4",
+        "n: 6",
+        "tw: init:0 < init:1 < T1:0 < T0:0",
+    ]
+    code, out, _ = run(
+        capsys, "oracle", sb, "--model", "sc", "--oracle-mode", "total",
+        "--witness", "--stats",
+    )
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[0] == "verdict: inconsistent"
+    assert not any(
+        l.startswith(("diagnostics:", "subsets:", "gate_checks:", "tw:"))
+        for l in lines
+    )
+    assert sum(l.startswith("elapsed_ms: ") for l in lines) == 1
 
 
 def test_gen_sat_round_trip(capsys, tmp_path):
@@ -226,6 +267,14 @@ def test_oracle_bound_resource_error(capsys, tmp_path):
         capsys, "oracle", str(p), "--model", "sc", "--oracle-mode", "total"
     )
     assert code == 3
+    # 2,000! store orders has more digits than an int prints by default:
+    # the bound check stops counting at the bound
+    p.write_text("thread T0\n" + "".join(f"wr x {i}\n" for i in range(2000)))
+    code, out, err = run(
+        capsys, "oracle", str(p), "--model", "sc", "--oracle-mode", "store"
+    )
+    assert code == 3 and out == ""
+    assert "exceed the bound of 1000000" in err
 
 
 def test_litmus_files_ship_with_expected_verdicts(capsys):

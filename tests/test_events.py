@@ -14,7 +14,7 @@ from mmcheck import (
 )
 
 from conftest import SB
-from helpers import closure
+from helpers import closure, reads, rf_source
 
 
 def _closed_pairs(h, edges):
@@ -32,10 +32,10 @@ def test_transitive_closure():
 def test_adjacency_indexes_consistent():
     h = parse_history(SB)
     for w, r in h.rf:
-        assert h.rf_source(r) == w
+        assert rf_source(h, r) == w
         assert r in h.readers_of(w)
     assert sum(len(h.readers_of(w)) for w in h.writes) == len(h.rf)
-    assert h.readers_of(h.reads[0]) == ()
+    assert h.readers_of(reads(h)[0]) == ()
 
 
 def test_po_transitive_and_irreflexive_within_threads():
@@ -76,7 +76,7 @@ def test_infer_rf_examples():
 def test_infer_rf_idempotent_and_total():
     h = parse_history(SB)
     assert parse_history(format_history(h)).rf == h.rf
-    assert len(h.rf) == len(h.reads)
+    assert len(h.rf) == len(reads(h))
 
 
 @settings(deadline=None, max_examples=60)
@@ -85,4 +85,4 @@ def test_infer_rf_reproduces_simulated_rf(seed):
     prog = generate_program(2, 3, 2, seed=seed, max_writes=4)
     h = simulate(prog, "tso", seed=seed + 1)
     assert parse_history(format_history(h, explicit_rf=False)).rf == h.rf
-    assert len(h.rf) == len(h.reads)
+    assert len(h.rf) == len(reads(h))

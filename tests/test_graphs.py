@@ -25,6 +25,8 @@ from helpers import (
     build_coherence_graphs,
     build_r_snapshot,
     conflict_edges,
+    events,
+    reads,
 )
 
 
@@ -205,7 +207,7 @@ def test_coherence_graphs_derived_examples():
     dm = derive(h, get_model("sc"))
     idx = WriteIndex(h)
     w1, w2 = h.writes
-    r = h.reads[0]
+    r = reads(h)[0]
 
     # empty subset, candidate w2: w1 must come later, so the read of w1
     # conflicts with w2
@@ -317,12 +319,12 @@ def _edge_kind_invariants(h, spec_name, mask, v):
     dm = derive(h, get_model(spec_name))
     idx = WriteIndex(h)
     snapshot = build_r_snapshot(idx, mask, v)
-    events = h.events
+    evs = events(h)
     for a, b in snapshot:
-        assert events[a].is_write and events[b].is_write
+        assert evs[a].is_write and evs[b].is_write
     for rd, wr in conflict_edges(h, snapshot):
-        assert events[rd].is_read and events[wr].is_write
-        assert events[rd].var == events[wr].var
+        assert evs[rd].is_read and evs[wr].is_write
+        assert evs[rd].var == evs[wr].var
 
 
 def test_snapshot_and_conflict_edge_kinds(small_corpus):

@@ -15,6 +15,7 @@ import random
 from mmcheck import MODELS, assemble_history, generate_program, simulate, solve
 
 from conftest import with_random_dp
+from helpers import events
 
 
 def _rebuilt(h, order=None, thread_name=None, var_name=None, extra=()):
@@ -22,17 +23,18 @@ def _rebuilt(h, order=None, thread_name=None, var_name=None, extra=()):
     by the given maps, and the `extra` (name, block) threads appended."""
     tname = thread_name or {}
     vname = var_name or {}
+    evs = events(h)
 
     def ref(eid):
-        e = h.events[eid]
+        e = evs[eid]
         return tname.get(e.thread, e.thread), e.pos
 
     def access(eid):
-        e = h.events[eid]
+        e = evs[eid]
         return e.kind, vname.get(e.var, e.var), e.val
 
     return assemble_history(
-        init=[(vname.get(e.var, e.var), e.val) for e in h.init_events],
+        init=[(vname.get(e.var, e.var), e.val) for e in evs if e.is_init],
         threads=[
             (tname.get(t, t), [access(i) for i in h.thread_events(t)])
             for t in (h.threads if order is None else order)

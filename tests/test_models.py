@@ -21,7 +21,7 @@ from mmcheck.errors import UnknownModelError
 from mmcheck.graphs import find_cycle
 
 from conftest import OOTA, with_random_dp
-from helpers import closure, reference_po
+from helpers import closure, reference_po, resolve_ref
 
 
 def test_model_registry_flags():
@@ -65,7 +65,7 @@ def test_sc_program_order_is_one_chain_per_thread():
     # thread, and an edge from each initial write to each thread's head
     prog = generate_program(4, 150, 5, seed=6060, max_writes=10)
     h = simulate(prog, "sc", seed=6061)
-    assert h.n == 605 and len(h.init_events) == 5
+    assert h.n == 605 and len(h.thread_events("init")) == 5
     dm = derive(h, get_model("sc"))
     assert len(dm.po_mm) == 4 * 149 + 5 * 4 == 616
     assert _closed(h, dm.po_mm) == reference_po(h)
@@ -74,9 +74,9 @@ def test_sc_program_order_is_one_chain_per_thread():
 def test_derive_tso_drops_write_read_pairs():
     h = parse_history("init: y=0\nthread T0\nwr x 1\nrd y 0\n")
     dm = derive(h, get_model("tso"))
-    wx = h.resolve_ref("T0", 0)
-    ry = h.resolve_ref("T0", 1)
-    iy = h.resolve_ref("init", 0)
+    wx = resolve_ref(h, "T0", 0)
+    ry = resolve_ref(h, "T0", 1)
+    iy = resolve_ref(h, "init", 0)
     po_mm = _closed(h, dm.po_mm)
     assert (wx, ry) not in po_mm
     assert (iy, ry) not in po_mm  # init writes are writes too
@@ -104,8 +104,8 @@ def test_derive_rmo_empty_dp_default():
 
 def test_po_loc_effective_matches_llh_flag():
     h = parse_history("init: x=0\nthread T0\nrd x 0\nrd x 0\n")
-    r1 = h.resolve_ref("T0", 0)
-    r2 = h.resolve_ref("T0", 1)
+    r1 = resolve_ref(h, "T0", 0)
+    r2 = resolve_ref(h, "T0", 1)
     sc = derive(h, get_model("sc")).po_loc_effective
     rmo = derive(h, get_model("rmo")).po_loc_effective
     assert (r1, r2) in _closed(h, sc)

@@ -33,6 +33,7 @@ from mmcheck.oracle import store_order_count
 from conftest import SB, with_random_dp
 from helpers import (
     conflict_edges,
+    events,
     iter_store_orders,
     oracle_store_reference,
     store_order_passes,
@@ -86,9 +87,10 @@ def test_store_orders_have_no_cross_variable_pairs():
     h = parse_history(
         "thread T0\nwr x 1\nwr y 1\nthread T1\nwr x 2\nwr y 2\n"
     )
+    evs = events(h)
     for so in iter_store_orders(h):
         for a, b in so.pairs():
-            assert h.events[a].var == h.events[b].var
+            assert evs[a].var == evs[b].var
 
 
 def test_store_oracle_bound():

@@ -25,7 +25,7 @@ from mmcheck.errors import (
     TooManyVarsError,
 )
 
-from helpers import format_dimacs
+from helpers import events, format_dimacs
 
 
 def test_parse_dimacs_examples():
@@ -75,23 +75,24 @@ def test_literal_ordering_and_distinctness():
 def test_sc_instance_shapes():
     cnf = Cnf3(1, ((1, 1, 1),))
     h = sat_to_history_sc(cnf)
+    evs = events(h)
     # variable pair
     assert h.thread_events("T0_x1") and h.thread_events("T1_x1")
     # literal threads: guard, write, guard
-    t0 = [h.events[e] for e in h.thread_events("T0_p1")]
+    t0 = [evs[e] for e in h.thread_events("T0_p1")]
     assert [(e.kind, e.var, e.val) for e in t0] == [
         ("rd", "x1", 0),
         ("wr", "p1", 0),
         ("rd", "x1", 0),
     ]
-    t1 = [h.events[e] for e in h.thread_events("T1_p1")]
+    t1 = [evs[e] for e in h.thread_events("T1_p1")]
     assert [(e.kind, e.var, e.val) for e in t1] == [
         ("rd", "x1", 1),
         ("wr", "p1", 1),
         ("rd", "x1", 1),
     ]
     # clause reader threads pair the slots cyclically
-    c1 = [h.events[e] for e in h.thread_events("C1_1")]
+    c1 = [evs[e] for e in h.thread_events("C1_1")]
     assert [(e.kind, e.var, e.val) for e in c1] == [
         ("rd", "p1", 0),
         ("rd", "p1", 1),
@@ -104,7 +105,8 @@ def test_sc_instance_shapes():
 def test_negated_literal_write_values():
     cnf = Cnf3(1, ((-1, -1, -1),))
     h = sat_to_history_sc(cnf)
-    t0 = [h.events[e] for e in h.thread_events("T0_n1")]
+    evs = events(h)
+    t0 = [evs[e] for e in h.thread_events("T0_n1")]
     assert [(e.kind, e.var, e.val) for e in t0] == [
         ("rd", "x1", 0),
         ("wr", "n1", 1),
@@ -115,9 +117,10 @@ def test_negated_literal_write_values():
 def test_clause_thread_slot_wiring():
     cnf = Cnf3(3, ((1, 2, 3),))
     h = sat_to_history_sc(cnf)
-    c1 = [h.events[e] for e in h.thread_events("C1_1")]
-    c2 = [h.events[e] for e in h.thread_events("C1_2")]
-    c3 = [h.events[e] for e in h.thread_events("C1_3")]
+    evs = events(h)
+    c1 = [evs[e] for e in h.thread_events("C1_1")]
+    c2 = [evs[e] for e in h.thread_events("C1_2")]
+    c3 = [evs[e] for e in h.thread_events("C1_3")]
     assert [(e.var, e.val) for e in c1] == [("p3", 0), ("p1", 1)]
     assert [(e.var, e.val) for e in c2] == [("p1", 0), ("p2", 1)]
     assert [(e.var, e.val) for e in c3] == [("p2", 0), ("p3", 1)]
@@ -126,12 +129,13 @@ def test_clause_thread_slot_wiring():
 def test_relaxed_instance_shapes():
     cnf = Cnf3(1, ((1, 1, 1),))
     h = sat_to_history_relaxed(cnf)
-    t0 = [h.events[e] for e in h.thread_events("T0_p1")]
+    evs = events(h)
+    t0 = [evs[e] for e in h.thread_events("T0_p1")]
     assert [(e.kind, e.var, e.val) for e in t0] == [
         ("rd", "x1", 0),
         ("wr", "p1", 0),
     ]
-    u0 = [h.events[e] for e in h.thread_events("U0_p1")]
+    u0 = [evs[e] for e in h.thread_events("U0_p1")]
     assert [(e.kind, e.var, e.val) for e in u0] == [
         ("rd", "p1", 0),
         ("rd", "x1", 0),
@@ -144,10 +148,11 @@ def test_relaxed_instance_shapes():
 def test_relaxed_instance_has_no_relaxable_po_pairs():
     cnf = Cnf3(2, ((1, -2, 2), (-1, 2, -2)))
     h = sat_to_history_relaxed(cnf)
+    evs = events(h)
     for a in range(h.n):
         for b in range(h.n):
             if h.po_before(a, b):
-                assert not h.events[a].is_write
+                assert not evs[a].is_write
 
 
 def test_write_count_formula():

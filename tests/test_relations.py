@@ -39,7 +39,13 @@ from mmcheck.solver import Outcome, SolveStats, _search, _write_tables
 from mmcheck.solver import extract_witness
 
 from conftest import CORR, MP, OOTA, SB, with_random_dp
-from helpers import closure, event_graph, reference_derive, solve_reference
+from helpers import (
+    closure,
+    event_graph,
+    events,
+    reference_derive,
+    solve_reference,
+)
 from test_solver import _production_memo
 
 
@@ -114,10 +120,11 @@ def test_base_edges_join_one_variable(small_corpus):
     histories = list(small_corpus)
     histories += filter(None, (with_random_dp(h, rng) for h in small_corpus))
     for h in histories:
+        evs = events(h)
         for name in MODELS:
             dm = derive(h, get_model(name))
             for a, b in (*dm.po_loc_effective, *h.rf):
-                assert h.events[a].var == h.events[b].var
+                assert evs[a].var == evs[b].var
 
 
 # rmo keeps a same-variable read-write pair only as a dependency edge:

@@ -19,6 +19,7 @@ from mmcheck.errors import NoAlternativeWriterError, UnknownModelError
 from mmcheck.simgen import RandomProgram
 
 from conftest import SB, TRACES
+from helpers import events, resolve_ref, rf_source
 
 
 def test_single_thread_resolves_locally():
@@ -29,12 +30,13 @@ def test_single_thread_resolves_locally():
     )
     for model in ("sc", "tso", "pso"):
         h = simulate(prog, model, seed=3)
-        r_own = h.resolve_ref("T0", 1)
-        r_init = h.resolve_ref("T0", 2)
-        assert h.events[r_own].val == 1
-        assert h.rf_source(r_own) == h.resolve_ref("T0", 0)
-        assert h.events[r_init].val == 0
-        assert h.events[h.rf_source(r_init)].is_init
+        evs = events(h)
+        r_own = resolve_ref(h, "T0", 1)
+        r_init = resolve_ref(h, "T0", 2)
+        assert evs[r_own].val == 1
+        assert rf_source(h, r_own) == resolve_ref(h, "T0", 0)
+        assert evs[r_init].val == 0
+        assert evs[rf_source(h, r_init)].is_init
 
 
 def test_simulation_deterministic_bytes():
@@ -78,8 +80,9 @@ def test_tso_buffering_can_produce_sb_outcome():
     for seed in range(200):
         h = simulate(prog, "tso", seed=seed)
         assert solve(h, tso).consistent
-        r0 = h.events[h.resolve_ref("T0", 1)].val
-        r1 = h.events[h.resolve_ref("T1", 1)].val
+        evs = events(h)
+        r0 = evs[resolve_ref(h, "T0", 1)].val
+        r1 = evs[resolve_ref(h, "T1", 1)].val
         if r0 == 0 and r1 == 0:
             saw_relaxed = True
             assert not solve(h, sc).consistent
@@ -107,9 +110,9 @@ def test_mutate_flips_to_the_only_alternative():
         "thread T0\nwr x 1\nthread T1\nwr x 2\nthread T2\nrd x 1\n"
     )
     m = mutate(h, seed=0)
-    r = m.resolve_ref("T2", 0)
-    assert m.events[r].val == 2
-    assert m.rf_source(r) == m.resolve_ref("T1", 0)
+    r = resolve_ref(m, "T2", 0)
+    assert events(m)[r].val == 2
+    assert rf_source(m, r) == resolve_ref(m, "T1", 0)
 
 
 def test_mutate_requires_an_alternative_writer():

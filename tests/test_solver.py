@@ -26,7 +26,7 @@ from mmcheck import solver as solver_module
 from mmcheck.solver import extract_witness
 
 from conftest import SB, MP, CORR, OOTA, TRACES, with_random_dp
-from helpers import solve_reference, structural_bound
+from helpers import events, reads, solve_reference, structural_bound
 
 ALL_MODELS = ("sc", "tso", "pso", "rmo")
 
@@ -330,7 +330,7 @@ def test_rmo_with_random_dependencies_matches_reference(small_corpus):
     spec = get_model("rmo")
     checked = 0
     for h in small_corpus:
-        if not h.reads or checked >= 40:
+        if not reads(h) or checked >= 40:
             continue
         augmented = with_random_dp(h, rng)
         if augmented is None:
@@ -401,20 +401,16 @@ def _builds(name):
     return build
 
 
-_COLUMNS = {
-    "access": property(_builds("access")),
-    "reads": property(_builds("reads")),
-    "rf_source": _builds("rf_source"),
-}
+_COLUMNS = {"access": property(_builds("access"))}
 
 
 def test_solve_builds_no_event_column(monkeypatch):
     # Under every model the solver reads the per-write variables,
     # `thread_of`, each write's readers and rmo's dependency edges: with
-    # the per-event `access` and `reads` columns and `rf_source` disabled,
-    # parsing and `solve` give the same verdicts, witnesses and counters.
-    # A cyclic base graph's diagnostic, `format_history`, `mutate` and
-    # the `Event` records still read them.
+    # the per-event `access` column disabled, parsing and `solve` give the
+    # same verdicts, witnesses and counters.  A cyclic base graph's
+    # diagnostic, `format_history`, `mutate` and the test-only event view
+    # still read it; the package keeps no other per-event column.
     texts = [(TRACES / "long.mmh").read_text(), MP]
     checks = [(text, m) for text in texts for m in ALL_MODELS]
     checks += [((TRACES / "spelled.mmh").read_text(), "rmo"), (OOTA, "rmo")]
@@ -423,7 +419,7 @@ def test_solve_builds_no_event_column(monkeypatch):
     uses = {
         "diagnostic": lambda: solve(parse_history(cyclic), get_model("sc")),
         "format_history": lambda: format_history(parse_history(texts[0])),
-        "events": lambda: parse_history(texts[0]).events,
+        "events": lambda: events(parse_history(texts[0])),
     }
     for use in uses.values():
         use()
@@ -436,7 +432,7 @@ def test_solve_builds_no_event_column(monkeypatch):
         with pytest.raises(_ColumnBuilt, match="access"):
             use()
     monkeypatch.undo()
-    # mutate reads each of them
+    # mutate reads it
     for name, column in _COLUMNS.items():
         with monkeypatch.context() as patch:
             patch.setattr(History, name, column)

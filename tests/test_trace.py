@@ -30,7 +30,10 @@ from mmcheck.errors import (
     UnsourcedReadError,
 )
 
+from mmcheck.events import INIT_THREAD
+
 from conftest import SB, MP, CORR, OOTA
+from helpers import events, reads, resolve_ref, rf_source
 
 
 def test_empty_document():
@@ -42,8 +45,8 @@ def test_empty_document():
 
 def test_unique_writer_forces_rf():
     h = parse_history("thread T0\nwr x 1\nthread T1\nrd x 1\n")
-    w = h.resolve_ref("T0", 0)
-    r = h.resolve_ref("T1", 0)
+    w = resolve_ref(h, "T0", 0)
+    r = resolve_ref(h, "T1", 0)
     assert h.rf == {(w, r)}
     assert not h.po_before(w, r)  # no init, different threads
 
@@ -59,7 +62,7 @@ def test_duplicate_value_rejected():
 
 def test_event_ids_document_order():
     h = parse_history(SB)
-    assert [(e.thread, e.pos) for e in h.events] == [
+    assert [(e.thread, e.pos) for e in events(h)] == [
         ("init", 0),
         ("init", 1),
         ("T0", 0),
@@ -123,7 +126,7 @@ def test_syntax_errors_carry_line_numbers():
         ("0" * 24 + "7", 7),
     ]:
         h = parse_history(f"thread T0\nwr x {digits}\nrd x {digits}\n")
-        assert [e.val for e in h.events] == [val, val]
+        assert [e.val for e in events(h)] == [val, val]
     # library callers keep the range check, with no line to name
     for val in (-1, 2**64):
         with pytest.raises(TraceSyntaxError) as exc:
@@ -197,26 +200,26 @@ def _assert_indexes_match_definitions(h):
     # Each value is written once per variable, and explicit rf edges must
     # match values, so a read's writer is the write of its (var, value)
     # whether reads-from was inferred or given.
-    events = h.events
-    assert h.writes == tuple(e.id for e in events if e.is_write)
-    assert h.write_vars == tuple(e.var for e in events if e.is_write)
-    assert h.reads == tuple(e.id for e in events if e.is_read)
-    writer = {(e.var, e.val): e.id for e in events if e.is_write}
-    rf = {(writer[e.var, e.val], e.id) for e in events if e.is_read}
+    evs = events(h)
+    assert h.writes == tuple(e.id for e in evs if e.is_write)
+    assert h.write_vars == tuple(e.var for e in evs if e.is_write)
+    read_ids = sorted(r for w in h.writes for r in h.readers_of(w))
+    assert read_ids == [e.id for e in evs if e.is_read]
+    writer = {(e.var, e.val): e.id for e in evs if e.is_write}
+    rf = {(writer[e.var, e.val], e.id) for e in evs if e.is_read}
     assert h.rf == rf
-    for e in events:
-        assert h.resolve_ref(e.thread, e.pos) == e.id
+    for e in evs:
+        assert resolve_ref(h, e.thread, e.pos) == e.id
         if e.is_write:
             readers = sorted(r for w, r in rf if w == e.id)
             assert h.readers_of(e.id) == tuple(readers)
         else:
-            assert h.rf_source(e.id) == writer[e.var, e.val]
+            assert rf_source(h, e.id) == writer[e.var, e.val]
     for v in h.variables:
-        writes = [e.id for e in events if e.is_write and e.var == v]
+        writes = [e.id for e in evs if e.is_write and e.var == v]
         assert h.writes_on(v) == tuple(writes)
-    for t in h.threads:
-        assert h.thread_events(t) == tuple(e.id for e in events if e.thread == t)
-    assert h.init_events == tuple(e for e in events if e.is_init)
+    for t in (INIT_THREAD, *h.threads):
+        assert h.thread_events(t) == tuple(e.id for e in evs if e.thread == t)
 
 
 def test_round_trip_preserves_relations(small_corpus):
@@ -235,7 +238,7 @@ def test_round_trip_preserves_relations(small_corpus):
             "\n".join(other + rf_lines[::-1]) + "\n",
         ):
             h2 = parse_history(doc)
-            assert h1.events == h2.events and h1.threads == h2.threads
+            assert events(h1) == events(h2) and h1.threads == h2.threads
             assert h1.rf == h2.rf and h1.dp == h2.dp
             _assert_indexes_match_definitions(h2)
 
@@ -243,9 +246,9 @@ def test_round_trip_preserves_relations(small_corpus):
 def _assert_same_history(a, b):
     # every column and index of two histories
     assert a.access == b.access and a.thread_of == b.thread_of
-    assert a.events == b.events and a.threads == b.threads
+    assert events(a) == events(b) and a.threads == b.threads
     assert a.writes == b.writes and a.write_vars == b.write_vars
-    assert a.reads == b.reads and a.variables == b.variables
+    assert reads(a) == reads(b) and a.variables == b.variables
     assert a.rf == b.rf and a.dp == b.dp
     for t in ("init", *a.threads):
         assert a.thread_events(t) == b.thread_events(t)
@@ -253,7 +256,9 @@ def _assert_same_history(a, b):
         assert a.writes_on(v) == b.writes_on(v)
     for w in a.writes:
         assert a.readers_of(w) == b.readers_of(w)
-    assert [a.rf_source(r) for r in a.reads] == [b.rf_source(r) for r in b.reads]
+    assert [rf_source(a, r) for r in reads(a)] == [
+        rf_source(b, r) for r in reads(b)
+    ]
 
 
 def test_fresh_tuples_assemble_as_their_parse():
@@ -267,12 +272,13 @@ def test_fresh_tuples_assemble_as_their_parse():
     cnf = Cnf3(3, ((1, 2, -3), (-1, 2, 3), (1, -2, 3)))
     histories += [sat_to_history_sc(cnf), sat_to_history_relaxed(cnf)]
     for h in histories:
+        evs = events(h)
         threads = [
-            (t, [(e.kind, e.var, e.val) for e in h.events if e.thread == t])
+            (t, [(e.kind, e.var, e.val) for e in evs if e.thread == t])
             for t in h.threads
         ]
         rebuilt = assemble_history(
-            init=[(e.var, e.val) for e in h.init_events], threads=threads
+            init=[(e.var, e.val) for e in evs if e.is_init], threads=threads
         )
         parsed = parse_history(format_history(h))
         _assert_same_history(h, parsed)
@@ -321,7 +327,7 @@ def test_refs_are_thread_position_pairs():
         "init: x=0\nthread T0\nrd x 0\nwr y 1\nthread T1\nrd y 1\n"
         "dp T0:0 -> T0:1\n"
     )
-    assert h.events == parsed.events
+    assert events(h) == events(parsed)
     assert h.rf == parsed.rf and h.dp == parsed.dp
     for bad in (("T0", 2), ("T0", -1), ("T9", 0)):
         with pytest.raises(DanglingRefError):
@@ -329,7 +335,7 @@ def test_refs_are_thread_position_pairs():
                 init=[("x", 0)], threads=threads, dp_refs=[(("T0", 0), bad)]
             )
         with pytest.raises(DanglingRefError):
-            h.resolve_ref(*bad)
+            resolve_ref(h, *bad)
 
 
 def test_repeated_read_values_allowed():
@@ -379,7 +385,7 @@ def test_access_spellings_parse_alike():
         plain.replace("\n", "\r\n"),
     ):
         other = parse_history(text)
-        assert other.events == h.events
+        assert events(other) == events(h)
         assert other.rf == h.rf and other.dp == h.dp
 
 
@@ -427,22 +433,20 @@ def test_repeated_lines_parse_as_each_line_alone(blocks):
         assert str(got.value) == str(exc)
         return
     h = parse_history(text)
-    assert h.events == expected.events
+    assert events(h) == events(expected)
     assert h.rf == expected.rf and h.dp == expected.dp
     _assert_indexes_match_definitions(h)
 
 
 @pytest.mark.parametrize("model", ["sc", "tso", "pso", "rmo"])
 def test_solve_builds_no_event_records(model):
-    # the `Event` view, the per-event columns and the reads-from pairs
-    # stay unbuilt through a consistent check of a long trace (rmo has no
-    # simulator and checks the tso trace, which it allows)
+    # the per-event `access` column and the reads-from pairs stay unbuilt
+    # through a consistent check of a long trace (rmo has no simulator and
+    # checks the tso trace, which it allows)
     prog = generate_program(4, 150, 5, seed=91, max_writes=10)
     simulated = simulate(prog, "tso" if model == "rmo" else model, seed=92)
     h = parse_history(format_history(simulated))
     assert h.n == 605 and h.k == 15
     assert solve(h, get_model(model)).consistent
-    assert (h._access, h._reads, h._rf) == (None, None, None)
-    assert len(h.init_events) == 5
-    assert h._events is None
-    assert h.events[0].is_init and h._events is not None
+    assert (h._access, h._rf) == (None, None)
+    assert len(h.thread_events(INIT_THREAD)) == 5
