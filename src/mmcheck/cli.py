@@ -19,12 +19,7 @@ import argparse
 import sys
 import time
 
-from .errors import (
-    KTooLargeError,
-    KTooLargeForOracleError,
-    MmcheckError,
-    SearchSpaceTooLargeError,
-)
+from .errors import MmcheckError, ResourceBoundError
 from .events import History
 from .models import MODELS, get_model
 from .oracle import oracle_store, oracle_total
@@ -224,11 +219,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (
-        KTooLargeError,
-        KTooLargeForOracleError,
-        SearchSpaceTooLargeError,
-    ) as exc:
+    except ResourceBoundError as exc:
         print(f"mmcheck: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except (MmcheckError, OSError) as exc:

@@ -41,15 +41,19 @@ class UnknownModelError(MmcheckError):
     """The requested memory model is not supported."""
 
 
-class KTooLargeError(MmcheckError):
+class ResourceBoundError(MmcheckError):
+    """An input exceeds a resource bound (the command exits 3)."""
+
+
+class KTooLargeError(ResourceBoundError):
     """The write count exceeds the solver's cap."""
 
 
-class KTooLargeForOracleError(MmcheckError):
+class KTooLargeForOracleError(ResourceBoundError):
     """The write count exceeds the factorial-enumeration bound."""
 
 
-class SearchSpaceTooLargeError(MmcheckError):
+class SearchSpaceTooLargeError(ResourceBoundError):
     """The store-order search space exceeds the enumeration bound."""
 
 

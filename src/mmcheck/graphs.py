@@ -24,16 +24,16 @@ class EventGraph:
     without duplicate edges.
 
     A base graph also places a history's writes and their reads, for the
-    solver's tables and its witness re-check.  `write_vertex[j]` is the
-    vertex of write `h.writes[j]`.  `tag_sites[j]` holds vertices of
-    reads sourced by write j, such that each read sourced by j that has an
-    in-edge reaches one of them.  So an event reaches some read of j
-    exactly when it reaches a tag site, and a read-to-write edge from a
-    read of j that lies on a cycle is implied by the same edge from a tag
-    site.  Both are empty on `EventGraph(n, *edge_lists)`.
+    solver's tables and its witness re-check.  Vertex j is write
+    `h.writes[j]`.  `tag_sites[j]` holds vertices of reads sourced by
+    write j, such that each read sourced by j that has an in-edge reaches
+    one of them.  So an event reaches some read of j exactly when it
+    reaches a tag site, and a read-to-write edge from a read of j that
+    lies on a cycle is implied by the same edge from a tag site.
+    `tag_sites` is empty on `EventGraph(n, *edge_lists)`.
     """
 
-    __slots__ = ("n", "adj", "in_degree", "write_vertex", "tag_sites")
+    __slots__ = ("n", "adj", "in_degree", "tag_sites")
 
     def __init__(self, n: int, *edge_lists: Iterable[tuple[int, int]]):
         self.n = n
@@ -45,7 +45,6 @@ class EventGraph:
                 degree[v] += 1
         self.adj = adj
         self.in_degree = degree
-        self.write_vertex: Sequence[int] = ()
         self.tag_sites: Sequence[Sequence[int]] = ()
 
     def extended(self, *edge_lists: Iterable[tuple[int, int]]) -> EventGraph:
@@ -63,7 +62,7 @@ class EventGraph:
                 degree[v] += 1
         g = EventGraph.__new__(EventGraph)
         g.n, g.adj, g.in_degree = self.n, adj, degree
-        g.write_vertex, g.tag_sites = self.write_vertex, self.tag_sites
+        g.tag_sites = self.tag_sites
         return g
 
 

@@ -16,8 +16,10 @@ base graphs need.  The four supported models:
 
 A derivation (`DerivedModel`) gives the model's relations as edge lists
 of size O(n) whose transitive closures are the kept pair sets.  They are
-built on first access, for the cyclic-graph diagnostic, the oracles and
-the tests.  The solver does not read them: under every model
+built on first access, and `DerivedModel.graphs` joins them into the
+model's two full graphs, for the cyclic-graph diagnostic, the oracles
+and the tests; no other module decides which relation goes into which
+graph.  The solver's search does not read them: under every model
 `build_base_graphs` builds its two graphs straight from the history's
 thread column, each write's variable, each write's sorted readers and,
 under rmo, the dependency edges, at a cost that grows with the writes,
@@ -80,15 +82,10 @@ class ModelSpec:
         }
 
     @property
-    def allows_llh(self) -> bool:
-        """Whether two reads of one variable may be reordered (load-load
-        hazards): exactly when only the dependency edges are kept."""
-        return self.kept_po is None
-
-    @property
-    def requires_oota(self) -> bool:
-        """Whether the dependency/reads-from cycle test applies: exactly
-        when only the dependency edges are kept."""
+    def dp_only(self) -> bool:
+        """Whether the model keeps only the explicit dependency edges.  It
+        then allows load-load hazards (two reads of one variable may be
+        reordered) and runs the dependency/reads-from cycle test."""
         return self.kept_po is None
 
     @property
@@ -129,6 +126,7 @@ class DerivedModel:
     and the effective same-variable program order.  `rf_mm` is the
     visible reads-from.  The three are built from `history` and `spec`
     together, on the first access to any of them, and then kept.
+    `graphs()` joins them into the model's two full graphs.
     """
 
     __slots__ = ("spec", "history", "po_mm", "po_loc_effective", "rf_mm")
@@ -145,10 +143,21 @@ class DerivedModel:
         if name not in DerivedModel.__slots__[2:]:
             raise AttributeError(name)
         h, spec = self.history, self.spec
-        self.po_mm = h.dp if spec.kept_po is None else po_edges(h, spec)
-        self.po_loc_effective = po_loc(h, llh=spec.allows_llh)
+        self.po_mm = h.dp if spec.dp_only else po_edges(h, spec)
+        self.po_loc_effective = po_loc(h, llh=spec.dp_only)
         self.rf_mm = h.rf if spec.sees_internal_rf else rf_external(h)
         return getattr(self, name)
+
+    def graphs(self) -> tuple[EventGraph, EventGraph]:
+        """The per-location graph (effective same-variable program order
+        plus reads-from) and the model graph (preserved program order plus
+        visible reads-from), one vertex per event: the full graphs whose
+        contractions `build_base_graphs` returns."""
+        h = self.history
+        return (
+            EventGraph(h.n, self.po_loc_effective, h.rf),
+            EventGraph(h.n, self.po_mm, self.rf_mm),
+        )
 
 
 def rf_external(h: History) -> frozenset[tuple[int, int]]:
@@ -175,15 +184,15 @@ _RF_LOC, _RF_MM, _TAG = 1, 2, 4
 
 
 def build_base_graphs(
-    h: History, derived: DerivedModel
+    h: History, spec: ModelSpec
 ) -> tuple[EventGraph, EventGraph]:
     """The two order-free graphs whose acyclicity anchors the recursion.
 
     First the per-location graph (effective same-variable program order
     plus reads-from), then the model graph (preserved program order plus
-    visible reads-from), for the model `derived.spec`.  Each graph has the
-    acyclicity of the graph of its full relations, and the same reach
-    between writes and tag sites (see `EventGraph`).
+    visible reads-from), for the model `spec`.  Each graph has the
+    acyclicity of its full graph (`DerivedModel.graphs`), and the same
+    reach between writes and tag sites (see `EventGraph`).
 
     The graphs come from `h.thread_of`, `h.write_vars`, each write's
     readers and, when the model keeps only the dependency edges, `h.dp`,
@@ -193,7 +202,7 @@ def build_base_graphs(
     `ModelSpec` properties, never its name:
 
     - Reads-from.  Unless the model allows load-load hazards
-      (`allows_llh`), both graphs order the reads of one thread and
+      (`dp_only`), both graphs order the reads of one thread and
       variable.  A write then needs an edge only to the first read of
       each thread it feeds, and none when it precedes that read in
       program order: an initial write, or an earlier write of the read's
@@ -208,7 +217,7 @@ def build_base_graphs(
       thread it feeds: they give the solver's tables and the witness
       re-check what all of i's reads would give them.  Tag sites merged
       into one vertex (see Merges) list it once.
-    - Segments.  Under `allows_llh`, effective same-variable order keeps
+    - Segments.  Under `dp_only`, effective same-variable order keeps
       no read-read pair: each event follows the last local write to its
       variable, or the initial write, and each write follows the reads of
       its variable since the previous local write.  A *segment* is the
@@ -244,7 +253,7 @@ def build_base_graphs(
       other event is.  Bisecting each write's sorted readers against each
       thread's last id, or each segment's bound, gives the first and last
       read of each group, so finding them costs O(k·T·log n) for T
-      threads, or O(k·(k + T)·log n) under `allows_llh` and O(k·d·log n)
+      threads, or O(k·(k + T)·log n) under `dp_only` and O(k·d·log n)
       more for d reads that dp edges touch.  One walk over them in id
       order, which is program order within each thread, builds both
       graphs.  Per thread and graph it keeps the vertex of the last walked
@@ -279,13 +288,12 @@ def build_base_graphs(
       entered by program order and a reads-from edge, at most one per
       (program write, thread), or one that takes the initial writes'
       edges, at most one per thread: each graph has at most k + k·T + T
-      vertices.  Under `allows_llh` it is a group's first read, entered by
+      vertices.  Under `dp_only` it is a group's first read, entered by
       its head and a reads-from edge, at most one per (writer, thread,
       segment) and so at most k + T per writer, or a read a dp edge
       touches: each graph has at most k + k·(k + T) + d vertices.
     """
-    spec = derived.spec
-    llh = spec.allows_llh
+    llh = spec.dp_only
     thread_of = h.thread_of
     writes = h.writes
     write_vars = h.write_vars
@@ -301,7 +309,7 @@ def build_base_graphs(
     dp_in: dict[int, list[int]] = {}
     mm_of: dict[int, int | None] = {}
     dp_reads: list[int] = []
-    if spec.kept_po is None and h.dp:
+    if spec.dp_only and h.dp:
         for a, b in h.dp:
             dp_in.setdefault(b, []).append(a)
             mm_of[a] = None
@@ -431,7 +439,7 @@ def _graph(
 ) -> EventGraph:
     g = EventGraph.__new__(EventGraph)
     g.n, g.adj, g.in_degree = len(adj), adj, degree
-    g.write_vertex, g.tag_sites = range(len(sites)), sites
+    g.tag_sites = sites
     return g
 
 
@@ -507,7 +515,7 @@ def derive(h: History, spec: ModelSpec) -> DerivedModel:
     built by this package guarantee that, but it is re-checked here, by
     bisecting the writes for each dependency edge's source.
     """
-    if spec.kept_po is None:
+    if spec.dp_only:
         for a, b in h.dp:
             if _holds(h.writes, a) or not h.po_before(a, b):
                 raise InvalidDpError(

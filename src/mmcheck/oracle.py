@@ -7,9 +7,10 @@ orders.  They share with the solver only the graph container
 (`derive`) and the out-of-thin-air check (`oota_cycle`).  They share
 none of its decision code: not the reach tables, not the contracted
 base graphs `build_base_graphs` returns, and not the subset search.
-Each builds its two order-free graphs, one vertex per event, from the
-derived relations, and extends them with the edges of each order it
-tries, so agreement between the three deciders is meaningful.
+Each takes the model's two full graphs, one vertex per event, from the
+derivation (`DerivedModel.graphs`), and extends them with the edges of
+each order it tries, so agreement between the three deciders is
+meaningful.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 from .errors import KTooLargeForOracleError, SearchSpaceTooLargeError
 from .events import History
 from .graphs import EventGraph, kahn_acyclic
-from .models import DerivedModel, ModelSpec, derive, oota_cycle
+from .models import ModelSpec, derive, oota_cycle
 from .solver import Outcome, Verdict
 
 _T = TypeVar("_T")
@@ -62,18 +63,6 @@ def _from_read_edges(
     return out
 
 
-def _order_free_graphs(
-    h: History, dm: DerivedModel
-) -> tuple[EventGraph, EventGraph]:
-    """The per-location graph (effective same-variable program order plus
-    reads-from) and the model graph (preserved program order plus visible
-    reads-from), one vertex per event."""
-    return (
-        EventGraph(h.n, dm.po_loc_effective, h.rf),
-        EventGraph(h.n, dm.po_mm, dm.rf_mm),
-    )
-
-
 def oracle_total(h: History, spec: ModelSpec) -> Verdict:
     """Decide consistency by trying every total write order.
 
@@ -85,9 +74,9 @@ def oracle_total(h: History, spec: ModelSpec) -> Verdict:
         raise KTooLargeForOracleError(
             f"k={h.k} exceeds the oracle bound of {ORACLE_MAX_K}"
         )
-    if spec.requires_oota and oota_cycle(h) is not None:
+    if spec.dp_only and oota_cycle(h) is not None:
         return Verdict(Outcome.INCONSISTENT)
-    bases = _order_free_graphs(h, derive(h, spec))
+    bases = derive(h, spec).graphs()
     for perm in itertools.permutations(h.writes):
         pairs = _order_pairs([perm])
         extra = _from_read_edges(h, pairs)
@@ -125,9 +114,18 @@ def oracle_store(h: History, spec: ModelSpec) -> Verdict:
 
     A store order passes when both order-free graphs stay acyclic with its
     order pairs (w, w') and its conflict edges (r, w'), for each read r of
-    a write w that the order puts before w' on their variable.  Two facts
-    make the check cheaper without changing any answer:
+    a write w that the order puts before w' on their variable.  Three
+    facts make the check cheaper without changing any answer:
 
+    - Bare graphs.  A store order only adds edges, so when either
+      order-free graph is cyclic on its own no store order passes: both
+      are peeled once, first.  When both are acyclic, a variable with one
+      write has one order, which adds no order pair, conflict edge or
+      chain edge, and so passes; the product order, the first passing
+      store order and its witness are those of the variables with two or
+      more writes alone.  Only those are enumerated, and each at least
+      doubles the store-order count, so under the bound there are fewer
+      than 20 of them.
     - Chains.  Each variable's order π₁ … πₘ adds only the edges
       πᵢ → πᵢ₊₁ and r → πᵢ₊₁ for each read r of πᵢ.  Every order pair
       (πᵢ, πⱼ), i < j, is a path of chain edges, and every conflict edge
@@ -163,10 +161,11 @@ def oracle_store(h: History, spec: ModelSpec) -> Verdict:
         raise SearchSpaceTooLargeError(
             f"store orders exceed the bound of {ORACLE_MAX_STORE_ORDERS}"
         )
-    if spec.requires_oota and oota_cycle(h) is not None:
+    if spec.dp_only and oota_cycle(h) is not None:
         return Verdict(Outcome.INCONSISTENT)
-    dm = derive(h, spec)
-    loc, mm = _order_free_graphs(h, dm)
+    loc, mm = derive(h, spec).graphs()
+    if not (kahn_acyclic(loc)[0] and kahn_acyclic(mm)[0]):
+        return Verdict(Outcome.INCONSISTENT)
     links: dict[tuple[int, int], list[tuple[int, int]]] = {}
 
     def chained(order: tuple[int, ...]) -> _Chained:
@@ -182,16 +181,16 @@ def oracle_store(h: History, spec: ModelSpec) -> Verdict:
     def loc_acyclic(item: _Chained) -> bool:
         return kahn_acyclic(loc.extended(*item[1]))[0]
 
-    variables = [v for v in sorted(h.variables) if h.writes_on(v)]
     pools = [
-        map(chained, itertools.permutations(h.writes_on(v)))
-        for v in variables
+        map(chained, itertools.permutations(ws))
+        for v in sorted(h.variables)
+        if len(ws := h.writes_on(v)) > 1
     ]
     for combo in _product_of_passing(pools, loc_acyclic):
         g = mm.extended(*(edges for _, lists in combo for edges in lists))
         if kahn_acyclic(g)[0]:
             ww = _order_pairs(order for order, _ in combo)
-            return Verdict(Outcome.CONSISTENT, witness=_linearize(h, dm, ww))
+            return Verdict(Outcome.CONSISTENT, witness=_linearize(h, mm, ww))
     return Verdict(Outcome.INCONSISTENT)
 
 
@@ -241,10 +240,11 @@ def _product_of_passing(
 
 
 def _linearize(
-    h: History, dm: DerivedModel, ww: set[tuple[int, int]]
+    h: History, mm: EventGraph, ww: set[tuple[int, int]]
 ) -> list[int]:
-    g = EventGraph(h.n, dm.po_mm, dm.rf_mm, ww, _from_read_edges(h, ww))
-    acyclic, order = kahn_acyclic(g)
+    """The writes in the order of a Kahn peel of the model graph `mm`
+    extended by the order pairs `ww` and their conflict edges."""
+    acyclic, order = kahn_acyclic(mm.extended(ww, _from_read_edges(h, ww)))
     assert acyclic, "caller guarantees the store-order graph is acyclic"
     write_set = set(h.writes)
     return [e for e in order if e in write_set]

@@ -28,7 +28,7 @@ explicit-graph reference search.
 The base graphs have the acyclicity, and the reach between writes and
 the reads the tables use, of the full relations, so the tables come out
 the same (see `build_base_graphs`).  Each graph places write j at
-`write_vertex[j]`, and carries the vertices that stand for j's reads
+vertex j, and carries the vertices that stand for j's reads
 (`tag_sites[j]`).  Under every model one walk builds both graphs, and
 they keep only the events that branch.  The tag sites of j are its last
 read in each thread it feeds; under rmo, where two reads of a thread
@@ -40,8 +40,8 @@ by `max_k`, not by the interpreter's recursion limit.
 A consistent verdict's witness is re-checked by `verify_witness` without
 the search's tables: a Kahn peel of each base graph the search used,
 extended by the order into a new graph, so the bases are never mutated.
-A cyclic base graph is reported as a cycle of events, found on the full
-relations rebuilt for that purpose.
+A cyclic base graph is reported as a cycle of events, found on the
+model's full graph (`DerivedModel.graphs`), built for that purpose.
 """
 
 from __future__ import annotations
@@ -106,7 +106,7 @@ def solve(
     """
     stats = SolveStats()
 
-    if spec.requires_oota:
+    if spec.dp_only:
         cyc = oota_cycle(h)
         if cyc is not None:
             return Verdict(
@@ -124,16 +124,13 @@ def solve(
         )
 
     dm = derive(h, spec)
-    g_loc, g_mm = build_base_graphs(h, dm)
+    g_loc, g_mm = build_base_graphs(h, spec)
     ok_loc, topo_loc = kahn_acyclic(g_loc)
     ok_mm, topo_mm = kahn_acyclic(g_mm)
     if not (ok_loc and ok_mm):
-        # Report the cycle on the full relations, as events.
-        if not ok_loc:
-            label, edges = "per-location", (dm.po_loc_effective, h.rf)
-        else:
-            label, edges = "model-order", (dm.po_mm, dm.rf_mm)
-        cyc = find_cycle(EventGraph(h.n, *edges))
+        # Report the cycle on the first cyclic full graph, as events.
+        label = "model-order" if ok_loc else "per-location"
+        cyc = find_cycle(dm.graphs()[ok_loc])
         return Verdict(
             Outcome.INCONSISTENT,
             diagnostics=(
@@ -181,7 +178,7 @@ def _write_tables(
     that reach a read of j.
 
     Each graph takes one forward pass over k-bit ancestor masks in the
-    order `kahn_acyclic` returned: write j's vertex carries bit j, and
+    order `kahn_acyclic` returned: vertex j, write j, carries bit j, and
     each vertex ORs its mask into its successors'.  A vertex is walked
     after all its predecessors, so its mask is exact when it is pushed.
     A write reaches a read of j exactly when it reaches a tag site of j
@@ -199,17 +196,15 @@ def _write_tables(
     blockers, pred_rd = [0] * k, [0] * k
     for g, topo in bases:
         adj = g.adj
-        anc = [0] * g.n
-        for j, v in enumerate(g.write_vertex):
-            anc[v] |= 1 << j
+        anc = [1 << j for j in range(k)] + [0] * (g.n - k)
         for u in topo:
             m = anc[u]
             if m:
                 for v in adj[u]:
                     anc[v] |= m
-        for j, v in enumerate(g.write_vertex):
-            blockers[j] |= anc[v]
-            for s in g.tag_sites[j]:
+        for j, sites in enumerate(g.tag_sites):
+            blockers[j] |= anc[j]
+            for s in sites:
                 pred_rd[j] |= anc[s]
     blocks = [0] * k
     for j in range(k):
@@ -428,11 +423,11 @@ def verify_witness(
     as a chain, and the reads of each write gain conflict edges to the
     next write of the same variable; every other order pair and conflict
     edge is implied through the chain.  Order edges join the writes'
-    vertices, and conflict edges leave each write's tag sites, which
-    imply those of its other reads on every cycle.  Neither enters a
-    read, so reads merged into their one source stay exact.  The bases
-    are extended into new graphs, never mutated, so `solve` passes the
-    graphs it searched from.
+    vertices, which are their indices in `h.writes`, and conflict edges
+    leave each write's tag sites, which imply those of its other reads on
+    every cycle.  Neither enters a read, so reads merged into their one
+    source stay exact.  The bases are extended into new graphs, never
+    mutated, so `solve` passes the graphs it searched from.
     """
     if sorted(tw) != list(h.writes):
         raise NotAPermutationError(
@@ -449,9 +444,8 @@ def verify_witness(
             next_on_var.append((last_on[var], j))
         last_on[var] = j
     for g in bases:
-        vertex, sites = g.write_vertex, g.tag_sites
-        edges = [(vertex[a], vertex[b]) for a, b in chain]
-        edges += [(s, vertex[b]) for a, b in next_on_var for s in sites[a]]
-        if not kahn_acyclic(g.extended(edges))[0]:
+        sites = g.tag_sites
+        conflicts = [(s, b) for a, b in next_on_var for s in sites[a]]
+        if not kahn_acyclic(g.extended(chain, conflicts))[0]:
             return False
     return True

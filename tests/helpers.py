@@ -17,10 +17,10 @@ closures of the production edge lists and the production witnesses
 against it.
 
 The full-graph reference `event_graph` places a history's writes and
-reads on one vertex per event, with every read a tag site.  It is a
-deliberate duplicate of what `build_base_graphs` contracts: tests
-compare the contracted base graphs, their search tables and their
-witness re-checks against it.
+reads on one vertex per event, writes first, with every read a tag
+site.  It is a deliberate duplicate of what `build_base_graphs`
+contracts: tests compare the contracted base graphs, their search tables
+and their witness re-checks against it.
 
 The event view `events` turns a history's columns into one `Event`
 record per event, and `reads`, `rf_source` and `resolve_ref` answer from
@@ -217,19 +217,25 @@ def build_coherence_graphs(h, derived, index, subset_mask, v):
 
 def event_graph(h, *edge_lists):
     """The graph of the edge lists over one vertex per event of `h`, with
-    each write at its own id and each read as a tag site of its write."""
-    g = EventGraph(h.n, *edge_lists)
-    g.write_vertex = h.writes
-    g.tag_sites = [h.readers_of(w) for w in h.writes]
+    each read as a tag site of its write.  Events are renumbered so that
+    write `h.writes[j]` is vertex j, as on the base graphs, and the other
+    events follow in id order."""
+    writes = set(h.writes)
+    ids = [*h.writes, *(e for e in range(h.n) if e not in writes)]
+    vertex = {e: v for v, e in enumerate(ids)}
+    g = EventGraph(
+        h.n, *([(vertex[a], vertex[b]) for a, b in el] for el in edge_lists)
+    )
+    g.tag_sites = [[vertex[r] for r in h.readers_of(w)] for w in h.writes]
     return g
 
 
 def solve_reference(h, spec):
     """Subset search over explicit graphs; returns (consistent, memo)."""
     dm = derive(h, spec)
-    if spec.requires_oota and oota_cycle(h) is not None:
+    if spec.dp_only and oota_cycle(h) is not None:
         return False, {}
-    g_loc, g_mm = build_base_graphs(h, dm)
+    g_loc, g_mm = build_base_graphs(h, spec)
     if not kahn_acyclic(g_loc)[0] or not kahn_acyclic(g_mm)[0]:
         return False, {}
     index = WriteIndex(h)
@@ -334,7 +340,7 @@ def reference_derive(h, spec):
         (a, b)
         for a, b in po
         if evs[a].var == evs[b].var
-        and not (spec.allows_llh and evs[a].is_read and evs[b].is_read)
+        and not (spec.dp_only and evs[a].is_read and evs[b].is_read)
     )
     return SimpleNamespace(
         po_mm=po_mm, rf_mm=rf_mm, po_loc_effective=po_loc
@@ -381,7 +387,7 @@ def oracle_store_reference(h, spec):
     passing order's pairs and conflict edges, restricted to the writes.
     No size bound is enforced.
     """
-    if spec.requires_oota and oota_cycle(h) is not None:
+    if spec.dp_only and oota_cycle(h) is not None:
         return Verdict(Outcome.INCONSISTENT)
     dm = derive(h, spec)
     for so in iter_store_orders(h):

@@ -13,7 +13,6 @@ import time
 from mmcheck import (
     Cnf3,
     build_base_graphs,
-    derive,
     get_model,
     oota_cycle,
     oracle_store,
@@ -61,7 +60,7 @@ def _corpus_results():
                 subset_violations += 1
             row[m] = v.consistent
             if v.consistent:
-                bases = build_base_graphs(h, derive(h, spec))
+                bases = build_base_graphs(h, spec)
                 for witness in (v.witness, t.witness, s.witness):
                     consistent_verdicts += 1
                     if witness is None or not verify_witness(
@@ -133,7 +132,7 @@ def _reduction_results():
                 mismatches.append((i, spec.name))
             if v.consistent:
                 consistent_verdicts += 1
-                bases = build_base_graphs(h, derive(h, spec))
+                bases = build_base_graphs(h, spec)
                 if not verify_witness(h, bases, v.witness):
                     witness_failures += 1
     return {
@@ -168,7 +167,7 @@ def _litmus_results():
         )
         if v.consistent:
             consistent_verdicts += 1
-            bases = build_base_graphs(h, derive(h, spec))
+            bases = build_base_graphs(h, spec)
             if not verify_witness(h, bases, v.witness):
                 witness_failures += 1
     return {

@@ -103,8 +103,8 @@ def test_k_beyond_recursion_limit_is_checked(capsys, tmp_path):
     )
     assert code == 0 and err == ""
     assert "verdict: consistent" in out
-    # one written variable per pool of the store-order walk, as many: the
-    # walk keeps its open pools on a list
+    # as many written variables, one write each: the store-order walk
+    # enumerates none of them, so the oracle stays linear in them
     p.write_text("thread T0\n" + "".join(f"wr v{i} 1\n" for i in range(1200)))
     code, out, err = run(
         capsys, "oracle", str(p), "--model", "sc", "--oracle-mode", "store"

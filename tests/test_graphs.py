@@ -230,15 +230,14 @@ def test_coherence_graphs_single_write_equals_base():
     dm = derive(h, get_model("sc"))
     idx = WriteIndex(h)
     g_loc, g_mm = build_coherence_graphs(h, dm, idx, 0, h.writes[0])
-    b_loc, b_mm = build_base_graphs(h, dm)
+    b_loc, b_mm = build_base_graphs(h, dm.spec)
     assert sorted(_edges(g_loc)) == sorted(_edges(b_loc))
     assert sorted(_edges(g_mm)) == sorted(_edges(b_mm))
 
 
 def test_base_graphs_empty_history():
     h = parse_history("")
-    dm = derive(h, get_model("sc"))
-    g_loc, g_mm = build_base_graphs(h, dm)
+    g_loc, g_mm = build_base_graphs(h, get_model("sc"))
     assert kahn_acyclic(g_loc)[0] and kahn_acyclic(g_mm)[0]
 
 
@@ -251,7 +250,7 @@ def test_base_graph_keeps_coinciding_po_and_rf():
     assert g.adj[0] == [1, 1] and kahn_acyclic(g) == (True, [0, 1])
     # the base graph drops the rf pair, which po implies, and the read,
     # entered by one edge, joins the write's vertex
-    _, g_mm = build_base_graphs(h, dm)
+    _, g_mm = build_base_graphs(h, dm.spec)
     assert g_mm.n == 1 and g_mm.adj == [[]] and g_mm.tag_sites == [[0]]
 
 
@@ -274,9 +273,7 @@ def test_single_entry_reads_merge_and_writes_do_not():
         "thread T0\nwr x 1\nrd x 1\nrd x 1\nwr x 2\n"
         "thread T1\nrd x 2\nrd x 1\n"
     )
-    g_loc, _ = build_base_graphs(h, derive(h, get_model("tso")))
-    # writes keep their own vertices, numbered in `h.writes` order
-    assert list(g_loc.write_vertex) == [0, 1]
+    g_loc, _ = build_base_graphs(h, get_model("tso"))
     # T0's reads of its write x=1 follow it in program order, so their
     # reads-from edges go and each read has one in-edge: the last, the
     # write's tag site in T0, shares its vertex.  T1's first read has
@@ -296,7 +293,7 @@ def test_rmo_base_graphs_merge_segments_and_join_dependencies():
         "thread T2\nrd y 1\nrd x 2\ndp T2:0 -> T2:1\n"
     )
     init_x, init_y, x1, y1, x2 = range(h.k)
-    g_loc, g_mm = build_base_graphs(h, derive(h, get_model("rmo")))
+    g_loc, g_mm = build_base_graphs(h, get_model("rmo"))
     # per-location: T1's two reads of x=1 form one segment, headed by x's
     # initial write; T2's two reads each take their own vertex
     assert g_loc.n == h.k + 3
@@ -348,8 +345,7 @@ def test_graphs_differ_only_in_static_parts(small_corpus):
             continue
         dm = derive(h, get_model("tso"))
         idx = WriteIndex(h)
-        base_loc = EventGraph(h.n, dm.po_loc_effective, h.rf)
-        base_mm = EventGraph(h.n, dm.po_mm, dm.rf_mm)
+        base_loc, base_mm = dm.graphs()
         for j in range(min(idx.k, 3)):
             v = idx.ids[j]
             mask = 0

@@ -27,8 +27,7 @@ from helpers import closure, reference_po, resolve_ref
 def test_model_registry_flags():
     for name, spec in MODELS.items():
         expected = name == "rmo"
-        assert spec.allows_llh is expected
-        assert spec.requires_oota is expected
+        assert spec.dp_only is expected
         assert spec.sees_internal_rf is (name == "sc")
 
 

@@ -70,7 +70,7 @@ def _solve_on_graphs(h, spec, graphs):
     # run on the given base graphs and the witness re-checked on them
     stats = SolveStats()
     inconsistent = (Outcome.INCONSISTENT, None, stats)
-    if spec.requires_oota and oota_cycle(h) is not None:
+    if spec.dp_only and oota_cycle(h) is not None:
         return inconsistent
     sorts = [kahn_acyclic(g) for g in graphs]
     if not all(ok for ok, _ in sorts):
@@ -333,13 +333,13 @@ def test_base_graphs_stay_linear_in_n():
     v = solve(h, spec)
     elapsed = time.perf_counter() - start
     assert v.consistent
-    g_loc, g_mm = build_base_graphs(h, derive(h, spec))
+    g_loc, g_mm = build_base_graphs(h, spec)
     edges = sum(len(row) for g in (g_loc, g_mm) for row in g.adj)
     assert edges <= 8 * h.n
     assert elapsed < 10.0
     for name in MODELS:
         spec = get_model(name)
-        for g in build_base_graphs(h, derive(h, spec)):
+        for g in build_base_graphs(h, spec):
             assert g.n <= _max_base_vertices(h, spec)
 
 
@@ -350,7 +350,7 @@ def _assert_contraction_exact(h, spec):
     # none) and of each order one adjacent swap away from it.  The full
     # graphs come from the pair-set reference derivation.  The bases list
     # each tag site once per write.
-    bases = build_base_graphs(h, derive(h, spec))
+    bases = build_base_graphs(h, spec)
     for g in bases:
         for sites in g.tag_sites:
             assert len(set(sites)) == len(sites)
@@ -435,7 +435,7 @@ def _tables_from_definitions(h, spec):
 
 
 def _assert_tables_match_definitions(h, spec):
-    bases = build_base_graphs(h, derive(h, spec))
+    bases = build_base_graphs(h, spec)
     sorts = [kahn_acyclic(g) for g in bases]
     if not all(ok for ok, _ in sorts) or not h.k:
         return False
@@ -546,7 +546,7 @@ def test_column_walk_edge_cases_match_full_graphs(text):
 
 def test_first_read_of_several_inits_gets_its_own_vertex():
     h = parse_history(COLUMN_WALK_CASES["first read of the inits"])
-    _, g_mm = build_base_graphs(h, derive(h, get_model("sc")))
+    _, g_mm = build_base_graphs(h, get_model("sc"))
     # x's initial write has one reader, T0:0, and its tag site is a read
     # vertex entered by both initial writes
     (site,) = g_mm.tag_sites[0]
@@ -561,7 +561,7 @@ def _max_base_vertices(h, spec):
     # Under load-load hazards: one read per (writer, thread, segment),
     # at most k + T per writer, and one per read a dp edge touches.
     t = len(h.threads)
-    if not spec.allows_llh:
+    if not spec.dp_only:
         return h.k + h.k * t + t
     return h.k + h.k * (h.k + t) + len({e for edge in h.dp for e in edge})
 
@@ -574,6 +574,6 @@ def test_base_graphs_keep_only_branching_events():
     for h in list(_long_traces())[::2]:
         for name in MODELS:
             spec = get_model(name)
-            for g in build_base_graphs(h, derive(h, spec)):
+            for g in build_base_graphs(h, spec):
                 assert g.n < h.n // 8
                 assert g.n <= _max_base_vertices(h, spec)

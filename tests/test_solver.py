@@ -9,7 +9,6 @@ from mmcheck import (
     History,
     Outcome,
     build_base_graphs,
-    derive,
     format_history,
     get_model,
     mutate,
@@ -113,7 +112,7 @@ def test_witness_is_valid_and_deterministic():
     v2 = solve(h, spec)
     assert v1.witness == v2.witness
     assert sorted(v1.witness) == list(h.writes)
-    bases = build_base_graphs(h, derive(h, spec))
+    bases = build_base_graphs(h, spec)
     assert verify_witness(h, bases, v1.witness)
 
 
@@ -121,7 +120,7 @@ def test_witness_matches_total_oracle_validity():
     h = parse_history(MP)
     spec = get_model("pso")
     v = solve(h, spec)
-    bases = build_base_graphs(h, derive(h, spec))
+    bases = build_base_graphs(h, spec)
     assert verify_witness(h, bases, v.witness)
     assert oracle_total(h, spec).consistent
 
@@ -201,13 +200,13 @@ def test_k_cap_is_an_error_not_truncation():
 
 def test_verify_witness_accepts_empty_on_empty_history():
     h = parse_history("")
-    bases = build_base_graphs(h, derive(h, get_model("sc")))
+    bases = build_base_graphs(h, get_model("sc"))
     assert verify_witness(h, bases, [])
 
 
 def test_verify_witness_rejects_non_permutations():
     h = parse_history(SB)
-    bases = build_base_graphs(h, derive(h, get_model("sc")))
+    bases = build_base_graphs(h, get_model("sc"))
     with pytest.raises(NotAPermutationError):
         verify_witness(h, bases, [0, 0, 1, 2])
     with pytest.raises(NotAPermutationError):
@@ -217,7 +216,7 @@ def test_verify_witness_rejects_non_permutations():
 def test_verify_witness_detects_reversed_coherence():
     # one write in program order after a read of a later-ordered write
     h = parse_history("thread T0\nwr x 1\nthread T1\nwr x 2\nrd x 1\n")
-    bases = build_base_graphs(h, derive(h, get_model("sc")))
+    bases = build_base_graphs(h, get_model("sc"))
     w1, w2 = h.writes
     # placing w2 before w1 is fine; the read of w1 follows w2's overwrite
     assert verify_witness(h, bases, [w2, w1])
@@ -239,8 +238,8 @@ def test_witness_recheck_on_the_solve_graphs(small_corpus, monkeypatch):
     """
     built = []
 
-    def recording_build(h, dm):
-        graphs = build_base_graphs(h, dm)
+    def recording_build(h, spec):
+        graphs = build_base_graphs(h, spec)
         built.append((graphs, _graph_rows(graphs)))
         return graphs
 
@@ -260,7 +259,7 @@ def test_witness_recheck_on_the_solve_graphs(small_corpus, monkeypatch):
                 for i in range(len(tw) - 1)
             ]
             for order in orders:
-                fresh = build_base_graphs(h, derive(h, spec))
+                fresh = build_base_graphs(h, spec)
                 shared_ok = verify_witness(h, bases, order)
                 assert shared_ok == verify_witness(h, fresh, order)
                 rejected += not shared_ok
@@ -311,8 +310,7 @@ def _production_memo(h, spec):
     from mmcheck.models import build_base_graphs
     from mmcheck.solver import SolveStats, _search, _write_tables
 
-    dm = derive(h, spec)
-    g_loc, g_mm = build_base_graphs(h, dm)
+    g_loc, g_mm = build_base_graphs(h, spec)
     ok_loc, topo_loc = kahn_acyclic(g_loc)
     ok_mm, topo_mm = kahn_acyclic(g_mm)
     if not (ok_loc and ok_mm):
