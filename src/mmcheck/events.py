@@ -77,10 +77,13 @@ class History:
     same whoever builds it) and safe to share across threads.  Use
     :func:`assemble_history` (or the trace parser) to build one; the
     constructor neither validates nor walks the events, and takes its
-    indexes from the assembly pass.  `threads` maps each thread name, the
-    virtual `init` thread first, to its event ids in program order,
-    `writes` holds the write ids, ascending, `write_vars` their variables,
-    and `readers` maps each write with readers to them, in id order.
+    indexes from the assembly pass.  Assembly builds every history and
+    rejects any dp edge that is not read-sourced or not in program order,
+    so `derive` and the solver trust `dp`.  `threads` maps each thread
+    name, the virtual `init` thread first, to its event ids in program
+    order, `writes` holds the write ids, ascending, `write_vars` their
+    variables, and `readers` maps each write with readers to them, in id
+    order.
     """
 
     __slots__ = (

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 
-from .errors import InvalidDpError, UnknownModelError
+from .errors import UnknownModelError
 from .events import INIT_THREAD, READ, WRITE, History
 from .graphs import EventGraph, find_cycle
 
@@ -144,7 +144,7 @@ class DerivedModel:
             raise AttributeError(name)
         h, spec = self.history, self.spec
         self.po_mm = h.dp if spec.dp_only else po_edges(h, spec)
-        self.po_loc_effective = po_loc(h, llh=spec.dp_only)
+        self.po_loc_effective = po_loc(h, spec)
         self.rf_mm = h.rf if spec.sees_internal_rf else rf_external(h)
         return getattr(self, name)
 
@@ -475,17 +475,19 @@ def po_edges(h: History, spec: ModelSpec) -> list[tuple[int, int]]:
     return edges
 
 
-def po_loc(h: History, llh: bool = False) -> list[tuple[int, int]]:
-    """Edges whose closure is the same-variable program order.
+def po_loc(h: History, spec: ModelSpec) -> list[tuple[int, int]]:
+    """Edges whose closure is the same-variable program order a model
+    keeps.
 
     Each (thread, variable) forms a chain headed by the variable's initial
-    write.  With `llh` set, read-read pairs are removed, which is the
-    weakening used by models that permit load-load hazards: each event
-    then follows the last write to its variable (or the initial write),
-    and each write follows every read of its variable since the previous
-    write.  A read-read pair with a write between stays in the closure,
-    as it does in the closure of the pair set.
+    write.  When the model allows load-load hazards (`dp_only`),
+    read-read pairs are removed: each event then follows the last write
+    to its variable (or the initial write), and each write follows every
+    read of its variable since the previous write.  A read-read pair with
+    a write between stays in the closure, as it does in the closure of
+    the pair set.
     """
+    llh = spec.dp_only
     access = h.access
     init_of = {access[i][1]: i for i in h.thread_events(INIT_THREAD)}
     edges: list[tuple[int, int]] = []
@@ -510,18 +512,11 @@ def po_loc(h: History, llh: bool = False) -> list[tuple[int, int]]:
 def derive(h: History, spec: ModelSpec) -> DerivedModel:
     """The model's relations for `h`, each built on first access.
 
-    Pure: equal inputs give identical relations.  For rmo the dependency
-    relation must be read-sourced and lie inside program order; histories
-    built by this package guarantee that, but it is re-checked here, by
-    bisecting the writes for each dependency edge's source.
+    Pure: equal inputs give identical relations.  Under rmo the
+    dependency relation must be read-sourced and lie inside program
+    order; it is not re-checked here, because every history is built by
+    `assemble_history`, which rejects any other dp edge.
     """
-    if spec.dp_only:
-        for a, b in h.dp:
-            if _holds(h.writes, a) or not h.po_before(a, b):
-                raise InvalidDpError(
-                    f"dp edge {h.ref(a)} -> {h.ref(b)} is not a read-sourced "
-                    "program-order edge"
-                )
     return DerivedModel(spec, h)
 
 

@@ -20,14 +20,14 @@ from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .errors import KTooLargeForOracleError, SearchSpaceTooLargeError
 from .events import History
-from .graphs import EventGraph, kahn_acyclic
+from .graphs import kahn_acyclic
 from .models import ModelSpec, derive, oota_cycle
 from .solver import Outcome, Verdict
 
 _T = TypeVar("_T")
 
-#: A variable's write order with its chain's edge lists.
-_Chained = tuple[tuple[int, ...], list[list[tuple[int, int]]]]
+#: A variable's write order as its chain's edge lists.
+_Chained = list[list[tuple[int, int]]]
 
 #: Total-order enumeration walks k! permutations.
 ORACLE_MAX_K = 8
@@ -36,18 +36,8 @@ ORACLE_MAX_K = 8
 ORACLE_MAX_STORE_ORDERS = 10**6
 
 
-def _order_pairs(orders: Iterable[Sequence[int]]) -> set[tuple[int, int]]:
-    """Every pair (earlier, later) of each order."""
-    return {
-        (order[i], order[j])
-        for order in orders
-        for i in range(len(order))
-        for j in range(i + 1, len(order))
-    }
-
-
 def _from_read_edges(
-    h: History, order_pairs: set[tuple[int, int]]
+    h: History, order_pairs: Iterable[tuple[int, int]]
 ) -> set[tuple[int, int]]:
     # rf-inverse composed with the same-variable part of the order: the
     # read saw a value a later write overwrites, so the read precedes it.
@@ -78,7 +68,7 @@ def oracle_total(h: History, spec: ModelSpec) -> Verdict:
         return Verdict(Outcome.INCONSISTENT)
     bases = derive(h, spec).graphs()
     for perm in itertools.permutations(h.writes):
-        pairs = _order_pairs([perm])
+        pairs = list(itertools.combinations(perm, 2))
         extra = _from_read_edges(h, pairs)
         if all(kahn_acyclic(g.extended(pairs, extra))[0] for g in bases):
             return Verdict(Outcome.CONSISTENT, witness=list(perm))
@@ -108,14 +98,15 @@ def oracle_store(h: History, spec: ModelSpec) -> Verdict:
 
     Store orders are tried as `itertools.product` yields them over each
     variable's write permutations in lexicographic order, variables
-    sorted by name.  A passing store order is linearized (through the
-    model graph it keeps acyclic) into a full write order, returned as
-    witness so that the verdict can be re-verified like any other.
+    sorted by name.  The peel that accepts the first passing store order
+    gives the witness: its writes, in peel order, are a full write order
+    that the verdict can be re-verified with like any other.
 
     A store order passes when both order-free graphs stay acyclic with its
     order pairs (w, w') and its conflict edges (r, w'), for each read r of
-    a write w that the order puts before w' on their variable.  Three
-    facts make the check cheaper without changing any answer:
+    a write w that the order puts before w' on their variable.  Four
+    facts make the check and its witness cheaper without changing any
+    answer:
 
     - Bare graphs.  A store order only adds edges, so when either
       order-free graph is cyclic on its own no store order passes: both
@@ -133,6 +124,24 @@ def oracle_store(h: History, spec: ModelSpec) -> Verdict:
       are themselves order pairs and conflict edges.  So both edge sets
       have the same transitive closure, and each graph is acyclic with
       one exactly when it is with the other.
+    - Witness.  The FIFO peel (`kahn_acyclic`) of the model graph with
+      the chains is, step by step, its peel with every order pair and
+      conflict edge, so the witness is the same under either edge set.
+      Added edges enter only writes, so every other vertex has the same
+      in-edges under both, and each vertex's added out-edges follow its
+      model-graph row.  Under the chains each vertex has at most one
+      added out-edge: πᵢ and its reads have one, to πᵢ₊₁.  With all pairs
+      πⱼ also has in-edges from π₁ … πⱼ₋₂ and their reads, and these
+      extra sources are ancestors of πⱼ₋₁ under the chains.  Say the two
+      peels are equal up to the vertex u they walk next.  When an extra
+      source of πⱼ is not walked before u, πⱼ₋₁, its descendant, is
+      walked after u, so u frees πⱼ in neither peel; when all are, πⱼ
+      waits on the same in-edges in both.  So u frees the same vertices
+      in both, in the same order: those its model-graph row frees, then
+      at most one write, πᵢ₊₁, by its chain edge.  The further edges all
+      pairs add from u go to πᵢ₊₂ … πₘ, which wait on their predecessors,
+      descendants of u, and free nothing.  The peels start from the same
+      sources, so by induction they are equal.
     - Variables apart.  Every per-location edge joins two events of one
       variable: same-variable program order (with or without load-load
       hazards), reads-from, order pairs and conflict edges.  So the
@@ -176,10 +185,10 @@ def oracle_store(h: History, spec: ModelSpec) -> Verdict:
                 edges = [(a, b), *((r, b) for r in h.readers_of(a))]
                 links[a, b] = edges
             edge_lists.append(edges)
-        return order, edge_lists
+        return edge_lists
 
     def loc_acyclic(item: _Chained) -> bool:
-        return kahn_acyclic(loc.extended(*item[1]))[0]
+        return kahn_acyclic(loc.extended(*item))[0]
 
     pools = [
         map(chained, itertools.permutations(ws))
@@ -187,10 +196,11 @@ def oracle_store(h: History, spec: ModelSpec) -> Verdict:
         if len(ws := h.writes_on(v)) > 1
     ]
     for combo in _product_of_passing(pools, loc_acyclic):
-        g = mm.extended(*(edges for _, lists in combo for edges in lists))
-        if kahn_acyclic(g)[0]:
-            ww = _order_pairs(order for order, _ in combo)
-            return Verdict(Outcome.CONSISTENT, witness=_linearize(h, mm, ww))
+        acyclic, order = kahn_acyclic(mm.extended(*itertools.chain(*combo)))
+        if acyclic:
+            write_set = set(h.writes)
+            witness = [e for e in order if e in write_set]
+            return Verdict(Outcome.CONSISTENT, witness=witness)
     return Verdict(Outcome.INCONSISTENT)
 
 
@@ -237,14 +247,3 @@ def _product_of_passing(
             walks.pop()
             if prefix:
                 prefix.pop()
-
-
-def _linearize(
-    h: History, mm: EventGraph, ww: set[tuple[int, int]]
-) -> list[int]:
-    """The writes in the order of a Kahn peel of the model graph `mm`
-    extended by the order pairs `ww` and their conflict edges."""
-    acyclic, order = kahn_acyclic(mm.extended(ww, _from_read_edges(h, ww)))
-    assert acyclic, "caller guarantees the store-order graph is acyclic"
-    write_set = set(h.writes)
-    return [e for e in order if e in write_set]

@@ -36,7 +36,6 @@ class RandomProgram:
 
     threads: tuple[tuple[tuple, ...], ...]
     var_names: tuple[str, ...]
-    seed: int
 
     def used_vars(self) -> tuple[str, ...]:
         used = {instr[1] for block in self.threads for instr in block}
@@ -67,7 +66,7 @@ def generate_program(
             else:
                 block.append(("rd", var))
         blocks.append(tuple(block))
-    return RandomProgram(tuple(blocks), var_names, seed)
+    return RandomProgram(tuple(blocks), var_names)
 
 
 def simulate(prog: RandomProgram, model: str, seed: int) -> History:

@@ -28,7 +28,6 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-@pytest.mark.filterwarnings("error")
 def test_check_exit_codes(capsys, sb_path):
     code, out, _ = run(capsys, "check", sb_path, "--model", "sc")
     assert code == 1
@@ -70,6 +69,14 @@ def test_parse_error_exit_code(capsys, tmp_path):
 def test_missing_file_exit_code(capsys):
     code, _, err = run(capsys, "check", "/nonexistent.mmh", "--model", "sc")
     assert code == 2
+
+
+def test_malformed_dimacs_exit_code(capsys, tmp_path):
+    p = tmp_path / "bad.cnf"
+    p.write_text("p cnf 1 1\n1 a 1 0\n")
+    code, out, err = run(capsys, "gen", "sat", str(p))
+    assert (code, out) == (2, "")
+    assert err == "mmcheck: bad token 'a'\n"
 
 
 @pytest.mark.parametrize(

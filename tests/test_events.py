@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from mmcheck import (
     format_history,
     generate_program,
+    get_model,
     parse_history,
     po_loc,
     simulate,
@@ -50,16 +51,17 @@ def test_po_transitive_and_irreflexive_within_threads():
 
 
 def test_po_loc_examples():
+    sc, rmo = get_model("sc"), get_model("rmo")
     h = parse_history("thread T0\nwr x 1\nwr y 1\n")
-    assert po_loc(h) == []
+    assert po_loc(h, sc) == []
 
     h = parse_history("thread T0\nwr x 1\nrd x 1\nrd x 1\n")
-    assert (1, 2) in _closed_pairs(h, po_loc(h, llh=False))
-    assert (1, 2) not in _closed_pairs(h, po_loc(h, llh=True))
-    assert (0, 1) in _closed_pairs(h, po_loc(h, llh=True))  # write-read pair
+    assert (1, 2) in _closed_pairs(h, po_loc(h, sc))
+    assert (1, 2) not in _closed_pairs(h, po_loc(h, rmo))
+    assert (0, 1) in _closed_pairs(h, po_loc(h, rmo))  # write-read pair
 
     h = parse_history("init: x=0\nthread T0\nrd x 0\nwr x 1\n")
-    assert _closed_pairs(h, po_loc(h)) == {(0, 1), (0, 2), (1, 2)}
+    assert _closed_pairs(h, po_loc(h, sc)) == {(0, 1), (0, 2), (1, 2)}
 
 
 def test_infer_rf_examples():

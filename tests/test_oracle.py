@@ -105,9 +105,9 @@ def test_store_oracle_bound():
 def test_store_oracle_peels_do_not_grow_with_single_write_variables(
     monkeypatch, m
 ):
-    # m variables written once each have one store order: the bare graphs,
-    # the one combination and the linearization take a peel each, however
-    # many variables there are
+    # m variables written once each have one store order: the two bare
+    # graphs and the one combination, whose peel gives the witness, take
+    # a peel each, however many variables there are
     import mmcheck.oracle as oracle_module
 
     peels = []
@@ -122,7 +122,7 @@ def test_store_oracle_peels_do_not_grow_with_single_write_variables(
     h = parse_history("\n".join(lines) + "\n")
     v = oracle_store(h, get_model("sc"))
     assert v.consistent and v.witness == list(h.writes)
-    assert len(peels) == 4
+    assert len(peels) == 3
 
 
 def test_total_witness_is_lexicographically_first():

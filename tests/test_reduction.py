@@ -41,6 +41,8 @@ def test_parse_dimacs_examples():
 def test_parse_dimacs_rejects_short_clause():
     with pytest.raises(NotThreeSatError):
         parse_dimacs("p cnf 2 1\n1 2 0\n")
+    with pytest.raises(NotThreeSatError):
+        Cnf3(1, ((1, 1),))
 
 
 def test_parse_dimacs_malformed():
@@ -54,6 +56,16 @@ def test_parse_dimacs_malformed():
         parse_dimacs("p cnf 2 1\n1 2 5 0\n")  # variable out of range
     with pytest.raises(MalformedDimacsError):
         parse_dimacs("p cnf x 1\n1 1 1 0\n")
+    with pytest.raises(MalformedDimacsError, match="second problem line"):
+        parse_dimacs("p cnf 1 1\np cnf 1 1\n1 1 1 0\n")
+    for header in ("p dnf 1 1", "p cnf 1"):
+        with pytest.raises(MalformedDimacsError, match="bad problem line"):
+            parse_dimacs(f"{header}\n1 1 1 0\n")
+    for header in ("p cnf -1 0", "p cnf 1 -1"):
+        with pytest.raises(MalformedDimacsError, match="negative counts"):
+            parse_dimacs(f"{header}\n")
+    with pytest.raises(MalformedDimacsError, match="bad token 'a'"):
+        parse_dimacs("p cnf 1 1\n1 a 1 0\n")
 
 
 def test_parse_dimacs_comments_and_terminator():

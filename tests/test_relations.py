@@ -14,7 +14,7 @@ import random
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mmcheck import (
@@ -35,6 +35,8 @@ from mmcheck import (
     solve,
     verify_witness,
 )
+from mmcheck.errors import NoAlternativeWriterError
+from mmcheck.simgen import RandomProgram
 from mmcheck.solver import Outcome, SolveStats, _search, _write_tables
 from mmcheck.solver import extract_witness
 
@@ -312,6 +314,47 @@ def test_memo_matches_reference_past_the_oracle_horizon():
                 assert _production_memo(g, spec) == solve_reference(g, spec)[1]
             checked += 1
     assert checked >= 100
+
+
+_VARS = ("x0", "x1", "x2")
+
+
+@settings(deadline=None, max_examples=40)
+@given(data=st.data())
+def test_writes_spread_over_threads_match_reference_memo(data):
+    # `generate_program` puts most writes in the first thread; here each
+    # write and read takes a thread of its own draw, in a drawn program
+    # order, for k = 9-14 with the initial writes.  The simulated
+    # history, an rf mutation of it and a copy with random dependencies
+    # pin the production memo to the explicit-graph search.
+    nthreads = data.draw(st.integers(2, 4), label="threads")
+    access = st.tuples(st.integers(0, nthreads - 1), st.sampled_from(_VARS))
+    writes = data.draw(st.lists(access, min_size=6, max_size=11))
+    reads = data.draw(st.lists(access, min_size=2, max_size=8))
+    order = data.draw(st.permutations(range(len(writes) + len(reads))))
+    seed = data.draw(st.integers(0, 10**6), label="seed")
+    blocks: list[list[tuple]] = [[] for _ in range(nthreads)]
+    fresh = dict.fromkeys(_VARS, 1)
+    for i in order:
+        if i < len(writes):
+            t, var = writes[i]
+            blocks[t].append(("wr", var, fresh[var]))
+            fresh[var] += 1
+        else:
+            t, var = reads[i - len(writes)]
+            blocks[t].append(("rd", var))
+    prog = RandomProgram(tuple(map(tuple, blocks)), _VARS)
+    h = simulate(prog, ("tso", "pso")[seed % 2], seed=seed)
+    assume(9 <= h.k <= 14)
+    rng = random.Random(seed)
+    try:
+        mutated = mutate(h, seed=seed)
+    except NoAlternativeWriterError:
+        mutated = None
+    for g in (h, mutated, with_random_dp(h, rng)):
+        if g is not None:
+            for name in MODELS:
+                _assert_same_memo(g, get_model(name))
 
 
 def test_long_simulated_trace_matches_reference():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from pathlib import Path
 
 import pytest
@@ -18,7 +19,7 @@ from mmcheck import (
 from mmcheck.errors import NoAlternativeWriterError, UnknownModelError
 from mmcheck.simgen import RandomProgram
 
-from conftest import SB, TRACES
+from conftest import SB, TRACES, with_random_dp
 from helpers import events, resolve_ref, rf_source
 
 
@@ -26,7 +27,6 @@ def test_single_thread_resolves_locally():
     prog = RandomProgram(
         ((("wr", "x0", 1), ("rd", "x0"), ("rd", "x1")),),
         ("x0", "x1"),
-        seed=0,
     )
     for model in ("sc", "tso", "pso"):
         h = simulate(prog, model, seed=3)
@@ -73,7 +73,6 @@ def test_tso_buffering_can_produce_sb_outcome():
             (("wr", "x1", 1), ("rd", "x0")),
         ),
         ("x0", "x1"),
-        seed=0,
     )
     tso, sc = get_model("tso"), get_model("sc")
     saw_relaxed = False
@@ -121,6 +120,26 @@ def test_mutate_requires_an_alternative_writer():
         mutate(h, seed=0)
 
 
+def test_mutate_keeps_dp_edges(small_corpus):
+    rng = random.Random(1111)
+    checked = 0
+    for h in small_corpus:
+        g = with_random_dp(h, rng)
+        if g is None:
+            continue
+        try:
+            m = mutate(g, seed=checked)
+        except NoAlternativeWriterError:
+            continue
+        assert {(m.ref(a), m.ref(b)) for a, b in m.dp} == {
+            (g.ref(a), g.ref(b)) for a, b in g.dp
+        }
+        back = parse_history(format_history(m, explicit_rf=True))
+        assert (back.dp, back.rf) == (m.dp, m.rf)
+        checked += 1
+    assert checked >= 40
+
+
 def test_mutate_emits_valid_explicit_rf():
     h = parse_history(SB)
     m = mutate(h, seed=4)
@@ -145,7 +164,6 @@ def test_mutated_sb_sometimes_sc_inconsistent():
             (("wr", "x1", 1), ("rd", "x0")),
         ),
         ("x0", "x1"),
-        seed=0,
     )
     hits = 0
     for seed in range(100):
@@ -175,7 +193,6 @@ GOLDEN_PROGRAMS = (
             (("rd", "x1"), ("rd", "x0"), ("rd", "x1"), ("rd", "x0")),
         ),
         ("x0", "x1"),
-        seed=0,
     )),
     ("store buffering", RandomProgram(
         (
@@ -183,7 +200,6 @@ GOLDEN_PROGRAMS = (
             (("wr", "x1", 1), ("rd", "x0")),
         ),
         ("x0", "x1"),
-        seed=0,
     )),
 )
 GOLDEN_SEEDS = (0, 1, 2, 6, 7)

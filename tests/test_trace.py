@@ -100,6 +100,9 @@ def test_syntax_errors_carry_line_numbers():
     with pytest.raises(TraceSyntaxError) as exc:
         parse_history("init: x=0y=1\n")  # no separator between assignments
     assert exc.value.lineno == 1
+    with pytest.raises(TraceSyntaxError, match="empty init line") as exc:
+        parse_history("init:\nthread T0\nwr x 1\n")
+    assert exc.value.lineno == 1
     # integers beyond the unsigned 64-bit range, and integer literals
     # beyond int()'s 4,300-digit limit
     huge = "9" * 5000
