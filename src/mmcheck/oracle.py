@@ -10,21 +10,21 @@ base graphs `build_base_graphs` returns, and not the subset search.
 Each takes the model's two full graphs, one vertex per event, from the
 derivation (`DerivedModel.graphs`), and extends them with the edges of
 each order it tries, so agreement between the three deciders is
-meaningful.
+meaningful.  `oracle_total` stays the plain enumeration: it peels both
+graphs for every permutation and skips none, the baseline the store
+oracle's pruning is checked against.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import Iterable, Iterator
 
 from .errors import KTooLargeForOracleError, SearchSpaceTooLargeError
 from .events import History
 from .graphs import kahn_acyclic
 from .models import ModelSpec, derive, oota_cycle
 from .solver import Outcome, Verdict
-
-_T = TypeVar("_T")
 
 #: A variable's write order as its chain's edge lists.
 _Chained = list[list[tuple[int, int]]]
@@ -104,7 +104,7 @@ def oracle_store(h: History, spec: ModelSpec) -> Verdict:
 
     A store order passes when both order-free graphs stay acyclic with its
     order pairs (w, w') and its conflict edges (r, w'), for each read r of
-    a write w that the order puts before w' on their variable.  Four
+    a write w that the order puts before w' on their variable.  Five
     facts make the check and its witness cheaper without changing any
     answer:
 
@@ -156,15 +156,36 @@ def oracle_store(h: History, spec: ModelSpec) -> Verdict:
       for each variable, the order-free graph extended by that variable's
       edges alone is.
 
+    - Prefixes.  Adding edges never removes a cycle.  So when the model
+      graph with the chains of a prefix of variable orders is cyclic, it
+      is cyclic with every store order that starts with that prefix, and
+      none of them passes.  The store orders are walked depth first, in
+      product order, over a stack of graphs: level i is level i − 1
+      `extended` by the chains of the order chosen for variable i, and
+      siblings extend the same parent, which `extended` never mutates.
+      An order enters level i only when its per-location test passes and
+      the peel of its level-i graph is acyclic; a cyclic one skips every
+      store order holding its prefix without visiting them.  The first
+      full store order reached is therefore the first passing one in
+      product order.  Its graph holds the rows of
+      `mm.extended(*chains)`, each the model-graph row followed by the
+      chain edges out of that vertex in order, and the same in-degrees;
+      so its peel, the last one taken, gives the same witness, and with
+      no variable to order the bare peel does.  The model graph is
+      peeled at most once per prefix reached.  Every pool holds two or
+      more orders, so a store-order count P has at most P / 2ʲ prefixes
+      j levels short of full length, and the prefixes number under 2P:
+      at worst twice the peels of one per store order.
+
     So each variable order is tested on the per-location graph once,
-    when the enumeration first reaches it.  A failing one skips every
-    store order that holds it, and the model graph is peeled only for
-    store orders whose every variable order passes.  Memory is bounded:
-    the passing variable orders, at most Σₓ|Wₓ|! for the writes Wₓ of
-    each variable x, each with |Wₓ| − 1 references to edge lists; and
-    one edge list per ordered pair of same-variable writes, at most
-    Σₓ|Wₓ|², each one longer than its first write's readers.  No whole
-    store order is kept.
+    when the walk first reaches it, and a failing one skips every store
+    order that holds it.  Memory is bounded: the passing variable
+    orders, at most Σₓ|Wₓ|! for the writes Wₓ of each variable x, each
+    with |Wₓ| − 1 references to edge lists; one edge list per ordered
+    pair of same-variable writes, at most Σₓ|Wₓ|², each one longer than
+    its first write's readers; and one graph per level of the current
+    prefix, fewer than 20, each sharing the rows its chains leave
+    alone.  No whole store order is kept.
     """
     if store_order_count(h) > ORACLE_MAX_STORE_ORDERS:
         raise SearchSpaceTooLargeError(
@@ -173,13 +194,14 @@ def oracle_store(h: History, spec: ModelSpec) -> Verdict:
     if spec.dp_only and oota_cycle(h) is not None:
         return Verdict(Outcome.INCONSISTENT)
     loc, mm = derive(h, spec).graphs()
-    if not (kahn_acyclic(loc)[0] and kahn_acyclic(mm)[0]):
+    acyclic, order = kahn_acyclic(mm)
+    if not (kahn_acyclic(loc)[0] and acyclic):
         return Verdict(Outcome.INCONSISTENT)
     links: dict[tuple[int, int], list[tuple[int, int]]] = {}
 
-    def chained(order: tuple[int, ...]) -> _Chained:
+    def chained(perm: tuple[int, ...]) -> _Chained:
         edge_lists = []
-        for a, b in zip(order, order[1:]):
+        for a, b in zip(perm, perm[1:]):
             edges = links.get((a, b))
             if edges is None:
                 edges = [(a, b), *((r, b) for r in h.readers_of(a))]
@@ -187,63 +209,44 @@ def oracle_store(h: History, spec: ModelSpec) -> Verdict:
             edge_lists.append(edges)
         return edge_lists
 
-    def loc_acyclic(item: _Chained) -> bool:
-        return kahn_acyclic(loc.extended(*item))[0]
-
     pools = [
         map(chained, itertools.permutations(ws))
         for v in sorted(h.variables)
         if len(ws := h.writes_on(v)) > 1
     ]
-    for combo in _product_of_passing(pools, loc_acyclic):
-        acyclic, order = kahn_acyclic(mm.extended(*itertools.chain(*combo)))
-        if acyclic:
-            write_set = set(h.writes)
-            witness = [e for e in order if e in write_set]
-            return Verdict(Outcome.CONSISTENT, witness=witness)
-    return Verdict(Outcome.INCONSISTENT)
+    kept: list[list[_Chained]] = [[] for _ in pools]
 
-
-def _product_of_passing(
-    pools: Sequence[Iterable[_T]], passes: Callable[[_T], bool]
-) -> Iterator[tuple[_T, ...]]:
-    """The tuples `itertools.product(*pools)` yields whose every item
-    passes, in the same order.
-
-    Each item is tested once, when the walk first reaches it, and only the
-    passing ones are kept.  A failing item skips every tuple that holds it
-    without visiting them.
-    """
-    if not pools:
-        yield ()
-        return
-    kept: list[list[_T]] = [[] for _ in pools]
-    untested = [iter(pool) for pool in pools]
-
-    # Pool i is walked once per tuple of items ahead of it, each walk to
-    # its end before the next starts; so only the first walk tests items,
-    # and every later one finds them all kept.
-    def items(i: int) -> Iterator[_T]:
+    # Pool i is walked once per passing prefix ahead of it, each walk to
+    # its end or to a full store order before the next starts; so only
+    # the first walk tests items on the per-location graph, and every
+    # later one finds the passing ones kept.
+    def items(i: int) -> Iterator[_Chained]:
         yield from kept[i]
-        for item in untested[i]:
-            if passes(item):
+        for item in pools[i]:
+            if kahn_acyclic(loc.extended(*item))[0]:
                 kept[i].append(item)
                 yield item
 
-    # The open walks, one per pool from the first to the deepest reached,
-    # sit on a list rather than the call stack, so any number of pools
-    # fits; `prefix` holds the item each walk but the deepest stands at.
-    prefix: list[_T] = []
-    walks = [items(0)]
-    while walks:
+    # graphs[i] is the model graph with the chains of the first i items
+    # chosen, all of which passed; walks[i] yields the candidates for
+    # item i.  The open walks sit on a list rather than the call stack,
+    # so any number of pools fits.
+    graphs, walks = [mm], []
+    while len(graphs) <= len(pools):
+        if len(walks) < len(graphs):
+            walks.append(items(len(walks)))
         for item in walks[-1]:
-            if len(walks) == len(pools):
-                yield (*prefix, item)
-            else:
-                prefix.append(item)
-                walks.append(items(len(walks)))
+            g = graphs[-1].extended(*item)
+            acyclic, order = kahn_acyclic(g)
+            if acyclic:
+                graphs.append(g)
                 break
         else:
             walks.pop()
-            if prefix:
-                prefix.pop()
+            graphs.pop()
+            if not graphs:
+                return Verdict(Outcome.INCONSISTENT)
+    write_set = set(h.writes)
+    return Verdict(
+        Outcome.CONSISTENT, witness=[e for e in order if e in write_set]
+    )

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from mmcheck import assemble_history, generate_program, mutate, simulate
+from mmcheck import Cnf3, assemble_history, generate_program, mutate, simulate
 from mmcheck.errors import NoAlternativeWriterError
 
 from helpers import events, reads
@@ -18,6 +18,29 @@ SB = (TRACES / "sb.mmh").read_text()
 MP = (TRACES / "mp.mmh").read_text()
 CORR = (TRACES / "corr.mmh").read_text()
 OOTA = (TRACES / "oota.mmh").read_text()
+
+# Unsatisfiable formulas over 3, 4 and 5 variables, with the search
+# effort each instance takes: exact regression gates for the counters.
+PINNED_REDUCTIONS = [
+    (Cnf3(3, (
+        (-1, 2, 3), (-2, -3, 1), (-2, -3, -1), (2, 1, 3), (-2, 1, 3),
+        (-3, 1, 2), (2, 3, -1), (2, -3, 1), (-1, 2, -3), (1, 3, -2),
+        (-1, -2, 3), (-3, 2, -1), (-1, 3, -2), (2, -1, 3), (3, -1, 2),
+    )), 18, 965, 3714),
+    (Cnf3(4, (
+        (1, -2, 4), (-3, 4, 2), (-1, 2, -3), (2, 4, -1), (-3, 2, -1),
+        (-2, 4, 1), (4, 3, 1), (2, -4, 1), (-4, 2, -1), (-3, 4, -1),
+        (-1, 3, -2), (-3, 2, -4), (1, 2, -4), (4, 3, -1), (-3, -4, -2),
+        (3, -1, -4), (2, -4, 1), (-3, 1, -4), (1, -2, 4), (1, -2, -4),
+    )), 24, 10823, 54489),
+    (Cnf3(5, (
+        (3, -5, 4), (-1, -2, 4), (3, -2, 5), (-3, 5, -4), (-2, 1, -5),
+        (3, -2, 1), (5, -2, 4), (5, 3, -4), (-3, 4, -2), (1, 4, -5),
+        (-5, -4, 3), (4, 3, 5), (-5, 3, -1), (-5, 2, -4), (-2, -3, 1),
+        (5, -1, -2), (1, -3, -5), (-2, -5, -4), (-1, 4, -3), (-2, 3, 4),
+        (1, 5, 4), (-1, 5, 3), (3, 4, 5), (3, 4, -1), (1, -2, -5),
+    )), 30, 95933, 608728),
+]
 
 
 def build_corpus(count: int, seed: int, max_writes: int = 4):

@@ -93,6 +93,27 @@ def test_extended_adds_many_edges_out_of_one_vertex():
     assert ext.adj[2] is g.adj[2] and ext.adj[0] is not g.adj[0]
 
 
+def test_extended_graphs_extend_apart():
+    # two children of one graph, each extended twice more, over rows both
+    # touch: every graph keeps its rows and in-degrees, and each equals
+    # the graph built from all the edge lists on its branch
+    base = [(0, 1), (1, 2), (3, 0)]
+    g = EventGraph(5, base)
+    branches = {
+        "a": [[(0, 2), (1, 3)], [(0, 4)], [(1, 4), (0, 3)]],
+        "b": [[(0, 3), (1, 4)], [(0, 2), (3, 4)], [(1, 2)]],
+    }
+    built = [(g, [base])]
+    for first, *rest in branches.values():
+        child = g.extended(first)
+        built.append((child, [base, first]))
+        for more in rest:
+            built.append((child.extended(more), [base, first, more]))
+    for h, lists in built:
+        want = EventGraph(5, *lists)
+        assert h.adj == want.adj and h.in_degree == want.in_degree
+
+
 def _dfs_has_cycle(n, edges):
     adj = [[] for _ in range(n)]
     for u, v in edges:

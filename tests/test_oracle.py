@@ -30,7 +30,7 @@ from mmcheck.errors import (
 )
 from mmcheck.oracle import store_order_count
 
-from conftest import SB, with_random_dp
+from conftest import PINNED_REDUCTIONS, SB, with_random_dp
 from helpers import (
     conflict_edges,
     events,
@@ -101,13 +101,8 @@ def test_store_oracle_bound():
         oracle_store(h, get_model("sc"))
 
 
-@pytest.mark.parametrize("m", [50, 500])
-def test_store_oracle_peels_do_not_grow_with_single_write_variables(
-    monkeypatch, m
-):
-    # m variables written once each have one store order: the two bare
-    # graphs and the one combination, whose peel gives the witness, take
-    # a peel each, however many variables there are
+def _counted_peels(monkeypatch):
+    """The graphs `oracle_store` peels from here on, in peel order."""
     import mmcheck.oracle as oracle_module
 
     peels = []
@@ -118,11 +113,46 @@ def test_store_oracle_peels_do_not_grow_with_single_write_variables(
         return kahn(g)
 
     monkeypatch.setattr(oracle_module, "kahn_acyclic", counting_kahn)
+    return peels
+
+
+@pytest.mark.parametrize("m", [50, 500])
+def test_store_oracle_peels_do_not_grow_with_single_write_variables(
+    monkeypatch, m
+):
+    # m variables written once each have one store order, which adds no
+    # edge: the two bare graphs take a peel each, the model graph's gives
+    # the witness, however many variables there are
+    peels = _counted_peels(monkeypatch)
     lines = ["thread T0"] + [f"wr v{i} 1" for i in range(m)]
     h = parse_history("\n".join(lines) + "\n")
     v = oracle_store(h, get_model("sc"))
     assert v.consistent and v.witness == list(h.writes)
-    assert len(peels) == 3
+    assert len(peels) == 2
+
+
+def test_store_oracle_skips_store_orders_with_a_cyclic_prefix(monkeypatch):
+    # 512 store orders: peeling the model graph once for each took 532
+    # peels with the 2 bare and 18 per-location ones
+    peels = _counted_peels(monkeypatch)
+    h = sat_to_history_sc(PINNED_REDUCTIONS[0][0])
+    assert store_order_count(h) == 512
+    assert not oracle_store(h, get_model("sc")).consistent
+    assert len(peels) == 114
+
+
+def test_store_oracle_peels_at_most_three_times_per_store_order(
+    monkeypatch, small_corpus
+):
+    # 2 bare peels; one per-location peel per variable order, no more
+    # than the store orders; and one model-graph peel per prefix reached,
+    # under twice the store orders since every pool has two or more items
+    peels = _counted_peels(monkeypatch)
+    for h in small_corpus:
+        for m in ALL_MODELS:
+            peels.clear()
+            oracle_store(h, get_model(m))
+            assert len(peels) <= 2 + 3 * store_order_count(h)
 
 
 def test_total_witness_is_lexicographically_first():
@@ -255,6 +285,9 @@ def test_store_oracle_matches_per_order_construction_on_reductions():
                     )
                     outcomes.add(v.outcome)
     assert len(outcomes) == 2
+    h = sat_to_history_sc(PINNED_REDUCTIONS[1][0])
+    assert h.k == 24
+    _assert_matches_per_order_construction(h, get_model("sc"))
 
 
 def test_store_oracle_agrees_with_solve_past_the_total_order_horizon():

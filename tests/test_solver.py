@@ -5,13 +5,13 @@ from __future__ import annotations
 import pytest
 
 from mmcheck import (
-    Cnf3,
     History,
     Outcome,
     build_base_graphs,
     format_history,
     get_model,
     mutate,
+    oracle_store,
     oracle_total,
     parse_history,
     sat_to_history_relaxed,
@@ -24,7 +24,15 @@ from mmcheck import models as models_module
 from mmcheck import solver as solver_module
 from mmcheck.solver import extract_witness
 
-from conftest import SB, MP, CORR, OOTA, TRACES, with_random_dp
+from conftest import (
+    CORR,
+    MP,
+    OOTA,
+    PINNED_REDUCTIONS,
+    SB,
+    TRACES,
+    with_random_dp,
+)
 from helpers import events, reads, solve_reference, structural_bound
 
 ALL_MODELS = ("sc", "tso", "pso", "rmo")
@@ -147,30 +155,6 @@ def test_memo_bound(small_corpus):
             _assert_within_bounds(h, solve(h, get_model(m)))
 
 
-# Unsatisfiable formulas over 3, 4 and 5 variables, with the search
-# effort each instance takes: exact regression gates for the counters.
-PINNED_REDUCTIONS = [
-    (Cnf3(3, (
-        (-1, 2, 3), (-2, -3, 1), (-2, -3, -1), (2, 1, 3), (-2, 1, 3),
-        (-3, 1, 2), (2, 3, -1), (2, -3, 1), (-1, 2, -3), (1, 3, -2),
-        (-1, -2, 3), (-3, 2, -1), (-1, 3, -2), (2, -1, 3), (3, -1, 2),
-    )), 18, 965, 3714),
-    (Cnf3(4, (
-        (1, -2, 4), (-3, 4, 2), (-1, 2, -3), (2, 4, -1), (-3, 2, -1),
-        (-2, 4, 1), (4, 3, 1), (2, -4, 1), (-4, 2, -1), (-3, 4, -1),
-        (-1, 3, -2), (-3, 2, -4), (1, 2, -4), (4, 3, -1), (-3, -4, -2),
-        (3, -1, -4), (2, -4, 1), (-3, 1, -4), (1, -2, 4), (1, -2, -4),
-    )), 24, 10823, 54489),
-    (Cnf3(5, (
-        (3, -5, 4), (-1, -2, 4), (3, -2, 5), (-3, 5, -4), (-2, 1, -5),
-        (3, -2, 1), (5, -2, 4), (5, 3, -4), (-3, 4, -2), (1, 4, -5),
-        (-5, -4, 3), (4, 3, 5), (-5, 3, -1), (-5, 2, -4), (-2, -3, 1),
-        (5, -1, -2), (1, -3, -5), (-2, -5, -4), (-1, 4, -3), (-2, 3, 4),
-        (1, 5, 4), (-1, 5, 3), (3, 4, 5), (3, 4, -1), (1, -2, -5),
-    )), 30, 95933, 608728),
-]
-
-
 @pytest.mark.parametrize(
     "cnf,k,subsets,gates",
     PINNED_REDUCTIONS,
@@ -184,6 +168,7 @@ def test_search_counters_are_pinned(cnf, k, subsets, gates):
         assert h.k == k
         v = solve(h, get_model(name))
         assert not v.consistent
+        assert not oracle_store(h, get_model(name)).consistent
         _assert_within_bounds(h, v)
         assert (v.stats.subsets_evaluated, v.stats.gate_checks) == (
             subsets,
