@@ -17,7 +17,7 @@ from .models import (
     derive,
     get_model,
     oota_cycle,
-    po_loc,
+    program_orders,
     rf_external,
 )
 from .oracle import oracle_store, oracle_total
@@ -67,7 +67,7 @@ __all__ = [
     "oracle_total",
     "parse_dimacs",
     "parse_history",
-    "po_loc",
+    "program_orders",
     "sat_brute_force",
     "sat_to_history_relaxed",
     "sat_to_history_sc",

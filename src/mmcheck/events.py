@@ -218,15 +218,23 @@ def assemble_history(
     (name, [(kind, var, value), ...]) blocks in declaration order; event
     ids are assigned document-first (initial writes, then threads in order,
     events in program order).  Event references are `(thread, pos)` pairs,
-    initial writes on thread `init`.  `rf_refs` gives explicit reads-from
-    edges as (writer, read) pairs; when None, reads-from is inferred from
-    values.  `dp_refs` gives dependency edges, which must start at a read
-    and follow program order.  When the events hold several faults (an
-    unknown kind, a value out of range, a value written twice, a read no
-    write matches, a thread name taken twice), the one at the earliest
-    event is reported: a value written twice sits at its second write, a
-    thread name at the first event of its second block.  Faults of `rf`
-    and `dp` edges are reported after them, in edge order.
+    initial writes on thread `init`.  Reads-from is always inferred from
+    values: each read's writer is the one write of its variable and value.
+    `rf_refs`, when given, lists explicit reads-from edges as (writer,
+    read) pairs, which are checked, not used: each must join a write to a
+    read of the same variable and value, no read may be named twice, and
+    every read must be named.  An edge that passes names the read's
+    inferred writer, since values are written once per variable.
+    `dp_refs` gives dependency edges, which must start at a read and
+    follow program order.  When the events hold several faults (an
+    unknown kind, a value out of range, a value written twice, a thread
+    name taken twice, or, without `rf_refs`, a read no write matches), the
+    one at the earliest event is reported: a value written twice sits at
+    its second write, a thread name at the first event of its second
+    block.  After them come the faults of the `rf` edges in edge order,
+    then the first read they leave uncovered (which is how a read no write
+    matches is reported under `rf_refs`), then the faults of the `dp`
+    edges in edge order.
     """
     seen_init_vars: set[str] = set()
     for var, _ in init:
@@ -287,14 +295,12 @@ def assemble_history(
                 )
             writes.append(ids[0])
             write_vars.append(var)
-        elif rf_refs is None:
-            writer = groups.get((WRITE, var, val))
-            if writer is not None:
-                readers[writer[0]] = tuple(ids)
-            elif ids[0] < fault_at:
-                fault_at, fault = ids[0], UnsourcedReadError(
-                    f"read {ref(ids[0])} of {var}={val} has no matching write"
-                )
+        elif (writer := groups.get((WRITE, var, val))) is not None:
+            readers[writer[0]] = tuple(ids)
+        elif rf_refs is None and ids[0] < fault_at:
+            fault_at, fault = ids[0], UnsourcedReadError(
+                f"read {ref(ids[0])} of {var}={val} has no matching write"
+            )
     if fault is not None:
         raise fault
 
@@ -303,7 +309,9 @@ def assemble_history(
     explicit = rf_refs is not None or dp_refs
     access = _scatter(groups, len(thread_of)) if explicit else []
     if rf_refs is not None:
-        source: list[int | None] = [None] * len(access)
+        # An edge that passes names the read's inferred writer, since each
+        # value is written once per variable; so `readers` stands.
+        covered: set[int] = set()
         for wref, rref in rf_refs:
             w = _resolve(thread_ids, wref)
             r = _resolve(thread_ids, rref)
@@ -314,23 +322,17 @@ def assemble_history(
                 why = "connects different variables"
             elif wval != rval:
                 why = f"has value {wval} feeding a read of {rval}"
-            elif source[r] is not None:
+            elif r in covered:
                 raise AmbiguousRfError(f"read {ref(r)} has two rf edges")
             else:
-                source[r] = w
+                covered.add(r)
                 continue
             raise AmbiguousRfError(f"rf {ref(w)} -> {ref(r)} {why}")
-        # Readers are appended in read order, so each tuple comes out
-        # sorted whatever the order of explicit rf lines.
-        readers_of: defaultdict[int, list[int]] = defaultdict(list)
-        for r, a in enumerate(access):
-            if a[0] == READ:
-                if source[r] is None:
-                    raise UnsourcedReadError(
-                        f"read {ref(r)} is not covered by the explicit rf edges"
-                    )
-                readers_of[source[r]].append(r)
-        readers = {w: tuple(rs) for w, rs in readers_of.items()}
+        for r, (kind, _, _) in enumerate(access):
+            if kind == READ and r not in covered:
+                raise UnsourcedReadError(
+                    f"read {ref(r)} is not covered by the explicit rf edges"
+                )
 
     dp_pairs = set()
     for sref, tref in dp_refs:

@@ -15,16 +15,17 @@ base graphs need.  The four supported models:
         hazards, and requires the dependency/reads-from cycle test.
 
 A derivation (`DerivedModel`) gives the model's relations as edge lists
-of size O(n) whose transitive closures are the kept pair sets.  They are
-built on first access, and `DerivedModel.graphs` joins them into the
-model's two full graphs, for the cyclic-graph diagnostic, the oracles
-and the tests; no other module decides which relation goes into which
-graph.  The solver's search does not read them: under every model
-`build_base_graphs` builds its two graphs straight from the history's
-thread column, each write's variable, each write's sorted readers and,
-under rmo, the dependency edges, at a cost that grows with the writes,
-threads and dependency edges and only logarithmically with the events
-(see its docstring).
+of size O(n) whose transitive closures are the kept pair sets: both
+program orders from one walk per thread (`program_orders`), and the
+visible reads-from.  They are built on first access, and
+`DerivedModel.graphs` joins them into the model's two full graphs, for
+the cyclic-graph diagnostic, the oracles and the tests; no other module
+decides which relation goes into which graph.  The solver's search does
+not read them: under every model `build_base_graphs` builds its two
+graphs straight from the history's thread column, each write's
+variable, each write's sorted readers and, under rmo, the dependency
+edges, at a cost that grows with the writes, threads and dependency
+edges and only logarithmically with the events (see its docstring).
 """
 
 from __future__ import annotations
@@ -123,7 +124,9 @@ class DerivedModel:
 
     `po_mm` and `po_loc_effective` are edge lists: their transitive
     closures, not the lists themselves, are the preserved program order
-    and the effective same-variable program order.  `rf_mm` is the
+    and the effective same-variable program order.  One call of
+    `program_orders` builds both, except that a model keeping only the
+    dependency edges takes `history.dp` as `po_mm`.  `rf_mm` is the
     visible reads-from.  The three are built from `history` and `spec`
     together, on the first access to any of them, and then kept.
     `graphs()` joins them into the model's two full graphs.
@@ -143,8 +146,8 @@ class DerivedModel:
         if name not in DerivedModel.__slots__[2:]:
             raise AttributeError(name)
         h, spec = self.history, self.spec
-        self.po_mm = h.dp if spec.dp_only else po_edges(h, spec)
-        self.po_loc_effective = po_loc(h, spec)
+        po, self.po_loc_effective = program_orders(h, spec)
+        self.po_mm = h.dp if spec.dp_only else po
         self.rf_mm = h.rf if spec.sees_internal_rf else rf_external(h)
         return getattr(self, name)
 
@@ -238,7 +241,7 @@ def build_base_graphs(
       leaves its variable's head in place; when its vertex is not the
       head's, it goes on the variable's `since` list, and the next local
       write on that variable takes an edge from each vertex on the list,
-      as `po_loc` links the reads since the previous write.
+      as `program_orders` links the reads since the previous write.
     - Dependencies.  When only the dependency edges are kept, each read a
       dp edge touches is walked on its own, with the flags of its group's
       first read, and each walked event takes model-graph edges from the
@@ -258,8 +261,8 @@ def build_base_graphs(
       order, which is program order within each thread, builds both
       graphs.  Per thread and graph it keeps the vertex of the last walked
       event of each slot (`ModelSpec.links`) or the head of each variable,
-      and links each walked event from them as `po_edges` and `po_loc`
-      link events; the initial writes link to the first walked event kept
+      and links each walked event from them as `program_orders` links
+      events; the initial writes link to the first walked event kept
       behind a write, and to the first walked event on their variable.
       Kept program order is a set of pairs closed under composition, so
       those links keep it exact between walked events; an event left out
@@ -443,70 +446,64 @@ def _graph(
     return g
 
 
-def po_edges(h: History, spec: ModelSpec) -> list[tuple[int, int]]:
-    """Edges whose closure is the program order a model keeps.
+def program_orders(
+    h: History, spec: ModelSpec
+) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+    """Edges whose closures are the program order a model keeps and its
+    effective same-variable program order, from one walk per thread.
 
-    Each event gets an edge from the last earlier event of each slot it
-    follows (`ModelSpec.links`): the event before it when the model keeps
-    every pair, and otherwise the last earlier event of each kind kept
-    ahead of it; an earlier event of that kind reaches the last one
-    because every model that keeps (K, L) also keeps (K, K).  The initial
-    writes get an edge to the first event of each thread that is kept
-    behind a write; the later such events follow that one, because the
-    kinds a model keeps behind a write are kept behind each other.
+    Program order: each event gets an edge from the last earlier event of
+    each slot it follows (`ModelSpec.links`): the event before it when the
+    model keeps every pair, and otherwise the last earlier event of each
+    kind kept ahead of it; an earlier event of that kind reaches the last
+    one because every model that keeps (K, L) also keeps (K, K).  The
+    initial writes get an edge to the first event of each thread that is
+    kept behind a write; the later such events follow that one, because
+    the kinds a model keeps behind a write are kept behind each other.  A
+    model that keeps only the dependency edges keeps no pair here.
+
+    Same-variable program order: each (thread, variable) forms a chain
+    headed by the variable's initial write.  When the model allows
+    load-load hazards (`dp_only`), read-read pairs are removed: each event
+    then follows the last write to its variable (or the initial write),
+    and each write follows every read of its variable since the previous
+    write.  A read-read pair with a write between stays in the closure, as
+    it does in the closure of the pair set.
     """
     links = spec.links
+    llh = spec.dp_only
     access = h.access
     inits = h.thread_events(INIT_THREAD)
-    edges: list[tuple[int, int]] = []
+    init_of = {access[i][1]: i for i in inits}
+    po: list[tuple[int, int]] = []
+    loc: list[tuple[int, int]] = []
     for t in h.threads:
         last: dict[str, int] = {}
+        last_on = dict(init_of)
+        reads_since: dict[str, list[int]] = {}
         pending = inits
         for b in h.thread_events(t):
-            slot, ahead, behind_write = links[access[b][0]]
+            kind, var, _ = access[b]
+            slot, ahead, behind_write = links[kind]
             for a in ahead:
                 u = last.get(a)
                 if u is not None:
-                    edges.append((u, b))
+                    po.append((u, b))
             if pending and behind_write:
-                edges.extend((i, b) for i in pending)
+                po.extend((i, b) for i in pending)
                 pending = ()
             last[slot] = b
-    return edges
-
-
-def po_loc(h: History, spec: ModelSpec) -> list[tuple[int, int]]:
-    """Edges whose closure is the same-variable program order a model
-    keeps.
-
-    Each (thread, variable) forms a chain headed by the variable's initial
-    write.  When the model allows load-load hazards (`dp_only`),
-    read-read pairs are removed: each event then follows the last write
-    to its variable (or the initial write), and each write follows every
-    read of its variable since the previous write.  A read-read pair with
-    a write between stays in the closure, as it does in the closure of
-    the pair set.
-    """
-    llh = spec.dp_only
-    access = h.access
-    init_of = {access[i][1]: i for i in h.thread_events(INIT_THREAD)}
-    edges: list[tuple[int, int]] = []
-    for t in h.threads:
-        last = dict(init_of)
-        reads_since: dict[str, list[int]] = {}
-        for b in h.thread_events(t):
-            kind, var, _ = access[b]
-            a = last.get(var)
-            if a is not None:
-                edges.append((a, b))
+            u = last_on.get(var)
+            if u is not None:
+                loc.append((u, b))
             if not llh:
-                last[var] = b
+                last_on[var] = b
             elif kind == WRITE:
-                edges.extend((r, b) for r in reads_since.pop(var, ()))
-                last[var] = b
+                loc.extend((r, b) for r in reads_since.pop(var, ()))
+                last_on[var] = b
             else:
                 reads_since.setdefault(var, []).append(b)
-    return edges
+    return po, loc
 
 
 def derive(h: History, spec: ModelSpec) -> DerivedModel:

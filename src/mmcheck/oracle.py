@@ -10,15 +10,18 @@ base graphs `build_base_graphs` returns, and not the subset search.
 Each takes the model's two full graphs, one vertex per event, from the
 derivation (`DerivedModel.graphs`), and extends them with the edges of
 each order it tries, so agreement between the three deciders is
-meaningful.  `oracle_total` stays the plain enumeration: it peels both
-graphs for every permutation and skips none, the baseline the store
-oracle's pruning is checked against.
+meaningful.  Both add a write order as chains, not as every pair (see
+`oracle_total`); the construction with every pair lives in the tests,
+as the reference both oracles are checked against.  `oracle_total`
+stays the plain enumeration: it peels both graphs for every permutation
+and skips none, the baseline the store oracle's pruning is checked
+against.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .errors import KTooLargeForOracleError, SearchSpaceTooLargeError
 from .events import History
@@ -36,29 +39,17 @@ ORACLE_MAX_K = 8
 ORACLE_MAX_STORE_ORDERS = 10**6
 
 
-def _from_read_edges(
-    h: History, order_pairs: Iterable[tuple[int, int]]
-) -> set[tuple[int, int]]:
-    # rf-inverse composed with the same-variable part of the order: the
-    # read saw a value a later write overwrites, so the read precedes it.
-    # A deliberate duplicate of the conflict edges `verify_witness` adds,
-    # kept so that the oracles share no decision code with the solver.
-    access = h.access
-    out = set()
-    for wa, wb in order_pairs:
-        if access[wa][1] != access[wb][1]:
-            continue
-        for r in h.readers_of(wa):
-            out.add((r, wb))
-    return out
-
-
 def oracle_total(h: History, spec: ModelSpec) -> Verdict:
     """Decide consistency by trying every total write order.
 
     Permutations are generated in lexicographic order of write ids and the
-    first passing one is returned as witness.  Each permutation extends
-    both order-free graphs with all its pairs and every conflict edge.
+    first passing one is returned as witness; none is skipped.  Each
+    permutation extends both order-free graphs with its chain of
+    consecutive writes and, for each variable, an edge from each write's
+    readers to the next write on that variable.  These edges have the
+    closure of all the permutation's pairs and every conflict edge (the
+    Chains fact of `oracle_store`), so each graph is acyclic with one set
+    exactly when it is with the other.
     """
     if h.k > ORACLE_MAX_K:
         raise KTooLargeForOracleError(
@@ -67,10 +58,16 @@ def oracle_total(h: History, spec: ModelSpec) -> Verdict:
     if spec.dp_only and oota_cycle(h) is not None:
         return Verdict(Outcome.INCONSISTENT)
     bases = derive(h, spec).graphs()
+    var_of = dict(zip(h.writes, h.write_vars))
     for perm in itertools.permutations(h.writes):
-        pairs = list(itertools.combinations(perm, 2))
-        extra = _from_read_edges(h, pairs)
-        if all(kahn_acyclic(g.extended(pairs, extra))[0] for g in bases):
+        edges = list(zip(perm, perm[1:]))
+        last_on: dict[str, int] = {}
+        for w in perm:
+            var = var_of[w]
+            if var in last_on:
+                edges += [(r, w) for r in h.readers_of(last_on[var])]
+            last_on[var] = w
+        if all(kahn_acyclic(g.extended(edges))[0] for g in bases):
             return Verdict(Outcome.CONSISTENT, witness=list(perm))
     return Verdict(Outcome.INCONSISTENT)
 

@@ -59,8 +59,9 @@ def parse_history(text: str) -> History:
     """Parse a trace document into a validated history.
 
     Program order is taken from thread blocks, initial writes precede every
-    other event, and reads-from comes from explicit `rf` lines when any are
-    present, otherwise from value inference.
+    other event, and reads-from is inferred from values.  Explicit `rf`
+    lines, when any are present, are checked against the values and must
+    cover every read.
     """
     init: list[tuple[str, int]] = []
     threads: list[tuple[str, list[tuple[str, str, int]]]] = []

@@ -282,6 +282,16 @@ def test_oracle_bound_resource_error(capsys, tmp_path):
     )
     assert code == 3 and out == ""
     assert "exceed the bound of 1000000" in err
+    # 20 variables of two writes each: 2^20 store orders, one pool past
+    # the deepest walk the bound allows
+    init = " ".join(f"v{i}=0" for i in range(20))
+    writes = "".join(f"wr v{i} 1\n" for i in range(20))
+    p.write_text(f"init: {init}\nthread T0\n{writes}")
+    code, out, err = run(
+        capsys, "oracle", str(p), "--model", "sc", "--oracle-mode", "store"
+    )
+    assert code == 3 and out == ""
+    assert "exceed the bound of 1000000" in err
 
 
 def test_litmus_files_ship_with_expected_verdicts(capsys):

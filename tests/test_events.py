@@ -10,7 +10,7 @@ from mmcheck import (
     generate_program,
     get_model,
     parse_history,
-    po_loc,
+    program_orders,
     simulate,
 )
 
@@ -21,6 +21,10 @@ from helpers import closure, reads, rf_source
 def _closed_pairs(h, edges):
     reach = closure(h.n, edges)
     return {(a, b) for a in range(h.n) for b in range(h.n) if reach[a] >> b & 1}
+
+
+def _po_loc(h, spec):
+    return program_orders(h, spec)[1]
 
 
 def test_transitive_closure():
@@ -53,15 +57,15 @@ def test_po_transitive_and_irreflexive_within_threads():
 def test_po_loc_examples():
     sc, rmo = get_model("sc"), get_model("rmo")
     h = parse_history("thread T0\nwr x 1\nwr y 1\n")
-    assert po_loc(h, sc) == []
+    assert _po_loc(h, sc) == []
 
     h = parse_history("thread T0\nwr x 1\nrd x 1\nrd x 1\n")
-    assert (1, 2) in _closed_pairs(h, po_loc(h, sc))
-    assert (1, 2) not in _closed_pairs(h, po_loc(h, rmo))
-    assert (0, 1) in _closed_pairs(h, po_loc(h, rmo))  # write-read pair
+    assert (1, 2) in _closed_pairs(h, _po_loc(h, sc))
+    assert (1, 2) not in _closed_pairs(h, _po_loc(h, rmo))
+    assert (0, 1) in _closed_pairs(h, _po_loc(h, rmo))  # write-read pair
 
     h = parse_history("init: x=0\nthread T0\nrd x 0\nwr x 1\n")
-    assert _closed_pairs(h, po_loc(h, sc)) == {(0, 1), (0, 2), (1, 2)}
+    assert _closed_pairs(h, _po_loc(h, sc)) == {(0, 1), (0, 2), (1, 2)}
 
 
 def test_infer_rf_examples():

@@ -99,6 +99,15 @@ def test_store_oracle_bound():
     assert store_order_count(h) > 10**6
     with pytest.raises(SearchSpaceTooLargeError):
         oracle_store(h, get_model("sc"))
+    # the deepest walk under the bound: 19 variables of two writes each
+    # give 19 pools and 2^19 store orders
+    init = " ".join(f"v{i}=0" for i in range(19))
+    writes = "".join(f"wr v{i} 1\n" for i in range(19))
+    h = parse_history(f"init: {init}\nthread T0\n{writes}")
+    assert store_order_count(h) == 2**19
+    v = oracle_store(h, get_model("sc"))
+    assert v.consistent
+    assert verify_witness(h, build_base_graphs(h, get_model("sc")), v.witness)
 
 
 def _counted_peels(monkeypatch):

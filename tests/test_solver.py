@@ -365,7 +365,7 @@ def test_solve_builds_no_edge_list(monkeypatch):
     def built(*args, **kwargs):
         raise _EdgeListBuilt
 
-    for name in ("po_edges", "po_loc", "rf_external"):
+    for name in ("program_orders", "rf_external"):
         monkeypatch.setattr(models_module, name, built)
     assert [solve(h, get_model(m)) for h, m in checks] == expected
     for m in ALL_MODELS:

@@ -166,6 +166,13 @@ def test_explicit_rf_contradictions():
         parse_history(
             two_writes + "rf T0:0 -> T1:0\nrf T0:0 -> T1:0\n"
         )  # read covered twice
+    # a read of a value no write has: an rf line naming a write fails on
+    # its value, and with no line naming it the read is left uncovered
+    unwritten = "thread T0\nwr x 1\nthread T1\nrd x 5\nrd x 1\n"
+    with pytest.raises(AmbiguousRfError, match="has value"):
+        parse_history(unwritten + "rf T0:0 -> T1:0\nrf T0:0 -> T1:1\n")
+    with pytest.raises(UnsourcedReadError, match="not covered"):
+        parse_history(unwritten + "rf T0:0 -> T1:1\n")
 
 
 def test_dp_validation():
