@@ -2,7 +2,9 @@
 
 All consistency questions in this package reduce to the acyclicity of
 graphs over event ids built from unions of edge lists.  This module holds
-the graph container, which can also place a history's writes and reads,
+the graph container, which can also place a history's writes and reads;
+the one way a write order enters a graph, as chains of edges with the
+closure of all its pairs and conflict edges (`EventGraph.with_order`);
 and one Kahn peel that both sorts a graph and isolates its cycles.  It
 knows no memory model; which edges a model's graphs hold, and which
 events they keep, is decided in `models`.  The peel is FIFO, so its
@@ -12,7 +14,7 @@ returns.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 
 class EventGraph:
@@ -47,23 +49,58 @@ class EventGraph:
         self.in_degree = degree
         self.tag_sites: Sequence[Sequence[int]] = ()
 
-    def extended(self, *edge_lists: Iterable[tuple[int, int]]) -> EventGraph:
-        """A new graph with the edge lists, over vertices, added; it shares
-        the rows that gain no edge and copies each other row once, so
-        `self` is never mutated."""
-        adj, degree, own = list(self.adj), list(self.in_degree), self.adj
-        for edges in edge_lists:
-            for u, v in edges:
-                row = adj[u]
-                if row is own[u]:
-                    adj[u] = [*row, v]
-                else:
-                    row.append(v)
-                degree[v] += 1
-        g = EventGraph.__new__(EventGraph)
-        g.n, g.adj, g.in_degree = self.n, adj, degree
-        g.tag_sites = self.tag_sites
+    @classmethod
+    def from_rows(
+        cls,
+        adj: list[list[int]],
+        in_degree: list[int],
+        tag_sites: Sequence[Sequence[int]] = (),
+    ) -> EventGraph:
+        """The graph with these rows and in-degrees, which it takes as
+        they are, without copying."""
+        g = cls.__new__(cls)
+        g.n, g.adj, g.in_degree = len(adj), adj, in_degree
+        g.tag_sites = tag_sites
         return g
+
+    def with_order(
+        self,
+        order: Sequence[int],
+        var_of: Mapping[int, str] | Sequence[str],
+        reads_of: Mapping[int, Sequence[int]] | Sequence[Sequence[int]],
+    ) -> EventGraph:
+        """A new graph with the write order `order`, over write vertices,
+        added as chains; `self` is never mutated.
+
+        Each write w in `order` gains an edge from the write before it,
+        and one from each vertex in `reads_of[p]` for the write p before
+        it on its variable, `var_of[w]`.  Each edge copies the row it
+        leaves, and the rows that gain no edge are shared.
+
+        Chains.  The order stands for every order pair (wᵢ, wⱼ), i < j,
+        and every conflict edge (r, wⱼ) for a read r of an earlier write
+        wᵢ on wⱼ's variable.  Every order pair is a path of chain edges,
+        and every conflict edge is r → w followed by such a path, for the
+        next write w after wᵢ on its variable; and the chain edges are
+        themselves order pairs and conflict edges.  So both edge sets
+        have the same transitive closure, and the graph is acyclic with
+        one exactly when it is with the other.  This holds as well when
+        `order` is one variable's writes alone, with that variable's
+        order pairs and conflict edges.
+        """
+        adj, degree = list(self.adj), list(self.in_degree)
+        last_on: dict[str, int] = {}
+        sources: Sequence[int] = ()
+        for w in order:
+            var = var_of[w]
+            if var in last_on:
+                sources = [*sources, *reads_of[last_on[var]]]
+            for u in sources:
+                adj[u] = [*adj[u], w]
+            degree[w] += len(sources)
+            last_on[var] = w
+            sources = (w,)
+        return EventGraph.from_rows(adj, degree, self.tag_sites)
 
 
 def _peel(g: EventGraph) -> tuple[list[int], list[int]]:

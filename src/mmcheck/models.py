@@ -57,30 +57,21 @@ class ModelSpec:
     kept_po: frozenset[tuple[str, str]] | None
 
     @cached_property
-    def ahead(self) -> dict[str, tuple[str, ...]]:
-        """For each later kind, the earlier kinds kept ahead of it.
-
-        Computed once per model, not on every derivation.
-        """
-        kept = self.kept_po or frozenset()
-        return {b: tuple(sorted(a for a, c in kept if c == b)) for b in KINDS}
-
-    @cached_property
     def links(self) -> dict[str, tuple[str, tuple[str, ...], bool]]:
         """For each kind: the slot an event of that kind fills, the slots
         whose last earlier event it follows, and whether it is kept
-        behind a write.
+        behind a write.  Computed once per model, not on every
+        derivation.
 
         A model that keeps every pair has one slot, so each event follows
         the one before it.  Otherwise each kind is a slot, and an event
         follows the last earlier event of each kind kept ahead of it.
         """
-        if len(self.kept_po or ()) == len(KINDS) ** 2:
+        kept = self.kept_po or frozenset()
+        if len(kept) == len(KINDS) ** 2:
             return {kind: ("", ("",), True) for kind in KINDS}
-        return {
-            kind: (kind, self.ahead[kind], WRITE in self.ahead[kind])
-            for kind in KINDS
-        }
+        ahead = {b: tuple(sorted(a for a, c in kept if c == b)) for b in KINDS}
+        return {b: (b, ahead[b], WRITE in ahead[b]) for b in KINDS}
 
     @property
     def dp_only(self) -> bool:
@@ -92,8 +83,9 @@ class ModelSpec:
     @property
     def sees_internal_rf(self) -> bool:
         """Whether same-thread reads-from is visible in the model graph:
-        whether the write-read program order it would follow is kept."""
-        return WRITE in self.ahead[READ]
+        whether the write-read program order it would follow is kept,
+        that is, whether a read is kept behind a write."""
+        return self.links[READ][2]
 
 
 _READ_FIRST = frozenset({(READ, READ), (READ, WRITE)})
@@ -416,7 +408,10 @@ def build_base_graphs(
         last[slot] = mm
         if dp_reads and e in mm_of:
             mm_of[e] = mm
-    return _graph(adj_loc, deg_loc, sites_loc), _graph(adj_mm, deg_mm, sites_mm)
+    return (
+        EventGraph.from_rows(adj_loc, deg_loc, sites_loc),
+        EventGraph.from_rows(adj_mm, deg_mm, sites_mm),
+    )
 
 
 def _holds(ids: Sequence[int], x: int) -> bool:
@@ -435,15 +430,6 @@ def _join(
     adj.append([])
     degree.append(len(sources))
     return v
-
-
-def _graph(
-    adj: list[list[int]], degree: list[int], sites: list[list[int]]
-) -> EventGraph:
-    g = EventGraph.__new__(EventGraph)
-    g.n, g.adj, g.in_degree = len(adj), adj, degree
-    g.tag_sites = sites
-    return g
 
 
 def program_orders(

@@ -3,19 +3,20 @@
 Two deliberately naive routes to the same verdict as the solver: total
 enumeration of write orders, and enumeration of per-variable store
 orders.  They share with the solver only the graph container
-(`EventGraph`), its Kahn peel (`kahn_acyclic`), the model's relations
-(`derive`) and the out-of-thin-air check (`oota_cycle`).  They share
-none of its decision code: not the reach tables, not the contracted
-base graphs `build_base_graphs` returns, and not the subset search.
-Each takes the model's two full graphs, one vertex per event, from the
-derivation (`DerivedModel.graphs`), and extends them with the edges of
-each order it tries, so agreement between the three deciders is
-meaningful.  Both add a write order as chains, not as every pair (see
-`oracle_total`); the construction with every pair lives in the tests,
-as the reference both oracles are checked against.  `oracle_total`
-stays the plain enumeration: it peels both graphs for every permutation
-and skips none, the baseline the store oracle's pruning is checked
-against.
+(`EventGraph`), the one way a write order enters a graph
+(`EventGraph.with_order`, which the solver's witness re-check also
+uses), its Kahn peel (`kahn_acyclic`), the model's relations (`derive`)
+and the out-of-thin-air check (`oota_cycle`).  They share none of its
+decision code: not the reach tables, not the contracted base graphs
+`build_base_graphs` returns, and not the subset search.  Each takes the
+model's two full graphs, one vertex per event, from the derivation
+(`DerivedModel.graphs`), and adds to them each order it tries, so
+agreement between the three deciders is meaningful.  `with_order` adds
+an order as chains, not as every pair and conflict edge; the
+construction with every pair lives in the tests, as the reference both
+oracles are checked against.  `oracle_total` stays the plain
+enumeration: it peels both graphs for every permutation and skips none,
+the baseline the store oracle's pruning is checked against.
 """
 
 from __future__ import annotations
@@ -29,9 +30,6 @@ from .graphs import kahn_acyclic
 from .models import ModelSpec, derive, oota_cycle
 from .solver import Outcome, Verdict
 
-#: A variable's write order as its chain's edge lists.
-_Chained = list[list[tuple[int, int]]]
-
 #: Total-order enumeration walks k! permutations.
 ORACLE_MAX_K = 8
 
@@ -44,12 +42,9 @@ def oracle_total(h: History, spec: ModelSpec) -> Verdict:
 
     Permutations are generated in lexicographic order of write ids and the
     first passing one is returned as witness; none is skipped.  Each
-    permutation extends both order-free graphs with its chain of
-    consecutive writes and, for each variable, an edge from each write's
-    readers to the next write on that variable.  These edges have the
-    closure of all the permutation's pairs and every conflict edge (the
-    Chains fact of `oracle_store`), so each graph is acyclic with one set
-    exactly when it is with the other.
+    permutation is added to both order-free graphs by
+    `EventGraph.with_order`, whose chains have the closure of all the
+    permutation's pairs and conflict edges.
     """
     if h.k > ORACLE_MAX_K:
         raise KTooLargeForOracleError(
@@ -59,15 +54,12 @@ def oracle_total(h: History, spec: ModelSpec) -> Verdict:
         return Verdict(Outcome.INCONSISTENT)
     bases = derive(h, spec).graphs()
     var_of = dict(zip(h.writes, h.write_vars))
+    reads_of = {w: h.readers_of(w) for w in h.writes}
     for perm in itertools.permutations(h.writes):
-        edges = list(zip(perm, perm[1:]))
-        last_on: dict[str, int] = {}
-        for w in perm:
-            var = var_of[w]
-            if var in last_on:
-                edges += [(r, w) for r in h.readers_of(last_on[var])]
-            last_on[var] = w
-        if all(kahn_acyclic(g.extended(edges))[0] for g in bases):
+        if all(
+            kahn_acyclic(g.with_order(perm, var_of, reads_of))[0]
+            for g in bases
+        ):
             return Verdict(Outcome.CONSISTENT, witness=list(perm))
     return Verdict(Outcome.INCONSISTENT)
 
@@ -114,75 +106,73 @@ def oracle_store(h: History, spec: ModelSpec) -> Verdict:
       more writes alone.  Only those are enumerated, and each at least
       doubles the store-order count, so under the bound there are fewer
       than 20 of them.
-    - Chains.  Each variable's order π₁ … πₘ adds only the edges
-      πᵢ → πᵢ₊₁ and r → πᵢ₊₁ for each read r of πᵢ.  Every order pair
-      (πᵢ, πⱼ), i < j, is a path of chain edges, and every conflict edge
-      (r, πⱼ) is r → πᵢ₊₁ followed by such a path; and the chain edges
-      are themselves order pairs and conflict edges.  So both edge sets
-      have the same transitive closure, and each graph is acyclic with
-      one exactly when it is with the other.
+    - Chains.  Each variable's order π₁ … πₘ is added by
+      `EventGraph.with_order`, as the edges πᵢ → πᵢ₊₁ and r → πᵢ₊₁ for
+      each read r of πᵢ.  They have the transitive closure of the order
+      pairs and conflict edges (see there), so each graph is acyclic
+      with one exactly when it is with the other.
     - Witness.  The FIFO peel (`kahn_acyclic`) of the model graph with
       the chains is, step by step, its peel with every order pair and
       conflict edge, so the witness is the same under either edge set.
       Added edges enter only writes, so every other vertex has the same
       in-edges under both, and each vertex's added out-edges follow its
-      model-graph row.  Under the chains each vertex has at most one
-      added out-edge: πᵢ and its reads have one, to πᵢ₊₁.  With all pairs
-      πⱼ also has in-edges from π₁ … πⱼ₋₂ and their reads, and these
-      extra sources are ancestors of πⱼ₋₁ under the chains.  Say the two
-      peels are equal up to the vertex u they walk next.  When an extra
-      source of πⱼ is not walked before u, πⱼ₋₁, its descendant, is
-      walked after u, so u frees πⱼ in neither peel; when all are, πⱼ
-      waits on the same in-edges in both.  So u frees the same vertices
-      in both, in the same order: those its model-graph row frees, then
-      at most one write, πᵢ₊₁, by its chain edge.  The further edges all
-      pairs add from u go to πᵢ₊₂ … πₘ, which wait on their predecessors,
-      descendants of u, and free nothing.  The peels start from the same
-      sources, so by induction they are equal.
+      model-graph row.  Every vertex is an event of one variable, so
+      under the chains it has at most one added out-edge: πᵢ and its
+      reads have one, to πᵢ₊₁.  With all pairs πⱼ also has in-edges from
+      π₁ … πⱼ₋₂ and their reads, and these extra sources are ancestors
+      of πⱼ₋₁ under the chains.  Say the two peels are equal up to the
+      vertex u they walk next.  When an extra source of πⱼ is not walked
+      before u, πⱼ₋₁, its descendant, is walked after u, so u frees πⱼ
+      in neither peel; when all are, πⱼ waits on the same in-edges in
+      both.  So u frees the same vertices in both, in the same order:
+      those its model-graph row frees, then at most one write, πᵢ₊₁, by
+      its chain edge.  The further edges all pairs add from u go to
+      πᵢ₊₂ … πₘ, which wait on their predecessors, descendants of u, and
+      free nothing.  The peels start from the same sources, so by
+      induction they are equal.
     - Variables apart.  Every per-location edge joins two events of one
       variable: same-variable program order (with or without load-load
       hazards), reads-from, order pairs and conflict edges.  So the
       per-location graph is a disjoint union of one part per variable,
       and a store order adds to each part only that variable's edges.  A
       union is acyclic exactly when each of its parts is.  The order-free
-      graph extended by variable x's edges alone is acyclic exactly when
+      graph with variable x's order alone added is acyclic exactly when
       x's part with those edges, and every other part bare, are.  Every
       variable with an event has a write, since each read has a writer,
       so every part belongs to a variable the store order orders.  Hence
       the per-location graph is acyclic under a store order exactly when,
-      for each variable, the order-free graph extended by that variable's
-      edges alone is.
-
+      for each variable, the order-free graph with that variable's order
+      alone added is.
     - Prefixes.  Adding edges never removes a cycle.  So when the model
       graph with the chains of a prefix of variable orders is cyclic, it
       is cyclic with every store order that starts with that prefix, and
       none of them passes.  The store orders are walked depth first, in
-      product order, over a stack of graphs: level i is level i − 1
-      `extended` by the chains of the order chosen for variable i, and
-      siblings extend the same parent, which `extended` never mutates.
+      product order, over a stack of graphs: level i is level i − 1 with
+      the order chosen for variable i added by `with_order`, and
+      siblings add to the same parent, which `with_order` never mutates.
       An order enters level i only when its per-location test passes and
       the peel of its level-i graph is acyclic; a cyclic one skips every
       store order holding its prefix without visiting them.  The first
       full store order reached is therefore the first passing one in
-      product order.  Its graph holds the rows of
-      `mm.extended(*chains)`, each the model-graph row followed by the
-      chain edges out of that vertex in order, and the same in-degrees;
-      so its peel, the last one taken, gives the same witness, and with
-      no variable to order the bare peel does.  The model graph is
-      peeled at most once per prefix reached.  Every pool holds two or
-      more orders, so a store-order count P has at most P / 2ʲ prefixes
-      j levels short of full length, and the prefixes number under 2P:
-      at worst twice the peels of one per store order.
+      product order.  Its graph holds each model-graph row followed by
+      the one chain edge out of that vertex, if it has one, and the
+      in-degrees of the model graph with every chain: the graph the
+      Witness fact peels.  So its peel, the last one taken, gives the
+      witness, and with no variable to order the bare peel does.  The
+      model graph is peeled at most once per prefix reached.  Every pool
+      holds two or more orders, so a store-order count P has at most
+      P / 2ʲ prefixes j levels short of full length, and the prefixes
+      number under 2P: at worst twice the peels of one per store order.
 
     So each variable order is tested on the per-location graph once,
     when the walk first reaches it, and a failing one skips every store
     order that holds it.  Memory is bounded: the passing variable
-    orders, at most Σₓ|Wₓ|! for the writes Wₓ of each variable x, each
-    with |Wₓ| − 1 references to edge lists; one edge list per ordered
-    pair of same-variable writes, at most Σₓ|Wₓ|², each one longer than
-    its first write's readers; and one graph per level of the current
-    prefix, fewer than 20, each sharing the rows its chains leave
-    alone.  No whole store order is kept.
+    orders, at most Σₓ|Wₓ|! for the writes Wₓ of each variable x, each a
+    tuple of |Wₓ| writes; and one graph per level of the current prefix,
+    fewer than 20, each sharing the rows its chains leave alone.  No
+    whole store order, and no edge list, is kept: each visit to an order
+    builds its chain edges again, in time linear in |Wₓ| and their
+    readers, before a peel that takes time linear in the graph anyway.
     """
     if store_order_count(h) > ORACLE_MAX_STORE_ORDERS:
         raise SearchSpaceTooLargeError(
@@ -194,46 +184,36 @@ def oracle_store(h: History, spec: ModelSpec) -> Verdict:
     acyclic, order = kahn_acyclic(mm)
     if not (kahn_acyclic(loc)[0] and acyclic):
         return Verdict(Outcome.INCONSISTENT)
-    links: dict[tuple[int, int], list[tuple[int, int]]] = {}
-
-    def chained(perm: tuple[int, ...]) -> _Chained:
-        edge_lists = []
-        for a, b in zip(perm, perm[1:]):
-            edges = links.get((a, b))
-            if edges is None:
-                edges = [(a, b), *((r, b) for r in h.readers_of(a))]
-                links[a, b] = edges
-            edge_lists.append(edges)
-        return edge_lists
-
+    var_of = dict(zip(h.writes, h.write_vars))
+    reads_of = {w: h.readers_of(w) for w in h.writes}
     pools = [
-        map(chained, itertools.permutations(ws))
+        itertools.permutations(ws)
         for v in sorted(h.variables)
         if len(ws := h.writes_on(v)) > 1
     ]
-    kept: list[list[_Chained]] = [[] for _ in pools]
+    kept: list[list[tuple[int, ...]]] = [[] for _ in pools]
 
     # Pool i is walked once per passing prefix ahead of it, each walk to
     # its end or to a full store order before the next starts; so only
-    # the first walk tests items on the per-location graph, and every
+    # the first walk tests its orders on the per-location graph, and every
     # later one finds the passing ones kept.
-    def items(i: int) -> Iterator[_Chained]:
+    def items(i: int) -> Iterator[tuple[int, ...]]:
         yield from kept[i]
-        for item in pools[i]:
-            if kahn_acyclic(loc.extended(*item))[0]:
-                kept[i].append(item)
-                yield item
+        for perm in pools[i]:
+            if kahn_acyclic(loc.with_order(perm, var_of, reads_of))[0]:
+                kept[i].append(perm)
+                yield perm
 
-    # graphs[i] is the model graph with the chains of the first i items
-    # chosen, all of which passed; walks[i] yields the candidates for
-    # item i.  The open walks sit on a list rather than the call stack,
-    # so any number of pools fits.
+    # graphs[i] is the model graph with the first i variable orders chosen
+    # added, all of which passed; walks[i] yields the candidates for
+    # variable order i.  The open walks sit on a list rather than the call
+    # stack, so any number of pools fits.
     graphs, walks = [mm], []
     while len(graphs) <= len(pools):
         if len(walks) < len(graphs):
             walks.append(items(len(walks)))
-        for item in walks[-1]:
-            g = graphs[-1].extended(*item)
+        for perm in walks[-1]:
+            g = graphs[-1].with_order(perm, var_of, reads_of)
             acyclic, order = kahn_acyclic(g)
             if acyclic:
                 graphs.append(g)

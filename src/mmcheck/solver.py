@@ -39,7 +39,8 @@ by `max_k`, not by the interpreter's recursion limit.
 
 A consistent verdict's witness is re-checked by `verify_witness` without
 the search's tables: a Kahn peel of each base graph the search used,
-extended by the order into a new graph, so the bases are never mutated.
+with the order added into a new graph (`EventGraph.with_order`), so the
+bases are never mutated.
 A cyclic base graph is reported as a cycle of events, found on the
 model's full graph (`DerivedModel.graphs`), built for that purpose.
 """
@@ -417,17 +418,16 @@ def extract_witness(h: History, memo: dict[int, int]) -> list[int]:
 def verify_witness(
     h: History, bases: tuple[EventGraph, EventGraph], tw: list[int]
 ) -> bool:
-    """Re-check a write order against both base graphs, extended by it.
+    """Re-check a write order against both base graphs, with the order
+    added to each (`EventGraph.with_order`).
 
-    `bases` are the two graphs of `build_base_graphs`.  The order enters
-    as a chain, and the reads of each write gain conflict edges to the
-    next write of the same variable; every other order pair and conflict
-    edge is implied through the chain.  Order edges join the writes'
-    vertices, which are their indices in `h.writes`, and conflict edges
-    leave each write's tag sites, which imply those of its other reads on
-    every cycle.  Neither enters a read, so reads merged into their one
-    source stay exact.  The bases are extended into new graphs, never
-    mutated, so `solve` passes the graphs it searched from.
+    `bases` are the two graphs of `build_base_graphs`.  The order joins
+    the writes' vertices, which are their indices in `h.writes`, and its
+    conflict edges leave each write's tag sites, which imply those of its
+    other reads on every cycle.  No added edge enters a read, so reads
+    merged into their one source stay exact.  `with_order` builds new
+    graphs and never mutates the bases, so `solve` passes the graphs it
+    searched from.
     """
     if sorted(tw) != list(h.writes):
         raise NotAPermutationError(
@@ -435,17 +435,7 @@ def verify_witness(
         )
     bit_of = dict(zip(h.writes, range(h.k)))
     order = [bit_of[w] for w in tw]
-    chain = list(zip(order, order[1:]))
-    next_on_var: list[tuple[int, int]] = []
-    last_on: dict[str, int] = {}
-    for j in order:
-        var = h.write_vars[j]
-        if var in last_on:
-            next_on_var.append((last_on[var], j))
-        last_on[var] = j
-    for g in bases:
-        sites = g.tag_sites
-        conflicts = [(s, b) for a, b in next_on_var for s in sites[a]]
-        if not kahn_acyclic(g.extended(chain, conflicts))[0]:
-            return False
-    return True
+    return all(
+        kahn_acyclic(g.with_order(order, h.write_vars, g.tag_sites))[0]
+        for g in bases
+    )

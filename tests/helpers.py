@@ -199,20 +199,29 @@ def build_r_snapshot(index, subset_mask, v):
     return frozenset(pairs)
 
 
-def build_coherence_graphs(h, derived, index, subset_mask, v):
+def order_free_edges(h, derived):
+    """The edge lists of the two full graphs, joined once: the
+    per-location graph's, then the model graph's."""
+    return (
+        [*derived.po_loc_effective, *h.rf],
+        [*derived.po_mm, *derived.rf_mm],
+    )
+
+
+def build_coherence_graphs(h, static, index, subset_mask, v):
     """Order-augmented graphs testing `v` as minimum of subset ∪ {v}.
 
-    Both base graphs are extended with the snapshot pairs of
+    Both order-free graphs, from the edge lists `static` of
+    :func:`order_free_edges`, are built with the snapshot pairs of
     :func:`build_r_snapshot` and the conflict edges they induce.  Their
     joint acyclicity is exactly the condition under which the subset can
-    sit on top of a valid write order with `v` at its bottom.
+    sit on top of a valid write order with `v` at its bottom.  They come
+    as an iterator, per-location graph first, each built when it is
+    reached, so a test that stops at a cyclic one builds no more.
     """
     snapshot = build_r_snapshot(index, subset_mask, v)
     cf = conflict_edges(h, snapshot)
-    return (
-        EventGraph(h.n, derived.po_loc_effective, h.rf, snapshot, cf),
-        EventGraph(h.n, derived.po_mm, derived.rf_mm, snapshot, cf),
-    )
+    return (EventGraph(h.n, edges, snapshot, cf) for edges in static)
 
 
 def event_graph(h, *edge_lists):
@@ -231,7 +240,13 @@ def event_graph(h, *edge_lists):
 
 
 def solve_reference(h, spec):
-    """Subset search over explicit graphs; returns (consistent, memo)."""
+    """Subset search over explicit graphs; returns (consistent, memo).
+
+    A candidate whose rest the memo already marks unorderable fails
+    whatever its graphs say, so it is passed over without building them;
+    the memo gains no entry either way.  The order-free edge lists are
+    joined once per call.
+    """
     dm = derive(h, spec)
     if spec.dp_only and oota_cycle(h) is not None:
         return False, {}
@@ -240,6 +255,7 @@ def solve_reference(h, spec):
         return False, {}
     index = WriteIndex(h)
     memo = {0: index.k}
+    static = order_free_edges(h, dm)
 
     def orderable(mask):
         cached = memo.get(mask)
@@ -251,8 +267,12 @@ def solve_reference(h, spec):
             m ^= bit
             j = bit.bit_length() - 1
             rest = mask ^ bit
-            gl, gm = build_coherence_graphs(h, dm, index, rest, index.ids[j])
-            if kahn_acyclic(gl)[0] and kahn_acyclic(gm)[0] and orderable(rest):
+            if memo.get(rest) == -1:
+                continue
+            graphs = build_coherence_graphs(
+                h, static, index, rest, index.ids[j]
+            )
+            if all(kahn_acyclic(g)[0] for g in graphs) and orderable(rest):
                 memo[mask] = j
                 return True
         memo[mask] = -1

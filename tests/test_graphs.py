@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -24,8 +25,10 @@ from helpers import (
     WriteSubset,
     build_coherence_graphs,
     build_r_snapshot,
+    closure,
     conflict_edges,
     events,
+    order_free_edges,
     reads,
 )
 
@@ -78,40 +81,101 @@ def test_duplicate_edges_are_kept_and_harmless():
     assert sorted(find_cycle(g)) == [0, 1]
 
 
-def test_extended_adds_many_edges_out_of_one_vertex():
-    # d edges out of one vertex, over two edge lists, give the graph
-    # built with them; rows that gain no edge are shared, and the graph
-    # extended is left as it was
-    base = [(0, 1), (2, 0)]
-    fan = [(0, v) for v in range(1, 40)]
-    g = EventGraph(41, base)
+def test_with_order_adds_many_edges_out_of_one_vertex():
+    # one order over writes 1..40 of one variable, each with vertex 0 as
+    # a read, gives 0 an edge to every write but the first: the graph
+    # built with the chain and those edges; rows that gain no edge are
+    # shared, and the graph the order is added to is left as it was
+    base = [(0, 1), (2, 0), (41, 40)]
+    order = list(range(1, 41))
+    var_of = ["x"] * 41
+    reads_of = [[0]] * 41
+    g = EventGraph(42, base)
+    g.tag_sites = reads_of
     rows, degree = [list(row) for row in g.adj], list(g.in_degree)
-    ext = g.extended(fan[:20], [*fan[20:], (3, 0)])
-    want = EventGraph(41, base, fan[:20], [*fan[20:], (3, 0)])
+    ext = g.with_order(order, var_of, reads_of)
+    chain = list(zip(order, order[1:]))
+    want = EventGraph(42, base, chain, [(0, w) for w in order[1:]])
+    assert len(ext.adj[0]) == 40
     assert ext.adj == want.adj and ext.in_degree == want.in_degree
     assert g.adj == rows and g.in_degree == degree
-    assert ext.adj[2] is g.adj[2] and ext.adj[0] is not g.adj[0]
+    assert ext.adj[41] is g.adj[41] and ext.adj[40] is g.adj[40]
+    assert ext.adj[0] is not g.adj[0] and ext.adj[2] is not g.adj[2]
+    assert ext.tag_sites is g.tag_sites
 
 
-def test_extended_graphs_extend_apart():
-    # two children of one graph, each extended twice more, over rows both
-    # touch: every graph keeps its rows and in-degrees, and each equals
-    # the graph built from all the edge lists on its branch
-    base = [(0, 1), (1, 2), (3, 0)]
-    g = EventGraph(5, base)
+def test_with_order_graphs_extend_apart():
+    # two children of one graph, each given two more orders, over rows
+    # both touch: every graph keeps its rows and in-degrees, and each
+    # equals the graph built from all the edge lists on its branch.
+    # Writes 0, 1 are on x and 2, 3 on y; vertices 4 and 5 are reads.
+    var_of = ["x", "x", "y", "y"]
+    reads_of = [[4], [5], [], [4, 5]]
+    base = [(0, 4), (1, 5), (3, 4)]
+    g = EventGraph(6, base)
     branches = {
-        "a": [[(0, 2), (1, 3)], [(0, 4)], [(1, 4), (0, 3)]],
-        "b": [[(0, 3), (1, 4)], [(0, 2), (3, 4)], [(1, 2)]],
+        "a": [
+            ((0, 1), [(0, 1), (4, 1)]),
+            ((2, 3), [(2, 3)]),
+            ((1, 0, 3, 2), [(1, 0), (0, 3), (3, 2), (5, 0), (4, 2), (5, 2)]),
+        ],
+        "b": [
+            ((1, 0), [(1, 0), (5, 0)]),
+            ((3, 2), [(3, 2), (4, 2), (5, 2)]),
+            ((0, 2), [(0, 2)]),
+        ],
     }
     built = [(g, [base])]
-    for first, *rest in branches.values():
-        child = g.extended(first)
-        built.append((child, [base, first]))
-        for more in rest:
-            built.append((child.extended(more), [base, first, more]))
+    for (first, edges), *rest in branches.values():
+        child = g.with_order(first, var_of, reads_of)
+        built.append((child, [base, edges]))
+        for order, more in rest:
+            grandchild = child.with_order(order, var_of, reads_of)
+            built.append((grandchild, [base, edges, more]))
     for h, lists in built:
-        want = EventGraph(5, *lists)
+        want = EventGraph(6, *lists)
         assert h.adj == want.adj and h.in_degree == want.in_degree
+
+
+def _with_all_pairs(h, base, orders):
+    """`base` with every order pair of each order in `orders`, and every
+    conflict edge those pairs induce."""
+    pairs = {p for o in orders for p in itertools.combinations(o, 2)}
+    return EventGraph(h.n, _edges(base), pairs, conflict_edges(h, pairs))
+
+
+def test_with_order_chains_have_the_closure_of_all_pairs(small_corpus):
+    # Chains: a write order added by `with_order` to a full graph, as one
+    # total order or as one order per variable in turn, gives the graph
+    # built with every order pair and every conflict edge the same
+    # acyclicity and, when acyclic, the same reach
+    rng = random.Random(23)
+    seen = set()
+    for h in small_corpus:
+        var_of = dict(zip(h.writes, h.write_vars))
+        reads_of = {w: h.readers_of(w) for w in h.writes}
+        bases = [g for m in MODELS.values() for g in derive(h, m).graphs()]
+        for base, _ in itertools.product(bases, range(3)):
+            total = rng.sample(h.writes, h.k)
+            store = [
+                rng.sample(ws, len(ws))
+                for ws in map(h.writes_on, sorted(h.variables))
+            ]
+            by_var = base
+            for order in store:
+                by_var = by_var.with_order(order, var_of, reads_of)
+            for g, orders in (
+                (base.with_order(total, var_of, reads_of), [total]),
+                (by_var, store),
+            ):
+                want = _with_all_pairs(h, base, orders)
+                acyclic = kahn_acyclic(g)[0]
+                assert acyclic == kahn_acyclic(want)[0]
+                if acyclic:
+                    reach = closure(h.n, _edges(g))
+                    assert reach == closure(h.n, _edges(want))
+                seen.add(acyclic)
+    assert seen == {True, False}
 
 
 def _dfs_has_cycle(n, edges):
@@ -225,14 +289,14 @@ rd x 1
 
 def test_coherence_graphs_derived_examples():
     h = parse_history(COHERENCE_CASE)
-    dm = derive(h, get_model("sc"))
+    static = order_free_edges(h, derive(h, get_model("sc")))
     idx = WriteIndex(h)
     w1, w2 = h.writes
     r = reads(h)[0]
 
     # empty subset, candidate w2: w1 must come later, so the read of w1
     # conflicts with w2
-    g_loc, g_mm = build_coherence_graphs(h, dm, idx, 0, w2)
+    g_loc, g_mm = build_coherence_graphs(h, static, idx, 0, w2)
     snapshot = build_r_snapshot(idx, 0, w2)
     assert snapshot == {(w1, w2)}
     for g in (g_loc, g_mm):
@@ -240,7 +304,9 @@ def test_coherence_graphs_derived_examples():
 
     # subset {w2}, candidate w1: same snapshot edges from the other side
     assert build_r_snapshot(idx, idx.mask_of([w2]), w1) == {(w1, w2)}
-    g_loc2, g_mm2 = build_coherence_graphs(h, dm, idx, idx.mask_of([w2]), w1)
+    g_loc2, g_mm2 = build_coherence_graphs(
+        h, static, idx, idx.mask_of([w2]), w1
+    )
     for g in (g_loc2, g_mm2):
         assert w2 in g.adj[w1] and w2 in g.adj[r]
         assert kahn_acyclic(g)[0]  # nothing here orders w2 before w1
@@ -250,7 +316,9 @@ def test_coherence_graphs_single_write_equals_base():
     h = parse_history("thread T0\nwr x 1\n")
     dm = derive(h, get_model("sc"))
     idx = WriteIndex(h)
-    g_loc, g_mm = build_coherence_graphs(h, dm, idx, 0, h.writes[0])
+    g_loc, g_mm = build_coherence_graphs(
+        h, order_free_edges(h, dm), idx, 0, h.writes[0]
+    )
     b_loc, b_mm = build_base_graphs(h, dm.spec)
     assert sorted(_edges(g_loc)) == sorted(_edges(b_loc))
     assert sorted(_edges(g_mm)) == sorted(_edges(b_mm))
@@ -367,10 +435,11 @@ def test_graphs_differ_only_in_static_parts(small_corpus):
         dm = derive(h, get_model("tso"))
         idx = WriteIndex(h)
         base_loc, base_mm = dm.graphs()
+        static = order_free_edges(h, dm)
         for j in range(min(idx.k, 3)):
             v = idx.ids[j]
             mask = 0
-            g_loc, g_mm = build_coherence_graphs(h, dm, idx, mask, v)
+            g_loc, g_mm = build_coherence_graphs(h, static, idx, mask, v)
             added_loc = set(_edges(g_loc)) - set(_edges(base_loc))
             added_mm = set(_edges(g_mm)) - set(_edges(base_mm))
             # additions differ only by edges already present in one base
