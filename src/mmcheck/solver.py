@@ -10,7 +10,10 @@ Instead of enumerating the factorially-many orders, `solve` builds the
 order from the bottom.  A set of unplaced writes is orderable above the
 placed ones when some member can sit at its bottom and the rest is
 orderable.  Memoizing the sets caps the search at 2^k states for k
-writes.
+writes.  A member whose placement adds no read wait on the rest is
+placed alone, since the set is then orderable exactly when the rest is;
+so a search that would try every member tries one wherever it can
+(see `_search`).
 
 Whether a member can sit at the bottom is one rule over tables merged
 over both base graphs: the writes that block each write (those that
@@ -72,8 +75,10 @@ class SolveStats:
     """Search-effort counters for one solve call.
 
     `subsets_evaluated` counts the memoized subsets, and `gate_checks` the
-    candidates tried: members that waited for no one, whether the rest
-    then hit the memo, closed a cycle of read waits or was evaluated.
+    candidates tried: a set's lowest safe candidate alone when it has one
+    (see `_search`), else every member that waited for no one, whether
+    the rest then hit the memo, closed a cycle of read waits or was
+    evaluated.
     """
 
     subsets_evaluated: int = 0
@@ -248,9 +253,12 @@ def _search(
       `varmask` lies inside `waited[u]`, which is an OR of whole
       variables' masks.
 
-    A member that waits for no one can sit at the bottom of S.  The
-    members no member blocks are carried down as `free`: placing v frees
-    only members of `blocks[v]`, once none of their `blockers` is left.
+    A member that waits for no one can sit at the bottom of S: it is a
+    *candidate*.  The members no member blocks are carried down as
+    `free`: placing v frees only members of `blocks[v]`, once none of
+    their `blockers` is left.  Each set tries its lowest safe candidate
+    first and alone (see below), and a set with none tries every
+    candidate in bit order.
 
     If the waits placing v adds close a cycle of read waits, the rest has
     no order, and v is skipped with no call and no memo entry: building
@@ -305,6 +313,26 @@ def _search(
     it is placed and the threads choose their prefixes: i_x + prod over
     t of (k_{t,x} + 1) choices for x, and B for the placed set.
 
+    Safe first.  A candidate v of S is *safe* when placing it records no
+    read wait: no member of the rest reaches a read of v (`pred_rd[v] &
+    rest` is empty), or none is on v's variable (`varmask[v] & rest` is
+    empty).  Then S is orderable exactly when the rest is.  If the rest
+    is, v under it orders S.  If S is, move v to the bottom of any order
+    of S.  v waits for no one in S, so it can go first.  Every later
+    step places the same member as before, with v placed too, and its
+    waits are a subset of the original's: its set has lost v, so its
+    blockers and the read waits of the other placed writes can only
+    shrink, and v adds no wait, since the waits it adds run from the
+    members of the rest on v's variable to the members of `pred_rd[v]`
+    in the rest, and one of those is empty.  So each member still waits
+    for no one when it is placed, and the moved order is an order of the
+    rest above v.  A safe candidate is tried alone: its rest decides S,
+    and a memo entry of -1 on the rest fails S at once.  No other
+    candidate of S is tried, and the sets its rest does not reach are
+    never evaluated.  The safe candidate is never cut by the cycle test,
+    which tests only the waits a placement records, and the sets
+    evaluated stay within B.
+
     `memo[mask]` receives the bit index of the write placed lowest when
     the subset is orderable, or -1 when it is not; masks never reached,
     or cut by the cycle test, stay absent.
@@ -315,18 +343,26 @@ def _search(
     recursion limit.  A frame whose rest needs evaluating is pushed and
     the rest becomes the current frame; a failed frame resumes its parent
     at the next candidate, and a success records each pending frame's
-    candidate on the way up.
+    candidate on the way up.  A new frame is first *scanned*: its
+    members are taken in bit order, and each candidate that is not safe
+    is deferred, until the first safe one, which is tried at once with
+    its untried and deferred candidates dropped.  Its rest's read waits
+    (`rd`) were computed for the safety test and serve the trial.  If no
+    candidate was safe, the deferred ones are tried in bit order.  A
+    resumed frame is past its scan.
     """
     memo[0] = k  # sentinel: the empty subset is orderable
     full = free = (1 << k) - 1
     for b in blocks:
         free &= ~b
-    # The current frame: its set, free members, read waits both ways and
-    # untried candidates; `stack` holds the pending frames and their
+    # The current frame: its set, free members, read waits both ways,
+    # untried candidates, whether it is being scanned and the candidates
+    # its scan deferred; `stack` holds the pending frames and their
     # candidates.
     s_mask, wait_for, waited, c = full, [0] * nvars, [0] * k, free
     stack: list[tuple[int, int, list[int], list[int], int, int]] = []
     subsets, gates = 1, 0
+    scanning, deferred = True, 0
     while True:
         while c:
             vb = c & -c
@@ -334,15 +370,20 @@ def _search(
             v = vb.bit_length() - 1
             if wait_for[var_of[v]] & s_mask:
                 continue
-            gates += 1
             rest = s_mask ^ vb
+            rd = pred_rd[v] & rest
+            if scanning:  # try the first safe candidate alone
+                if rd and varmask[v] & rest:
+                    deferred |= vb
+                    continue
+                c = deferred = 0
+            gates += 1
             cached = memo.get(rest)
             if cached is not None:
                 if cached < 0:
                     continue
                 break  # the rest is orderable: place v
             child_for, child_waited = wait_for, waited
-            rd = pred_rd[v] & rest
             if rd:
                 vm = varmask[v]
                 seen = reached = start = vm & rest
@@ -376,12 +417,17 @@ def _search(
                 rest, freed, child_for, child_waited, freed
             )
             subsets += 1
+            scanning = True
         else:
+            if deferred:  # no candidate was safe: try them in bit order
+                c, deferred, scanning = deferred, 0, False
+                continue
             # No candidate left: the set has no order; resume the parent.
             memo[s_mask] = -1
             if not stack:
                 break
             s_mask, free, wait_for, waited, c, v = stack.pop()
+            scanning = False
             continue
         # v sits at the bottom of an orderable set, and so does each
         # pending frame's candidate.

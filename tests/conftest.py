@@ -9,6 +9,7 @@ import pytest
 
 from mmcheck import Cnf3, assemble_history, generate_program, mutate, simulate
 from mmcheck.errors import NoAlternativeWriterError
+from mmcheck.simgen import RandomProgram
 
 from helpers import events, reads
 
@@ -20,26 +21,28 @@ CORR = (TRACES / "corr.mmh").read_text()
 OOTA = (TRACES / "oota.mmh").read_text()
 
 # Unsatisfiable formulas over 3, 4 and 5 variables, with the search
-# effort each instance takes: exact regression gates for the counters.
+# effort (subsets, gate checks) that the strict instance under sc and the
+# relaxed one under tso each take: exact regression gates for the
+# counters.
 PINNED_REDUCTIONS = [
     (Cnf3(3, (
         (-1, 2, 3), (-2, -3, 1), (-2, -3, -1), (2, 1, 3), (-2, 1, 3),
         (-3, 1, 2), (2, 3, -1), (2, -3, 1), (-1, 2, -3), (1, 3, -2),
         (-1, -2, 3), (-3, 2, -1), (-1, 3, -2), (2, -1, 3), (3, -1, 2),
-    )), 18, 965, 3714),
+    )), 18, 366, 540),
     (Cnf3(4, (
         (1, -2, 4), (-3, 4, 2), (-1, 2, -3), (2, 4, -1), (-3, 2, -1),
         (-2, 4, 1), (4, 3, 1), (2, -4, 1), (-4, 2, -1), (-3, 4, -1),
         (-1, 3, -2), (-3, 2, -4), (1, 2, -4), (4, 3, -1), (-3, -4, -2),
         (3, -1, -4), (2, -4, 1), (-3, 1, -4), (1, -2, 4), (1, -2, -4),
-    )), 24, 10823, 54489),
+    )), 24, 2182, 3369),
     (Cnf3(5, (
         (3, -5, 4), (-1, -2, 4), (3, -2, 5), (-3, 5, -4), (-2, 1, -5),
         (3, -2, 1), (5, -2, 4), (5, 3, -4), (-3, 4, -2), (1, 4, -5),
         (-5, -4, 3), (4, 3, 5), (-5, 3, -1), (-5, 2, -4), (-2, -3, 1),
         (5, -1, -2), (1, -3, -5), (-2, -5, -4), (-1, 4, -3), (-2, 3, 4),
         (1, 5, 4), (-1, 5, 3), (3, 4, 5), (3, 4, -1), (1, -2, -5),
-    )), 30, 95933, 608728),
+    )), 30, 10323, 16493),
 ]
 
 
@@ -70,6 +73,38 @@ def build_corpus(count: int, seed: int, max_writes: int = 4):
             except NoAlternativeWriterError:
                 pass
     return corpus
+
+
+def spread_writes_histories(count: int, seed: int, size: tuple[int, ...]):
+    """`count` programs of `size` (threads, events, writes, variables),
+    whose accesses each take a drawn thread and variable, simulated under
+    tso and pso in turn, each followed by its rf mutation when it has
+    one.  `generate_program` puts most writes in its first thread; these
+    spread over all of them."""
+    threads, events, writes, num_vars = size
+    var_names = tuple(f"x{i}" for i in range(num_vars))
+    histories = []
+    for i in range(seed, seed + count):
+        rng = random.Random(i)
+        fresh = dict.fromkeys(var_names, 1)
+        blocks: list[list[tuple]] = [[] for _ in range(threads)]
+        chosen = set(rng.sample(range(events), writes))
+        for e in range(events):
+            var = rng.choice(var_names)
+            block = blocks[rng.randrange(threads)]
+            if e in chosen:
+                block.append(("wr", var, fresh[var]))
+                fresh[var] += 1
+            else:
+                block.append(("rd", var))
+        prog = RandomProgram(tuple(map(tuple, blocks)), var_names)
+        h = simulate(prog, ("tso", "pso")[i % 2], seed=i)
+        histories.append(h)
+        try:
+            histories.append(mutate(h, seed=i))
+        except NoAlternativeWriterError:
+            pass
+    return histories
 
 
 def with_random_dp(h, rng: random.Random):

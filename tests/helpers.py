@@ -2,7 +2,9 @@
 
 The reference solver below mirrors the production search but takes every
 acyclicity decision on explicitly constructed graphs, so agreement with
-`solve` exercises the production search tables end to end.
+`solve` exercises the production search tables end to end.  It follows
+the search's safe-first rule, read off reach in the full graphs, and a
+switch turns the rule off so that tests can check what the rule keeps.
 
 The store-order reference below rebuilds both full graphs, with every
 order pair and every conflict edge, for each store order.  It is a
@@ -239,11 +241,22 @@ def event_graph(h, *edge_lists):
     return g
 
 
-def solve_reference(h, spec):
+def solve_reference(h, spec, *, safe_first=True, sets=()):
     """Subset search over explicit graphs; returns (consistent, memo).
 
-    A candidate whose rest the memo already marks unorderable fails
-    whatever its graphs say, so it is passed over without building them;
+    A candidate of a set is a member j whose graphs, those of
+    :func:`build_coherence_graphs` for the rest and j, are acyclic.  With
+    `safe_first`, as in `solver._search`, the set's lowest candidate that
+    is *safe* goes first and alone, and the set is orderable exactly when
+    the rest is.  j is safe when no member of the rest on j's variable is
+    left, or no member of the rest reaches a read of j in either
+    order-free full graph (reach from :func:`closure`).  A set with no
+    safe candidate, and every set with `safe_first` off, tries its members
+    in bit order.  Each mask in `sets` is evaluated after the full set,
+    into the same memo.
+
+    A member whose rest the memo already marks unorderable fails whatever
+    its graphs say, so the bit-order pass skips it without building them;
     the memo gains no entry either way.  The order-free edge lists are
     joined once per call.
     """
@@ -256,29 +269,48 @@ def solve_reference(h, spec):
     index = WriteIndex(h)
     memo = {0: index.k}
     static = order_free_edges(h, dm)
+    reach = [closure(h.n, edges) for edges in static]
+    ids, var = index.ids, h.write_vars
+    varmask = [index.mask_of(w for w, y in zip(ids, var) if y == x) for x in var]
+    pred_rd = [
+        index.mask_of(
+            w for w in ids
+            if any(rg[w] >> r & 1 for rg in reach for r in h.readers_of(v))
+        )
+        for v in ids
+    ]
+
+    def candidate(rest, j):
+        graphs = build_coherence_graphs(h, static, index, rest, ids[j])
+        return all(kahn_acyclic(g)[0] for g in graphs)
 
     def orderable(mask):
         cached = memo.get(mask)
         if cached is not None:
             return cached >= 0
-        m = mask
-        while m:
-            bit = m & -m
-            m ^= bit
-            j = bit.bit_length() - 1
-            rest = mask ^ bit
+        members = [j for j in range(index.k) if mask >> j & 1]
+        for j in members if safe_first else ():
+            rest = mask ^ 1 << j
+            if pred_rd[j] & rest and varmask[j] & rest:
+                continue
+            if candidate(rest, j):
+                ok = orderable(rest)
+                memo[mask] = j if ok else -1
+                return ok
+        for j in members:
+            rest = mask ^ 1 << j
             if memo.get(rest) == -1:
                 continue
-            graphs = build_coherence_graphs(
-                h, static, index, rest, index.ids[j]
-            )
-            if all(kahn_acyclic(g)[0] for g in graphs) and orderable(rest):
+            if candidate(rest, j) and orderable(rest):
                 memo[mask] = j
                 return True
         memo[mask] = -1
         return False
 
-    return orderable(index.full_mask), memo
+    consistent = orderable(index.full_mask)
+    for mask in sets:
+        orderable(mask)
+    return consistent, memo
 
 
 def structural_bound(h):

@@ -2,14 +2,19 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from mmcheck import (
+    Cnf3,
     History,
     Outcome,
     build_base_graphs,
+    derive,
     format_history,
     get_model,
+    kahn_acyclic,
     mutate,
     oracle_store,
     oracle_total,
@@ -31,6 +36,8 @@ from conftest import (
     PINNED_REDUCTIONS,
     SB,
     TRACES,
+    build_corpus,
+    spread_writes_histories,
     with_random_dp,
 )
 from helpers import events, reads, solve_reference, structural_bound
@@ -161,10 +168,10 @@ def test_memo_bound(small_corpus):
     ids=[f"k{p[1]}" for p in PINNED_REDUCTIONS],
 )
 def test_search_counters_are_pinned(cnf, k, subsets, gates):
-    instances = [(sat_to_history_sc(cnf), "sc")]
-    if k < 30:  # the relaxed instance at k=30 would add about a second
-        instances.append((sat_to_history_relaxed(cnf), "tso"))
-    for h, name in instances:
+    for h, name in (
+        (sat_to_history_sc(cnf), "sc"),
+        (sat_to_history_relaxed(cnf), "tso"),
+    ):
         assert h.k == k
         v = solve(h, get_model(name))
         assert not v.consistent
@@ -307,8 +314,6 @@ def _production_memo(h, spec):
 
 
 def test_rmo_with_random_dependencies_matches_reference(small_corpus):
-    import random
-
     rng = random.Random(1717)
     spec = get_model("rmo")
     checked = 0
@@ -326,6 +331,97 @@ def test_rmo_with_random_dependencies_matches_reference(small_corpus):
         assert v.outcome == oracle_total(augmented, spec).outcome
         checked += 1
     assert checked >= 20
+
+
+def _reductions_up_to_k14():
+    # The unit-pair padding family (k = 8-14) and formulas over 2
+    # variables with 2 or 3 clauses (k = 10-12), strict and relaxed.
+    rng = random.Random(1414)
+    formulas = [Cnf3(pad, ((1, 1, 1), (-1, -1, -1))) for pad in (2, 3, 4, 5)]
+    for m in (2, 2, 3, 3):
+        pool = [1, 2, -1, -2]
+        formulas.append(Cnf3(2, tuple(
+            tuple(rng.choice(pool) for _ in range(3)) for _ in range(m)
+        )))
+    histories = []
+    for cnf in formulas:
+        histories += (sat_to_history_sc(cnf), sat_to_history_relaxed(cnf))
+    assert max(h.k for h in histories) <= 14
+    return histories
+
+
+def test_safe_first_rule_keeps_orderability(small_corpus):
+    # `_search` tries a set's lowest safe candidate alone, since the set
+    # is orderable exactly when the rest is (the lemma in its docstring).
+    # The reference search with that rule off must find every set in the
+    # production memo orderable exactly when the memo does.
+    rng = random.Random(2525)
+    histories = [*small_corpus]
+    histories += filter(None, (with_random_dp(h, rng) for h in small_corpus))
+    histories += spread_writes_histories(20, 40, (3, 18, 10, 3))
+    histories += _reductions_up_to_k14()
+    sets = moved = 0
+    for h in histories:
+        for m in ALL_MODELS:
+            spec = get_model(m)
+            memo = _production_memo(h, spec)
+            _, ref = solve_reference(h, spec, safe_first=False, sets=memo)
+            assert {s: ref[s] >= 0 for s in memo} == {
+                s: j >= 0 for s, j in memo.items()
+            }
+            sets += len(memo)
+            moved += sum(j != ref[s] for s, j in memo.items())
+    assert sets > 5_000 and moved > 100
+
+
+def test_witnesses_hold_on_the_full_graphs():
+    # `verify_witness` re-checks a witness on the contracted base graphs
+    # the search used, so a contraction error would pass it.  Here every
+    # consistent witness is re-checked on the model's full graphs, with
+    # the order added by `with_order`.
+    rng = random.Random(3131)
+    histories = []
+    for seed in (1, 2):
+        corpus = build_corpus(300, seed, max_writes=6)
+        histories += corpus
+        histories += filter(None, (with_random_dp(h, rng) for h in corpus))
+    histories += spread_writes_histories(20, 1, (4, 60, 18, 8))
+    assert max(h.k for h in histories) == 26
+    checked = 0
+    for h in histories:
+        var_of = dict(zip(h.writes, h.write_vars))
+        reads_of = {w: h.readers_of(w) for w in h.writes}
+        for m in ALL_MODELS:
+            spec = get_model(m)
+            v = solve(h, spec)
+            if not v.consistent:
+                continue
+            assert sorted(v.witness) == list(h.writes)
+            for g in derive(h, spec).graphs():
+                ordered = g.with_order(v.witness, var_of, reads_of)
+                assert kahn_acyclic(ordered)[0]
+            checked += 1
+    assert checked > 2_500
+
+
+@pytest.mark.parametrize(
+    "seed,writes,k,subsets",
+    [(2, 32, 40, 38), (21, 33, 41, 40), (8, 38, 46, 43)],
+)
+def test_spread_writes_rmo_mutants_past_the_cap(seed, writes, k, subsets):
+    # rf mutants of spread-writes traces (4 threads, 600 events, 8
+    # variables, simulated under tso for even seeds and pso for odd
+    # ones), all inconsistent under rmo.  With no dependency edges rmo's
+    # graphs join only events of one variable, so a search that tried
+    # every candidate of every set would enumerate the product of the
+    # other variables' states before failing; placing safe candidates
+    # alone decides each in about k subsets.
+    (h,) = spread_writes_histories(1, seed, (4, 600, writes, 8))[1:]
+    assert h.k == k
+    v = solve(h, get_model("rmo"), max_k=64)
+    assert not v.consistent
+    _assert_within_bounds(h, v)
+    assert v.stats.subsets_evaluated == subsets
 
 
 def test_monotonicity_across_models(small_corpus):
