@@ -76,7 +76,7 @@ class SolveStats:
 
     `subsets_evaluated` counts the memoized subsets, and `gate_checks` the
     candidates tried: a set's lowest safe candidate alone when it has one
-    (see `_search`), else every member that waited for no one, whether
+    (see `_search`), else every member that waits for no one, whether
     the rest then hit the memo, closed a cycle of read waits or was
     evaluated.
     """
@@ -244,14 +244,10 @@ def _search(
       into t;
     - t reaches a read sourced by a placed write p on s's variable (t in
       `pred_rd[p]`): p sits below s, so that read gains a conflict edge
-      into s.  These read waits depend only on s's variable x, and are
-      kept both ways: `wait_for[x]` holds the writes x's members wait
-      for, and `waited[u]` the OR of `varmask` over every variable whose
-      members wait for u.  Placing v adds `rd = pred_rd[v] & rest` to
-      `wait_for` of v's variable, and ORs `varmask[v]` into `waited[t]`
-      for each t in rd.  So u is in `wait_for[x]` exactly when x's
-      `varmask` lies inside `waited[u]`, which is an OR of whole
-      variables' masks.
+      into s.  These read waits depend only on s's variable x, so they
+      are kept per variable: `wait_for[x]` holds the writes x's members
+      wait for.  Placing v adds `rd = pred_rd[v] & rest` to `wait_for` of
+      v's variable.
 
     A member that waits for no one can sit at the bottom of S: it is a
     *candidate*.  The members no member blocks are carried down as
@@ -274,27 +270,26 @@ def _search(
     stalls exactly when the forward closure of rd under the old waits
     meets the start set.  Leaving v out of the walk loses no path: v is
     a candidate, so it waits for no one in S, and as a sink of the waits
-    inside S it lies on no path between two members of the rest.  The
-    forward closure of rd meets the start set exactly when the backward
-    closure of the start set meets rd, so the test walks backward.  Each
-    step ORs `waited` over the members reached and masks the result by
-    `rest`, which gives the members of the rest that wait for one of
-    them: y waits for u exactly when the `varmask` of y's variable lies
-    inside `waited[u]`.  v is cut when the walk meets rd, and most walks
-    end at their first step.  An empty start set needs no walk, and its
-    waits are not recorded: no set evaluated below the rest holds a
-    member of v's variable, so they would never be read.  Each list is
-    copied only when a placement records waits.  The test leaves out
-    reach between writes.  Within one graph that closes no new cycle
-    (whoever reaches t reaches what t reaches), but the union of the two
-    graphs' reach can close one that neither graph has, on a subset the
-    augmented graphs do evaluate.
+    inside S it lies on no path between two members of the rest.  So the
+    test walks forward from rd.  Each step ORs `wait_for` over the
+    variables of the members reached, once per variable, since the
+    members of one variable wait for the same writes, and masks the
+    result by `rest`.  v is cut when the walk meets the start set, and
+    most walks end at their first step.  An empty rd or start set adds
+    no wait, so it needs no walk, and an empty start set's waits are not
+    recorded: no set evaluated below the rest holds a member of v's
+    variable, so they would never be read.  The list is copied only when
+    a placement records waits.  The test leaves out reach between
+    writes.  Within one graph that closes no new cycle (whoever reaches
+    t reaches what t reaches), but the union of the two graphs' reach
+    can close one that neither graph has, on a subset the augmented
+    graphs do evaluate.
 
     Merging the tables over both base graphs is exact.  The write waits
     and the candidate tests are ORs over the graphs.  A read wait taken
     from the per-location graph lies on one variable, since every
     per-location edge (`po_loc_effective` and reads-from) joins two
-    events of one variable: the waited-for write t is then on p's
+    events of one variable: the write t that the wait names is then on p's
     variable and blocks p, so p is never placed while t is not.  So on
     every subset evaluated the merged read waits are the model graph's.
 
@@ -338,29 +333,28 @@ def _search(
     or cut by the cycle test, stay absent.
 
     The recursion runs on an explicit stack of frames (the set, its free
-    members, its read waits both ways, its untried candidates and the
-    candidate tried last), so k is not bounded by the interpreter's
-    recursion limit.  A frame whose rest needs evaluating is pushed and
-    the rest becomes the current frame; a failed frame resumes its parent
-    at the next candidate, and a success records each pending frame's
-    candidate on the way up.  A new frame is first *scanned*: its
-    members are taken in bit order, and each candidate that is not safe
-    is deferred, until the first safe one, which is tried at once with
-    its untried and deferred candidates dropped.  Its rest's read waits
-    (`rd`) were computed for the safety test and serve the trial.  If no
-    candidate was safe, the deferred ones are tried in bit order.  A
-    resumed frame is past its scan.
+    members, its read waits, its untried candidates and the candidate
+    tried last), so k is not bounded by the interpreter's recursion
+    limit.  A frame whose rest needs evaluating is pushed and the rest
+    becomes the current frame; a failed frame resumes its parent at the
+    next candidate, and a success records each pending frame's candidate
+    on the way up.  A new frame is first *scanned*: its members are taken
+    in bit order, and each candidate that is not safe is deferred, until
+    the first safe one, which is tried at once with its untried and
+    deferred candidates dropped.  The new waits' two ends (`rd` and the
+    start set) were computed for the safety test and serve the trial.
+    If no candidate was safe, the deferred ones are tried in bit order.
+    A resumed frame is past its scan.
     """
     memo[0] = k  # sentinel: the empty subset is orderable
     full = free = (1 << k) - 1
     for b in blocks:
         free &= ~b
-    # The current frame: its set, free members, read waits both ways,
-    # untried candidates, whether it is being scanned and the candidates
-    # its scan deferred; `stack` holds the pending frames and their
-    # candidates.
-    s_mask, wait_for, waited, c = full, [0] * nvars, [0] * k, free
-    stack: list[tuple[int, int, list[int], list[int], int, int]] = []
+    # The current frame: its set, free members, read waits, untried
+    # candidates, whether it is being scanned and the candidates its scan
+    # deferred; `stack` holds the pending frames and their candidates.
+    s_mask, wait_for, c = full, [0] * nvars, free
+    stack: list[tuple[int, int, list[int], int, int]] = []
     subsets, gates = 1, 0
     scanning, deferred = True, 0
     while True:
@@ -372,8 +366,9 @@ def _search(
                 continue
             rest = s_mask ^ vb
             rd = pred_rd[v] & rest
+            start = varmask[v] & rest
             if scanning:  # try the first safe candidate alone
-                if rd and varmask[v] & rest:
+                if rd and start:
                     deferred |= vb
                     continue
                 c = deferred = 0
@@ -383,28 +378,21 @@ def _search(
                 if cached < 0:
                     continue
                 break  # the rest is orderable: place v
-            child_for, child_waited = wait_for, waited
-            if rd:
-                vm = varmask[v]
-                seen = reached = start = vm & rest
-                while reached and not reached & rd:
+            child_for = wait_for
+            if rd and start:
+                seen = reached = rd
+                while reached and not reached & start:
                     step = 0
                     while reached:
-                        u = reached & -reached
-                        reached ^= u
-                        step |= waited[u.bit_length() - 1]
+                        u = (reached & -reached).bit_length() - 1
+                        reached &= ~varmask[u]
+                        step |= wait_for[var_of[u]]
                     reached = step & rest & ~seen
                     seen |= reached
                 if reached:
                     continue
-                if start:
-                    child_for = wait_for[:]
-                    child_for[var_of[v]] |= rd
-                    child_waited = waited[:]
-                    while rd:
-                        u = rd & -rd
-                        rd ^= u
-                        child_waited[u.bit_length() - 1] |= vm
+                child_for = wait_for[:]
+                child_for[var_of[v]] |= rd
             freed = free ^ vb
             b = blocks[v] & rest
             while b:
@@ -412,10 +400,8 @@ def _search(
                 b ^= u
                 if not blockers[u.bit_length() - 1] & rest:
                     freed |= u
-            stack.append((s_mask, free, wait_for, waited, c, v))
-            s_mask, free, wait_for, waited, c = (
-                rest, freed, child_for, child_waited, freed
-            )
+            stack.append((s_mask, free, wait_for, c, v))
+            s_mask, free, wait_for, c = rest, freed, child_for, freed
             subsets += 1
             scanning = True
         else:
@@ -426,14 +412,14 @@ def _search(
             memo[s_mask] = -1
             if not stack:
                 break
-            s_mask, free, wait_for, waited, c, v = stack.pop()
+            s_mask, free, wait_for, c, v = stack.pop()
             scanning = False
             continue
         # v sits at the bottom of an orderable set, and so does each
         # pending frame's candidate.
         memo[s_mask] = v
         while stack:
-            s_mask, _, _, _, _, v = stack.pop()
+            s_mask, _, _, _, v = stack.pop()
             memo[s_mask] = v
         break
     stats.subsets_evaluated += subsets

@@ -308,11 +308,34 @@ def test_criterion_7_complexity_accounting():
         counts[i][1] <= counts[i + 1][1] for i in range(len(counts) - 1)
     )
     ok = ok and bounded and nondecreasing
+
+    # growth family: unsatisfiable formulas that use every sign
+    # combination over n = 1, 2 and 3 variables, k = 6n; the padding
+    # family above takes k - 1 subsets, these take at least twice the
+    # subsets of the one before
+    growth = []
+    for cnf in (
+        Cnf3(1, ((1, 1, 1), (-1, -1, -1))),
+        Cnf3(2, tuple((a, b, b) for a in (1, -1) for b in (2, -2))),
+        Cnf3(3, tuple(
+            (a, b, c) for a in (1, -1) for b in (2, -2) for c in (3, -3)
+        )),
+    ):
+        h = sat_to_history_sc(cnf)
+        assert h.k == 6 * cnf.num_vars
+        v = solve(h, get_model("sc"))
+        assert not v.consistent
+        c = v.stats.subsets_evaluated
+        ok = ok and c <= min(structural_bound(h), 2**h.k)
+        ok = ok and (not growth or c >= 2 * growth[-1][1])
+        growth.append((h.k, c))
     _report(
         7,
         ok,
         "subsets <= min(B, 2^k) on all runs; scaling family "
-        + ", ".join(f"k={k}: {c}" for k, c in counts),
+        + ", ".join(f"k={k}: {c}" for k, c in counts)
+        + "; growth family "
+        + ", ".join(f"k={k}: {c}" for k, c in growth),
     )
     assert ok
 
