@@ -2,7 +2,7 @@
 
 One binary, subcommand style:
 
-    mmcheck check  <trace.mmh> --model sc [--witness] [--stats] [--max-k N]
+    mmcheck check  <trace.mmh> --model sc [--witness] [--stats]
     mmcheck oracle <trace.mmh> --model sc [--oracle-mode total|store] ...
     mmcheck gen sat --variant sc|relaxed <file.cnf> [-o out.mmh]
     mmcheck gen random --model sc --threads N --events N --vars N --seed S
@@ -25,7 +25,7 @@ from .models import MODELS, get_model
 from .oracle import oracle_store, oracle_total
 from .reduction import parse_dimacs, sat_to_history_relaxed, sat_to_history_sc
 from .simgen import SIMULATED_MODELS, generate_program, mutate, simulate
-from .solver import DEFAULT_MAX_K, Verdict, solve
+from .solver import Verdict, solve
 from .trace import format_history, parse_history
 
 EXIT_CONSISTENT = 0
@@ -90,7 +90,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     h = parse_history(_read_text(args.trace))
     spec = get_model(args.model)
     if args.command == "check":
-        verdict = solve(h, spec, max_k=args.max_k)
+        verdict = solve(h, spec)
     else:
         verdict = ORACLES[args.oracle_mode](h, spec)
     elapsed = (time.perf_counter() - start) * 1000.0
@@ -157,12 +157,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check", help="run the subset solver")
     add_check_flags(p_check)
-    p_check.add_argument(
-        "--max-k",
-        type=_count_arg(0),
-        default=DEFAULT_MAX_K,
-        help=f"write-count cap (default {DEFAULT_MAX_K})",
-    )
     p_check.set_defaults(func=cmd_check)
 
     p_oracle = sub.add_parser("oracle", help="run a brute-force decider")

@@ -45,10 +45,6 @@ class ResourceBoundError(MmcheckError):
     """An input exceeds a resource bound (the command exits 3)."""
 
 
-class KTooLargeError(ResourceBoundError):
-    """The write count exceeds the solver's cap."""
-
-
 class KTooLargeForOracleError(ResourceBoundError):
     """The write count exceeds the factorial-enumeration bound."""
 

@@ -38,7 +38,9 @@ read in each thread it feeds; under rmo, where two reads of a thread
 may be reordered, they are its first read in each stretch of a thread
 between two writes to j's variable, and its reads that a dependency
 edge touches.  The search runs on an explicit stack, so k is bounded
-by `max_k`, not by the interpreter's recursion limit.
+by neither a cap nor the interpreter's recursion limit.  Memory bounds
+it: `solve` refuses a history whose tables, or whose memo, would pass
+`MEMORY_CEILING`.
 
 A consistent verdict's witness is re-checked by `verify_witness` without
 the search's tables: a Kahn peel of each base graph the search used,
@@ -55,14 +57,29 @@ from dataclasses import dataclass
 
 from .errors import (
     InternalWitnessInvalidError,
-    KTooLargeError,
     NotAPermutationError,
+    ResourceBoundError,
 )
 from .events import History
 from .graphs import EventGraph, find_cycle, kahn_acyclic
 from .models import ModelSpec, build_base_graphs, derive, oota_cycle
 
-DEFAULT_MAX_K = 30
+#: The memory, in bytes, that one `solve` call may take: its memo, at
+#: `MEMO_ENTRY_BYTES + k // 6` bytes per evaluated subset, and its tables,
+#: counted as one k-bit mask per base-graph vertex (the passes that build
+#: them hold up to three such masks per vertex of one graph at a time).
+#: A search refused at this ceiling, at k = 66 after 8,073,246 subsets,
+#: peaked at 753 MB RSS in its own process.
+MEMORY_CEILING = 1 << 30
+
+#: Peak bytes per memo entry, besides the key's growth with k: a dict
+#: slot while the table doubles (about 90 bytes, old and new table both
+#: held) and a key int of up to 60 bits (32 bytes).  The key then grows
+#: by 4 bytes per 30 bits, and past k = 256 most values are ints of their
+#: own, hence k // 6.  Measured as peak RSS per entry of dicts of 1.4 and
+#: 2.7 million random k-bit keys, each in its own process (CPython 3.11,
+#: x86-64): 122 bytes at k <= 60, 154 at k = 216, 274 at k = 1000.
+MEMO_ENTRY_BYTES = 122
 
 
 class Outcome(enum.Enum):
@@ -97,18 +114,17 @@ class Verdict:
         return self.outcome is Outcome.CONSISTENT
 
 
-def solve(
-    h: History,
-    spec: ModelSpec,
-    *,
-    max_k: int = DEFAULT_MAX_K,
-) -> Verdict:
+def solve(h: History, spec: ModelSpec) -> Verdict:
     """Decide whether `h` is consistent under the given model.
 
     On a consistent verdict the witness is the full write order found by
     the search (ascending), re-verified against both graphs before being
     returned.  On an inconsistent verdict the diagnostics name the reason
     when one is cheap to state (a base-graph cycle or a dependency cycle).
+
+    Any k is accepted.  `ResourceBoundError` is raised, before the tables
+    are built, when their ancestor masks (k bits per base-graph vertex)
+    would pass `MEMORY_CEILING`, and by the search when its memo would.
     """
     stats = SolveStats()
 
@@ -122,12 +138,6 @@ def solve(
                 ),
                 stats=stats,
             )
-
-    if h.k > max_k:
-        raise KTooLargeError(
-            f"history has k={h.k} writes, above the cap of {max_k}; "
-            "raise the cap to proceed"
-        )
 
     dm = derive(h, spec)
     g_loc, g_mm = build_base_graphs(h, spec)
@@ -147,6 +157,11 @@ def solve(
 
     if h.k == 0:
         return Verdict(Outcome.CONSISTENT, witness=[], stats=stats)
+    vertices = g_loc.n + g_mm.n
+    if h.k * vertices // 8 > MEMORY_CEILING:
+        raise ResourceBoundError(
+            f"k={h.k} writes on {vertices} base-graph vertices: memory ceiling"
+        )
 
     tables = _write_tables(h, ((g_loc, topo_loc), (g_mm, topo_mm)))
     memo: dict[int, int] = {}
@@ -191,6 +206,14 @@ def _write_tables(
     (see `EventGraph`), so `pred_rd[j]` is the OR of their masks.  Masks
     include the vertex's own write, so j's bit is dropped from
     `blockers[j]`.  ORing over both graphs merges them (see `_search`).
+
+    `blocks` comes from one backward pass along the same order, which
+    ORs each vertex's successors' masks into its own.  These masks have
+    2k bits: vertex j, write j, carries bit k + j, and each tag site of
+    j carries bit j.  So write t's mask holds, from bit k up, the writes
+    t reaches, and below bit k the writes with a read that t reaches.
+    `blocks[t]` takes the former, and those of the latter on t's
+    variable, without t itself.
     """
     k = h.k
     number: dict[str, int] = {}
@@ -199,26 +222,30 @@ def _write_tables(
     for j, x in enumerate(var_of):
         var_writes[x] |= 1 << j
     varmask = [var_writes[x] for x in var_of]
-    blockers, pred_rd = [0] * k, [0] * k
+    bits = [1 << j for j in range(k)]
+    blockers, pred_rd, blocks = [0] * k, [0] * k, [0] * k
     for g, topo in bases:
         adj = g.adj
-        anc = [1 << j for j in range(k)] + [0] * (g.n - k)
+        anc = bits + [0] * (g.n - k)
         for u in topo:
             m = anc[u]
             if m:
                 for v in adj[u]:
                     anc[v] |= m
+        desc = [b << k for b in bits] + [0] * (g.n - k)
         for j, sites in enumerate(g.tag_sites):
             blockers[j] |= anc[j]
             for s in sites:
                 pred_rd[j] |= anc[s]
-    blocks = [0] * k
-    for j in range(k):
-        blockers[j] = m = (blockers[j] | pred_rd[j] & varmask[j]) & ~(1 << j)
-        while m:
-            b = m & -m
-            m ^= b
-            blocks[b.bit_length() - 1] |= 1 << j
+                desc[s] |= bits[j]
+        for u in reversed(topo):
+            for v in adj[u]:
+                desc[u] |= desc[v]
+        for j in range(k):
+            blocks[j] |= desc[j]
+    for j, m in enumerate(blocks):
+        blockers[j] = (blockers[j] | pred_rd[j] & varmask[j]) & ~bits[j]
+        blocks[j] = (m >> k | m & varmask[j]) & ~bits[j]
     return varmask, var_of, len(number), blocks, blockers, pred_rd
 
 
@@ -345,7 +372,12 @@ def _search(
     start set) were computed for the safety test and serve the trial.
     If no candidate was safe, the deferred ones are tried in bit order.
     A resumed frame is past its scan.
+
+    Each set evaluated takes a memo entry, so the search raises
+    `ResourceBoundError` once `subsets_evaluated` passes
+    `MEMORY_CEILING` over the bytes of one entry.
     """
+    limit = MEMORY_CEILING // (MEMO_ENTRY_BYTES + k // 6)
     memo[0] = k  # sentinel: the empty subset is orderable
     full = free = (1 << k) - 1
     for b in blocks:
@@ -403,6 +435,10 @@ def _search(
             stack.append((s_mask, free, wait_for, c, v))
             s_mask, free, wait_for, c = rest, freed, child_for, freed
             subsets += 1
+            if subsets > limit:
+                raise ResourceBoundError(
+                    f"search passed {limit} subsets at k={k}: memory ceiling"
+                )
             scanning = True
         else:
             if deferred:  # no candidate was safe: try them in bit order

@@ -9,10 +9,12 @@ from pathlib import Path
 
 import pytest
 
+from mmcheck import format_history, parse_history
+from mmcheck import solver as solver_module
 from mmcheck.cli import main
-from mmcheck import parse_history
+from mmcheck.solver import MEMO_ENTRY_BYTES
 
-from conftest import SB, TRACES
+from conftest import SB, TRACES, spread_writes_histories
 
 
 @pytest.fixture()
@@ -92,12 +94,67 @@ def test_non_utf8_input_exit_code(capsys, tmp_path, argv):
     assert err.startswith(f"mmcheck: {p}: ") and "UTF-8" in err
 
 
-def test_max_k_resource_error(capsys, sb_path):
-    code, _, err = run(
-        capsys, "check", sb_path, "--model", "sc", "--max-k", "2"
-    )
-    assert code == 3
-    assert "cap" in err
+@pytest.mark.parametrize(
+    "ceiling, needle",
+    [
+        (3, "k=4 writes on 8 base-graph vertices"),
+        (3 * MEMO_ENTRY_BYTES - 1, "search passed 2 subsets at k=4"),
+    ],
+    ids=["tables", "search"],
+)
+def test_memory_ceiling_is_exit_3(
+    capsys, sb_path, monkeypatch, ceiling, needle
+):
+    # sb under sc: k = 4 writes on 8 base-graph vertices, 3 subsets.  At
+    # 3 bytes the tables' 4 bytes of masks pass the ceiling; a byte short
+    # of 3 memo entries admits 2 subsets, and the third passes it.
+    monkeypatch.setattr(solver_module, "MEMORY_CEILING", ceiling)
+    code, out, err = run(capsys, "check", sb_path, "--model", "sc")
+    assert code == 3 and out == ""
+    assert err.startswith("mmcheck: ") and needle in err
+
+
+# Two spread-writes programs per size and their rf mutants (k = 38, 68
+# and 108): the exit code and the subsets evaluated under sc, tso, pso
+# and rmo.
+SPREAD_WRITES_CHECKS = {
+    (4, 200, 30, 8): [
+        ((0, 38), (0, 38), (0, 38), (0, 38)),
+        ((1, 128), (1, 34), (1, 170), (0, 38)),
+        ((0, 38), (0, 38), (0, 38), (0, 38)),
+        ((1, 65), (1, 34), (0, 38), (0, 38)),
+    ],
+    (4, 400, 60, 8): [
+        ((0, 68), (0, 68), (0, 68), (0, 68)),
+        ((1, 84), (1, 73), (1, 380), (1, 62)),
+        ((1, 160), (0, 68), (0, 68), (0, 68)),
+        ((1, 160), (0, 68), (0, 68), (0, 68)),
+    ],
+    (4, 600, 100, 8): [
+        ((0, 108), (0, 108), (0, 108), (0, 108)),
+        ((1, 0), (1, 0), (1, 0), (0, 108)),
+        ((1, 276), (0, 108), (0, 108), (0, 108)),
+        ((1, 128), (1, 19), (1, 163), (1, 98)),
+    ],
+}
+
+
+@pytest.mark.parametrize("size", SPREAD_WRITES_CHECKS)
+def test_spread_writes_are_decided_at_any_k(capsys, tmp_path, size):
+    # k well past 30, with no option: the work follows the instance's
+    # structure, and memory alone bounds it
+    histories = spread_writes_histories(2, 1, size)
+    p = tmp_path / "spread.mmh"
+    for h, expected in zip(histories, SPREAD_WRITES_CHECKS[size], strict=True):
+        p.write_text(format_history(h, explicit_rf=True))
+        for model, (exit_code, subsets) in zip(
+            ("sc", "tso", "pso", "rmo"), expected
+        ):
+            code, out, err = run(
+                capsys, "check", str(p), "--model", model, "--stats"
+            )
+            assert (code, err) == (exit_code, "")
+            assert f"k: {h.k}" in out and f"subsets: {subsets}\n" in out
 
 
 def test_k_beyond_recursion_limit_is_checked(capsys, tmp_path):
@@ -105,9 +162,7 @@ def test_k_beyond_recursion_limit_is_checked(capsys, tmp_path):
     # default recursion limit of 1,000: the search runs on its own stack
     p = tmp_path / "chain.mmh"
     p.write_text("thread T0\n" + "".join(f"wr x {i}\n" for i in range(1200)))
-    code, out, err = run(
-        capsys, "check", str(p), "--model", "sc", "--max-k", "5000"
-    )
+    code, out, err = run(capsys, "check", str(p), "--model", "sc")
     assert code == 0 and err == ""
     assert "verdict: consistent" in out
     # as many written variables, one write each: the store-order walk
@@ -238,16 +293,11 @@ def test_gen_random_deterministic(capsys):
 
 
 @pytest.mark.parametrize(
-    "flag, value",
-    [("--vars", "0"), ("--threads", "-1"), ("--events", "-1"), ("--max-k", "-1")],
+    "flag, value", [("--vars", "0"), ("--threads", "-1"), ("--events", "-1")]
 )
-def test_gen_random_rejects_bad_counts(capsys, sb_path, flag, value):
-    if flag == "--max-k":
-        args = ["check", sb_path, "--model", "sc", flag, value]
-    else:
-        args = ["gen", "random", "--model", "sc", flag, value]
+def test_gen_random_rejects_bad_counts(capsys, flag, value):
     with pytest.raises(SystemExit) as exc:
-        main(args)
+        main(["gen", "random", "--model", "sc", flag, value])
     assert exc.value.code == 2
     assert flag in capsys.readouterr().err
 

@@ -24,7 +24,7 @@ from mmcheck import (
     solve,
     verify_witness,
 )
-from mmcheck.errors import KTooLargeError, NotAPermutationError
+from mmcheck.errors import NotAPermutationError, ResourceBoundError
 from mmcheck import models as models_module
 from mmcheck import solver as solver_module
 from mmcheck.solver import extract_witness
@@ -183,11 +183,36 @@ def test_search_counters_are_pinned(cnf, k, subsets, gates):
         )
 
 
-def test_k_cap_is_an_error_not_truncation():
-    h = parse_history(SB)
-    with pytest.raises(KTooLargeError) as exc:
-        solve(h, get_model("sc"), max_k=3)
-    assert "3" in str(exc.value) and str(h.k) in str(exc.value)
+def test_memory_ceiling_bounds_the_search(monkeypatch):
+    # The first pinned reduction under sc: k = 18, 366 subsets.  A
+    # ceiling of exactly 366 memo entries admits the search, and one byte
+    # less refuses it at its 366th subset.
+    cnf, k, subsets, _ = PINNED_REDUCTIONS[0]
+    h, spec = sat_to_history_sc(cnf), get_model("sc")
+    entry = solver_module.MEMO_ENTRY_BYTES + k // 6
+    monkeypatch.setattr(solver_module, "MEMORY_CEILING", subsets * entry)
+    assert solve(h, spec).stats.subsets_evaluated == subsets
+    monkeypatch.setattr(solver_module, "MEMORY_CEILING", subsets * entry - 1)
+    with pytest.raises(ResourceBoundError) as exc:
+        solve(h, spec)
+    assert f"passed {subsets - 1} subsets at k={k}:" in str(exc.value)
+
+
+def test_memory_ceiling_bounds_the_tables(monkeypatch):
+    # k-bit masks on every vertex of both base graphs: the tables are
+    # refused before they are built once those bytes pass the ceiling.
+    h, spec = parse_history(SB), get_model("tso")
+    vertices = sum(g.n for g in build_base_graphs(h, spec))
+    need = h.k * vertices // 8
+    monkeypatch.setattr(solver_module, "MEMORY_CEILING", need - 1)
+    with pytest.raises(ResourceBoundError) as exc:
+        solve(h, spec)
+    assert f"k={h.k} writes on {vertices} base-graph vertices" in str(
+        exc.value
+    )
+    monkeypatch.setattr(solver_module, "MEMORY_CEILING", need)
+    with pytest.raises(ResourceBoundError, match=f"subsets at k={h.k}:"):
+        solve(h, spec)
 
 
 def test_verify_witness_accepts_empty_on_empty_history():
@@ -333,6 +358,31 @@ def test_rmo_with_random_dependencies_matches_reference(small_corpus):
     assert checked >= 20
 
 
+def test_blocks_is_the_transpose_of_blockers(small_corpus):
+    # `_write_tables` builds `blocks` by a backward pass of its own, not
+    # by transposing `blockers`: the two must agree bit for bit.
+    histories = [*small_corpus]
+    histories += spread_writes_histories(10, 40, (3, 18, 10, 3))
+    histories += spread_writes_histories(2, 1, (4, 600, 100, 8))
+    checked = 0
+    for h in histories:
+        for m in ALL_MODELS:
+            bases = build_base_graphs(h, get_model(m))
+            sorts = [kahn_acyclic(g) for g in bases]
+            if not all(ok for ok, _ in sorts):
+                continue
+            tables = solver_module._write_tables(
+                h, tuple((g, topo) for g, (_, topo) in zip(bases, sorts))
+            )
+            blocks, blockers = tables[3:5]
+            assert blocks == [
+                sum(1 << j for j, b in enumerate(blockers) if b >> t & 1)
+                for t in range(h.k)
+            ]
+            checked += h.k > 0
+    assert checked > 500
+
+
 def _reductions_up_to_k14():
     # The unit-pair padding family (k = 8-14) and formulas over 2
     # variables with 2 or 3 clauses (k = 10-12), strict and relaxed.
@@ -408,7 +458,9 @@ def test_witnesses_hold_on_the_full_graphs():
     "seed,writes,k,subsets",
     [(2, 32, 40, 38), (21, 33, 41, 40), (8, 38, 46, 43)],
 )
-def test_spread_writes_rmo_mutants_past_the_cap(seed, writes, k, subsets):
+def test_spread_writes_rmo_mutants_in_about_k_subsets(
+    seed, writes, k, subsets
+):
     # rf mutants of spread-writes traces (4 threads, 600 events, 8
     # variables, simulated under tso for even seeds and pso for odd
     # ones), all inconsistent under rmo.  With no dependency edges rmo's
@@ -418,7 +470,7 @@ def test_spread_writes_rmo_mutants_past_the_cap(seed, writes, k, subsets):
     # alone decides each in about k subsets.
     (h,) = spread_writes_histories(1, seed, (4, 600, writes, 8))[1:]
     assert h.k == k
-    v = solve(h, get_model("rmo"), max_k=64)
+    v = solve(h, get_model("rmo"))
     assert not v.consistent
     _assert_within_bounds(h, v)
     assert v.stats.subsets_evaluated == subsets
