@@ -12,8 +12,10 @@ placed ones when some member can sit at its bottom and the rest is
 orderable.  Memoizing the sets caps the search at 2^k states for k
 writes.  A member whose placement adds no read wait on the rest is
 placed alone, since the set is then orderable exactly when the rest is;
-so a search that would try every member tries one wherever it can
-(see `_search`).
+so a search that would try every member tries one wherever it can.  A
+set with no such member tries only the members on one variable, when
+the lowest member on that variable in any order of the set could have
+gone first (see `_search`).
 
 Whether a member can sit at the bottom is one rule over tables merged
 over both base graphs: the writes that block each write (those that
@@ -66,10 +68,9 @@ from .models import ModelSpec, build_base_graphs, derive, oota_cycle
 
 #: The memory, in bytes, that one `solve` call may take: its memo, at
 #: `MEMO_ENTRY_BYTES + k // 6` bytes per evaluated subset, and its tables,
-#: counted as one k-bit mask per base-graph vertex (the passes that build
-#: them hold up to three such masks per vertex of one graph at a time).
-#: A search refused at this ceiling, at k = 66 after 8,073,246 subsets,
-#: peaked at 753 MB RSS in its own process.
+#: at the `table_bytes` their passes hold at their peak.  A search
+#: refused at this ceiling, at k = 66 after 8,073,246 subsets, peaked at
+#: 753 MB RSS in its own process.
 MEMORY_CEILING = 1 << 30
 
 #: Peak bytes per memo entry, besides the key's growth with k: a dict
@@ -82,6 +83,21 @@ MEMORY_CEILING = 1 << 30
 MEMO_ENTRY_BYTES = 122
 
 
+def table_bytes(k: int, vertices: int) -> int:
+    """An upper bound on the bytes `_write_tables` holds at once, for k
+    writes on base graphs of at most `vertices` vertices each.
+
+    A k-bit int and the list slot that holds it take at most 48 + k // 7
+    bytes (CPython stores 30 bits per 4-byte digit after a 24-byte head).
+    The passes over one graph hold k-bit ancestor masks, then 2k-bit
+    descendant masks, one per vertex, and never both.  Across the graphs
+    the tables hold at most six masks per write: `bits`, the variables'
+    masks, `blockers`, `pred_rd` and the 2k-bit `blocks`.  A fixed 1 KiB
+    covers the heads of the lists and of the variable numbering.
+    """
+    return (2 * vertices + 6 * k) * (48 + k // 7) + 1024
+
+
 class Outcome(enum.Enum):
     CONSISTENT = "consistent"
     INCONSISTENT = "inconsistent"
@@ -92,10 +108,11 @@ class SolveStats:
     """Search-effort counters for one solve call.
 
     `subsets_evaluated` counts the memoized subsets, and `gate_checks` the
-    candidates tried: a set's lowest safe candidate alone when it has one
-    (see `_search`), else every member that waits for no one, whether
-    the rest then hit the memo, closed a cycle of read waits or was
-    evaluated.
+    candidates tried: a set's lowest safe candidate alone when it has
+    one, else the candidates on the variable the var-first rule picks,
+    or every member that waits for no one when no variable qualifies
+    (see `_search`), whether the rest then hit the memo, closed a cycle
+    of read waits or was evaluated.
     """
 
     subsets_evaluated: int = 0
@@ -123,8 +140,8 @@ def solve(h: History, spec: ModelSpec) -> Verdict:
     when one is cheap to state (a base-graph cycle or a dependency cycle).
 
     Any k is accepted.  `ResourceBoundError` is raised, before the tables
-    are built, when their ancestor masks (k bits per base-graph vertex)
-    would pass `MEMORY_CEILING`, and by the search when its memo would.
+    are built, when their `table_bytes` would pass `MEMORY_CEILING`, and
+    by the search when its memo would.
     """
     stats = SolveStats()
 
@@ -157,10 +174,10 @@ def solve(h: History, spec: ModelSpec) -> Verdict:
 
     if h.k == 0:
         return Verdict(Outcome.CONSISTENT, witness=[], stats=stats)
-    vertices = g_loc.n + g_mm.n
-    if h.k * vertices // 8 > MEMORY_CEILING:
+    if table_bytes(h.k, max(g_loc.n, g_mm.n)) > MEMORY_CEILING:
         raise ResourceBoundError(
-            f"k={h.k} writes on {vertices} base-graph vertices: memory ceiling"
+            f"k={h.k} writes on {g_loc.n + g_mm.n} base-graph vertices: "
+            "memory ceiling"
         )
 
     tables = _write_tables(h, ((g_loc, topo_loc), (g_mm, topo_mm)))
@@ -213,7 +230,9 @@ def _write_tables(
     j carries bit j.  So write t's mask holds, from bit k up, the writes
     t reaches, and below bit k the writes with a read that t reaches.
     `blocks[t]` takes the former, and those of the latter on t's
-    variable, without t itself.
+    variable, without t itself.  Each graph's ancestor masks are dropped
+    before its descendant masks are built, and those before the next
+    graph's passes, so at most `table_bytes` are held at once.
     """
     k = h.k
     number: dict[str, int] = {}
@@ -232,17 +251,21 @@ def _write_tables(
             if m:
                 for v in adj[u]:
                     anc[v] |= m
-        desc = [b << k for b in bits] + [0] * (g.n - k)
         for j, sites in enumerate(g.tag_sites):
             blockers[j] |= anc[j]
             for s in sites:
                 pred_rd[j] |= anc[s]
+        del anc
+        desc = [b << k for b in bits] + [0] * (g.n - k)
+        for j, sites in enumerate(g.tag_sites):
+            for s in sites:
                 desc[s] |= bits[j]
         for u in reversed(topo):
             for v in adj[u]:
                 desc[u] |= desc[v]
         for j in range(k):
             blocks[j] |= desc[j]
+        del desc
     for j, m in enumerate(blocks):
         blockers[j] = (blockers[j] | pred_rd[j] & varmask[j]) & ~bits[j]
         blocks[j] = (m >> k | m & varmask[j]) & ~bits[j]
@@ -280,8 +303,9 @@ def _search(
     *candidate*.  The members no member blocks are carried down as
     `free`: placing v frees only members of `blocks[v]`, once none of
     their `blockers` is left.  Each set tries its lowest safe candidate
-    first and alone (see below), and a set with none tries every
-    candidate in bit order.
+    first and alone, and a set with none tries the candidates on one
+    variable, or when no variable qualifies every candidate, in bit
+    order (see below).
 
     If the waits placing v adds close a cycle of read waits, the rest has
     no order, and v is skipped with no call and no memo entry: building
@@ -355,6 +379,30 @@ def _search(
     which tests only the waits a placement records, and the sets
     evaluated stay within B.
 
+    Variable first.  Let S have candidates but no safe one.  For a
+    variable x, let xs be S's members on x.  x *qualifies* when it has a
+    candidate and each member of xs that is not a candidate has a blocker
+    in xs.  S walks its candidates in bit order and takes the variable of
+    the first whose variable qualifies: it tries the candidates on that
+    variable, in bit order, and no others.  With no such variable, it
+    tries every candidate.  S is orderable exactly when one of those
+    tried has an orderable rest.  The read waits at a set depend only on
+    the set (x's members wait for the members that reach a read of a
+    placed write on x), and so do the candidates.  Take any order of S and its
+    lowest member u on x.  When u is placed, the rest of xs is still
+    unplaced, and u waits for no one, so u has no blocker in xs; as x
+    qualifies, u is a candidate of S.  Move u to the bottom.  The writes
+    it jumps over are on other variables.  The waits u adds are taken by
+    x's members alone, so none of those writes gains one; their blockers
+    and their variables' read waits, at each of their steps, can only
+    shrink, as their sets lose u and u's own waits are on x.  So each
+    still waits for no one when it is placed.  The sets above u's old
+    place, and their waits, are unchanged.  The moved order puts u, a
+    tried candidate, at the bottom of S over an order of its rest.  The
+    rule only drops trials, so verdicts stay, and the sets evaluated stay
+    within B.  An orderable set may succeed through another candidate
+    than without the rule, so the memo and the witness may differ.
+
     `memo[mask]` receives the bit index of the write placed lowest when
     the subset is orderable, or -1 when it is not; masks never reached,
     or cut by the cycle test, stay absent.
@@ -370,8 +418,9 @@ def _search(
     the first safe one, which is tried at once with its untried and
     deferred candidates dropped.  The new waits' two ends (`rd` and the
     start set) were computed for the safety test and serve the trial.
-    If no candidate was safe, the deferred ones are tried in bit order.
-    A resumed frame is past its scan.
+    If no candidate was safe, the deferred ones are the candidates, and
+    those the var-first rule keeps are tried in bit order.  A resumed
+    frame is past its scan.
 
     Each set evaluated takes a memo entry, so the search raises
     `ResourceBoundError` once `subsets_evaluated` passes
@@ -441,8 +490,24 @@ def _search(
                 )
             scanning = True
         else:
-            if deferred:  # no candidate was safe: try them in bit order
-                c, deferred, scanning = deferred, 0, False
+            if deferred:
+                # No candidate was safe: try, in bit order, those on the
+                # first variable whose members that are not candidates are
+                # each blocked by one on it (var first), else all of them.
+                c, d = deferred, deferred
+                while d:
+                    xs = varmask[(d & -d).bit_length() - 1] & s_mask
+                    d &= ~xs
+                    stuck = xs & ~deferred
+                    while stuck:
+                        u = stuck & -stuck
+                        if not blockers[u.bit_length() - 1] & xs:
+                            break
+                        stuck ^= u
+                    if not stuck:
+                        c = deferred & xs
+                        break
+                deferred, scanning = 0, False
                 continue
             # No candidate left: the set has no order; resume the parent.
             memo[s_mask] = -1

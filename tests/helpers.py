@@ -3,8 +3,9 @@
 The reference solver below mirrors the production search but takes every
 acyclicity decision on explicitly constructed graphs, so agreement with
 `solve` exercises the production search tables end to end.  It follows
-the search's safe-first rule, read off reach in the full graphs, and a
-switch turns the rule off so that tests can check what the rule keeps.
+the search's safe-first and var-first rules, read off reach in the full
+graphs, and a switch turns each rule off so that tests can check what
+the rules keep.
 
 The store-order reference below rebuilds both full graphs, with every
 order pair and every conflict edge, for each store order.  It is a
@@ -241,7 +242,7 @@ def event_graph(h, *edge_lists):
     return g
 
 
-def solve_reference(h, spec, *, safe_first=True, sets=()):
+def solve_reference(h, spec, *, safe_first=True, var_first=True, sets=()):
     """Subset search over explicit graphs; returns (consistent, memo).
 
     A candidate of a set is a member j whose graphs, those of
@@ -252,8 +253,14 @@ def solve_reference(h, spec, *, safe_first=True, sets=()):
     left, or no member of the rest reaches a read of j in either
     order-free full graph (reach from :func:`closure`).  A set with no
     safe candidate, and every set with `safe_first` off, tries its members
-    in bit order.  Each mask in `sets` is evaluated after the full set,
-    into the same memo.
+    in bit order.  With `var_first`, as in `solver._search`, it tries
+    only its members on one variable x: that of its lowest wait-free
+    member for which each member on x with a blocker in the set has one
+    on x, if any.  Blockers and waits are read off the same reach: t
+    blocks j when t reaches j, or t is on j's variable and reaches a read
+    of j; and j waits for the members of the set that reach a read of a
+    write on j's variable outside the set.  Each mask in `sets` is
+    evaluated after the full set, into the same memo.
 
     A member whose rest the memo already marks unorderable fails whatever
     its graphs say, so the bit-order pass skips it without building them;
@@ -279,6 +286,34 @@ def solve_reference(h, spec, *, safe_first=True, sets=()):
         )
         for v in ids
     ]
+    reach_to = [
+        index.mask_of(w for w in ids if any(rg[w] >> v & 1 for rg in reach))
+        for v in ids
+    ]
+    blockers = [
+        (reach_to[j] | pred_rd[j] & varmask[j]) & ~(1 << j)
+        for j in range(index.k)
+    ]
+
+    def one_variable(mask, members):
+        # the members the var-first rule keeps: those on one variable, of
+        # the wait-free ones, or every member when no variable qualifies
+        placed = [p for p in range(index.k) if not mask >> p & 1]
+        free = [
+            j for j in members
+            if not blockers[j] & mask
+            and not any(
+                varmask[p] >> j & 1 and pred_rd[p] & mask for p in placed
+            )
+        ]
+        for j in free:
+            xs = varmask[j] & mask
+            if all(
+                blockers[u] & xs or not blockers[u] & mask
+                for u in members if xs >> u & 1
+            ):
+                return [u for u in free if xs >> u & 1]
+        return members
 
     def candidate(rest, j):
         graphs = build_coherence_graphs(h, static, index, rest, ids[j])
@@ -297,7 +332,7 @@ def solve_reference(h, spec, *, safe_first=True, sets=()):
                 ok = orderable(rest)
                 memo[mask] = j if ok else -1
                 return ok
-        for j in members:
+        for j in one_variable(mask, members) if var_first else members:
             rest = mask ^ 1 << j
             if memo.get(rest) == -1:
                 continue

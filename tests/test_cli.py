@@ -9,12 +9,12 @@ from pathlib import Path
 
 import pytest
 
-from mmcheck import format_history, parse_history
+from mmcheck import format_history, parse_history, sat_to_history_sc
 from mmcheck import solver as solver_module
 from mmcheck.cli import main
 from mmcheck.solver import MEMO_ENTRY_BYTES
 
-from conftest import SB, TRACES, spread_writes_histories
+from conftest import PINNED_REDUCTIONS, SB, TRACES, spread_writes_histories
 
 
 @pytest.fixture()
@@ -95,21 +95,30 @@ def test_non_utf8_input_exit_code(capsys, tmp_path, argv):
 
 
 @pytest.mark.parametrize(
-    "ceiling, needle",
+    "text, ceiling, needle",
     [
-        (3, "k=4 writes on 8 base-graph vertices"),
-        (3 * MEMO_ENTRY_BYTES - 1, "search passed 2 subsets at k=4"),
+        (SB, 3, "k=4 writes on 8 base-graph vertices"),
+        (
+            format_history(sat_to_history_sc(PINNED_REDUCTIONS[0][0])),
+            131 * (MEMO_ENTRY_BYTES + 3) - 1,
+            "search passed 130 subsets at k=18",
+        ),
     ],
     ids=["tables", "search"],
 )
 def test_memory_ceiling_is_exit_3(
-    capsys, sb_path, monkeypatch, ceiling, needle
+    capsys, tmp_path, monkeypatch, text, ceiling, needle
 ):
-    # sb under sc: k = 4 writes on 8 base-graph vertices, 3 subsets.  At
-    # 3 bytes the tables' 4 bytes of masks pass the ceiling; a byte short
-    # of 3 memo entries admits 2 subsets, and the third passes it.
+    # Under sc.  sb has k = 4 writes on 8 base-graph vertices, whose
+    # tables take 2,560 bytes by `table_bytes`: 3 bytes refuse them.  The
+    # first pinned reduction takes 131 subsets at k = 18, whose memo
+    # entries take MEMO_ENTRY_BYTES + 3 bytes each, and its tables take
+    # 12,724: a byte short of 131 entries admits the tables and 130
+    # subsets, and the 131st passes the ceiling.
+    p = tmp_path / "trace.mmh"
+    p.write_text(text)
     monkeypatch.setattr(solver_module, "MEMORY_CEILING", ceiling)
-    code, out, err = run(capsys, "check", sb_path, "--model", "sc")
+    code, out, err = run(capsys, "check", str(p), "--model", "sc")
     assert code == 3 and out == ""
     assert err.startswith("mmcheck: ") and needle in err
 
@@ -120,21 +129,21 @@ def test_memory_ceiling_is_exit_3(
 SPREAD_WRITES_CHECKS = {
     (4, 200, 30, 8): [
         ((0, 38), (0, 38), (0, 38), (0, 38)),
-        ((1, 128), (1, 34), (1, 170), (0, 38)),
+        ((1, 8), (1, 8), (1, 14), (0, 38)),
         ((0, 38), (0, 38), (0, 38), (0, 38)),
-        ((1, 65), (1, 34), (0, 38), (0, 38)),
+        ((1, 8), (1, 8), (0, 38), (0, 38)),
     ],
     (4, 400, 60, 8): [
         ((0, 68), (0, 68), (0, 68), (0, 68)),
-        ((1, 84), (1, 73), (1, 380), (1, 62)),
-        ((1, 160), (0, 68), (0, 68), (0, 68)),
-        ((1, 160), (0, 68), (0, 68), (0, 68)),
+        ((1, 34), (1, 35), (1, 35), (1, 62)),
+        ((1, 5), (0, 68), (0, 68), (0, 68)),
+        ((1, 5), (0, 68), (0, 68), (0, 68)),
     ],
     (4, 600, 100, 8): [
         ((0, 108), (0, 108), (0, 108), (0, 108)),
         ((1, 0), (1, 0), (1, 0), (0, 108)),
-        ((1, 276), (0, 108), (0, 108), (0, 108)),
-        ((1, 128), (1, 19), (1, 163), (1, 98)),
+        ((1, 23), (0, 108), (0, 108), (0, 108)),
+        ((1, 8), (1, 8), (1, 12), (1, 98)),
     ],
 }
 

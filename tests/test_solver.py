@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -184,9 +185,9 @@ def test_search_counters_are_pinned(cnf, k, subsets, gates):
 
 
 def test_memory_ceiling_bounds_the_search(monkeypatch):
-    # The first pinned reduction under sc: k = 18, 366 subsets.  A
-    # ceiling of exactly 366 memo entries admits the search, and one byte
-    # less refuses it at its 366th subset.
+    # The first pinned reduction under sc: k = 18, 131 subsets.  A
+    # ceiling of exactly 131 memo entries admits the search, and one byte
+    # less refuses it at its 131st subset.
     cnf, k, subsets, _ = PINNED_REDUCTIONS[0]
     h, spec = sat_to_history_sc(cnf), get_model("sc")
     entry = solver_module.MEMO_ENTRY_BYTES + k // 6
@@ -199,20 +200,46 @@ def test_memory_ceiling_bounds_the_search(monkeypatch):
 
 
 def test_memory_ceiling_bounds_the_tables(monkeypatch):
-    # k-bit masks on every vertex of both base graphs: the tables are
-    # refused before they are built once those bytes pass the ceiling.
+    # The tables are refused before they are built once their
+    # `table_bytes` pass the ceiling; at exactly those bytes sb under tso
+    # is decided, since its 4 memo entries fit too.
     h, spec = parse_history(SB), get_model("tso")
-    vertices = sum(g.n for g in build_base_graphs(h, spec))
-    need = h.k * vertices // 8
+    bases = build_base_graphs(h, spec)
+    need = solver_module.table_bytes(h.k, max(g.n for g in bases))
+    assert need == 2_560
     monkeypatch.setattr(solver_module, "MEMORY_CEILING", need - 1)
     with pytest.raises(ResourceBoundError) as exc:
         solve(h, spec)
+    vertices = sum(g.n for g in bases)
     assert f"k={h.k} writes on {vertices} base-graph vertices" in str(
         exc.value
     )
     monkeypatch.setattr(solver_module, "MEMORY_CEILING", need)
-    with pytest.raises(ResourceBoundError, match=f"subsets at k={h.k}:"):
-        solve(h, spec)
+    assert solve(h, spec).consistent
+
+
+def test_table_bytes_bound_the_traced_peak(small_corpus):
+    # `table_bytes` must bound what `_write_tables` holds at its peak, as
+    # tracemalloc sees it, from a few writes to k = 2,016 under every model.
+    histories = [*small_corpus[:20], parse_history(SB)]
+    histories += spread_writes_histories(1, 1, (4, 600, 100, 8))
+    histories += spread_writes_histories(1, 1, (8, 4000, 2000, 16))[:1]
+    assert max(h.k for h in histories) == 2016
+    for h in histories:
+        for m in ALL_MODELS:
+            bases = build_base_graphs(h, get_model(m))
+            sorts = [kahn_acyclic(g) for g in bases]
+            if not h.k or not all(ok for ok, _ in sorts):
+                continue
+            pairs = tuple((g, topo) for g, (_, topo) in zip(bases, sorts))
+            tracemalloc.start()
+            try:
+                solver_module._write_tables(h, pairs)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            bound = solver_module.table_bytes(h.k, max(g.n for g in bases))
+            assert peak <= bound
 
 
 def test_verify_witness_accepts_empty_on_empty_history():
@@ -415,13 +442,40 @@ def test_safe_first_rule_keeps_orderability(small_corpus):
         for m in ALL_MODELS:
             spec = get_model(m)
             memo = _production_memo(h, spec)
-            _, ref = solve_reference(h, spec, safe_first=False, sets=memo)
+            _, ref = solve_reference(
+                h, spec, safe_first=False, var_first=False, sets=memo
+            )
             assert {s: ref[s] >= 0 for s in memo} == {
                 s: j >= 0 for s, j in memo.items()
             }
             sets += len(memo)
             moved += sum(j != ref[s] for s, j in memo.items())
     assert sets > 5_000 and moved > 100
+
+
+def test_var_first_rule_only_removes_sets(small_corpus):
+    # A set with no safe candidate tries the candidates of one variable
+    # only (the lemma in `_search`'s docstring).  The reference search
+    # with that rule off must reach every set in the production memo, and
+    # find it orderable exactly when the memo does.
+    rng = random.Random(2727)
+    histories = [*small_corpus]
+    histories += filter(None, (with_random_dp(h, rng) for h in small_corpus))
+    histories += spread_writes_histories(20, 40, (3, 18, 10, 3))
+    histories += _reductions_up_to_k14()
+    sets = dropped = 0
+    for h in histories:
+        for m in ALL_MODELS:
+            spec = get_model(m)
+            memo = _production_memo(h, spec)
+            _, ref = solve_reference(h, spec, var_first=False)
+            assert memo.keys() <= ref.keys()
+            assert {s: ref[s] >= 0 for s in memo} == {
+                s: j >= 0 for s, j in memo.items()
+            }
+            sets += len(memo)
+            dropped += len(ref) - len(memo)
+    assert sets > 5_000 and dropped > 50
 
 
 def test_witnesses_hold_on_the_full_graphs():
@@ -474,6 +528,22 @@ def test_spread_writes_rmo_mutants_in_about_k_subsets(
     assert not v.consistent
     _assert_within_bounds(h, v)
     assert v.stats.subsets_evaluated == subsets
+
+
+def test_spread_writes_at_k216_in_at_most_k_subsets():
+    # Ten spread-writes traces (8 threads, 2,000 events, 16 variables,
+    # k = 216) and their rf mutants.  Without the var-first rule, the
+    # worst of them took 65,747 subsets under sc and 130,697 under pso;
+    # with it, every check under every model takes at most k.
+    histories = spread_writes_histories(10, 1, (8, 2000, 200, 16))
+    assert len(histories) == 20 and {h.k for h in histories} == {216}
+    inconsistent = 0
+    for h in histories:
+        for m in ALL_MODELS:
+            v = solve(h, get_model(m))
+            assert v.stats.subsets_evaluated <= h.k
+            inconsistent += not v.consistent
+    assert inconsistent > 0
 
 
 def test_monotonicity_across_models(small_corpus):
