@@ -6,7 +6,7 @@ its value.  Values follow a write-once discipline per variable (each
 value is written to a variable at most once), which makes reads-from
 reconstructible from values alone.  Program order is not stored: it is
 a comparison of `(thread, pos)`, with initial writes before every other
-event (see :meth:`History.po_before`).
+event.
 
 A `History` holds its events grouped by access: each distinct
 `(kind, var, value)` tuple with its event ids.  A long trace holds few
@@ -48,12 +48,6 @@ MAX_VALUE = 2**64 - 1
 _T = TypeVar("_T")
 
 
-def _po_before(thread_of: Sequence[str], a: int, b: int) -> bool:
-    if thread_of[a] == INIT_THREAD:
-        return thread_of[b] != INIT_THREAD
-    return a < b and thread_of[a] == thread_of[b]
-
-
 def _ref(
     thread_of: Sequence[str], thread_ids: Mapping[str, Sequence[int]], eid: int
 ) -> str:
@@ -70,8 +64,8 @@ class History:
     `writes`.  The per-event column `access` (each event's tuple, shared
     between equal accesses) is built from the groups on first access and
     cached, as is `rf`.  `rf` and `dp` are frozensets of
-    `(source, target)` event-id pairs.  Program order is answered by
-    :meth:`po_before` from `thread_of`.
+    `(source, target)` event-id pairs.  Program order is not stored: each
+    thread's ids are consecutive, so it is read off `thread_of`.
 
     Instances are immutable after construction (each cached value is the
     same whoever builds it) and safe to share across threads.  Use
@@ -158,15 +152,6 @@ class History:
     @property
     def variables(self) -> tuple[str, ...]:
         return tuple(dict.fromkeys(var for _, var, _ in self._groups))
-
-    def po_before(self, a: int, b: int) -> bool:
-        """Whether event `a` precedes event `b` in program order.
-
-        Initial writes precede every other event and are unordered among
-        themselves; otherwise `a` and `b` must share a thread and `a` must
-        sit at an earlier position.  Irreflexive and transitive.
-        """
-        return _po_before(self.thread_of, a, b)
 
     def readers_of(self, write_id: int) -> tuple[int, ...]:
         return self._readers.get(write_id, ())
@@ -340,7 +325,9 @@ def assemble_history(
         t = _resolve(thread_ids, tref)
         if access[s][0] != READ:
             raise InvalidDpError(f"dp {ref(s)} -> {ref(t)} must start at a read")
-        if not _po_before(thread_of, s, t):
+        # `s` is a read, so not an initial write: program order puts it
+        # before `t` when they share a thread and `s` comes first.
+        if not (s < t and thread_of[s] == thread_of[t]):
             raise InvalidDpError(
                 f"dp {ref(s)} -> {ref(t)} does not follow program order"
             )

@@ -26,7 +26,7 @@ from typing import Iterator
 
 from .errors import KTooLargeForOracleError, SearchSpaceTooLargeError
 from .events import History
-from .graphs import kahn_acyclic
+from .graphs import EventGraph, kahn_acyclic
 from .models import ModelSpec, derive, oota_cycle
 from .solver import Outcome, Verdict
 
@@ -147,9 +147,10 @@ def oracle_store(h: History, spec: ModelSpec) -> Verdict:
       graph with the chains of a prefix of variable orders is cyclic, it
       is cyclic with every store order that starts with that prefix, and
       none of them passes.  The store orders are walked depth first, in
-      product order, over a stack of graphs: level i is level i − 1 with
-      the order chosen for variable i added by `with_order`, and
-      siblings add to the same parent, which `with_order` never mutates.
+      product order, by a recursion with one level per pool: level i
+      holds level i − 1's graph with the order chosen for variable i
+      added by `with_order`, and siblings add to the same parent, which
+      `with_order` never mutates.
       An order enters level i only when its per-location test passes and
       the peel of its level-i graph is acyclic; a cyclic one skips every
       store order holding its prefix without visiting them.  The first
@@ -204,25 +205,23 @@ def oracle_store(h: History, spec: ModelSpec) -> Verdict:
                 kept[i].append(perm)
                 yield perm
 
-    # graphs[i] is the model graph with the first i variable orders chosen
-    # added, all of which passed; walks[i] yields the candidates for
-    # variable order i.  The open walks sit on a list rather than the call
-    # stack, so any number of pools fits.
-    graphs, walks = [mm], []
-    while len(graphs) <= len(pools):
-        if len(walks) < len(graphs):
-            walks.append(items(len(walks)))
-        for perm in walks[-1]:
-            g = graphs[-1].with_order(perm, var_of, reads_of)
-            acyclic, order = kahn_acyclic(g)
-            if acyclic:
-                graphs.append(g)
-                break
-        else:
-            walks.pop()
-            graphs.pop()
-            if not graphs:
-                return Verdict(Outcome.INCONSISTENT)
+    # `g` is the model graph with the first i variable orders chosen added,
+    # all of which passed, and `order` its peel; the result is the peel of
+    # the first full store order that extends them, or None.  Fewer than 20
+    # pools fit under the bound, so the recursion stays shallow.
+    def walk(i: int, g: EventGraph, order: list[int]) -> list[int] | None:
+        if i == len(pools):
+            return order
+        for perm in items(i):
+            g_perm = g.with_order(perm, var_of, reads_of)
+            acyclic, order = kahn_acyclic(g_perm)
+            if acyclic and (found := walk(i + 1, g_perm, order)) is not None:
+                return found
+        return None
+
+    order = walk(0, mm, order)
+    if order is None:
+        return Verdict(Outcome.INCONSISTENT)
     write_set = set(h.writes)
     return Verdict(
         Outcome.CONSISTENT, witness=[e for e in order if e in write_set]

@@ -4,10 +4,14 @@ A formula becomes a history whose threads mimic an evaluation: a pair of
 single-write threads per variable chooses its value (the later write in
 the order wins), guarded literal threads forward variable values to
 literal variables, and per-clause reader threads make an all-false clause
-close an order cycle.  The strict variant keeps the guards inside the
-literal threads; the relaxed variant moves the trailing guards into
-separate reader threads so the emitted history has no write-to-read or
-write-to-write program-order pairs at all, making it equally hard for
+close an order cycle.  One builder writes this gadget for both
+instances.  The strict instance keeps each literal thread's trailing
+guard read inside the thread.  The relaxed instance is the strict one
+with those trailing guards moved out: each literal thread ends at its
+write, and after the literal's two threads come two reader threads, each
+reading one side's write and then the guard that side's thread dropped.
+So the relaxed history has no write-to-read or write-to-write
+program-order pairs at all, which makes it equally hard for
 store-buffering models.
 
 A tiny exhaustive SAT decider provides ground-truth labels.
@@ -111,12 +115,6 @@ def _lit_name(lit: int) -> str:
     return f"p{lit}" if lit > 0 else f"n{-lit}"
 
 
-def _lit_cd(negated: bool) -> tuple[int, int]:
-    # The low-guard thread writes c, the high-guard thread writes d; a
-    # positive literal copies the variable value, a negated one flips it.
-    return (1, 0) if negated else (0, 1)
-
-
 def sat_to_history_sc(cnf: Cnf3) -> History:
     """The strict-model instance: inconsistent under sc if unsatisfiable.
 
@@ -124,23 +122,7 @@ def sat_to_history_sc(cnf: Cnf3) -> History:
     `((1,-3,-2),(3,1,2),(-3,-2,-1),(2,1,3),(-1,-2,-3))` compiles to an
     instance that `solve` and `oracle_store` both call inconsistent.
     """
-    threads: list[tuple[str, list[tuple[str, str, int]]]] = []
-    for i in range(1, cnf.num_vars + 1):
-        threads.append((f"T0_x{i}", [("wr", f"x{i}", 0)]))
-        threads.append((f"T1_x{i}", [("wr", f"x{i}", 1)]))
-    for var, negated in cnf.literals:
-        lit = -var if negated else var
-        name = _lit_name(lit)
-        x = f"x{var}"
-        c, d = _lit_cd(negated)
-        threads.append(
-            (f"T0_{name}", [("rd", x, 0), ("wr", name, c), ("rd", x, 0)])
-        )
-        threads.append(
-            (f"T1_{name}", [("rd", x, 1), ("wr", name, d), ("rd", x, 1)])
-        )
-    _append_clause_threads(threads, cnf)
-    return assemble_history(threads=threads)
+    return _gadget(cnf, relaxed=False)
 
 
 def sat_to_history_relaxed(cnf: Cnf3) -> History:
@@ -149,31 +131,33 @@ def sat_to_history_relaxed(cnf: Cnf3) -> History:
     Equi-satisfiable with the strict instance under sc, and its verdict is
     identical under sc, tso, and pso.
     """
+    return _gadget(cnf, relaxed=True)
+
+
+def _gadget(cnf: Cnf3, relaxed: bool) -> History:
     threads: list[tuple[str, list[tuple[str, str, int]]]] = []
     for i in range(1, cnf.num_vars + 1):
         threads.append((f"T0_x{i}", [("wr", f"x{i}", 0)]))
         threads.append((f"T1_x{i}", [("wr", f"x{i}", 1)]))
     for var, negated in cnf.literals:
-        lit = -var if negated else var
-        name = _lit_name(lit)
-        x = f"x{var}"
-        c, d = _lit_cd(negated)
-        threads.append((f"T0_{name}", [("rd", x, 0), ("wr", name, c)]))
-        threads.append((f"T1_{name}", [("rd", x, 1), ("wr", name, d)]))
-        threads.append((f"U0_{name}", [("rd", name, c), ("rd", x, 0)]))
-        threads.append((f"U1_{name}", [("rd", name, d), ("rd", x, 1)]))
-    _append_clause_threads(threads, cnf)
-    return assemble_history(threads=threads)
-
-
-def _append_clause_threads(
-    threads: list[tuple[str, list[tuple[str, str, int]]]], cnf: Cnf3
-) -> None:
-    for j, (l1, l2, l3) in enumerate(cnf.clauses, start=1):
-        n1, n2, n3 = _lit_name(l1), _lit_name(l2), _lit_name(l3)
+        name, x = _lit_name(-var if negated else var), f"x{var}"
+        # Side s guards on x = s and writes s to the literal variable, or
+        # 1 - s for a negated literal.  The relaxed instance moves each
+        # trailing guard into a reader of the side's write.
+        for s in (0, 1):
+            guard, write = ("rd", x, s), ("wr", name, s ^ negated)
+            block = [guard, write] if relaxed else [guard, write, guard]
+            threads.append((f"T{s}_{name}", block))
+        if relaxed:
+            for s in (0, 1):
+                block = [("rd", name, s ^ negated), ("rd", x, s)]
+                threads.append((f"U{s}_{name}", block))
+    for j, clause in enumerate(cnf.clauses, start=1):
+        n1, n2, n3 = map(_lit_name, clause)
         threads.append((f"C{j}_1", [("rd", n3, 0), ("rd", n1, 1)]))
         threads.append((f"C{j}_2", [("rd", n1, 0), ("rd", n2, 1)]))
         threads.append((f"C{j}_3", [("rd", n2, 0), ("rd", n3, 1)]))
+    return assemble_history(threads=threads)
 
 
 def sat_brute_force(cnf: Cnf3) -> bool:

@@ -107,6 +107,17 @@ def spread_writes_histories(count: int, seed: int, size: tuple[int, ...]):
     return histories
 
 
+def long_traces():
+    """Three simulated traces of 4 threads and 600 events, one each under
+    sc, tso and pso, each followed by its rf mutation."""
+    histories = []
+    for seed, model in ((6060, "sc"), (6161, "tso"), (6262, "pso")):
+        prog = generate_program(4, 150, 5, seed=seed, max_writes=10)
+        h = simulate(prog, model, seed=seed + 1)
+        histories += [h, mutate(h, seed=seed + 2)]
+    return histories
+
+
 def with_random_dp(h, rng: random.Random):
     """`h` plus dependency edges from about half its reads to later
     same-thread events; None when no edge was drawn."""

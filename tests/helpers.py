@@ -26,8 +26,9 @@ contracts: tests compare the contracted base graphs, their search tables
 and their witness re-checks against it.
 
 The event view `events` turns a history's columns into one `Event`
-record per event, and `reads`, `rf_source` and `resolve_ref` answer from
-the same columns.  It is test-only: the package reads the columns.
+record per event, and `reads`, `rf_source`, `resolve_ref` and
+`po_before` answer from the same columns.  It is test-only: the package
+reads the columns.
 
 `structural_bound` gives the bound on the subsets the search evaluates
 that the tests gate on, and `format_dimacs` the DIMACS text that
@@ -139,31 +140,6 @@ class WriteIndex:
             mask ^= bit
             out.append(self.ids[bit.bit_length() - 1])
         return out
-
-
-@dataclass(frozen=True)
-class WriteSubset:
-    """A subset of a history's writes, encoded as a k-bit mask."""
-
-    index: WriteIndex
-    mask: int
-
-    @classmethod
-    def of(cls, index: WriteIndex, write_ids: Iterable[int]) -> "WriteSubset":
-        return cls(index, index.mask_of(write_ids))
-
-    def members(self) -> list[int]:
-        return self.index.ids_of(self.mask)
-
-    def complement(self) -> "WriteSubset":
-        return WriteSubset(self.index, self.index.full_mask & ~self.mask)
-
-    def __contains__(self, write_id: int) -> bool:
-        bit = self.index.bit_of.get(write_id)
-        return bit is not None and bool(self.mask >> bit & 1)
-
-    def __len__(self) -> int:
-        return bin(self.mask).count("1")
 
 
 def conflict_edges(h, order_pairs):
@@ -385,6 +361,18 @@ def closure(n, edges):
             m |= (1 << v) | reach[v]
         reach[u] = m
     return reach
+
+
+def po_before(h: History, a: int, b: int) -> bool:
+    """Whether event `a` precedes event `b` in program order.
+
+    Initial writes precede every other event and are unordered among
+    themselves; otherwise `a` and `b` must share a thread and `a` must sit
+    at an earlier position.  Irreflexive and transitive.
+    """
+    if h.thread_of[a] == INIT_THREAD:
+        return h.thread_of[b] != INIT_THREAD
+    return a < b and h.thread_of[a] == h.thread_of[b]
 
 
 def reference_po(h):

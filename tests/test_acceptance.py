@@ -28,7 +28,7 @@ from mmcheck import (
 )
 
 from conftest import SB, MP, CORR, OOTA, build_corpus
-from helpers import structural_bound
+from helpers import po_before, structural_bound
 
 MODELS = ("sc", "tso", "pso", "rmo")
 
@@ -258,7 +258,7 @@ def test_criterion_5_model_monotonicity():
     ]
     for text in fixtures:
         h = parse_history(text)
-        assert all(h.po_before(a, b) for a, b in h.dp)
+        assert all(po_before(h, a, b) for a, b in h.dp)
         if solve(h, get_model("sc")).consistent:
             if not solve(h, get_model("rmo")).consistent:
                 violations += 1

@@ -9,9 +9,16 @@ from pathlib import Path
 
 import pytest
 
-from mmcheck import format_history, parse_history, sat_to_history_sc
+from mmcheck import (
+    format_history,
+    get_model,
+    parse_history,
+    sat_to_history_sc,
+    solve,
+)
 from mmcheck import solver as solver_module
 from mmcheck.cli import main
+from mmcheck.errors import InternalWitnessInvalidError
 from mmcheck.solver import MEMO_ENTRY_BYTES
 
 from conftest import PINNED_REDUCTIONS, SB, TRACES, spread_writes_histories
@@ -121,6 +128,19 @@ def test_memory_ceiling_is_exit_3(
     code, out, err = run(capsys, "check", str(p), "--model", "sc")
     assert code == 3 and out == ""
     assert err.startswith("mmcheck: ") and needle in err
+
+
+def test_witness_failing_its_recheck_is_no_verdict(capsys, monkeypatch):
+    # A consistent verdict's witness is re-checked on the base graphs.  A
+    # witness that fails the re-check is an internal error: `solve`
+    # raises, and `check` reports it with exit 2 and prints no verdict.
+    path = TRACES / "sb.mmh"
+    monkeypatch.setattr(solver_module, "verify_witness", lambda *a: False)
+    with pytest.raises(InternalWitnessInvalidError):
+        solve(parse_history(path.read_text()), get_model("tso"))
+    code, out, err = run(capsys, "check", str(path), "--model", "tso")
+    assert code == 2 and "verdict:" not in out
+    assert "failed re-verification" in err
 
 
 # Two spread-writes programs per size and their rf mutants (k = 38, 68

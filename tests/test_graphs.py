@@ -22,7 +22,6 @@ from mmcheck.graphs import find_cycle
 from helpers import (
     PreconditionViolatedError,
     WriteIndex,
-    WriteSubset,
     build_coherence_graphs,
     build_r_snapshot,
     closure,
@@ -267,14 +266,6 @@ def test_r_snapshot_size_formula_exhaustive(k):
             size_v = bin(mask).count("1")
             expected = (k - size_v - 1) * (size_v + 1) + size_v
             assert len(rel) == expected
-
-
-def test_write_subset_helpers():
-    h = _writes_only_history(3)
-    idx = WriteIndex(h)
-    s = WriteSubset.of(idx, [h.writes[0], h.writes[2]])
-    assert len(s) == 2 and h.writes[0] in s and h.writes[1] not in s
-    assert set(s.complement().members()) == {h.writes[1]}
 
 
 COHERENCE_CASE = """\

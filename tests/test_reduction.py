@@ -9,6 +9,7 @@ import pytest
 
 from mmcheck import (
     Cnf3,
+    assemble_history,
     format_history,
     get_model,
     oracle_store,
@@ -25,7 +26,8 @@ from mmcheck.errors import (
     TooManyVarsError,
 )
 
-from helpers import events, format_dimacs
+from conftest import PINNED_REDUCTIONS
+from helpers import events, format_dimacs, po_before
 
 
 def test_parse_dimacs_examples():
@@ -163,8 +165,43 @@ def test_relaxed_instance_has_no_relaxable_po_pairs():
     evs = events(h)
     for a in range(h.n):
         for b in range(h.n):
-            if h.po_before(a, b):
+            if po_before(h, a, b):
                 assert not evs[a].is_write
+
+
+def test_relaxed_instance_is_strict_with_trailing_guards_moved_out():
+    """The relaxed instance is the strict one with each literal thread's
+    last read moved out: after the literal's two threads T0 and T1 come
+    U0 and U1, where U{side} reads the value T{side} writes and then the
+    read T{side} dropped."""
+    rng = random.Random(2015)
+    cnfs = [cnf for cnf, *_ in PINNED_REDUCTIONS]
+    for _ in range(200):
+        n = rng.randint(1, 4)
+        pool = list(range(1, n + 1)) + [-v for v in range(1, n + 1)]
+        cnfs.append(Cnf3(n, tuple(
+            tuple(rng.choice(pool) for _ in range(3))
+            for _ in range(rng.randint(1, 6))
+        )))
+    for cnf in cnfs:
+        strict = sat_to_history_sc(cnf)
+        blocks, moved = [], []
+        for t in strict.threads:
+            block = [strict.access[e] for e in strict.thread_events(t)]
+            if len(block) < 3:  # a variable or clause thread
+                blocks.append((t, block))
+                continue
+            blocks.append((t, block[:2]))
+            (_, lit, val), dropped = block[1:]
+            moved.append((f"U{t[1:]}", [("rd", lit, val), dropped]))
+            if len(moved) == 2:
+                blocks += moved
+                moved = []
+        assert not moved
+        relaxed = assemble_history(threads=blocks)
+        assert format_history(relaxed) == format_history(
+            sat_to_history_relaxed(cnf)
+        )
 
 
 def test_write_count_formula():

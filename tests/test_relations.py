@@ -40,7 +40,7 @@ from mmcheck.simgen import RandomProgram
 from mmcheck.solver import Outcome, SolveStats, _search, _write_tables
 from mmcheck.solver import extract_witness
 
-from conftest import CORR, MP, OOTA, SB, with_random_dp
+from conftest import CORR, MP, OOTA, SB, long_traces, with_random_dp
 from helpers import (
     closure,
     event_graph,
@@ -423,14 +423,6 @@ def _assert_contraction_exact(h, spec):
         )
 
 
-def _long_traces():
-    for seed, model in ((6060, "sc"), (6161, "tso"), (6262, "pso")):
-        prog = generate_program(4, 150, 5, seed=seed, max_writes=10)
-        h = simulate(prog, model, seed=seed + 1)
-        yield h
-        yield mutate(h, seed=seed + 2)
-
-
 def _tables_from_definitions(h, spec):
     # The search tables read off the transitive closures of the reference
     # relations, one per graph: write i is in `blockers[j]` when it reaches
@@ -491,7 +483,7 @@ def test_write_tables_match_their_definitions(small_corpus):
     rng = random.Random(6464)
     checks = [
         (h, get_model(name))
-        for h in (*small_corpus, *_long_traces())
+        for h in (*small_corpus, *long_traces())
         for name in MODELS
     ]
     rmo = get_model("rmo")
@@ -510,7 +502,7 @@ def test_contracted_base_graphs_match_full_graphs(small_corpus):
     rng = random.Random(5454)
     histories = list(small_corpus)
     histories += [_random_history(rng) for _ in range(150)]
-    histories += _long_traces()
+    histories += long_traces()
     for _ in range(4):
         n = rng.randint(2, 3)
         pool = list(range(1, n + 1)) + [-v for v in range(1, n + 1)]
@@ -614,7 +606,7 @@ def test_base_graphs_keep_only_branching_events():
     # event before it, or under rmo the vertex of its segment: the graphs
     # keep about the writes and the reads with an incoming reads-from
     # edge.
-    for h in list(_long_traces())[::2]:
+    for h in long_traces()[::2]:
         for name in MODELS:
             spec = get_model(name)
             for g in build_base_graphs(h, spec):

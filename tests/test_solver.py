@@ -38,6 +38,7 @@ from conftest import (
     SB,
     TRACES,
     build_corpus,
+    long_traces,
     spread_writes_histories,
     with_random_dp,
 )
@@ -547,15 +548,35 @@ def test_spread_writes_at_k216_in_at_most_k_subsets():
 
 
 def test_monotonicity_across_models(small_corpus):
-    for h in small_corpus:
-        sc_ok = solve(h, get_model("sc")).consistent
-        tso_ok = solve(h, get_model("tso")).consistent
-        pso_ok = solve(h, get_model("pso")).consistent
-        rmo_ok = solve(h, get_model("rmo")).consistent
-        if sc_ok:
-            assert tso_ok and rmo_ok
-        if tso_ok:
-            assert pso_ok
+    # sc => tso => pso and sc => rmo, on the small corpus and past it:
+    # spread-writes traces at k = 38-108 and the long simulated traces,
+    # mutants included, and their dependency variants under rmo.
+    larger = [
+        h
+        for size in ((4, 60, 18, 8), (4, 200, 30, 8), (4, 400, 60, 8),
+                     (4, 600, 100, 8))
+        for h in spread_writes_histories(10, 1, size)
+    ]
+    larger += long_traces()
+    patterns = set()
+    for h in (*small_corpus, *larger):
+        sc_ok, tso_ok, pso_ok, rmo_ok = verdicts = tuple(
+            solve(h, get_model(m)).consistent for m in ALL_MODELS
+        )
+        assert tso_ok >= sc_ok and pso_ok >= tso_ok and rmo_ok >= sc_ok
+        patterns.add(verdicts)
+    # Each weaker model admits a history its stronger neighbour refuses,
+    # so a model that collapsed onto another would show.
+    assert {
+        (False, True, True, True),
+        (False, False, True, True),
+        (False, False, False, True),
+    } <= patterns
+    rng = random.Random(2828)
+    for h in larger:
+        if (d := with_random_dp(h, rng)) is not None:
+            if solve(d, get_model("sc")).consistent:
+                assert solve(d, get_model("rmo")).consistent
 
 
 class _EdgeListBuilt(Exception):

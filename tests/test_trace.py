@@ -33,7 +33,7 @@ from mmcheck.errors import (
 from mmcheck.events import INIT_THREAD
 
 from conftest import SB, MP, CORR, OOTA
-from helpers import events, reads, resolve_ref, rf_source
+from helpers import events, po_before, reads, resolve_ref, rf_source
 
 
 def test_empty_document():
@@ -48,7 +48,7 @@ def test_unique_writer_forces_rf():
     w = resolve_ref(h, "T0", 0)
     r = resolve_ref(h, "T1", 0)
     assert h.rf == {(w, r)}
-    assert not h.po_before(w, r)  # no init, different threads
+    assert not po_before(h, w, r)  # no init, different threads
 
 
 def test_duplicate_value_rejected():
@@ -77,10 +77,10 @@ def test_init_precedes_everything():
     h = parse_history(SB)
     for iw in (0, 1):
         for other in range(2, h.n):
-            assert h.po_before(iw, other)
-            assert not h.po_before(other, iw)
+            assert po_before(h, iw, other)
+            assert not po_before(h, other, iw)
     # initial writes stay unordered among themselves
-    assert not h.po_before(0, 1) and not h.po_before(1, 0)
+    assert not po_before(h, 0, 1) and not po_before(h, 1, 0)
 
 
 def test_syntax_errors_carry_line_numbers():
