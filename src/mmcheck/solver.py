@@ -23,12 +23,12 @@ reach it, and those on its variable that reach a read it sourced), and
 the writes that reach a read each write sourced.  Both are read off
 k-bit ancestor masks, pushed forward once along the topological order
 that the acyclicity test of each base graph returns.  A member waits
-for the members that must sit below it.  The unblocked members are
-carried from each set down to the next, and only the waits a placement
-adds are tested for a cycle (see `_search`).  That takes the decisions
-Kahn's algorithm takes on the order-augmented graphs, for a few word
-operations per candidate; the test suite checks the memo against an
-explicit-graph reference search.
+for the members that must sit below it.  A set's candidates are its
+members with no blocker and no read wait in it, and only the waits a
+placement adds are tested for a cycle (see `_search`).  That takes the
+decisions Kahn's algorithm takes on the order-augmented graphs, for a
+few word operations per candidate; the test suite checks the memo
+against an explicit-graph reference search.
 
 The base graphs have the acyclicity, and the reach between writes and
 the reads the tables use, of the full relations, so the tables come out
@@ -89,13 +89,15 @@ def table_bytes(k: int, vertices: int) -> int:
 
     A k-bit int and the list slot that holds it take at most 48 + k // 7
     bytes (CPython stores 30 bits per 4-byte digit after a 24-byte head).
-    The passes over one graph hold k-bit ancestor masks, then 2k-bit
-    descendant masks, one per vertex, and never both.  Across the graphs
-    the tables hold at most six masks per write: `bits`, the variables'
-    masks, `blockers`, `pred_rd` and the 2k-bit `blocks`.  A fixed 1 KiB
-    covers the heads of the lists and of the variable numbering.
+    The pass over one graph holds one k-bit ancestor mask per vertex, and
+    drops them before the next graph's pass.  Across the graphs the
+    tables hold four masks per write: `bits`, the variables' masks,
+    `blockers` and `pred_rd`.  Two more units per write cover the slots
+    of `varmask` and `var_of` and the variable numbering, which
+    tracemalloc saw take at most 80 bytes per write (CPython 3.11,
+    x86-64).  A fixed 1 KiB covers the heads of the lists.
     """
-    return (2 * vertices + 6 * k) * (48 + k // 7) + 1024
+    return (vertices + 6 * k) * (48 + k // 7) + 1024
 
 
 class Outcome(enum.Enum):
@@ -182,7 +184,7 @@ def solve(h: History, spec: ModelSpec) -> Verdict:
 
     tables = _write_tables(h, ((g_loc, topo_loc), (g_mm, topo_mm)))
     memo: dict[int, int] = {}
-    if not _search(h.k, memo, *tables, stats):
+    if not _search(memo, *tables, stats):
         return Verdict(
             Outcome.INCONSISTENT,
             diagnostics=(
@@ -203,17 +205,15 @@ def solve(h: History, spec: ModelSpec) -> Verdict:
 def _write_tables(
     h: History,
     bases: tuple[tuple[EventGraph, list[int]], ...],
-) -> tuple[list[int], list[int], int, list[int], list[int], list[int]]:
-    """Per-write-bit tables: `varmask`, `var_of`, the number of variables,
-    `blocks`, `blockers` and `pred_rd`.
+) -> tuple[list[int], list[int], list[int], list[int]]:
+    """Per-write-bit tables: `varmask`, `var_of`, `blockers` and `pred_rd`.
 
     Bit j stands for write `h.writes[j]`.  Variables are numbered in the
     order their first write appears: `var_of[j]` is the number of j's
     variable, and `varmask[j]` holds the writes on it.  In either base
     graph, `blockers[j]` holds the writes that reach j and those on j's
     variable that reach a read of j: while unplaced, they keep j off the
-    bottom.  `blocks` is its transpose, and `pred_rd[j]` holds the writes
-    that reach a read of j.
+    bottom.  `pred_rd[j]` holds the writes that reach a read of j.
 
     Each graph takes one forward pass over k-bit ancestor masks in the
     order `kahn_acyclic` returned: vertex j, write j, carries bit j, and
@@ -223,16 +223,8 @@ def _write_tables(
     (see `EventGraph`), so `pred_rd[j]` is the OR of their masks.  Masks
     include the vertex's own write, so j's bit is dropped from
     `blockers[j]`.  ORing over both graphs merges them (see `_search`).
-
-    `blocks` comes from one backward pass along the same order, which
-    ORs each vertex's successors' masks into its own.  These masks have
-    2k bits: vertex j, write j, carries bit k + j, and each tag site of
-    j carries bit j.  So write t's mask holds, from bit k up, the writes
-    t reaches, and below bit k the writes with a read that t reaches.
-    `blocks[t]` takes the former, and those of the latter on t's
-    variable, without t itself.  Each graph's ancestor masks are dropped
-    before its descendant masks are built, and those before the next
-    graph's passes, so at most `table_bytes` are held at once.
+    Each graph's masks are dropped before the next graph's are built, so
+    at most `table_bytes` are held at once.
     """
     k = h.k
     number: dict[str, int] = {}
@@ -242,7 +234,7 @@ def _write_tables(
         var_writes[x] |= 1 << j
     varmask = [var_writes[x] for x in var_of]
     bits = [1 << j for j in range(k)]
-    blockers, pred_rd, blocks = [0] * k, [0] * k, [0] * k
+    blockers, pred_rd = [0] * k, [0] * k
     for g, topo in bases:
         adj = g.adj
         anc = bits + [0] * (g.n - k)
@@ -256,29 +248,15 @@ def _write_tables(
             for s in sites:
                 pred_rd[j] |= anc[s]
         del anc
-        desc = [b << k for b in bits] + [0] * (g.n - k)
-        for j, sites in enumerate(g.tag_sites):
-            for s in sites:
-                desc[s] |= bits[j]
-        for u in reversed(topo):
-            for v in adj[u]:
-                desc[u] |= desc[v]
-        for j in range(k):
-            blocks[j] |= desc[j]
-        del desc
-    for j, m in enumerate(blocks):
-        blockers[j] = (blockers[j] | pred_rd[j] & varmask[j]) & ~bits[j]
-        blocks[j] = (m >> k | m & varmask[j]) & ~bits[j]
-    return varmask, var_of, len(number), blocks, blockers, pred_rd
+    for j, m in enumerate(blockers):
+        blockers[j] = (m | pred_rd[j] & varmask[j]) & ~bits[j]
+    return varmask, var_of, blockers, pred_rd
 
 
 def _search(
-    k: int,
     memo: dict[int, int],
     varmask: list[int],
     var_of: list[int],
-    nvars: int,
-    blocks: list[int],
     blockers: list[int],
     pred_rd: list[int],
     stats: SolveStats,
@@ -289,9 +267,9 @@ def _search(
     member s of the unplaced set S *waits for* each member t that must
     sit below it:
 
-    - t blocks s (s in `blocks[t]`): t reaches s, or t is on s's variable
-      and reaches a read sourced by s, which would gain a conflict edge
-      into t;
+    - t blocks s (t in `blockers[s]`): t reaches s, or t is on s's
+      variable and reaches a read sourced by s, which would gain a
+      conflict edge into t;
     - t reaches a read sourced by a placed write p on s's variable (t in
       `pred_rd[p]`): p sits below s, so that read gains a conflict edge
       into s.  These read waits depend only on s's variable x, so they
@@ -300,12 +278,11 @@ def _search(
       v's variable.
 
     A member that waits for no one can sit at the bottom of S: it is a
-    *candidate*.  The members no member blocks are carried down as
-    `free`: placing v frees only members of `blocks[v]`, once none of
-    their `blockers` is left.  Each set tries its lowest safe candidate
-    first and alone, and a set with none tries the candidates on one
-    variable, or when no variable qualifies every candidate, in bit
-    order (see below).
+    *candidate*: s is one exactly when neither `blockers[s]` nor
+    `wait_for` of s's variable meets S.  Each set tries its lowest safe
+    candidate first and alone, and a set with none tries the candidates
+    on one variable, or when no variable qualifies every candidate, in
+    bit order (see below).
 
     If the waits placing v adds close a cycle of read waits, the rest has
     no order, and v is skipped with no call and no memo entry: building
@@ -407,35 +384,34 @@ def _search(
     the subset is orderable, or -1 when it is not; masks never reached,
     or cut by the cycle test, stay absent.
 
-    The recursion runs on an explicit stack of frames (the set, its free
-    members, its read waits, its untried candidates and the candidate
-    tried last), so k is not bounded by the interpreter's recursion
-    limit.  A frame whose rest needs evaluating is pushed and the rest
-    becomes the current frame; a failed frame resumes its parent at the
-    next candidate, and a success records each pending frame's candidate
-    on the way up.  A new frame is first *scanned*: its members are taken
-    in bit order, and each candidate that is not safe is deferred, until
-    the first safe one, which is tried at once with its untried and
-    deferred candidates dropped.  The new waits' two ends (`rd` and the
-    start set) were computed for the safety test and serve the trial.
-    If no candidate was safe, the deferred ones are the candidates, and
-    those the var-first rule keeps are tried in bit order.  A resumed
-    frame is past its scan.
+    The recursion runs on an explicit stack of frames (the set, its read
+    waits, its untried members and the candidate tried last), so k is
+    not bounded by the interpreter's recursion limit.  A frame whose
+    rest needs evaluating is pushed and the rest becomes the current
+    frame; a failed frame resumes its parent at the next candidate, and
+    a success records each pending frame's candidate on the way up.  A
+    new frame is first *scanned*: its members are taken in bit order,
+    those that are not candidates are skipped, and each candidate that
+    is not safe is deferred, until the first safe one, which is tried at
+    once with its untried members and deferred candidates dropped.  The
+    new waits' two ends (`rd` and the start set) were computed for the
+    safety test and serve the trial.  If no candidate was safe, the
+    deferred ones are the candidates, and those the var-first rule keeps
+    are tried in bit order.  A resumed frame is past its scan.
 
     Each set evaluated takes a memo entry, so the search raises
     `ResourceBoundError` once `subsets_evaluated` passes
     `MEMORY_CEILING` over the bytes of one entry.
     """
+    k = len(varmask)
     limit = MEMORY_CEILING // (MEMO_ENTRY_BYTES + k // 6)
     memo[0] = k  # sentinel: the empty subset is orderable
-    full = free = (1 << k) - 1
-    for b in blocks:
-        free &= ~b
-    # The current frame: its set, free members, read waits, untried
-    # candidates, whether it is being scanned and the candidates its scan
-    # deferred; `stack` holds the pending frames and their candidates.
-    s_mask, wait_for, c = full, [0] * nvars, free
-    stack: list[tuple[int, int, list[int], int, int]] = []
+    full = (1 << k) - 1
+    # The current frame: its set, read waits, untried members, whether it
+    # is being scanned and the candidates its scan deferred; `stack` holds
+    # the pending frames and their candidates.
+    s_mask, wait_for, c = full, [0] * len(set(var_of)), full
+    stack: list[tuple[int, list[int], int, int]] = []
     subsets, gates = 1, 0
     scanning, deferred = True, 0
     while True:
@@ -443,7 +419,7 @@ def _search(
             vb = c & -c
             c ^= vb
             v = vb.bit_length() - 1
-            if wait_for[var_of[v]] & s_mask:
+            if blockers[v] & s_mask or wait_for[var_of[v]] & s_mask:
                 continue
             rest = s_mask ^ vb
             rd = pred_rd[v] & rest
@@ -474,15 +450,8 @@ def _search(
                     continue
                 child_for = wait_for[:]
                 child_for[var_of[v]] |= rd
-            freed = free ^ vb
-            b = blocks[v] & rest
-            while b:
-                u = b & -b
-                b ^= u
-                if not blockers[u.bit_length() - 1] & rest:
-                    freed |= u
-            stack.append((s_mask, free, wait_for, c, v))
-            s_mask, free, wait_for, c = rest, freed, child_for, freed
+            stack.append((s_mask, wait_for, c, v))
+            s_mask, wait_for, c = rest, child_for, rest
             subsets += 1
             if subsets > limit:
                 raise ResourceBoundError(
@@ -513,14 +482,14 @@ def _search(
             memo[s_mask] = -1
             if not stack:
                 break
-            s_mask, free, wait_for, c, v = stack.pop()
+            s_mask, wait_for, c, v = stack.pop()
             scanning = False
             continue
         # v sits at the bottom of an orderable set, and so does each
         # pending frame's candidate.
         memo[s_mask] = v
         while stack:
-            s_mask, _, _, _, v = stack.pop()
+            s_mask, _, _, v = stack.pop()
             memo[s_mask] = v
         break
     stats.subsets_evaluated += subsets

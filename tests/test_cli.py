@@ -104,7 +104,7 @@ def test_non_utf8_input_exit_code(capsys, tmp_path, argv):
 @pytest.mark.parametrize(
     "text, ceiling, needle",
     [
-        (SB, 3, "k=4 writes on 8 base-graph vertices"),
+        (SB, 2_367, "k=4 writes on 8 base-graph vertices"),
         (
             format_history(sat_to_history_sc(PINNED_REDUCTIONS[0][0])),
             131 * (MEMO_ENTRY_BYTES + 3) - 1,
@@ -117,10 +117,10 @@ def test_memory_ceiling_is_exit_3(
     capsys, tmp_path, monkeypatch, text, ceiling, needle
 ):
     # Under sc.  sb has k = 4 writes on 8 base-graph vertices, whose
-    # tables take 2,560 bytes by `table_bytes`: 3 bytes refuse them.  The
-    # first pinned reduction takes 131 subsets at k = 18, whose memo
+    # tables take 2,368 bytes by `table_bytes`: a byte less refuses them.
+    # The first pinned reduction takes 131 subsets at k = 18, whose memo
     # entries take MEMO_ENTRY_BYTES + 3 bytes each, and its tables take
-    # 12,724: a byte short of 131 entries admits the tables and 130
+    # 9,574: a byte short of 131 entries admits the tables and 130
     # subsets, and the 131st passes the ceiling.
     p = tmp_path / "trace.mmh"
     p.write_text(text)

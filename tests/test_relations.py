@@ -81,7 +81,7 @@ def _solve_on_graphs(h, spec, graphs):
         return Outcome.CONSISTENT, [], stats
     memo = {}
     tables = _write_tables(h, tuple(zip(graphs, (order for _, order in sorts))))
-    if not _search(h.k, memo, *tables, stats):
+    if not _search(memo, *tables, stats):
         return inconsistent
     witness = extract_witness(h, memo)
     assert verify_witness(h, graphs, witness)
@@ -427,8 +427,8 @@ def _tables_from_definitions(h, spec):
     # The search tables read off the transitive closures of the reference
     # relations, one per graph: write i is in `blockers[j]` when it reaches
     # j, or is on j's variable and reaches a read of j, in either graph;
-    # `pred_rd[j]` holds the writes that reach a read of j; `blocks` is the
-    # transpose of `blockers`.  Variables are numbered by first write.
+    # `pred_rd[j]` holds the writes that reach a read of j.  Variables are
+    # numbered by first write.
     rel = reference_derive(h, spec)
     reach = (
         closure(h.n, [*rel.po_loc_effective, *h.rf]),
@@ -463,10 +463,7 @@ def _tables_from_definitions(h, spec):
         )
         for j in range(k)
     ]
-    blocks = [
-        mask(j for j in range(k) if blockers[j] >> i & 1) for i in range(k)
-    ]
-    return varmask, var_of, len(names), blocks, blockers, pred_rd
+    return varmask, var_of, blockers, pred_rd
 
 
 def _assert_tables_match_definitions(h, spec):
