@@ -40,7 +40,10 @@ read in each thread it feeds; under rmo, where two reads of a thread
 may be reordered, they are its first read in each stretch of a thread
 between two writes to j's variable, and its reads that a dependency
 edge touches.  The search runs on an explicit stack, so k is bounded
-by neither a cap nor the interpreter's recursion limit.  Memory bounds
+by neither a cap nor the interpreter's recursion limit.  It chooses the
+members a set tries once, by one scan when it enters the set, and keeps
+one table of read waits, which each placement changes in place and
+which is restored when the search backs out of it.  Memory bounds
 it: `solve` refuses a history whose tables, or whose memo, would pass
 `MEMORY_CEILING`.
 
@@ -304,10 +307,7 @@ def _search(
     members of one variable wait for the same writes, and masks the
     result by `rest`.  v is cut when the walk meets the start set, and
     most walks end at their first step.  An empty rd or start set adds
-    no wait, so it needs no walk, and an empty start set's waits are not
-    recorded: no set evaluated below the rest holds a member of v's
-    variable, so they would never be read.  The list is copied only when
-    a placement records waits.  The test leaves out reach between
+    no wait, so it needs no walk.  The test leaves out reach between
     writes.  Within one graph that closes no new cycle (whoever reaches
     t reaches what t reaches), but the union of the two graphs' reach
     can close one that neither graph has, on a subset the augmented
@@ -336,7 +336,7 @@ def _search(
     it is placed and the threads choose their prefixes: i_x + prod over
     t of (k_{t,x} + 1) choices for x, and B for the placed set.
 
-    Safe first.  A candidate v of S is *safe* when placing it records no
+    Safe first.  A candidate v of S is *safe* when placing it adds no
     read wait: no member of the rest reaches a read of v (`pred_rd[v] &
     rest` is empty), or none is on v's variable (`varmask[v] & rest` is
     empty).  Then S is orderable exactly when the rest is.  If the rest
@@ -353,7 +353,7 @@ def _search(
     and a memo entry of -1 on the rest fails S at once.  No other
     candidate of S is tried, and the sets its rest does not reach are
     never evaluated.  The safe candidate is never cut by the cycle test,
-    which tests only the waits a placement records, and the sets
+    which tests only the waits a placement adds, and the sets
     evaluated stay within B.
 
     Variable first.  Let S have candidates but no safe one.  For a
@@ -384,20 +384,29 @@ def _search(
     the subset is orderable, or -1 when it is not; masks never reached,
     or cut by the cycle test, stay absent.
 
-    The recursion runs on an explicit stack of frames (the set, its read
-    waits, its untried members and the candidate tried last), so k is
-    not bounded by the interpreter's recursion limit.  A frame whose
-    rest needs evaluating is pushed and the rest becomes the current
-    frame; a failed frame resumes its parent at the next candidate, and
-    a success records each pending frame's candidate on the way up.  A
-    new frame is first *scanned*: its members are taken in bit order,
-    those that are not candidates are skipped, and each candidate that
-    is not safe is deferred, until the first safe one, which is tried at
-    once with its untried members and deferred candidates dropped.  The
-    new waits' two ends (`rd` and the start set) were computed for the
-    safety test and serve the trial.  If no candidate was safe, the
-    deferred ones are the candidates, and those the var-first rule keeps
-    are tried in bit order.  A resumed frame is past its scan.
+    The recursion runs on an explicit stack of frames, so k is not
+    bounded by the interpreter's recursion limit.  When the search
+    enters a set, one scan in bit order chooses the members to try: it
+    skips the members that are not candidates and stops at the first
+    safe candidate, which is tried alone; if no candidate is safe, the
+    var-first rule picks among the candidates the scan collected.  Those
+    members are then tried in bit order, and none is tested for
+    candidacy again.  A frame is four ints: the set, its members left to
+    try, the candidate placed, and the waits of that candidate's
+    variable before the placement.  A placement whose rest needs
+    evaluating pushes the frame, ORs rd into its variable's `wait_for`
+    entry in place, and enters the rest.  A failed set resumes its
+    parent at its next member, and a success records each pending
+    frame's candidate on the way up.
+
+    One `wait_for` list serves the whole search.  A placement whose
+    start set is empty records rd too, which changes nothing: no set
+    below the rest holds a member of v's variable, and the entry is read
+    only for members of the set at hand.  Popping a frame puts its entry
+    back, so every frame above a set restores its own change before the
+    set resumes: frames pop in the reverse order of their pushes, and
+    each restores the value its variable had when it was pushed.  When a
+    set resumes, `wait_for` holds the waits it was entered with.
 
     Each set evaluated takes a memo entry, so the search raises
     `ResourceBoundError` once `subsets_evaluated` passes
@@ -407,91 +416,97 @@ def _search(
     limit = MEMORY_CEILING // (MEMO_ENTRY_BYTES + k // 6)
     memo[0] = k  # sentinel: the empty subset is orderable
     full = (1 << k) - 1
-    # The current frame: its set, read waits, untried members, whether it
-    # is being scanned and the candidates its scan deferred; `stack` holds
-    # the pending frames and their candidates.
-    s_mask, wait_for, c = full, [0] * len(set(var_of)), full
-    stack: list[tuple[int, list[int], int, int]] = []
+    # The current set and its members left to try; `stack` holds the
+    # pending frames: set, members left, candidate, and the waits that
+    # the candidate's variable had before its placement.
+    s_mask, wait_for = full, [0] * len(set(var_of))
+    stack: list[tuple[int, int, int, int]] = []
     subsets, gates = 1, 0
-    scanning, deferred = True, 0
     while True:
-        while c:
-            vb = c & -c
-            c ^= vb
+        # Choose the members to try: the lowest safe candidate alone, else
+        # the candidates on the first variable whose members that are not
+        # candidates each have a blocker on it (var first), else all.
+        c, scan = 0, s_mask
+        while scan:
+            vb = scan & -scan
+            scan ^= vb
             v = vb.bit_length() - 1
             if blockers[v] & s_mask or wait_for[var_of[v]] & s_mask:
                 continue
             rest = s_mask ^ vb
-            rd = pred_rd[v] & rest
-            start = varmask[v] & rest
-            if scanning:  # try the first safe candidate alone
-                if rd and start:
-                    deferred |= vb
-                    continue
-                c = deferred = 0
-            gates += 1
-            cached = memo.get(rest)
-            if cached is not None:
-                if cached < 0:
-                    continue
-                break  # the rest is orderable: place v
-            child_for = wait_for
-            if rd and start:
-                seen = reached = rd
-                while reached and not reached & start:
-                    step = 0
-                    while reached:
-                        u = (reached & -reached).bit_length() - 1
-                        reached &= ~varmask[u]
-                        step |= wait_for[var_of[u]]
-                    reached = step & rest & ~seen
-                    seen |= reached
-                if reached:
-                    continue
-                child_for = wait_for[:]
-                child_for[var_of[v]] |= rd
-            stack.append((s_mask, wait_for, c, v))
-            s_mask, wait_for, c = rest, child_for, rest
-            subsets += 1
-            if subsets > limit:
-                raise ResourceBoundError(
-                    f"search passed {limit} subsets at k={k}: memory ceiling"
-                )
-            scanning = True
-        else:
-            if deferred:
-                # No candidate was safe: try, in bit order, those on the
-                # first variable whose members that are not candidates are
-                # each blocked by one on it (var first), else all of them.
-                c, d = deferred, deferred
-                while d:
-                    xs = varmask[(d & -d).bit_length() - 1] & s_mask
-                    d &= ~xs
-                    stuck = xs & ~deferred
-                    while stuck:
-                        u = stuck & -stuck
-                        if not blockers[u.bit_length() - 1] & xs:
-                            break
-                        stuck ^= u
-                    if not stuck:
-                        c = deferred & xs
-                        break
-                deferred, scanning = 0, False
-                continue
-            # No candidate left: the set has no order; resume the parent.
-            memo[s_mask] = -1
-            if not stack:
+            if not (pred_rd[v] & rest and varmask[v] & rest):
+                c = vb
                 break
-            s_mask, wait_for, c, v = stack.pop()
-            scanning = False
-            continue
-        # v sits at the bottom of an orderable set, and so does each
-        # pending frame's candidate.
-        memo[s_mask] = v
-        while stack:
-            s_mask, _, _, v = stack.pop()
-            memo[s_mask] = v
-        break
+            c |= vb
+        else:
+            d = c
+            while d:
+                xs = varmask[(d & -d).bit_length() - 1] & s_mask
+                d &= ~xs
+                stuck = xs & ~c
+                while stuck:
+                    u = stuck & -stuck
+                    if not blockers[u.bit_length() - 1] & xs:
+                        break
+                    stuck ^= u
+                if not stuck:
+                    c &= xs
+                    break
+        # Try them; a failed set resumes its parent here.  The loop ends
+        # when a rest is entered, or when the stack is empty: the search
+        # succeeded, or the full set failed.
+        while True:
+            while c:
+                vb = c & -c
+                c ^= vb
+                v = vb.bit_length() - 1
+                rest = s_mask ^ vb
+                gates += 1
+                cached = memo.get(rest)
+                if cached is not None:
+                    if cached < 0:
+                        continue
+                    # v sits at the bottom of an orderable set, and so
+                    # does each pending frame's candidate.
+                    memo[s_mask] = v
+                    while stack:
+                        s_mask, _, v, _ = stack.pop()
+                        memo[s_mask] = v
+                    break
+                rd, start = pred_rd[v] & rest, varmask[v] & rest
+                if rd and start:
+                    seen = reached = rd
+                    while reached and not reached & start:
+                        step = 0
+                        while reached:
+                            u = (reached & -reached).bit_length() - 1
+                            reached &= ~varmask[u]
+                            step |= wait_for[var_of[u]]
+                        reached = step & rest & ~seen
+                        seen |= reached
+                    if reached:
+                        continue
+                # Enter the rest, with v's waits recorded in place.
+                stack.append((s_mask, c, v, wait_for[var_of[v]]))
+                wait_for[var_of[v]] |= rd
+                s_mask = rest
+                subsets += 1
+                if subsets > limit:
+                    raise ResourceBoundError(
+                        f"search passed {limit} subsets at k={k}: memory ceiling"
+                    )
+                break
+            else:
+                # No member left: the set has no order.  Resume the parent
+                # and restore the waits its candidate's placement changed
+                # (the targets are assigned left to right, v first).
+                memo[s_mask] = -1
+                if stack:
+                    s_mask, c, v, wait_for[var_of[v]] = stack.pop()
+                    continue
+            break
+        if not stack:
+            break
     stats.subsets_evaluated += subsets
     stats.gate_checks += gates
     return memo[full] >= 0

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 import tracemalloc
 
@@ -183,6 +184,40 @@ def test_search_counters_are_pinned(cnf, k, subsets, gates):
             subsets,
             gates,
         )
+
+
+def _sha256(rows):
+    return hashlib.sha256("\n".join(map(repr, rows)).encode()).hexdigest()
+
+
+def _checks(v):
+    # One check's outcome, witness and both counters.
+    s = v.stats
+    return (v.outcome.value, v.witness, s.subsets_evaluated, s.gate_checks)
+
+
+@pytest.mark.parametrize(
+    "cnf,memo_sha256",
+    [
+        (PINNED_REDUCTIONS[0][0], "ef7d6212a668ae59341213ffc305dbe7"
+         "438ba34ccda9ed3163063a8e953204ed"),
+        (PINNED_REDUCTIONS[1][0], "3de3824b0178ee22980daa480e25ddcb"
+         "9a13429901420878433c476df4ec5870"),
+        (PINNED_REDUCTIONS[2][0], "e463fcf01c1885d3005c84bf136f08f5"
+         "39877ed6f6099797e8f2699c154f8639"),
+    ],
+    ids=[f"k{p[1]}" for p in PINNED_REDUCTIONS],
+)
+def test_search_memos_are_pinned(cnf, memo_sha256):
+    # The whole memo, not just its size, of each pinned reduction: the
+    # reference search reaches k = 18 only, and these go to k = 30.  The
+    # strict instance under sc and the relaxed one under tso share it.
+    for h, name in (
+        (sat_to_history_sc(cnf), "sc"),
+        (sat_to_history_relaxed(cnf), "tso"),
+    ):
+        memo = _production_memo(h, get_model(name))
+        assert _sha256(sorted(memo.items())) == memo_sha256
 
 
 def test_memory_ceiling_bounds_the_search(monkeypatch):
@@ -511,11 +546,12 @@ def test_spread_writes_at_k216_in_at_most_k_subsets():
     # k = 216) and their rf mutants.  Without the var-first rule, the
     # worst of them took 65,747 subsets under sc and 130,697 under pso;
     # with it, every check under every model takes at most k.  The totals
-    # of the 80 checks are pinned exactly, past the reference search's
-    # reach.
+    # of the 80 checks, and each check's outcome, witness and counters,
+    # are pinned exactly, past the reference search's reach.
     histories = spread_writes_histories(10, 1, (8, 2000, 200, 16))
     assert len(histories) == 20 and {h.k for h in histories} == {216}
     subsets = gates = inconsistent = 0
+    rows = []
     for h in histories:
         for m in ALL_MODELS:
             v = solve(h, get_model(m))
@@ -523,7 +559,24 @@ def test_spread_writes_at_k216_in_at_most_k_subsets():
             subsets += v.stats.subsets_evaluated
             gates += v.stats.gate_checks
             inconsistent += not v.consistent
+            rows.append(_checks(v))
     assert (subsets, gates, inconsistent) == (11_307, 11_296, 38)
+    assert _sha256(rows) == (
+        "a15bc39ca6533edd903818055466caed5ee42c99f45e542c1ab9d1b71aff27d7"
+    )
+
+
+def test_spread_writes_at_k2016_are_pinned():
+    # One spread-writes trace (8 threads, 4,000 events, 16 variables) at
+    # k = 2,016: sc takes 360 subsets and tso 5,706, each placement on a
+    # deep stack of frames.  Outcome, witness and counters are pinned.
+    (h,) = spread_writes_histories(1, 1, (8, 4000, 2000, 16))[:1]
+    assert h.k == 2016
+    rows = [_checks(solve(h, get_model(m))) for m in ("sc", "tso")]
+    assert [row[2:] for row in rows] == [(360, 458), (5_706, 6_148)]
+    assert _sha256(rows) == (
+        "91889590e3b06b5dbed0e63acaf9b63e49cc12da6cc26d4deeb12d80551ce20a"
+    )
 
 
 def test_monotonicity_across_models(small_corpus):
