@@ -13,9 +13,9 @@ orderable.  Memoizing the sets caps the search at 2^k states for k
 writes.  A member whose placement adds no read wait on the rest is
 placed alone, since the set is then orderable exactly when the rest is;
 so a search that would try every member tries one wherever it can.  A
-set with no such member tries only the members on one variable, when
-the lowest member on that variable in any order of the set could have
-gone first (see `_search`).
+set with no such member tries only its members on a group of variables,
+one variable where one will do, closed so that the lowest member of the
+group in any order of the set could have gone first (see `_search`).
 
 Whether a member can sit at the bottom is one rule over tables merged
 over both base graphs: the writes that block each write (those that
@@ -114,10 +114,9 @@ class SolveStats:
 
     `subsets_evaluated` counts the memoized subsets, and `gate_checks` the
     candidates tried: a set's lowest safe candidate alone when it has
-    one, else the candidates on the variable the var-first rule picks,
-    or every member that waits for no one when no variable qualifies
-    (see `_search`), whether the rest then hit the memo, closed a cycle
-    of read waits or was evaluated.
+    one, else the candidates in the group of variables the var-first
+    rule picks (see `_search`), whether the rest then hit the memo,
+    closed a cycle of read waits or was evaluated.
     """
 
     subsets_evaluated: int = 0
@@ -284,8 +283,7 @@ def _search(
     *candidate*: s is one exactly when neither `blockers[s]` nor
     `wait_for` of s's variable meets S.  Each set tries its lowest safe
     candidate first and alone, and a set with none tries the candidates
-    on one variable, or when no variable qualifies every candidate, in
-    bit order (see below).
+    in one closed group of variables, in bit order (see below).
 
     If the waits placing v adds close a cycle of read waits, the rest has
     no order, and v is skipped with no call and no memo entry: building
@@ -356,29 +354,39 @@ def _search(
     which tests only the waits a placement adds, and the sets
     evaluated stay within B.
 
-    Variable first.  Let S have candidates but no safe one.  For a
-    variable x, let xs be S's members on x.  x *qualifies* when it has a
-    candidate and each member of xs that is not a candidate has a blocker
-    in xs.  S walks its candidates in bit order and takes the variable of
-    the first whose variable qualifies: it tries the candidates on that
-    variable, in bit order, and no others.  With no such variable, it
-    tries every candidate.  S is orderable exactly when one of those
-    tried has an orderable rest.  The read waits at a set depend only on
-    the set (x's members wait for the members that reach a read of a
-    placed write on x), and so do the candidates.  Take any order of S and its
-    lowest member u on x.  When u is placed, the rest of xs is still
-    unplaced, and u waits for no one, so u has no blocker in xs; as x
-    qualifies, u is a candidate of S.  Move u to the bottom.  The writes
-    it jumps over are on other variables.  The waits u adds are taken by
-    x's members alone, so none of those writes gains one; their blockers
-    and their variables' read waits, at each of their steps, can only
-    shrink, as their sets lose u and u's own waits are on x.  So each
-    still waits for no one when it is placed.  The sets above u's old
-    place, and their waits, are unchanged.  The moved order puts u, a
-    tried candidate, at the bottom of S over an order of its rest.  The
-    rule only drops trials, so verdicts stay, and the sets evaluated stay
-    within B.  An orderable set may succeed through another candidate
-    than without the rule, so the memo and the witness may differ.
+    Variable first.  Let S have candidates but no safe one.  A *group* M
+    is S's members on some set of variables, and it is *closed* when each
+    member of M that is not a candidate waits for a member of M.  S tries
+    the candidates in one closed group that holds a candidate, in bit
+    order, and no others.  It walks its candidates in bit order and takes
+    the first whose variable x alone is closed (x *qualifies*: each
+    member on x that is not a candidate has a blocker on x; none has a
+    read wait, since x's members share theirs, and x has a candidate).
+    With no such variable, it grows a group from the first candidate's
+    variable: while some member u of M that is not a candidate waits for
+    no one in M, it adds the variables of u's waits in S, taking the
+    lowest such u first.  The group only grows, and the group of every
+    variable is closed, so this ends, at worst trying every candidate.
+    S is orderable exactly when one of those tried has an orderable
+    rest.  The read waits at a set depend only on the set (x's members
+    wait for the members that reach a read of a placed write on x), and
+    so do the candidates.  Take any order of S and its lowest member u
+    in M.  When u is placed, all of M is still unplaced, and u waits for
+    no one.  Its waits then include its waits in S that are still
+    unplaced: its blockers are the same, and its variable's read waits
+    only grow as writes are placed.  So u waits for no one in M in S,
+    and as M is closed, u is a candidate of S.  Move u to the bottom.  The
+    writes it jumps over are not in M, so none is on u's variable.  The
+    waits u adds are taken by the members on its variable alone, so none
+    of those writes gains one; their blockers and their variables' read
+    waits, at each of their steps, can only shrink, as their sets lose u
+    and u's own waits are on its variable.  So each still waits for no
+    one when it is placed.  The sets above u's old place, and their
+    waits, are unchanged.  The moved order puts u, a tried candidate, at
+    the bottom of S over an order of its rest.  The rule only drops
+    trials, so verdicts stay, and the sets evaluated stay within B.  An
+    orderable set may succeed through another candidate than without the
+    rule, so the memo and the witness may differ.
 
     `memo[mask]` receives the bit index of the write placed lowest when
     the subset is orderable, or -1 when it is not; masks never reached,
@@ -425,7 +433,8 @@ def _search(
     while True:
         # Choose the members to try: the lowest safe candidate alone, else
         # the candidates on the first variable whose members that are not
-        # candidates each have a blocker on it (var first), else all.
+        # candidates each have a blocker on it (var first), else those in
+        # a closed group of variables.
         c, scan = 0, s_mask
         while scan:
             vb = scan & -scan
@@ -452,6 +461,25 @@ def _search(
                 if not stuck:
                     c &= xs
                     break
+            else:
+                # No variable qualifies: close a group over the first
+                # candidate's variable.  A member of the group that is not
+                # a candidate and waits for no one in it brings in the
+                # variables it waits for.
+                if c:
+                    group = varmask[(c & -c).bit_length() - 1] & s_mask
+                    stuck = group & ~c
+                    while stuck:
+                        u = (stuck & -stuck).bit_length() - 1
+                        stuck &= stuck - 1
+                        w = (blockers[u] | wait_for[var_of[u]]) & s_mask
+                        if not w & group:
+                            while w:
+                                xs = varmask[w.bit_length() - 1] & s_mask
+                                w &= ~xs
+                                stuck |= xs & ~c
+                                group |= xs
+                    c &= group
         # Try them; a failed set resumes its parent here.  The loop ends
         # when a rest is entered, or when the stack is empty: the search
         # succeeded, or the full set failed.

@@ -230,12 +230,17 @@ def solve_reference(h, spec, *, safe_first=True, var_first=True, sets=()):
     order-free full graph (reach from :func:`closure`).  A set with no
     safe candidate, and every set with `safe_first` off, tries its members
     in bit order.  With `var_first`, as in `solver._search`, it tries
-    only its members on one variable x: that of its lowest wait-free
-    member for which each member on x with a blocker in the set has one
-    on x, if any.  Blockers and waits are read off the same reach: t
-    blocks j when t reaches j, or t is on j's variable and reaches a read
-    of j; and j waits for the members of the set that reach a read of a
-    write on j's variable outside the set.  Each mask in `sets` is
+    only its wait-free members on one variable x: that of its lowest
+    wait-free member for which each member on x with a blocker in the
+    set has one on x, if any.  Failing that, it tries those on a group
+    of variables: starting from its lowest wait-free member's, while
+    some member of the group waits for members of the set but for none
+    in the group, the lowest such member brings in the variables of the
+    members it waits for.  Blockers and waits are read off the same
+    reach: t blocks j when t reaches j, or t is on j's variable and
+    reaches a read of j; and j waits for its blockers in the set and for
+    the members of the set that reach a read of a write on j's variable
+    outside the set.  Each mask in `sets` is
     evaluated after the full set, into the same memo.
 
     A member whose rest the memo already marks unorderable fails whatever
@@ -272,24 +277,38 @@ def solve_reference(h, spec, *, safe_first=True, var_first=True, sets=()):
     ]
 
     def one_variable(mask, members):
-        # the members the var-first rule keeps: those on one variable, of
-        # the wait-free ones, or every member when no variable qualifies
+        # the members the var-first rule keeps: the wait-free ones on one
+        # variable, or when no variable qualifies, on the group of
+        # variables closed from the first wait-free member's
         placed = [p for p in range(index.k) if not mask >> p & 1]
-        free = [
-            j for j in members
-            if not blockers[j] & mask
-            and not any(
-                varmask[p] >> j & 1 and pred_rd[p] & mask for p in placed
-            )
-        ]
+        waits = {}
+        for j in members:
+            w = blockers[j]
+            for p in placed:
+                if varmask[p] >> j & 1:
+                    w |= pred_rd[p]
+            waits[j] = w & mask
+        free = [j for j in members if not waits[j]]
+
+        def open_members(group):
+            # the members of the group that wait, but for none in it
+            return [
+                u for u in members
+                if group >> u & 1 and waits[u] and not waits[u] & group
+            ]
+
         for j in free:
             xs = varmask[j] & mask
-            if all(
-                blockers[u] & xs or not blockers[u] & mask
-                for u in members if xs >> u & 1
-            ):
+            if not open_members(xs):
                 return [u for u in free if xs >> u & 1]
-        return members
+        if not free:
+            return members
+        group = varmask[free[0]] & mask
+        while left := open_members(group):
+            for t in members:
+                if waits[left[0]] >> t & 1:
+                    group |= varmask[t] & mask
+        return [u for u in free if group >> u & 1]
 
     def candidate(rest, j):
         graphs = build_coherence_graphs(h, static, index, rest, ids[j])

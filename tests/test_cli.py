@@ -106,9 +106,9 @@ def test_non_utf8_input_exit_code(capsys, tmp_path, argv):
     [
         (SB, 2_367, "k=4 writes on 8 base-graph vertices"),
         (
-            format_history(sat_to_history_sc(PINNED_REDUCTIONS[0][0])),
-            131 * (MEMO_ENTRY_BYTES + 3) - 1,
-            "search passed 130 subsets at k=18",
+            format_history(sat_to_history_sc(PINNED_REDUCTIONS[1][0])),
+            158 * (MEMO_ENTRY_BYTES + 4) - 1,
+            "search passed 157 subsets at k=24",
         ),
     ],
     ids=["tables", "search"],
@@ -118,10 +118,10 @@ def test_memory_ceiling_is_exit_3(
 ):
     # Under sc.  sb has k = 4 writes on 8 base-graph vertices, whose
     # tables take 2,368 bytes by `table_bytes`: a byte less refuses them.
-    # The first pinned reduction takes 131 subsets at k = 18, whose memo
-    # entries take MEMO_ENTRY_BYTES + 3 bytes each, and its tables take
-    # 9,574: a byte short of 131 entries admits the tables and 130
-    # subsets, and the 131st passes the ceiling.
+    # The second pinned reduction takes 158 subsets at k = 24, whose memo
+    # entries take MEMO_ENTRY_BYTES + 4 bytes each, and its tables take
+    # 12,652: a byte short of 158 entries admits the tables and 157
+    # subsets, and the 158th passes the ceiling.
     p = tmp_path / "trace.mmh"
     p.write_text(text)
     monkeypatch.setattr(solver_module, "MEMORY_CEILING", ceiling)

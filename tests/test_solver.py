@@ -15,18 +15,25 @@ from mmcheck import (
     build_base_graphs,
     derive,
     format_history,
+    generate_program,
     get_model,
     kahn_acyclic,
     mutate,
     oracle_store,
     oracle_total,
     parse_history,
+    sat_brute_force,
     sat_to_history_relaxed,
     sat_to_history_sc,
+    simulate,
     solve,
     verify_witness,
 )
-from mmcheck.errors import NotAPermutationError, ResourceBoundError
+from mmcheck.errors import (
+    NoAlternativeWriterError,
+    NotAPermutationError,
+    ResourceBoundError,
+)
 from mmcheck import models as models_module
 from mmcheck import solver as solver_module
 from mmcheck.solver import extract_witness
@@ -199,12 +206,12 @@ def _checks(v):
 @pytest.mark.parametrize(
     "cnf,memo_sha256",
     [
-        (PINNED_REDUCTIONS[0][0], "ef7d6212a668ae59341213ffc305dbe7"
-         "438ba34ccda9ed3163063a8e953204ed"),
-        (PINNED_REDUCTIONS[1][0], "3de3824b0178ee22980daa480e25ddcb"
-         "9a13429901420878433c476df4ec5870"),
-        (PINNED_REDUCTIONS[2][0], "e463fcf01c1885d3005c84bf136f08f5"
-         "39877ed6f6099797e8f2699c154f8639"),
+        (PINNED_REDUCTIONS[0][0], "dc443365e977adcdeb12667674d20f2f"
+         "1d1a2dd81ad659520886c7fd96caa2da"),
+        (PINNED_REDUCTIONS[1][0], "eca8e4d454251ed51e6bb70949209eaa"
+         "38de502788423208f309b8f20f48c1fd"),
+        (PINNED_REDUCTIONS[2][0], "b4ef27125f2265775bd01301e6d8efa3"
+         "8b46bf34c5e9f409d7efa63a0d58dd8f"),
     ],
     ids=[f"k{p[1]}" for p in PINNED_REDUCTIONS],
 )
@@ -220,13 +227,58 @@ def test_search_memos_are_pinned(cnf, memo_sha256):
         assert _sha256(sorted(memo.items())) == memo_sha256
 
 
+def _random_unsat_cnf(num_vars, seed):
+    # Five random 3-literal clauses per variable, drawn until the formula
+    # is unsatisfiable and uses every literal.
+    rng = random.Random(seed)
+    while True:
+        clauses = tuple(
+            tuple(
+                v if rng.random() < 0.5 else -v
+                for v in rng.sample(range(1, num_vars + 1), 3)
+            )
+            for _ in range(5 * num_vars)
+        )
+        cnf = Cnf3(num_vars, clauses)
+        if len(cnf.literals) == 2 * num_vars and not sat_brute_force(cnf):
+            return cnf
+
+
+@pytest.mark.parametrize(
+    "num_vars,k,subsets,gates",
+    [(6, 36, 805, 868), (7, 42, 1_692, 1_819)],
+    ids=["k36", "k42"],
+)
+def test_random_reductions_past_k30_are_pinned(num_vars, k, subsets, gates):
+    # Random unsatisfiable formulas past the pinned reductions, under the
+    # strict instance with sc and the relaxed one with tso.  A search that
+    # tries every candidate where no single variable qualifies takes 7,967
+    # and 33,641 subsets on them.
+    cnf = _random_unsat_cnf(num_vars, seed=1)
+    for h, name in (
+        (sat_to_history_sc(cnf), "sc"),
+        (sat_to_history_relaxed(cnf), "tso"),
+    ):
+        assert h.k == k
+        v = solve(h, get_model(name))
+        assert not v.consistent
+        _assert_within_bounds(h, v)
+        assert (v.stats.subsets_evaluated, v.stats.gate_checks) == (
+            subsets,
+            gates,
+        )
+
+
 def test_memory_ceiling_bounds_the_search(monkeypatch):
-    # The first pinned reduction under sc: k = 18, 131 subsets.  A
-    # ceiling of exactly 131 memo entries admits the search, and one byte
-    # less refuses it at its 131st subset.
-    cnf, k, subsets, _ = PINNED_REDUCTIONS[0]
+    # The second pinned reduction under sc: k = 24, 158 subsets.  A
+    # ceiling of exactly 158 memo entries admits the tables and the
+    # search, and one byte less refuses it at its 158th subset.
+    cnf, k, subsets, _ = PINNED_REDUCTIONS[1]
     h, spec = sat_to_history_sc(cnf), get_model("sc")
     entry = solver_module.MEMO_ENTRY_BYTES + k // 6
+    bases = build_base_graphs(h, spec)
+    need = solver_module.table_bytes(k, max(g.n for g in bases))
+    assert need < subsets * entry
     monkeypatch.setattr(solver_module, "MEMORY_CEILING", subsets * entry)
     assert solve(h, spec).stats.subsets_evaluated == subsets
     monkeypatch.setattr(solver_module, "MEMORY_CEILING", subsets * entry - 1)
@@ -489,6 +541,54 @@ def test_var_first_rule_only_removes_sets(small_corpus):
     assert sets > 5_000 and dropped > 50
 
 
+def test_group_rule_matches_reference_and_keeps_orderability():
+    # A set where no variable qualifies tries the candidates of a closed
+    # group of variables only (the lemma in `_search`'s docstring).  The
+    # corpus above never has such a set with two candidates.  These do:
+    # reductions of formulas over 2 variables with 3-6 clauses,
+    # spread-writes traces at k = 19-23, and simulated 4-variable
+    # histories at k <= 14 and their rf mutants.  The memo must equal the
+    # reference's with both rules, and the reference with var first off
+    # must find each set in it orderable exactly when the memo does.  An
+    # orderable set may succeed through a candidate that a search trying
+    # every candidate never reaches, so the memo may hold sets that search
+    # does not evaluate.  With one variable only, var first takes 3,362
+    # sets here.
+    rng = random.Random(3131)
+    pool = [1, 2, -1, -2]
+    histories = []
+    for m in (3, 4, 5, 6) * 2:
+        cnf = Cnf3(2, tuple(
+            tuple(rng.choice(pool) for _ in range(3)) for _ in range(m)
+        ))
+        histories += (sat_to_history_sc(cnf), sat_to_history_relaxed(cnf))
+    histories += spread_writes_histories(4, 5, (6, 80, 20, 3))
+    rng = random.Random(9090)
+    for i in range(20):
+        prog = generate_program(
+            4, 6, 4, seed=rng.getrandbits(32), max_writes=rng.randint(5, 10)
+        )
+        h = simulate(prog, ("sc", "tso", "pso")[i % 3], seed=i)
+        histories.append(h)
+        try:
+            histories.append(mutate(h, seed=i))
+        except NoAlternativeWriterError:
+            pass
+    assert max(h.k for h in histories) == 23
+    sets = 0
+    for h in histories:
+        for m in ALL_MODELS:
+            spec = get_model(m)
+            memo = _production_memo(h, spec)
+            assert solve_reference(h, spec)[1] == memo
+            _, ref = solve_reference(h, spec, var_first=False, sets=memo)
+            assert {s: ref[s] >= 0 for s in memo} == {
+                s: j >= 0 for s, j in memo.items()
+            }
+            sets += len(memo)
+    assert sets == 3_349
+
+
 def test_witnesses_hold_on_the_full_graphs():
     # `verify_witness` re-checks a witness on the contracted base graphs
     # the search used, so a contraction error would pass it.  Here every
@@ -568,14 +668,14 @@ def test_spread_writes_at_k216_in_at_most_k_subsets():
 
 def test_spread_writes_at_k2016_are_pinned():
     # One spread-writes trace (8 threads, 4,000 events, 16 variables) at
-    # k = 2,016: sc takes 360 subsets and tso 5,706, each placement on a
+    # k = 2,016: sc takes 288 subsets and tso 4,451, each placement on a
     # deep stack of frames.  Outcome, witness and counters are pinned.
     (h,) = spread_writes_histories(1, 1, (8, 4000, 2000, 16))[:1]
     assert h.k == 2016
     rows = [_checks(solve(h, get_model(m))) for m in ("sc", "tso")]
-    assert [row[2:] for row in rows] == [(360, 458), (5_706, 6_148)]
+    assert [row[2:] for row in rows] == [(288, 356), (4_451, 4_727)]
     assert _sha256(rows) == (
-        "91889590e3b06b5dbed0e63acaf9b63e49cc12da6cc26d4deeb12d80551ce20a"
+        "41017cfe4f1e5d2c6b4686b870772bee1bddcbab9a735357c6eefcd29fe3fb7a"
     )
 
 
