@@ -33,7 +33,6 @@ from .solver import (
     Outcome,
     SolveStats,
     Verdict,
-    extract_witness,
     solve,
     verify_witness,
 )
@@ -56,7 +55,6 @@ __all__ = [
     "assemble_history",
     "build_base_graphs",
     "derive",
-    "extract_witness",
     "format_history",
     "generate_program",
     "get_model",

@@ -9,13 +9,14 @@ reads-from, the order, conflict edges).
 Instead of enumerating the factorially-many orders, `solve` builds the
 order from the bottom.  A set of unplaced writes is orderable above the
 placed ones when some member can sit at its bottom and the rest is
-orderable.  Memoizing the sets caps the search at 2^k states for k
-writes.  A member whose placement adds no read wait on the rest is
-placed alone, since the set is then orderable exactly when the rest is;
-so a search that would try every member tries one wherever it can.  A
-set with no such member tries only its members on a group of variables,
-one variable where one will do, closed so that the lowest member of the
-group in any order of the set could have gone first (see `_search`).
+orderable.  Remembering the sets that have no order caps the search at
+2^k states for k writes.  A member whose placement adds no read wait on
+the rest is placed alone, since the set is then orderable exactly when
+the rest is; so a search that would try every member tries one wherever
+it can.  A set with no such member tries only its members on a group of
+variables, one variable where one will do, closed so that the lowest
+member of the group in any order of the set could have gone first (see
+`_search`).
 
 Whether a member can sit at the bottom is one rule over tables merged
 over both base graphs: the writes that block each write (those that
@@ -27,8 +28,8 @@ for the members that must sit below it.  A set's candidates are its
 members with no blocker and no read wait in it, and only the waits a
 placement adds are tested for a cycle (see `_search`).  That takes the
 decisions Kahn's algorithm takes on the order-augmented graphs, for a
-few word operations per candidate; the test suite checks the memo
-against an explicit-graph reference search.
+few word operations per candidate; the test suite checks the sets
+evaluated against an explicit-graph reference search.
 
 The base graphs have the acyclicity, and the reach between writes and
 the reads the tables use, of the full relations, so the tables come out
@@ -43,9 +44,10 @@ edge touches.  The search runs on an explicit stack, so k is bounded
 by neither a cap nor the interpreter's recursion limit.  It chooses the
 members a set tries once, by one scan when it enters the set, and keeps
 one table of read waits, which each placement changes in place and
-which is restored when the search backs out of it.  Memory bounds
-it: `solve` refuses a history whose tables, or whose memo, would pass
-`MEMORY_CEILING`.
+which is restored when the search backs out of it.  Its memo is the set
+of sets found dead, and its witness the stack at its success.  Memory
+bounds it: `solve` refuses a history whose tables, or whose dead sets,
+would pass `MEMORY_CEILING`.
 
 A consistent verdict's witness is re-checked by `verify_witness` without
 the search's tables: a Kahn peel of each base graph the search used,
@@ -73,16 +75,17 @@ from .models import ModelSpec, build_base_graphs, derive, oota_cycle
 #: `MEMO_ENTRY_BYTES + k // 6` bytes per evaluated subset, and its tables,
 #: at the `table_bytes` their passes hold at their peak.  A search
 #: refused at this ceiling, at k = 66 after 8,073,246 subsets, peaked at
-#: 753 MB RSS in its own process.
+#: 753 MB RSS in its own process, with a dict for its memo.
 MEMORY_CEILING = 1 << 30
 
-#: Peak bytes per memo entry, besides the key's growth with k: a dict
-#: slot while the table doubles (about 90 bytes, old and new table both
-#: held) and a key int of up to 60 bits (32 bytes).  The key then grows
-#: by 4 bytes per 30 bits, and past k = 256 most values are ints of their
-#: own, hence k // 6.  Measured as peak RSS per entry of dicts of 1.4 and
-#: 2.7 million random k-bit keys, each in its own process (CPython 3.11,
-#: x86-64): 122 bytes at k <= 60, 154 at k = 216, 274 at k = 1000.
+#: Peak bytes per memo entry, besides the key's growth with k: a set slot
+#: while the table resizes (old and new table both held) and a key int of
+#: up to 60 bits (32 bytes).  The key then grows by 4 bytes per 30 bits,
+#: within k // 6.  Measured as peak RSS per entry of sets of 1.4 and 2.7
+#: million random k-bit ints, each size in its own process (CPython
+#: 3.11.7, x86-64): 101-119 bytes at k <= 60, 115 at k = 120, 130-135 at
+#: k = 216, 216 at k = 1000.  122 + k // 6 bounds each of these, and is
+#: kept from when the memo was a dict.
 MEMO_ENTRY_BYTES = 122
 
 
@@ -112,11 +115,11 @@ class Outcome(enum.Enum):
 class SolveStats:
     """Search-effort counters for one solve call.
 
-    `subsets_evaluated` counts the memoized subsets, and `gate_checks` the
-    candidates tried: a set's lowest safe candidate alone when it has
+    `subsets_evaluated` counts the subsets evaluated, and `gate_checks`
+    the candidates tried: a set's lowest safe candidate alone when it has
     one, else the candidates in the group of variables the var-first
-    rule picks (see `_search`), whether the rest then hit the memo,
-    closed a cycle of read waits or was evaluated.
+    rule picks (see `_search`), whether the rest then was dead, was
+    empty, closed a cycle of read waits or was evaluated.
     """
 
     subsets_evaluated: int = 0
@@ -138,14 +141,15 @@ class Verdict:
 def solve(h: History, spec: ModelSpec) -> Verdict:
     """Decide whether `h` is consistent under the given model.
 
-    On a consistent verdict the witness is the full write order found by
-    the search (ascending), re-verified against both graphs before being
-    returned.  On an inconsistent verdict the diagnostics name the reason
-    when one is cheap to state (a base-graph cycle or a dependency cycle).
+    On a consistent verdict the witness is the write order the search
+    returns, lowest first, as event ids (`extract_witness`), re-verified
+    against both graphs before being returned.  On an inconsistent
+    verdict the diagnostics name the reason when one is cheap to state (a
+    base-graph cycle or a dependency cycle).
 
     Any k is accepted.  `ResourceBoundError` is raised, before the tables
     are built, when their `table_bytes` would pass `MEMORY_CEILING`, and
-    by the search when its memo would.
+    by the search when its dead sets would.
     """
     stats = SolveStats()
 
@@ -185,8 +189,8 @@ def solve(h: History, spec: ModelSpec) -> Verdict:
         )
 
     tables = _write_tables(h, ((g_loc, topo_loc), (g_mm, topo_mm)))
-    memo: dict[int, int] = {}
-    if not _search(memo, *tables, stats):
+    order = _search(set(), *tables, stats)
+    if order is None:
         return Verdict(
             Outcome.INCONSISTENT,
             diagnostics=(
@@ -196,7 +200,7 @@ def solve(h: History, spec: ModelSpec) -> Verdict:
             stats=stats,
         )
 
-    tw = extract_witness(h, memo)
+    tw = extract_witness(h, order)
     if not verify_witness(h, (g_loc, g_mm), tw):
         raise InternalWitnessInvalidError(
             "extracted write order failed re-verification"
@@ -256,13 +260,13 @@ def _write_tables(
 
 
 def _search(
-    memo: dict[int, int],
+    dead: set[int],
     varmask: list[int],
     var_of: list[int],
     blockers: list[int],
     pred_rd: list[int],
     stats: SolveStats,
-) -> bool:
+) -> list[int] | None:
     """Evaluate the subset recursion top-down with memoization.
 
     The order grows from the bottom.  With the placed writes below, a
@@ -285,31 +289,31 @@ def _search(
     candidate first and alone, and a set with none tries the candidates
     in one closed group of variables, in bit order (see below).
 
-    If the waits placing v adds close a cycle of read waits, the rest has
-    no order, and v is skipped with no call and no memo entry: building
-    the augmented graphs rejects v at the parent and never reaches the
-    rest, so the memo and `subsets_evaluated` stay equal to that
-    construction's.  A memo hit on the rest is read first and wins.  The
-    test needs only the new waits.  The full set has no read waits, and
-    every set evaluated passed the test, so the read waits inside S are
-    acyclic, and so is their restriction to the rest.  The new waits run
-    from the *start set* `varmask[v] & rest`, the rest's other members on
-    v's variable, to rd.  So a new cycle takes a new wait out of the
-    start set and comes back along old waits inside the rest: the rest
-    stalls exactly when the forward closure of rd under the old waits
-    meets the start set.  Leaving v out of the walk loses no path: v is
-    a candidate, so it waits for no one in S, and as a sink of the waits
-    inside S it lies on no path between two members of the rest.  So the
-    test walks forward from rd.  Each step ORs `wait_for` over the
-    variables of the members reached, once per variable, since the
-    members of one variable wait for the same writes, and masks the
-    result by `rest`.  v is cut when the walk meets the start set, and
-    most walks end at their first step.  An empty rd or start set adds
-    no wait, so it needs no walk.  The test leaves out reach between
-    writes.  Within one graph that closes no new cycle (whoever reaches
-    t reaches what t reaches), but the union of the two graphs' reach
-    can close one that neither graph has, on a subset the augmented
-    graphs do evaluate.
+    If the waits placing v adds close a cycle of read waits, the rest
+    has no order, and v is skipped with no call and no dead entry:
+    building the augmented graphs rejects v at the parent and never
+    reaches the rest, so the dead sets and `subsets_evaluated` stay
+    equal to that construction's.  A dead rest is skipped first, and an
+    empty rest ends the search before the test.  The test needs only the
+    new waits.  The full set has no read waits, and every set evaluated
+    passed the test, so the read waits inside S are acyclic, and so is
+    their restriction to the rest.  The new waits run from the *start
+    set* `varmask[v] & rest`, the rest's other members on v's variable,
+    to rd.  So a new cycle takes a new wait out of the start set and
+    comes back along old waits inside the rest: the rest stalls exactly
+    when the forward closure of rd under the old waits meets the start
+    set.  Leaving v out of the walk loses no path: v is a candidate, so
+    it waits for no one in S, and as a sink of the waits inside S it
+    lies on no path between two members of the rest.  So the test walks
+    forward from rd.  Each step ORs `wait_for` over the variables of the
+    members reached, once per variable, since the members of one
+    variable wait for the same writes, and masks the result by `rest`.
+    v is cut when the walk meets the start set, and most walks end at
+    their first step.  An empty rd or start set adds no wait, so it
+    needs no walk.  The test leaves out reach between writes.  Within
+    one graph that closes no new cycle (whoever reaches t reaches what t
+    reaches), but the union of the two graphs' reach can close one that
+    neither graph has, on a subset the augmented graphs do evaluate.
 
     Merging the tables over both base graphs is exact.  The write waits
     and the candidate tests are ORs over the graphs.  A read wait taken
@@ -348,7 +352,7 @@ def _search(
     in the rest, and one of those is empty.  So each member still waits
     for no one when it is placed, and the moved order is an order of the
     rest above v.  A safe candidate is tried alone: its rest decides S,
-    and a memo entry of -1 on the rest fails S at once.  No other
+    and a dead rest fails S at once.  No other
     candidate of S is tried, and the sets its rest does not reach are
     never evaluated.  The safe candidate is never cut by the cycle test,
     which tests only the waits a placement adds, and the sets
@@ -386,11 +390,16 @@ def _search(
     the bottom of S over an order of its rest.  The rule only drops
     trials, so verdicts stay, and the sets evaluated stay within B.  An
     orderable set may succeed through another candidate than without the
-    rule, so the memo and the witness may differ.
+    rule, so the sets evaluated and the witness may differ.
 
-    `memo[mask]` receives the bit index of the write placed lowest when
-    the subset is orderable, or -1 when it is not; masks never reached,
-    or cut by the cycle test, stay absent.
+    `dead` receives each set evaluated that has no order above the writes
+    placed below it.  Sets never reached, cut by the cycle test, or on
+    the path of a success stay out of it.  No set is found orderable
+    before the search ends, since the first success ends it, so the dead
+    sets are all the search needs to remember.  `_search` returns the
+    order, as bit indices lowest first, or None when the full set is
+    dead.  The dead sets of a failed search are a certificate that the
+    test suite checks without searching.
 
     The recursion runs on an explicit stack of frames, so k is not
     bounded by the interpreter's recursion limit.  When the search
@@ -403,9 +412,10 @@ def _search(
     try, the candidate placed, and the waits of that candidate's
     variable before the placement.  A placement whose rest needs
     evaluating pushes the frame, ORs rd into its variable's `wait_for`
-    entry in place, and enters the rest.  A failed set resumes its
-    parent at its next member, and a success records each pending
-    frame's candidate on the way up.
+    entry in place, and enters the rest.  A failed set goes into `dead`
+    and resumes its parent at its next member.  A placement whose rest is
+    empty is the success: the pending frames' candidates, bottom first,
+    and then the member placed are the order.
 
     One `wait_for` list serves the whole search.  A placement whose
     start set is empty records rd too, which changes nothing: no set
@@ -416,18 +426,16 @@ def _search(
     each restores the value its variable had when it was pushed.  When a
     set resumes, `wait_for` holds the waits it was entered with.
 
-    Each set evaluated takes a memo entry, so the search raises
+    Each set evaluated may take an entry in `dead`, so the search raises
     `ResourceBoundError` once `subsets_evaluated` passes
     `MEMORY_CEILING` over the bytes of one entry.
     """
     k = len(varmask)
     limit = MEMORY_CEILING // (MEMO_ENTRY_BYTES + k // 6)
-    memo[0] = k  # sentinel: the empty subset is orderable
-    full = (1 << k) - 1
     # The current set and its members left to try; `stack` holds the
     # pending frames: set, members left, candidate, and the waits that
     # the candidate's variable had before its placement.
-    s_mask, wait_for = full, [0] * len(set(var_of))
+    s_mask, wait_for = (1 << k) - 1, [0] * len(set(var_of))
     stack: list[tuple[int, int, int, int]] = []
     subsets, gates = 1, 0
     while True:
@@ -481,8 +489,8 @@ def _search(
                                 group |= xs
                     c &= group
         # Try them; a failed set resumes its parent here.  The loop ends
-        # when a rest is entered, or when the stack is empty: the search
-        # succeeded, or the full set failed.
+        # when a rest is entered, or returns: the rest is empty, or the
+        # full set failed.
         while True:
             while c:
                 vb = c & -c
@@ -490,17 +498,14 @@ def _search(
                 v = vb.bit_length() - 1
                 rest = s_mask ^ vb
                 gates += 1
-                cached = memo.get(rest)
-                if cached is not None:
-                    if cached < 0:
-                        continue
-                    # v sits at the bottom of an orderable set, and so
-                    # does each pending frame's candidate.
-                    memo[s_mask] = v
-                    while stack:
-                        s_mask, _, v, _ = stack.pop()
-                        memo[s_mask] = v
-                    break
+                if rest in dead:
+                    continue
+                if not rest:
+                    # v goes on top of the pending frames' candidates,
+                    # which the stack holds bottom first.
+                    stats.subsets_evaluated += subsets
+                    stats.gate_checks += gates
+                    return [frame[2] for frame in stack] + [v]
                 rd, start = pred_rd[v] & rest, varmask[v] & rest
                 if rd and start:
                     seen = reached = rd
@@ -528,36 +533,19 @@ def _search(
                 # No member left: the set has no order.  Resume the parent
                 # and restore the waits its candidate's placement changed
                 # (the targets are assigned left to right, v first).
-                memo[s_mask] = -1
+                dead.add(s_mask)
                 if stack:
                     s_mask, c, v, wait_for[var_of[v]] = stack.pop()
                     continue
+                stats.subsets_evaluated += subsets
+                stats.gate_checks += gates
+                return None
             break
-        if not stack:
-            break
-    stats.subsets_evaluated += subsets
-    stats.gate_checks += gates
-    return memo[full] >= 0
 
 
-def extract_witness(h: History, memo: dict[int, int]) -> list[int]:
-    """Read the write order out of a successful search memo.
-
-    Walking the recorded removals from the full set downward yields the
-    writes in ascending order: the first removal was placed below
-    everything else.
-    """
-    mask = (1 << h.k) - 1
-    order: list[int] = []
-    while mask:
-        j = memo.get(mask, -1)
-        if j < 0 or not mask >> j & 1:
-            raise InternalWitnessInvalidError(
-                f"memo has no removal recorded for mask {mask:#x}"
-            )
-        order.append(h.writes[j])
-        mask ^= 1 << j
-    return order
+def extract_witness(h: History, order: list[int]) -> list[int]:
+    """The writes of `h` at the bit indices of a search's order."""
+    return [h.writes[j] for j in order]
 
 
 def verify_witness(

@@ -30,6 +30,11 @@ record per event, and `reads`, `rf_source`, `resolve_ref` and
 `po_before` answer from the same columns.  It is test-only: the package
 reads the columns.
 
+`check_dead_sets` checks the dead sets of an inconsistent search as a
+certificate, one set at a time from the search's tables and lemmas,
+without searching: each dead set must be refuted by rests that are dead
+too or hold a cycle of waits.  It shares no code with the search.
+
 `structural_bound` gives the bound on the subsets the search evaluates
 that the tests gate on, and `format_dimacs` the DIMACS text that
 `parse_dimacs` round-trips.
@@ -341,6 +346,78 @@ def solve_reference(h, spec, *, safe_first=True, var_first=True, sets=()):
     for mask in sets:
         orderable(mask)
     return consistent, memo
+
+
+def _bits(mask):
+    return [j for j in range(mask.bit_length()) if mask >> j & 1]
+
+
+def set_waits(tables, k, mask):
+    """What each member of the set `mask` waits for in it, with the other
+    writes placed: its blockers, and the writes that reach a read of a
+    placed write on its variable."""
+    _, var_of, blockers, pred_rd = tables
+    read = Counter()
+    for p in _bits((1 << k) - 1 & ~mask):
+        read[var_of[p]] |= pred_rd[p]
+    return {j: (blockers[j] | read[var_of[j]]) & mask for j in _bits(mask)}
+
+
+def has_wait_cycle(waits):
+    """Whether the waits of `set_waits` hold a cycle: peeling the members
+    that wait for no one left stops short of the set."""
+    left = sum(1 << j for j in waits)
+    while left:
+        free = sum(1 << j for j in _bits(left) if not waits[j] & left)
+        if not free:
+            return True
+        left ^= free
+    return False
+
+
+def check_dead_sets(tables, k, dead):
+    """Whether `dead` proves that no write order exists: a certificate
+    of an inconsistent search, checked without the search.
+
+    `tables` are `(varmask, var_of, blockers, pred_rd)` over k writes,
+    and `dead` holds sets of unplaced writes, with the others placed
+    below.  A rest *fails* when it is in `dead`, or when its waits,
+    recomputed from scratch, hold a cycle: the lowest member of the
+    cycle in any order would still wait for the next.  The full set must
+    be in `dead`, and each set D in `dead` must be refuted by one of the
+    lemmas in `solver._search`'s docstring: a safe candidate of D whose
+    rest fails, since D is then orderable exactly when the rest is; or a
+    closed group of D, grown from some candidate's variable, whose
+    candidates all fail, since the lowest member of the group in any
+    order of D could have gone first.  A nonempty D with no candidate is
+    refuted by the group of all its members.
+    """
+    varmask, _, _, pred_rd = tables
+    if (1 << k) - 1 not in dead:
+        return False
+
+    def fails(rest):
+        return rest in dead or has_wait_cycle(set_waits(tables, k, rest))
+
+    def refuted(d):
+        waits = set_waits(tables, k, d)
+        cands = [v for v in _bits(d) if not waits[v]]
+        for v in cands:
+            rest = d ^ 1 << v
+            if not (pred_rd[v] & rest and varmask[v] & rest) and fails(rest):
+                return True
+        for v in cands:
+            group = varmask[v] & d
+            while stuck := [
+                u for u in _bits(group) if waits[u] and not waits[u] & group
+            ]:
+                for t in _bits(waits[stuck[0]]):
+                    group |= varmask[t] & d
+            if all(fails(d ^ 1 << u) for u in cands if group >> u & 1):
+                return True
+        return d != 0 and not cands
+
+    return all(refuted(d) for d in dead)
 
 
 def structural_bound(h):

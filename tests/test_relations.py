@@ -6,6 +6,8 @@ These tests pin it to the pair-set reference derivation in `helpers`
 `solve` equal to those of its tables and search run on the full graphs
 of the reference relations), and pin the search over tables merged from
 both base graphs to the explicit-graph reference search (the same memo).
+The dead sets of each inconsistent search are checked as a certificate
+on tables read off the reference relations.
 """
 
 from __future__ import annotations
@@ -40,15 +42,27 @@ from mmcheck.simgen import RandomProgram
 from mmcheck.solver import Outcome, SolveStats, _search, _write_tables
 from mmcheck.solver import extract_witness
 
-from conftest import CORR, MP, OOTA, SB, long_traces, with_random_dp
+from conftest import (
+    CORR,
+    MP,
+    OOTA,
+    PINNED_REDUCTIONS,
+    SB,
+    long_traces,
+    spread_writes_histories,
+    with_random_dp,
+)
 from helpers import (
+    check_dead_sets,
     closure,
     event_graph,
     events,
+    has_wait_cycle,
     reference_derive,
+    set_waits,
     solve_reference,
 )
-from test_solver import _production_memo
+from test_solver import _production_memo, _random_unsat_cnf
 
 
 def _assert_matches_reference(h, spec):
@@ -79,11 +93,11 @@ def _solve_on_graphs(h, spec, graphs):
         return inconsistent
     if not h.k:
         return Outcome.CONSISTENT, [], stats
-    memo = {}
     tables = _write_tables(h, tuple(zip(graphs, (order for _, order in sorts))))
-    if not _search(memo, *tables, stats):
+    order = _search(set(), *tables, stats)
+    if order is None:
         return inconsistent
-    witness = extract_witness(h, memo)
+    witness = extract_witness(h, order)
     assert verify_witness(h, graphs, witness)
     return Outcome.CONSISTENT, witness, stats
 
@@ -493,6 +507,82 @@ def test_write_tables_match_their_definitions(small_corpus):
         _assert_tables_match_definitions(h, spec) for h, spec in checks
     )
     assert checked >= 400
+
+
+def _dead_sets(h, spec):
+    # The production search's dead sets, or None when a base graph is
+    # cyclic and the search does not run.
+    memo = _production_memo(h, spec)
+    return {s for s, j in memo.items() if j < 0} if memo else None
+
+
+def test_dead_sets_certify_inconsistent_verdicts(small_corpus):
+    # Each inconsistent search's dead sets are a certificate that
+    # `check_dead_sets` accepts on tables read off the reference
+    # relations, and rejects without the full set.  No certificate holds
+    # for a consistent verdict, so the dead sets with the full set added
+    # are rejected there.
+    cnfs = [p[0] for p in PINNED_REDUCTIONS]
+    cnfs += [_random_unsat_cnf(6, seed=1), _random_unsat_cnf(7, seed=1)]
+    checks = [
+        (to_history(cnf), get_model(name))
+        for cnf in cnfs
+        for to_history, name in (
+            (sat_to_history_sc, "sc"),
+            (sat_to_history_relaxed, "tso"),
+        )
+    ]
+    histories = [*small_corpus]
+    histories += spread_writes_histories(20, 40, (3, 18, 10, 3))
+    checks += [(h, get_model(name)) for h in histories for name in MODELS]
+    certified = refuted = sets = 0
+    for h, spec in checks:
+        dead = _dead_sets(h, spec)
+        if dead is None:
+            continue
+        tables, full = _tables_from_definitions(h, spec), (1 << h.k) - 1
+        if solve(h, spec).consistent:
+            assert not check_dead_sets(tables, h.k, dead | {full})
+            refuted += 1
+        else:
+            assert check_dead_sets(tables, h.k, dead)
+            assert not check_dead_sets(tables, h.k, dead - {full})
+            certified += 1
+            sets += len(dead)
+    assert (certified, refuted, sets) == (84, 530, 6_308)
+
+
+@pytest.mark.parametrize(
+    "cnf,rejected",
+    [(PINNED_REDUCTIONS[0][0], 37), (PINNED_REDUCTIONS[1][0], 81)],
+    ids=["k18", "k24"],
+)
+def test_dead_set_certificates_without_a_needed_set_are_rejected(
+    cnf, rejected
+):
+    # Drop one dead set D from a pinned reduction's certificate.  The
+    # certificate stays whole when D's parent has another candidate whose
+    # rest holds a cycle of waits: the parent fails through it.  When no
+    # parent of D has one, the certificate is rejected.
+    h, spec = sat_to_history_sc(cnf), get_model("sc")
+    dead, tables = _dead_sets(h, spec), _tables_from_definitions(h, spec)
+    k, dropped = h.k, 0
+    for d in dead:
+        cut = False
+        for v in range(k):
+            parent = d | 1 << v
+            if parent == d or parent not in dead:
+                continue
+            waits = set_waits(tables, k, parent)
+            cut |= any(
+                not waits[u] and u != v
+                and has_wait_cycle(set_waits(tables, k, parent ^ 1 << u))
+                for u in waits
+            )
+        accepted = check_dead_sets(tables, k, dead - {d})
+        assert cut or not accepted
+        dropped += not accepted
+    assert dropped == rejected
 
 
 def test_contracted_base_graphs_match_full_graphs(small_corpus):
