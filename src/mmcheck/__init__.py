@@ -7,7 +7,7 @@ and fed by a 3-CNF instance compiler and operational simulators.
 """
 
 from .errors import MmcheckError
-from .events import History, assemble_history
+from .events import History, history_from_blocks
 from .graphs import EventGraph, kahn_acyclic
 from .models import (
     MODELS,
@@ -52,12 +52,12 @@ __all__ = [
     "RandomProgram",
     "SolveStats",
     "Verdict",
-    "assemble_history",
     "build_base_graphs",
     "derive",
     "format_history",
     "generate_program",
     "get_model",
+    "history_from_blocks",
     "kahn_acyclic",
     "mutate",
     "oota_cycle",

@@ -44,11 +44,15 @@ def _read_text(path: str) -> str:
     with open(path, "rb") as fh:
         data = fh.read()
     try:
-        return data.decode("utf-8")
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise MmcheckError(
             f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})"
         ) from None
+    # A leading byte-order mark is no part of the text.  It is dropped
+    # after decoding, so an invalid byte's offset counts from the file's
+    # first byte.
+    return text.removeprefix("\ufeff")
 
 
 def _write_output(text: str, path: str | None) -> None:

@@ -9,9 +9,12 @@ a comparison of `(thread, pos)`, with initial writes before every other
 event.
 
 A `History` holds its events grouped by access: each distinct
-`(kind, var, value)` tuple with its event ids.  A long trace holds few
-distinct accesses, so assembly hashes each event's tuple once and does
-the rest of its work per distinct access and per write.  `thread_of`,
+`(kind, var, value)` tuple with its event ids.  Its two builders group
+the ids as they meet the events, the trace parser line by line and
+`history_from_blocks` block by block, and hand the groups and each
+thread's event count to `assemble_history`.  A long trace holds few
+distinct accesses, and assembly works per distinct access, per thread
+and per write, with no loop over the events.  `thread_of`,
 each event's thread name, is the one column indexed by event id that
 is built with the history; each thread's ids are consecutive, so a
 position is the id minus the thread's first id.  `write_vars` holds
@@ -68,12 +71,13 @@ class History:
     thread's ids are consecutive, so it is read off `thread_of`.
 
     Instances are immutable after construction (each cached value is the
-    same whoever builds it) and safe to share across threads.  Use
-    :func:`assemble_history` (or the trace parser) to build one; the
+    same whoever builds it) and safe to share across threads.  Build one
+    with :func:`history_from_blocks` or the trace parser, which both hand
+    the events, grouped by access, to :func:`assemble_history`; the
     constructor neither validates nor walks the events, and takes its
-    indexes from the assembly pass.  Assembly builds every history and
-    rejects any dp edge that is not read-sourced or not in program order,
-    so `derive` and the solver trust `dp`.  `threads` maps each thread
+    indexes from assembly.  Assembly builds every history and rejects any
+    dp edge that is not read-sourced or not in program order, so `derive`
+    and the solver trust `dp`.  `threads` maps each thread
     name, the virtual `init` thread first, to its event ids in program
     order, `writes` holds the write ids, ascending, `write_vars` their
     variables, and `readers` maps each write with readers to them, in id
@@ -191,51 +195,90 @@ def _resolve(
     return ids[pos]
 
 
-def assemble_history(
+def history_from_blocks(
     init: Sequence[tuple[str, int]] = (),
     threads: Sequence[tuple[str, Sequence[tuple[str, str, int]]]] = (),
     rf_refs: Sequence[tuple[tuple[str, int], tuple[str, int]]] | None = None,
     dp_refs: Sequence[tuple[tuple[str, int], tuple[str, int]]] = (),
 ) -> History:
-    """Build and validate a history from structured pieces.
+    """Build and validate a history from per-thread blocks.
 
     `init` lists (var, value) initial writes.  `threads` lists
     (name, [(kind, var, value), ...]) blocks in declaration order; event
-    ids are assigned document-first (initial writes, then threads in order,
-    events in program order).  Event references are `(thread, pos)` pairs,
-    initial writes on thread `init`.  Reads-from is always inferred from
-    values: each read's writer is the one write of its variable and value.
-    `rf_refs`, when given, lists explicit reads-from edges as (writer,
-    read) pairs, which are checked, not used: each must join a write to a
-    read of the same variable and value, no read may be named twice, and
-    every read must be named.  An edge that passes names the read's
-    inferred writer, since values are written once per variable.
-    `dp_refs` gives dependency edges, which must start at a read and
-    follow program order.  When the events hold several faults (an
-    unknown kind, a value out of range, a value written twice, a thread
-    name taken twice, or, without `rf_refs`, a read no write matches), the
-    one at the earliest event is reported: a value written twice sits at
-    its second write, a thread name at the first event of its second
-    block.  After them come the faults of the `rf` edges in edge order,
-    then the first read they leave uncovered (which is how a read no write
-    matches is reported under `rf_refs`), then the faults of the `dp`
-    edges in edge order.
+    ids are assigned document-first (initial writes, then threads in
+    order, events in program order).  The one loop over the events groups
+    their ids by access, at one hash of each event's tuple and one append;
+    `assemble_history` does the rest, and takes `rf_refs` and `dp_refs`
+    as they are.
     """
+    groups: defaultdict[tuple[str, str, int], list[int]] = defaultdict(list)
+    counts: list[tuple[str, int]] = []
+    start = 0
+    init_block = [(WRITE, var, val) for var, val in init]
+    for name, block in [(INIT_THREAD, init_block), *threads]:
+        for i, a in enumerate(block, start):
+            groups[a].append(i)
+        start += len(block)
+        counts.append((name, len(block)))
+    return assemble_history(groups, counts, rf_refs, dp_refs)
+
+
+def assemble_history(
+    groups: Mapping[tuple[str, str, int], Sequence[int]],
+    threads: Sequence[tuple[str, int]],
+    rf_refs: Sequence[tuple[tuple[str, int], tuple[str, int]]] | None = None,
+    dp_refs: Sequence[tuple[tuple[str, int], tuple[str, int]]] = (),
+) -> History:
+    """Build and validate a history from its events grouped by access.
+
+    `groups` maps each distinct (kind, var, value) access to its event
+    ids, ascending, in the order of their first ids.  `threads` lists
+    (name, event count) pairs in declaration order, the virtual `init`
+    thread first: event ids are assigned document-first (initial writes,
+    then threads in order, events in program order).  Event references
+    are `(thread, pos)` pairs, initial writes on thread `init`.
+    Reads-from is always inferred from values: each read's writer is the
+    one write of its variable and value.  `rf_refs`, when given, lists
+    explicit reads-from edges as (writer, read) pairs, which are checked,
+    not used: each must join a write to a read of the same variable and
+    value, no read may be named twice, and every read must be named.  An
+    edge that passes names the read's inferred writer, since values are
+    written once per variable.  `dp_refs` gives dependency edges, which
+    must start at a read and follow program order.  A variable given two
+    initial writes is reported first.  When the events hold several other
+    faults (an unknown kind, a value out of range, a value written twice,
+    a thread name taken twice, or, without `rf_refs`, a read no write
+    matches), the one at the earliest event is reported: a value written
+    twice sits at its second write, a thread name at the first event of
+    its second block.  After them come the faults of the `rf` edges in
+    edge order, then the first read they leave uncovered (which is how a
+    read no write matches is reported under `rf_refs`), then the faults
+    of the `dp` edges in edge order.
+
+    The work is per distinct access, per thread and per write, with no
+    loop over the events: a write's group holds one id unless its value
+    is written twice, and a read's is the readers of the write of its
+    (var, value).  Groups come in the order of their first ids, so the
+    initial writes' groups come first and the writes come in id order.
+    Only the earliest fault found is kept, so a document of many faults
+    builds few errors.
+    """
+    # The initial writes' groups come first.  One holds a later id only
+    # when a program write repeats its value, a fault found below.
+    init_count = threads[0][1]
+    init_vars = [""] * init_count
+    for (_, var, _), ids in groups.items():
+        if ids[0] >= init_count:
+            break
+        for i in ids:
+            if i < init_count:
+                init_vars[i] = var
     seen_init_vars: set[str] = set()
-    for var, _ in init:
+    for var in init_vars:
         if var in seen_init_vars:
             raise DuplicateValueError(f"variable {var!r} initialized twice")
         seen_init_vars.add(var)
 
-    # The one loop over events groups their ids by access, so each event
-    # costs one hash of its tuple and one append.  Validation, duplicate
-    # values, reads-from and the indexes then run once per distinct access
-    # and once per write: a write's group holds one id unless its value is
-    # written twice, and a read's is the readers of the write of its
-    # (var, value).  Groups come in the order of their first ids, so the
-    # writes come in id order.  Only the earliest fault found is kept, so a
-    # document of many faults builds few errors.
-    groups: defaultdict[tuple[str, str, int], list[int]] = defaultdict(list)
     thread_of: list[str] = []
     thread_ids: dict[str, tuple[int, ...]] = {}
 
@@ -243,21 +286,17 @@ def assemble_history(
         return _ref(thread_of, thread_ids, eid)
 
     fault: MmcheckError | None = None
-    init_block = [(WRITE, var, val) for var, val in init]
-    for name, block in [(INIT_THREAD, init_block), *threads]:
+    for name, count in threads:
         start = len(thread_of)
-        ids = tuple(range(start, start + len(block)))
         if name not in thread_ids:
-            thread_ids[name] = ids
+            thread_ids[name] = tuple(range(start, start + count))
         elif fault is None:
             fault_at, fault = start, TraceSyntaxError(
                 f"thread name {INIT_THREAD!r} is reserved"
                 if name == INIT_THREAD
                 else f"duplicate thread {name!r}"
             )
-        for i, a in zip(ids, block):
-            groups[a].append(i)
-        thread_of += [name] * len(block)
+        thread_of += [name] * count
     if fault is None:
         fault_at = len(thread_of)
 

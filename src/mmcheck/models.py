@@ -367,7 +367,11 @@ def build_base_graphs(
             pending = inits
         mark = marks.get(e)
         slot, ahead, behind = link_w if mark is None else link_r
-        src = [u for a in ahead if (u := last.get(a)) is not None]
+        src = []
+        for a in ahead:
+            u = last.get(a)
+            if u is not None:
+                src.append(u)
         if pending and behind:
             src += pending
             pending = ()
@@ -390,7 +394,12 @@ def build_base_graphs(
             continue
         w = mark >> 3
         if mark & _RF_LOC:
-            loc = w if loc is None else _join(adj_loc, deg_loc, (loc, w))
+            if loc is not None:
+                adj_loc[loc].append(len(adj_loc))
+                adj_loc[w].append(len(adj_loc))
+                adj_loc.append([])
+                deg_loc.append(2)
+            loc = w if loc is None else len(adj_loc) - 1
         if loc is not None and mark & _TAG and loc not in sites_loc[w]:
             sites_loc[w].append(loc)
         if not llh:
@@ -399,10 +408,13 @@ def build_base_graphs(
             since.setdefault(var, []).append(loc)
         if mark & _RF_MM:
             src.append(w)
-        if len(src) == 1:
-            mm = src[0]
-        else:
-            mm = _join(adj_mm, deg_mm, src) if src else None
+        mm = src[0] if len(src) == 1 else None
+        if len(src) > 1:
+            mm = len(adj_mm)
+            for u in src:
+                adj_mm[u].append(mm)
+            adj_mm.append([])
+            deg_mm.append(len(src))
         if mm is not None and mark & _TAG and mm not in sites_mm[w]:
             sites_mm[w].append(mm)
         last[slot] = mm
@@ -418,18 +430,6 @@ def _holds(ids: Sequence[int], x: int) -> bool:
     """Whether the ascending `ids` hold `x`."""
     i = bisect_left(ids, x)
     return i < len(ids) and ids[i] == x
-
-
-def _join(
-    adj: list[list[int]], degree: list[int], sources: Sequence[int]
-) -> int:
-    """A new vertex, entered from each source."""
-    v = len(adj)
-    for u in sources:
-        adj[u].append(v)
-    adj.append([])
-    degree.append(len(sources))
-    return v
 
 
 def program_orders(
@@ -497,8 +497,8 @@ def derive(h: History, spec: ModelSpec) -> DerivedModel:
 
     Pure: equal inputs give identical relations.  Under rmo the
     dependency relation must be read-sourced and lie inside program
-    order; it is not re-checked here, because every history is built by
-    `assemble_history`, which rejects any other dp edge.
+    order; it is not re-checked here, because every history passes
+    through `assemble_history`, which rejects any other dp edge.
     """
     return DerivedModel(spec, h)
 

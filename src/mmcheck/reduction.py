@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import MalformedDimacsError, NotThreeSatError, TooManyVarsError
-from .events import History, assemble_history
+from .events import History, history_from_blocks
 
 SAT_BRUTE_FORCE_MAX_VARS = 20
 
@@ -157,7 +157,7 @@ def _gadget(cnf: Cnf3, relaxed: bool) -> History:
         threads.append((f"C{j}_1", [("rd", n3, 0), ("rd", n1, 1)]))
         threads.append((f"C{j}_2", [("rd", n1, 0), ("rd", n2, 1)]))
         threads.append((f"C{j}_3", [("rd", n2, 0), ("rd", n3, 1)]))
-    return assemble_history(threads=threads)
+    return history_from_blocks(threads=threads)
 
 
 def sat_brute_force(cnf: Cnf3) -> bool:

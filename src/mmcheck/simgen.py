@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import NoAlternativeWriterError, UnknownModelError
-from .events import INIT_THREAD, History, assemble_history
+from .events import INIT_THREAD, History, history_from_blocks
 
 #: Each simulated machine's store buffers, as the key of the FIFO that a
 #: thread's write to a variable queues in; sc has none and writes straight
@@ -136,7 +136,7 @@ def simulate(prog: RandomProgram, model: str, seed: int) -> History:
                         break
             out_events[t].append(("rd", var, val))
 
-    return assemble_history(
+    return history_from_blocks(
         init=[(v, 0) for v in used_vars],
         threads=[(f"T{t}", block) for t, block in enumerate(out_events)],
     )
@@ -178,4 +178,4 @@ def mutate(h: History, seed: int) -> History:
         return thread, eid - h.thread_events(thread)[0]
 
     dp_refs = [(ref(a), ref(b)) for a, b in sorted(h.dp)]
-    return assemble_history(init=init, threads=threads, dp_refs=dp_refs)
+    return history_from_blocks(init=init, threads=threads, dp_refs=dp_refs)

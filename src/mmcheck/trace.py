@@ -17,10 +17,13 @@ on the virtual thread `init`, positions in declaration order.
 
 A trace with k writes holds at most k distinct write lines, and a
 variable's reads see only its written values, so a long trace repeats a
-few distinct access lines many times.  The parser keeps each access
-line's `(kind, var, value)` tuple by its raw text: a repeated line costs
-one dict lookup, and the assembler hashes each event's tuple once, to
-group the event ids by access (see `events`).
+few distinct access lines many times.  The parser reads each line once.
+It keeps, by each access line's raw text, the id list of its
+`(kind, var, value)` access, so a repeated line costs one dict lookup
+and one append, and two spellings of one access share one list.  A
+thread header records the thread's name and its first id.  The grouped
+ids then go to `events.assemble_history`, which works per distinct
+access and per thread, with no loop over the events.
 """
 
 from __future__ import annotations
@@ -28,12 +31,14 @@ from __future__ import annotations
 import re
 
 from .errors import TraceSyntaxError
-from .events import INIT_THREAD, MAX_VALUE, History, assemble_history
+from .events import INIT_THREAD, MAX_VALUE, WRITE, History, assemble_history
 
 _IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
 _ASSIGN_RE = re.compile(rf"({_IDENT})=(\d+)")
-_THREAD_RE = re.compile(rf"thread\s+({_IDENT})\s*$")
-_ACCESS_RE = re.compile(rf"(wr|rd)\s+({_IDENT})\s+(\d+)\s*$")
+#: An access line or a thread header.
+_LINE_RE = re.compile(
+    rf"(?:(wr|rd)\s+({_IDENT})\s+(\d+)|thread\s+({_IDENT}))\s*$"
+)
 _EDGE_RE = re.compile(
     rf"(rf|dp)\s+({_IDENT}):(\d+)\s*->\s*({_IDENT}):(\d+)\s*$"
 )
@@ -63,40 +68,47 @@ def parse_history(text: str) -> History:
     lines, when any are present, are checked against the values and must
     cover every read.
     """
-    init: list[tuple[str, int]] = []
-    threads: list[tuple[str, list[tuple[str, str, int]]]] = []
+    groups: dict[tuple[str, str, int], list[int]] = {}
+    starts: list[tuple[str, int]] = []
     rf_lines: list[tuple[tuple[str, int], tuple[str, int]]] = []
     dp_lines: list[tuple[tuple[str, int], tuple[str, int]]] = []
-    current: list[tuple[str, str, int]] | None = None
+    ids_of: dict[str, list[int]] = {}
+    eid = 0
     seen_init = False
-    parsed: dict[str, tuple[str, str, int]] = {}
 
     # A line seen before as an access line is looked up by its raw text;
     # its first occurrence raised nothing and found a thread block open.
-    # Access lines, the common case, cannot start with `init:`, so they are
-    # tried first.  A value under 20 digits is below 2^64: no range check.
+    # Access lines, the common case, and thread headers cannot start with
+    # `init:`, so they are tried first.  A value under 20 digits is below
+    # 2^64: no range check.
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        access = parsed.get(raw)
-        if access is not None:
-            current.append(access)
+        ids = ids_of.get(raw)
+        if ids is not None:
+            ids.append(eid)
+            eid += 1
             continue
         line = (raw.split("#", 1)[0] if "#" in raw else raw).strip()
-        m = _ACCESS_RE.fullmatch(line)
+        m = _LINE_RE.fullmatch(line)
         if m:
-            if current is None:
+            kind, var, val, thread = m.groups()
+            if thread is not None:
+                starts.append((thread, eid))
+                continue
+            if not starts:
                 raise TraceSyntaxError("access outside a thread block", lineno)
-            kind, var, val = m.groups()
-            parsed[raw] = access = (
+            access = (
                 kind, var, int(val) if len(val) < 20 else _int(val, lineno)
             )
-            current.append(access)
+            ids_of[raw] = ids = groups.setdefault(access, [])
+            ids.append(eid)
+            eid += 1
             continue
         if not line:
             continue
         if line.startswith("init:"):
             if seen_init:
                 raise TraceSyntaxError("second init line", lineno)
-            if threads:
+            if starts:
                 raise TraceSyntaxError("init must precede threads", lineno)
             seen_init = True
             tokens = line[len("init:"):].split()
@@ -106,12 +118,9 @@ def parse_history(text: str) -> History:
                 m = _ASSIGN_RE.fullmatch(token)
                 if not m:
                     raise TraceSyntaxError("malformed init assignments", lineno)
-                init.append((m.group(1), _int(m.group(2), lineno)))
-            continue
-        m = _THREAD_RE.fullmatch(line)
-        if m:
-            current = []
-            threads.append((m.group(1), current))
+                access = (WRITE, m.group(1), _int(m.group(2), lineno))
+                groups.setdefault(access, []).append(eid)
+                eid += 1
             continue
         m = _EDGE_RE.fullmatch(line)
         if m:
@@ -121,11 +130,12 @@ def parse_history(text: str) -> History:
             continue
         raise TraceSyntaxError(f"cannot parse {line!r}", lineno)
 
+    # Each block ends where the next begins, and the last at the end.
+    ends = [start for _, start in starts[1:]] + [eid]
+    threads = [(INIT_THREAD, starts[0][1] if starts else eid)]
+    threads += [(t, end - start) for (t, start), end in zip(starts, ends)]
     return assemble_history(
-        init=init,
-        threads=threads,
-        rf_refs=rf_lines if rf_lines else None,
-        dp_refs=dp_lines,
+        groups, threads, rf_lines if rf_lines else None, dp_lines
     )
 
 

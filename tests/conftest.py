@@ -7,7 +7,13 @@ from pathlib import Path
 
 import pytest
 
-from mmcheck import Cnf3, assemble_history, generate_program, mutate, simulate
+from mmcheck import (
+    Cnf3,
+    generate_program,
+    history_from_blocks,
+    mutate,
+    simulate,
+)
 from mmcheck.errors import NoAlternativeWriterError
 from mmcheck.simgen import RandomProgram
 
@@ -133,7 +139,7 @@ def with_random_dp(h, rng: random.Random):
             dp_refs.append((ref(rid), ref(rng.choice(later))))
     if not dp_refs:
         return None
-    return assemble_history(
+    return history_from_blocks(
         init=[(e.var, e.val) for e in evs if e.is_init],
         threads=[
             (t, [h.access[i] for i in h.thread_events(t)]) for t in h.threads

@@ -12,6 +12,7 @@ import pytest
 from mmcheck import (
     format_history,
     get_model,
+    parse_dimacs,
     parse_history,
     sat_to_history_sc,
     solve,
@@ -99,6 +100,24 @@ def test_non_utf8_input_exit_code(capsys, tmp_path, argv):
     code, out, err = run(capsys, *(a.format(p) for a in argv))
     assert code == 2 and out == ""
     assert err.startswith(f"mmcheck: {p}: ") and "UTF-8" in err
+
+
+def test_leading_byte_order_mark_is_skipped(capsys, tmp_path):
+    bom = "\ufeff".encode()
+    trace = tmp_path / "bom.mmh"
+    trace.write_bytes(bom + SB.encode())
+    code, out, err = run(capsys, "check", str(trace), "--model", "tso")
+    assert code == 0 and "verdict: consistent" in out and err == ""
+    dimacs = "p cnf 1 2\n1 1 1 0\n-1 -1 -1 0\n"
+    cnf = tmp_path / "bom.cnf"
+    cnf.write_bytes(bom + dimacs.encode())
+    code, out, err = run(capsys, "gen", "sat", str(cnf))
+    plain = format_history(sat_to_history_sc(parse_dimacs(dimacs)))
+    assert code == 0 and out == plain and err == ""
+    # An invalid byte's offset counts the mark's three bytes.
+    trace.write_bytes(bom + "thread T0\nwr x 1 # caf\xe9".encode("latin-1"))
+    code, out, err = run(capsys, "check", str(trace), "--model", "sc")
+    assert code == 2 and out == "" and "at byte 25)" in err
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import random
 
@@ -15,9 +16,19 @@ from mmcheck import (
     get_model,
     kahn_acyclic,
     parse_history,
+    sat_to_history_relaxed,
+    sat_to_history_sc,
     solve,
 )
 from mmcheck.graphs import find_cycle
+
+from conftest import (
+    PINNED_REDUCTIONS,
+    TRACES,
+    long_traces,
+    spread_writes_histories,
+    with_random_dp,
+)
 
 from helpers import (
     PreconditionViolatedError,
@@ -390,6 +401,32 @@ def test_rmo_base_graphs_merge_segments_and_join_dependencies():
     (join,) = g_mm.tag_sites[x2]
     assert sorted(_edges(g_mm)) == [(y1, join), (x2, join)]
     assert g_mm.tag_sites[init_y] == [] and g_loc.tag_sites[init_y] == []
+
+
+BASE_GRAPHS_SHA256 = (
+    "5584e1cb2a6c1c8c971b981ee83df802cd302f39b09b9240e5c2e843fe18a6de"
+)
+
+
+def test_base_graphs_are_pinned(small_corpus):
+    # Rows, in-degrees and tag sites of both base graphs, under every
+    # model, over histories of every shape the checker meets: the rmo
+    # walk reads the dp edges that `with_random_dp` adds.
+    histories = [*small_corpus, *long_traces()]
+    for path in sorted(TRACES.glob("*.mmh")):
+        histories.append(parse_history(path.read_text()))
+    for cnf, *_ in PINNED_REDUCTIONS:
+        histories += [sat_to_history_sc(cnf), sat_to_history_relaxed(cnf)]
+    histories += spread_writes_histories(20, 40, (3, 18, 10, 3))
+    rng = random.Random(3303)
+    histories += filter(None, [with_random_dp(h, rng) for h in histories])
+    digest = hashlib.sha256()
+    for h in histories:
+        for name in MODELS:
+            for g in build_base_graphs(h, get_model(name)):
+                digest.update(repr((g.adj, g.in_degree, g.tag_sites)).encode())
+    assert len(histories) == 296
+    assert digest.hexdigest() == BASE_GRAPHS_SHA256
 
 
 def _edge_kind_invariants(h, spec_name, mask, v):

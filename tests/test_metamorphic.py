@@ -1,6 +1,8 @@
 """Metamorphic tests: rewrites of a history that cannot change its verdict.
 
-Each rewrite rebuilds the history through `assemble_history`, carrying
+Each rewrite rebuilds the history from thread blocks through
+`history_from_blocks`, which groups the events by access and validates
+them in `assemble_history` as the trace parser's output is, carrying
 reads-from and dependency edges by event reference.  Renaming threads or
 variables keeps every event id, so the search must also visit the same
 number of subsets and return the same witness.  Reordering thread blocks
@@ -12,7 +14,13 @@ from __future__ import annotations
 
 import random
 
-from mmcheck import MODELS, assemble_history, generate_program, simulate, solve
+from mmcheck import (
+    MODELS,
+    generate_program,
+    history_from_blocks,
+    simulate,
+    solve,
+)
 
 from conftest import with_random_dp
 from helpers import events
@@ -33,7 +41,7 @@ def _rebuilt(h, order=None, thread_name=None, var_name=None, extra=()):
         e = evs[eid]
         return e.kind, vname.get(e.var, e.var), e.val
 
-    return assemble_history(
+    return history_from_blocks(
         init=[(vname.get(e.var, e.var), e.val) for e in evs if e.is_init],
         threads=[
             (tname.get(t, t), [access(i) for i in h.thread_events(t)])

@@ -9,9 +9,9 @@ import pytest
 
 from mmcheck import (
     Cnf3,
-    assemble_history,
     format_history,
     get_model,
+    history_from_blocks,
     oracle_store,
     parse_dimacs,
     parse_history,
@@ -198,7 +198,7 @@ def test_relaxed_instance_is_strict_with_trailing_guards_moved_out():
                 blocks += moved
                 moved = []
         assert not moved
-        relaxed = assemble_history(threads=blocks)
+        relaxed = history_from_blocks(threads=blocks)
         assert format_history(relaxed) == format_history(
             sat_to_history_relaxed(cnf)
         )

@@ -22,11 +22,11 @@ from hypothesis import strategies as st
 from mmcheck import (
     MODELS,
     Cnf3,
-    assemble_history,
     build_base_graphs,
     derive,
     generate_program,
     get_model,
+    history_from_blocks,
     kahn_acyclic,
     mutate,
     oota_cycle,
@@ -212,7 +212,7 @@ def _random_history(rng):
                 for later in range(pos + 1, len(block)):
                     if rng.random() < 0.5:
                         dp_refs.append(((name, pos), (name, later)))
-    return assemble_history(
+    return history_from_blocks(
         init=init,
         threads=[(name, [tuple(e) for e in block]) for name, block in threads],
         rf_refs=rf_refs,

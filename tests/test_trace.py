@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 import re
 
 import pytest
@@ -10,10 +11,10 @@ from hypothesis import strategies as st
 
 from mmcheck import (
     Cnf3,
-    assemble_history,
     format_history,
     generate_program,
     get_model,
+    history_from_blocks,
     parse_history,
     sat_to_history_relaxed,
     sat_to_history_sc,
@@ -32,7 +33,7 @@ from mmcheck.errors import (
 
 from mmcheck.events import INIT_THREAD
 
-from conftest import SB, MP, CORR, OOTA
+from conftest import SB, MP, CORR, OOTA, long_traces, with_random_dp
 from helpers import events, po_before, reads, resolve_ref, rf_source
 
 
@@ -133,7 +134,9 @@ def test_syntax_errors_carry_line_numbers():
     # library callers keep the range check, with no line to name
     for val in (-1, 2**64):
         with pytest.raises(TraceSyntaxError) as exc:
-            assemble_history(init=[], threads=[("T0", [("wr", "x", val)])])
+            history_from_blocks(
+                init=[], threads=[("T0", [("wr", "x", val)])]
+            )
         assert exc.value.lineno is None
 
 
@@ -271,26 +274,56 @@ def _assert_same_history(a, b):
     ]
 
 
+def _respell(text, eol):
+    # `text` with blank and comment lines among its lines, and every third
+    # line, when it is an access, spelled with wider gaps and a trailing
+    # comment: a long block holds an access in both spellings.
+    lines = []
+    for i, line in enumerate(text.splitlines()):
+        if i % 5 == 2:
+            lines.append("  # a comment line" if i % 2 else "")
+        if i % 3 == 0 and line.startswith(("wr ", "rd ")):
+            line = line.replace(" ", "  ") + "  # trailing"
+        lines.append(line)
+    return eol.join(lines) + eol
+
+
 def test_fresh_tuples_assemble_as_their_parse():
-    # The parser passes one tuple per distinct access line; `simulate`, the
-    # reductions and library callers pass a tuple per event.  Equal tuples
-    # group alike either way.
+    # The parser groups ids by each access line's raw text, so two
+    # spellings of one access meet in one group; `history_from_blocks`
+    # groups them by each event's tuple.  Init lines, blank and comment
+    # lines, CRLF line ends and explicit rf and dp lines leave the two
+    # alike.
     histories = [
         simulate(generate_program(3, 12, 2, seed=s, max_writes=4), m, seed=s)
         for s, m in enumerate(("sc", "tso", "pso") * 3)
     ]
     cnf = Cnf3(3, ((1, 2, -3), (-1, 2, 3), (1, -2, 3)))
     histories += [sat_to_history_sc(cnf), sat_to_history_relaxed(cnf)]
-    for h in histories:
+    histories += long_traces()[:2]
+    rng = random.Random(276)
+    histories += filter(None, [with_random_dp(h, rng) for h in histories])
+    assert sum(bool(h.dp) for h in histories) == 13
+    for i, h in enumerate(histories):
         evs = events(h)
-        threads = [
-            (t, [(e.kind, e.var, e.val) for e in evs if e.thread == t])
-            for t in h.threads
-        ]
-        rebuilt = assemble_history(
-            init=[(e.var, e.val) for e in evs if e.is_init], threads=threads
+
+        def ref(eid):
+            return evs[eid].thread, evs[eid].pos
+
+        explicit = i % 2 == 1
+        rebuilt = history_from_blocks(
+            init=[(e.var, e.val) for e in evs if e.is_init],
+            threads=[
+                (t, [(e.kind, e.var, e.val) for e in evs if e.thread == t])
+                for t in h.threads
+            ],
+            rf_refs=[(ref(w), ref(r)) for w, r in sorted(h.rf)]
+            if explicit
+            else None,
+            dp_refs=[(ref(a), ref(b)) for a, b in sorted(h.dp)],
         )
-        parsed = parse_history(format_history(h))
+        text = format_history(h, explicit_rf=explicit)
+        parsed = parse_history(_respell(text, ("\n", "\r\n")[i // 2 % 2]))
         _assert_same_history(h, parsed)
         _assert_same_history(rebuilt, parsed)
         _assert_indexes_match_definitions(rebuilt)
@@ -310,7 +343,7 @@ _FAULTS = {
 
 def _fault(threads):
     with pytest.raises(MmcheckError) as exc:
-        assemble_history(init=[("z", 0)], threads=threads)
+        history_from_blocks(init=[("z", 0)], threads=threads)
     return type(exc.value), str(exc.value)
 
 
@@ -327,7 +360,7 @@ def test_refs_are_thread_position_pairs():
         ("T0", [("rd", "x", 0), ("wr", "y", 1)]),
         ("T1", [("rd", "y", 1)]),
     ]
-    h = assemble_history(
+    h = history_from_blocks(
         init=[("x", 0)],
         threads=threads,
         rf_refs=[(("init", 0), ("T0", 0)), (("T0", 1), ("T1", 0))],
@@ -341,7 +374,7 @@ def test_refs_are_thread_position_pairs():
     assert h.rf == parsed.rf and h.dp == parsed.dp
     for bad in (("T0", 2), ("T0", -1), ("T9", 0)):
         with pytest.raises(DanglingRefError):
-            assemble_history(
+            history_from_blocks(
                 init=[("x", 0)], threads=threads, dp_refs=[(("T0", 0), bad)]
             )
         with pytest.raises(DanglingRefError):
@@ -421,7 +454,7 @@ def _reference_parse(text):
         elif line:
             kind, var, val = _ACCESS_LINE.fullmatch(line).groups()
             threads[-1][1].append((kind, var, int(val)))
-    return assemble_history(init=[("x", 0), ("y", 0)], threads=threads)
+    return history_from_blocks(init=[("x", 0), ("y", 0)], threads=threads)
 
 
 @settings(max_examples=200, deadline=None)
