@@ -14,15 +14,16 @@ the ids as they meet the events, the trace parser line by line and
 `history_from_blocks` block by block, and hand the groups and each
 thread's event count to `assemble_history`.  A long trace holds few
 distinct accesses, and assembly works per distinct access, per thread
-and per write, with no loop over the events.  `thread_of`,
-each event's thread name, is the one column indexed by event id that
-is built with the history; each thread's ids are consecutive, so a
-position is the id minus the thread's first id.  `write_vars` holds
-each write's variable.  The per-event column `access` (each event's
-tuple, shared between equal accesses) is built on first access.  The
-solver reads `thread_of`, `write_vars`, each write's readers and the
-dependency edges, and builds it only to word a diagnostic.  There is no
-per-event record: every package path reads the columns.
+and per write, with no loop over the events.  `thread_of`, each
+event's thread name, is the one column indexed by event id that is
+built with the history.  Each thread's ids are consecutive, so a thread
+is held as the `range` of its ids, and a position is the id minus the
+thread's first id.  `write_vars` holds each write's variable.  The
+per-event column `access` (each event's tuple, shared between equal
+accesses) is built on first access.  The solver reads `thread_of`,
+`write_vars`, each write's readers and the dependency edges, and builds
+it only to word a diagnostic.  There is no per-event record: every
+package path reads the columns.
 """
 
 from __future__ import annotations
@@ -74,12 +75,13 @@ class History:
     same whoever builds it) and safe to share across threads.  Build one
     with :func:`history_from_blocks` or the trace parser, which both hand
     the events, grouped by access, to :func:`assemble_history`; the
-    constructor neither validates nor walks the events, and takes its
-    indexes from assembly.  Assembly builds every history and rejects any
-    dp edge that is not read-sourced or not in program order, so `derive`
-    and the solver trust `dp`.  `threads` maps each thread
-    name, the virtual `init` thread first, to its event ids in program
-    order, `writes` holds the write ids, ascending, `write_vars` their
+    constructor validates nothing: it keeps the indexes assembly gives
+    it, copies the columns into tuples and lists each variable's writes.
+    Assembly builds every history and rejects any dp edge that is not
+    read-sourced or not in program order, so `derive` and the solver
+    trust `dp`.  `threads` maps each thread name, the virtual `init`
+    thread first, to the range of its event ids, which is program order;
+    `writes` holds the write ids, ascending, `write_vars` their
     variables, and `readers` maps each write with readers to them, in id
     order.
     """
@@ -92,7 +94,7 @@ class History:
         "_rf",
         "threads",
         "_thread_ids",
-        "_writes",
+        "writes",
         "write_vars",
         "_readers",
         "_writes_on",
@@ -103,7 +105,7 @@ class History:
         groups: Mapping[tuple[str, str, int], Sequence[int]],
         thread_of: Sequence[str],
         dp: frozenset[tuple[int, int]],
-        threads: Mapping[str, tuple[int, ...]],
+        threads: Mapping[str, range],
         writes: Sequence[int],
         write_vars: Sequence[str],
         readers: Mapping[int, tuple[int, ...]],
@@ -115,7 +117,7 @@ class History:
         self._rf: frozenset[tuple[int, int]] | None = None
         self.threads: tuple[str, ...] = tuple(threads)[1:]
         self._thread_ids = threads
-        self._writes = tuple(writes)
+        self.writes: tuple[int, ...] = tuple(writes)
         self.write_vars: tuple[str, ...] = tuple(write_vars)
         writes_on: defaultdict[str, list[int]] = defaultdict(list)
         for w, var in zip(writes, write_vars):
@@ -147,11 +149,7 @@ class History:
     @property
     def k(self) -> int:
         """Number of write events, initial writes included."""
-        return len(self._writes)
-
-    @property
-    def writes(self) -> tuple[int, ...]:
-        return self._writes
+        return len(self.writes)
 
     @property
     def variables(self) -> tuple[str, ...]:
@@ -163,7 +161,7 @@ class History:
     def writes_on(self, var: str) -> tuple[int, ...]:
         return self._writes_on.get(var, ())
 
-    def thread_events(self, thread: str) -> tuple[int, ...]:
+    def thread_events(self, thread: str) -> range:
         return self._thread_ids[thread]
 
     def ref(self, eid: int) -> str:
@@ -185,9 +183,7 @@ def _scatter(groups: Mapping[_T, Sequence[int]], n: int) -> list[_T | None]:
     return column
 
 
-def _resolve(
-    thread_ids: Mapping[str, tuple[int, ...]], ref: tuple[str, int]
-) -> int:
+def _resolve(thread_ids: Mapping[str, range], ref: tuple[str, int]) -> int:
     thread, pos = ref
     ids = thread_ids.get(thread, ())
     if not 0 <= pos < len(ids):
@@ -280,7 +276,7 @@ def assemble_history(
         seen_init_vars.add(var)
 
     thread_of: list[str] = []
-    thread_ids: dict[str, tuple[int, ...]] = {}
+    thread_ids: dict[str, range] = {}
 
     def ref(eid: int) -> str:
         return _ref(thread_of, thread_ids, eid)
@@ -289,7 +285,7 @@ def assemble_history(
     for name, count in threads:
         start = len(thread_of)
         if name not in thread_ids:
-            thread_ids[name] = tuple(range(start, start + count))
+            thread_ids[name] = range(start, start + count)
         elif fault is None:
             fault_at, fault = start, TraceSyntaxError(
                 f"thread name {INIT_THREAD!r} is reserved"

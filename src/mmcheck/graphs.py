@@ -54,7 +54,7 @@ class EventGraph:
         cls,
         adj: list[list[int]],
         in_degree: list[int],
-        tag_sites: Sequence[Sequence[int]] = (),
+        tag_sites: Sequence[Sequence[int]],
     ) -> EventGraph:
         """The graph with these rows and in-degrees, which it takes as
         they are, without copying."""

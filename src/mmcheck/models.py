@@ -14,27 +14,28 @@ base graphs need.  The four supported models:
   rmo   keeps only the explicit dependency edges, permits load-load
         hazards, and requires the dependency/reads-from cycle test.
 
-A derivation (`DerivedModel`) gives the model's relations as edge lists
-of size O(n) whose transitive closures are the kept pair sets: both
-program orders from one walk per thread (`program_orders`), and the
-visible reads-from.  They are built on first access, and
-`DerivedModel.graphs` joins them into the model's two full graphs, for
-the cyclic-graph diagnostic, the oracles and the tests; no other module
-decides which relation goes into which graph.  The solver's search does
-not read them: under every model `build_base_graphs` builds its two
-graphs straight from the history's thread column, each write's
-variable, each write's sorted readers and, under rmo, the dependency
-edges, at a cost that grows with the writes, threads and dependency
-edges and only logarithmically with the events (see its docstring).
+A derivation (`DerivedModel`) pairs a model with a history.  Its
+`graphs()` builds the model's two full graphs, on each call, from edge
+lists of size O(n) whose transitive closures are the kept pair sets:
+both program orders from one walk per thread (`program_orders`), and
+the visible reads-from (`rf_external`).  They serve the cyclic-graph
+diagnostic, the oracles and the tests; no other module decides which
+relation goes into which graph.  The solver's search does not read
+them: under every model `build_base_graphs` builds its two graphs
+straight from the history's thread column, each write's variable, each
+write's sorted readers and, under rmo, the dependency edges, at a cost
+that grows with the writes, threads and dependency edges and only
+logarithmically with the events (see its docstring).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from collections.abc import Collection, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
+from typing import NamedTuple
 
 from .errors import UnknownModelError
 from .events import INIT_THREAD, READ, WRITE, History
@@ -111,47 +112,30 @@ def get_model(name: str) -> ModelSpec:
         ) from None
 
 
-class DerivedModel:
-    """The relations a model exposes for one history.
+class DerivedModel(NamedTuple):
+    """A model's derivation for one history: the model and the history.
 
-    `po_mm` and `po_loc_effective` are edge lists: their transitive
-    closures, not the lists themselves, are the preserved program order
-    and the effective same-variable program order.  One call of
-    `program_orders` builds both, except that a model keeping only the
-    dependency edges takes `history.dp` as `po_mm`.  `rf_mm` is the
-    visible reads-from.  The three are built from `history` and `spec`
-    together, on the first access to any of them, and then kept.
-    `graphs()` joins them into the model's two full graphs.
+    `graphs()` builds the model's two full graphs from the relations
+    that `program_orders`, `rf_external` and the history's `dp` and `rf`
+    give, on every call; nothing is kept.
     """
 
-    __slots__ = ("spec", "history", "po_mm", "po_loc_effective", "rf_mm")
-    po_mm: Collection[tuple[int, int]]
-    po_loc_effective: list[tuple[int, int]]
-    rf_mm: frozenset[tuple[int, int]]
-
-    def __init__(self, spec: ModelSpec, history: History):
-        self.spec = spec
-        self.history = history
-
-    def __getattr__(self, name: str) -> object:
-        # Python calls this only for an attribute that is not set yet.
-        if name not in DerivedModel.__slots__[2:]:
-            raise AttributeError(name)
-        h, spec = self.history, self.spec
-        po, self.po_loc_effective = program_orders(h, spec)
-        self.po_mm = h.dp if spec.dp_only else po
-        self.rf_mm = h.rf if spec.sees_internal_rf else rf_external(h)
-        return getattr(self, name)
+    spec: ModelSpec
+    history: History
 
     def graphs(self) -> tuple[EventGraph, EventGraph]:
         """The per-location graph (effective same-variable program order
         plus reads-from) and the model graph (preserved program order plus
         visible reads-from), one vertex per event: the full graphs whose
-        contractions `build_base_graphs` returns."""
-        h = self.history
+        contractions `build_base_graphs` returns.  A model keeping only the
+        dependency edges takes `dp` as its preserved program order, and
+        one that drops write-read order sees only `rf_external`."""
+        h, spec = self.history, self.spec
+        po, po_loc = program_orders(h, spec)
+        rf = h.rf if spec.sees_internal_rf else rf_external(h)
         return (
-            EventGraph(h.n, self.po_loc_effective, h.rf),
-            EventGraph(h.n, self.po_mm, self.rf_mm),
+            EventGraph(h.n, po_loc, h.rf),
+            EventGraph(h.n, h.dp if spec.dp_only else po, rf),
         )
 
 
@@ -201,10 +185,11 @@ def build_base_graphs(
       variable.  A write then needs an edge only to the first read of
       each thread it feeds, and none when it precedes that read in
       program order: an initial write, or an earlier write of the read's
-      thread.  `po_loc_effective` orders those, and so does `po_mm` when
-      the model keeps write-read order; a model that drops it sees no
-      same-thread or initial reads-from.  A read ahead of its own write
-      keeps its edge, which closes a cycle.
+      thread.  Effective same-variable program order orders those, and
+      so does preserved program order when the model keeps write-read
+      order; a model that drops it sees no same-thread or initial
+      reads-from.  A read ahead of its own write keeps its edge, which
+      closes a cycle.
     - Tag sites.  Then every read of write i in thread t reaches the last
       one.  So whatever reaches a read of i in t reaches the last one, and
       a conflict edge from a read of i in t is implied by the same edge
@@ -493,9 +478,10 @@ def program_orders(
 
 
 def derive(h: History, spec: ModelSpec) -> DerivedModel:
-    """The model's relations for `h`, each built on first access.
+    """The model's derivation for `h`, whose `graphs()` builds its full
+    graphs on each call.
 
-    Pure: equal inputs give identical relations.  Under rmo the
+    Pure: equal inputs give identical graphs.  Under rmo the
     dependency relation must be read-sourced and lie inside program
     order; it is not re-checked here, because every history passes
     through `assemble_history`, which rejects any other dp edge.

@@ -14,6 +14,11 @@ So the relaxed history has no write-to-read or write-to-write
 program-order pairs at all, which makes it equally hard for
 store-buffering models.
 
+Each write of the gadget is a vertex of the base graphs that `solve`
+builds, so an instance whose tables would pass `MEMORY_CEILING` is
+refused with `ResourceBoundError` before any thread is built: a header
+declaring about 16,300 variables or more.
+
 A tiny exhaustive SAT decider provides ground-truth labels.
 """
 
@@ -21,8 +26,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import MalformedDimacsError, NotThreeSatError, TooManyVarsError
+from .errors import (
+    MalformedDimacsError,
+    NotThreeSatError,
+    ResourceBoundError,
+    TooManyVarsError,
+)
 from .events import History, history_from_blocks
+from .solver import MEMORY_CEILING, table_bytes
 
 SAT_BRUTE_FORCE_MAX_VARS = 20
 
@@ -135,6 +146,11 @@ def sat_to_history_relaxed(cnf: Cnf3) -> History:
 
 
 def _gadget(cnf: Cnf3, relaxed: bool) -> History:
+    # Two writes per variable and per literal, each a base-graph vertex:
+    # refuse an instance whose tables no check could build.
+    k = 2 * cnf.num_vars + 2 * len(cnf.literals)
+    if table_bytes(k, k) > MEMORY_CEILING:
+        raise ResourceBoundError(f"k={k} writes: memory ceiling")
     threads: list[tuple[str, list[tuple[str, str, int]]]] = []
     for i in range(1, cnf.num_vars + 1):
         threads.append((f"T0_x{i}", [("wr", f"x{i}", 0)]))

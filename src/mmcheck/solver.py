@@ -318,8 +318,8 @@ def _search(
     Merging the tables over both base graphs is exact.  The write waits
     and the candidate tests are ORs over the graphs.  A read wait taken
     from the per-location graph lies on one variable, since every
-    per-location edge (`po_loc_effective` and reads-from) joins two
-    events of one variable: the write t that the wait names is then on p's
+    per-location edge (same-variable program order or reads-from) joins
+    two events of one variable: the write t that the wait names is then on p's
     variable and blocks p, so p is never placed while t is not.  So on
     every subset evaluated the merged read waits are the model graph's.
 

@@ -79,15 +79,14 @@ def parse_history(text: str) -> History:
     # A line seen before as an access line is looked up by its raw text;
     # its first occurrence raised nothing and found a thread block open.
     # Access lines, the common case, and thread headers cannot start with
-    # `init:`, so they are tried first.  A value under 20 digits is below
-    # 2^64: no range check.
+    # `init:`, so they are tried first.
     for lineno, raw in enumerate(text.splitlines(), start=1):
         ids = ids_of.get(raw)
         if ids is not None:
             ids.append(eid)
             eid += 1
             continue
-        line = (raw.split("#", 1)[0] if "#" in raw else raw).strip()
+        line = raw.split("#", 1)[0].strip()
         m = _LINE_RE.fullmatch(line)
         if m:
             kind, var, val, thread = m.groups()
@@ -96,9 +95,7 @@ def parse_history(text: str) -> History:
                 continue
             if not starts:
                 raise TraceSyntaxError("access outside a thread block", lineno)
-            access = (
-                kind, var, int(val) if len(val) < 20 else _int(val, lineno)
-            )
+            access = (kind, var, _int(val, lineno))
             ids_of[raw] = ids = groups.setdefault(access, [])
             ids.append(eid)
             eid += 1

@@ -183,13 +183,16 @@ def build_r_snapshot(index, subset_mask, v):
     return frozenset(pairs)
 
 
-def order_free_edges(h, derived):
-    """The edge lists of the two full graphs, joined once: the
+def graph_edges(g):
+    """The edges of `g`, row by row in vertex order.  A graph built from
+    them over `g.n` vertices has `g`'s rows."""
+    return [(u, v) for u, row in enumerate(g.adj) for v in row]
+
+
+def order_free_edges(derived):
+    """The edge lists of the two full graphs of `derived.graphs()`: the
     per-location graph's, then the model graph's."""
-    return (
-        [*derived.po_loc_effective, *h.rf],
-        [*derived.po_mm, *derived.rf_mm],
-    )
+    return tuple(graph_edges(g) for g in derived.graphs())
 
 
 def build_coherence_graphs(h, static, index, subset_mask, v):
@@ -251,7 +254,7 @@ def solve_reference(h, spec, *, safe_first=True, var_first=True, sets=()):
     A member whose rest the memo already marks unorderable fails whatever
     its graphs say, so the bit-order pass skips it without building them;
     the memo gains no entry either way.  The order-free edge lists are
-    joined once per call.
+    read once per call.
     """
     dm = derive(h, spec)
     if spec.dp_only and oota_cycle(h) is not None:
@@ -261,7 +264,7 @@ def solve_reference(h, spec, *, safe_first=True, var_first=True, sets=()):
         return False, {}
     index = WriteIndex(h)
     memo = {0: index.k}
-    static = order_free_edges(h, dm)
+    static = order_free_edges(dm)
     reach = [closure(h.n, edges) for edges in static]
     ids, var = index.ids, h.write_vars
     varmask = [index.mask_of(w for w, y in zip(ids, var) if y == x) for x in var]
@@ -541,13 +544,14 @@ def iter_store_orders(h):
         yield StoreOrder(tuple(zip(variables, combo)))
 
 
-def store_order_passes(h, dm, order_pairs):
-    """Whether both full graphs, rebuilt from every relation, every order
-    pair and every conflict edge, are acyclic."""
+def store_order_passes(h, static, order_pairs):
+    """Whether both full graphs, rebuilt from the edge lists `static` of
+    :func:`order_free_edges`, every order pair and every conflict edge,
+    are acyclic."""
     extra = conflict_edges(h, order_pairs)
     return all(
-        kahn_acyclic(EventGraph(h.n, po, rf, order_pairs, extra))[0]
-        for po, rf in ((dm.po_loc_effective, h.rf), (dm.po_mm, dm.rf_mm))
+        kahn_acyclic(EventGraph(h.n, edges, order_pairs, extra))[0]
+        for edges in static
     )
 
 
@@ -560,13 +564,11 @@ def oracle_store_reference(h, spec):
     """
     if spec.dp_only and oota_cycle(h) is not None:
         return Verdict(Outcome.INCONSISTENT)
-    dm = derive(h, spec)
+    static = order_free_edges(derive(h, spec))
     for so in iter_store_orders(h):
         ww = so.pairs()
-        if store_order_passes(h, dm, ww):
-            g = EventGraph(
-                h.n, dm.po_mm, dm.rf_mm, ww, conflict_edges(h, ww)
-            )
+        if store_order_passes(h, static, ww):
+            g = EventGraph(h.n, static[1], ww, conflict_edges(h, ww))
             order = kahn_acyclic(g)[1]
             write_set = set(h.writes)
             return Verdict(

@@ -89,6 +89,18 @@ def test_malformed_dimacs_exit_code(capsys, tmp_path):
     assert err == "mmcheck: bad token 'a'\n"
 
 
+@pytest.mark.parametrize("variant", ["sc", "relaxed"])
+def test_oversized_dimacs_header_exit_code(capsys, tmp_path, variant):
+    p = tmp_path / "big.cnf"
+    p.write_text("p cnf 100000000 1\n1 2 3 0\n")
+    out_path = tmp_path / "big.mmh"
+    code, out, err = run(
+        capsys, "gen", "sat", "--variant", variant, str(p), "-o", str(out_path)
+    )
+    assert (code, out) == (3, "") and not out_path.exists()
+    assert err == "mmcheck: k=200000006 writes: memory ceiling\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [("check", "{}", "--model", "sc"), ("gen", "sat", "{}")],

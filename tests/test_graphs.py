@@ -38,19 +38,16 @@ from helpers import (
     closure,
     conflict_edges,
     events,
+    graph_edges,
     order_free_edges,
     reads,
 )
 
 
-def _edges(g):
-    return [(u, v) for u, row in enumerate(g.adj) for v in row]
-
-
 def _is_topological(g, order):
     position = {v: i for i, v in enumerate(order)}
     return sorted(order) == list(range(g.n)) and all(
-        position[u] < position[v] for u, v in _edges(g)
+        position[u] < position[v] for u, v in graph_edges(g)
     )
 
 
@@ -151,7 +148,7 @@ def _with_all_pairs(h, base, orders):
     """`base` with every order pair of each order in `orders`, and every
     conflict edge those pairs induce."""
     pairs = {p for o in orders for p in itertools.combinations(o, 2)}
-    return EventGraph(h.n, _edges(base), pairs, conflict_edges(h, pairs))
+    return EventGraph(h.n, graph_edges(base), pairs, conflict_edges(h, pairs))
 
 
 def test_with_order_chains_have_the_closure_of_all_pairs(small_corpus):
@@ -182,8 +179,8 @@ def test_with_order_chains_have_the_closure_of_all_pairs(small_corpus):
                 acyclic = kahn_acyclic(g)[0]
                 assert acyclic == kahn_acyclic(want)[0]
                 if acyclic:
-                    reach = closure(h.n, _edges(g))
-                    assert reach == closure(h.n, _edges(want))
+                    reach = closure(h.n, graph_edges(g))
+                    assert reach == closure(h.n, graph_edges(want))
                 seen.add(acyclic)
     assert seen == {True, False}
 
@@ -291,7 +288,7 @@ rd x 1
 
 def test_coherence_graphs_derived_examples():
     h = parse_history(COHERENCE_CASE)
-    static = order_free_edges(h, derive(h, get_model("sc")))
+    static = order_free_edges(derive(h, get_model("sc")))
     idx = WriteIndex(h)
     w1, w2 = h.writes
     r = reads(h)[0]
@@ -319,11 +316,11 @@ def test_coherence_graphs_single_write_equals_base():
     dm = derive(h, get_model("sc"))
     idx = WriteIndex(h)
     g_loc, g_mm = build_coherence_graphs(
-        h, order_free_edges(h, dm), idx, 0, h.writes[0]
+        h, order_free_edges(dm), idx, 0, h.writes[0]
     )
     b_loc, b_mm = build_base_graphs(h, dm.spec)
-    assert sorted(_edges(g_loc)) == sorted(_edges(b_loc))
-    assert sorted(_edges(g_mm)) == sorted(_edges(b_mm))
+    assert sorted(graph_edges(g_loc)) == sorted(graph_edges(b_loc))
+    assert sorted(graph_edges(g_mm)) == sorted(graph_edges(b_mm))
 
 
 def test_base_graphs_empty_history():
@@ -337,7 +334,7 @@ def test_base_graph_keeps_coinciding_po_and_rf():
     dm = derive(h, get_model("sc"))
     # on the full relations the po pair and the rf pair coincide; the
     # duplicate is kept
-    g = EventGraph(h.n, dm.po_mm, dm.rf_mm)
+    g = dm.graphs()[1]
     assert g.adj[0] == [1, 1] and kahn_acyclic(g) == (True, [0, 1])
     # the base graph drops the rf pair, which po implies, and the read,
     # entered by one edge, joins the write's vertex
@@ -371,7 +368,7 @@ def test_single_entry_reads_merge_and_writes_do_not():
     # only the reads-from edge from x=2, and its second is entered by
     # program order from the first and by reads-from from x=1.
     assert g_loc.tag_sites == [[0, 2], [1]] and g_loc.n == 3
-    assert sorted(_edges(g_loc)) == [(0, 1), (0, 2), (1, 2)]
+    assert sorted(graph_edges(g_loc)) == [(0, 1), (0, 2), (1, 2)]
 
 
 def test_rmo_base_graphs_merge_segments_and_join_dependencies():
@@ -390,28 +387,30 @@ def test_rmo_base_graphs_merge_segments_and_join_dependencies():
     assert g_loc.n == h.k + 3
     (segment,) = g_loc.tag_sites[x1]
     assert segment >= h.k
-    assert sorted(u for u, v in _edges(g_loc) if v == segment) == [init_x, x1]
+    assert sorted(u for u, v in graph_edges(g_loc) if v == segment) == [init_x, x1]
     # the since edge: T1's write of x follows the segment and its head
     assert g_loc.adj[segment] == [x2]
-    assert sorted(u for u, v in _edges(g_loc) if v == x2) == [init_x, segment]
+    assert sorted(u for u, v in graph_edges(g_loc) if v == x2) == [init_x, segment]
     # model graph: reads with only their writer's edge merge into it, and
     # T2:1 joins its writer and its dp source, merged into y=1
     assert g_mm.n == h.k + 1
     assert g_mm.tag_sites[x1] == [x1] and g_mm.tag_sites[y1] == [y1]
     (join,) = g_mm.tag_sites[x2]
-    assert sorted(_edges(g_mm)) == [(y1, join), (x2, join)]
+    assert sorted(graph_edges(g_mm)) == [(y1, join), (x2, join)]
     assert g_mm.tag_sites[init_y] == [] and g_loc.tag_sites[init_y] == []
 
 
 BASE_GRAPHS_SHA256 = (
     "5584e1cb2a6c1c8c971b981ee83df802cd302f39b09b9240e5c2e843fe18a6de"
 )
+FULL_GRAPHS_SHA256 = (
+    "9f9ce906c85a776d414f72dfd9607dd65007c962d3a9865a3f84849d447d9c33"
+)
 
 
-def test_base_graphs_are_pinned(small_corpus):
-    # Rows, in-degrees and tag sites of both base graphs, under every
-    # model, over histories of every shape the checker meets: the rmo
-    # walk reads the dp edges that `with_random_dp` adds.
+def _pinned_histories(small_corpus):
+    """Histories of every shape the checker meets: the rmo walk reads the
+    dp edges that `with_random_dp` adds."""
     histories = [*small_corpus, *long_traces()]
     for path in sorted(TRACES.glob("*.mmh")):
         histories.append(parse_history(path.read_text()))
@@ -420,13 +419,30 @@ def test_base_graphs_are_pinned(small_corpus):
     histories += spread_writes_histories(20, 40, (3, 18, 10, 3))
     rng = random.Random(3303)
     histories += filter(None, [with_random_dp(h, rng) for h in histories])
+    assert len(histories) == 296
+    return histories
+
+
+def test_base_graphs_are_pinned(small_corpus):
+    # Rows, in-degrees and tag sites of both base graphs, under every
+    # model.
     digest = hashlib.sha256()
-    for h in histories:
+    for h in _pinned_histories(small_corpus):
         for name in MODELS:
             for g in build_base_graphs(h, get_model(name)):
                 digest.update(repr((g.adj, g.in_degree, g.tag_sites)).encode())
-    assert len(histories) == 296
     assert digest.hexdigest() == BASE_GRAPHS_SHA256
+
+
+def test_full_graphs_are_pinned(small_corpus):
+    # Rows and in-degrees of both full graphs, under every model: each
+    # relation's edges, and their order in each row.
+    digest = hashlib.sha256()
+    for h in _pinned_histories(small_corpus):
+        for name in MODELS:
+            for g in derive(h, get_model(name)).graphs():
+                digest.update(repr((g.adj, g.in_degree)).encode())
+    assert digest.hexdigest() == FULL_GRAPHS_SHA256
 
 
 def _edge_kind_invariants(h, spec_name, mask, v):
@@ -463,13 +479,13 @@ def test_graphs_differ_only_in_static_parts(small_corpus):
         dm = derive(h, get_model("tso"))
         idx = WriteIndex(h)
         base_loc, base_mm = dm.graphs()
-        static = order_free_edges(h, dm)
+        static = order_free_edges(dm)
         for j in range(min(idx.k, 3)):
             v = idx.ids[j]
             mask = 0
             g_loc, g_mm = build_coherence_graphs(h, static, idx, mask, v)
-            added_loc = set(_edges(g_loc)) - set(_edges(base_loc))
-            added_mm = set(_edges(g_mm)) - set(_edges(base_mm))
+            added_loc = set(graph_edges(g_loc)) - set(graph_edges(base_loc))
+            added_mm = set(graph_edges(g_mm)) - set(graph_edges(base_mm))
             # additions differ only by edges already present in one base
             sym = added_loc ^ added_mm
-            assert sym <= (set(_edges(base_loc)) | set(_edges(base_mm)))
+            assert sym <= {*graph_edges(base_loc), *graph_edges(base_mm)}

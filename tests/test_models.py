@@ -14,14 +14,15 @@ from mmcheck import (
     get_model,
     oota_cycle,
     parse_history,
+    program_orders,
     rf_external,
     simulate,
 )
 from mmcheck.errors import UnknownModelError
 from mmcheck.graphs import find_cycle
 
-from conftest import OOTA, with_random_dp
-from helpers import closure, reference_po, resolve_ref
+from conftest import OOTA, long_traces, with_random_dp
+from helpers import closure, graph_edges, reference_po, resolve_ref
 
 
 def test_model_registry_flags():
@@ -55,8 +56,11 @@ def _closed(h, edges):
 
 def test_derive_sc_is_identity():
     h = parse_history("init: x=0 y=0\nthread T0\nwr x 1\nrd y 0\n")
-    dm = derive(h, get_model("sc"))
-    assert _closed(h, dm.po_mm) == reference_po(h) and dm.rf_mm == h.rf
+    sc = get_model("sc")
+    po, _ = program_orders(h, sc)
+    assert _closed(h, po) == reference_po(h)
+    mm = derive(h, sc).graphs()[1]
+    assert sorted(graph_edges(mm)) == sorted([*po, *h.rf])
 
 
 def test_sc_program_order_is_one_chain_per_thread():
@@ -65,18 +69,17 @@ def test_sc_program_order_is_one_chain_per_thread():
     prog = generate_program(4, 150, 5, seed=6060, max_writes=10)
     h = simulate(prog, "sc", seed=6061)
     assert h.n == 605 and len(h.thread_events("init")) == 5
-    dm = derive(h, get_model("sc"))
-    assert len(dm.po_mm) == 4 * 149 + 5 * 4 == 616
-    assert _closed(h, dm.po_mm) == reference_po(h)
+    po, _ = program_orders(h, get_model("sc"))
+    assert len(po) == 4 * 149 + 5 * 4 == 616
+    assert _closed(h, po) == reference_po(h)
 
 
 def test_derive_tso_drops_write_read_pairs():
     h = parse_history("init: y=0\nthread T0\nwr x 1\nrd y 0\n")
-    dm = derive(h, get_model("tso"))
     wx = resolve_ref(h, "T0", 0)
     ry = resolve_ref(h, "T0", 1)
     iy = resolve_ref(h, "init", 0)
-    po_mm = _closed(h, dm.po_mm)
+    po_mm = _closed(h, program_orders(h, get_model("tso"))[0])
     assert (wx, ry) not in po_mm
     assert (iy, ry) not in po_mm  # init writes are writes too
     assert (iy, wx) in po_mm  # write-write pairs survive tso
@@ -84,65 +87,67 @@ def test_derive_tso_drops_write_read_pairs():
 
 def test_derive_pso_drops_write_write_pairs():
     h = parse_history("thread T0\nwr x 1\nwr y 1\n")
-    dm = derive(h, get_model("pso"))
-    assert not dm.po_mm
+    assert not program_orders(h, get_model("pso"))[0]
 
 
 def test_derive_rmo_uses_dp():
     h = parse_history(OOTA)
-    dm = derive(h, get_model("rmo"))
-    assert dm.po_mm == h.dp
-    assert dm.rf_mm == rf_external(h)
+    mm = derive(h, get_model("rmo")).graphs()[1]
+    assert sorted(graph_edges(mm)) == sorted([*h.dp, *rf_external(h)])
 
 
 def test_derive_rmo_empty_dp_default():
     h = parse_history("thread T0\nwr x 1\nrd x 1\n")
-    dm = derive(h, get_model("rmo"))
-    assert not dm.po_mm
+    mm = derive(h, get_model("rmo")).graphs()[1]
+    assert not h.dp and not graph_edges(mm)
 
 
 def test_po_loc_effective_matches_llh_flag():
     h = parse_history("init: x=0\nthread T0\nrd x 0\nrd x 0\n")
     r1 = resolve_ref(h, "T0", 0)
     r2 = resolve_ref(h, "T0", 1)
-    sc = derive(h, get_model("sc")).po_loc_effective
-    rmo = derive(h, get_model("rmo")).po_loc_effective
+    sc = program_orders(h, get_model("sc"))[1]
+    rmo = program_orders(h, get_model("rmo"))[1]
     assert (r1, r2) in _closed(h, sc)
     assert (r1, r2) not in _closed(h, rmo)
 
 
 def test_strength_chain(small_corpus):
     for h in small_corpus:
-        sc = derive(h, get_model("sc"))
-        tso = derive(h, get_model("tso"))
-        pso = derive(h, get_model("pso"))
-        assert (
-            _closed(h, pso.po_mm)
-            <= _closed(h, tso.po_mm)
-            <= _closed(h, sc.po_mm)
+        sc, tso, pso = (
+            program_orders(h, get_model(name))[0]
+            for name in ("sc", "tso", "pso")
         )
-        assert pso.rf_mm == tso.rf_mm
-        assert tso.rf_mm <= sc.rf_mm
+        assert _closed(h, pso) <= _closed(h, tso) <= _closed(h, sc)
+        # tso and pso see `rf_external`, sc all of reads-from
+        assert rf_external(h) <= h.rf
 
 
 def test_derive_is_pure(small_corpus):
     h = small_corpus[0]
     spec = get_model("tso")
     a, b = derive(h, spec), derive(h, spec)
-    assert a.po_mm == b.po_mm and a.rf_mm == b.rf_mm
-    assert a.po_loc_effective == b.po_loc_effective
+    rows = [(g.adj, g.in_degree) for g in a.graphs()]
+    assert rows == [(g.adj, g.in_degree) for g in b.graphs()]
+    assert rows == [(g.adj, g.in_degree) for g in a.graphs()]
 
 
-def test_derived_relations_are_built_once(small_corpus):
-    # the three relations are built on first access and then kept; any
-    # other missing attribute is an AttributeError
-    h = small_corpus[0]
-    dm = derive(h, get_model("pso"))
-    first = dm.po_loc_effective
-    assert dm.po_loc_effective is first and dm.po_mm is dm.po_mm
-    assert dm.rf_mm == rf_external(h)
-    with pytest.raises(AttributeError):
-        dm.po_loc
+def test_graphs_join_the_model_relations(small_corpus):
+    # the rows of both full graphs are exactly those of the joined edge
+    # lists of each relation, in this order, under every model
+    rng = random.Random(3404)
+    histories = [*small_corpus, *long_traces()]
+    histories += filter(None, [with_random_dp(h, rng) for h in histories])
+    for h in histories:
+        for spec in MODELS.values():
+            po, po_loc = program_orders(h, spec)
+            rf_mm = h.rf if spec.sees_internal_rf else rf_external(h)
+            want = (
+                EventGraph(h.n, [*po_loc, *h.rf]),
+                EventGraph(h.n, [*(h.dp if spec.dp_only else po), *rf_mm]),
+            )
+            for g, w in zip(derive(h, spec).graphs(), want, strict=True):
+                assert (g.n, g.adj, g.in_degree) == (w.n, w.adj, w.in_degree)
 
 
 def test_oota_examples():

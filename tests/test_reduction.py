@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -23,6 +24,7 @@ from mmcheck import (
 from mmcheck.errors import (
     MalformedDimacsError,
     NotThreeSatError,
+    ResourceBoundError,
     TooManyVarsError,
 )
 
@@ -217,6 +219,27 @@ def test_write_count_formula():
         expected_k = 2 * n + 2 * len(cnf.literals)
         assert sat_to_history_sc(cnf).k == expected_k
         assert sat_to_history_relaxed(cnf).k == expected_k
+
+
+def test_oversized_header_is_refused_before_building():
+    # Every write is a base-graph vertex, so past the ceiling of
+    # `table_bytes(k, k)` no check could build the instance's tables: the
+    # compilers refuse it from the header's count, without building it.
+    cnf = parse_dimacs("p cnf 100000000 1\n1 2 3 0\n")
+    tracemalloc.start()
+    try:
+        for build in (sat_to_history_sc, sat_to_history_relaxed):
+            with pytest.raises(ResourceBoundError, match="k=200000006 "):
+                build(cnf)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    # k = 32,601 is the largest k within the ceiling; k is even here
+    edge = "p cnf {} 1\n1 2 3 0\n"
+    assert sat_to_history_sc(parse_dimacs(edge.format(16297))).k == 32600
+    with pytest.raises(ResourceBoundError, match="k=32602 "):
+        sat_to_history_relaxed(parse_dimacs(edge.format(16298)))
 
 
 def test_emitted_instances_round_trip():

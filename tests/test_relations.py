@@ -31,6 +31,8 @@ from mmcheck import (
     mutate,
     oota_cycle,
     parse_history,
+    program_orders,
+    rf_external,
     sat_to_history_relaxed,
     sat_to_history_sc,
     simulate,
@@ -57,6 +59,7 @@ from helpers import (
     closure,
     event_graph,
     events,
+    graph_edges,
     has_wait_cycle,
     reference_derive,
     set_waits,
@@ -66,13 +69,14 @@ from test_solver import _production_memo, _random_unsat_cnf
 
 
 def _assert_matches_reference(h, spec):
-    dm = derive(h, spec)
+    # the relations `DerivedModel.graphs` joins
+    po, po_loc = program_orders(h, spec)
+    po_mm = h.dp if spec.dp_only else po
+    rf_mm = h.rf if spec.sees_internal_rf else rf_external(h)
     ref = reference_derive(h, spec)
-    assert closure(h.n, dm.po_mm) == closure(h.n, ref.po_mm)
-    assert closure(h.n, dm.po_loc_effective) == closure(
-        h.n, ref.po_loc_effective
-    )
-    assert dm.rf_mm == ref.rf_mm
+    assert closure(h.n, po_mm) == closure(h.n, ref.po_mm)
+    assert closure(h.n, po_loc) == closure(h.n, ref.po_loc_effective)
+    assert rf_mm == ref.rf_mm
     v = solve(h, spec)
     full = (
         event_graph(h, ref.po_loc_effective, h.rf),
@@ -138,8 +142,8 @@ def test_base_edges_join_one_variable(small_corpus):
     for h in histories:
         evs = events(h)
         for name in MODELS:
-            dm = derive(h, get_model(name))
-            for a, b in (*dm.po_loc_effective, *h.rf):
+            g_loc = derive(h, get_model(name)).graphs()[0]
+            for a, b in graph_edges(g_loc):
                 assert evs[a].var == evs[b].var
 
 

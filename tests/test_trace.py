@@ -232,7 +232,9 @@ def _assert_indexes_match_definitions(h):
         writes = [e.id for e in evs if e.is_write and e.var == v]
         assert h.writes_on(v) == tuple(writes)
     for t in (INIT_THREAD, *h.threads):
-        assert h.thread_events(t) == tuple(e.id for e in evs if e.thread == t)
+        assert tuple(h.thread_events(t)) == tuple(
+            e.id for e in evs if e.thread == t
+        )
 
 
 def test_round_trip_preserves_relations(small_corpus):
