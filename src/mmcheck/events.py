@@ -14,20 +14,23 @@ the ids as they meet the events, the trace parser line by line and
 `history_from_blocks` block by block, and hand the groups and each
 thread's event count to `assemble_history`.  A long trace holds few
 distinct accesses, and assembly works per distinct access, per thread
-and per write, with no loop over the events.  `thread_of`, each
-event's thread name, is the one column indexed by event id that is
-built with the history.  Each thread's ids are consecutive, so a thread
-is held as the `range` of its ids, and a position is the id minus the
-thread's first id.  `write_vars` holds each write's variable.  The
-per-event column `access` (each event's tuple, shared between equal
-accesses) is built on first access.  The solver reads `thread_of`,
-`write_vars`, each write's readers and the dependency edges, and builds
-it only to word a diagnostic.  There is no per-event record: every
-package path reads the columns.
+and per write, with no loop over the events, and builds no column
+indexed by event id.  Each thread's ids are consecutive, so a thread
+is held as the `range` of its ids: an event's thread is found by
+bisecting the threads' stops (`History.locate`), and its position
+is its id minus the thread's first id.  `write_vars` holds each write's
+variable, and each write's readers are the one record of reads-from.
+The per-event column `access` (each event's tuple, shared between equal
+accesses) is built on first access, and the `(write, read)` pairs of
+`rf` on each call.  The solver reads the threads, `write_vars`, each
+write's readers and the dependency edges, and builds `access` only to
+word a diagnostic.  There is no per-event record: every package path
+reads the groups and the indexes.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import defaultdict
 from typing import Mapping, Sequence, TypeVar
 
@@ -52,26 +55,25 @@ MAX_VALUE = 2**64 - 1
 _T = TypeVar("_T")
 
 
-def _ref(
-    thread_of: Sequence[str], thread_ids: Mapping[str, Sequence[int]], eid: int
-) -> str:
-    return f"{thread_of[eid]}:{eid - thread_ids[thread_of[eid]][0]}"
+def _locate(names: Sequence[str], stops: Sequence[int], eid: int) -> tuple[str, int]:
+    i = bisect_right(stops, eid)
+    return names[i], eid - (stops[i - 1] if i else 0)
 
 
 class History:
-    """Per-event columns plus reads-from and dependency relations.
+    """Events grouped by access, plus reads-from and dependency relations.
 
     `_groups` maps each distinct `(kind, var, value)` tuple to its event
-    ids, ascending, in the order of their first ids.  `thread_of`, each
-    event's thread name, is the one per-event column built with the
-    history, and `write_vars` holds each write's variable, aligned with
-    `writes`.  The per-event column `access` (each event's tuple, shared
-    between equal accesses) is built from the groups on first access and
-    cached, as is `rf`.  `rf` and `dp` are frozensets of
-    `(source, target)` event-id pairs.  Program order is not stored: each
-    thread's ids are consecutive, so it is read off `thread_of`.
+    ids, ascending, in the order of their first ids; no column indexed by
+    event id is built with the history.  `write_vars` holds each write's
+    variable, aligned with `writes`.  The per-event column `access` (each
+    event's tuple, shared between equal accesses) is built from the
+    groups on first access and cached.  `rf`, built from each write's
+    readers on each call, and `dp` are frozensets of `(source, target)`
+    event-id pairs.  Program order is not stored: each thread's ids are
+    consecutive, so it is read off the threads' ranges.
 
-    Instances are immutable after construction (each cached value is the
+    Instances are immutable after construction (the cached column is the
     same whoever builds it) and safe to share across threads.  Build one
     with :func:`history_from_blocks` or the trace parser, which both hand
     the events, grouped by access, to :func:`assemble_history`; the
@@ -80,19 +82,20 @@ class History:
     Assembly builds every history and rejects any dp edge that is not
     read-sourced or not in program order, so `derive` and the solver
     trust `dp`.  `threads` maps each thread name, the virtual `init`
-    thread first, to the range of its event ids, which is program order;
-    `writes` holds the write ids, ascending, `write_vars` their
+    thread first, to the range of its event ids, which is program order,
+    and `stops` holds their stops in the same order, which `locate`
+    bisects; `writes` holds the write ids, ascending, `write_vars` their
     variables, and `readers` maps each write with readers to them, in id
     order.
     """
 
     __slots__ = (
         "_groups",
-        "thread_of",
         "dp",
         "_access",
-        "_rf",
         "threads",
+        "_names",
+        "_stops",
         "_thread_ids",
         "writes",
         "write_vars",
@@ -103,19 +106,19 @@ class History:
     def __init__(
         self,
         groups: Mapping[tuple[str, str, int], Sequence[int]],
-        thread_of: Sequence[str],
         dp: frozenset[tuple[int, int]],
         threads: Mapping[str, range],
+        stops: Sequence[int],
         writes: Sequence[int],
         write_vars: Sequence[str],
         readers: Mapping[int, tuple[int, ...]],
     ):
         self._groups = groups
-        self.thread_of: tuple[str, ...] = tuple(thread_of)
         self.dp = dp
         self._access: tuple[tuple[str, str, int], ...] | None = None
-        self._rf: frozenset[tuple[int, int]] | None = None
-        self.threads: tuple[str, ...] = tuple(threads)[1:]
+        self._names = tuple(threads)
+        self._stops = tuple(stops)
+        self.threads: tuple[str, ...] = self._names[1:]
         self._thread_ids = threads
         self.writes: tuple[int, ...] = tuple(writes)
         self.write_vars: tuple[str, ...] = tuple(write_vars)
@@ -134,17 +137,13 @@ class History:
 
     @property
     def rf(self) -> frozenset[tuple[int, int]]:
-        """Reads-from as `(write, read)` pairs."""
-        if self._rf is None:
-            self._rf = frozenset(
-                (w, r) for w, rs in self._readers.items() for r in rs
-            )
-        return self._rf
+        """Reads-from as `(write, read)` pairs, built on each call."""
+        return frozenset((w, r) for w, rs in self._readers.items() for r in rs)
 
     @property
     def n(self) -> int:
         """Total number of events."""
-        return len(self.thread_of)
+        return self._stops[-1]
 
     @property
     def k(self) -> int:
@@ -164,8 +163,13 @@ class History:
     def thread_events(self, thread: str) -> range:
         return self._thread_ids[thread]
 
+    def locate(self, eid: int) -> tuple[str, int]:
+        """The `(thread, pos)` reference of event `eid`.  Its thread is the
+        first whose stop lies past it, so empty threads are passed over."""
+        return _locate(self._names, self._stops, eid)
+
     def ref(self, eid: int) -> str:
-        return _ref(self.thread_of, self._thread_ids, eid)
+        return "%s:%d" % self.locate(eid)
 
     def format_cycle(self, cycle: Sequence[int]) -> str:
         refs = [self.ref(e) for e in cycle]
@@ -275,26 +279,29 @@ def assemble_history(
             raise DuplicateValueError(f"variable {var!r} initialized twice")
         seen_init_vars.add(var)
 
-    thread_of: list[str] = []
     thread_ids: dict[str, range] = {}
-
-    def ref(eid: int) -> str:
-        return _ref(thread_of, thread_ids, eid)
-
+    stops: list[int] = []
     fault: MmcheckError | None = None
+    n = 0
     for name, count in threads:
-        start = len(thread_of)
         if name not in thread_ids:
-            thread_ids[name] = range(start, start + count)
+            thread_ids[name] = range(n, n + count)
         elif fault is None:
-            fault_at, fault = start, TraceSyntaxError(
+            fault_at, fault = n, TraceSyntaxError(
                 f"thread name {INIT_THREAD!r} is reserved"
                 if name == INIT_THREAD
                 else f"duplicate thread {name!r}"
             )
-        thread_of += [name] * count
+        n += count
+        stops.append(n)
     if fault is None:
-        fault_at = len(thread_of)
+        fault_at = n
+    # `names` and `stops` list every block, repeated names included, so
+    # `ref` places every event.
+    names = [name for name, _ in threads]
+
+    def ref(eid: int) -> str:
+        return "%s:%d" % _locate(names, stops, eid)
 
     writes: list[int] = []
     write_vars: list[str] = []
@@ -327,7 +334,7 @@ def assemble_history(
     # Explicit edges name events by position, so they read the access
     # column.
     explicit = rf_refs is not None or dp_refs
-    access = _scatter(groups, len(thread_of)) if explicit else []
+    access = _scatter(groups, n) if explicit else []
     if rf_refs is not None:
         # An edge that passes names the read's inferred writer, since each
         # value is written once per variable; so `readers` stands.
@@ -361,14 +368,16 @@ def assemble_history(
         if access[s][0] != READ:
             raise InvalidDpError(f"dp {ref(s)} -> {ref(t)} must start at a read")
         # `s` is a read, so not an initial write: program order puts it
-        # before `t` when they share a thread and `s` comes first.
-        if not (s < t and thread_of[s] == thread_of[t]):
+        # before `t` when they share a thread and `s` comes first.  Both
+        # refs resolved, and thread names are unique, so the refs' names
+        # tell whether the events share a thread.
+        if not (s < t and sref[0] == tref[0]):
             raise InvalidDpError(
                 f"dp {ref(s)} -> {ref(t)} does not follow program order"
             )
         dp_pairs.add((s, t))
 
     return History(
-        groups, thread_of, frozenset(dp_pairs), thread_ids,
+        groups, frozenset(dp_pairs), thread_ids, stops,
         writes, write_vars, readers,
     )

@@ -22,7 +22,7 @@ the visible reads-from (`rf_external`).  They serve the cyclic-graph
 diagnostic, the oracles and the tests; no other module decides which
 relation goes into which graph.  The solver's search does not read
 them: under every model `build_base_graphs` builds its two graphs
-straight from the history's thread column, each write's variable, each
+straight from the history's thread ranges, each write's variable, each
 write's sorted readers and, under rmo, the dependency edges, at a cost
 that grows with the writes, threads and dependency edges and only
 logarithmically with the events (see its docstring).
@@ -146,14 +146,10 @@ def rf_external(h: History) -> frozenset[tuple[int, int]]:
     because initial writes precede everything in program order: kept are
     the pairs of a non-initial write and a read on another thread.
     """
-    thread_of = h.thread_of
     pairs: list[tuple[int, int]] = []
-    for w in h.writes:
-        thread = thread_of[w]
-        if thread != INIT_THREAD:
-            pairs.extend(
-                (w, r) for r in h.readers_of(w) if thread_of[r] != thread
-            )
+    for w in h.writes[len(h.thread_events(INIT_THREAD)):]:
+        ids = h.thread_events(h.locate(w)[0])
+        pairs.extend((w, r) for r in h.readers_of(w) if r not in ids)
     return frozenset(pairs)
 
 
@@ -173,7 +169,7 @@ def build_base_graphs(
     acyclicity of its full graph (`DerivedModel.graphs`), and the same
     reach between writes and tag sites (see `EventGraph`).
 
-    The graphs come from `h.thread_of`, `h.write_vars`, each write's
+    The graphs come from the threads' ranges, `h.write_vars`, each write's
     readers and, when the model keeps only the dependency edges, `h.dp`,
     without the edge lists or any other per-event column, on far fewer
     vertices; writes take vertices 0..k-1 in `h.writes` order, and a walked
@@ -274,7 +270,6 @@ def build_base_graphs(
       touches: each graph has at most k + k·(k + T) + d vertices.
     """
     llh = spec.dp_only
-    thread_of = h.thread_of
     writes = h.writes
     write_vars = h.write_vars
     k = len(writes)
@@ -298,26 +293,27 @@ def build_base_graphs(
     # Mark the reads each (writer, thread) pair, or under load-load hazards
     # each (writer, thread, segment) group, needs walked: its first and its
     # last read, or its first alone, and the reads a dp edge touches.  A
-    # mark holds the writer's bit above the flags.
-    end_of = {t: ids[-1] for t in h.threads if (ids := h.thread_events(t))}
+    # mark holds the writer's bit above the flags.  A program event's
+    # thread is the first whose stop lies past it.
+    stops = [h.thread_events(t).stop for t in h.threads]
     marks: dict[int, int] = {}
     for j, w in enumerate(writes):
         readers = h.readers_of(w)
         # Under load-load hazards: the writes to w's variable, then a
         # sentinel past every id.
         local = (*h.writes_on(write_vars[j]), h.n) if llh else ()
-        own = thread_of[w]
+        own = bisect_right(stops, w)
         tag = j << 3 | _TAG
         i, end = 0, len(readers)
         while i < end:
             first = readers[i]
-            t = thread_of[first]
-            bound = end_of[t]
+            t = bisect_right(stops, first)
+            bound = stops[t] - 1
             if llh:
                 bound = min(bound, local[bisect_right(local, first)])
             i = bisect_right(readers, bound, i + 1)
             final = first if llh else readers[i - 1]
-            if own == INIT_THREAD or t == own and first > w:
+            if j < len(inits) or t == own and first > w:
                 entry = 0
             else:
                 entry = j << 3 | _RF_LOC | (internal if t == own else _RF_MM)
@@ -342,10 +338,10 @@ def build_base_graphs(
     sites_loc: list[list[int]] = [[] for _ in range(k)]
     sites_mm: list[list[int]] = [[] for _ in range(k)]
     j = len(inits)
-    thread = INIT_THREAD
+    stop = 0
     for e in sorted([*writes[j:], *marks]):
-        if thread_of[e] != thread:
-            thread = thread_of[e]
+        if e >= stop:
+            stop = stops[bisect_right(stops, e)]
             last: dict[str, int | None] = {}
             last_on: dict[str, int | None] = dict(init_on)
             since: dict[str, list[int]] = {}

@@ -49,24 +49,29 @@ def generate_program(
     seed: int,
     max_writes: int | None = None,
 ) -> RandomProgram:
-    """Draw a random program; write values are globally fresh per variable."""
+    """Draw a random program; write values are globally fresh per variable.
+
+    Only the variables drawn are named, so `num_vars` costs nothing until
+    a variable is drawn; `var_names` lists them in index order.
+    """
     rng = random.Random(seed)
-    var_names = tuple(f"x{i}" for i in range(num_vars))
-    fresh = {v: 1 for v in var_names}  # 0 is the initial value
+    names: dict[int, str] = {}
+    fresh: dict[str, int] = {}
     writes_left = max_writes if max_writes is not None else threads * events_per_thread
     blocks = []
     for _ in range(threads):
         block = []
         for _ in range(events_per_thread):
-            var = rng.choice(var_names)
+            i = rng.randrange(num_vars)
+            var = names.setdefault(i, f"x{i}")
             if writes_left > 0 and rng.random() < 0.5:
+                fresh[var] = fresh.get(var, 0) + 1  # 0 is the initial value
                 block.append(("wr", var, fresh[var]))
-                fresh[var] += 1
                 writes_left -= 1
             else:
                 block.append(("rd", var))
         blocks.append(tuple(block))
-    return RandomProgram(tuple(blocks), var_names)
+    return RandomProgram(tuple(blocks), tuple(names[i] for i in sorted(names)))
 
 
 def simulate(prog: RandomProgram, model: str, seed: int) -> History:
@@ -172,10 +177,5 @@ def mutate(h: History, seed: int) -> History:
         (t, [rewired.get(eid, access[eid]) for eid in h.thread_events(t)])
         for t in h.threads
     ]
-
-    def ref(eid: int) -> tuple[str, int]:
-        thread = h.thread_of[eid]
-        return thread, eid - h.thread_events(thread)[0]
-
-    dp_refs = [(ref(a), ref(b)) for a, b in sorted(h.dp)]
+    dp_refs = [(h.locate(a), h.locate(b)) for a, b in sorted(h.dp)]
     return history_from_blocks(init=init, threads=threads, dp_refs=dp_refs)

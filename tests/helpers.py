@@ -430,7 +430,7 @@ def structural_bound(h):
     `solver._search` proves."""
     bound = 1
     for var in h.variables:
-        per_thread = Counter(h.thread_of[w] for w in h.writes_on(var))
+        per_thread = Counter(h.locate(w)[0] for w in h.writes_on(var))
         initial = per_thread.pop(INIT_THREAD, 0)
         bound *= initial + math.prod(n + 1 for n in per_thread.values())
     return bound
@@ -469,9 +469,10 @@ def po_before(h: History, a: int, b: int) -> bool:
     themselves; otherwise `a` and `b` must share a thread and `a` must sit
     at an earlier position.  Irreflexive and transitive.
     """
-    if h.thread_of[a] == INIT_THREAD:
-        return h.thread_of[b] != INIT_THREAD
-    return a < b and h.thread_of[a] == h.thread_of[b]
+    (ta, _), (tb, _) = h.locate(a), h.locate(b)
+    if ta == INIT_THREAD:
+        return tb != INIT_THREAD
+    return a < b and ta == tb
 
 
 def reference_po(h):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import io
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -350,6 +351,24 @@ def test_gen_random_deterministic(capsys):
     _, out2, _ = run(capsys, *args)
     assert out1 == out2
     assert parse_history(out1).n > 0
+
+
+def test_gen_random_takes_many_declared_variables(capsys):
+    # Only the variables drawn are named, so 10^8 declared ones are cheap.
+    # The 10^5 run goes first: naming every declared variable would fail
+    # it at about 11 MB, before the 10^8 run would take about 11 GB.
+    for num_vars in ("100000", "100000000"):
+        tracemalloc.start()
+        try:
+            code, out, _ = run(
+                capsys, "gen", "random", "--model", "sc", "--threads", "1",
+                "--events", "1", "--vars", num_vars,
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and peak < 2**20
+        assert parse_history(out).n == 2
 
 
 @pytest.mark.parametrize(

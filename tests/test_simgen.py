@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -47,6 +48,27 @@ def test_simulation_deterministic_bytes():
     c = format_history(simulate(prog, "tso", seed=43))
     # a different schedule seed is allowed to differ (not required)
     assert isinstance(c, str)
+
+
+def test_generate_program_names_only_the_drawn_variables():
+    # A declared variable costs nothing until it is drawn: one event over
+    # 10^5 or 10^8 variables allocates under 1 MiB, and names one
+    # variable.  Naming every declared variable takes about 113 bytes
+    # each, so the smaller count fails first, before the larger one
+    # would take about 11 GB.
+    for num_vars in (10**5, 10**8):
+        tracemalloc.start()
+        try:
+            prog = generate_program(1, 1, num_vars, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert len(prog.var_names) == 1 and prog.used_vars() == prog.var_names
+    # `var_names` lists the drawn variables in index order.
+    prog = generate_program(3, 8, 1000, seed=2)
+    drawn = {instr[1] for block in prog.threads for instr in block}
+    assert prog.var_names == tuple(sorted(drawn, key=lambda v: int(v[1:])))
 
 
 def test_unknown_model_rejected():

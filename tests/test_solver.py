@@ -761,10 +761,10 @@ _COLUMNS = {"access": property(_builds("access"))}
 
 
 def test_solve_builds_no_event_column(monkeypatch):
-    # Under every model the solver reads the per-write variables,
-    # `thread_of`, each write's readers and rmo's dependency edges: with
-    # the per-event `access` column disabled, parsing and `solve` give the
-    # same verdicts, witnesses and counters.  A cyclic base graph's
+    # Under every model the solver reads the per-write variables, the
+    # threads' ranges, each write's readers and rmo's dependency edges:
+    # with the per-event `access` column disabled, parsing and `solve`
+    # give the same verdicts, witnesses and counters.  A cyclic base graph's
     # diagnostic, `format_history`, `mutate` and the test-only event view
     # still read it; the package keeps no other per-event column.
     texts = [(TRACES / "long.mmh").read_text(), MP]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 import re
 
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from mmcheck import (
     Cnf3,
+    build_base_graphs,
     format_history,
     generate_program,
     get_model,
@@ -31,7 +33,7 @@ from mmcheck.errors import (
     UnsourcedReadError,
 )
 
-from mmcheck.events import INIT_THREAD
+from mmcheck.events import INIT_THREAD, History
 
 from conftest import SB, MP, CORR, OOTA, long_traces, with_random_dp
 from helpers import events, po_before, reads, resolve_ref, rf_source
@@ -221,8 +223,11 @@ def _assert_indexes_match_definitions(h):
     writer = {(e.var, e.val): e.id for e in evs if e.is_write}
     rf = {(writer[e.var, e.val], e.id) for e in evs if e.is_read}
     assert h.rf == rf
+    assert h.rf == {(w, r) for w in h.writes for r in h.readers_of(w)}
     for e in evs:
         assert resolve_ref(h, e.thread, e.pos) == e.id
+        assert h.locate(e.id) == (e.thread, e.pos)
+        assert h.ref(e.id) == f"{e.thread}:{e.pos}"
         if e.is_write:
             readers = sorted(r for w, r in rf if w == e.id)
             assert h.readers_of(e.id) == tuple(readers)
@@ -258,9 +263,57 @@ def test_round_trip_preserves_relations(small_corpus):
             _assert_indexes_match_definitions(h2)
 
 
+# Empty threads first, in the middle and last, with and without dp edges.
+EMPTY_THREAD_DOCS = [
+    "thread T0\nthread T1\nwr x 1\nrd x 1\nthread T2\n",
+    "init: x=0\nthread T0\nwr x 1\nrd x 0\nthread T1\nthread T2\n"
+    "rd x 1\nrd x 0\n",
+    "init: x=0 y=0\nthread T0\nrd x 0\nwr y 1\nthread T1\nthread T2\n"
+    "rd y 1\nwr x 1\ndp T0:0 -> T0:1\ndp T2:0 -> T2:1\n",
+    "init: x=0 y=0\nthread T0\nthread T1\nrd x 1\nwr y 1\nthread T2\n"
+    "thread T3\nrd y 1\nwr x 1\nthread T4\ndp T1:0 -> T1:1\n"
+    "dp T3:0 -> T3:1\n",
+]
+_NO_ORDER = "no write order keeps both graphs acyclic (1 subsets explored)"
+_CYCLE = "T1:1 -> T3:0 -> T3:1 -> T1:0 -> T1:1"
+# Each document's (outcome, witness, diagnostics) under sc, tso, pso and
+# rmo, and the digest of the rows, in-degrees and tag sites of both base
+# graphs of every document under every model.
+EMPTY_THREAD_VERDICTS = [
+    [("consistent", [0], None)] * 4,
+    [("inconsistent", None, _NO_ORDER)] * 4,
+    [("consistent", [1, 0, 3, 5], None)]
+    + [("consistent", [0, 1, 3, 5], None)] * 3,
+    [("inconsistent", None, "base model-order graph is cyclic: " + _CYCLE)] * 3
+    + [("inconsistent", None, "dependency/reads-from cycle: " + _CYCLE)],
+]
+EMPTY_THREAD_BASE_GRAPHS_SHA256 = (
+    "410c5c469e1ff782b9e50ba58c8f732b214fe545324c3ebd84d8f592247357b1"
+)
+
+
+def test_empty_threads_are_passed_over():
+    # An event's thread is the first whose stop lies past it, so the
+    # lookup, refs, diagnostics and base graphs pass over empty threads.
+    digest = hashlib.sha256()
+    for text, expected in zip(EMPTY_THREAD_DOCS, EMPTY_THREAD_VERDICTS):
+        h = parse_history(text)
+        assert any(not h.thread_events(t) for t in (INIT_THREAD, *h.threads))
+        _assert_indexes_match_definitions(h)
+        got = []
+        for name in ("sc", "tso", "pso", "rmo"):
+            v = solve(h, get_model(name))
+            got.append((v.outcome.value, v.witness, v.diagnostics))
+            for g in build_base_graphs(h, get_model(name)):
+                digest.update(repr((g.adj, g.in_degree, g.tag_sites)).encode())
+        assert got == expected
+    assert digest.hexdigest() == EMPTY_THREAD_BASE_GRAPHS_SHA256
+
+
 def _assert_same_history(a, b):
     # every column and index of two histories
-    assert a.access == b.access and a.thread_of == b.thread_of
+    assert a.access == b.access and a.n == b.n
+    assert [a.locate(i) for i in range(a.n)] == [b.locate(i) for i in range(b.n)]
     assert events(a) == events(b) and a.threads == b.threads
     assert a.writes == b.writes and a.write_vars == b.write_vars
     assert reads(a) == reads(b) and a.variables == b.variables
@@ -483,15 +536,30 @@ def test_repeated_lines_parse_as_each_line_alone(blocks):
     _assert_indexes_match_definitions(h)
 
 
+class _EventRecordRead(Exception):
+    pass
+
+
+def _raises(name):
+    def read(self):
+        raise _EventRecordRead(name)
+
+    return property(read)
+
+
 @pytest.mark.parametrize("model", ["sc", "tso", "pso", "rmo"])
-def test_solve_builds_no_event_records(model):
-    # the per-event `access` column and the reads-from pairs stay unbuilt
-    # through a consistent check of a long trace (rmo has no simulator and
-    # checks the tso trace, which it allows)
+def test_solve_builds_no_event_records(model, monkeypatch):
+    # neither the per-event `access` column nor the reads-from pairs are
+    # read through a consistent check of a long trace (rmo has no
+    # simulator and checks the tso trace, which it allows)
     prog = generate_program(4, 150, 5, seed=91, max_writes=10)
     simulated = simulate(prog, "tso" if model == "rmo" else model, seed=92)
-    h = parse_history(format_history(simulated))
+    text = format_history(simulated)
+    for name in ("access", "rf"):
+        monkeypatch.setattr(History, name, _raises(name))
+        with pytest.raises(_EventRecordRead, match=name):
+            getattr(parse_history(text), name)
+    h = parse_history(text)
     assert h.n == 605 and h.k == 15
     assert solve(h, get_model(model)).consistent
-    assert (h._access, h._rf) == (None, None)
     assert len(h.thread_events(INIT_THREAD)) == 5
