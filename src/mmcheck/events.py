@@ -12,17 +12,21 @@ A `History` holds its events grouped by access: each distinct
 `(kind, var, value)` tuple with its event ids.  Its two builders group
 the ids as they meet the events, the trace parser line by line and
 `history_from_blocks` block by block, and hand the groups and each
-thread's event count to `assemble_history`.  A long trace holds few
-distinct accesses, and assembly works per distinct access, per thread
-and per write, with no loop over the events, and builds no column
-indexed by event id.  Each thread's ids are consecutive, so a thread
-is held as the `range` of its ids: an event's thread is found by
-bisecting the threads' stops (`History.locate`), and its position
-is its id minus the thread's first id.  `write_vars` holds each write's
-variable, and each write's readers are the one record of reads-from.
-The per-event column `access` (each event's tuple, shared between equal
-accesses) is built on first access, and the `(write, read)` pairs of
-`rf` on each call.  The solver reads the threads, `write_vars`, each
+thread's event count to `assemble_history`, which alone makes a
+`History`.  A long trace holds few distinct accesses, and assembly
+works per distinct access, per thread and per write, with no loop over
+the events: one walk over the groups copies each into a tuple that the
+history keeps, and a read group's tuple is its writer's readers.
+Assembly puts no column indexed by event id in the history: it builds
+one, the access column, only to check explicit `rf` or `dp` edges, and
+drops it.  Each thread's ids are consecutive, so a thread is held as
+the `range` of its ids: an event's thread is found by bisecting the
+threads' stops (`History.locate`), and its position is its id minus
+the thread's first id.  `write_vars` holds each write's variable, and
+each write's readers are the one record of reads-from.  The per-event
+column `access` (each event's tuple, shared between equal accesses) is
+built on first access, and the `(write, read)` pairs of `rf` on each
+call.  The solver reads the threads, `write_vars`, each
 write's readers and the dependency edges, and builds `access` only to
 word a diagnostic.  There is no per-event record: every package path
 reads the groups and the indexes.
@@ -63,30 +67,29 @@ def _locate(names: Sequence[str], stops: Sequence[int], eid: int) -> tuple[str, 
 class History:
     """Events grouped by access, plus reads-from and dependency relations.
 
-    `_groups` maps each distinct `(kind, var, value)` tuple to its event
-    ids, ascending, in the order of their first ids; no column indexed by
-    event id is built with the history.  `write_vars` holds each write's
-    variable, aligned with `writes`.  The per-event column `access` (each
-    event's tuple, shared between equal accesses) is built from the
-    groups on first access and cached.  `rf`, built from each write's
-    readers on each call, and `dp` are frozensets of `(source, target)`
-    event-id pairs.  Program order is not stored: each thread's ids are
-    consecutive, so it is read off the threads' ranges.
+    `_groups` maps each distinct `(kind, var, value)` tuple to the tuple
+    of its event ids, ascending, in the order of their first ids; the
+    history is built with no column indexed by event id.  `write_vars`
+    holds each write's variable, aligned with `writes`.  The per-event
+    column `access` (each event's tuple, shared between equal accesses)
+    is built from the groups on first access and cached.  `rf`, built
+    from each write's readers on each call, and `dp` are frozensets of
+    `(source, target)` event-id pairs.  Program order is not stored: each
+    thread's ids are consecutive, so it is read off the threads' ranges.
 
     Instances are immutable after construction (the cached column is the
     same whoever builds it) and safe to share across threads.  Build one
     with :func:`history_from_blocks` or the trace parser, which both hand
-    the events, grouped by access, to :func:`assemble_history`; the
-    constructor validates nothing: it keeps the indexes assembly gives
-    it, copies the columns into tuples and lists each variable's writes.
-    Assembly builds every history and rejects any dp edge that is not
-    read-sourced or not in program order, so `derive` and the solver
-    trust `dp`.  `threads` maps each thread name, the virtual `init`
-    thread first, to the range of its event ids, which is program order,
-    and `stops` holds their stops in the same order, which `locate`
-    bisects; `writes` holds the write ids, ascending, `write_vars` their
-    variables, and `readers` maps each write with readers to them, in id
-    order.
+    the events, grouped by access, to :func:`assemble_history`, the one
+    builder: the class has no constructor of its own.  Assembly rejects
+    any dp edge that is not read-sourced or not in program order, so
+    `derive` and the solver trust `dp`.  `_thread_ids` maps each thread
+    name, the virtual `init` thread first, to the range of its event ids,
+    which is program order, and `_stops` holds their stops in the same
+    order, which `locate` bisects; `writes` holds the write ids,
+    ascending, `write_vars` their variables, `_writes_on` each variable's
+    writes, and `_readers` maps each write with readers to the tuple of
+    its read group, the ids in order.
     """
 
     __slots__ = (
@@ -102,31 +105,6 @@ class History:
         "_readers",
         "_writes_on",
     )
-
-    def __init__(
-        self,
-        groups: Mapping[tuple[str, str, int], Sequence[int]],
-        dp: frozenset[tuple[int, int]],
-        threads: Mapping[str, range],
-        stops: Sequence[int],
-        writes: Sequence[int],
-        write_vars: Sequence[str],
-        readers: Mapping[int, tuple[int, ...]],
-    ):
-        self._groups = groups
-        self.dp = dp
-        self._access: tuple[tuple[str, str, int], ...] | None = None
-        self._names = tuple(threads)
-        self._stops = tuple(stops)
-        self.threads: tuple[str, ...] = self._names[1:]
-        self._thread_ids = threads
-        self.writes: tuple[int, ...] = tuple(writes)
-        self.write_vars: tuple[str, ...] = tuple(write_vars)
-        writes_on: defaultdict[str, list[int]] = defaultdict(list)
-        for w, var in zip(writes, write_vars):
-            writes_on[var].append(w)
-        self._writes_on = {var: tuple(ws) for var, ws in writes_on.items()}
-        self._readers = readers
 
     @property
     def access(self) -> tuple[tuple[str, str, int], ...]:
@@ -256,29 +234,15 @@ def assemble_history(
     of the `dp` edges in edge order.
 
     The work is per distinct access, per thread and per write, with no
-    loop over the events: a write's group holds one id unless its value
-    is written twice, and a read's is the readers of the write of its
-    (var, value).  Groups come in the order of their first ids, so the
-    initial writes' groups come first and the writes come in id order.
-    Only the earliest fault found is kept, so a document of many faults
-    builds few errors.
+    loop over the events.  One walk over the groups copies each into a
+    tuple, in a dict of its own, so `groups` is left as it was passed; it
+    records the initial writes' variables, each write with its variable,
+    and each read group as the readers of the write of its (var, value),
+    the same tuple.  A write's group holds one id unless its value is
+    written twice.  Groups come in the order of their first ids, so the
+    writes come in id order.  Only the earliest fault found is kept, so a
+    document of many faults builds few errors.
     """
-    # The initial writes' groups come first.  One holds a later id only
-    # when a program write repeats its value, a fault found below.
-    init_count = threads[0][1]
-    init_vars = [""] * init_count
-    for (_, var, _), ids in groups.items():
-        if ids[0] >= init_count:
-            break
-        for i in ids:
-            if i < init_count:
-                init_vars[i] = var
-    seen_init_vars: set[str] = set()
-    for var in init_vars:
-        if var in seen_init_vars:
-            raise DuplicateValueError(f"variable {var!r} initialized twice")
-        seen_init_vars.add(var)
-
     thread_ids: dict[str, range] = {}
     stops: list[int] = []
     fault: MmcheckError | None = None
@@ -303,10 +267,24 @@ def assemble_history(
     def ref(eid: int) -> str:
         return "%s:%d" % _locate(names, stops, eid)
 
+    # One walk over the groups.  Each is copied once into a tuple, which a
+    # read group's writer keeps as its readers.  Initial ids come first in
+    # their groups, and a program id joins one only when a program write
+    # repeats an initial value, a fault found here.
+    init_count = threads[0][1]
+    init_vars = [""] * init_count
+    owned: dict[tuple[str, str, int], tuple[int, ...]] = {}
     writes: list[int] = []
     write_vars: list[str] = []
+    writes_on: dict[str, list[int]] = {}
     readers: dict[int, tuple[int, ...]] = {}
-    for (kind, var, val), ids in groups.items():
+    for key, ids in groups.items():
+        kind, var, val = key
+        ids = owned[key] = tuple(ids)
+        if ids[0] < init_count:
+            for i in ids:
+                if i < init_count:
+                    init_vars[i] = var
         if kind not in (WRITE, READ) or not 0 <= val <= MAX_VALUE:
             if ids[0] < fault_at:
                 fault_at, fault = ids[0], TraceSyntaxError(
@@ -322,19 +300,27 @@ def assemble_history(
                 )
             writes.append(ids[0])
             write_vars.append(var)
+            writes_on.setdefault(var, []).append(ids[0])
         elif (writer := groups.get((WRITE, var, val))) is not None:
-            readers[writer[0]] = tuple(ids)
+            readers[writer[0]] = ids
         elif rf_refs is None and ids[0] < fault_at:
             fault_at, fault = ids[0], UnsourcedReadError(
                 f"read {ref(ids[0])} of {var}={val} has no matching write"
             )
+    # Two initial writes of one variable are reported before every other
+    # fault.
+    seen_init_vars: set[str] = set()
+    for var in init_vars:
+        if var in seen_init_vars:
+            raise DuplicateValueError(f"variable {var!r} initialized twice")
+        seen_init_vars.add(var)
     if fault is not None:
         raise fault
 
     # Explicit edges name events by position, so they read the access
     # column.
     explicit = rf_refs is not None or dp_refs
-    access = _scatter(groups, n) if explicit else []
+    access = _scatter(owned, n) if explicit else []
     if rf_refs is not None:
         # An edge that passes names the read's inferred writer, since each
         # value is written once per variable; so `readers` stands.
@@ -377,7 +363,16 @@ def assemble_history(
             )
         dp_pairs.add((s, t))
 
-    return History(
-        groups, frozenset(dp_pairs), thread_ids, stops,
-        writes, write_vars, readers,
-    )
+    h = History.__new__(History)
+    h._groups = owned
+    h.dp = frozenset(dp_pairs)
+    h._access = None
+    h._names = tuple(names)
+    h._stops = tuple(stops)
+    h.threads = h._names[1:]
+    h._thread_ids = thread_ids
+    h.writes = tuple(writes)
+    h.write_vars = tuple(write_vars)
+    h._readers = readers
+    h._writes_on = {var: tuple(ws) for var, ws in writes_on.items()}
+    return h

@@ -132,10 +132,11 @@ class DerivedModel(NamedTuple):
         one that drops write-read order sees only `rf_external`."""
         h, spec = self.history, self.spec
         po, po_loc = program_orders(h, spec)
-        rf = h.rf if spec.sees_internal_rf else rf_external(h)
+        rf = h.rf
+        visible = rf if spec.sees_internal_rf else rf_external(h)
         return (
-            EventGraph(h.n, po_loc, h.rf),
-            EventGraph(h.n, h.dp if spec.dp_only else po, rf),
+            EventGraph(h.n, po_loc, rf),
+            EventGraph(h.n, h.dp if spec.dp_only else po, visible),
         )
 
 

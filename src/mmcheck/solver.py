@@ -46,8 +46,8 @@ members a set tries once, by one scan when it enters the set, and keeps
 one table of read waits, which each placement changes in place and
 which is restored when the search backs out of it.  Its memo is the set
 of sets found dead, and its witness the stack at its success.  Memory
-bounds it: `solve` refuses a history whose tables, or whose dead sets,
-would pass `MEMORY_CEILING`.
+bounds it: `solve` refuses a history whose tables, or whose dead sets
+with the tables and the search's stack, would pass `MEMORY_CEILING`.
 
 A consistent verdict's witness is re-checked by `verify_witness` without
 the search's tables: a Kahn peel of each base graph the search used,
@@ -72,10 +72,13 @@ from .graphs import EventGraph, find_cycle, kahn_acyclic
 from .models import ModelSpec, build_base_graphs, derive, oota_cycle
 
 #: The memory, in bytes, that one `solve` call may take: its memo, at
-#: `MEMO_ENTRY_BYTES + k // 6` bytes per evaluated subset, and its tables,
-#: at the `table_bytes` their passes hold at their peak.  A search
-#: refused at this ceiling, at k = 66 after 8,073,246 subsets, peaked at
-#: 753 MB RSS in its own process, with a dict for its memo.
+#: `MEMO_ENTRY_BYTES + k // 6` bytes per evaluated subset, its tables, at
+#: the `table_bytes` their passes hold at their peak, and the search's
+#: stack.  `solve` refuses tables past it, and the search admits the dead
+#: sets that fit in what its tables and stack leave.  A search refused at
+#: this ceiling, at k = 66 after 8,073,246 subsets (a few hundred more
+#: than it now admits), peaked at 753 MB RSS in its own process, with a
+#: dict for its memo.
 MEMORY_CEILING = 1 << 30
 
 #: Peak bytes per memo entry, besides the key's growth with k: a set slot
@@ -149,7 +152,8 @@ def solve(h: History, spec: ModelSpec) -> Verdict:
 
     Any k is accepted.  `ResourceBoundError` is raised, before the tables
     are built, when their `table_bytes` would pass `MEMORY_CEILING`, and
-    by the search when its dead sets would.
+    by the search when its dead sets, with the tables and its stack,
+    would.
     """
     stats = SolveStats()
 
@@ -427,18 +431,30 @@ def _search(
     set resumes, `wait_for` holds the waits it was entered with.
 
     Each set evaluated may take an entry in `dead`, so the search raises
-    `ResourceBoundError` once `subsets_evaluated` passes
-    `MEMORY_CEILING` over the bytes of one entry.
+    `ResourceBoundError` once `subsets_evaluated` passes what the
+    ceiling leaves over the bytes of one entry.  Besides its dead sets
+    the search holds the tables, at `table_bytes(k, 0)` since the
+    ancestor masks are dropped, `wait_for`, and at most k frames.  A
+    remainder below one entry refuses the search before its first set.
     """
     k = len(varmask)
-    limit = MEMORY_CEILING // (MEMO_ENTRY_BYTES + k // 6)
     # The current set and its members left to try; `stack` holds the
     # pending frames: set, members left, candidate, and the waits that
     # the candidate's variable had before its placement.
     s_mask, wait_for = (1 << k) - 1, [0] * len(set(var_of))
     stack: list[tuple[int, int, int, int]] = []
+    # A k-bit int with its list slot takes `unit` bytes (see
+    # `table_bytes`); a frame is a 4-tuple with its stack slot (88
+    # bytes), the candidate's index (32) and three k-bit ints.
+    unit = 48 + k // 7
+    held = table_bytes(k, 0) + len(wait_for) * unit + k * (120 + 3 * unit)
+    limit = max(0, (MEMORY_CEILING - held) // (MEMO_ENTRY_BYTES + k // 6))
     subsets, gates = 1, 0
     while True:
+        if subsets > limit:
+            raise ResourceBoundError(
+                f"search passed {limit} subsets at k={k}: memory ceiling"
+            )
         # Choose the members to try: the lowest safe candidate alone, else
         # the candidates on the first variable whose members that are not
         # candidates each have a blocker on it (var first), else those in
@@ -524,10 +540,6 @@ def _search(
                 wait_for[var_of[v]] |= rd
                 s_mask = rest
                 subsets += 1
-                if subsets > limit:
-                    raise ResourceBoundError(
-                        f"search passed {limit} subsets at k={k}: memory ceiling"
-                    )
                 break
             else:
                 # No member left: the set has no order.  Resume the parent

@@ -21,7 +21,6 @@ from mmcheck import (
 from mmcheck import solver as solver_module
 from mmcheck.cli import main
 from mmcheck.errors import InternalWitnessInvalidError
-from mmcheck.solver import MEMO_ENTRY_BYTES
 
 from conftest import PINNED_REDUCTIONS, SB, TRACES, spread_writes_histories
 
@@ -139,11 +138,16 @@ def test_leading_byte_order_mark_is_skipped(capsys, tmp_path):
         (SB, 2_367, "k=4 writes on 8 base-graph vertices"),
         (
             format_history(sat_to_history_sc(PINNED_REDUCTIONS[1][0])),
-            158 * (MEMO_ENTRY_BYTES + 4) - 1,
+            35_439,
             "search passed 157 subsets at k=24",
         ),
+        (
+            format_history(sat_to_history_sc(PINNED_REDUCTIONS[1][0])),
+            16_792,
+            "search passed 10 subsets at k=24",
+        ),
     ],
-    ids=["tables", "search"],
+    ids=["tables", "search", "search-after-tables"],
 )
 def test_memory_ceiling_is_exit_3(
     capsys, tmp_path, monkeypatch, text, ceiling, needle
@@ -151,9 +155,13 @@ def test_memory_ceiling_is_exit_3(
     # Under sc.  sb has k = 4 writes on 8 base-graph vertices, whose
     # tables take 2,368 bytes by `table_bytes`: a byte less refuses them.
     # The second pinned reduction takes 158 subsets at k = 24, whose memo
-    # entries take MEMO_ENTRY_BYTES + 4 bytes each, and its tables take
-    # 12,652: a byte short of 158 entries admits the tables and 157
-    # subsets, and the 158th passes the ceiling.
+    # entries take MEMO_ENTRY_BYTES + 4 = 126 bytes each; its tables take
+    # 12,652, and besides its dead sets its search holds 15,532 (tables
+    # without their ancestor masks, read waits and stack).  A byte short
+    # of 15,532 + 158 * 126 admits the tables and 157 subsets, and the
+    # 158th passes the ceiling.  At 15,532 + 10 * 126 the tables take
+    # three quarters of the ceiling, and the search is refused past the
+    # 10 entries that the rest holds.
     p = tmp_path / "trace.mmh"
     p.write_text(text)
     monkeypatch.setattr(solver_module, "MEMORY_CEILING", ceiling)

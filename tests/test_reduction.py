@@ -334,12 +334,12 @@ def test_unit_clause_instances_track_satisfiability():
 
 
 def test_mixed_repeat_clauses_force_literals():
-    """A literal repeated beside a different one is forced true by the
-    guard pairing, so such instances over-constrain the formula; the
-    compilers stay faithful to the thread shapes and the instance decides
-    the forced variant."""
-    sc = get_model("sc")
+    """Pins a known defect, not intended behaviour: the guard pairing
+    forces a literal repeated beside a different one true, so the
+    satisfiable ``(1,1,2),(-1,-1,3)`` compiles to an sc-inconsistent
+    instance. When ROADMAP item 1 lands this assertion fails and the test
+    is restated to assert consistency."""
     cnf = Cnf3(3, ((1, 1, 2), (-1, -1, 3)))
     assert sat_brute_force(cnf)  # satisfiable as a formula
-    # but the instance also forces both x1 and not-x1: inconsistent
-    assert not solve(sat_to_history_sc(cnf), sc).consistent
+    # the defect: the instance forces both x1 and not-x1
+    assert not solve(sat_to_history_sc(cnf), get_model("sc")).consistent

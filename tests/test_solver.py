@@ -268,32 +268,65 @@ def test_random_reductions_past_k30_are_pinned(num_vars, k, subsets, gates):
         )
 
 
+def _search_held(k, variables):
+    # What the search holds besides its dead sets: the tables without
+    # their ancestor masks, `wait_for`, and k frames, each a 4-tuple with
+    # its slot (88 bytes), an index int (32) and three k-bit ints, a k-bit
+    # int with its slot at 48 + k // 7 bytes.
+    unit = 48 + k // 7
+    return solver_module.table_bytes(k, 0) + variables * unit + k * (
+        120 + 3 * unit
+    )
+
+
 def test_memory_ceiling_bounds_the_search(monkeypatch):
-    # The second pinned reduction under sc: k = 24, 158 subsets.  A
-    # ceiling of exactly 158 memo entries admits the tables and the
-    # search, and one byte less refuses it at its 158th subset.
+    # The second pinned reduction under sc: k = 24 writes on 12 variables,
+    # 158 subsets.  Besides its dead sets the search holds 15,532 bytes,
+    # and each entry takes 126, so a ceiling of 15,532 + 158 * 126 =
+    # 35,440 bytes admits the tables and the search, and one byte less
+    # refuses it at its 158th subset.
     cnf, k, subsets, _ = PINNED_REDUCTIONS[1]
     h, spec = sat_to_history_sc(cnf), get_model("sc")
     entry = solver_module.MEMO_ENTRY_BYTES + k // 6
-    bases = build_base_graphs(h, spec)
-    need = solver_module.table_bytes(k, max(g.n for g in bases))
-    assert need < subsets * entry
-    monkeypatch.setattr(solver_module, "MEMORY_CEILING", subsets * entry)
+    held = _search_held(k, len(set(h.write_vars)))
+    assert (held, entry) == (15_532, 126)
+    monkeypatch.setattr(solver_module, "MEMORY_CEILING", 35_440)
     assert solve(h, spec).stats.subsets_evaluated == subsets
-    monkeypatch.setattr(solver_module, "MEMORY_CEILING", subsets * entry - 1)
+    monkeypatch.setattr(solver_module, "MEMORY_CEILING", 35_439)
     with pytest.raises(ResourceBoundError) as exc:
         solve(h, spec)
     assert f"passed {subsets - 1} subsets at k={k}:" in str(exc.value)
 
 
+def test_memory_ceiling_counts_the_tables_against_the_search(monkeypatch):
+    # The same reduction with a ceiling of 15,532 + 10 * 126 = 16,792
+    # bytes: its tables, at 12,652 bytes by `table_bytes`, take three
+    # quarters of it and are admitted, and the search is refused once it
+    # passes the 10 entries the remainder holds, 9 at one byte less.
+    cnf, k, _, _ = PINNED_REDUCTIONS[1]
+    h, spec = sat_to_history_sc(cnf), get_model("sc")
+    bases = build_base_graphs(h, spec)
+    assert solver_module.table_bytes(k, max(g.n for g in bases)) == 12_652
+    for ceiling, passed in ((16_792, 10), (16_791, 9)):
+        monkeypatch.setattr(solver_module, "MEMORY_CEILING", ceiling)
+        with pytest.raises(ResourceBoundError) as exc:
+            solve(h, spec)
+        assert f"search passed {passed} subsets at k={k}:" in str(exc.value)
+
+
 def test_memory_ceiling_bounds_the_tables(monkeypatch):
     # The tables are refused before they are built once their
-    # `table_bytes` pass the ceiling; at exactly those bytes sb under tso
-    # is decided, since its 4 memo entries fit too.
+    # `table_bytes` pass the ceiling.  Sb under tso, k = 4 writes on 2
+    # variables: at exactly its 2,368 table bytes the tables are admitted
+    # and the search, which holds 3,328 bytes besides its dead sets, is
+    # refused before its first set.  Its 4 memo entries of 122 bytes fit
+    # at 3,328 + 4 * 122 = 3,816 bytes, and one byte less refuses the
+    # fourth.
     h, spec = parse_history(SB), get_model("tso")
     bases = build_base_graphs(h, spec)
     need = solver_module.table_bytes(h.k, max(g.n for g in bases))
     assert need == 2_368
+    assert _search_held(h.k, len(set(h.write_vars))) == 3_328
     monkeypatch.setattr(solver_module, "MEMORY_CEILING", need - 1)
     with pytest.raises(ResourceBoundError) as exc:
         solve(h, spec)
@@ -302,7 +335,15 @@ def test_memory_ceiling_bounds_the_tables(monkeypatch):
         exc.value
     )
     monkeypatch.setattr(solver_module, "MEMORY_CEILING", need)
+    with pytest.raises(ResourceBoundError) as exc:
+        solve(h, spec)
+    assert "search passed 0 subsets at k=4:" in str(exc.value)
+    monkeypatch.setattr(solver_module, "MEMORY_CEILING", 3_816)
     assert solve(h, spec).consistent
+    monkeypatch.setattr(solver_module, "MEMORY_CEILING", 3_815)
+    with pytest.raises(ResourceBoundError) as exc:
+        solve(h, spec)
+    assert "search passed 3 subsets at k=4:" in str(exc.value)
 
 
 def test_table_bytes_bound_the_traced_peak(small_corpus):

@@ -410,6 +410,28 @@ def test_earliest_of_two_faults_is_reported(first):
             assert _fault(_FAULTS[first] + blocks) == alone, second
 
 
+def test_duplicate_initial_write_is_reported_first():
+    # Before each fault above, and before a program write that repeats an
+    # initial value.
+    for blocks in [*_FAULTS.values(), [("W", [("wr", "z", 0)])]]:
+        with pytest.raises(DuplicateValueError) as exc:
+            history_from_blocks(init=[("z", 0), ("z", 1)], threads=blocks)
+        assert str(exc.value) == "variable 'z' initialized twice"
+    # The first variable initialized twice in id order is named, and a
+    # program write that repeats an initial value of a variable
+    # initialized once is a value written twice.
+    for text, message in (
+        ("init: x=0 y=0 y=1 x=0\n", "variable 'y' initialized twice"),
+        (
+            "init: y=0 x=0\nthread T0\nwr x 0\n",
+            "value 0 written twice to 'x' (init:1 and T0:0)",
+        ),
+    ):
+        with pytest.raises(DuplicateValueError) as exc:
+            parse_history(text)
+        assert str(exc.value) == message
+
+
 def test_refs_are_thread_position_pairs():
     threads = [
         ("T0", [("rd", "x", 0), ("wr", "y", 1)]),
