@@ -22,7 +22,6 @@ the baseline the store oracle's pruning is checked against.
 from __future__ import annotations
 
 import itertools
-from typing import Iterator
 
 from .errors import KTooLargeForOracleError, SearchSpaceTooLargeError
 from .events import History
@@ -150,9 +149,11 @@ def oracle_store(h: History, spec: ModelSpec) -> Verdict:
       product order, by a recursion with one level per pool: level i
       holds level i − 1's graph with the order chosen for variable i
       added by `with_order`, and siblings add to the same parent, which
-      `with_order` never mutates.
-      An order enters level i only when its per-location test passes and
-      the peel of its level-i graph is acyclic; a cyclic one skips every
+      `with_order` never mutates.  Each visit to level i walks its
+      pool's permutations afresh, in lexicographic order, and looks each
+      one up in a memo of the per-location tests taken so far before it
+      peels.  An order enters level i only when that test passes and the
+      peel of its level-i graph is acyclic; a cyclic one skips every
       store order holding its prefix without visiting them.  The first
       full store order reached is therefore the first passing one in
       product order.  Its graph holds each model-graph row followed by
@@ -167,13 +168,15 @@ def oracle_store(h: History, spec: ModelSpec) -> Verdict:
 
     So each variable order is tested on the per-location graph once,
     when the walk first reaches it, and a failing one skips every store
-    order that holds it.  Memory is bounded: the passing variable
-    orders, at most Σₓ|Wₓ|! for the writes Wₓ of each variable x, each a
-    tuple of |Wₓ| writes; and one graph per level of the current prefix,
-    fewer than 20, each sharing the rows its chains leave alone.  No
-    whole store order, and no edge list, is kept: each visit to an order
-    builds its chain edges again, in time linear in |Wₓ| and their
-    readers, before a peel that takes time linear in the graph anyway.
+    order that holds it; a later visit to its pool finds the verdict in
+    the memo, whatever the walks in between did.  Memory is bounded: the
+    variable orders tried with their verdicts, at most Σₓ|Wₓ|! for the
+    writes Wₓ of each variable x, each a tuple of |Wₓ| writes; and one
+    graph per level of the current prefix, fewer than 20, each sharing
+    the rows its chains leave alone.  No whole store order, and no edge
+    list, is kept: each visit to an order builds its chain edges again,
+    in time linear in |Wₓ| and their readers, before a peel that takes
+    time linear in the graph anyway.
     """
     if store_order_count(h) > ORACLE_MAX_STORE_ORDERS:
         raise SearchSpaceTooLargeError(
@@ -187,23 +190,10 @@ def oracle_store(h: History, spec: ModelSpec) -> Verdict:
         return Verdict(Outcome.INCONSISTENT)
     var_of = dict(zip(h.writes, h.write_vars))
     reads_of = {w: h.readers_of(w) for w in h.writes}
-    pools = [
-        itertools.permutations(ws)
-        for v in sorted(h.variables)
-        if len(ws := h.writes_on(v)) > 1
-    ]
-    kept: list[list[tuple[int, ...]]] = [[] for _ in pools]
-
-    # Pool i is walked once per passing prefix ahead of it, each walk to
-    # its end or to a full store order before the next starts; so only
-    # the first walk tests its orders on the per-location graph, and every
-    # later one finds the passing ones kept.
-    def items(i: int) -> Iterator[tuple[int, ...]]:
-        yield from kept[i]
-        for perm in pools[i]:
-            if kahn_acyclic(loc.with_order(perm, var_of, reads_of))[0]:
-                kept[i].append(perm)
-                yield perm
+    pools = [ws for v in sorted(h.variables) if len(ws := h.writes_on(v)) > 1]
+    # Each variable order tried, mapped to whether the per-location graph
+    # stays acyclic with it; the orders of distinct variables never meet.
+    passes: dict[tuple[int, ...], bool] = {}
 
     # `g` is the model graph with the first i variable orders chosen added,
     # all of which passed, and `order` its peel; the result is the peel of
@@ -212,7 +202,12 @@ def oracle_store(h: History, spec: ModelSpec) -> Verdict:
     def walk(i: int, g: EventGraph, order: list[int]) -> list[int] | None:
         if i == len(pools):
             return order
-        for perm in items(i):
+        for perm in itertools.permutations(pools[i]):
+            if perm not in passes:
+                g_loc = loc.with_order(perm, var_of, reads_of)
+                passes[perm] = kahn_acyclic(g_loc)[0]
+            if not passes[perm]:
+                continue
             g_perm = g.with_order(perm, var_of, reads_of)
             acyclic, order = kahn_acyclic(g_perm)
             if acyclic and (found := walk(i + 1, g_perm, order)) is not None:

@@ -67,10 +67,14 @@ class Cnf3:
 
 
 def parse_dimacs(text: str) -> Cnf3:
-    """Parse DIMACS CNF with every clause of length exactly three."""
+    """Parse DIMACS CNF with every clause of length exactly three.
+
+    Lines end at `\\n` alone, as in the trace format, so a `c` line
+    ends there too.
+    """
     tokens: list[str] = []
     header: tuple[int, int] | None = None
-    for raw in text.splitlines():
+    for raw in text.split("\n"):
         line = raw.strip()
         if not line or line.startswith("c"):
             continue

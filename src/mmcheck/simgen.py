@@ -13,6 +13,7 @@ histories.
 
 from __future__ import annotations
 
+import bisect
 import random
 from dataclasses import dataclass
 
@@ -81,9 +82,11 @@ def simulate(prog: RandomProgram, model: str, seed: int) -> History:
     one instruction, or flush the oldest write of one of its non-empty
     store buffers to memory.  The actions are listed thread by thread,
     each thread's step first, then its buffers in the order of their
-    variables in `prog`.  Write values are fresh per variable, so the
-    history's reads-from is inferred from the values read.  Deterministic
-    in (prog, model, seed).
+    variables in `prog`.  The list is kept across steps: a step inserts
+    or deletes at most two actions at places found by bisection, and
+    walks no thread or buffer.  Write values are fresh per variable, so
+    the history's reads-from is inferred from the values read.
+    Deterministic in (prog, model, seed).
     """
     model = model.lower()
     if model not in SIMULATED_MODELS:
@@ -97,38 +100,43 @@ def simulate(prog: RandomProgram, model: str, seed: int) -> History:
     nthreads = len(threads)
     rng = random.Random(seed)
     memory = {v: 0 for v in used_vars}
-    # Each thread's FIFOs of buffered (var, val) writes, by key.
-    buffers = [
-        {buffer_of(v): [] for v in used_vars} if buffer_of else {}
-        for _ in range(nthreads)
-    ]
+    # Each thread's FIFOs of buffered (var, val) writes, by key, and each
+    # key's place among a thread's FIFOs.
+    keys = dict.fromkeys(map(buffer_of, used_vars)) if buffer_of else {}
+    place = {key: i for i, key in enumerate(keys)}
+    buffers = [{key: [] for key in keys} for _ in range(nthreads)]
     pcs = [0] * nthreads
     steps_left = sum(map(len, threads))
 
     out_events: list[list[tuple[str, str, int]]] = [[] for _ in range(nthreads)]
 
+    # The enabled actions, sorted: (t, -1, None) steps thread t, and
+    # (t, place, fifo) flushes t's non-empty FIFO at that place.  An action
+    # enters when it becomes enabled and leaves when it stops being so;
+    # no two share (t, place), so sorting never compares two FIFOs.
+    actions = [(t, -1, None) for t in range(nthreads) if threads[t]]
     while steps_left:
-        # (thread, None) steps the thread; (thread, fifo) flushes the fifo.
-        actions = []
-        for t in range(nthreads):
-            if pcs[t] < len(threads[t]):
-                actions.append((t, None))
-            for fifo in buffers[t].values():
-                if fifo:
-                    actions.append((t, fifo))
-        t, fifo = rng.choice(actions)
+        action = rng.choice(actions)
+        t, _, fifo = action
         if fifo is not None:
             var, val = fifo.pop(0)
             memory[var] = val
+            if not fifo:
+                del actions[bisect.bisect_left(actions, action)]
             continue
         instr = threads[t][pcs[t]]
         pcs[t] += 1
         steps_left -= 1
+        if pcs[t] == len(threads[t]):
+            del actions[bisect.bisect_left(actions, action)]
         var = instr[1]
         if instr[0] == "wr":
             val = instr[2]
             if buffer_of:
-                buffers[t][buffer_of(var)].append((var, val))
+                key = buffer_of(var)
+                if not (fifo := buffers[t][key]):
+                    bisect.insort(actions, (t, place[key], fifo))
+                fifo.append((var, val))
             else:
                 memory[var] = val
             out_events[t].append(("wr", var, val))

@@ -1,6 +1,9 @@
 """Parsing and serialization of the `.mmh` trace format.
 
-Line-oriented, UTF-8, `#` starts a comment.  A document looks like::
+Line-oriented, UTF-8, `#` starts a comment.  A line ends at `\\n` alone,
+and a `\\r` right before it is dropped with the other trailing blanks; no
+other character, a lone `\\r` included, ends a line, so none can carry
+text out of a comment.  A document looks like::
 
     init: x=0 y=0
     thread T0
@@ -80,7 +83,7 @@ def parse_history(text: str) -> History:
     # its first occurrence raised nothing and found a thread block open.
     # Access lines, the common case, and thread headers cannot start with
     # `init:`, so they are tried first.
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         ids = ids_of.get(raw)
         if ids is not None:
             ids.append(eid)

@@ -21,6 +21,12 @@ from helpers import events, reads
 
 TRACES = Path(__file__).resolve().parent.parent / "traces"
 
+# The characters other than `\n` at which `str.splitlines` breaks a line
+# (`\r` aside): inside a comment, none may end it.
+NOT_LINE_ENDS = [
+    "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029",
+]
+
 SB = (TRACES / "sb.mmh").read_text()
 MP = (TRACES / "mp.mmh").read_text()
 CORR = (TRACES / "corr.mmh").read_text()

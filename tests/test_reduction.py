@@ -28,7 +28,7 @@ from mmcheck.errors import (
     TooManyVarsError,
 )
 
-from conftest import PINNED_REDUCTIONS
+from conftest import NOT_LINE_ENDS, PINNED_REDUCTIONS
 from helpers import events, format_dimacs, po_before
 
 
@@ -40,6 +40,14 @@ def test_parse_dimacs_examples():
 
     cnf = parse_dimacs("p cnf 3 1\n1 2 3 0\n")
     assert len(cnf.literals) == 3
+
+
+@pytest.mark.parametrize("sep", NOT_LINE_ENDS, ids=ascii)
+def test_dimacs_comment_ends_only_at_newline(sep):
+    # Neither a clause nor a problem line follows the separator.
+    text = f"c a{sep}p cnf 9 9\np cnf 3 1\nc b{sep} 1 2 3 0\n1 2 3 0\n"
+    cnf = parse_dimacs(text)
+    assert (cnf.num_vars, cnf.clauses) == (3, ((1, 2, 3),))
 
 
 def test_parse_dimacs_rejects_short_clause():

@@ -556,6 +556,26 @@ def test_dead_sets_certify_inconsistent_verdicts(small_corpus):
     assert (certified, refuted, sets) == (84, 530, 6_308)
 
 
+def test_dead_sets_certify_inconsistent_verdicts_at_k216():
+    # Past the oracles' reach: the inconsistent checks of three k = 216
+    # spread-writes traces and their rf mutants, under every model, are
+    # certified on the reference tables, and not without the full set.
+    certified = sets = 0
+    for h in spread_writes_histories(3, 1, (8, 2000, 200, 16)):
+        assert h.k == 216
+        for name in MODELS:
+            spec = get_model(name)
+            dead = _dead_sets(h, spec)
+            if dead is None or solve(h, spec).consistent:
+                continue
+            tables, full = _tables_from_definitions(h, spec), (1 << h.k) - 1
+            assert check_dead_sets(tables, h.k, dead)
+            assert not check_dead_sets(tables, h.k, dead - {full})
+            certified += 1
+            sets += len(dead)
+    assert (certified, sets) == (8, 624)
+
+
 @pytest.mark.parametrize(
     "cnf,rejected",
     [(PINNED_REDUCTIONS[0][0], 37), (PINNED_REDUCTIONS[1][0], 81)],

@@ -35,7 +35,15 @@ from mmcheck.errors import (
 
 from mmcheck.events import INIT_THREAD, History
 
-from conftest import SB, MP, CORR, OOTA, long_traces, with_random_dp
+from conftest import (
+    CORR,
+    MP,
+    NOT_LINE_ENDS,
+    OOTA,
+    SB,
+    long_traces,
+    with_random_dp,
+)
 from helpers import events, po_before, reads, resolve_ref, rf_source
 
 
@@ -509,6 +517,28 @@ def test_access_spellings_parse_alike():
         assert other.rf == h.rf and other.dp == h.dp
 
 
+@pytest.mark.parametrize("sep", NOT_LINE_ENDS, ids=ascii)
+def test_comment_ends_only_at_newline(sep):
+    # The text after the separator stays in the comment, and line numbers
+    # count `\n` alone.
+    doc = f"thread T0\nwr x 1  # note{sep}rd y 5\nrd x 1\n"
+    h = parse_history(doc)
+    assert events(h) == events(parse_history("thread T0\nwr x 1\nrd x 1\n"))
+    with pytest.raises(TraceSyntaxError) as exc:
+        parse_history(doc.replace("rd x 1", "bad"))
+    assert exc.value.lineno == 3
+
+
+def test_lone_carriage_return_ends_no_line():
+    # `\r` is dropped only right before `\n`: alone, it joins two accesses
+    # into one unparsable line, and a comment runs on past it.
+    with pytest.raises(TraceSyntaxError) as exc:
+        parse_history("thread T0\nwr x 1\rwr x 2\n")
+    assert exc.value.lineno == 2
+    h = parse_history("thread T0\nwr x 1 # note\rrd y 5\r\n")
+    assert events(h) == events(parse_history("thread T0\nwr x 1\n"))
+
+
 _ACCESS_LINE = re.compile(r"(wr|rd)\s+([A-Za-z_][A-Za-z0-9_]*)\s+(\d+)\s*")
 # The documents open with `init: x=0 y=0` and a thread writing x=1 and
 # y=2; reads of those values, spelled several ways, are drawn most often,
@@ -524,7 +554,7 @@ _POOL = _READS * 4 + ["wr x 3", "rd x 3", "wr x 1", "rd y 5"]
 def _reference_parse(text):
     """Each line matched on its own: the parse the line memo must match."""
     threads = []
-    for raw in text.splitlines()[1:]:  # past the init line
+    for raw in text.split("\n")[1:]:  # past the init line
         line = raw.split("#", 1)[0].strip()
         if line.startswith("thread "):
             threads.append((line.split()[1], []))
