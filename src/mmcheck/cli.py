@@ -9,8 +9,8 @@ One binary, subcommand style:
     mmcheck mutate --seed S <trace.mmh> [-o out.mmh]
 
 Exit codes are the API: 0 consistent, 1 inconsistent, 2 usage/parse/model
-error, 3 resource bound exceeded.  Machine-readable output goes to
-stdout, diagnostics to stderr.
+error, 3 resource bound exceeded or out of memory.  Machine-readable
+output goes to stdout, diagnostics to stderr.
 """
 
 from __future__ import annotations
@@ -219,6 +219,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except ResourceBoundError as exc:
         print(f"mmcheck: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE
+    except MemoryError:
+        print("mmcheck: out of memory", file=sys.stderr)
         return EXIT_RESOURCE
     except (MmcheckError, OSError) as exc:
         print(f"mmcheck: {exc}", file=sys.stderr)

@@ -17,9 +17,12 @@ thread's event count to `assemble_history`, which alone makes a
 works per distinct access, per thread and per write, with no loop over
 the events: one walk over the groups copies each into a tuple that the
 history keeps, and a read group's tuple is its writer's readers.
-Assembly puts no column indexed by event id in the history: it builds
-one, the access column, only to check explicit `rf` or `dp` edges, and
-drops it.  Each thread's ids are consecutive, so a thread is held as
+Assembly makes the `History` as soon as the threads are counted and
+works through it: `h.ref` words each fault, `h._resolve` turns an
+explicit edge's `(thread, pos)` reference into an id, and `h._column()`
+builds the access column that explicit `rf` or `dp` edges are checked
+against, which assembly drops; the history keeps no column indexed by
+event id.  Each thread's ids are consecutive, so a thread is held as
 the `range` of its ids: an event's thread is found by bisecting the
 threads' stops (`History.locate`), and its position is its id minus
 the thread's first id.  `write_vars` holds each write's variable, and
@@ -36,7 +39,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections import defaultdict
-from typing import Mapping, Sequence, TypeVar
+from typing import Mapping, Sequence
 
 from .errors import (
     AmbiguousRfError,
@@ -56,13 +59,6 @@ INIT_THREAD = "init"
 
 MAX_VALUE = 2**64 - 1
 
-_T = TypeVar("_T")
-
-
-def _locate(names: Sequence[str], stops: Sequence[int], eid: int) -> tuple[str, int]:
-    i = bisect_right(stops, eid)
-    return names[i], eid - (stops[i - 1] if i else 0)
-
 
 class History:
     """Events grouped by access, plus reads-from and dependency relations.
@@ -81,12 +77,17 @@ class History:
     same whoever builds it) and safe to share across threads.  Build one
     with :func:`history_from_blocks` or the trace parser, which both hand
     the events, grouped by access, to :func:`assemble_history`, the one
-    builder: the class has no constructor of its own.  Assembly rejects
-    any dp edge that is not read-sourced or not in program order, so
-    `derive` and the solver trust `dp`.  `_thread_ids` maps each thread
-    name, the virtual `init` thread first, to the range of its event ids,
-    which is program order, and `_stops` holds their stops in the same
-    order, which `locate` bisects; `writes` holds the write ids,
+    builder: the class has no constructor of its own.  Assembly makes the
+    instance once the threads are counted and works through it: `ref`
+    words its faults, `_resolve` turns each explicit edge's
+    `(thread, pos)` reference into an id, and `_column`, the access
+    column built afresh on each call and cached only by `access`, is what
+    its explicit edges are checked against.  Assembly rejects any dp edge
+    that is not read-sourced or not in program order, so `derive` and the
+    solver trust `dp`.  `_thread_ids` maps each thread name, the virtual
+    `init` thread first, to the range of its event ids, which is program
+    order, and `_names` and `_stops` hold every block's name and stop in
+    the same order, which `locate` bisects; `writes` holds the write ids,
     ascending, `write_vars` their variables, `_writes_on` each variable's
     writes, and `_readers` maps each write with readers to the tuple of
     its read group, the ids in order.
@@ -110,8 +111,17 @@ class History:
     def access(self) -> tuple[tuple[str, str, int], ...]:
         """Each event's `(kind, var, value)` tuple, in id order."""
         if self._access is None:
-            self._access = tuple(_scatter(self._groups, self.n))
+            self._access = tuple(self._column())
         return self._access
+
+    def _column(self) -> list[tuple[str, str, int]]:
+        """Each event's `(kind, var, value)` tuple, in id order, built on
+        each call: assembly reads it, uncached, to check explicit edges."""
+        column: list = [None] * self.n
+        for key, ids in self._groups.items():
+            for i in ids:
+                column[i] = key
+        return column
 
     @property
     def rf(self) -> frozenset[tuple[int, int]]:
@@ -130,6 +140,7 @@ class History:
 
     @property
     def variables(self) -> tuple[str, ...]:
+        """The variables accessed, in the order of their first events."""
         return tuple(dict.fromkeys(var for _, var, _ in self._groups))
 
     def readers_of(self, write_id: int) -> tuple[int, ...]:
@@ -144,33 +155,24 @@ class History:
     def locate(self, eid: int) -> tuple[str, int]:
         """The `(thread, pos)` reference of event `eid`.  Its thread is the
         first whose stop lies past it, so empty threads are passed over."""
-        return _locate(self._names, self._stops, eid)
+        i = bisect_right(self._stops, eid)
+        return self._names[i], eid - (self._stops[i - 1] if i else 0)
 
     def ref(self, eid: int) -> str:
         return "%s:%d" % self.locate(eid)
+
+    def _resolve(self, ref: tuple[str, int]) -> int:
+        """The id of the event that a `(thread, pos)` reference names."""
+        thread, pos = ref
+        ids = self._thread_ids.get(thread, ())
+        if not 0 <= pos < len(ids):
+            raise DanglingRefError(f"no event {thread}:{pos}")
+        return ids[pos]
 
     def format_cycle(self, cycle: Sequence[int]) -> str:
         refs = [self.ref(e) for e in cycle]
         refs.append(refs[0])
         return " -> ".join(refs)
-
-
-def _scatter(groups: Mapping[_T, Sequence[int]], n: int) -> list[_T | None]:
-    """A column of `n` entries: each key of `groups` at its ids, None at
-    the ids of no key."""
-    column: list[_T | None] = [None] * n
-    for key, ids in groups.items():
-        for i in ids:
-            column[i] = key
-    return column
-
-
-def _resolve(thread_ids: Mapping[str, range], ref: tuple[str, int]) -> int:
-    thread, pos = ref
-    ids = thread_ids.get(thread, ())
-    if not 0 <= pos < len(ids):
-        raise DanglingRefError(f"no event {thread}:{pos}")
-    return ids[pos]
 
 
 def history_from_blocks(
@@ -260,12 +262,14 @@ def assemble_history(
         stops.append(n)
     if fault is None:
         fault_at = n
-    # `names` and `stops` list every block, repeated names included, so
-    # `ref` places every event.
-    names = [name for name, _ in threads]
-
-    def ref(eid: int) -> str:
-        return "%s:%d" % _locate(names, stops, eid)
+    # `_names` and `_stops` list every block, repeated names included, so
+    # `h.ref` places every event.
+    h = History.__new__(History)
+    h._access = None
+    h._names = tuple(name for name, _ in threads)
+    h._stops = tuple(stops)
+    h.threads = h._names[1:]
+    h._thread_ids = thread_ids
 
     # One walk over the groups.  Each is copied once into a tuple, which a
     # read group's writer keeps as its readers.  Initial ids come first in
@@ -296,7 +300,7 @@ def assemble_history(
             if len(ids) > 1 and ids[1] < fault_at:
                 fault_at, fault = ids[1], DuplicateValueError(
                     f"value {val} written twice to {var!r} "
-                    f"({ref(ids[0])} and {ref(ids[1])})"
+                    f"({h.ref(ids[0])} and {h.ref(ids[1])})"
                 )
             writes.append(ids[0])
             write_vars.append(var)
@@ -305,7 +309,7 @@ def assemble_history(
             readers[writer[0]] = ids
         elif rf_refs is None and ids[0] < fault_at:
             fault_at, fault = ids[0], UnsourcedReadError(
-                f"read {ref(ids[0])} of {var}={val} has no matching write"
+                f"read {h.ref(ids[0])} of {var}={val} has no matching write"
             )
     # Two initial writes of one variable are reported before every other
     # fault.
@@ -316,18 +320,18 @@ def assemble_history(
         seen_init_vars.add(var)
     if fault is not None:
         raise fault
+    h._groups = owned
 
     # Explicit edges name events by position, so they read the access
     # column.
-    explicit = rf_refs is not None or dp_refs
-    access = _scatter(owned, n) if explicit else []
+    access = h._column() if rf_refs is not None or dp_refs else []
     if rf_refs is not None:
         # An edge that passes names the read's inferred writer, since each
         # value is written once per variable; so `readers` stands.
         covered: set[int] = set()
         for wref, rref in rf_refs:
-            w = _resolve(thread_ids, wref)
-            r = _resolve(thread_ids, rref)
+            w = h._resolve(wref)
+            r = h._resolve(rref)
             (wkind, wvar, wval), (rkind, rvar, rval) = access[w], access[r]
             if wkind != WRITE or rkind != READ:
                 why = "must connect a write to a read"
@@ -336,41 +340,34 @@ def assemble_history(
             elif wval != rval:
                 why = f"has value {wval} feeding a read of {rval}"
             elif r in covered:
-                raise AmbiguousRfError(f"read {ref(r)} has two rf edges")
+                raise AmbiguousRfError(f"read {h.ref(r)} has two rf edges")
             else:
                 covered.add(r)
                 continue
-            raise AmbiguousRfError(f"rf {ref(w)} -> {ref(r)} {why}")
+            raise AmbiguousRfError(f"rf {h.ref(w)} -> {h.ref(r)} {why}")
         for r, (kind, _, _) in enumerate(access):
             if kind == READ and r not in covered:
                 raise UnsourcedReadError(
-                    f"read {ref(r)} is not covered by the explicit rf edges"
+                    f"read {h.ref(r)} is not covered by the explicit rf edges"
                 )
 
     dp_pairs = set()
     for sref, tref in dp_refs:
-        s = _resolve(thread_ids, sref)
-        t = _resolve(thread_ids, tref)
+        s = h._resolve(sref)
+        t = h._resolve(tref)
         if access[s][0] != READ:
-            raise InvalidDpError(f"dp {ref(s)} -> {ref(t)} must start at a read")
+            raise InvalidDpError(f"dp {h.ref(s)} -> {h.ref(t)} must start at a read")
         # `s` is a read, so not an initial write: program order puts it
         # before `t` when they share a thread and `s` comes first.  Both
         # refs resolved, and thread names are unique, so the refs' names
         # tell whether the events share a thread.
         if not (s < t and sref[0] == tref[0]):
             raise InvalidDpError(
-                f"dp {ref(s)} -> {ref(t)} does not follow program order"
+                f"dp {h.ref(s)} -> {h.ref(t)} does not follow program order"
             )
         dp_pairs.add((s, t))
 
-    h = History.__new__(History)
-    h._groups = owned
     h.dp = frozenset(dp_pairs)
-    h._access = None
-    h._names = tuple(names)
-    h._stops = tuple(stops)
-    h.threads = h._names[1:]
-    h._thread_ids = thread_ids
     h.writes = tuple(writes)
     h.write_vars = tuple(write_vars)
     h._readers = readers

@@ -170,6 +170,17 @@ def test_memory_ceiling_is_exit_3(
     assert err.startswith("mmcheck: ") and needle in err
 
 
+def test_out_of_memory_is_exit_3(capsys, sb_path, monkeypatch):
+    # Running out of memory is a resource bound, not a verdict.
+    def exhausted(text):
+        raise MemoryError
+
+    monkeypatch.setattr("mmcheck.cli.parse_history", exhausted)
+    code, out, err = run(capsys, "check", sb_path, "--model", "sc")
+    assert code == 3 and out == ""
+    assert err == "mmcheck: out of memory\n"
+
+
 def test_witness_failing_its_recheck_is_no_verdict(capsys, monkeypatch):
     # A consistent verdict's witness is re-checked on the base graphs.  A
     # witness that fails the re-check is an internal error: `solve`
@@ -377,6 +388,16 @@ def test_gen_random_takes_many_declared_variables(capsys):
             tracemalloc.stop()
         assert code == 0 and peak < 2**20
         assert parse_history(out).n == 2
+
+
+def test_gen_random_refuses_oversized_runs(capsys):
+    # 10^10 events would pass the memory ceiling: refused before drawing.
+    code, out, err = run(
+        capsys, "gen", "random", "--model", "sc", "--threads", "100000",
+        "--events", "100000",
+    )
+    assert code == 3 and out == ""
+    assert err.startswith("mmcheck: ") and "memory ceiling" in err
 
 
 @pytest.mark.parametrize(

@@ -17,7 +17,12 @@ from mmcheck import (
     simulate,
     solve,
 )
-from mmcheck.errors import NoAlternativeWriterError, UnknownModelError
+from mmcheck import simgen
+from mmcheck.errors import (
+    NoAlternativeWriterError,
+    ResourceBoundError,
+    UnknownModelError,
+)
 from mmcheck.simgen import RandomProgram
 
 from conftest import SB, TRACES, with_random_dp
@@ -69,6 +74,26 @@ def test_generate_program_names_only_the_drawn_variables():
     prog = generate_program(3, 8, 1000, seed=2)
     drawn = {instr[1] for block in prog.threads for instr in block}
     assert prog.var_names == tuple(sorted(drawn, key=lambda v: int(v[1:])))
+
+
+def test_generate_program_refuses_past_the_memory_ceiling(monkeypatch):
+    # 10^5 threads of 10^5 events are refused before anything is drawn.
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceBoundError, match="memory ceiling"):
+            generate_program(100_000, 100_000, 2, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    # The bound counts one event more per thread: 2 threads of 3 events
+    # fit a ceiling of 8 events, and not one byte less.
+    ceiling = 2 * (3 + 1) * simgen.EVENT_BYTES
+    monkeypatch.setattr(simgen, "MEMORY_CEILING", ceiling)
+    assert len(generate_program(2, 3, 2, seed=1).threads) == 2
+    monkeypatch.setattr(simgen, "MEMORY_CEILING", ceiling - 1)
+    with pytest.raises(ResourceBoundError):
+        generate_program(2, 3, 2, seed=1)
 
 
 def test_unknown_model_rejected():

@@ -497,6 +497,43 @@ def test_repeated_write_line_names_both_refs():
     assert "T0:0" in str(exc.value) and "T1:0" in str(exc.value)
 
 
+@pytest.mark.parametrize(
+    "text, error, message",
+    [
+        (
+            "thread T0\nwr x 1\nthread E\nthread T1\nrd x 1\nwr x 1\n",
+            DuplicateValueError,
+            "value 1 written twice to 'x' (T0:0 and T1:1)",
+        ),
+        (
+            "init: x=0\nthread E\nthread T0\nwr x 1\nthread F\n"
+            "thread T1\nrd x 2\n",
+            UnsourcedReadError,
+            "read T1:0 of x=2 has no matching write",
+        ),
+        (
+            "init: y=0 x=0\nthread E\nthread T0\nwr x 1\nthread F\n"
+            "thread T1\nrd x 1\nrf init:1 -> T1:0\n",
+            AmbiguousRfError,
+            "rf init:1 -> T1:0 has value 0 feeding a read of 1",
+        ),
+        (
+            "init: x=0\nthread T0\nrd x 0\nthread E\nthread T1\nwr x 1\n"
+            "dp T0:0 -> E:0\n",
+            DanglingRefError,
+            "no event E:0",
+        ),
+    ],
+    ids=["written-twice", "unsourced", "rf-init-value", "dp-into-empty"],
+)
+def test_fault_messages_name_events_past_empty_threads(text, error, message):
+    # A fault names its events by `(thread, pos)`, passing over the empty
+    # threads before them, and an edge into an empty thread names nothing.
+    with pytest.raises(error) as exc:
+        parse_history(text)
+    assert str(exc.value) == message
+
+
 def test_repeated_out_of_range_value_raises_at_first_line():
     line = f"rd x {2**64}\n"
     with pytest.raises(TraceSyntaxError) as exc:
