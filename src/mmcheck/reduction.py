@@ -17,7 +17,9 @@ store-buffering models.
 Each write of the gadget is a vertex of the base graphs that `solve`
 builds, so an instance whose tables would pass `MEMORY_CEILING` is
 refused with `ResourceBoundError` before any thread is built: a header
-declaring about 16,300 variables or more.
+declaring about 16,300 variables or more.  So is an instance whose
+events, at `simgen.EVENT_BYTES` each to build and print, would pass the
+ceiling: about 466,000 clauses or more.
 
 A tiny exhaustive SAT decider provides ground-truth labels.
 """
@@ -33,6 +35,7 @@ from .errors import (
     TooManyVarsError,
 )
 from .events import History, history_from_blocks
+from .simgen import EVENT_BYTES
 from .solver import MEMORY_CEILING, table_bytes
 
 SAT_BRUTE_FORCE_MAX_VARS = 20
@@ -70,10 +73,20 @@ def parse_dimacs(text: str) -> Cnf3:
     """Parse DIMACS CNF with every clause of length exactly three.
 
     Lines end at `\\n` alone, as in the trace format, so a `c` line
-    ends there too.
+    ends there too, and a `%` line ends the document.  The problem line
+    is `p cnf <variables> <clauses>` and comes before every clause line,
+    and every integer is `-?[0-9]+` in ASCII digits.  One pass over the
+    lines converts each token as it meets it and closes a clause at each
+    `0`.  Faults are reported in this order: a line's own fault, in line
+    order; then the document's (no problem line, negative counts, an
+    unterminated clause, a clause count other than the promised one);
+    then `Cnf3`'s, the one check of each clause's arity and literal
+    range, whose messages the reader passes on as they are (`clause
+    (1, 2) does not have exactly 3 literals`).
     """
-    tokens: list[str] = []
     header: tuple[int, int] | None = None
+    clauses: list[tuple[int, ...]] = []
+    current: list[int] = []
     for raw in text.split("\n"):
         line = raw.strip()
         if not line or line.startswith("c"):
@@ -84,39 +97,24 @@ def parse_dimacs(text: str) -> Cnf3:
             if header is not None:
                 raise MalformedDimacsError("second problem line")
             parts = line.split()
-            if len(parts) != 4 or parts[1] != "cnf":
+            if len(parts) != 4 or parts[:2] != ["p", "cnf"]:
                 raise MalformedDimacsError(f"bad problem line {line!r}")
-            try:
-                header = (int(parts[2]), int(parts[3]))
-            except ValueError:
-                raise MalformedDimacsError(
-                    f"bad problem line {line!r}"
-                ) from None
+            header = (_int(parts[2]), _int(parts[3]))
             continue
-        tokens.extend(line.split())
+        if header is None:
+            raise MalformedDimacsError("clause line before the problem line")
+        for tok in line.split():
+            lit = _int(tok)
+            if lit:
+                current.append(lit)
+            else:
+                clauses.append(tuple(current))
+                current = []
     if header is None:
         raise MalformedDimacsError("missing problem line")
     num_vars, num_clauses = header
     if num_vars < 0 or num_clauses < 0:
         raise MalformedDimacsError("negative counts in problem line")
-
-    clauses: list[tuple[int, int, int]] = []
-    current: list[int] = []
-    for tok in tokens:
-        try:
-            lit = int(tok)
-        except ValueError:
-            raise MalformedDimacsError(f"bad token {tok!r}") from None
-        if lit == 0:
-            if len(current) != 3:
-                raise NotThreeSatError(
-                    f"clause {tuple(current)} has {len(current)} literals, "
-                    "expected 3"
-                )
-            clauses.append((current[0], current[1], current[2]))
-            current = []
-        else:
-            current.append(lit)
     if current:
         raise MalformedDimacsError("unterminated clause at end of input")
     if len(clauses) != num_clauses:
@@ -124,6 +122,21 @@ def parse_dimacs(text: str) -> Cnf3:
             f"problem line promises {num_clauses} clauses, found {len(clauses)}"
         )
     return Cnf3(num_vars, tuple(clauses))
+
+
+def _int(token: str) -> int:
+    # A DIMACS integer is `-?[0-9]+`.  int() alone would also take `+1`,
+    # `1_0` and any Unicode decimal digit, and it refuses a literal past
+    # the interpreter's digit limit (4,300 digits by default).
+    digits = token.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise MalformedDimacsError(f"bad token {token!r}")
+    try:
+        return int(token)
+    except ValueError:
+        raise MalformedDimacsError(
+            f"integer of {len(digits)} digits is too long"
+        ) from None
 
 
 def _lit_name(lit: int) -> str:
@@ -152,14 +165,25 @@ def sat_to_history_relaxed(cnf: Cnf3) -> History:
 def _gadget(cnf: Cnf3, relaxed: bool) -> History:
     # Two writes per variable and per literal, each a base-graph vertex:
     # refuse an instance whose tables no check could build.
-    k = 2 * cnf.num_vars + 2 * len(cnf.literals)
+    literals = cnf.literals
+    k = 2 * cnf.num_vars + 2 * len(literals)
     if table_bytes(k, k) > MEMORY_CEILING:
         raise ResourceBoundError(f"k={k} writes: memory ceiling")
+    # Two events per variable, six per clause, and six per literal, or
+    # eight with the relaxed instance's readers: refuse an instance that
+    # could not be built and printed within the ceiling.  A variable's or
+    # a literal's events cost more than a clause's (8,000 variables and
+    # 2,000 clauses took about 620 bytes an event), but the bound on k
+    # caps them at 4k, about 130,000.
+    n = 2 * cnf.num_vars + 6 * len(cnf.clauses)
+    n += (8 if relaxed else 6) * len(literals)
+    if n * EVENT_BYTES > MEMORY_CEILING:
+        raise ResourceBoundError(f"{n} events: memory ceiling")
     threads: list[tuple[str, list[tuple[str, str, int]]]] = []
     for i in range(1, cnf.num_vars + 1):
         threads.append((f"T0_x{i}", [("wr", f"x{i}", 0)]))
         threads.append((f"T1_x{i}", [("wr", f"x{i}", 1)]))
-    for var, negated in cnf.literals:
+    for var, negated in literals:
         name, x = _lit_name(-var if negated else var), f"x{var}"
         # Side s guards on x = s and writes s to the literal variable, or
         # 1 - s for a negated literal.  The relaxed instance moves each

@@ -38,7 +38,10 @@ SIMULATED_MODELS = {
 #: Peak bytes per event of drawing a program, simulating it and
 #: formatting the trace.  Measured by tracemalloc at n = 200,005
 #: (`generate_program(4, 50000, 5, seed=7)`): 380-381 bytes per event
-#: under sc, tso and pso alike (CPython 3.11.7, x86-64).
+#: under sc, tso and pso alike (CPython 3.11.7, x86-64).  `gen sat`
+#: bounds its gadgets with it too: reading a 200,000-clause formula over
+#: 3 variables, building either instance (n = 1,200,042 or 1,200,054)
+#: and formatting it peaked at 362 bytes per event.
 EVENT_BYTES = 384
 
 

@@ -37,13 +37,13 @@ from .errors import TraceSyntaxError
 from .events import INIT_THREAD, MAX_VALUE, WRITE, History, assemble_history
 
 _IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
-_ASSIGN_RE = re.compile(rf"({_IDENT})=(\d+)")
+_ASSIGN_RE = re.compile(rf"({_IDENT})=([0-9]+)")
 #: An access line or a thread header.
 _LINE_RE = re.compile(
-    rf"(?:(wr|rd)\s+({_IDENT})\s+(\d+)|thread\s+({_IDENT}))\s*$"
+    rf"(?:(wr|rd)\s+({_IDENT})\s+([0-9]+)|thread\s+({_IDENT}))\s*$"
 )
 _EDGE_RE = re.compile(
-    rf"(rf|dp)\s+({_IDENT}):(\d+)\s*->\s*({_IDENT}):(\d+)\s*$"
+    rf"(rf|dp)\s+({_IDENT}):([0-9]+)\s*->\s*({_IDENT}):([0-9]+)\s*$"
 )
 
 

@@ -37,7 +37,9 @@ too or hold a cycle of waits.  It shares no code with the search.
 
 `structural_bound` gives the bound on the subsets the search evaluates
 that the tests gate on, and `format_dimacs` the DIMACS text that
-`parse_dimacs` round-trips.
+`parse_dimacs` round-trips.  `closure` and `closed_pairs` give the
+transitive closure of an acyclic edge list, as per-vertex masks or as
+pairs.
 """
 
 from __future__ import annotations
@@ -460,6 +462,12 @@ def closure(n, edges):
             m |= (1 << v) | reach[v]
         reach[u] = m
     return reach
+
+
+def closed_pairs(h: History, edges) -> set[tuple[int, int]]:
+    """The pairs of the transitive closure of an acyclic edge list."""
+    reach = closure(h.n, edges)
+    return {(a, b) for a in range(h.n) for b in range(h.n) if reach[a] >> b & 1}
 
 
 def po_before(h: History, a: int, b: int) -> bool:

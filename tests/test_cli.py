@@ -18,9 +18,11 @@ from mmcheck import (
     sat_to_history_sc,
     solve,
 )
+from mmcheck import reduction as reduction_module
 from mmcheck import solver as solver_module
 from mmcheck.cli import main
 from mmcheck.errors import InternalWitnessInvalidError
+from mmcheck.simgen import EVENT_BYTES
 
 from conftest import PINNED_REDUCTIONS, SB, TRACES, spread_writes_histories
 
@@ -99,6 +101,37 @@ def test_oversized_dimacs_header_exit_code(capsys, tmp_path, variant):
     )
     assert (code, out) == (3, "") and not out_path.exists()
     assert err == "mmcheck: k=200000006 writes: memory ceiling\n"
+
+
+@pytest.mark.parametrize("variant", ["sc", "relaxed"])
+def test_too_many_clauses_exit_code(capsys, tmp_path, monkeypatch, variant):
+    # A ceiling of 25 events refuses the 26 or 30 events this formula
+    # compiles to; the unpatched ceiling refuses about 466,000 clauses.
+    monkeypatch.setattr(reduction_module, "MEMORY_CEILING", 25 * EVENT_BYTES)
+    p = tmp_path / "many.cnf"
+    p.write_text("p cnf 1 2\n1 1 1 0\n-1 -1 -1 0\n")
+    out_path = tmp_path / "many.mmh"
+    code, out, err = run(
+        capsys, "gen", "sat", "--variant", variant, str(p), "-o", str(out_path)
+    )
+    assert (code, out) == (3, "") and not out_path.exists()
+    n = 26 if variant == "sc" else 30
+    assert err == f"mmcheck: {n} events: memory ceiling\n"
+
+
+@pytest.mark.parametrize(
+    "argv, text, message",
+    [
+        (("check", "{}", "--model", "sc"), "thread T0\nwr x \u0661\n", "line 2: "),
+        (("gen", "sat", "{}"), "p cnf 3 1\n\u0661 2 3 0\n", "bad token "),
+    ],
+    ids=["check", "gen-sat"],
+)
+def test_non_ascii_digits_exit_code(capsys, tmp_path, argv, text, message):
+    p = tmp_path / "digits.txt"
+    p.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, *(a.format(p) for a in argv))
+    assert (code, out) == (2, "") and err.startswith(f"mmcheck: {message}")
 
 
 @pytest.mark.parametrize(

@@ -19,12 +19,7 @@ from mmcheck import (
 from mmcheck.events import assemble_history
 
 from conftest import SB
-from helpers import closure, po_before, reads, rf_source
-
-
-def _closed_pairs(h, edges):
-    reach = closure(h.n, edges)
-    return {(a, b) for a in range(h.n) for b in range(h.n) if reach[a] >> b & 1}
+from helpers import closed_pairs, closure, po_before, reads, rf_source
 
 
 def _po_loc(h, spec):
@@ -64,12 +59,12 @@ def test_po_loc_examples():
     assert _po_loc(h, sc) == []
 
     h = parse_history("thread T0\nwr x 1\nrd x 1\nrd x 1\n")
-    assert (1, 2) in _closed_pairs(h, _po_loc(h, sc))
-    assert (1, 2) not in _closed_pairs(h, _po_loc(h, rmo))
-    assert (0, 1) in _closed_pairs(h, _po_loc(h, rmo))  # write-read pair
+    assert (1, 2) in closed_pairs(h, _po_loc(h, sc))
+    assert (1, 2) not in closed_pairs(h, _po_loc(h, rmo))
+    assert (0, 1) in closed_pairs(h, _po_loc(h, rmo))  # write-read pair
 
     h = parse_history("init: x=0\nthread T0\nrd x 0\nwr x 1\n")
-    assert _closed_pairs(h, _po_loc(h, sc)) == {(0, 1), (0, 2), (1, 2)}
+    assert closed_pairs(h, _po_loc(h, sc)) == {(0, 1), (0, 2), (1, 2)}
 
 
 def test_infer_rf_examples():

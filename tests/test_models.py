@@ -22,7 +22,7 @@ from mmcheck.errors import UnknownModelError
 from mmcheck.graphs import find_cycle
 
 from conftest import OOTA, long_traces, with_random_dp
-from helpers import closure, graph_edges, reference_po, resolve_ref
+from helpers import closed_pairs, graph_edges, reference_po, resolve_ref
 
 
 def test_model_registry_flags():
@@ -49,16 +49,11 @@ def test_rf_external_examples():
     assert rf_external(h) == frozenset()
 
 
-def _closed(h, edges):
-    reach = closure(h.n, edges)
-    return {(a, b) for a in range(h.n) for b in range(h.n) if reach[a] >> b & 1}
-
-
 def test_derive_sc_is_identity():
     h = parse_history("init: x=0 y=0\nthread T0\nwr x 1\nrd y 0\n")
     sc = get_model("sc")
     po, _ = program_orders(h, sc)
-    assert _closed(h, po) == reference_po(h)
+    assert closed_pairs(h, po) == reference_po(h)
     mm = derive(h, sc).graphs()[1]
     assert sorted(graph_edges(mm)) == sorted([*po, *h.rf])
 
@@ -71,7 +66,7 @@ def test_sc_program_order_is_one_chain_per_thread():
     assert h.n == 605 and len(h.thread_events("init")) == 5
     po, _ = program_orders(h, get_model("sc"))
     assert len(po) == 4 * 149 + 5 * 4 == 616
-    assert _closed(h, po) == reference_po(h)
+    assert closed_pairs(h, po) == reference_po(h)
 
 
 def test_derive_tso_drops_write_read_pairs():
@@ -79,7 +74,7 @@ def test_derive_tso_drops_write_read_pairs():
     wx = resolve_ref(h, "T0", 0)
     ry = resolve_ref(h, "T0", 1)
     iy = resolve_ref(h, "init", 0)
-    po_mm = _closed(h, program_orders(h, get_model("tso"))[0])
+    po_mm = closed_pairs(h, program_orders(h, get_model("tso"))[0])
     assert (wx, ry) not in po_mm
     assert (iy, ry) not in po_mm  # init writes are writes too
     assert (iy, wx) in po_mm  # write-write pairs survive tso
@@ -108,17 +103,17 @@ def test_po_loc_effective_matches_llh_flag():
     r2 = resolve_ref(h, "T0", 1)
     sc = program_orders(h, get_model("sc"))[1]
     rmo = program_orders(h, get_model("rmo"))[1]
-    assert (r1, r2) in _closed(h, sc)
-    assert (r1, r2) not in _closed(h, rmo)
+    assert (r1, r2) in closed_pairs(h, sc)
+    assert (r1, r2) not in closed_pairs(h, rmo)
 
 
 def test_strength_chain(small_corpus):
     for h in small_corpus:
         sc, tso, pso = (
-            program_orders(h, get_model(name))[0]
+            closed_pairs(h, program_orders(h, get_model(name))[0])
             for name in ("sc", "tso", "pso")
         )
-        assert _closed(h, pso) <= _closed(h, tso) <= _closed(h, sc)
+        assert pso <= tso <= sc
         # tso and pso see `rf_external`, sc all of reads-from
         assert rf_external(h) <= h.rf
 

@@ -21,12 +21,14 @@ from mmcheck import (
     sat_to_history_sc,
     solve,
 )
+from mmcheck import reduction
 from mmcheck.errors import (
     MalformedDimacsError,
     NotThreeSatError,
     ResourceBoundError,
     TooManyVarsError,
 )
+from mmcheck.simgen import EVENT_BYTES
 
 from conftest import NOT_LINE_ENDS, PINNED_REDUCTIONS
 from helpers import events, format_dimacs, po_before
@@ -78,6 +80,84 @@ def test_parse_dimacs_malformed():
             parse_dimacs(f"{header}\n")
     with pytest.raises(MalformedDimacsError, match="bad token 'a'"):
         parse_dimacs("p cnf 1 1\n1 a 1 0\n")
+
+
+_TOO_LONG = "integer of 5000 digits is too long"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("px cnf 3 1\n1 2 3 0\n", "bad problem line 'px cnf 3 1'"),
+        ("1 2 3 0\np cnf 3 1\n", "clause line before the problem line"),
+        ("p cnf 3 1\n+1 2 3 0\n", "bad token '+1'"),
+        ("p cnf +3 1\n1 2 3 0\n", "bad token '+3'"),
+        ("p cnf 10 1\n1_0 2 3 0\n", "bad token '1_0'"),
+        ("p cnf 3 1\n\u0661 2 3 0\n", "bad token '\u0661'"),
+        ("p cnf 3 1\n1 2 3 \u0966\n", "bad token '\u0966'"),
+        ("p cnf 3 \uff11\n1 2 3 0\n", "bad token '\uff11'"),
+        (f"p cnf 3 1\n{'1' * 5000} 2 3 0\n", _TOO_LONG),
+        (f"p cnf 3 1\n-{'1' * 5000} 2 3 0\n", _TOO_LONG),
+        (f"p cnf {'9' * 5000} 1\n1 2 3 0\n", _TOO_LONG),
+    ],
+    ids=lambda v: ascii(v)[:40],
+)
+def test_parse_dimacs_grammar(text, message):
+    # The problem line's first field is exactly `p`, it comes before the
+    # first clause, and every integer is `-?[0-9]+` in ASCII digits.
+    with pytest.raises(MalformedDimacsError) as exc:
+        parse_dimacs(text)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "text, error, message",
+    [
+        # a line's fault first, in line order
+        ("p cnf 2 1\n1 2 0\n1 a\n1 b\n", MalformedDimacsError, "bad token 'a'"),
+        (
+            "p cnf -1 2\n1 2 0\n1 a 2 0\n",
+            MalformedDimacsError,
+            "bad token 'a'",
+        ),
+        # then the document's
+        (
+            "p cnf -1 1\n1 2 0\n",
+            MalformedDimacsError,
+            "negative counts in problem line",
+        ),
+        (
+            "p cnf 2 1\n1 2 0\n1",
+            MalformedDimacsError,
+            "unterminated clause at end of input",
+        ),
+        (
+            "p cnf 2 2\n1 2 0\n",
+            MalformedDimacsError,
+            "problem line promises 2 clauses, found 1",
+        ),
+        # then Cnf3's, the one check of a clause's arity and literal range
+        (
+            "p cnf 2 2\n1 2 5 0\n1 2 0\n",
+            MalformedDimacsError,
+            "literal 5 outside 1..2",
+        ),
+        (
+            "p cnf 2 1\n1 2 0\n",
+            NotThreeSatError,
+            "clause (1, 2) does not have exactly 3 literals",
+        ),
+        (
+            "p cnf 2 1\n0\n",
+            NotThreeSatError,
+            "clause () does not have exactly 3 literals",
+        ),
+    ],
+)
+def test_parse_dimacs_fault_order(text, error, message):
+    with pytest.raises(error) as exc:
+        parse_dimacs(text)
+    assert str(exc.value) == message
 
 
 def test_parse_dimacs_comments_and_terminator():
@@ -248,6 +328,40 @@ def test_oversized_header_is_refused_before_building():
     assert sat_to_history_sc(parse_dimacs(edge.format(16297))).k == 32600
     with pytest.raises(ResourceBoundError, match="k=32602 "):
         sat_to_history_relaxed(parse_dimacs(edge.format(16298)))
+
+
+def test_too_many_clauses_are_refused_before_building():
+    # Each clause adds six events that k does not count: past the ceiling
+    # at `EVENT_BYTES` per event, the compilers refuse from the counts.
+    cnf = Cnf3(3, ((1, 2, 3),) * 500_000)
+    tracemalloc.start()
+    try:
+        for build, n in [
+            (sat_to_history_sc, 3_000_024),
+            (sat_to_history_relaxed, 3_000_030),
+        ]:
+            with pytest.raises(ResourceBoundError) as exc:
+                build(cnf)
+            assert str(exc.value) == f"{n} events: memory ceiling"
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_event_bound_edge(monkeypatch):
+    # The bound counts exactly the events built: a ceiling of n events
+    # admits the instance, one byte less refuses it.
+    cnf = Cnf3(3, ((1, 2, 3), (-1, 2, -3)) * 5)
+    for build in (sat_to_history_sc, sat_to_history_relaxed):
+        n = build(cnf).n
+        monkeypatch.setattr(reduction, "MEMORY_CEILING", n * EVENT_BYTES)
+        assert build(cnf).n == n
+        monkeypatch.setattr(reduction, "MEMORY_CEILING", n * EVENT_BYTES - 1)
+        with pytest.raises(ResourceBoundError) as exc:
+            build(cnf)
+        assert str(exc.value) == f"{n} events: memory ceiling"
+        monkeypatch.undo()
 
 
 def test_emitted_instances_round_trip():

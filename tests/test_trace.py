@@ -541,6 +541,25 @@ def test_repeated_out_of_range_value_raises_at_first_line():
     assert exc.value.lineno == 3
 
 
+@pytest.mark.parametrize(
+    "text, lineno",
+    [
+        ("init: x=\u0660\nthread T0\nrd x 0\n", 1),
+        ("thread T0\nwr x \u0661\u0662\n", 2),
+        ("thread T0\nwr x 12\nrd x \u0967\u0968\n", 3),
+        ("thread T0\nwr x 1\nthread T1\nrd x 1\nrf T0:\u0660 -> T1:0\n", 5),
+        ("thread T0\nrd x 0\nwr y 1\ndp T0:0 -> T0:\uff11\n", 4),
+    ],
+    ids=ascii,
+)
+def test_values_and_positions_are_ascii_digits(text, lineno):
+    # int() reads any Unicode decimal digit, so the line patterns alone
+    # keep `١٢` from reading as 12.
+    with pytest.raises(TraceSyntaxError) as exc:
+        parse_history(text)
+    assert exc.value.lineno == lineno
+
+
 def test_access_spellings_parse_alike():
     plain = "init: x=0\nthread T0\nwr x 1\nrd x 0\nthread T1\nrd x 1\nrd x 1\n"
     h = parse_history(plain)
