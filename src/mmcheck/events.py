@@ -19,20 +19,20 @@ the events: one walk over the groups copies each into a tuple that the
 history keeps, and a read group's tuple is its writer's readers.
 Assembly makes the `History` as soon as the threads are counted and
 works through it: `h.ref` words each fault, `h._resolve` turns an
-explicit edge's `(thread, pos)` reference into an id, and `h._column()`
-builds the access column that explicit `rf` or `dp` edges are checked
+explicit edge's `(thread, pos)` reference into an id, and `h.access`
+gives the access column that explicit `rf` or `dp` edges are checked
 against, which assembly drops; the history keeps no column indexed by
 event id.  Each thread's ids are consecutive, so a thread is held as
 the `range` of its ids: an event's thread is found by bisecting the
 threads' stops (`History.locate`), and its position is its id minus
 the thread's first id.  `write_vars` holds each write's variable, and
 each write's readers are the one record of reads-from.  The per-event
-column `access` (each event's tuple, shared between equal accesses) is
-built on first access, and the `(write, read)` pairs of `rf` on each
-call.  The solver reads the threads, `write_vars`, each
-write's readers and the dependency edges, and builds `access` only to
-word a diagnostic.  There is no per-event record: every package path
-reads the groups and the indexes.
+column `access` (each event's tuple, shared between equal accesses) and
+the `(write, read)` pairs of `rf` are built from the groups and the
+readers on each call, and neither is cached.  The solver reads the
+threads, `write_vars`, each write's readers and the dependency edges,
+and builds `access` only to word a diagnostic.  There is no per-event
+record: every package path reads the groups and the indexes.
 """
 
 from __future__ import annotations
@@ -68,21 +68,20 @@ class History:
     history is built with no column indexed by event id.  `write_vars`
     holds each write's variable, aligned with `writes`.  The per-event
     column `access` (each event's tuple, shared between equal accesses)
-    is built from the groups on first access and cached.  `rf`, built
-    from each write's readers on each call, and `dp` are frozensets of
-    `(source, target)` event-id pairs.  Program order is not stored: each
-    thread's ids are consecutive, so it is read off the threads' ranges.
+    is built from the groups on each call.  `rf`, built from each write's
+    readers on each call, and `dp` are frozensets of `(source, target)`
+    event-id pairs.  Program order is not stored: each thread's ids are
+    consecutive, so it is read off the threads' ranges.
 
-    Instances are immutable after construction (the cached column is the
-    same whoever builds it) and safe to share across threads.  Build one
-    with :func:`history_from_blocks` or the trace parser, which both hand
-    the events, grouped by access, to :func:`assemble_history`, the one
+    Instances are immutable after construction, since no view fills a
+    slot, and safe to share across threads.  Build one with
+    :func:`history_from_blocks` or the trace parser, which both hand the
+    events, grouped by access, to :func:`assemble_history`, the one
     builder: the class has no constructor of its own.  Assembly makes the
     instance once the threads are counted and works through it: `ref`
     words its faults, `_resolve` turns each explicit edge's
-    `(thread, pos)` reference into an id, and `_column`, the access
-    column built afresh on each call and cached only by `access`, is what
-    its explicit edges are checked against.  Assembly rejects any dp edge
+    `(thread, pos)` reference into an id, and `access` is what its
+    explicit edges are checked against.  Assembly rejects any dp edge
     that is not read-sourced or not in program order, so `derive` and the
     solver trust `dp`.  `_thread_ids` maps each thread name, the virtual
     `init` thread first, to the range of its event ids, which is program
@@ -96,7 +95,6 @@ class History:
     __slots__ = (
         "_groups",
         "dp",
-        "_access",
         "threads",
         "_names",
         "_stops",
@@ -109,19 +107,13 @@ class History:
 
     @property
     def access(self) -> tuple[tuple[str, str, int], ...]:
-        """Each event's `(kind, var, value)` tuple, in id order."""
-        if self._access is None:
-            self._access = tuple(self._column())
-        return self._access
-
-    def _column(self) -> list[tuple[str, str, int]]:
-        """Each event's `(kind, var, value)` tuple, in id order, built on
-        each call: assembly reads it, uncached, to check explicit edges."""
+        """Each event's `(kind, var, value)` tuple, in id order, built from
+        the groups on each call."""
         column: list = [None] * self.n
         for key, ids in self._groups.items():
             for i in ids:
                 column[i] = key
-        return column
+        return tuple(column)
 
     @property
     def rf(self) -> frozenset[tuple[int, int]]:
@@ -265,7 +257,6 @@ def assemble_history(
     # `_names` and `_stops` list every block, repeated names included, so
     # `h.ref` places every event.
     h = History.__new__(History)
-    h._access = None
     h._names = tuple(name for name, _ in threads)
     h._stops = tuple(stops)
     h.threads = h._names[1:]
@@ -324,7 +315,7 @@ def assemble_history(
 
     # Explicit edges name events by position, so they read the access
     # column.
-    access = h._column() if rf_refs is not None or dp_refs else []
+    access = h.access if rf_refs is not None or dp_refs else ()
     if rf_refs is not None:
         # An edge that passes names the read's inferred writer, since each
         # value is written once per variable; so `readers` stands.

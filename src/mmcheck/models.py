@@ -269,6 +269,15 @@ def build_base_graphs(
       its head and a reads-from edge, at most one per (writer, thread,
       segment) and so at most k + T per writer, or a read a dp edge
       touches: each graph has at most k + k·(k + T) + d vertices.
+
+    This walk and `program_orders` each follow program order through
+    `ModelSpec.links` in a loop of their own, on purpose.  This one walks
+    only the events it keeps and links vertices of both graphs in one
+    pass; that one walks every event and lists the full graphs' edges.
+    One walk shared through a callback per link kept both graphs exact,
+    but it made this function about 50% slower on long traces and on
+    hard reductions, and `program_orders` 4× slower (ROADMAP, measured
+    and not kept).
     """
     llh = spec.dp_only
     writes = h.writes
@@ -437,6 +446,11 @@ def program_orders(
     and each write follows every read of its variable since the previous
     write.  A read-read pair with a write between stays in the closure, as
     it does in the closure of the pair set.
+
+    This walk and `build_base_graphs` each follow program order through
+    `ModelSpec.links` in a loop of their own, on purpose: a walk shared
+    through a callback per link made this one 4× slower and that one
+    about 50% slower (see `build_base_graphs`).
     """
     links = spec.links
     llh = spec.dp_only

@@ -19,13 +19,16 @@ builds, so an instance whose tables would pass `MEMORY_CEILING` is
 refused with `ResourceBoundError` before any thread is built: a header
 declaring about 16,300 variables or more.  So is an instance whose
 events, at `simgen.EVENT_BYTES` each to build and print, would pass the
-ceiling: about 466,000 clauses or more.
+ceiling: about 466,000 clauses or more.  `parse_dimacs` applies the
+clauses' share of that bound at the problem line, so a document that
+promises that many is refused before its clauses are read.
 
 A tiny exhaustive SAT decider provides ground-truth labels.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .errors import (
@@ -39,6 +42,10 @@ from .simgen import EVENT_BYTES
 from .solver import MEMORY_CEILING, table_bytes
 
 SAT_BRUTE_FORCE_MAX_VARS = 20
+
+#: The events `_gadget` builds for each clause: a formula of c clauses
+#: compiles to at least 6c events.
+CLAUSE_EVENTS = 6
 
 
 @dataclass(frozen=True)
@@ -76,19 +83,28 @@ def parse_dimacs(text: str) -> Cnf3:
     ends there too, and a `%` line ends the document.  The problem line
     is `p cnf <variables> <clauses>` and comes before every clause line,
     and every integer is `-?[0-9]+` in ASCII digits.  One pass over the
-    lines converts each token as it meets it and closes a clause at each
-    `0`.  Faults are reported in this order: a line's own fault, in line
-    order; then the document's (no problem line, negative counts, an
-    unterminated clause, a clause count other than the promised one);
-    then `Cnf3`'s, the one check of each clause's arity and literal
-    range, whose messages the reader passes on as they are (`clause
-    (1, 2) does not have exactly 3 literals`).
+    lines, each matched in place with no list of the lines and no copy of
+    the text, converts each token as it meets it and closes a clause at
+    each `0`.  Two bounds hold what the pass keeps to what the document
+    promises.  A problem line whose clauses, at the six events that
+    `_gadget` builds for each and `simgen.EVENT_BYTES` an event, would
+    pass `MEMORY_CEILING` raises `ResourceBoundError` at that line:
+    about 466,000 clauses or more.  And the first clause past the
+    promised count is reported at its clause.  Otherwise faults are
+    reported in this order: a line's own fault, in line order; then the
+    document's (no problem line, negative counts, an unterminated clause,
+    fewer clauses than promised); then `Cnf3`'s, the one check of each
+    clause's arity and literal range, whose messages the reader passes on
+    as they are (`clause (1, 2) does not have exactly 3 literals`).  So a
+    problem line that promises too many clauses is refused before any
+    later line's fault, and so is a clause past the promised count.
     """
     header: tuple[int, int] | None = None
     clauses: list[tuple[int, ...]] = []
     current: list[int] = []
-    for raw in text.split("\n"):
-        line = raw.strip()
+    # `.` matches every character but `\n`, so each match is a line.
+    for match in re.finditer(".+", text):
+        line = match.group().strip()
         if not line or line.startswith("c"):
             continue
         if line.startswith("%"):
@@ -100,6 +116,8 @@ def parse_dimacs(text: str) -> Cnf3:
             if len(parts) != 4 or parts[:2] != ["p", "cnf"]:
                 raise MalformedDimacsError(f"bad problem line {line!r}")
             header = (_int(parts[2]), _int(parts[3]))
+            if header[1] * CLAUSE_EVENTS * EVENT_BYTES > MEMORY_CEILING:
+                raise ResourceBoundError(f"{header[1]} clauses: memory ceiling")
             continue
         if header is None:
             raise MalformedDimacsError("clause line before the problem line")
@@ -107,6 +125,10 @@ def parse_dimacs(text: str) -> Cnf3:
             lit = _int(tok)
             if lit:
                 current.append(lit)
+            elif len(clauses) == header[1]:
+                raise MalformedDimacsError(
+                    f"problem line promises {header[1]} clauses, found more"
+                )
             else:
                 clauses.append(tuple(current))
                 current = []
@@ -175,7 +197,7 @@ def _gadget(cnf: Cnf3, relaxed: bool) -> History:
     # a literal's events cost more than a clause's (8,000 variables and
     # 2,000 clauses took about 620 bytes an event), but the bound on k
     # caps them at 4k, about 130,000.
-    n = 2 * cnf.num_vars + 6 * len(cnf.clauses)
+    n = 2 * cnf.num_vars + CLAUSE_EVENTS * len(cnf.clauses)
     n += (8 if relaxed else 6) * len(literals)
     if n * EVENT_BYTES > MEMORY_CEILING:
         raise ResourceBoundError(f"{n} events: memory ceiling")

@@ -134,6 +134,7 @@ def with_random_dp(h, rng: random.Random):
     """`h` plus dependency edges from about half its reads to later
     same-thread events; None when no edge was drawn."""
     evs = events(h)
+    access = h.access
 
     def ref(eid):
         return evs[eid].thread, evs[eid].pos
@@ -148,7 +149,7 @@ def with_random_dp(h, rng: random.Random):
     return history_from_blocks(
         init=[(e.var, e.val) for e in evs if e.is_init],
         threads=[
-            (t, [h.access[i] for i in h.thread_events(t)]) for t in h.threads
+            (t, [access[i] for i in h.thread_events(t)]) for t in h.threads
         ],
         rf_refs=[(ref(w), ref(r)) for w, r in sorted(h.rf)],
         dp_refs=dp_refs,

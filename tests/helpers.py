@@ -102,10 +102,11 @@ def reads(h: History) -> tuple[int, ...]:
 def rf_source(h: History, r: int) -> int | None:
     """The write that read `r` reads from, the one write of its variable
     and value; None at a write."""
-    kind, var, val = h.access[r]
+    access = h.access
+    kind, var, val = access[r]
     if kind != READ:
         return None
-    (w,) = [w for w in h.writes_on(var) if h.access[w][2] == val]
+    (w,) = [w for w in h.writes_on(var) if access[w][2] == val]
     return w
 
 

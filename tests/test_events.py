@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mmcheck import (
+    History,
     format_history,
     generate_program,
     get_model,
@@ -18,7 +19,7 @@ from mmcheck import (
 )
 from mmcheck.events import assemble_history
 
-from conftest import SB
+from conftest import SB, TRACES
 from helpers import closed_pairs, closure, po_before, reads, rf_source
 
 
@@ -106,6 +107,21 @@ def test_assembly_leaves_the_groups_as_passed():
     assert all(type(ids) is list for ids in groups.values())
     assert h.readers_of(1) == (2, 4) and h.readers_of(0) == (3,)
     assert h.writes_on("x") == (0, 1)
+
+
+def test_views_fill_no_slot():
+    # Every view is built from the slots on each call: reading each of
+    # them, on a history with explicit rf and dp lines, leaves every slot
+    # holding the very object that assembly put there.
+    h = parse_history((TRACES / "spelled.mmh").read_text())
+    before = {name: getattr(h, name) for name in History.__slots__}
+    assert len(h.access) == h.n and h.rf and h.variables == ("x", "y")
+    assert [h.readers_of(w) for w in h.writes]
+    assert [h.writes_on(v) for v in h.variables]
+    assert [h.thread_events(t) for t in ("init", *h.threads)]
+    assert [h.locate(i) for i in range(h.n)]
+    for name, value in before.items():
+        assert getattr(h, name) is value, name
 
 
 def test_history_memory_per_event():

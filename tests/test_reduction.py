@@ -24,10 +24,12 @@ from mmcheck import (
 from mmcheck import reduction
 from mmcheck.errors import (
     MalformedDimacsError,
+    MmcheckError,
     NotThreeSatError,
     ResourceBoundError,
     TooManyVarsError,
 )
+from mmcheck.reduction import CLAUSE_EVENTS
 from mmcheck.simgen import EVENT_BYTES
 
 from conftest import NOT_LINE_ENDS, PINNED_REDUCTIONS
@@ -99,6 +101,9 @@ _TOO_LONG = "integer of 5000 digits is too long"
         (f"p cnf 3 1\n{'1' * 5000} 2 3 0\n", _TOO_LONG),
         (f"p cnf 3 1\n-{'1' * 5000} 2 3 0\n", _TOO_LONG),
         (f"p cnf {'9' * 5000} 1\n1 2 3 0\n", _TOO_LONG),
+        ("", "missing problem line"),
+        ("c only a comment\n", "missing problem line"),
+        ("%\n1 2 3 0\n", "missing problem line"),
     ],
     ids=lambda v: ascii(v)[:40],
 )
@@ -113,8 +118,14 @@ def test_parse_dimacs_grammar(text, message):
 @pytest.mark.parametrize(
     "text, error, message",
     [
-        # a line's fault first, in line order
+        # a line's fault first, in line order, and a clause past the
+        # promised count at that clause
         ("p cnf 2 1\n1 2 0\n1 a\n1 b\n", MalformedDimacsError, "bad token 'a'"),
+        (
+            "p cnf 3 1\n1 2 3 0\n1 2 3 0\n1 a\n",
+            MalformedDimacsError,
+            "problem line promises 1 clauses, found more",
+        ),
         (
             "p cnf -1 2\n1 2 0\n1 a 2 0\n",
             MalformedDimacsError,
@@ -275,9 +286,10 @@ def test_relaxed_instance_is_strict_with_trailing_guards_moved_out():
         )))
     for cnf in cnfs:
         strict = sat_to_history_sc(cnf)
+        access = strict.access
         blocks, moved = [], []
         for t in strict.threads:
-            block = [strict.access[e] for e in strict.thread_events(t)]
+            block = [access[e] for e in strict.thread_events(t)]
             if len(block) < 3:  # a variable or clause thread
                 blocks.append((t, block))
                 continue
@@ -347,6 +359,51 @@ def test_too_many_clauses_are_refused_before_building():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def _parse_peak(text):
+    """The error that parsing `text` raises, and the parse's tracemalloc
+    peak in bytes."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(MmcheckError) as exc:
+            parse_dimacs(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return exc.value, peak
+
+
+def test_too_many_promised_clauses_are_refused_at_the_problem_line():
+    # 600,000 clauses would compile to 3.6 million events, past the
+    # ceiling: the problem line is refused before any clause is read, a
+    # later line's fault included.
+    text = "p cnf 3 600000\n" + "1 2 3 0\n" * 600_000 + "1 a\n"
+    error, peak = _parse_peak(text)
+    assert type(error) is ResourceBoundError
+    assert str(error) == "600000 clauses: memory ceiling"
+    assert peak < 1 << 20
+
+
+def test_a_clause_past_the_promised_count_is_refused_at_its_clause():
+    text = "p cnf 3 10\n" + "1 2 3 0\n" * 1_000_000
+    error, peak = _parse_peak(text)
+    assert type(error) is MalformedDimacsError
+    assert str(error) == "problem line promises 10 clauses, found more"
+    assert peak < 1 << 20
+
+
+def test_promised_clauses_bound_edge(monkeypatch):
+    # A ceiling of six events per promised clause admits the document;
+    # one byte less refuses it at the problem line.
+    cnf = Cnf3(3, ((1, 2, 3), (-1, 2, -3)) * 5)
+    text = format_dimacs(cnf)
+    edge = len(cnf.clauses) * CLAUSE_EVENTS * EVENT_BYTES
+    monkeypatch.setattr(reduction, "MEMORY_CEILING", edge)
+    assert parse_dimacs(text) == cnf
+    monkeypatch.setattr(reduction, "MEMORY_CEILING", edge - 1)
+    with pytest.raises(ResourceBoundError, match="^10 clauses: memory ceiling$"):
+        parse_dimacs(text)
 
 
 def test_event_bound_edge(monkeypatch):

@@ -804,19 +804,26 @@ _COLUMNS = {"access": property(_builds("access"))}
 def test_solve_builds_no_event_column(monkeypatch):
     # Under every model the solver reads the per-write variables, the
     # threads' ranges, each write's readers and rmo's dependency edges:
-    # with the per-event `access` column disabled, parsing and `solve`
-    # give the same verdicts, witnesses and counters.  A cyclic base graph's
-    # diagnostic, `format_history`, `mutate` and the test-only event view
-    # still read it; the package keeps no other per-event column.
+    # with the per-event `access` column disabled, parsing a document
+    # without `rf` or `dp` lines and `solve` give the same verdicts,
+    # witnesses and counters.  Assembly reads the column to check explicit
+    # edges, so the documents that carry them are parsed before it is
+    # disabled.  A cyclic base graph's diagnostic, `format_history`,
+    # `mutate` and the test-only event view still read it; the package
+    # keeps no other per-event column.
     texts = [(TRACES / "long.mmh").read_text(), MP]
     checks = [(text, m) for text in texts for m in ALL_MODELS]
-    checks += [((TRACES / "spelled.mmh").read_text(), "rmo"), (OOTA, "rmo")]
+    edged_texts = [(TRACES / "spelled.mmh").read_text(), OOTA]
+    edged = [parse_history(t) for t in edged_texts]
     expected = [solve(parse_history(t), get_model(m)) for t, m in checks]
+    expected += [solve(h, get_model("rmo")) for h in edged]
     cyclic = "init: x=0\nthread T0\nrd x 1\nwr x 1\n"
     uses = {
         "diagnostic": lambda: solve(parse_history(cyclic), get_model("sc")),
         "format_history": lambda: format_history(parse_history(texts[0])),
         "events": lambda: events(parse_history(texts[0])),
+        "spelled": lambda: parse_history(edged_texts[0]),
+        "oota": lambda: parse_history(edged_texts[1]),
     }
     for use in uses.values():
         use()
@@ -824,7 +831,9 @@ def test_solve_builds_no_event_column(monkeypatch):
 
     for name, column in _COLUMNS.items():
         monkeypatch.setattr(History, name, column)
-    assert [solve(parse_history(t), get_model(m)) for t, m in checks] == expected
+    assert [
+        solve(parse_history(t), get_model(m)) for t, m in checks
+    ] + [solve(h, get_model("rmo")) for h in edged] == expected
     for use in uses.values():
         with pytest.raises(_ColumnBuilt, match="access"):
             use()
