@@ -5,7 +5,9 @@ graphs over event ids built from unions of edge lists.  This module holds
 the graph container, which can also place a history's writes and reads;
 the one way a write order enters a graph, as chains of edges with the
 closure of all its pairs and conflict edges (`EventGraph.with_order`);
-and one Kahn peel that both sorts a graph and isolates its cycles.  It
+one Kahn peel that both sorts a graph and isolates its cycles; and a
+second peel, of the part of a graph that some vertices reach, which
+tells whether a cycle passes through that part (`reach_acyclic`).  It
 knows no memory model; which edges a model's graphs hold, and which
 events they keep, is decided in `models`.  The peel is FIFO, so its
 order is deterministic; nothing depends on which topological order it
@@ -103,24 +105,54 @@ class EventGraph:
         return EventGraph.from_rows(adj, degree, self.tag_sites)
 
 
-def _peel(g: EventGraph) -> tuple[list[int], list[int]]:
-    """Kahn's peel: the peeled vertices in topological order, and the
-    in-degrees left.
+def _peel(
+    adj: list[list[int]], degree: list[int], part: Iterable[int]
+) -> list[int]:
+    """Kahn's peel of `part`, a set of vertices that every edge out of
+    them stays in, with `degree` holding their in-degrees from inside it:
+    the peeled vertices in topological order.
 
-    The frontier is the order itself, appended to while it is walked.  A
-    vertex stays unpeeled exactly when it keeps a positive in-degree,
-    which happens exactly when a cycle reaches it; that set does not
-    depend on the order of the peel.
+    The frontier is the order itself, appended to while it is walked, and
+    `degree` is left holding the in-degrees not peeled.  A vertex stays
+    unpeeled exactly when it keeps a positive in-degree, which happens
+    exactly when a cycle reaches it; that set does not depend on the
+    order of the peel.
     """
-    degree = list(g.in_degree)
-    order = [v for v in range(g.n) if not degree[v]]
-    adj = g.adj
+    order = [v for v in part if not degree[v]]
     for v in order:
         for w in adj[v]:
             degree[w] -= 1
             if not degree[w]:
                 order.append(w)
-    return order, degree
+    return order
+
+
+def reach_acyclic(g: EventGraph, starts: Iterable[int]) -> bool:
+    """Whether no cycle of `g` passes through a vertex that `starts` reach.
+
+    One walk collects the part of the graph reachable from `starts` and
+    counts each vertex's in-edges from inside the part; the Kahn peel
+    then runs over the part alone.  Every vertex of a cycle reaches all
+    of it, so a cycle through a reached vertex lies inside the part, and
+    the part peels whole exactly when it holds no cycle: an edge into
+    the part from outside it can never lie on one.
+    """
+    adj = g.adj
+    # -1 marks a vertex the walk has not reached.
+    degree = [-1] * g.n
+    part = []
+    for v in starts:
+        if degree[v] < 0:
+            degree[v] = 0
+            part.append(v)
+    for v in part:
+        for w in adj[v]:
+            if degree[w] < 0:
+                degree[w] = 1
+                part.append(w)
+            else:
+                degree[w] += 1
+    return len(_peel(adj, degree, part)) == len(part)
 
 
 def kahn_acyclic(g: EventGraph) -> tuple[bool, list[int] | None]:
@@ -130,7 +162,7 @@ def kahn_acyclic(g: EventGraph) -> tuple[bool, list[int] | None]:
     otherwise.  The order is deterministic: equal graphs give equal
     orders.
     """
-    order, _ = _peel(g)
+    order = _peel(g.adj, list(g.in_degree), range(g.n))
     if len(order) == g.n:
         return True, order
     return False, None
@@ -142,7 +174,8 @@ def find_cycle(g: EventGraph) -> list[int] | None:
     Used for diagnostics only.  The cycle is reported as a vertex list
     [v0, v1, ..., vm] with edges v0 -> v1 -> ... -> vm -> v0.
     """
-    _, degree = _peel(g)
+    degree = list(g.in_degree)
+    _peel(g.adj, degree, range(g.n))
     residual = {v for v in range(g.n) if degree[v]}
     if not residual:
         return None

@@ -6,7 +6,9 @@ orders.  They share with the solver only the graph container
 (`EventGraph`), the one way a write order enters a graph
 (`EventGraph.with_order`, which the solver's witness re-check also
 uses), its Kahn peel (`kahn_acyclic`), the model's relations (`derive`)
-and the out-of-thin-air check (`oota_cycle`).  They share none of its
+and the out-of-thin-air check (`oota_cycle`); the store oracle alone
+also peels the part of a graph that some vertices reach
+(`reach_acyclic`), which the solver never calls.  They share none of its
 decision code: not the reach tables, not the contracted base graphs
 `build_base_graphs` returns, and not the subset search.  Each takes the
 model's two full graphs, one vertex per event, from the derivation
@@ -25,7 +27,7 @@ import itertools
 
 from .errors import KTooLargeForOracleError, SearchSpaceTooLargeError
 from .events import History
-from .graphs import EventGraph, kahn_acyclic
+from .graphs import EventGraph, kahn_acyclic, reach_acyclic
 from .models import ModelSpec, derive, oota_cycle
 from .solver import Outcome, Verdict
 
@@ -152,19 +154,27 @@ def oracle_store(h: History, spec: ModelSpec) -> Verdict:
       `with_order` never mutates.  Each visit to level i walks its
       pool's permutations afresh, in lexicographic order, and looks each
       one up in a memo of the per-location tests taken so far before it
-      peels.  An order enters level i only when that test passes and the
-      peel of its level-i graph is acyclic; a cyclic one skips every
-      store order holding its prefix without visiting them.  The first
-      full store order reached is therefore the first passing one in
-      product order.  Its graph holds each model-graph row followed by
-      the one chain edge out of that vertex, if it has one, and the
-      in-degrees of the model graph with every chain: the graph the
-      Witness fact peels.  So its peel, the last one taken, gives the
-      witness, and with no variable to order the bare peel does.  The
-      model graph is peeled at most once per prefix reached.  Every pool
-      holds two or more orders, so a store-order count P has at most
-      P / 2ʲ prefixes j levels short of full length, and the prefixes
-      number under 2P: at worst twice the peels of one per store order.
+      peels.  An order enters level i only when that test passes and its
+      level-i graph is acyclic; a cyclic one skips every store order
+      holding its prefix without visiting them.  The first full store
+      order reached is therefore the first passing one in product order.
+      Below the last level only part of the graph is peeled.  Level
+      i − 1's graph is acyclic, and every chain edge that `with_order`
+      adds for the order π₁ … πₘ enters one of π₂ … πₘ.  So a cycle of
+      the level-i graph takes a new edge, passes through one of π₂ … πₘ,
+      and lies within the part of the graph they reach, which
+      `reach_acyclic` peels alone.  The last level peels the whole graph
+      with `kahn_acyclic`.  A full store order's graph holds each
+      model-graph row followed by the one chain edge out of that vertex,
+      if it has one, and the in-degrees of the model graph with every
+      chain: the graph the Witness fact peels.  So the peel that accepts
+      it, the last one taken, gives the witness, and with no variable to
+      order the bare peel does.  The model graph is peeled, whole or in
+      the part a new chain reaches, at most once per prefix reached.
+      Every pool holds two or more orders, so a store-order count P has
+      at most P / 2ʲ prefixes j levels short of full length, and the
+      prefixes number under 2P: at worst twice the peels of one per
+      store order.
 
     So each variable order is tested on the per-location graph once,
     when the walk first reaches it, and a failing one skips every store
@@ -175,8 +185,8 @@ def oracle_store(h: History, spec: ModelSpec) -> Verdict:
     graph per level of the current prefix, fewer than 20, each sharing
     the rows its chains leave alone.  No whole store order, and no edge
     list, is kept: each visit to an order builds its chain edges again,
-    in time linear in |Wₓ| and their readers, before a peel that takes
-    time linear in the graph anyway.
+    in time linear in |Wₓ| and their readers, as `with_order` copies the
+    graph's row list, in time linear in its vertices, anyway.
     """
     if store_order_count(h) > ORACLE_MAX_STORE_ORDERS:
         raise SearchSpaceTooLargeError(
@@ -196,12 +206,11 @@ def oracle_store(h: History, spec: ModelSpec) -> Verdict:
     passes: dict[tuple[int, ...], bool] = {}
 
     # `g` is the model graph with the first i variable orders chosen added,
-    # all of which passed, and `order` its peel; the result is the peel of
-    # the first full store order that extends them, or None.  Fewer than 20
+    # all of which passed, and is acyclic; the result is the peel of the
+    # first full store order that extends them, or None.  Fewer than 20
     # pools fit under the bound, so the recursion stays shallow.
-    def walk(i: int, g: EventGraph, order: list[int]) -> list[int] | None:
-        if i == len(pools):
-            return order
+    def walk(i: int, g: EventGraph) -> list[int] | None:
+        last = i == len(pools) - 1
         for perm in itertools.permutations(pools[i]):
             if perm not in passes:
                 g_loc = loc.with_order(perm, var_of, reads_of)
@@ -209,12 +218,18 @@ def oracle_store(h: History, spec: ModelSpec) -> Verdict:
             if not passes[perm]:
                 continue
             g_perm = g.with_order(perm, var_of, reads_of)
-            acyclic, order = kahn_acyclic(g_perm)
-            if acyclic and (found := walk(i + 1, g_perm, order)) is not None:
+            if last:
+                acyclic, order = kahn_acyclic(g_perm)
+                if acyclic:
+                    return order
+            elif reach_acyclic(g_perm, perm[1:]) and (
+                found := walk(i + 1, g_perm)
+            ) is not None:
                 return found
         return None
 
-    order = walk(0, mm, order)
+    if pools:
+        order = walk(0, mm)
     if order is None:
         return Verdict(Outcome.INCONSISTENT)
     write_set = set(h.writes)

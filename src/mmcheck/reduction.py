@@ -28,6 +28,7 @@ A tiny exhaustive SAT decider provides ground-truth labels.
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
 
@@ -46,6 +47,9 @@ SAT_BRUTE_FORCE_MAX_VARS = 20
 #: The events `_gadget` builds for each clause: a formula of c clauses
 #: compiles to at least 6c events.
 CLAUSE_EVENTS = 6
+
+#: A token: a run of the characters that `str.split()` does not split at.
+_TOKEN = re.compile(r"\S+")
 
 
 @dataclass(frozen=True)
@@ -81,48 +85,59 @@ def parse_dimacs(text: str) -> Cnf3:
 
     Lines end at `\\n` alone, as in the trace format, so a `c` line
     ends there too, and a `%` line ends the document.  The problem line
-    is `p cnf <variables> <clauses>` and comes before every clause line,
-    and every integer is `-?[0-9]+` in ASCII digits.  One pass over the
-    lines, each matched in place with no list of the lines and no copy of
-    the text, converts each token as it meets it and closes a clause at
+    is `p cnf <variables> <clauses>`, with neither count negative, and
+    comes before every clause line, and every integer is `-?[0-9]+` in
+    ASCII digits.  One pass over the lines, each matched in place with no
+    list of the lines, no copy of the text and no list of a line's
+    tokens, converts each token as it meets it and closes a clause at
     each `0`.  Two bounds hold what the pass keeps to what the document
     promises.  A problem line whose clauses, at the six events that
     `_gadget` builds for each and `simgen.EVENT_BYTES` an event, would
     pass `MEMORY_CEILING` raises `ResourceBoundError` at that line:
     about 466,000 clauses or more.  And the first clause past the
     promised count is reported at its clause.  Otherwise faults are
-    reported in this order: a line's own fault, in line order; then the
-    document's (no problem line, negative counts, an unterminated clause,
-    fewer clauses than promised); then `Cnf3`'s, the one check of each
-    clause's arity and literal range, whose messages the reader passes on
-    as they are (`clause (1, 2) does not have exactly 3 literals`).  So a
-    problem line that promises too many clauses is refused before any
-    later line's fault, and so is a clause past the promised count.
+    reported in this order: a line's own fault, in line order, negative
+    counts being the problem line's; then the document's (no problem
+    line, an unterminated clause, fewer clauses than promised); then
+    `Cnf3`'s, the one check of each clause's arity and literal range,
+    whose messages the reader passes on as they are (`clause (1, 2) does
+    not have exactly 3 literals`).  So a problem line that promises too
+    many clauses, or gives a negative count, is refused before any later
+    line's fault, and so is a clause past the promised count.
     """
     header: tuple[int, int] | None = None
     clauses: list[tuple[int, ...]] = []
     current: list[int] = []
-    # `.` matches every character but `\n`, so each match is a line.
-    for match in re.finditer(".+", text):
-        line = match.group().strip()
-        if not line or line.startswith("c"):
+    # `.` matches every character but `\n`, so each match is a line, and
+    # its tokens are matched within its span.
+    for line in re.finditer(".+", text):
+        first = _TOKEN.search(text, *line.span())
+        if first is None:
             continue
-        if line.startswith("%"):
+        lead = text[first.start()]
+        if lead == "c":
+            continue
+        if lead == "%":
             break
-        if line.startswith("p"):
+        if lead == "p":
             if header is not None:
                 raise MalformedDimacsError("second problem line")
-            parts = line.split()
+            tokens = _TOKEN.finditer(text, *line.span())
+            parts = [tok.group() for tok in itertools.islice(tokens, 5)]
             if len(parts) != 4 or parts[:2] != ["p", "cnf"]:
-                raise MalformedDimacsError(f"bad problem line {line!r}")
+                raise MalformedDimacsError(
+                    f"bad problem line {line.group().strip()!r}"
+                )
             header = (_int(parts[2]), _int(parts[3]))
             if header[1] * CLAUSE_EVENTS * EVENT_BYTES > MEMORY_CEILING:
                 raise ResourceBoundError(f"{header[1]} clauses: memory ceiling")
+            if min(header) < 0:
+                raise MalformedDimacsError("negative counts in problem line")
             continue
         if header is None:
             raise MalformedDimacsError("clause line before the problem line")
-        for tok in line.split():
-            lit = _int(tok)
+        for tok in _TOKEN.finditer(text, first.start(), line.end()):
+            lit = _int(tok.group())
             if lit:
                 current.append(lit)
             elif len(clauses) == header[1]:
@@ -135,8 +150,6 @@ def parse_dimacs(text: str) -> Cnf3:
     if header is None:
         raise MalformedDimacsError("missing problem line")
     num_vars, num_clauses = header
-    if num_vars < 0 or num_clauses < 0:
-        raise MalformedDimacsError("negative counts in problem line")
     if current:
         raise MalformedDimacsError("unterminated clause at end of input")
     if len(clauses) != num_clauses:

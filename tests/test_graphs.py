@@ -20,7 +20,7 @@ from mmcheck import (
     sat_to_history_sc,
     solve,
 )
-from mmcheck.graphs import find_cycle
+from mmcheck.graphs import find_cycle, reach_acyclic
 
 from conftest import (
     PINNED_REDUCTIONS,
@@ -224,6 +224,41 @@ def test_find_cycle_returns_a_real_cycle():
     cyc = find_cycle(g)
     assert cyc is not None and _is_cycle(g, cyc)
     assert find_cycle(EventGraph(3, [(0, 1), (1, 2)])) is None
+
+
+def test_reach_acyclic_agrees_with_find_cycle_on_the_reached_part():
+    # Random graphs with cycles inside and outside the part that the
+    # starts reach, and edges into it from outside, which lie on no cycle
+    # of the part.
+    rng = random.Random(11)
+    kinds = set()
+    for _ in range(5_000):
+        n = rng.randint(1, 12)
+        edges = [
+            (u, v)
+            for u in range(n)
+            for v in range(n)
+            if u != v and rng.random() < 0.15
+        ]
+        g = EventGraph(n, edges)
+        starts = [rng.randrange(n) for _ in range(rng.randint(0, 3))]
+        reached, stack = set(starts), list(starts)
+        while stack:
+            for v in g.adj[stack.pop()]:
+                if v not in reached:
+                    reached.add(v)
+                    stack.append(v)
+        index = {v: i for i, v in enumerate(sorted(reached))}
+        part = EventGraph(
+            len(index), [(index[u], index[v]) for u, v in edges if u in index]
+        )
+        acyclic = find_cycle(part) is None
+        assert reach_acyclic(g, starts) == acyclic
+        entered = any(u not in index and v in index for u, v in edges)
+        kinds.add((acyclic, find_cycle(g) is None, entered))
+    assert kinds >= {
+        (True, False, True), (False, False, True), (True, True, True)
+    }
 
 
 def _writes_only_history(k):

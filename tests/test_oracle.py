@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
@@ -30,7 +31,12 @@ from mmcheck.errors import (
 )
 from mmcheck.oracle import store_order_count
 
-from conftest import PINNED_REDUCTIONS, SB, with_random_dp
+from conftest import (
+    PINNED_REDUCTIONS,
+    SB,
+    spread_writes_histories,
+    with_random_dp,
+)
 from helpers import (
     conflict_edges,
     events,
@@ -112,17 +118,19 @@ def test_store_oracle_bound():
 
 
 def _counted_peels(monkeypatch):
-    """The graphs `oracle_store` peels from here on, in peel order."""
+    """The graphs `oracle_store` peels from here on, in peel order: whole,
+    or only the part that some vertices reach."""
     import mmcheck.oracle as oracle_module
 
     peels = []
-    kahn = oracle_module.kahn_acyclic
+    for name in ("kahn_acyclic", "reach_acyclic"):
+        peel = getattr(oracle_module, name)
 
-    def counting_kahn(g):
-        peels.append(g)
-        return kahn(g)
+        def counting_peel(g, *starts, peel=peel):
+            peels.append(g)
+            return peel(g, *starts)
 
-    monkeypatch.setattr(oracle_module, "kahn_acyclic", counting_kahn)
+        monkeypatch.setattr(oracle_module, name, counting_peel)
     return peels
 
 
@@ -163,6 +171,25 @@ def test_store_oracle_peels_at_most_three_times_per_store_order(
             peels.clear()
             oracle_store(h, get_model(m))
             assert len(peels) <= 2 + 3 * store_order_count(h)
+
+
+def test_store_oracle_verdicts_and_witnesses_are_pinned():
+    # Histories with two or more pools, so that the walk tests prefixes
+    # below the last level: spread writes over three variables, and the
+    # k = 18 reduction, strict and relaxed, under every model.
+    cnf = PINNED_REDUCTIONS[0][0]
+    histories = spread_writes_histories(20, 40, (3, 18, 10, 3))
+    histories += [sat_to_history_sc(cnf), sat_to_history_relaxed(cnf)]
+    rows = []
+    for h in histories:
+        assert sum(len(h.writes_on(x)) > 1 for x in h.variables) >= 2
+        for m in ALL_MODELS:
+            v = oracle_store(h, get_model(m))
+            rows.append((v.outcome.name, v.witness))
+    assert sum(row[0] == "INCONSISTENT" for row in rows) == 31
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
+        "19f36e99c247f6637ef1a4d71b9f4281681d8f243dc20b4d7f020d324678d676"
+    )
 
 
 def test_total_witness_is_lexicographically_first():

@@ -118,8 +118,9 @@ def test_parse_dimacs_grammar(text, message):
 @pytest.mark.parametrize(
     "text, error, message",
     [
-        # a line's fault first, in line order, and a clause past the
-        # promised count at that clause
+        # a line's fault first, in line order, with negative counts at
+        # the problem line and a clause past the promised count at that
+        # clause
         ("p cnf 2 1\n1 2 0\n1 a\n1 b\n", MalformedDimacsError, "bad token 'a'"),
         (
             "p cnf 3 1\n1 2 3 0\n1 2 3 0\n1 a\n",
@@ -129,14 +130,19 @@ def test_parse_dimacs_grammar(text, message):
         (
             "p cnf -1 2\n1 2 0\n1 a 2 0\n",
             MalformedDimacsError,
-            "bad token 'a'",
+            "negative counts in problem line",
         ),
-        # then the document's
         (
             "p cnf -1 1\n1 2 0\n",
             MalformedDimacsError,
             "negative counts in problem line",
         ),
+        (
+            "p cnf 3 -1\n1 2 3 0\n1 a\n",
+            MalformedDimacsError,
+            "negative counts in problem line",
+        ),
+        # then the document's
         (
             "p cnf 2 1\n1 2 0\n1",
             MalformedDimacsError,
@@ -169,6 +175,34 @@ def test_parse_dimacs_fault_order(text, error, message):
     with pytest.raises(error) as exc:
         parse_dimacs(text)
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (
+            "p cnf 3 -1\n" + "1 2 3 0\n" * 100_000,
+            "negative counts in problem line",
+        ),
+        (
+            "p cnf 3 1\n" + "1 2 3 0 " * 100_000 + "\n",
+            "problem line promises 1 clauses, found more",
+        ),
+    ],
+    ids=["negative-count", "one-long-line"],
+)
+def test_parse_dimacs_stops_at_the_fault_it_reports(text, message):
+    # Neither document is held past its fault: no clause list of a
+    # negative count, and no token list of a long line.
+    tracemalloc.start()
+    try:
+        with pytest.raises(MalformedDimacsError) as exc:
+            parse_dimacs(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(exc.value) == message
+    assert peak < len(text) // 10
 
 
 def test_parse_dimacs_comments_and_terminator():
