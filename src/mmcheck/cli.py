@@ -120,7 +120,7 @@ def cmd_gen_random(args: argparse.Namespace) -> int:
 def cmd_mutate(args: argparse.Namespace) -> int:
     h = parse_history(_read_text(args.trace))
     mutated = mutate(h, args.seed)
-    _write_output(format_history(mutated, explicit_rf=True), args.output)
+    _write_output(format_history(mutated), args.output)
     return EXIT_CONSISTENT
 
 

@@ -52,6 +52,10 @@ CLAUSE_EVENTS = 6
 _TOKEN = re.compile(r"\S+")
 
 
+def _not_three(clause: tuple[int, ...]) -> NotThreeSatError:
+    return NotThreeSatError(f"clause {clause} does not have exactly 3 literals")
+
+
 @dataclass(frozen=True)
 class Cnf3:
     """A 3-CNF formula over variables 1..num_vars, DIMACS-signed literals."""
@@ -62,9 +66,7 @@ class Cnf3:
     def __post_init__(self):
         for clause in self.clauses:
             if len(clause) != 3:
-                raise NotThreeSatError(
-                    f"clause {clause} does not have exactly 3 literals"
-                )
+                raise _not_three(clause)
             for lit in clause:
                 if lit == 0 or abs(lit) > self.num_vars:
                     raise MalformedDimacsError(
@@ -94,16 +96,20 @@ def parse_dimacs(text: str) -> Cnf3:
     promises.  A problem line whose clauses, at the six events that
     `_gadget` builds for each and `simgen.EVENT_BYTES` an event, would
     pass `MEMORY_CEILING` raises `ResourceBoundError` at that line:
-    about 466,000 clauses or more.  And the first clause past the
-    promised count is reported at its clause.  Otherwise faults are
-    reported in this order: a line's own fault, in line order, negative
-    counts being the problem line's; then the document's (no problem
-    line, an unterminated clause, fewer clauses than promised); then
-    `Cnf3`'s, the one check of each clause's arity and literal range,
-    whose messages the reader passes on as they are (`clause (1, 2) does
-    not have exactly 3 literals`).  So a problem line that promises too
-    many clauses, or gives a negative count, is refused before any later
-    line's fault, and so is a clause past the promised count.
+    about 466,000 clauses or more.  The first clause past the promised
+    count is reported at its clause.  And a clause is refused with
+    `NotThreeSatError` at its fourth literal, named by its first four
+    (`clause (1, 2, 3, 4) does not have exactly 3 literals`), so the
+    reader never holds more than four literals of a clause.  Otherwise
+    faults are reported in this order: a line's own fault, in line
+    order, negative counts being the problem line's; then the
+    document's (no problem line, an unterminated clause, fewer clauses
+    than promised); then `Cnf3`'s, the one check of a short clause and
+    of each literal's range, whose messages the reader passes on as they
+    are (`clause (1, 2) does not have exactly 3 literals`).  So a
+    problem line that promises too many clauses, or gives a negative
+    count, is refused before any later line's fault, and so are a clause
+    past the promised count and a clause of four literals or more.
     """
     header: tuple[int, int] | None = None
     clauses: list[tuple[int, ...]] = []
@@ -140,6 +146,8 @@ def parse_dimacs(text: str) -> Cnf3:
             lit = _int(tok.group())
             if lit:
                 current.append(lit)
+                if len(current) > 3:
+                    raise _not_three(tuple(current))
             elif len(clauses) == header[1]:
                 raise MalformedDimacsError(
                     f"problem line promises {header[1]} clauses, found more"

@@ -18,6 +18,11 @@ text out of a comment.  A document looks like::
 Event references are `<thread>:<0-based position>`; initial writes live
 on the virtual thread `init`, positions in declaration order.
 
+Each value is written once per variable, so a read's value names its
+writer, and an `rf` line adds nothing the value does not say.  The
+parser still reads `rf` lines from other producers and checks them
+against the values; `format_history` writes none.
+
 A trace with k writes holds at most k distinct write lines, and a
 variable's reads see only its written values, so a long trace repeats a
 few distinct access lines many times.  The parser reads each line once.
@@ -139,13 +144,14 @@ def parse_history(text: str) -> History:
     )
 
 
-def format_history(h: History, explicit_rf: bool = False) -> str:
+def format_history(h: History) -> str:
     """Serialize a history back to trace text.
 
     The output is canonical (threads in declaration order, events in
-    program order), so parse/format round-trips are byte-stable.  With
-    `explicit_rf`, every reads-from edge is written out; otherwise the
-    relation is left to value inference.
+    program order), so parse/format round-trips are byte-stable.  It
+    holds the init line, the thread blocks and the `dp` lines, and no
+    `rf` line: each value is written once per variable, so a read's
+    value names its writer and reads-from is left to value inference.
     """
     lines: list[str] = []
     access = h.access
@@ -155,9 +161,6 @@ def format_history(h: History, explicit_rf: bool = False) -> str:
     for t in h.threads:
         lines.append(f"thread {t}")
         lines.extend("%s %s %s" % access[i] for i in h.thread_events(t))
-    if explicit_rf:
-        for w, r in sorted(h.rf, key=lambda p: p[1]):
-            lines.append(f"rf {h.ref(w)} -> {h.ref(r)}")
     for s, t in sorted(h.dp):
         lines.append(f"dp {h.ref(s)} -> {h.ref(t)}")
     if not lines:

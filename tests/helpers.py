@@ -37,7 +37,9 @@ too or hold a cycle of waits.  It shares no code with the search.
 
 `structural_bound` gives the bound on the subsets the search evaluates
 that the tests gate on, and `format_dimacs` the DIMACS text that
-`parse_dimacs` round-trips.  `closure` and `closed_pairs` give the
+`parse_dimacs` round-trips.  `format_with_rf` spells a history's
+reads-from out as `rf` lines, which the package reads and checks but
+does not write.  `closure` and `closed_pairs` give the
 transitive closure of an acyclic edge list, as per-vertex masks or as
 pairs.
 """
@@ -51,7 +53,15 @@ from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Iterable, NamedTuple
 
-from mmcheck import Cnf3, History, Outcome, Verdict, derive, oota_cycle
+from mmcheck import (
+    Cnf3,
+    History,
+    Outcome,
+    Verdict,
+    derive,
+    format_history,
+    oota_cycle,
+)
 from mmcheck.errors import DanglingRefError, MmcheckError
 from mmcheck.events import INIT_THREAD, READ, WRITE
 from mmcheck.graphs import EventGraph, kahn_acyclic
@@ -445,6 +455,20 @@ def format_dimacs(cnf: Cnf3) -> str:
     for clause in cnf.clauses:
         lines.append(" ".join(str(lit) for lit in clause) + " 0")
     return "\n".join(lines) + "\n"
+
+
+def format_with_rf(h: History) -> str:
+    """`format_history(h)` with one `rf` line per read, in read order,
+    before the `dp` lines: trace text from a producer that names each
+    read's writer."""
+    lines = format_history(h).splitlines()
+    rf = [
+        f"rf {h.ref(w)} -> {h.ref(r)}"
+        for w, r in sorted(h.rf, key=lambda p: p[1])
+    ]
+    head = len(lines) - len(h.dp)
+    lines[head:head] = rf
+    return "".join(line + "\n" for line in lines)
 
 
 def closure(n, edges):

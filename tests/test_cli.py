@@ -13,6 +13,7 @@ import pytest
 from mmcheck import (
     format_history,
     get_model,
+    mutate,
     parse_dimacs,
     parse_history,
     sat_to_history_sc,
@@ -259,7 +260,7 @@ def test_spread_writes_are_decided_at_any_k(capsys, tmp_path, size):
     histories = spread_writes_histories(2, 1, size)
     p = tmp_path / "spread.mmh"
     for h, expected in zip(histories, SPREAD_WRITES_CHECKS[size], strict=True):
-        p.write_text(format_history(h, explicit_rf=True))
+        p.write_text(format_history(h))
         for model, (exit_code, subsets) in zip(
             ("sc", "tso", "pso", "rmo"), expected
         ):
@@ -444,10 +445,12 @@ def test_gen_random_rejects_bad_counts(capsys, flag, value):
 
 
 def test_mutate_round_trip(capsys, tmp_path, sb_path):
+    # the value names each read's writer, so no rf line is written
     code, out, _ = run(capsys, "mutate", sb_path, "--seed", "1")
     assert code == 0
-    assert "rf " in out
-    parse_history(out)
+    assert not any(line.startswith("rf ") for line in out.splitlines())
+    back, m = parse_history(out), mutate(parse_history(SB), 1)
+    assert (back.access, back.rf, back.dp) == (m.access, m.rf, m.dp)
 
 
 def test_mutate_without_alternative_is_usage_error(capsys, tmp_path):

@@ -90,7 +90,7 @@ def test_infer_rf_idempotent_and_total():
 def test_infer_rf_reproduces_simulated_rf(seed):
     prog = generate_program(2, 3, 2, seed=seed, max_writes=4)
     h = simulate(prog, "tso", seed=seed + 1)
-    assert parse_history(format_history(h, explicit_rf=False)).rf == h.rf
+    assert parse_history(format_history(h)).rf == h.rf
     assert len(h.rf) == len(reads(h))
 
 

@@ -119,9 +119,14 @@ def test_parse_dimacs_grammar(text, message):
     "text, error, message",
     [
         # a line's fault first, in line order, with negative counts at
-        # the problem line and a clause past the promised count at that
-        # clause
+        # the problem line, and a clause past the promised count or
+        # holding a fourth literal at that clause
         ("p cnf 2 1\n1 2 0\n1 a\n1 b\n", MalformedDimacsError, "bad token 'a'"),
+        (
+            "p cnf 3 1\n1 2 3 4 0\n1 a\n",
+            NotThreeSatError,
+            "clause (1, 2, 3, 4) does not have exactly 3 literals",
+        ),
         (
             "p cnf 3 1\n1 2 3 0\n1 2 3 0\n1 a\n",
             MalformedDimacsError,
@@ -177,26 +182,34 @@ def test_parse_dimacs_fault_order(text, error, message):
     assert str(exc.value) == message
 
 
+_LONG_CLAUSE = "clause (1, 1, 1, 1) does not have exactly 3 literals"
+
+
 @pytest.mark.parametrize(
-    "text, message",
+    "text, error, message",
     [
         (
             "p cnf 3 -1\n" + "1 2 3 0\n" * 100_000,
+            MalformedDimacsError,
             "negative counts in problem line",
         ),
         (
             "p cnf 3 1\n" + "1 2 3 0 " * 100_000 + "\n",
+            MalformedDimacsError,
             "problem line promises 1 clauses, found more",
         ),
+        ("p cnf 3 1\n" + "1 " * 100_000 + "0\n", NotThreeSatError, _LONG_CLAUSE),
+        ("p cnf 3 1\n" + "1\n" * 100_000 + "0\n", NotThreeSatError, _LONG_CLAUSE),
     ],
-    ids=["negative-count", "one-long-line"],
+    ids=["negative-count", "one-long-line", "long-clause", "long-clause-lines"],
 )
-def test_parse_dimacs_stops_at_the_fault_it_reports(text, message):
-    # Neither document is held past its fault: no clause list of a
-    # negative count, and no token list of a long line.
+def test_parse_dimacs_stops_at_the_fault_it_reports(text, error, message):
+    # No document is held past its fault: no clause list of a negative
+    # count, no token list of a long line, and no clause past its fourth
+    # literal.
     tracemalloc.start()
     try:
-        with pytest.raises(MalformedDimacsError) as exc:
+        with pytest.raises(error) as exc:
             parse_dimacs(text)
         peak = tracemalloc.get_traced_memory()[1]
     finally:

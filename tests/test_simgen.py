@@ -26,7 +26,7 @@ from mmcheck.errors import (
 from mmcheck.simgen import RandomProgram
 
 from conftest import SB, TRACES, with_random_dp
-from helpers import events, resolve_ref, rf_source
+from helpers import events, format_with_rf, resolve_ref, rf_source
 
 
 def test_single_thread_resolves_locally():
@@ -181,25 +181,24 @@ def test_mutate_keeps_dp_edges(small_corpus):
         assert {(m.ref(a), m.ref(b)) for a, b in m.dp} == {
             (g.ref(a), g.ref(b)) for a, b in g.dp
         }
-        back = parse_history(format_history(m, explicit_rf=True))
+        back = parse_history(format_history(m))
         assert (back.dp, back.rf) == (m.dp, m.rf)
         checked += 1
     assert checked >= 40
 
 
-def test_mutate_emits_valid_explicit_rf():
-    h = parse_history(SB)
-    m = mutate(h, seed=4)
-    text = format_history(m, explicit_rf=True)
-    assert "rf " in text
+def test_mutate_output_names_writers_by_value():
+    m = mutate(parse_history(SB), seed=4)
+    text = format_history(m)
+    assert not any(line.startswith("rf ") for line in text.splitlines())
     reparsed = parse_history(text)
-    assert reparsed.rf == m.rf
+    assert (reparsed.access, reparsed.rf, reparsed.dp) == (m.access, m.rf, m.dp)
 
 
 def test_mutated_long_trace_matches_its_file():
     # traces/long_mutated.mmh is `mmcheck mutate traces/long.mmh --seed 1`
     h = parse_history((TRACES / "long.mmh").read_text())
-    text = format_history(mutate(h, 1), explicit_rf=True)
+    text = format_history(mutate(h, 1))
     assert text == (TRACES / "long_mutated.mmh").read_text()
 
 
@@ -261,7 +260,7 @@ def simulate_report() -> str:
             for seed in GOLDEN_SEEDS:
                 h = simulate(prog, model, seed=seed)
                 parts.append(f"# {label}, {model}, seed {seed}\n")
-                parts.append(format_history(h, explicit_rf=True))
+                parts.append(format_with_rf(h))
     return "".join(parts)
 
 

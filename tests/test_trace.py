@@ -41,10 +41,18 @@ from conftest import (
     NOT_LINE_ENDS,
     OOTA,
     SB,
+    TRACES,
     long_traces,
     with_random_dp,
 )
-from helpers import events, po_before, reads, resolve_ref, rf_source
+from helpers import (
+    events,
+    format_with_rf,
+    po_before,
+    reads,
+    resolve_ref,
+    rf_source,
+)
 
 
 def test_empty_document():
@@ -214,8 +222,8 @@ def test_comments_and_blank_lines():
 @pytest.mark.parametrize("text", [SB, MP, CORR, OOTA])
 def test_round_trip_byte_identity(text):
     h = parse_history(text)
-    once = format_history(h, explicit_rf=bool(h.dp))
-    again = format_history(parse_history(once), explicit_rf=bool(h.dp))
+    once = format_history(h)
+    again = format_history(parse_history(once))
     assert once == again
 
 
@@ -254,7 +262,7 @@ def test_round_trip_preserves_relations(small_corpus):
     litmus = [parse_history(text) for text in (SB, MP, CORR, OOTA)]
     for h1 in litmus + small_corpus[:40]:
         _assert_indexes_match_definitions(h1)
-        text = format_history(h1, explicit_rf=True)
+        text = format_with_rf(h1)
         lines = text.splitlines()
         rf_lines = [line for line in lines if line.startswith("rf ")]
         other = [line for line in lines if not line.startswith("rf ")]
@@ -269,6 +277,20 @@ def test_round_trip_preserves_relations(small_corpus):
             assert events(h1) == events(h2) and h1.threads == h2.threads
             assert h1.rf == h2.rf and h1.dp == h2.dp
             _assert_indexes_match_definitions(h2)
+
+
+def test_long_mutant_spelled_with_rf_lines_parses_to_its_file():
+    # A large rf document: one rf line per read of the long mutant, in
+    # read order and reversed, checked against the values it names.
+    h = parse_history((TRACES / "long_mutated.mmh").read_text())
+    lines = format_with_rf(h).splitlines()
+    rf_lines = [line for line in lines if line.startswith("rf ")]
+    other = [line for line in lines if not line.startswith("rf ")]
+    assert len(rf_lines) == len(reads(h)) > 500
+    for doc in ("\n".join(lines), "\n".join(other + rf_lines[::-1])):
+        back = parse_history(doc + "\n")
+        assert (back.access, back.rf, back.dp) == (h.access, h.rf, h.dp)
+        assert back.threads == h.threads
 
 
 # Empty threads first, in the middle and last, with and without dp edges.
@@ -385,7 +407,7 @@ def test_fresh_tuples_assemble_as_their_parse():
             else None,
             dp_refs=[(ref(a), ref(b)) for a, b in sorted(h.dp)],
         )
-        text = format_history(h, explicit_rf=explicit)
+        text = format_with_rf(h) if explicit else format_history(h)
         parsed = parse_history(_respell(text, ("\n", "\r\n")[i // 2 % 2]))
         _assert_same_history(h, parsed)
         _assert_same_history(rebuilt, parsed)
