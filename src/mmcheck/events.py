@@ -20,12 +20,13 @@ history keeps, and a read group's tuple is its writer's readers.
 Assembly makes the `History` as soon as the threads are counted and
 works through it: `h.ref` words each fault, `h._resolve` turns an
 explicit edge's `(thread, pos)` reference into an id, and `h.access`
-gives the access column that explicit `rf` or `dp` edges are checked
-against, which assembly drops; the history keeps no column indexed by
-event id.  Each thread's ids are consecutive, so a thread is held as
-the `range` of its ids: an event's thread is found by bisecting the
-threads' stops (`History.locate`), and its position is its id minus
-the thread's first id.  `write_vars` holds each write's variable, and
+gives the access column that a trace's `rf` lines, and nothing else,
+are checked against, which assembly drops; a `dp` line's source is a
+read exactly when it is not a write, which the write ids answer.  The
+history keeps no column indexed by event id.  Each thread's ids are
+consecutive, so a thread is held as the `range` of its ids: an event's
+thread is found by bisecting the threads' stops (`History.locate`), and
+its position is its id minus the thread's first id.  `write_vars` holds each write's variable, and
 each write's readers are the one record of reads-from.  The per-event
 column `access` (each event's tuple, shared between equal accesses) and
 the `(write, read)` pairs of `rf` are built from the groups and the
@@ -37,7 +38,7 @@ record: every package path reads the groups and the indexes.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from typing import Mapping, Sequence
 
@@ -81,7 +82,7 @@ class History:
     instance once the threads are counted and works through it: `ref`
     words its faults, `_resolve` turns each explicit edge's
     `(thread, pos)` reference into an id, and `access` is what its
-    explicit edges are checked against.  Assembly rejects any dp edge
+    explicit `rf` edges are checked against.  Assembly rejects any dp edge
     that is not read-sourced or not in program order, so `derive` and the
     solver trust `dp`.  `_thread_ids` maps each thread name, the virtual
     `init` thread first, to the range of its event ids, which is program
@@ -167,10 +168,15 @@ class History:
         return " -> ".join(refs)
 
 
+def _holds(ids: Sequence[int], x: int) -> bool:
+    """Whether the ascending `ids` hold `x`."""
+    i = bisect_left(ids, x)
+    return i < len(ids) and ids[i] == x
+
+
 def history_from_blocks(
     init: Sequence[tuple[str, int]] = (),
     threads: Sequence[tuple[str, Sequence[tuple[str, str, int]]]] = (),
-    rf_refs: Sequence[tuple[tuple[str, int], tuple[str, int]]] | None = None,
     dp_refs: Sequence[tuple[tuple[str, int], tuple[str, int]]] = (),
 ) -> History:
     """Build and validate a history from per-thread blocks.
@@ -178,10 +184,10 @@ def history_from_blocks(
     `init` lists (var, value) initial writes.  `threads` lists
     (name, [(kind, var, value), ...]) blocks in declaration order; event
     ids are assigned document-first (initial writes, then threads in
-    order, events in program order).  The one loop over the events groups
-    their ids by access, at one hash of each event's tuple and one append;
-    `assemble_history` does the rest, and takes `rf_refs` and `dp_refs`
-    as they are.
+    order, events in program order).  Reads-from is inferred from values,
+    and `dp_refs` gives dependency edges as `(thread, pos)` pairs.  The
+    one loop over the events groups their ids by access, at one hash of
+    each event's tuple and one append; `assemble_history` does the rest.
     """
     groups: defaultdict[tuple[str, str, int], list[int]] = defaultdict(list)
     counts: list[tuple[str, int]] = []
@@ -192,7 +198,7 @@ def history_from_blocks(
             groups[a].append(i)
         start += len(block)
         counts.append((name, len(block)))
-    return assemble_history(groups, counts, rf_refs, dp_refs)
+    return assemble_history(groups, counts, dp_refs=dp_refs)
 
 
 def assemble_history(
@@ -215,12 +221,14 @@ def assemble_history(
     not used: each must join a write to a read of the same variable and
     value, no read may be named twice, and every read must be named.  An
     edge that passes names the read's inferred writer, since values are
-    written once per variable.  `dp_refs` gives dependency edges, which
-    must start at a read and follow program order.  A variable given two
-    initial writes is reported first.  When the events hold several other
-    faults (an unknown kind, a value out of range, a value written twice,
-    a thread name taken twice, or, without `rf_refs`, a read no write
-    matches), the one at the earliest event is reported: a value written
+    written once per variable.  They are the one thing checked against
+    the access column, which is built only for them.  `dp_refs` gives
+    dependency edges, which must start at a read (an event that is not a
+    write) and follow program order.  A variable given two initial writes
+    is reported first.  When the events hold several other faults (an
+    unknown kind, a value out of range, a value written twice, a thread
+    name taken twice, or, without `rf_refs`, a read no write matches),
+    the one at the earliest event is reported: a value written
     twice sits at its second write, a thread name at the first event of
     its second block.  After them come the faults of the `rf` edges in
     edge order, then the first read they leave uncovered (which is how a
@@ -313,12 +321,12 @@ def assemble_history(
         raise fault
     h._groups = owned
 
-    # Explicit edges name events by position, so they read the access
-    # column.
-    access = h.access if rf_refs is not None or dp_refs else ()
     if rf_refs is not None:
-        # An edge that passes names the read's inferred writer, since each
-        # value is written once per variable; so `readers` stands.
+        # An `rf` edge names its events by position, so it is checked
+        # against the access column.  An edge that passes names the read's
+        # inferred writer, since each value is written once per variable;
+        # so `readers` stands.
+        access = h.access
         covered: set[int] = set()
         for wref, rref in rf_refs:
             w = h._resolve(wref)
@@ -346,7 +354,9 @@ def assemble_history(
     for sref, tref in dp_refs:
         s = h._resolve(sref)
         t = h._resolve(tref)
-        if access[s][0] != READ:
+        # Every event is a write or a read, so a source is a read exactly
+        # when it is not a write.
+        if _holds(writes, s):
             raise InvalidDpError(f"dp {h.ref(s)} -> {h.ref(t)} must start at a read")
         # `s` is a read, so not an initial write: program order puts it
         # before `t` when they share a thread and `s` comes first.  Both

@@ -31,14 +31,13 @@ logarithmically with the events (see its docstring).
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from typing import NamedTuple
 
 from .errors import UnknownModelError
-from .events import INIT_THREAD, READ, WRITE, History
+from .events import INIT_THREAD, READ, WRITE, History, _holds
 from .graphs import EventGraph, find_cycle
 
 
@@ -415,12 +414,6 @@ def build_base_graphs(
         EventGraph.from_rows(adj_loc, deg_loc, sites_loc),
         EventGraph.from_rows(adj_mm, deg_mm, sites_mm),
     )
-
-
-def _holds(ids: Sequence[int], x: int) -> bool:
-    """Whether the ascending `ids` hold `x`."""
-    i = bisect_left(ids, x)
-    return i < len(ids) and ids[i] == x
 
 
 def program_orders(

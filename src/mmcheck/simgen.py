@@ -180,32 +180,34 @@ def simulate(prog: RandomProgram, model: str, seed: int) -> History:
 def mutate(h: History, seed: int) -> History:
     """Rewire one random read to a different same-variable writer.
 
-    The read's value is set to the new writer's value, which keeps the
-    write-once discipline intact and names the new writer, so reads-from
-    is inferred from values; dependency edges are carried over.
+    The read is drawn from the sorted readers of the writes of variables
+    with two writes or more, and the new writer from its variable's
+    writes other than the one its value names.  The read's value is set
+    to the new writer's value, which keeps the write-once discipline
+    intact and names the new writer, so reads-from is inferred from
+    values; dependency edges are carried over.
     """
     rng = random.Random(seed)
-    access = h.access
-    writer_of = {
-        r: w
+    reads = sorted(
+        r
         for w, var in zip(h.writes, h.write_vars)
         if len(h.writes_on(var)) >= 2
         for r in h.readers_of(w)
-    }
-    if not writer_of:
-        raise NoAlternativeWriterError(
-            "every read's variable has a single writer"
-        )
-    rid = rng.choice(sorted(writer_of))
-    kind, var, _ = access[rid]
-    current = writer_of[rid]
-    new_writer = rng.choice([w for w in h.writes_on(var) if w != current])
-    rewired = {rid: (kind, var, access[new_writer][2])}
+    )
+    if not reads:
+        raise NoAlternativeWriterError("every read's variable has a single writer")
+    rid = rng.choice(reads)
+    column = list(h.access)
+    kind, var, val = column[rid]
+    new_writer = rng.choice([w for w in h.writes_on(var) if column[w][2] != val])
+    column[rid] = (kind, var, column[new_writer][2])
 
-    init = [access[i][1:] for i in h.thread_events(INIT_THREAD)]
-    threads = [
-        (t, [rewired.get(eid, access[eid]) for eid in h.thread_events(t)])
-        for t in h.threads
-    ]
-    dp_refs = [(h.locate(a), h.locate(b)) for a, b in sorted(h.dp)]
-    return history_from_blocks(init=init, threads=threads, dp_refs=dp_refs)
+    def block(t: str) -> list[tuple[str, str, int]]:
+        ids = h.thread_events(t)
+        return column[ids.start:ids.stop]
+
+    return history_from_blocks(
+        init=[a[1:] for a in block(INIT_THREAD)],
+        threads=[(t, block(t)) for t in h.threads],
+        dp_refs=[(h.locate(a), h.locate(b)) for a, b in sorted(h.dp)],
+    )

@@ -146,14 +146,16 @@ def with_random_dp(h, rng: random.Random):
             dp_refs.append((ref(rid), ref(rng.choice(later))))
     if not dp_refs:
         return None
-    return history_from_blocks(
+    out = history_from_blocks(
         init=[(e.var, e.val) for e in evs if e.is_init],
         threads=[
             (t, [access[i] for i in h.thread_events(t)]) for t in h.threads
         ],
-        rf_refs=[(ref(w), ref(r)) for w, r in sorted(h.rf)],
         dp_refs=dp_refs,
     )
+    # The same events under the same ids: values name the same writers.
+    assert out.rf == h.rf
+    return out
 
 
 @pytest.fixture(scope="session")

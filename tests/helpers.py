@@ -35,6 +35,11 @@ certificate, one set at a time from the search's tables and lemmas,
 without searching: each dead set must be refuted by rests that are dead
 too or hold a cycle of waits.  It shares no code with the search.
 
+`reference_mutate` is `mutate` as it was written with a map of every
+read to its writer and a per-event copy of the accesses.  It is a
+deliberate duplicate: a test asserts that `mutate`, which names the
+current writer by the read's value, draws the same read and writer.
+
 `structural_bound` gives the bound on the subsets the search evaluates
 that the tests gate on, and `format_dimacs` the DIMACS text that
 `parse_dimacs` round-trips.  `format_with_rf` spells a history's
@@ -48,6 +53,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 from collections import Counter
 from dataclasses import dataclass
 from types import SimpleNamespace
@@ -60,9 +66,10 @@ from mmcheck import (
     Verdict,
     derive,
     format_history,
+    history_from_blocks,
     oota_cycle,
 )
-from mmcheck.errors import DanglingRefError, MmcheckError
+from mmcheck.errors import DanglingRefError, MmcheckError, NoAlternativeWriterError
 from mmcheck.events import INIT_THREAD, READ, WRITE
 from mmcheck.graphs import EventGraph, kahn_acyclic
 from mmcheck.models import build_base_graphs
@@ -469,6 +476,38 @@ def format_with_rf(h: History) -> str:
     head = len(lines) - len(h.dp)
     lines[head:head] = rf
     return "".join(line + "\n" for line in lines)
+
+
+def reference_mutate(h: History, seed: int) -> History:
+    """`mutate` through a map of every read to its writer: the same draws
+    from `random.Random(seed)`, the read from the sorted reads of
+    multi-writer variables, then the new writer from the other writes of
+    its variable."""
+    rng = random.Random(seed)
+    access = h.access
+    writer_of = {
+        r: w
+        for w, var in zip(h.writes, h.write_vars)
+        if len(h.writes_on(var)) >= 2
+        for r in h.readers_of(w)
+    }
+    if not writer_of:
+        raise NoAlternativeWriterError(
+            "every read's variable has a single writer"
+        )
+    rid = rng.choice(sorted(writer_of))
+    kind, var, _ = access[rid]
+    current = writer_of[rid]
+    new_writer = rng.choice([w for w in h.writes_on(var) if w != current])
+    rewired = {rid: (kind, var, access[new_writer][2])}
+
+    init = [access[i][1:] for i in h.thread_events(INIT_THREAD)]
+    threads = [
+        (t, [rewired.get(eid, access[eid]) for eid in h.thread_events(t)])
+        for t in h.threads
+    ]
+    dp_refs = [(h.locate(a), h.locate(b)) for a, b in sorted(h.dp)]
+    return history_from_blocks(init=init, threads=threads, dp_refs=dp_refs)
 
 
 def closure(n, edges):

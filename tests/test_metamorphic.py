@@ -3,11 +3,13 @@
 Each rewrite rebuilds the history from thread blocks through
 `history_from_blocks`, which groups the events by access and validates
 them in `assemble_history` as the trace parser's output is, carrying
-reads-from and dependency edges by event reference.  Renaming threads or
-variables keeps every event id, so the search must also visit the same
-number of subsets and return the same witness.  Reordering thread blocks
-renumbers the events, and an added thread with one unread write to a
-fresh variable adds a write; both keep the verdict only.
+dependency edges by event reference; each rewrite asserts that the
+values name every read's writer at its carried reference.  Renaming
+threads or variables keeps every event id, so the search must also
+visit the same number of subsets and return the same witness.
+Reordering thread blocks renumbers the events, and an added thread with
+one unread write to a fresh variable adds a write; both keep the verdict
+only.
 """
 
 from __future__ import annotations
@@ -41,16 +43,21 @@ def _rebuilt(h, order=None, thread_name=None, var_name=None, extra=()):
         e = evs[eid]
         return e.kind, vname.get(e.var, e.var), e.val
 
-    return history_from_blocks(
+    out = history_from_blocks(
         init=[(vname.get(e.var, e.var), e.val) for e in evs if e.is_init],
         threads=[
             (tname.get(t, t), [access(i) for i in h.thread_events(t)])
             for t in (h.threads if order is None else order)
         ]
         + list(extra),
-        rf_refs=[(ref(w), ref(r)) for w, r in sorted(h.rf)],
         dp_refs=[(ref(a), ref(b)) for a, b in sorted(h.dp)],
     )
+    # Values name each read's writer at its carried reference, and the
+    # `extra` threads hold no read.
+    assert {(out.locate(w), out.locate(r)) for w, r in out.rf} == {
+        (ref(w), ref(r)) for w, r in h.rf
+    }
+    return out
 
 
 def _renamed_threads(h):

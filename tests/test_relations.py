@@ -62,6 +62,7 @@ from helpers import (
     graph_edges,
     has_wait_cycle,
     reference_derive,
+    resolve_ref,
     set_waits,
     solve_reference,
 )
@@ -195,7 +196,7 @@ def _random_history(rng):
             if kind == "wr":
                 writes.append((var, val, (f"T{t}", pos)))
         threads.append((f"T{t}", block))
-    rf_refs = []
+    drawn_rf = []
     for name, block in threads:
         for pos, event in enumerate(block):
             if event[0] != "rd":
@@ -206,7 +207,7 @@ def _random_history(rng):
                 writes.append((event[1], event[2], (name, pos)))
                 continue
             _, event[2], ref = rng.choice(sources)
-            rf_refs.append((ref, (name, pos)))
+            drawn_rf.append((ref, (name, pos)))
     dp_refs = []
     if rng.random() < 0.5:
         for name, block in threads:
@@ -216,12 +217,14 @@ def _random_history(rng):
                 for later in range(pos + 1, len(block)):
                     if rng.random() < 0.5:
                         dp_refs.append(((name, pos), (name, later)))
-    return history_from_blocks(
+    h = history_from_blocks(
         init=init,
         threads=[(name, [tuple(e) for e in block]) for name, block in threads],
-        rf_refs=rf_refs,
         dp_refs=dp_refs,
     )
+    # Each read took its drawn source's value, which names that source.
+    assert h.rf == {(resolve_ref(h, *w), resolve_ref(h, *r)) for w, r in drawn_rf}
+    return h
 
 
 def test_random_histories_match_reference():

@@ -25,8 +25,14 @@ from mmcheck.errors import (
 )
 from mmcheck.simgen import RandomProgram
 
-from conftest import SB, TRACES, with_random_dp
-from helpers import events, format_with_rf, resolve_ref, rf_source
+from conftest import SB, TRACES, build_corpus, with_random_dp
+from helpers import (
+    events,
+    format_with_rf,
+    reference_mutate,
+    resolve_ref,
+    rf_source,
+)
 
 
 def test_single_thread_resolves_locally():
@@ -193,6 +199,43 @@ def test_mutate_output_names_writers_by_value():
     assert not any(line.startswith("rf ") for line in text.splitlines())
     reparsed = parse_history(text)
     assert (reparsed.access, reparsed.rf, reparsed.dp) == (m.access, m.rf, m.dp)
+
+
+def _mutant_text(mutate_fn, h, seed):
+    try:
+        return format_history(mutate_fn(h, seed))
+    except NoAlternativeWriterError as exc:
+        return exc
+
+
+def test_mutate_matches_its_reference():
+    # `mutate` names the current writer by the read's value and copies no
+    # event; the reference maps every read to its writer.  Both make the
+    # same draws, so they give the same bytes or the same refusal, on the
+    # corpora, their dependency-edge variants, every trace file and a
+    # mutant's mutant.
+    rng = random.Random(4343)
+    corpora = build_corpus(300, 1) + build_corpus(300, 2)
+    histories = corpora + [
+        g for g in (with_random_dp(h, rng) for h in corpora) if g is not None
+    ]
+    histories += [parse_history(p.read_text()) for p in sorted(TRACES.glob("*.mmh"))]
+    refused = mutated = 0
+    for h in histories:
+        for seed in range(10):
+            got = _mutant_text(mutate, h, seed)
+            want = _mutant_text(reference_mutate, h, seed)
+            if isinstance(want, NoAlternativeWriterError):
+                assert type(got) is type(want) and str(got) == str(want)
+                refused += 1
+                continue
+            assert got == want
+            mutated += 1
+            again = parse_history(got)
+            assert _mutant_text(mutate, again, seed + 10) == _mutant_text(
+                reference_mutate, again, seed + 10
+            )
+    assert refused > 0 and mutated > 10 * len(corpora)
 
 
 def test_mutated_long_trace_matches_its_file():

@@ -805,18 +805,29 @@ def test_solve_builds_no_event_column(monkeypatch):
     # Under every model the solver reads the per-write variables, the
     # threads' ranges, each write's readers and rmo's dependency edges:
     # with the per-event `access` column disabled, parsing a document
-    # without `rf` or `dp` lines and `solve` give the same verdicts,
-    # witnesses and counters.  Assembly reads the column to check explicit
-    # edges, so the documents that carry them are parsed before it is
-    # disabled.  A cyclic base graph's diagnostic, `format_history`,
-    # `mutate` and the test-only event view still read it; the package
-    # keeps no other per-event column.
+    # without `rf` lines and `solve` give the same verdicts, witnesses and
+    # counters.  A `dp` line's source is told a read by the write ids, so
+    # the out-of-thin-air trace without its two `rf` lines is parsed with
+    # the column disabled.  Assembly reads the column to check `rf` lines,
+    # so the documents that carry them are parsed before it is disabled.
+    # A cyclic base graph's diagnostic, `format_history`, `mutate` and the
+    # test-only event view still read it; the package keeps no other
+    # per-event column.
+    dp_only = "".join(
+        line for line in OOTA.splitlines(True) if not line.startswith("rf ")
+    )
+    assert "dp " in dp_only and "rf " not in dp_only
     texts = [(TRACES / "long.mmh").read_text(), MP]
     checks = [(text, m) for text in texts for m in ALL_MODELS]
+    checks.append((dp_only, "rmo"))
     edged_texts = [(TRACES / "spelled.mmh").read_text(), OOTA]
     edged = [parse_history(t) for t in edged_texts]
     expected = [solve(parse_history(t), get_model(m)) for t, m in checks]
     expected += [solve(h, get_model("rmo")) for h in edged]
+    # the same relations as the trace with its `rf` lines, and rejected
+    bare = parse_history(dp_only)
+    assert (bare.rf, bare.dp) == (edged[1].rf, edged[1].dp)
+    assert not solve(bare, get_model("rmo")).consistent
     cyclic = "init: x=0\nthread T0\nrd x 1\nwr x 1\n"
     uses = {
         "diagnostic": lambda: solve(parse_history(cyclic), get_model("sc")),

@@ -395,18 +395,18 @@ def test_fresh_tuples_assemble_as_their_parse():
         def ref(eid):
             return evs[eid].thread, evs[eid].pos
 
-        explicit = i % 2 == 1
         rebuilt = history_from_blocks(
             init=[(e.var, e.val) for e in evs if e.is_init],
             threads=[
                 (t, [(e.kind, e.var, e.val) for e in evs if e.thread == t])
                 for t in h.threads
             ],
-            rf_refs=[(ref(w), ref(r)) for w, r in sorted(h.rf)]
-            if explicit
-            else None,
             dp_refs=[(ref(a), ref(b)) for a, b in sorted(h.dp)],
         )
+        # Every other document names each read's writer in an `rf` line,
+        # which the parse checks against the values that `rebuilt` infers
+        # its reads-from from.
+        explicit = i % 2 == 1
         text = format_with_rf(h) if explicit else format_history(h)
         parsed = parse_history(_respell(text, ("\n", "\r\n")[i // 2 % 2]))
         _assert_same_history(h, parsed)
@@ -468,17 +468,14 @@ def test_refs_are_thread_position_pairs():
         ("T1", [("rd", "y", 1)]),
     ]
     h = history_from_blocks(
-        init=[("x", 0)],
-        threads=threads,
-        rf_refs=[(("init", 0), ("T0", 0)), (("T0", 1), ("T1", 0))],
-        dp_refs=[(("T0", 0), ("T0", 1))],
+        init=[("x", 0)], threads=threads, dp_refs=[(("T0", 0), ("T0", 1))]
     )
     parsed = parse_history(
         "init: x=0\nthread T0\nrd x 0\nwr y 1\nthread T1\nrd y 1\n"
-        "dp T0:0 -> T0:1\n"
+        "rf init:0 -> T0:0\nrf T0:1 -> T1:0\ndp T0:0 -> T0:1\n"
     )
     assert events(h) == events(parsed)
-    assert h.rf == parsed.rf and h.dp == parsed.dp
+    assert h.rf == parsed.rf == {(0, 1), (2, 3)} and h.dp == parsed.dp
     for bad in (("T0", 2), ("T0", -1), ("T9", 0)):
         with pytest.raises(DanglingRefError):
             history_from_blocks(
